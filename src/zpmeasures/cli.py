@@ -18,6 +18,14 @@ from .suites import SUITES, RunConfig, run_suite
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 
+def nonnegative(text: str) -> int:
+    """argparse type for counts and levels: an int >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="zpmeasures",
                                  description="exact p-adic measure and octagon checks")
@@ -30,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n", type=int, default=None, help="octagon level (defaults to --nmax)")
     v.add_argument("--sigma-rep", type=int, default=None)
     v.add_argument("--degree", type=int, default=3)
-    v.add_argument("--terms", type=int, default=6)
+    v.add_argument("--terms", type=nonnegative, default=6)
     v.add_argument("--mod-exp", type=int, default=3)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -42,9 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
                                       "nc-series", "octagon-factor"))
     e.add_argument("--p", type=int, default=3)
     e.add_argument("--nmax", type=int, default=3)
-    e.add_argument("--n", type=int, default=1)
-    e.add_argument("--level", type=int, default=None)
-    e.add_argument("--terms", type=int, default=6)
+    e.add_argument("--n", type=nonnegative, default=1)
+    e.add_argument("--level", type=nonnegative, default=None)
+    e.add_argument("--terms", type=nonnegative, default=6)
     e.add_argument("--degree", type=int, default=3)
     e.add_argument("--sigma-rep", type=int, default=1)
     e.add_argument("--measure", default="dirac",

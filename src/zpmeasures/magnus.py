@@ -385,10 +385,6 @@ def alpha_coeff(s: NcSeries, i: int) -> Rat:
     return s.coeff((i,))
 
 
-def beta_coeff(s: NcSeries, a: int, b: int) -> Rat:
-    return s.coeff((a, b))
-
-
 def gamma_coeff(s: NcSeries, i: int) -> Rat:
     return s.coeff((X, i))
 

@@ -51,32 +51,34 @@ class SymPoly:
                     self.terms[key] = c
 
     @classmethod
+    def _trusted(cls, terms: dict) -> "SymPoly":
+        """Wrap a dict that already maps keys to nonzero Fractions."""
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
+
+    @classmethod
     def const(cls, c) -> "SymPoly":
         return cls({(0, ()): Fraction(c)})
 
     @classmethod
     def t(cls, exp: int = 1) -> "SymPoly":
-        return cls({(exp, ()): Fraction(1)})
+        return cls._trusted({(exp, ()): Fraction(1)})
 
     @classmethod
     def symbol(cls, sym) -> "SymPoly":
-        return cls({(0, (tuple(sym),)): Fraction(1)})
+        return cls._trusted({(0, (tuple(sym),)): Fraction(1)})
 
     def __add__(self, other):
         other = _coerce(other)
         out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return SymPoly(out)
+        _accumulate(out, other.terms.items())
+        return SymPoly._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SymPoly({k: -c for k, c in self.terms.items()})
+        return SymPoly._trusted({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -88,14 +90,9 @@ class SymPoly:
         other = _coerce(other)
         out = {}
         for (t1, s1), c1 in self.terms.items():
-            for (t2, s2), c2 in other.terms.items():
-                key = (t1 + t2, tuple(sorted(s1 + s2)))
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return SymPoly(out)
+            _accumulate(out, (((t1 + t2, tuple(sorted(s1 + s2))), c1 * c2)
+                              for (t2, s2), c2 in other.terms.items()))
+        return SymPoly._trusted(out)
 
     __rmul__ = __mul__
 
@@ -121,22 +118,22 @@ class SymPoly:
 
     def subs_t(self, value) -> "SymPoly":
         value = Fraction(value)
-        out = SymPoly()
-        for (te, syms), c in self.terms.items():
-            out = out + SymPoly({(0, syms): c * value ** te})
-        return out
+        out = {}
+        _accumulate(out, (((0, syms), c * value ** te)
+                          for (te, syms), c in self.terms.items()))
+        return SymPoly._trusted(out)
 
     def substitute(self, mapping) -> "SymPoly":
         """Replace mapped symbols by polynomials (exact, product-expanded)."""
         if not mapping:
             return self
-        out = SymPoly()
+        out = {}
         for (te, syms), c in self.terms.items():
-            term = SymPoly({(te, ()): c})
+            term = SymPoly._trusted({(te, ()): c})
             for sym in syms:
                 term = term * mapping.get(sym, SymPoly.symbol(sym))
-            out = out + term
-        return out
+            _accumulate(out, term.terms.items())
+        return SymPoly._trusted(out)
 
     def __str__(self):
         if not self.terms:
@@ -154,6 +151,17 @@ class SymPoly:
         return " + ".join(bits)
 
     __repr__ = __str__
+
+
+def _accumulate(out: dict, pairs) -> None:
+    """Add (key, Fraction) pairs into `out`, dropping keys that cancel."""
+    for k, c in pairs:
+        if k in out:
+            c = out[k] + c
+        if c:
+            out[k] = c
+        else:
+            out.pop(k, None)
 
 
 def _coerce(x) -> SymPoly:
@@ -222,11 +230,13 @@ class SymSeries:
         return SymSeries(self.width, {m: ppoly * c for m, c in self.coeffs.items()})
 
     def __mul__(self, other: "SymSeries") -> "SymSeries":
+        """Product truncated past degree 2, formed grade by grade: a degree-i
+        term of self meets only the degree <= 2 - i terms of other."""
+        right = [[(m, c) for m, c in other.coeffs.items() if len(m) == d]
+                 for d in range(3)]
         out = SymSeries(self.width)
         for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                if len(m1) + len(m2) > 2:
-                    continue
+            for m2, c2 in itertools.chain(*right[:max(0, 3 - len(m1))]):
                 out.add_term(m1 + m2, c1 * c2)
         return out
 
@@ -566,10 +576,13 @@ def standard_relation_set(p: int, n: int, s: int, prod: SymSeries = None,
     return rs
 
 
-def deg1_implied_by_reflection(p: int, n: int, s: int) -> dict:
+def deg1_implied_by_reflection(p: int, n: int, s: int, prod: SymSeries) -> dict:
     """Check that every degree-1 relation of the product lies in the ideal
-    generated by the reflection relations alone."""
-    prod = octagon_product(p, n, s)
+    generated by the reflection relations alone.
+
+    `prod` is the octagon product at (p, n, s), as built by the caller with
+    `octagon_product` (a negative control passes a tampered one).
+    """
     width = prod.width
     refl = build_relation_set(reflection_relations(p, n, s),
                               prefer=reflection_half_system(width))
@@ -615,9 +628,10 @@ def _d2_sympoly(a: int, b: int, width: int) -> SymPoly:
     return val
 
 
-def degree2_display(a: int, b: int, p: int, n: int, s: int) -> SymPoly:
+def degree2_display(a: int, b: int, p: int, n: int, s: int, e1: list) -> SymPoly:
     """The sum of named-measure terms expressing the degree-2 symmetry,
-    evaluated at the point (a, b) of level n."""
+    evaluated at the point (a, b) of level n.  `e1` lists E_{1,chi}(x) for
+    x in [0, p^n), built once per residue by the caller."""
     width = p ** n
     t = SymPoly.t()
     chi = SymPoly.const(s) + SymPoly.const(width) * t
@@ -625,7 +639,7 @@ def degree2_display(a: int, b: int, p: int, n: int, s: int) -> SymPoly:
     half = one_m_chi * Fraction(1, 2)
 
     def E(x):
-        return e1_sympoly(x, p, n, s)
+        return e1[x]
 
     def al(x):
         return a_sym(x, width)
@@ -672,29 +686,31 @@ def degree2_display_chi1(a: int, b: int, width: int) -> SymPoly:
     return total
 
 
-def degree2_symmetry_check(p: int, n: int, s: int) -> dict:
+def degree2_symmetry_check(p: int, n: int, s: int, prod: SymSeries) -> dict:
     """Match the named-measure display against the product's Y_a Y_b
     coefficients modulo the degree-1 + reflection ideal.
+
+    `prod` is the octagon product at (p, n, s), as built by the caller with
+    `octagon_product` (a negative control passes a tampered one): its Y_a Y_b
+    coefficients are matched, its degree-1 coefficients join the ideal.
 
     Returns the report payload: residuals in full (all zero on success), the
     rank of the degree-1 relations, whether the shuffle relations had to be
     added, and for s = 1 the specialized chi = 1 comparison.
     """
     width = _check_config(p, n, s)
-    prod = octagon_product(p, n, s)
     x_coeff_zero = prod.coeff((X,)).is_zero()
     rs = standard_relation_set(p, n, s, prod)
+    e1 = [e1_sympoly(x, p, n, s) for x in range(width)]
+    display = {(a, b): degree2_display(a, b, p, n, s, e1) - prod.coeff((a, b))
+               for a, b in itertools.product(range(width), repeat=2)}
 
-    raw = {}
-    for a, b in itertools.product(range(width), repeat=2):
-        res = degree2_display(a, b, p, n, s) - prod.coeff((a, b))
-        raw[(a, b)] = rs.reduce(res)
+    raw = {k: rs.reduce(res) for k, res in display.items()}
     extra = []
     residuals = raw
     if not all(r.is_zero() for r in raw.values()):
         rs2 = standard_relation_set(p, n, s, prod, with_shuffle=True)
-        residuals = {k: rs2.reduce(degree2_display(k[0], k[1], p, n, s)
-                                   - prod.coeff(k)) for k in raw}
+        residuals = {k: rs2.reduce(res) for k, res in display.items()}
         extra = ["shuffle"]
 
     chi1 = None

@@ -49,9 +49,6 @@ class PrimeContext:
         if self.prec < 1:
             raise ValueError("prec must be >= 1")
 
-    def modulus(self, n: int) -> int:
-        return self.p ** n
-
 
 def vp(x, p: int):
     """p-adic valuation of a rational; INF for x = 0."""

@@ -78,9 +78,6 @@ class SuiteReport:
             out["reports"] = self.artifacts
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
     def to_text(self) -> str:
         lines = [f"suite: {self.suite}"]
         lines.append("config: " + json.dumps(self.config, sort_keys=True))
@@ -356,25 +353,14 @@ def octagon_suite(cfg: RunConfig) -> SuiteReport:
         if cfg.tamper:
             prod.add_term((0, 0), octagon.SymPoly.const(1))
         rep.add(f"x-coefficient:s={s}", prod.coeff((magnus.X,)).is_zero(), "")
-        d1 = octagon.deg1_implied_by_reflection(cfg.p, cfg.n_max, s)
+        d1 = octagon.deg1_implied_by_reflection(cfg.p, cfg.n_max, s, prod)
         rep.add(f"deg1-from-reflection:s={s}", d1["passed"], "")
-        res = octagon.degree2_symmetry_check(cfg.p, cfg.n_max, s)
-        if cfg.tamper:
-            rs = octagon.standard_relation_set(cfg.p, cfg.n_max, s, prod)
-            bad = {}
-            for a, b in itertools.product(range(width), repeat=2):
-                r = rs.reduce(octagon.degree2_display(a, b, cfg.p, cfg.n_max, s)
-                              - prod.coeff((a, b)))
-                if not r.is_zero():
-                    bad[(a, b)] = str(r)
-            rep.add(f"degree2-residuals:s={s}", not bad,
-                    f"nonzero at {sorted(bad)[:3]}" if bad else "")
-        else:
-            nonzero = [k for k, v in res["residuals"].items() if not v.is_zero()]
-            rep.add(f"degree2-residuals:s={s}", res["passed"],
-                    f"nonzero at {nonzero[:3]}" if nonzero else
-                    f"extra_relations={res['extra_relations_used']}")
-            rep.artifacts.append(octagon.report_json_dict(res))
+        res = octagon.degree2_symmetry_check(cfg.p, cfg.n_max, s, prod)
+        nonzero = [k for k, v in res["residuals"].items() if not v.is_zero()]
+        rep.add(f"degree2-residuals:s={s}", res["passed"],
+                f"nonzero at {nonzero[:3]}" if nonzero else
+                f"extra_relations={res['extra_relations_used']}")
+        rep.artifacts.append(octagon.report_json_dict(res))
         for name in "CEG":
             d = octagon.derive_factor_by_subst(name, cfg.p, cfg.n_max, s)
             rep.add(f"substitution-derivation:{name}:s={s}", d["passed"],

@@ -119,8 +119,8 @@ def test_05_octagon_symbolic_suite():
             start = time.monotonic()
             prod = octagon_product(p, n, s)
             ok = ok and prod.coeff((X,)).is_zero()
-            ok = ok and deg1_implied_by_reflection(p, n, s)["passed"]
-            rep = degree2_symmetry_check(p, n, s)
+            ok = ok and deg1_implied_by_reflection(p, n, s, prod)["passed"]
+            rep = degree2_symmetry_check(p, n, s, prod)
             ok = ok and rep["passed"]
             ok = ok and all(r.is_zero() for r in rep["residuals"].values())
             elapsed = time.monotonic() - start

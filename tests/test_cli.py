@@ -106,3 +106,16 @@ def test_emit_d2_from_word(capsys):
                 "--p", "3", "--nmax", "2", "--format", "csv"]) == EXIT_OK
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "n,a_1,a_2,value"
+
+
+@pytest.mark.parametrize("argv", [
+    ["emit", "iwasawa", "--measure", "M", "--terms", "-1"],
+    ["emit", "iwasawa", "--measure", "M", "--level", "-1"],
+    ["emit", "nc-series", "--word", "[y0,y1]", "--p", "2", "--n", "-1"],
+    ["verify", "transforms", "--p", "5", "--terms", "-1"],
+])
+def test_negative_counts_rejected_at_boundary(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "must be >= 0" in capsys.readouterr().err

@@ -2,7 +2,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zpmeasures import octagon
 from zpmeasures.classical import make_dirac
 from zpmeasures.magnus import X
 from zpmeasures.measures import linear_combine, scale_action, validate_distribution
@@ -15,6 +18,7 @@ from zpmeasures.octagon import (InconsistentRelations, SymPoly, SymSeries,
                                 series_inverse, standard_relation_set,
                                 symmetry_defect)
 from zpmeasures.padic import PrimeContext
+from zpmeasures.suites import RunConfig, octagon_suite
 
 GRID = [(3, 1), (5, 1), (2, 2)]
 
@@ -128,13 +132,13 @@ def test_reflection_relations_structure():
 def test_deg1_implied_by_reflection_grid():
     for p, n in GRID:
         for s in units(p, n):
-            assert deg1_implied_by_reflection(p, n, s)["passed"]
+            assert deg1_implied_by_reflection(p, n, s, octagon_product(p, n, s))["passed"]
 
 
 def test_degree2_symmetry_grid():
     for p, n in GRID:
         for s in units(p, n):
-            rep = degree2_symmetry_check(p, n, s)
+            rep = degree2_symmetry_check(p, n, s, octagon_product(p, n, s))
             assert rep["x_coeff_zero"]
             assert all(r.is_zero() for r in rep["residuals"].values()), (p, n, s)
             assert rep["extra_relations_used"] == []
@@ -144,7 +148,7 @@ def test_degree2_symmetry_grid():
 
 
 def test_report_serialization():
-    rep = degree2_symmetry_check(3, 1, 1)
+    rep = degree2_symmetry_check(3, 1, 1, octagon_product(3, 1, 1))
     d = report_json_dict(rep)
     assert d["config"] == {"p": 3, "n": 1, "s": 1}
     assert d["x_coeff_zero"] is True
@@ -184,3 +188,73 @@ def test_symmetry_defect_measure():
     assert symmetry_defect(even, 1).is_zero()
     two = linear_combine([1, -3], [make_dirac([1, 2], ctx), make_dirac([0, 1], ctx)])
     assert validate_distribution(symmetry_defect(two, 7)).passed
+
+
+# Small random SymPolys and width-2 SymSeries; monomials of length 3 check
+# that the truncation drops them as the all-pairs product does.
+SYMBOLS = [(), (("a", 0),), (("a", 1),), (("a", 0), ("g", 1)), (("b", 0, 1),)]
+polys = st.dictionaries(st.tuples(st.integers(0, 2), st.sampled_from(SYMBOLS)),
+                        st.fractions(-3, 3, max_denominator=4), max_size=4).map(SymPoly)
+monos = st.lists(st.sampled_from([X, 0, 1]), max_size=3).map(tuple)
+series = st.dictionaries(monos, polys, max_size=6).map(lambda c: SymSeries(2, c))
+
+
+def all_pairs_product(left, right):
+    out = SymSeries(left.width)
+    for m1, c1 in left.coeffs.items():
+        for m2, c2 in right.coeffs.items():
+            if len(m1) + len(m2) <= 2:
+                out.add_term(m1 + m2, c1 * c2)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(series, series)
+def test_graded_product_matches_all_pairs(left, right):
+    assert left * right == all_pairs_product(left, right)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys, polys, st.fractions(-2, 2, max_denominator=3))
+def test_sympoly_terms_stay_nonzero_fractions(f, g, v):
+    results = [f + g, f - g, f * g, -f, f + 1, 3 * g, f - f, f.subs_t(v)]
+    for r in results:
+        assert all(type(c) is Fraction and c != 0 for c in r.terms.values())
+    assert (f - f).is_zero()
+    assert (f * g).subs_t(v) == f.subs_t(v) * g.subs_t(v)
+    assert (f + g).subs_t(v) == f.subs_t(v) + g.subs_t(v)
+
+
+def test_octagon_suite_builds_one_product_per_residue(monkeypatch):
+    calls = []
+    real = octagon.octagon_product
+
+    def counting(p, n, s):
+        calls.append((p, n, s))
+        return real(p, n, s)
+
+    monkeypatch.setattr(octagon, "octagon_product", counting)
+    assert octagon_suite(RunConfig(p=5, n_max=1, suite="octagon")).passed
+    assert calls == [(5, 1, s) for s in units(5, 1)]
+
+
+def test_checks_read_the_product_they_are_given():
+    prod = octagon_product(3, 1, 1)
+    assert deg1_implied_by_reflection(3, 1, 1, prod)["passed"]
+    assert degree2_symmetry_check(3, 1, 1, prod)["passed"]
+    bad = octagon_product(3, 1, 1)
+    bad.add_term((0, 0), SymPoly.const(1))
+    rep = degree2_symmetry_check(3, 1, 1, bad)
+    assert not rep["passed"]
+    assert [k for k, r in rep["residuals"].items() if not r.is_zero()] == [(0, 0)]
+    bad.add_term((1,), SymPoly.const(1))
+    assert not deg1_implied_by_reflection(3, 1, 1, bad)["passed"]
+
+
+def test_octagon_tamper_fails_inside_the_real_check():
+    rep = octagon_suite(RunConfig(p=3, n_max=1, sigma_rep=1, suite="octagon",
+                                  tamper=True))
+    failed = [c for c in rep.checks if not c.passed]
+    assert [c.name for c in failed] == ["degree2-residuals:s=1"]
+    assert failed[0].detail == "nonzero at [(0, 0)]"
+    assert rep.artifacts[0]["passed"] is False
