@@ -7,16 +7,15 @@ from .padic import (INF, PIntegralityError, PrimeContext, Rat, bernoulli,
 from .measures import (DiracCombo, GradedSequence, IwasawaPoly, LevelFamily,
                        box_integral, exterior_power, exterior_product,
                        iwasawa_P, linear_combine, measures_equal, moment,
-                       pushforward_affine, scale_action, signed_group,
-                       signed_perm_action, star_convolution, transform_F,
-                       transform_F_via_P, translate, unit_sequence,
+                       pushforward, signed_group, star_convolution,
+                       transform_F, transform_F_via_P, unit_sequence,
                        validate_distribution)
 from .classical import (e1_relation_suite, inversion_defect,
                         inversion_defect_linear, make_D2, make_E1, make_M,
                         make_N2, make_dirac)
 from .magnus import (FreeWord, NcSeries, WordSyntaxError, beta_measures,
                      commutator, embed_E, exp_transform_roundtrip,
-                     kernel_check, log_lie_check, parse_word, project_pr,
+                     kernel_check, log_lie_check, parse_word,
                      shuffle_check, specialize_E0, word_coefficient_congruence)
 from .octagon import (SymPoly, SymSeries, build_factor,
                       deg1_implied_by_reflection, deg1_relations,

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .measures import LevelFamily, box_integral, linear_combine, measures_equal, \
-    scale_action, translate
+    pushforward
 from .mpoly import MPoly
 from .padic import INF, PrimeContext, Rat, bernoulli_poly, repr_mod, repr_mod_pos, vp
 
@@ -141,9 +141,9 @@ def e1_relation_suite(c, ctx: PrimeContext, up_to_level: int, mod_exp: int):
     M = make_M(c, ctx)
     d0 = make_dirac([0], ctx)
     dc = make_dirac([c], ctx)
-    Em = scale_action(E, -1)
-    TcE = translate(E, [c])
-    TcEm = translate(Em, [c])
+    Em = pushforward(E, units=[-1])
+    TcE = pushforward(E, shift=[c])
+    TcEm = pushforward(E, units=[-1], shift=[c])
     zero = LevelFamily.zero(ctx, 1)
     checks = []
 

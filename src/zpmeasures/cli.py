@@ -18,12 +18,15 @@ from .suites import SUITES, RunConfig, run_suite
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 
-def nonnegative(text: str) -> int:
-    """argparse type for counts and levels: an int >= 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def at_least(low: int):
+    """argparse type for counts, levels and degrees: an int >= low."""
+    def bounded(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return bounded
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -37,8 +40,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--nmax", type=int, default=3)
     v.add_argument("--n", type=int, default=None, help="octagon level (defaults to --nmax)")
     v.add_argument("--sigma-rep", type=int, default=None)
-    v.add_argument("--degree", type=int, default=3)
-    v.add_argument("--terms", type=nonnegative, default=6)
+    # the magnus suite multiplies pairs of letters, so degree 1 truncates them away
+    v.add_argument("--degree", type=at_least(2), default=3)
+    v.add_argument("--terms", type=at_least(0), default=6)
     v.add_argument("--mod-exp", type=int, default=3)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -50,9 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
                                       "nc-series", "octagon-factor"))
     e.add_argument("--p", type=int, default=3)
     e.add_argument("--nmax", type=int, default=3)
-    e.add_argument("--n", type=nonnegative, default=1)
-    e.add_argument("--level", type=nonnegative, default=None)
-    e.add_argument("--terms", type=nonnegative, default=6)
+    e.add_argument("--n", type=at_least(0), default=1)
+    e.add_argument("--level", type=at_least(0), default=None)
+    e.add_argument("--terms", type=at_least(0), default=6)
     e.add_argument("--degree", type=int, default=3)
     e.add_argument("--sigma-rep", type=int, default=1)
     e.add_argument("--measure", default="dirac",
@@ -97,9 +101,6 @@ def _build_measure(args, ctx: PrimeContext):
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in SUITES:
-        print(f"unknown suite: {args.suite}", file=sys.stderr)
-        return EXIT_USAGE
     n_max = args.n if (args.suite == "octagon" and args.n is not None) else args.nmax
     try:
         cfg = RunConfig(p=args.p, n_max=n_max, degree=args.degree,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .measures import LevelFamily, box_integral, transform_F
-from .mpoly import MPoly
+from .mpoly import MPoly, accumulate
 from .padic import PrimeContext, Rat, format_rat, vp
 
 X = -1
@@ -171,12 +171,7 @@ class NcSeries:
     def __add__(self, other: "NcSeries") -> "NcSeries":
         assert self._same_shape(other)
         out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+        accumulate(out, other.coeffs.items())
         return NcSeries(self.ctx, self.level, self.degree, out)
 
     def __sub__(self, other: "NcSeries") -> "NcSeries":
@@ -194,15 +189,8 @@ class NcSeries:
         out = {}
         for m1, c1 in self.coeffs.items():
             room = self.degree - len(m1)
-            for m2, c2 in other.coeffs.items():
-                if len(m2) > room:
-                    continue
-                m = m1 + m2
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+            accumulate(out, ((m1 + m2, c1 * c2) for m2, c2 in other.coeffs.items()
+                             if len(m2) <= room))
         return NcSeries(self.ctx, self.level, self.degree, out)
 
     def homogeneous(self, d: int) -> dict:
@@ -257,12 +245,7 @@ def _left_bracketing(mono: tuple) -> dict:
     for g in mono[1:]:
         nxt = {}
         for m, c in out.items():
-            for mm, cc in ((m + (g,), c), ((g,) + m, -c)):
-                s = nxt.get(mm, Fraction(0)) + cc
-                if s:
-                    nxt[mm] = s
-                else:
-                    nxt.pop(mm, None)
+            accumulate(nxt, ((m + (g,), c), ((g,) + m, -c)))
         out = nxt
     return out
 
@@ -278,12 +261,7 @@ def log_lie_check(s: NcSeries) -> bool:
         comp = logs.homogeneous(d)
         image = {}
         for m, c in comp.items():
-            for mm, cc in _left_bracketing(m).items():
-                t = image.get(mm, Fraction(0)) + c * cc
-                if t:
-                    image[mm] = t
-                else:
-                    image.pop(mm, None)
+            accumulate(image, ((mm, c * cc) for mm, cc in _left_bracketing(m).items()))
         want = {m: d * c for m, c in comp.items()}
         if image != want:
             return False
@@ -366,15 +344,6 @@ def project_series(s: NcSeries, n: int) -> NcSeries:
             term = term * images[g]
         out = out + term
     return out
-
-
-def project_pr(obj, n: int):
-    """Project a word or a series at level n+m down to level n."""
-    if isinstance(obj, FreeWord):
-        return project_word(obj, n)
-    if isinstance(obj, NcSeries):
-        return project_series(obj, n)
-    raise TypeError("expected FreeWord or NcSeries")
 
 
 # ---------------------------------------------------------------------------

@@ -133,87 +133,34 @@ def linear_combine(coeffs: Sequence, mus: Sequence[LevelFamily]) -> LevelFamily:
     return LevelFamily.build(ctx, dim, fn, n_max)
 
 
-def translate(mu: LevelFamily, shift) -> LevelFamily:
-    """T_c: the pushforward of mu under x -> x + c, tablewise."""
-    shift = [Fraction(c) for c in shift]
-    if len(shift) != mu.dim:
-        raise ValueError("shift dimension mismatch")
-    p = mu.ctx.p
+def pushforward(mu: LevelFamily, perm=None, units=None, shift=None) -> LevelFamily:
+    """Pushforward of mu under x -> y with y_{perm[j]} = units[j] * x_j + shift[j].
+
+    perm defaults to the identity, units to all 1 and shift to all 0.  Each
+    unit must have valuation 0 and each shift must be p-integral.  The
+    translation T_c, the scaling m_d (also written mu o d^{-1}) and the
+    signed permutations are all special cases.
+    """
+    m, p = mu.dim, mu.ctx.p
+    perm = tuple(range(m)) if perm is None else tuple(perm)
+    units = [Fraction(1)] * m if units is None else [Fraction(u) for u in units]
+    shift = [Fraction(0)] * m if shift is None else [Fraction(c) for c in shift]
+    if sorted(perm) != list(range(m)) or len(units) != m or len(shift) != m:
+        raise ValueError("map dimension mismatch")
+    for u in units:
+        if vp(u, p) != 0:
+            raise ValueError(f"{u} is not a unit at p = {p}")
     for c in shift:
         if vp(c, p) < 0:
             raise PIntegralityError(f"shift {c} is not p-integral")
+    # per level: p^n and, per source coordinate j, (perm[j], u_j^{-1}, c_j) mod p^n
+    levels = [(p ** n, [(k, repr_mod(1 / u, p, n), repr_mod(c, p, n))
+                        for k, u, c in zip(perm, units, shift)])
+              for n in range(mu.n_max + 1)]
 
     def fn(n, a):
-        pn = p ** n
-        src = tuple((x - repr_mod(c, p, n)) % pn for x, c in zip(a, shift))
-        return mu.tables[n][src]
-
-    return LevelFamily.build(mu.ctx, mu.dim, fn, mu.n_max)
-
-
-def scale_action(mu: LevelFamily, d) -> LevelFamily:
-    """m_d, also written mu o d^{-1}: pushforward under x -> d*x (d a unit)."""
-    d = Fraction(d)
-    p = mu.ctx.p
-    if vp(d, p) != 0:
-        raise ValueError(f"{d} is not a unit at p = {p}")
-
-    def fn(n, a):
-        pn = p ** n
-        dinv = repr_mod(1 / d, p, n)
-        src = tuple((dinv * x) % pn for x in a)
-        return mu.tables[n][src]
-
-    return LevelFamily.build(mu.ctx, mu.dim, fn, mu.n_max)
-
-
-def pushforward_affine(mu: LevelFamily, coords) -> LevelFamily:
-    """Pushforward under x_i -> eps_i * x_i + c_i, with NO global sign factor.
-
-    coords is a sequence of (eps, c) pairs, eps in {+1, -1}, c p-integral.
-    """
-    coords = [(int(e), Fraction(c)) for e, c in coords]
-    if len(coords) != mu.dim:
-        raise ValueError("coordinate map dimension mismatch")
-    p = mu.ctx.p
-    for e, c in coords:
-        if e not in (1, -1):
-            raise ValueError("eps must be +1 or -1")
-        if vp(c, p) < 0:
-            raise PIntegralityError(f"shift {c} is not p-integral")
-
-    def fn(n, a):
-        pn = p ** n
-        src = tuple((e * (x - repr_mod(c, p, n))) % pn for x, (e, c) in zip(a, coords))
-        return mu.tables[n][src]
-
-    return LevelFamily.build(mu.ctx, mu.dim, fn, mu.n_max)
-
-
-def signed_perm_action(mu: LevelFamily, perm: Sequence[int], eps: Sequence[int]) -> LevelFamily:
-    """One element of the signed permutation group acting on a measure.
-
-    perm is the permutation as a 0-based tuple (position j of the output map
-    reads coordinate perm[j]); eps are the signs.  The measure additionally
-    picks up the product of the signs, so summing over the whole group kills
-    everything odd.
-    """
-    m = mu.dim
-    perm = tuple(perm)
-    eps = tuple(int(e) for e in eps)
-    if sorted(perm) != list(range(m)) or len(eps) != m:
-        raise ValueError("bad group element")
-    sign = 1
-    for e in eps:
-        if e not in (1, -1):
-            raise ValueError("eps must be +1 or -1")
-        sign *= e
-    p = mu.ctx.p
-
-    def fn(n, a):
-        pn = p ** n
-        src = tuple((eps[j] * a[perm[j]]) % pn for j in range(m))
-        return sign * mu.tables[n][src]
+        pn, coords = levels[n]
+        return mu.tables[n][tuple((ui * (a[k] - ci)) % pn for k, ui, ci in coords)]
 
     return LevelFamily.build(mu.ctx, mu.dim, fn, mu.n_max)
 

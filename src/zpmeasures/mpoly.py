@@ -13,6 +13,22 @@ from fractions import Fraction
 from .padic import vp
 
 
+def accumulate(out: dict, pairs) -> None:
+    """Add (key, coefficient) pairs into `out`, dropping keys that cancel.
+
+    The one add-and-prune loop behind every sparse algebra of the package:
+    coefficients may be Fractions or anything whose truth value says
+    "nonzero" (such as the octagon module's SymPoly).
+    """
+    for k, c in pairs:
+        if k in out:
+            c = out[k] + c
+        if c:
+            out[k] = c
+        else:
+            out.pop(k, None)
+
+
 class MPoly:
     """Polynomial in x_0..x_{nvars-1}; coeffs maps exponent tuples to Fraction."""
 
@@ -28,6 +44,14 @@ class MPoly:
                     self.coeffs[tuple(e)] = c
 
     @classmethod
+    def _trusted(cls, nvars: int, coeffs: dict) -> "MPoly":
+        """Wrap a dict that already maps exponent tuples to nonzero Fractions."""
+        out = object.__new__(cls)
+        out.nvars = nvars
+        out.coeffs = coeffs
+        return out
+
+    @classmethod
     def const(cls, nvars: int, c) -> "MPoly":
         return cls(nvars, {(0,) * nvars: Fraction(c)})
 
@@ -40,19 +64,14 @@ class MPoly:
     def __add__(self, other):
         other = self._coerce(other)
         out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return MPoly(self.nvars, out)
+        accumulate(out, other.coeffs.items())
+        return MPoly._trusted(self.nvars, out)
 
     def __radd__(self, other):
         return self + other
 
     def __neg__(self):
-        return MPoly(self.nvars, {e: -c for e, c in self.coeffs.items()})
+        return MPoly._trusted(self.nvars, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -61,14 +80,9 @@ class MPoly:
         other = self._coerce(other)
         out = {}
         for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return MPoly(self.nvars, out)
+            accumulate(out, ((tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                             for e2, c2 in other.coeffs.items()))
+        return MPoly._trusted(self.nvars, out)
 
     def __rmul__(self, other):
         return self * other

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .magnus import FreeWord, X, embed_E, series_log
-from .measures import LevelFamily, linear_combine, scale_action, translate
+from .measures import LevelFamily, linear_combine, pushforward
+from .mpoly import accumulate
 from .padic import PrimeContext, Rat, format_rat, is_prime
 
 # Symbols are tuples: ('a', i), ('b', i, j), ('g', i).  t is tracked as a
@@ -72,7 +73,7 @@ class SymPoly:
     def __add__(self, other):
         other = _coerce(other)
         out = dict(self.terms)
-        _accumulate(out, other.terms.items())
+        accumulate(out, other.terms.items())
         return SymPoly._trusted(out)
 
     __radd__ = __add__
@@ -90,8 +91,8 @@ class SymPoly:
         other = _coerce(other)
         out = {}
         for (t1, s1), c1 in self.terms.items():
-            _accumulate(out, (((t1 + t2, tuple(sorted(s1 + s2))), c1 * c2)
-                              for (t2, s2), c2 in other.terms.items()))
+            accumulate(out, (((t1 + t2, tuple(sorted(s1 + s2))), c1 * c2)
+                             for (t2, s2), c2 in other.terms.items()))
         return SymPoly._trusted(out)
 
     __rmul__ = __mul__
@@ -104,6 +105,9 @@ class SymPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def symbols(self):
         out = set()
@@ -119,8 +123,8 @@ class SymPoly:
     def subs_t(self, value) -> "SymPoly":
         value = Fraction(value)
         out = {}
-        _accumulate(out, (((0, syms), c * value ** te)
-                          for (te, syms), c in self.terms.items()))
+        accumulate(out, (((0, syms), c * value ** te)
+                         for (te, syms), c in self.terms.items()))
         return SymPoly._trusted(out)
 
     def substitute(self, mapping) -> "SymPoly":
@@ -132,7 +136,7 @@ class SymPoly:
             term = SymPoly._trusted({(te, ()): c})
             for sym in syms:
                 term = term * mapping.get(sym, SymPoly.symbol(sym))
-            _accumulate(out, term.terms.items())
+            accumulate(out, term.terms.items())
         return SymPoly._trusted(out)
 
     def __str__(self):
@@ -151,17 +155,6 @@ class SymPoly:
         return " + ".join(bits)
 
     __repr__ = __str__
-
-
-def _accumulate(out: dict, pairs) -> None:
-    """Add (key, Fraction) pairs into `out`, dropping keys that cancel."""
-    for k, c in pairs:
-        if k in out:
-            c = out[k] + c
-        if c:
-            out[k] = c
-        else:
-            out.pop(k, None)
 
 
 def _coerce(x) -> SymPoly:
@@ -209,17 +202,11 @@ class SymSeries:
         return self.coeffs.get(tuple(mono), ZERO)
 
     def add_term(self, mono, ppoly: SymPoly):
-        mono = tuple(mono)
-        s = self.coeffs.get(mono, ZERO) + ppoly
-        if s.is_zero():
-            self.coeffs.pop(mono, None)
-        else:
-            self.coeffs[mono] = s
+        accumulate(self.coeffs, ((tuple(mono), ppoly),))
 
     def __add__(self, other: "SymSeries") -> "SymSeries":
-        out = SymSeries(self.width, dict(self.coeffs))
-        for m, c in other.coeffs.items():
-            out.add_term(m, c)
+        out = SymSeries(self.width, self.coeffs)
+        accumulate(out.coeffs, other.coeffs.items())
         return out
 
     def __sub__(self, other: "SymSeries") -> "SymSeries":
@@ -236,8 +223,8 @@ class SymSeries:
                  for d in range(3)]
         out = SymSeries(self.width)
         for m1, c1 in self.coeffs.items():
-            for m2, c2 in itertools.chain(*right[:max(0, 3 - len(m1))]):
-                out.add_term(m1 + m2, c1 * c2)
+            accumulate(out.coeffs, ((m1 + m2, c1 * c2) for m2, c2
+                                    in itertools.chain(*right[:max(0, 3 - len(m1))])))
         return out
 
     def subs_t(self, value) -> "SymSeries":
@@ -560,10 +547,8 @@ def shuffle_substitution(width: int) -> dict:
     return mapping
 
 
-def standard_relation_set(p: int, n: int, s: int, prod: SymSeries = None,
+def standard_relation_set(p: int, n: int, s: int, prod: SymSeries,
                           with_shuffle: bool = False) -> RelationSet:
-    if prod is None:
-        prod = octagon_product(p, n, s)
     width = prod.width
     rels = reflection_relations(p, n, s) + deg1_relations(prod)
     rs = build_relation_set(rels, prefer=reflection_half_system(width))
@@ -828,15 +813,18 @@ def derive_factor_by_subst(name: str, p: int, n: int, s: int) -> dict:
         return out
 
     result = SymSeries.one(width)
+
+    def add(series, sym):
+        accumulate(result.coeffs, series.scaled(sym).coeffs.items())
+
     for i in range(width):
-        result = result + lift(logs[i]).scaled(a_sym(i, width))
+        add(lift(logs[i]), a_sym(i, width))
     for a, b in itertools.product(range(width), repeat=2):
-        prod_ab = lift(logs[a], only_deg1=True) * lift(logs[b], only_deg1=True)
-        result = result + prod_ab.scaled(b_sym(a, b, width))
+        add(lift(logs[a], only_deg1=True) * lift(logs[b], only_deg1=True), b_sym(a, b, width))
     lx = lift(logs[X], only_deg1=True)
     for i in range(width):
         ly = lift(logs[i], only_deg1=True)
-        result = result + (lx * ly - ly * lx).scaled(g_sym(i, width))
+        add(lx * ly - ly * lx, g_sym(i, width))
 
     if name in ("C", "G"):
         result = series_inverse(result)
@@ -858,7 +846,7 @@ def symmetry_defect(beta_m: LevelFamily, c) -> LevelFamily:
     vanishes identically when beta is even and c = 1.
     """
     m = beta_m.dim
-    cvec = [c] * m
-    flipped = scale_action(beta_m, -1)
-    parts = [beta_m, flipped, translate(flipped, cvec), translate(beta_m, cvec)]
+    flips, cvec = [-1] * m, [c] * m
+    parts = [beta_m, pushforward(beta_m, units=flips),
+             pushforward(beta_m, units=flips, shift=cvec), pushforward(beta_m, shift=cvec)]
     return linear_combine([-1, 1, -1, 1], parts)

@@ -17,8 +17,8 @@ from fractions import Fraction
 from . import classical, corrections, magnus, octagon
 from .measures import (DiracCombo, LevelFamily, exterior_power, iwasawa_P,
                        iwasawa_flip, iwasawa_swap, iwasawa_tensor,
-                       linear_combine, measures_equal, moment, scale_action,
-                       signed_group, signed_perm_action, star_convolution,
+                       linear_combine, measures_equal, moment, pushforward,
+                       signed_group, star_convolution,
                        transform_F, transform_F_via_P, validate_distribution)
 from .padic import PrimeContext, bernoulli, binom, format_rat, vp
 
@@ -177,13 +177,14 @@ def measures_suite(cfg: RunConfig) -> SuiteReport:
         c = units[0]
         sym_level = min(cfg.n_max, 2)
         g = _random_dirac_combo(rng, ctx, 1)
-        nu = linear_combine([1, 1], [g, scale_action(g, -1)])
+        nu = linear_combine([1, 1], [g, pushforward(g, units=[-1])])
         rho = linear_combine([1, Fraction(1 - c, 2)],
                              [classical.make_E1(c, ctx), classical.make_dirac([0], ctx)])
         alpha = linear_combine([1, Fraction(1, 2)], [nu, rho])
         beta2 = linear_combine([Fraction(1, 2)], [exterior_power(alpha, 2)])
-        parts = [signed_perm_action(beta2, perm, eps) for perm, eps in signed_group(2)]
-        lhs = linear_combine([1] * len(parts), parts)
+        group = list(signed_group(2))
+        lhs = linear_combine([eps[0] * eps[1] for _, eps in group],
+                             [pushforward(beta2, perm, eps) for perm, eps in group])
         rhs = exterior_power(rho, 2)
         ok = measures_equal(lhs, rhs, sym_level, cfg.mod_exp)
         rep.add(f"signed-symmetrization:c={c}", ok,
@@ -199,7 +200,8 @@ def transforms_suite(cfg: RunConfig) -> SuiteReport:
     terms = cfg.terms
     units = _seeded_units(rng, cfg.p, 3)
 
-    for c in [units[0], -2, Fraction(1, 2)]:
+    # a non-integral c that is still p-integral (1/2 is not at p = 2)
+    for c in [units[0], -2, Fraction(1, 3 if cfg.p == 2 else 2)]:
         M = classical.make_M(c, ctx)
         P = iwasawa_P(M, terms, cfg.n_max)
         if cfg.tamper and c == units[0]:
@@ -242,7 +244,7 @@ def transforms_suite(cfg: RunConfig) -> SuiteReport:
         lvl = min(cfg.n_max, 2)
         K = min(terms, 3)
         g = _random_dirac_combo(rng, ctx, 1)
-        nu = linear_combine([1, 1], [g, scale_action(g, -1)])
+        nu = linear_combine([1, 1], [g, pushforward(g, units=[-1])])
         rho = linear_combine([1, Fraction(1 - c, 2)],
                              [classical.make_E1(c, ctx), classical.make_dirac([0], ctx)])
         alpha = linear_combine([1, Fraction(1, 2)], [nu, rho])

@@ -20,8 +20,7 @@ from zpmeasures.magnus import (FreeWord, X, beta_measures, coefficient_tables,
 from zpmeasures.measures import (DiracCombo, exterior_power, iwasawa_P,
                                  iwasawa_flip, iwasawa_swap, iwasawa_tensor,
                                  linear_combine, measures_equal, moment,
-                                 scale_action, signed_group,
-                                 signed_perm_action, star_convolution,
+                                 pushforward, signed_group, star_convolution,
                                  validate_distribution)
 from zpmeasures.octagon import (deg1_implied_by_reflection,
                                 degree2_symmetry_check, derive_factor_by_subst,
@@ -76,7 +75,7 @@ def test_02_e1_relation_suite_seeded_units():
             # the reflection identity must additionally hold exactly
             E = make_E1(c, ctx)
             rel = linear_combine([1, 1, -(Fraction(c) - 1)],
-                                 [E, scale_action(E, -1), make_dirac([0], ctx)])
+                                 [E, pushforward(E, units=[-1]), make_dirac([0], ctx)])
             ok = ok and rel.is_zero()
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 10.0
@@ -190,13 +189,14 @@ def test_08_signed_symmetrization_and_transform():
     c = 7
     g = linear_combine([rng.randrange(-3, 4) for _ in range(3)],
                        [make_dirac([rng.randrange(0, 25)], ctx) for _ in range(3)])
-    nu = linear_combine([1, 1], [g, scale_action(g, -1)])
+    nu = linear_combine([1, 1], [g, pushforward(g, units=[-1])])
     rho = linear_combine([1, Fraction(1 - c, 2)],
                          [make_E1(c, ctx), make_dirac([0], ctx)])
     alpha = linear_combine([1, Fraction(1, 2)], [nu, rho])
     beta2 = linear_combine([Fraction(1, 2)], [exterior_power(alpha, 2)])
-    parts = [signed_perm_action(beta2, perm, eps) for perm, eps in signed_group(2)]
-    lhs = linear_combine([1] * len(parts), parts)
+    group = list(signed_group(2))
+    lhs = linear_combine([eps[0] * eps[1] for _, eps in group],
+                         [pushforward(beta2, perm, eps) for perm, eps in group])
     rhs = exterior_power(rho, 2)
     ok = measures_equal(lhs, rhs, 2, 3)
 

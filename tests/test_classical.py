@@ -7,7 +7,7 @@ from zpmeasures.classical import (e1_relation_suite, inversion_defect,
                                   inversion_defect_linear, make_D2, make_E1,
                                   make_M, make_N2, make_dirac)
 from zpmeasures.magnus import FreeWord, X, coefficient_tables, commutator
-from zpmeasures.measures import linear_combine, scale_action, validate_distribution
+from zpmeasures.measures import linear_combine, pushforward, validate_distribution
 from zpmeasures.padic import PrimeContext
 
 CTX = PrimeContext(3, 3)
@@ -39,7 +39,7 @@ def test_mazur_measure_basics():
         assert E.total_mass() == (Fraction(c) - 1) / 2
         # reflection relation holds exactly at every level
         rel = linear_combine([1, 1, -(Fraction(c) - 1)],
-                             [E, scale_action(E, -1), make_dirac([0], CTX)])
+                             [E, pushforward(E, units=[-1]), make_dirac([0], CTX)])
         assert rel.is_zero()
     assert make_E1(1, CTX).is_zero()
     with pytest.raises(ValueError):

@@ -119,3 +119,15 @@ def test_negative_counts_rejected_at_boundary(argv, capsys):
         run(argv)
     assert exc.value.code == EXIT_USAGE
     assert "must be >= 0" in capsys.readouterr().err
+
+
+def test_degree_below_two_rejected_at_boundary(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "magnus", "--degree", "1"])
+    assert exc.value.code == EXIT_USAGE
+    assert "must be >= 2" in capsys.readouterr().err
+
+
+def test_transforms_valid_at_p2(capsys):
+    assert run(["verify", "transforms", "--p", "2", "--nmax", "2"]) == EXIT_OK
+    assert "PASS interpolation:M(1/3)" in capsys.readouterr().out

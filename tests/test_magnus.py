@@ -4,13 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zpmeasures.classical import make_dirac
 from zpmeasures.magnus import (FreeWord, NcSeries, WordSyntaxError, X,
                                beta_measures, commutator, embed_E,
                                exp_transform_roundtrip, graded_beta,
                                kernel_check, log_lie_check, parse_word,
-                               project_pr, project_word, series_log,
+                               project_series, project_word, series_log,
                                shuffle_check, shuffle_words, specialize_E0,
                                word_coefficient_congruence)
 from zpmeasures.measures import star_convolution, validate_distribution
@@ -128,8 +130,8 @@ def test_projection_commutes_with_embedding():
     words = [w] + [random_kernel_word(CTX2, 2, rng, length=4) for _ in range(2)]
     for word in words:
         for n in (0, 1):
-            assert project_pr(embed_E(word, 3), n).coeffs == \
-                embed_E(project_pr(word, n), 3).coeffs
+            assert project_series(embed_E(word, 3), n).coeffs == \
+                embed_E(project_word(word, n), 3).coeffs
 
 
 def test_beta_measures_dirac_case():
@@ -203,3 +205,18 @@ def test_series_json_shape():
     assert set(d) == {"level", "degree", "terms"}
     monos = {row["mono"] for row in d["terms"]}
     assert "1" in monos and "Y0.Y1" in monos
+
+
+# Level-1 series at p = 2 (generators X, Y0, Y1) truncated past degree 3.
+nc_series = st.dictionaries(st.lists(st.sampled_from([X, 0, 1]), max_size=3).map(tuple),
+                            st.fractions(-3, 3, max_denominator=4), max_size=6).map(
+    lambda c: NcSeries(CTX2, 1, 3, {m: v for m, v in c.items() if v}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(nc_series, nc_series, nc_series)
+def test_nc_series_terms_stay_nonzero_fractions(f, g, h):
+    for r in (f + g, f - g, f * g, f - f, (f - g) * (f + g)):
+        assert all(type(c) is Fraction and c != 0 for c in r.coeffs.values())
+    assert not (f - f).coeffs
+    assert ((f + g) * h).coeffs == (f * h + g * h).coeffs

@@ -3,17 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zpmeasures.classical import make_dirac, make_M
 from zpmeasures.measures import (DiracCombo, GradedSequence, LevelFamily,
                                  box_integral, exterior_product, lifts,
                                  linear_combine, measures_equal, moment,
-                                 pushforward_affine, scale_action,
-                                 signed_group, signed_perm_action,
-                                 star_convolution, translate, unit_sequence,
-                                 validate_distribution)
+                                 pushforward, signed_group, star_convolution,
+                                 unit_sequence, validate_distribution)
 from zpmeasures.mpoly import MPoly
-from zpmeasures.padic import INF, PrimeContext, vp
+from zpmeasures.padic import INF, PIntegralityError, PrimeContext, vp
 
 CTX = PrimeContext(3, 3)
 CTX5 = PrimeContext(5, 2)
@@ -44,23 +44,27 @@ def test_linear_combine_identities():
 
 def test_translate_and_errors():
     a = make_dirac([2], CTX)
-    assert translate(a, [3]).tables == make_dirac([5], CTX).tables
-    assert translate(a, [0]).tables == a.tables
-    with pytest.raises(Exception):
-        translate(a, [Fraction(1, 3)])
+    assert pushforward(a, shift=[3]).tables == make_dirac([5], CTX).tables
+    assert pushforward(a, shift=[0]).tables == a.tables
+    with pytest.raises(PIntegralityError):
+        pushforward(a, shift=[Fraction(1, 3)])
+    with pytest.raises(ValueError):
+        pushforward(a, shift=[1, 1])
+    with pytest.raises(ValueError):
+        pushforward(make_dirac([0, 0], CTX5), perm=(0, 0))
 
 
 def test_scale_action_unit_only():
     a, _ = dirac_pair()
-    assert scale_action(a, 1).tables == a.tables
-    assert scale_action(a, -1).tables == make_dirac([-1], CTX5).tables
+    assert pushforward(a, units=[1]).tables == a.tables
+    assert pushforward(a, units=[-1]).tables == make_dirac([-1], CTX5).tables
     with pytest.raises(ValueError):
-        scale_action(a, 5)
+        pushforward(a, units=[5])
 
 
 def test_scale_action_moments():
     mu = linear_combine([1, 1], list(dirac_pair()))
-    md = scale_action(mu, 2)
+    md = pushforward(mu, units=[2])
     v1, _ = moment(md, (2,), 2)
     v2, _ = moment(mu, (2,), 2)
     assert vp(v1 - 4 * v2, 5) >= 2
@@ -68,37 +72,65 @@ def test_scale_action_moments():
 
 def test_scale_translate_composition():
     mu = linear_combine([1, 2], list(dirac_pair()))
-    lhs = scale_action(translate(mu, [3]), 2)
-    rhs = translate(scale_action(mu, 2), [6])
+    lhs = pushforward(pushforward(mu, shift=[3]), units=[2])
+    rhs = pushforward(pushforward(mu, units=[2]), shift=[6])
     assert lhs.tables == rhs.tables
+    assert pushforward(mu, units=[2], shift=[6]).tables == lhs.tables
 
 
 def test_pushforward_affine():
     mu = linear_combine([1, 2], list(dirac_pair()))
-    assert pushforward_affine(mu, [(-1, 0)]).tables == scale_action(mu, -1).tables
-    assert pushforward_affine(make_dirac([0], CTX5), [(-1, 1)]).tables == \
+    assert pushforward(make_dirac([0], CTX5), units=[-1], shift=[1]).tables == \
         make_dirac([1], CTX5).tables
-    twice = pushforward_affine(pushforward_affine(mu, [(-1, 1)]), [(-1, 1)])
+    twice = pushforward(pushforward(mu, units=[-1], shift=[1]), units=[-1], shift=[1])
     assert twice.tables == mu.tables
 
 
 def test_signed_perm_action():
     d00 = make_dirac([0, 0], CTX5)
-    assert signed_perm_action(d00, (0, 1), (1, 1)).tables == d00.tables
+    assert pushforward(d00, (0, 1), (1, 1)).tables == d00.tables
+    # a one-coordinate flip carries the sign character -1
     mu = linear_combine([1, 2], list(dirac_pair()))
-    one_flip = signed_perm_action(mu, (0,), (-1,))
-    assert one_flip.tables == linear_combine([-1], [scale_action(mu, -1)]).tables
+    one_flip = linear_combine([-1], [pushforward(mu, (0,), (-1,))])
+    assert one_flip.tables == linear_combine(
+        [-1, -2], [make_dirac([-1], CTX5), make_dirac([-2], CTX5)]).tables
     # the sign character sums to zero over the group
-    parts = [signed_perm_action(d00, perm, eps) for perm, eps in signed_group(2)]
-    assert linear_combine([1] * 8, parts).is_zero()
+    group = list(signed_group(2))
+    parts = [pushforward(d00, perm, eps) for perm, eps in group]
+    assert linear_combine([eps[0] * eps[1] for _, eps in group], parts).is_zero()
 
 
 def test_signed_perm_semidirect_composition():
     mu = exterior_product(*dirac_pair())
     perm, eps = (1, 0), (-1, 1)
-    combined = signed_perm_action(mu, perm, eps)
-    staged = signed_perm_action(signed_perm_action(mu, (0, 1), eps), perm, (1, 1))
+    combined = pushforward(mu, perm, eps)
+    staged = pushforward(pushforward(mu, (0, 1), eps), perm, (1, 1))
     assert combined.tables == staged.tables
+
+
+@st.composite
+def affine_maps(draw):
+    """A Dirac combination on Z^dim and a map y_{perm[j]} = eps_j x_j + c_j."""
+    dim = draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(-9, 9)] * dim)
+    atoms = draw(st.lists(st.tuples(point, st.integers(-3, 3)), min_size=1, max_size=4))
+    perm = tuple(draw(st.permutations(range(dim))))
+    eps = draw(st.lists(st.sampled_from((1, -1)), min_size=dim, max_size=dim))
+    shift = draw(st.lists(st.integers(-9, 9), min_size=dim, max_size=dim))
+    return DiracCombo.make(dim, atoms), perm, eps, shift
+
+
+@settings(max_examples=60, deadline=None)
+@given(affine_maps())
+def test_pushforward_matches_exact_dirac_image(case):
+    combo, perm, eps, shift = case
+    ctx = PrimeContext(3, 2)
+    moved = combo.pushforward_affine(zip(eps, shift))
+    # coordinate j of the moved point lands in slot perm[j]
+    placed = DiracCombo.make(combo.dim, [([pt[perm.index(k)] for k in range(combo.dim)], w)
+                                         for pt, w in moved.atoms])
+    got = pushforward(combo.to_level_family(ctx), perm, eps, shift)
+    assert got.tables == placed.to_level_family(ctx).tables
 
 
 def test_exterior_product():

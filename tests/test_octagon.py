@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from zpmeasures import octagon
 from zpmeasures.classical import make_dirac
 from zpmeasures.magnus import X
-from zpmeasures.measures import linear_combine, scale_action, validate_distribution
+from zpmeasures.measures import linear_combine, pushforward, validate_distribution
 from zpmeasures.octagon import (InconsistentRelations, SymPoly, SymSeries,
                                 a_sym, b_sym, build_factor, build_relation_set,
                                 deg1_implied_by_reflection, deg1_relations,
@@ -103,7 +103,7 @@ def test_deg1_elimination_telescopes():
 
 def test_relations_reduce_idempotent_and_vanish():
     for p, n, s in [(3, 1, 2), (2, 2, 3)]:
-        rs = standard_relation_set(p, n, s)
+        rs = standard_relation_set(p, n, s, octagon_product(p, n, s))
         for r in reflection_relations(p, n, s):
             assert rs.reduce(r).is_zero()
         q = a_sym(1, p ** n) * a_sym(2 % p ** n, p ** n) + SymPoly.t()
@@ -184,7 +184,7 @@ def test_symmetry_defect_measure():
                           [d1, make_dirac([-1], ctx), make_dirac([2], ctx),
                            make_dirac([0], ctx)])
     assert h.tables == want.tables
-    even = linear_combine([1, 1], [d1, scale_action(d1, -1)])
+    even = linear_combine([1, 1], [d1, pushforward(d1, units=[-1])])
     assert symmetry_defect(even, 1).is_zero()
     two = linear_combine([1, -3], [make_dirac([1, 2], ctx), make_dirac([0, 1], ctx)])
     assert validate_distribution(symmetry_defect(two, 7)).passed

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 from zpmeasures.classical import make_M, make_dirac, make_E1
 from zpmeasures.measures import (iwasawa_P, iwasawa_flip, iwasawa_swap,
-                                 iwasawa_tensor, linear_combine, scale_action,
-                                 transform_F, transform_F_via_P, translate)
+                                 iwasawa_tensor, linear_combine, pushforward,
+                                 transform_F, transform_F_via_P)
 from zpmeasures.padic import PrimeContext, bernoulli, binom, vp
 
 CTX = PrimeContext(3, 4)
@@ -24,7 +24,7 @@ def test_iwasawa_of_dirac_is_binomial():
 
 
 def test_iwasawa_of_translated_dirac():
-    P = iwasawa_P(translate(make_dirac([0], CTX), [1]), 4, 4)
+    P = iwasawa_P(pushforward(make_dirac([0], CTX), shift=[1]), 4, 4)
     for k in range(5):
         assert P.coefficient((k,)) == (1 if k <= 1 else 0)
 
@@ -48,7 +48,7 @@ def test_translation_functoriality():
     # P(T_c mu) = P(mu) (1+T)^c coefficientwise within guarantees
     mu = linear_combine([1, 2], [make_dirac([1], CTX), make_dirac([3], CTX)])
     c = 4
-    lhs = iwasawa_P(translate(mu, [c]), 5, 4)
+    lhs = iwasawa_P(pushforward(mu, shift=[c]), 5, 4)
     base = iwasawa_P(mu, 5, 4)
     for k in range(6):
         want = sum(base.coefficient((j,)) * binom(c, k - j) for j in range(k + 1))
@@ -60,7 +60,7 @@ def test_scale_functoriality_general_unit():
     mu = linear_combine([1, 2], [make_dirac([1], CTX5), make_dirac([3], CTX5)])
     K = 4
     base = iwasawa_P(mu, K, 3)
-    direct = iwasawa_P(scale_action(mu, 2), K, 3)
+    direct = iwasawa_P(pushforward(mu, units=[2]), K, 3)
     # ((1+T)^2 - 1)^j = (2T + T^2)^j, composed exactly on the truncation
     subst = [Fraction(0)] * (K + 1)
     comp = {0: {0: Fraction(1)}}
@@ -84,7 +84,7 @@ def test_scale_functoriality_via_flip():
     mu = linear_combine([1, 2], [make_dirac([1], CTX5), make_dirac([3], CTX5)])
     P = iwasawa_P(mu, 4, 3)
     flipped = iwasawa_flip(P, {0}, 5)
-    direct = iwasawa_P(scale_action(mu, -1), 4, 3)
+    direct = iwasawa_P(pushforward(mu, units=[-1]), 4, 3)
     for k in range(5):
         e = min(flipped.guarantees[(k,)], direct.guarantees[(k,)])
         assert vp(flipped.coefficient((k,)) - direct.coefficient((k,)), 5) >= e
