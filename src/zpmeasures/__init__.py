@@ -17,10 +17,9 @@ from .magnus import (FreeWord, NcSeries, WordSyntaxError, beta_measures,
                      commutator, embed_E, exp_transform_roundtrip,
                      kernel_check, log_lie_check, parse_word,
                      shuffle_check, specialize_E0, word_coefficient_congruence)
-from .octagon import (SymPoly, SymSeries, build_factor,
-                      deg1_implied_by_reflection, deg1_relations,
-                      degree2_symmetry_check, derive_factor_by_subst,
-                      octagon_product, reflection_relations, series_inverse,
-                      symmetry_defect)
+from .octagon import (SymPoly, build_factor, deg1_implied_by_reflection,
+                      deg1_relations, degree2_symmetry_check,
+                      derive_factor_by_subst, octagon_product,
+                      reflection_relations, series_inverse, symmetry_defect)
 
 __version__ = "0.1.0"

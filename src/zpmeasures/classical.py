@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .corrections import standard_integrand
 from .measures import LevelFamily, box_integral, linear_combine, measures_equal, \
     pushforward
 from .mpoly import MPoly
@@ -168,12 +169,6 @@ def e1_relation_suite(c, ctx: PrimeContext, up_to_level: int, mod_exp: int):
 # Defect evaluator for the coefficient inversion formula
 
 
-def _power_poly(base: int, pn: int, e: int) -> MPoly:
-    """((x - base)/p^n)^e as a one-variable polynomial."""
-    x = MPoly.var(1, 0)
-    return ((x - base) * Fraction(1, pn)) ** e
-
-
 def inversion_defect(beta1: LevelFamily, c, i: int, mu_exp: int, n: int, m: int) -> Rat:
     """LHS minus RHS of the dilogarithm-coefficient inversion display.
 
@@ -186,13 +181,14 @@ def inversion_defect(beta1: LevelFamily, c, i: int, mu_exp: int, n: int, m: int)
     if not 0 < i < pn:
         raise ValueError("need 0 < i < p^n")
     c = Fraction(c)
-    lhs, _ = box_integral(beta1, (i,), n, _power_poly(i, pn, mu_exp), n + m)
-    lhs2, _ = box_integral(beta1, (pn - i,), n, _power_poly(pn - i, pn, mu_exp), n + m)
+    lhs, _ = box_integral(beta1, (i,), n, standard_integrand((0, mu_exp), (i,), pn), n + m)
+    lhs2, _ = box_integral(beta1, (pn - i,), n,
+                           standard_integrand((0, mu_exp), (pn - i,), pn), n + m)
     lhs += (-1) ** (mu_exp + 1) * lhs2
 
     rhs = Fraction(0)
     for j in range(mu_exp):
-        term, _ = box_integral(beta1, (i,), n, _power_poly(i, pn, j), n + m)
+        term, _ = box_integral(beta1, (i,), n, standard_integrand((0, j), (i,), pn), n + m)
         rhs += math.comb(mu_exp, j) * term
     rhs += Fraction((-1) ** mu_exp, pn ** mu_exp) * _bernoulli_sum(c, i, mu_exp, p, n)
     return lhs - rhs
@@ -218,8 +214,9 @@ def inversion_defect_linear(beta1: LevelFamily, c, i: int, n: int, m: int) -> Ra
     ctx = beta1.ctx
     p, pn = ctx.p, ctx.p ** n
     c = Fraction(c)
-    lhs, _ = box_integral(beta1, (i,), n, _power_poly(i, pn, 1), n + m)
-    lhs2, _ = box_integral(beta1, (pn - i,), n, _power_poly(pn - i, pn, 1), n + m)
+    lhs, _ = box_integral(beta1, (i,), n, standard_integrand((0, 1), (i,), pn), n + m)
+    lhs2, _ = box_integral(beta1, (pn - i,), n,
+                           standard_integrand((0, 1), (pn - i,), pn), n + m)
     lhs += lhs2
     mass, _ = box_integral(beta1, (i,), n, MPoly.const(1, 1), n + m)
     u = Fraction(repr_mod((pn - i) / c, p, n), pn)

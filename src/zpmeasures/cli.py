@@ -105,8 +105,7 @@ def cmd_verify(args) -> int:
     try:
         cfg = RunConfig(p=args.p, n_max=n_max, degree=args.degree,
                         mod_exp=args.mod_exp, seed=args.seed, suite=args.suite,
-                        fmt=args.format, sigma_rep=args.sigma_rep,
-                        terms=args.terms, tamper=args.tamper)
+                        sigma_rep=args.sigma_rep, terms=args.terms, tamper=args.tamper)
         cfg.ctx()  # validate p, bounds
         reports = run_suite(cfg)
     except ValueError as err:

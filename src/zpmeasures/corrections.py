@@ -38,20 +38,16 @@ def standard_integrand(shape, base, pn: int, lift_first=0, lift_last=0) -> MPoly
     return poly * last ** shape[r]
 
 
-def _box_value(beta: DiracCombo, base, n: int, poly: MPoly, p: int) -> Rat:
-    return beta.box_integral_exact(base, n, poly, p)
-
-
 def sign_change_identity(beta: DiracCombo, base, shape, p: int, n: int):
     """x -> -x: integral over the base box against the sign pushforward
     equals (-1)^m times the integral over the reflected box."""
     pn = p ** n
     m = sum(shape)
     flipped = beta.pushforward_affine([(-1, 0)] * beta.dim)
-    lhs = _box_value(flipped, base, n, standard_integrand(shape, base, pn), p)
+    lhs = flipped.box_integral_exact(base, n, standard_integrand(shape, base, pn), p)
     refl = [pn - a for a in base]
-    rhs = (-1) ** m * _box_value(
-        beta, refl, n, standard_integrand(shape, refl, pn, -1, 1), p)
+    rhs = (-1) ** m * beta.box_integral_exact(
+        refl, n, standard_integrand(shape, refl, pn, -1, 1), p)
     return lhs, rhs
 
 
@@ -60,10 +56,10 @@ def reflect_shift_identity(beta: DiracCombo, base, shape, p: int, n: int):
     pn = p ** n
     m = sum(shape)
     moved = beta.pushforward_affine([(-1, 1)] * beta.dim)
-    lhs = _box_value(moved, base, n, standard_integrand(shape, base, pn), p)
+    lhs = moved.box_integral_exact(base, n, standard_integrand(shape, base, pn), p)
     refl = [pn + 1 - a for a in base]
-    rhs = (-1) ** m * _box_value(
-        beta, refl, n, standard_integrand(shape, refl, pn, -1, 1), p)
+    rhs = (-1) ** m * beta.box_integral_exact(
+        refl, n, standard_integrand(shape, refl, pn, -1, 1), p)
     return lhs, rhs
 
 
@@ -71,9 +67,9 @@ def shift_identity(beta: DiracCombo, base, shape, p: int, n: int):
     """x -> x - 1: the box and the base both slide down by one."""
     pn = p ** n
     moved = beta.pushforward_affine([(1, 1)] * beta.dim)
-    lhs = _box_value(moved, base, n, standard_integrand(shape, base, pn), p)
+    lhs = moved.box_integral_exact(base, n, standard_integrand(shape, base, pn), p)
     down = [a - 1 for a in base]
-    rhs = _box_value(beta, down, n, standard_integrand(shape, down, pn), p)
+    rhs = beta.box_integral_exact(down, n, standard_integrand(shape, down, pn), p)
     return lhs, rhs
 
 
@@ -82,11 +78,11 @@ def four_term_sum(beta: DiracCombo, base, shape, p: int, n: int) -> Rat:
     the sign flip (beta even), the degenerate case of the symmetry defect."""
     pn = p ** n
     m = sum(shape)
-    t1 = _box_value(beta, base, n, standard_integrand(shape, base, pn), p)
+    t1 = beta.box_integral_exact(base, n, standard_integrand(shape, base, pn), p)
     refl = [pn - a for a in base]
-    t2 = _box_value(beta, refl, n, standard_integrand(shape, refl, pn, -1, 1), p)
+    t2 = beta.box_integral_exact(refl, n, standard_integrand(shape, refl, pn, -1, 1), p)
     refl1 = [pn + 1 - a for a in base]
-    t3 = _box_value(beta, refl1, n, standard_integrand(shape, refl1, pn, -1, 1), p)
+    t3 = beta.box_integral_exact(refl1, n, standard_integrand(shape, refl1, pn, -1, 1), p)
     down = [a - 1 for a in base]
-    t4 = _box_value(beta, down, n, standard_integrand(shape, down, pn), p)
+    t4 = beta.box_integral_exact(down, n, standard_integrand(shape, down, pn), p)
     return t1 + (-1) ** (m + 1) * t2 + (-1) ** m * t3 - t4

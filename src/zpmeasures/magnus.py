@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .corrections import standard_integrand
 from .measures import LevelFamily, box_integral, transform_F
 from .mpoly import MPoly, accumulate
 from .padic import PrimeContext, Rat, format_rat, vp
@@ -151,12 +152,16 @@ def parse_word(text: str, ctx: PrimeContext, level: int) -> FreeWord:
 
 @dataclass
 class NcSeries:
-    """Power series in X, Y_0..Y_{p^level - 1} truncated past `degree`."""
+    """Power series in X, Y_0..Y_{p^level - 1} truncated past `degree`.
+
+    Coefficients are Fractions, or any ring elements whose truth value says
+    "nonzero" (the octagon's series have SymPoly coefficients).
+    """
 
     ctx: PrimeContext
     level: int
     degree: int
-    coeffs: dict  # monomial tuple -> Fraction
+    coeffs: dict  # monomial tuple -> coefficient
 
     @classmethod
     def one(cls, ctx, level, degree) -> "NcSeries":
@@ -164,6 +169,9 @@ class NcSeries:
 
     def coeff(self, mono) -> Rat:
         return self.coeffs.get(tuple(mono), Fraction(0))
+
+    def add_term(self, mono, c):
+        accumulate(self.coeffs, ((tuple(mono), c),))
 
     def _same_shape(self, other):
         return (self.ctx, self.level, self.degree) == (other.ctx, other.level, other.degree)
@@ -178,7 +186,6 @@ class NcSeries:
         return self + other.scaled(-1)
 
     def scaled(self, c) -> "NcSeries":
-        c = Fraction(c)
         if not c:
             return NcSeries(self.ctx, self.level, self.degree, {})
         return NcSeries(self.ctx, self.level, self.degree,
@@ -205,10 +212,11 @@ class NcSeries:
                           for m in sorted(self.coeffs, key=lambda m: (len(m), m))]}
 
 
-def exp_gen(ctx, level, degree, gen: int, sign: int) -> NcSeries:
+def exp_gen(ctx, level, degree, gen: int, k: int) -> NcSeries:
+    """exp(k * generator), k an integer."""
     coeffs = {}
-    for k in range(degree + 1):
-        coeffs[(gen,) * k] = Fraction(sign ** k, math.factorial(k))
+    for j in range(degree + 1):
+        coeffs[(gen,) * j] = Fraction(k ** j, math.factorial(j))
     return NcSeries(ctx, level, degree, coeffs)
 
 
@@ -318,12 +326,6 @@ def project_word(w: FreeWord, n: int) -> FreeWord:
     return FreeWord(w.ctx, n, tuple(letters))
 
 
-def _exp_scalar_x(ctx, n, degree, k: int) -> NcSeries:
-    """exp(k X) as a level-n series, k an integer."""
-    coeffs = {(X,) * j: Fraction(k ** j, math.factorial(j)) for j in range(degree + 1)}
-    return NcSeries(ctx, n, degree, coeffs)
-
-
 def project_series(s: NcSeries, n: int) -> NcSeries:
     """Generator substitution X -> p^m X, Y_{i+k p^n} -> exp(-kX) Y_i exp(kX)."""
     if n > s.level:
@@ -334,9 +336,9 @@ def project_series(s: NcSeries, n: int) -> NcSeries:
     images = {X: NcSeries(ctx, n, s.degree, {(X,): Fraction(pm)})}
     for g in range(ctx.p ** s.level):
         i, k = g % pn, g // pn
-        images[g] = _exp_scalar_x(ctx, n, s.degree, -k) \
+        images[g] = exp_gen(ctx, n, s.degree, X, -k) \
             * NcSeries(ctx, n, s.degree, {(i,): Fraction(1)}) \
-            * _exp_scalar_x(ctx, n, s.degree, k)
+            * exp_gen(ctx, n, s.degree, X, k)
     out = NcSeries(ctx, n, s.degree, {})
     for mono, c in s.coeffs.items():
         term = NcSeries.one(ctx, n, s.degree).scaled(c)
@@ -416,16 +418,8 @@ def word_coefficient_congruence(g: FreeWord, ns, idx, n: int, m: int):
     lam = series.coeff(mono)
 
     beta_r = beta_measures(g, r, g.ctx)
-    poly = MPoly.const(r, Fraction(1, math.prod(math.factorial(k) for k in ns)))
-    first = (MPoly.const(r, idx[0]) - MPoly.var(r, 0)) * Fraction(1, pn)
-    poly = poly * first ** ns[0]
-    for k in range(1, r):
-        diff = (MPoly.var(r, k - 1) - MPoly.var(r, k)
-                - idx[k - 1] + idx[k]) * Fraction(1, pn)
-        poly = poly * diff ** ns[k]
-    last = (MPoly.var(r, r - 1) - MPoly.const(r, idx[r - 1])) * Fraction(1, pn)
-    poly = poly * last ** ns[r]
-
+    poly = standard_integrand(ns, idx, pn) \
+        * Fraction(1, math.prod(math.factorial(k) for k in ns))
     value, guaranteed = box_integral(beta_r, idx, n, poly, n + m)
     achieved = vp(lam - value, p)
     return {"coefficient": lam, "riemann_sum": value,

@@ -19,10 +19,10 @@ re-derived from generator substitutions as an independent cross-check.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .magnus import FreeWord, X, embed_E, series_log
+from .magnus import FreeWord, NcSeries, X, embed_E, series_log
 from .measures import LevelFamily, linear_combine, pushforward
 from .mpoly import accumulate
 from .padic import PrimeContext, Rat, format_rat, is_prime
@@ -100,12 +100,6 @@ class SymPoly:
     def __eq__(self, other):
         return self.terms == _coerce(other).terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -177,70 +171,26 @@ def g_sym(i: int, width: int) -> SymPoly:
     return SymPoly.symbol(("g", i % width))
 
 
+def chi_sympoly(p: int, n: int, s: int) -> SymPoly:
+    """The cyclotomic value chi = s + p^n t."""
+    return SymPoly.const(s) + SymPoly.const(p ** n) * SymPoly.t()
+
+
 # ---------------------------------------------------------------------------
-# Series with SymPoly coefficients, truncated at total degree 2
+# Octagon series: NcSeries of degree 2 with SymPoly coefficients
 
 
-class SymSeries:
-    """Non-commutative monomials of degree <= 2 with SymPoly coefficients."""
-
-    __slots__ = ("width", "coeffs")
-
-    def __init__(self, width: int, coeffs=None):
-        self.width = width
-        self.coeffs = {}
-        if coeffs:
-            for m, ppoly in coeffs.items():
-                if not ppoly.is_zero():
-                    self.coeffs[tuple(m)] = ppoly
-
-    @classmethod
-    def one(cls, width: int) -> "SymSeries":
-        return cls(width, {(): ONE})
-
-    def coeff(self, mono) -> SymPoly:
-        return self.coeffs.get(tuple(mono), ZERO)
-
-    def add_term(self, mono, ppoly: SymPoly):
-        accumulate(self.coeffs, ((tuple(mono), ppoly),))
-
-    def __add__(self, other: "SymSeries") -> "SymSeries":
-        out = SymSeries(self.width, self.coeffs)
-        accumulate(out.coeffs, other.coeffs.items())
-        return out
-
-    def __sub__(self, other: "SymSeries") -> "SymSeries":
-        return self + other.scaled(SymPoly.const(-1))
-
-    def scaled(self, ppoly) -> "SymSeries":
-        ppoly = _coerce(ppoly)
-        return SymSeries(self.width, {m: ppoly * c for m, c in self.coeffs.items()})
-
-    def __mul__(self, other: "SymSeries") -> "SymSeries":
-        """Product truncated past degree 2, formed grade by grade: a degree-i
-        term of self meets only the degree <= 2 - i terms of other."""
-        right = [[(m, c) for m, c in other.coeffs.items() if len(m) == d]
-                 for d in range(3)]
-        out = SymSeries(self.width)
-        for m1, c1 in self.coeffs.items():
-            accumulate(out.coeffs, ((m1 + m2, c1 * c2) for m2, c2
-                                    in itertools.chain(*right[:max(0, 3 - len(m1))])))
-        return out
-
-    def subs_t(self, value) -> "SymSeries":
-        return SymSeries(self.width, {m: c.subs_t(value) for m, c in self.coeffs.items()})
-
-    def __eq__(self, other):
-        return self.width == other.width and self.coeffs == other.coeffs
+def unit_series(p: int, n: int) -> NcSeries:
+    """The series 1 at level n, truncated past degree 2."""
+    return NcSeries(PrimeContext(p, max(n, 1)), n, 2, {(): ONE})
 
 
-def series_inverse(s: SymSeries) -> SymSeries:
+def series_inverse(s: NcSeries) -> NcSeries:
     """Inverse of 1 + s1 + s2 mod degree 3: 1 - s1 - s2 + s1^2."""
     if s.coeff(()) != ONE:
         raise ValueError("inverse needs constant term 1")
-    s1 = SymSeries(s.width, {m: c for m, c in s.coeffs.items() if len(m) == 1})
-    s2 = SymSeries(s.width, {m: c for m, c in s.coeffs.items() if len(m) == 2})
-    return SymSeries.one(s.width) - s1 - s2 + s1 * s1
+    s1, s2 = replace(s, coeffs=s.homogeneous(1)), replace(s, coeffs=s.homogeneous(2))
+    return replace(s, coeffs={(): ONE}) - s1 - s2 + s1 * s1
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +210,15 @@ def _mpos(i: int, width: int) -> int:
     return width if i == 0 else i
 
 
-def build_factor(name: str, p: int, n: int, s: int) -> SymSeries:
+def build_factor(name: str, p: int, n: int, s: int) -> NcSeries:
     """One of the nine displayed factors, verbatim, with chi = s + p^n t.
 
     Index p^n is read as 0 and empty products of generators are 1.
     """
     width = _check_config(p, n, s)
     t = SymPoly.t()
-    chi = SymPoly.const(s) + SymPoly.const(p ** n) * t
-    half = (ONE - chi) * Fraction(1, 2)  # (1 - chi)/2
-    out = SymSeries.one(width)
+    half = (ONE - chi_sympoly(p, n, s)) * Fraction(1, 2)  # (1 - chi)/2
+    out = unit_series(p, n)
 
     if name == "A":
         for i in range(width):
@@ -417,10 +366,10 @@ def build_factor(name: str, p: int, n: int, s: int) -> SymSeries:
 FACTOR_ORDER = "JHGFEDCBA"
 
 
-def octagon_product(p: int, n: int, s: int) -> SymSeries:
+def octagon_product(p: int, n: int, s: int) -> NcSeries:
     """The ordered product of the nine factors, truncated past degree 2."""
-    width = _check_config(p, n, s)
-    out = SymSeries.one(width)
+    _check_config(p, n, s)
+    out = unit_series(p, n)
     for name in FACTOR_ORDER:
         out = out * build_factor(name, p, n, s)
     return out
@@ -454,14 +403,13 @@ def build_relation_set(relations, prefer=()) -> RelationSet:
     zero; a surviving nonzero constant means the set is inconsistent.
     """
     subst: dict = {}
-    pending = [r for r in relations]
     prefer = [tuple(s) for s in prefer]
     rank = 0
 
     def resolve(rel: SymPoly):
         nonlocal rank
         rel = rel.substitute(subst)
-        if rel.is_zero():
+        if not rel:
             return
         candidates = []
         for sym in sorted(rel.symbols()):
@@ -478,34 +426,33 @@ def build_relation_set(relations, prefer=()) -> RelationSet:
         if pick is None:
             pick = candidates[-1]
         c = rel.symbol_coefficient(pick)
-        solved = (SymPoly.symbol(pick) - rel * (1 / c)).substitute({})
+        solved = SymPoly.symbol(pick) - rel * (1 / c)
         # back-substitute into existing solutions to keep the map triangular
         for k in list(subst):
             subst[k] = subst[k].substitute({pick: solved})
         subst[pick] = solved
         rank += 1
 
-    for rel in pending:
+    for rel in relations:
         resolve(rel)
     rs = RelationSet(list(relations), subst, rank)
     for rel in relations:
-        if not rs.reduce(rel).is_zero():
+        if rs.reduce(rel):
             raise InconsistentRelations("reduction is not idempotent on input")
     return rs
 
 
-def deg1_relations(prod: SymSeries):
+def deg1_relations(prod: NcSeries):
     """The degree-1 coefficients of the product, one SymPoly per Y_i."""
     if prod.coeff(()) != ONE:
         raise ValueError("product must have constant term 1")
-    return [prod.coeff((i,)) for i in range(prod.width)]
+    return [prod.coeffs.get((i,), ZERO) for i in range(prod.ctx.p ** prod.level)]
 
 
 def e1_sympoly(x: int, p: int, n: int, s: int) -> SymPoly:
     """E_{1,chi}(x) as a polynomial in t: x/p^n - chi <chi^{-1} x>/p^n + (chi-1)/2."""
     width = p ** n
-    t = SymPoly.t()
-    chi = SymPoly.const(s) + SymPoly.const(width) * t
+    chi = chi_sympoly(p, n, s)
     sinv = pow(s, -1, width)
     u = (sinv * x) % width
     return SymPoly.const(Fraction(x, width)) - chi * Fraction(u, width) \
@@ -516,13 +463,11 @@ def reflection_relations(p: int, n: int, s: int):
     """The external reflection axiom, one relation per point:
     a_x - a_{-x} - E_{1,chi}(x) - (1-chi)/2 [x = 0]."""
     width = _check_config(p, n, s)
-    t = SymPoly.t()
-    chi = SymPoly.const(s) + SymPoly.const(width) * t
     rels = []
     for x in range(width):
         rel = a_sym(x, width) - a_sym(-x, width) - e1_sympoly(x, p, n, s)
         if x == 0:
-            rel = rel - (ONE - chi) * Fraction(1, 2)
+            rel = rel - (ONE - chi_sympoly(p, n, s)) * Fraction(1, 2)
         rels.append(rel)
     return rels
 
@@ -547,9 +492,9 @@ def shuffle_substitution(width: int) -> dict:
     return mapping
 
 
-def standard_relation_set(p: int, n: int, s: int, prod: SymSeries,
+def standard_relation_set(p: int, n: int, s: int, prod: NcSeries,
                           with_shuffle: bool = False) -> RelationSet:
-    width = prod.width
+    width = p ** n
     rels = reflection_relations(p, n, s) + deg1_relations(prod)
     rs = build_relation_set(rels, prefer=reflection_half_system(width))
     if with_shuffle:
@@ -561,18 +506,17 @@ def standard_relation_set(p: int, n: int, s: int, prod: SymSeries,
     return rs
 
 
-def deg1_implied_by_reflection(p: int, n: int, s: int, prod: SymSeries) -> dict:
+def deg1_implied_by_reflection(p: int, n: int, s: int, prod: NcSeries) -> dict:
     """Check that every degree-1 relation of the product lies in the ideal
     generated by the reflection relations alone.
 
     `prod` is the octagon product at (p, n, s), as built by the caller with
     `octagon_product` (a negative control passes a tampered one).
     """
-    width = prod.width
     refl = build_relation_set(reflection_relations(p, n, s),
-                              prefer=reflection_half_system(width))
+                              prefer=reflection_half_system(p ** n))
     residuals = [refl.reduce(rel) for rel in deg1_relations(prod)]
-    return {"passed": all(r.is_zero() for r in residuals),
+    return {"passed": not any(residuals),
             "residuals": residuals}
 
 
@@ -618,9 +562,7 @@ def degree2_display(a: int, b: int, p: int, n: int, s: int, e1: list) -> SymPoly
     evaluated at the point (a, b) of level n.  `e1` lists E_{1,chi}(x) for
     x in [0, p^n), built once per residue by the caller."""
     width = p ** n
-    t = SymPoly.t()
-    chi = SymPoly.const(s) + SymPoly.const(width) * t
-    one_m_chi = ONE - chi
+    one_m_chi = ONE - chi_sympoly(p, n, s)
     half = one_m_chi * Fraction(1, 2)
 
     def E(x):
@@ -671,7 +613,7 @@ def degree2_display_chi1(a: int, b: int, width: int) -> SymPoly:
     return total
 
 
-def degree2_symmetry_check(p: int, n: int, s: int, prod: SymSeries) -> dict:
+def degree2_symmetry_check(p: int, n: int, s: int, prod: NcSeries) -> dict:
     """Match the named-measure display against the product's Y_a Y_b
     coefficients modulo the degree-1 + reflection ideal.
 
@@ -684,7 +626,7 @@ def degree2_symmetry_check(p: int, n: int, s: int, prod: SymSeries) -> dict:
     added, and for s = 1 the specialized chi = 1 comparison.
     """
     width = _check_config(p, n, s)
-    x_coeff_zero = prod.coeff((X,)).is_zero()
+    x_coeff_zero = not prod.coeff((X,))
     rs = standard_relation_set(p, n, s, prod)
     e1 = [e1_sympoly(x, p, n, s) for x in range(width)]
     display = {(a, b): degree2_display(a, b, p, n, s, e1) - prod.coeff((a, b))
@@ -693,7 +635,7 @@ def degree2_symmetry_check(p: int, n: int, s: int, prod: SymSeries) -> dict:
     raw = {k: rs.reduce(res) for k, res in display.items()}
     extra = []
     residuals = raw
-    if not all(r.is_zero() for r in raw.values()):
+    if any(raw.values()):
         rs2 = standard_relation_set(p, n, s, prod, with_shuffle=True)
         residuals = {k: rs2.reduce(res) for k, res in display.items()}
         extra = ["shuffle"]
@@ -705,12 +647,12 @@ def degree2_symmetry_check(p: int, n: int, s: int, prod: SymSeries) -> dict:
         rs0 = build_relation_set(rels0, prefer=reflection_half_system(width))
         chi1 = {}
         for a, b in itertools.product(range(width), repeat=2):
-            res = degree2_display_chi1(a, b, width) - prod.coeff((a, b)).subs_t(0)
+            res = degree2_display_chi1(a, b, width) - prod.coeffs.get((a, b), ZERO).subs_t(0)
             chi1[(a, b)] = rs0.reduce(res)
 
-    passed = all(r.is_zero() for r in residuals.values()) and x_coeff_zero
+    passed = not any(residuals.values()) and x_coeff_zero
     if chi1 is not None:
-        passed = passed and all(r.is_zero() for r in chi1.values())
+        passed = passed and not any(chi1.values())
     return {"config": {"p": p, "n": n, "s": s},
             "x_coeff_zero": x_coeff_zero,
             "deg1_rank": rs.rank,
@@ -799,37 +741,23 @@ def derive_factor_by_subst(name: str, p: int, n: int, s: int) -> dict:
     compare with the displayed factor, coefficient by coefficient."""
     width = _check_config(p, n, s)
     images = substitution_images(name, p, n, s)
-    logs = {}
-    for gen, word in images.items():
-        logs[gen] = series_log(embed_E(word.reduced(), 2))
-
-    def lift(nc, only_deg1=False):
-        out = SymSeries(width)
-        for m, c in nc.coeffs.items():
-            if only_deg1 and len(m) != 1:
-                continue
-            if len(m) >= 1:
-                out.add_term(m, SymPoly.const(c))
-        return out
-
-    result = SymSeries.one(width)
+    logs = {gen: series_log(embed_E(word.reduced(), 2)) for gen, word in images.items()}
+    deg1 = {gen: replace(log, coeffs=log.homogeneous(1)) for gen, log in logs.items()}
+    result = unit_series(p, n)
 
     def add(series, sym):
         accumulate(result.coeffs, series.scaled(sym).coeffs.items())
 
     for i in range(width):
-        add(lift(logs[i]), a_sym(i, width))
+        add(logs[i], a_sym(i, width))
     for a, b in itertools.product(range(width), repeat=2):
-        add(lift(logs[a], only_deg1=True) * lift(logs[b], only_deg1=True), b_sym(a, b, width))
-    lx = lift(logs[X], only_deg1=True)
+        add(deg1[a] * deg1[b], b_sym(a, b, width))
     for i in range(width):
-        ly = lift(logs[i], only_deg1=True)
-        add(lx * ly - ly * lx, g_sym(i, width))
+        add(deg1[X] * deg1[i] - deg1[i] * deg1[X], g_sym(i, width))
 
     if name in ("C", "G"):
         result = series_inverse(result)
-    display = build_factor(name, p, n, s)
-    diff = result - display
+    diff = result - build_factor(name, p, n, s)
     return {"config": {"p": p, "n": n, "s": s}, "factor": name,
             "passed": not diff.coeffs,
             "mismatches": {m: str(c) for m, c in diff.coeffs.items()}}

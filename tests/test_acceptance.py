@@ -117,11 +117,11 @@ def test_05_octagon_symbolic_suite():
                 continue
             start = time.monotonic()
             prod = octagon_product(p, n, s)
-            ok = ok and prod.coeff((X,)).is_zero()
+            ok = ok and not prod.coeff((X,))
             ok = ok and deg1_implied_by_reflection(p, n, s, prod)["passed"]
             rep = degree2_symmetry_check(p, n, s, prod)
             ok = ok and rep["passed"]
-            ok = ok and all(r.is_zero() for r in rep["residuals"].values())
+            ok = ok and not any(rep["residuals"].values())
             elapsed = time.monotonic() - start
             worst = max(worst, elapsed)
             ok = ok and elapsed < 60.0

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import shlex
 
 import pytest
 
@@ -131,3 +133,27 @@ def test_degree_below_two_rejected_at_boundary(capsys):
 def test_transforms_valid_at_p2(capsys):
     assert run(["verify", "transforms", "--p", "2", "--nmax", "2"]) == EXIT_OK
     assert "PASS interpolation:M(1/3)" in capsys.readouterr().out
+
+
+# sha256 of stdout, pinned so a refactor cannot change report bytes unseen;
+# the octagon-factor digest also pins the SymPoly constant term ("1*1").
+REPORT_DIGESTS = {
+    "verify octagon --p 3 --n 1 --format json":
+        "540ff1d2fdc3087db86a72dcd704521581e46291bb3d7ce7bcad4e1f85b21927",
+    "verify octagon --p 3 --n 1 --sigma-rep 1 --tamper --format json":
+        "0eb7701d2abf1c2c70cafbf04b85c4b0633102c6b42044f2346f9b37c91c040a",
+    "emit octagon-factor --factor C --p 3 --n 1 --sigma-rep 2":
+        "f19658c6a3ffffabee956c97a9d4d4d00391cfe53a16c82b96bdcbc52440c822",
+    'emit nc-series --word "[x,y0]*y1" --p 3 --n 1 --degree 3':
+        "717afe528608511365cb56e9c9f899472147023eef81d3879259c748356bbaba",
+    "verify magnus --p 2 --nmax 2 --seed 7 --format json":
+        "8718b1c434d08945c25ef1ba1588e010aa2471861800908f0613224fcb0bd03f",
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_DIGESTS))
+def test_report_bytes_pinned(command, capsys):
+    code = run(shlex.split(command))
+    assert code == (EXIT_FAIL if "--tamper" in command else EXIT_OK)
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == REPORT_DIGESTS[command]

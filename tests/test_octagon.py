@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,16 +8,17 @@ from hypothesis import strategies as st
 
 from zpmeasures import octagon
 from zpmeasures.classical import make_dirac
-from zpmeasures.magnus import X
+from zpmeasures.magnus import NcSeries, X
 from zpmeasures.measures import linear_combine, pushforward, validate_distribution
-from zpmeasures.octagon import (InconsistentRelations, SymPoly, SymSeries,
-                                a_sym, b_sym, build_factor, build_relation_set,
+from zpmeasures.octagon import (FACTOR_ORDER, ONE, InconsistentRelations,
+                                SymPoly, a_sym, b_sym, build_factor,
+                                build_relation_set,
                                 deg1_implied_by_reflection, deg1_relations,
                                 degree2_symmetry_check, derive_factor_by_subst,
                                 g_sym, octagon_product, reflection_half_system,
                                 reflection_relations, report_json_dict,
                                 series_inverse, standard_relation_set,
-                                symmetry_defect)
+                                symmetry_defect, unit_series)
 from zpmeasures.padic import PrimeContext
 from zpmeasures.suites import RunConfig, octagon_suite
 
@@ -32,7 +34,7 @@ def test_sympoly_arithmetic():
     a0 = SymPoly.symbol(("a", 0))
     q = (t + a0) * (t - a0)
     assert q == t * t - a0 * a0
-    assert (q - q).is_zero()
+    assert not (q - q)
     assert str(SymPoly.const(Fraction(-3, 2)) * t) == "-3/2*t"
     assert q.subs_t(0) == -(a0 * a0)
 
@@ -45,7 +47,8 @@ def test_sympoly_substitute_quadratic():
 
 
 def test_factor_degenerations():
-    assert build_factor("B", 3, 1, 1).subs_t(0).coeffs == {(): SymPoly.const(1)}
+    at_t0 = {m: c.subs_t(0) for m, c in build_factor("B", 3, 1, 1).coeffs.items()}
+    assert {m: c for m, c in at_t0.items() if c} == {(): SymPoly.const(1)}
     assert build_factor("J", 3, 1, 1).coeffs == {(): SymPoly.const(1)}
     A = build_factor("A", 3, 1, 2)
     assert A.coeff((1,)) == a_sym(1, 3)
@@ -58,7 +61,7 @@ def test_factor_degenerations():
 
 
 def test_series_inverse():
-    s = SymSeries.one(2)
+    s = unit_series(2, 1)
     s.add_term((0,), SymPoly.const(1))
     inv = series_inverse(s)
     assert inv.coeff((0,)) == SymPoly.const(-1)
@@ -73,14 +76,14 @@ def test_product_constant_and_x_coefficient():
         for s in units(p, n):
             prod = octagon_product(p, n, s)
             assert prod.coeff(()) == SymPoly.const(1)
-            assert prod.coeff((X,)).is_zero()
+            assert not prod.coeff((X,))
 
 
 def test_product_with_everything_zero_is_one():
     prod = octagon_product(3, 1, 1)
     kill = {sym: SymPoly() for c in prod.coeffs.values() for sym in c.symbols()}
     vals = {m: c.substitute(kill).subs_t(0) for m, c in prod.coeffs.items()}
-    assert {m: c for m, c in vals.items() if not c.is_zero()} == {(): SymPoly.const(1)}
+    assert {m: c for m, c in vals.items() if c} == {(): SymPoly.const(1)}
 
 
 def test_chi1_degree1_coefficients():
@@ -94,7 +97,7 @@ def test_chi1_degree1_coefficients():
 def test_deg1_elimination_telescopes():
     rels = [r.subs_t(0) for r in deg1_relations(octagon_product(3, 1, 1))]
     rs = build_relation_set(rels)
-    assert rs.reduce(a_sym(2, 3) - a_sym(1, 3)).is_zero()
+    assert not rs.reduce(a_sym(2, 3) - a_sym(1, 3))
     assert rs.rank == 1
     rels2 = [r.subs_t(0) for r in deg1_relations(octagon_product(2, 1, 1))]
     rs2 = build_relation_set(rels2)
@@ -105,7 +108,7 @@ def test_relations_reduce_idempotent_and_vanish():
     for p, n, s in [(3, 1, 2), (2, 2, 3)]:
         rs = standard_relation_set(p, n, s, octagon_product(p, n, s))
         for r in reflection_relations(p, n, s):
-            assert rs.reduce(r).is_zero()
+            assert not rs.reduce(r)
         q = a_sym(1, p ** n) * a_sym(2 % p ** n, p ** n) + SymPoly.t()
         assert rs.reduce(rs.reduce(q)) == rs.reduce(q)
 
@@ -117,7 +120,7 @@ def test_inconsistent_relations_detected():
 
 def test_reflection_relations_structure():
     rels = reflection_relations(3, 1, 2)
-    assert rels[0].is_zero()  # the x = 0 relation collapses
+    assert not rels[0]  # the x = 0 relation collapses
     # x = 1 at s = 2: <2^{-1} * 1> = 2, so the inhomogeneous part is
     # 1/3 - (2+3t)*2/3 + (1+3t)/2 = -1/2 - t/2
     want = a_sym(1, 3) - a_sym(2, 3) + SymPoly.const(Fraction(1, 2)) \
@@ -126,7 +129,7 @@ def test_reflection_relations_structure():
     # at s=1, t=0 the relations say a_x = a_{-x}
     rels1 = [r.subs_t(0) for r in reflection_relations(3, 1, 1)]
     rs = build_relation_set(rels1, prefer=reflection_half_system(3))
-    assert rs.reduce(a_sym(1, 3) - a_sym(2, 3)).is_zero()
+    assert not rs.reduce(a_sym(1, 3) - a_sym(2, 3))
 
 
 def test_deg1_implied_by_reflection_grid():
@@ -140,10 +143,10 @@ def test_degree2_symmetry_grid():
         for s in units(p, n):
             rep = degree2_symmetry_check(p, n, s, octagon_product(p, n, s))
             assert rep["x_coeff_zero"]
-            assert all(r.is_zero() for r in rep["residuals"].values()), (p, n, s)
+            assert not any(rep["residuals"].values()), (p, n, s)
             assert rep["extra_relations_used"] == []
             if s == 1:
-                assert all(r.is_zero() for r in rep["chi1_residuals"].values())
+                assert not any(rep["chi1_residuals"].values())
             assert rep["passed"]
 
 
@@ -190,28 +193,43 @@ def test_symmetry_defect_measure():
     assert validate_distribution(symmetry_defect(two, 7)).passed
 
 
-# Small random SymPolys and width-2 SymSeries; monomials of length 3 check
-# that the truncation drops them as the all-pairs product does.
+# Small random SymPolys, and width-2 series over both coefficient rings:
+# SymPoly truncated past degree 2 (the octagon's) and Fraction truncated past
+# degree 3.  Input monomials one longer than the degree check that the
+# product drops them as the all-pairs product does.
 SYMBOLS = [(), (("a", 0),), (("a", 1),), (("a", 0), ("g", 1)), (("b", 0, 1),)]
 polys = st.dictionaries(st.tuples(st.integers(0, 2), st.sampled_from(SYMBOLS)),
                         st.fractions(-3, 3, max_denominator=4), max_size=4).map(SymPoly)
-monos = st.lists(st.sampled_from([X, 0, 1]), max_size=3).map(tuple)
-series = st.dictionaries(monos, polys, max_size=6).map(lambda c: SymSeries(2, c))
+CTX2 = PrimeContext(2, 1)
+
+
+def series(coeffs, degree):
+    monos = st.lists(st.sampled_from([X, 0, 1]), max_size=degree + 1).map(tuple)
+    return st.dictionaries(monos, coeffs, max_size=6).map(
+        lambda c: NcSeries(CTX2, 1, degree, {m: v for m, v in c.items() if v}))
+
+
+sym_series = series(polys, 2)
+rat_series = series(st.fractions(-3, 3, max_denominator=4), 3)
 
 
 def all_pairs_product(left, right):
-    out = SymSeries(left.width)
+    out = {}
     for m1, c1 in left.coeffs.items():
         for m2, c2 in right.coeffs.items():
-            if len(m1) + len(m2) <= 2:
-                out.add_term(m1 + m2, c1 * c2)
-    return out
+            out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c and len(m) <= left.degree}
 
 
 @settings(max_examples=60, deadline=None)
-@given(series, series)
-def test_graded_product_matches_all_pairs(left, right):
-    assert left * right == all_pairs_product(left, right)
+@given(sym_series, sym_series, rat_series, rat_series)
+def test_graded_product_matches_all_pairs(sym_left, sym_right, rat_left, rat_right):
+    for left, right, one in ((sym_left, sym_right, ONE), (rat_left, rat_right, Fraction(1))):
+        unit = replace(left, coeffs={(): one})
+        # in (1 + f)(1 - f) the cross terms f and -f cancel, which the
+        # product must prune as the all-pairs product does
+        for a, b in ((left, right), (unit + left, unit - left)):
+            assert (a * b).coeffs == all_pairs_product(a, b)
 
 
 @settings(max_examples=150, deadline=None)
@@ -220,7 +238,7 @@ def test_sympoly_terms_stay_nonzero_fractions(f, g, v):
     results = [f + g, f - g, f * g, -f, f + 1, 3 * g, f - f, f.subs_t(v)]
     for r in results:
         assert all(type(c) is Fraction and c != 0 for c in r.terms.values())
-    assert (f - f).is_zero()
+    assert not (f - f)
     assert (f * g).subs_t(v) == f.subs_t(v) * g.subs_t(v)
     assert (f + g).subs_t(v) == f.subs_t(v) + g.subs_t(v)
 
@@ -238,6 +256,14 @@ def test_octagon_suite_builds_one_product_per_residue(monkeypatch):
     assert calls == [(5, 1, s) for s in units(5, 1)]
 
 
+def test_octagon_series_have_sympoly_coefficients():
+    prod = octagon_product(3, 1, 2)
+    factors = [build_factor(name, 3, 1, 2) for name in FACTOR_ORDER]
+    for s in factors + [prod, series_inverse(prod)]:
+        assert s.degree == 2 and s.coeff(()) == ONE
+        assert all(type(c) is SymPoly and c for c in s.coeffs.values())
+
+
 def test_checks_read_the_product_they_are_given():
     prod = octagon_product(3, 1, 1)
     assert deg1_implied_by_reflection(3, 1, 1, prod)["passed"]
@@ -246,7 +272,7 @@ def test_checks_read_the_product_they_are_given():
     bad.add_term((0, 0), SymPoly.const(1))
     rep = degree2_symmetry_check(3, 1, 1, bad)
     assert not rep["passed"]
-    assert [k for k, r in rep["residuals"].items() if not r.is_zero()] == [(0, 0)]
+    assert [k for k, r in rep["residuals"].items() if r] == [(0, 0)]
     bad.add_term((1,), SymPoly.const(1))
     assert not deg1_implied_by_reflection(3, 1, 1, bad)["passed"]
 
