@@ -6,8 +6,8 @@ from .padic import (INF, PIntegralityError, PrimeContext, Rat, bernoulli,
                     repr_mod_pos, vp)
 from .measures import (DiracCombo, GradedSequence, IwasawaPoly, LevelFamily,
                        box_integral, exterior_power, exterior_product,
-                       iwasawa_P, linear_combine, measures_equal, moment,
-                       pushforward, signed_group, star_convolution,
+                       iwasawa_P, linear_combine, measures_equal, pushforward,
+                       signed_group, star_convolution,
                        transform_F, transform_F_via_P, unit_sequence,
                        validate_distribution)
 from .classical import (e1_relation_suite, inversion_defect,

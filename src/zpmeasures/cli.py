@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the magnus suite multiplies pairs of letters, so degree 1 truncates them away
     v.add_argument("--degree", type=at_least(2), default=3)
     v.add_argument("--terms", type=at_least(0), default=6)
-    v.add_argument("--mod-exp", type=int, default=3)
+    v.add_argument("--mod-exp", type=at_least(1), default=3)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--format", choices=("text", "json", "csv"), default="text")
     v.add_argument("--out", default=None)

@@ -352,14 +352,6 @@ def project_series(s: NcSeries, n: int) -> NcSeries:
 # Coefficient views and measures
 
 
-def alpha_coeff(s: NcSeries, i: int) -> Rat:
-    return s.coeff((i,))
-
-
-def gamma_coeff(s: NcSeries, i: int) -> Rat:
-    return s.coeff((X, i))
-
-
 def embed_at_level(g: FreeWord, n: int, degree: int) -> NcSeries:
     return embed_E(project_word(g, n), degree)
 
@@ -370,8 +362,8 @@ def coefficient_tables(g: FreeWord, degree: int = 2):
     for n in range(g.level + 1):
         s = embed_at_level(g, n, degree)
         width = g.ctx.p ** n
-        alphas.append([alpha_coeff(s, i) for i in range(width)])
-        gammas.append([gamma_coeff(s, i) for i in range(width)])
+        alphas.append([s.coeff((i,)) for i in range(width)])
+        gammas.append([s.coeff((X, i)) for i in range(width)])
     return alphas, gammas
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .mpoly import MPoly, binom_poly
+from .mpoly import MPoly
 from .padic import (PIntegralityError, PrimeContext, Rat, format_rat,
                     repr_mod, vp)
 
@@ -66,11 +66,6 @@ class LevelFamily:
     @classmethod
     def zero(cls, ctx: PrimeContext, dim: int, n_max=None) -> "LevelFamily":
         return cls.build(ctx, dim, lambda n, a: 0, n_max)
-
-    def truncated(self, n_max: int) -> "LevelFamily":
-        if n_max >= self.n_max:
-            return self
-        return LevelFamily(self.ctx, self.dim, self.tables[: n_max + 1], self.denom_bound)
 
     def is_zero(self) -> bool:
         return all(not v for t in self.tables for v in t.values())
@@ -257,14 +252,6 @@ def box_integral(mu: LevelFamily, base, level: int, poly: MPoly, eval_level: int
     return total, guarantee
 
 
-def moment(mu: LevelFamily, exps, eval_level: int):
-    """Integral of prod x_k^{e_k}, a box_integral over the full space."""
-    poly = MPoly.const(mu.dim, 1)
-    for k, e in enumerate(exps):
-        poly = poly * (MPoly.var(mu.dim, k) ** e)
-    return box_integral(mu, (0,) * mu.dim, 0, poly, eval_level)
-
-
 @dataclass
 class IwasawaPoly:
     """Truncated transform: coefficient table plus per-coefficient guarantees."""
@@ -285,34 +272,45 @@ class IwasawaPoly:
         return self.coeffs.get(tuple(exps), Fraction(0))
 
 
+def _axis_transform(mu: LevelFamily, terms: int, eval_level: int, weight) -> IwasawaPoly:
+    """Integrals of prod_k weight(x_k, j_k) against mu, j in [0, terms]^dim, by
+    contracting the level-eval_level table one axis at a time with the
+    (terms+1) x p^eval_level matrix weight(x, j).  Both weights used here are
+    integers over j!, hence the guarantee eval_level - denom_bound - sum vp(j_k!).
+    """
+    if not 0 <= eval_level <= mu.n_max:
+        raise ValueError("evaluation level out of stored range")
+    p = mu.ctx.p
+    rows = [[weight(x, j) for x in range(p ** eval_level)] for j in range(terms + 1)]
+    # keys are (j_1..j_k, x_{k+1}..x_dim) once k axes are contracted
+    partial = {a: v for a, v in mu.tables[eval_level].items() if v}
+    for k in range(mu.dim):
+        nxt = {}
+        for idx, v in partial.items():
+            for j, row in enumerate(rows):
+                key = idx[:k] + (j,) + idx[k + 1:]
+                nxt[key] = nxt.get(key, 0) + row[idx[k]] * v
+        partial = nxt
+    coeffs, guars = {}, {}
+    for j in itertools.product(range(terms + 1), repeat=mu.dim):
+        coeffs[j] = partial.get(j, Fraction(0))
+        guars[j] = eval_level - mu.denom_bound - sum(vp(math.factorial(jk), p) for jk in j)
+    return IwasawaPoly(mu.dim, terms, coeffs, guars)
+
+
 def iwasawa_P(mu: LevelFamily, terms: int, eval_level: int) -> IwasawaPoly:
     """The transform determined by [1] -> 1 + T.
 
     Coefficient of prod T_k^{j_k} is the integral of prod binom(x_k, j_k);
     it is correct mod p^(eval_level - denom_bound - sum vp(j_k!)).
     """
-    p = mu.ctx.p
-    coeffs, guars = {}, {}
-    for j in itertools.product(range(terms + 1), repeat=mu.dim):
-        poly = MPoly.const(mu.dim, 1)
-        for k, jk in enumerate(j):
-            poly = poly * binom_poly(mu.dim, k, jk)
-        value, _ = box_integral(mu, (0,) * mu.dim, 0, poly, eval_level)
-        coeffs[j] = value
-        guars[j] = eval_level - mu.denom_bound - sum(vp(math.factorial(jk), p) for jk in j)
-    return IwasawaPoly(mu.dim, terms, coeffs, guars)
+    return _axis_transform(mu, terms, eval_level, lambda x, j: Fraction(math.comb(x, j)))
 
 
 def transform_F(mu: LevelFamily, terms: int, eval_level: int) -> IwasawaPoly:
     """Exponential form of the transform: coefficients are moments / factorials."""
-    p = mu.ctx.p
-    coeffs, guars = {}, {}
-    for j in itertools.product(range(terms + 1), repeat=mu.dim):
-        value, _ = moment(mu, j, eval_level)
-        fact = math.prod(math.factorial(jk) for jk in j)
-        coeffs[j] = value / fact
-        guars[j] = eval_level - mu.denom_bound - vp(fact, p)
-    return IwasawaPoly(mu.dim, terms, coeffs, guars)
+    return _axis_transform(mu, terms, eval_level,
+                           lambda x, j: Fraction(x ** j, math.factorial(j)))
 
 
 @lru_cache(maxsize=None)
@@ -324,30 +322,35 @@ def stirling2(n: int, k: int) -> int:
     return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
 
 
+def _substitute_T(pt: IwasawaPoly, col, p: int) -> IwasawaPoly:
+    """Substitute sum_i col(k, i, j) T_k^i for each T_k^j in a truncation.
+
+    A term's guarantee drops by the denominator of its factor.  Both
+    substitutions here are triangular with a nonzero diagonal.
+    """
+    coeffs, guars = {}, {}
+    for i in itertools.product(range(pt.terms + 1), repeat=pt.dim):
+        total = Fraction(0)
+        gs = []
+        for j in itertools.product(*(range(ik + 1) for ik in i)):
+            factor = math.prod(col(k, ik, jk) for k, (ik, jk) in enumerate(zip(i, j)))
+            if not factor:
+                continue
+            total += pt.coefficient(j) * factor
+            gs.append(pt.guarantees[j] + min(0, vp(factor, p)))
+        coeffs[i] = total
+        guars[i] = min(gs)
+    return IwasawaPoly(pt.dim, pt.terms, coeffs, guars)
+
+
 def transform_F_via_P(pt: IwasawaPoly, p: int) -> IwasawaPoly:
     """Substitute T_k = exp(X_k) - 1 into a truncated transform.
 
     Independent route to the exponential coefficients:
     (e^X - 1)^j = j! sum_i S(i, j) X^i / i!.
     """
-    coeffs, guars = {}, {}
-    for i in itertools.product(range(pt.terms + 1), repeat=pt.dim):
-        total = Fraction(0)
-        guarantee = None
-        for j in itertools.product(*(range(ik + 1) for ik in i)):
-            factor = Fraction(1)
-            for ik, jk in zip(i, j):
-                factor *= Fraction(math.factorial(jk) * stirling2(ik, jk),
-                                   math.factorial(ik))
-            if not factor:
-                continue
-            cj = pt.coeffs.get(j, Fraction(0))
-            total += cj * factor
-            g = pt.guarantees[j] + min(0, vp(factor, p))
-            guarantee = g if guarantee is None else min(guarantee, g)
-        coeffs[i] = total
-        guars[i] = guarantee if guarantee is not None else 0
-    return IwasawaPoly(pt.dim, pt.terms, coeffs, guars)
+    return _substitute_T(pt, lambda k, i, j: Fraction(math.factorial(j) * stirling2(i, j),
+                                                      math.factorial(i)), p)
 
 
 def iwasawa_swap(pt: IwasawaPoly, perm) -> IwasawaPoly:
@@ -368,29 +371,12 @@ def iwasawa_flip(pt: IwasawaPoly, coords, p: int) -> IwasawaPoly:
     """
     coords = set(coords)
 
-    def col(i, j, flipped):
-        if not flipped:
-            return 1 if i == j else 0
-        if i == j == 0:
-            return 1
-        if j == 0 or i < j:
-            return 0
+    def col(k, i, j):  # j <= i
+        if k not in coords or j == 0:
+            return int(i == j)
         return (-1) ** i * math.comb(i - 1, j - 1)
 
-    coeffs, guars = {}, {}
-    for e in itertools.product(range(pt.terms + 1), repeat=pt.dim):
-        total = Fraction(0)
-        guarantee = None
-        for j in itertools.product(*(range(ek + 1) for ek in e)):
-            factor = math.prod(col(ek, jk, k in coords) for k, (ek, jk) in enumerate(zip(e, j)))
-            if not factor:
-                continue
-            total += factor * pt.coeffs.get(j, Fraction(0))
-            g = pt.guarantees[j]
-            guarantee = g if guarantee is None else min(guarantee, g)
-        coeffs[e] = total
-        guars[e] = guarantee if guarantee is not None else 0
-    return IwasawaPoly(pt.dim, pt.terms, coeffs, guars)
+    return _substitute_T(pt, col, p)
 
 
 def iwasawa_tensor(a: IwasawaPoly, b: IwasawaPoly) -> IwasawaPoly:

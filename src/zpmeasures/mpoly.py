@@ -131,13 +131,3 @@ class MPoly:
             bits.append(f"{self.coeffs[e]}*{mono}")
         return "MPoly(" + " + ".join(bits) + ")"
 
-
-def binom_poly(nvars: int, i: int, k: int) -> MPoly:
-    """binom(x_i, k) expanded as an exact polynomial."""
-    out = MPoly.const(nvars, 1)
-    x = MPoly.var(nvars, i)
-    for j in range(k):
-        out = out * (x - j)
-    from math import factorial
-
-    return out * Fraction(1, factorial(k))

@@ -186,11 +186,18 @@ def unit_series(p: int, n: int) -> NcSeries:
 
 
 def series_inverse(s: NcSeries) -> NcSeries:
-    """Inverse of 1 + s1 + s2 mod degree 3: 1 - s1 - s2 + s1^2."""
-    if s.coeff(()) != ONE:
+    """Inverse of 1 + u: the sum of (-u)^k for k <= degree, with the constant
+    1 taken from the input so that it stays in the input's ring."""
+    c0 = s.coeff(())
+    if c0 != 1:
         raise ValueError("inverse needs constant term 1")
-    s1, s2 = replace(s, coeffs=s.homogeneous(1)), replace(s, coeffs=s.homogeneous(2))
-    return replace(s, coeffs={(): ONE}) - s1 - s2 + s1 * s1
+    one = replace(s, coeffs={(): c0})
+    neg_u = one - s
+    out, power = one + neg_u, neg_u
+    for _ in range(s.degree - 1):
+        power = power * neg_u
+        out = out + power
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -492,18 +499,9 @@ def shuffle_substitution(width: int) -> dict:
     return mapping
 
 
-def standard_relation_set(p: int, n: int, s: int, prod: NcSeries,
-                          with_shuffle: bool = False) -> RelationSet:
-    width = p ** n
+def standard_relation_set(p: int, n: int, s: int, prod: NcSeries) -> RelationSet:
     rels = reflection_relations(p, n, s) + deg1_relations(prod)
-    rs = build_relation_set(rels, prefer=reflection_half_system(width))
-    if with_shuffle:
-        shuffle = {sym: val.substitute(rs.substitution)
-                   for sym, val in shuffle_substitution(width).items()}
-        merged = dict(rs.substitution)
-        merged.update(shuffle)
-        rs = RelationSet(rs.relations, merged, rs.rank)
-    return rs
+    return build_relation_set(rels, prefer=reflection_half_system(p ** n))
 
 
 def deg1_implied_by_reflection(p: int, n: int, s: int, prod: NcSeries) -> dict:
@@ -632,12 +630,12 @@ def degree2_symmetry_check(p: int, n: int, s: int, prod: NcSeries) -> dict:
     display = {(a, b): degree2_display(a, b, p, n, s, e1) - prod.coeff((a, b))
                for a, b in itertools.product(range(width), repeat=2)}
 
-    raw = {k: rs.reduce(res) for k, res in display.items()}
+    residuals = {k: rs.reduce(res) for k, res in display.items()}
     extra = []
-    residuals = raw
-    if any(raw.values()):
-        rs2 = standard_relation_set(p, n, s, prod, with_shuffle=True)
-        residuals = {k: rs2.reduce(res) for k, res in display.items()}
+    if any(residuals.values()):
+        rs.substitution.update({sym: rs.reduce(val)
+                                for sym, val in shuffle_substitution(width).items()})
+        residuals = {k: rs.reduce(res) for k, res in display.items()}
         extra = ["shuffle"]
 
     chi1 = None

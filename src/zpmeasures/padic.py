@@ -35,19 +35,16 @@ def is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeContext:
-    """The fixed prime, the deepest stored level and a comparison exponent."""
+    """The fixed prime and the deepest stored level."""
 
     p: int
     n_max: int
-    prec: int = 1
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        if self.prec < 1:
-            raise ValueError("prec must be >= 1")
 
 
 def vp(x, p: int):

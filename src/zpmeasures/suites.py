@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -17,7 +18,7 @@ from fractions import Fraction
 from . import classical, corrections, magnus, octagon
 from .measures import (DiracCombo, LevelFamily, exterior_power, iwasawa_P,
                        iwasawa_flip, iwasawa_swap, iwasawa_tensor,
-                       linear_combine, measures_equal, moment, pushforward,
+                       linear_combine, measures_equal, pushforward,
                        signed_group, star_convolution,
                        transform_F, transform_F_via_P, validate_distribution)
 from .padic import PrimeContext, bernoulli, binom, format_rat, vp
@@ -38,7 +39,7 @@ class RunConfig:
     tamper: bool = False
 
     def ctx(self) -> PrimeContext:
-        return PrimeContext(self.p, self.n_max, self.mod_exp)
+        return PrimeContext(self.p, self.n_max)
 
 
 @dataclass
@@ -157,7 +158,7 @@ def measures_suite(cfg: RunConfig) -> SuiteReport:
     named[f"M({cfg.p * units[0]})"] = classical.make_M(cfg.p * units[0], ctx)
 
     d2_level = min(cfg.n_max, 2)
-    d2ctx = PrimeContext(cfg.p, d2_level, cfg.mod_exp)
+    d2ctx = PrimeContext(cfg.p, d2_level)
     word = magnus.commutator(magnus.FreeWord(d2ctx, d2_level, ((magnus.X, 1),)),
                              magnus.FreeWord(d2ctx, d2_level, ((0, 1),)))
     alphas, gammas = magnus.coefficient_tables(word)
@@ -221,12 +222,11 @@ def transforms_suite(cfg: RunConfig) -> SuiteReport:
                 "" if bad is None else f"coefficient k={bad} off")
 
     for c in units[:2]:
-        E = classical.make_E1(c, ctx)
+        F = transform_F(classical.make_E1(c, ctx), terms, cfg.n_max)
         bad = None
         for k in range(1, terms + 1):
-            val, e = moment(E, (k - 1,), cfg.n_max)
-            want = Fraction(bernoulli(k), k) * (1 - Fraction(c) ** k)
-            if vp(val - want, cfg.p) < e:
+            want = Fraction(bernoulli(k), k) * (1 - Fraction(c) ** k) / math.factorial(k - 1)
+            if vp(F.coefficient((k - 1,)) - want, cfg.p) < F.guarantees[(k - 1,)]:
                 bad = k
                 break
         rep.add(f"e1-moments:c={c}", bad is None,

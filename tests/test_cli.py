@@ -115,12 +115,14 @@ def test_emit_d2_from_word(capsys):
     ["emit", "iwasawa", "--measure", "M", "--level", "-1"],
     ["emit", "nc-series", "--word", "[y0,y1]", "--p", "2", "--n", "-1"],
     ["verify", "transforms", "--p", "5", "--terms", "-1"],
+    ["verify", "measures", "--mod-exp", "0"],
 ])
 def test_negative_counts_rejected_at_boundary(argv, capsys):
+    # each value is one below the least its option accepts
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == EXIT_USAGE
-    assert "must be >= 0" in capsys.readouterr().err
+    assert f"must be >= {int(argv[-1]) + 1}" in capsys.readouterr().err
 
 
 def test_degree_below_two_rejected_at_boundary(capsys):
@@ -148,6 +150,14 @@ REPORT_DIGESTS = {
         "717afe528608511365cb56e9c9f899472147023eef81d3879259c748356bbaba",
     "verify magnus --p 2 --nmax 2 --seed 7 --format json":
         "8718b1c434d08945c25ef1ba1588e010aa2471861800908f0613224fcb0bd03f",
+    "verify transforms --p 5 --nmax 2 --seed 2 --format json":
+        "5d466c862cb01d6cdea55e0168e3bc70d584131527af360d9875da8b76a1ad10",
+    "verify transforms --p 3 --nmax 2 --seed 1 --tamper --format json":
+        "0d0808e89f04c091b6df5ac327a7ee8a1c781e8fa0a0ed9c7923aa45d5dd94d9",
+    "emit iwasawa --measure N2 --c 7 --p 3 --nmax 2 --terms 4":
+        "552b626a513bcddb1ce38868abd4c82a13582aa40315e504ec2e130d25281b28",
+    "emit f-series --measure E1 --c 2 --p 5 --nmax 3 --terms 5":
+        "63c8c481c32d8744fb5517ad298d555c25e3bad6a8cec51145210b07d9fcca83",
 }
 
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from zpmeasures.classical import make_dirac, make_M
 from zpmeasures.measures import (DiracCombo, GradedSequence, LevelFamily,
                                  box_integral, exterior_product, lifts,
-                                 linear_combine, measures_equal, moment,
-                                 pushforward, signed_group, star_convolution,
+                                 linear_combine, measures_equal, pushforward,
+                                 signed_group, star_convolution,
                                  unit_sequence, validate_distribution)
 from zpmeasures.mpoly import MPoly
 from zpmeasures.padic import INF, PIntegralityError, PrimeContext, vp
@@ -65,8 +65,9 @@ def test_scale_action_unit_only():
 def test_scale_action_moments():
     mu = linear_combine([1, 1], list(dirac_pair()))
     md = pushforward(mu, units=[2])
-    v1, _ = moment(md, (2,), 2)
-    v2, _ = moment(mu, (2,), 2)
+    x2 = MPoly.var(1, 0) ** 2
+    v1, _ = box_integral(md, (0,), 0, x2, 2)
+    v2, _ = box_integral(mu, (0,), 0, x2, 2)
     assert vp(v1 - 4 * v2, 5) >= 2
 
 
@@ -176,10 +177,11 @@ def test_box_integral_basics():
     assert v == M.total_mass() == 6
     assert e == 3
     d = make_dirac([2], CTX)
-    v, _ = moment(d, (1,), 3)
+    x = MPoly.var(1, 0)
+    v, _ = box_integral(d, (0,), 0, x, 3)
     assert v == 2
-    v2, _ = moment(make_M(-1, CTX), (1,), 2)
-    v3, _ = moment(make_M(-1, CTX), (1,), 3)
+    v2, _ = box_integral(make_M(-1, CTX), (0,), 0, x, 2)
+    v3, _ = box_integral(make_M(-1, CTX), (0,), 0, x, 3)
     assert vp(v2 - v3, 3) >= 2
     with pytest.raises(ValueError):
         box_integral(M, (0,), 2, MPoly.const(1, 1), 1)

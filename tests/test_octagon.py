@@ -67,6 +67,15 @@ def test_series_inverse():
     assert inv.coeff((0,)) == SymPoly.const(-1)
     assert inv.coeff((0, 0)) == SymPoly.const(1)
     assert (s * inv).coeffs == {(): SymPoly.const(1)}
+    # past degree 2, over Fraction coefficients: (1 + Y0)^{-1} = 1 - Y0 + Y0^2 - Y0^3
+    s3 = NcSeries.one(PrimeContext(2, 1), 1, 3)
+    s3.add_term((0,), Fraction(1))
+    inv3 = series_inverse(s3)
+    assert inv3.coeffs == {(0,) * k: Fraction((-1) ** k) for k in range(4)}
+    assert (s3 * inv3).coeffs == {(): Fraction(1)}
+    assert (inv3 * s3).coeffs == {(): Fraction(1)}
+    with pytest.raises(ValueError):
+        series_inverse(s3.scaled(2))
     prod = octagon_product(3, 1, 2)
     assert (prod * series_inverse(prod)).coeffs == {(): SymPoly.const(1)}
 

@@ -13,7 +13,7 @@ rationals = st.builds(Fraction, st.integers(-400, 400), st.integers(1, 60))
 
 def test_prime_context_validation():
     PrimeContext(2, 1)
-    PrimeContext(13, 4, 2)
+    PrimeContext(13, 4)
     with pytest.raises(ValueError):
         PrimeContext(6, 2)
     with pytest.raises(ValueError):

@@ -2,10 +2,15 @@ import itertools
 import math
 from fractions import Fraction
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from zpmeasures.classical import make_M, make_dirac, make_E1
-from zpmeasures.measures import (iwasawa_P, iwasawa_flip, iwasawa_swap,
-                                 iwasawa_tensor, linear_combine, pushforward,
-                                 transform_F, transform_F_via_P)
+from zpmeasures.measures import (DiracCombo, box_integral, iwasawa_P,
+                                 iwasawa_flip, iwasawa_swap, iwasawa_tensor,
+                                 linear_combine, pushforward, transform_F,
+                                 transform_F_via_P)
+from zpmeasures.mpoly import MPoly
 from zpmeasures.padic import PrimeContext, bernoulli, binom, vp
 
 CTX = PrimeContext(3, 4)
@@ -130,3 +135,48 @@ def test_iwasawa_json_shape():
     d = P.to_json_dict()
     assert set(d) == {"dim", "terms", "coeffs"}
     assert all(set(row) == {"exp", "value", "guarantee"} for row in d["coeffs"])
+
+
+def binom_factor(dim, k, j):
+    x = MPoly.var(dim, k)
+    out = MPoly.const(dim, Fraction(1, math.factorial(j)))
+    for i in range(j):
+        out = out * (x - i)
+    return out
+
+
+def power_factor(dim, k, j):
+    return MPoly.var(dim, k) ** j * Fraction(1, math.factorial(j))
+
+
+@st.composite
+def dirac_measures(draw):
+    dim = draw(st.integers(1, 3))
+    p = draw(st.sampled_from([2, 3, 5]))
+    level = draw(st.integers(0, 2))
+    # the reference below walks every point of the table, so keep it small
+    assume(p ** (level * dim) <= 729)
+    points = st.tuples(*[st.integers(-20, 20)] * dim)
+    weights = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    atoms = draw(st.lists(st.tuples(points, weights), min_size=1, max_size=4))
+    mu = DiracCombo.make(dim, atoms).to_level_family(PrimeContext(p, max(level, 1)))
+    return mu, level
+
+
+@given(case=dirac_measures(), terms=st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_axis_contraction_matches_box_integral(case, terms):
+    # reference: one box_integral of the expanded product integrand per coefficient
+    mu, level = case
+    dim, p = mu.dim, mu.ctx.p
+    for transform, factor in ((iwasawa_P, binom_factor), (transform_F, power_factor)):
+        pt = transform(mu, terms, level)
+        assert sorted(pt.coeffs) == sorted(itertools.product(range(terms + 1), repeat=dim))
+        for j, value in pt.coeffs.items():
+            poly = MPoly.const(dim, 1)
+            for k, jk in enumerate(j):
+                poly = poly * factor(dim, k, jk)
+            want, _ = box_integral(mu, (0,) * dim, 0, poly, level)
+            assert value == want
+            assert pt.guarantees[j] == level - mu.denom_bound - sum(
+                vp(math.factorial(jk), p) for jk in j)
