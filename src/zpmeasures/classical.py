@@ -19,7 +19,6 @@ from fractions import Fraction
 from .corrections import standard_integrand
 from .measures import LevelFamily, box_integral, linear_combine, measures_equal, \
     pushforward
-from .mpoly import MPoly
 from .padic import INF, PrimeContext, Rat, bernoulli_poly, repr_mod, repr_mod_pos, vp
 
 
@@ -218,7 +217,7 @@ def inversion_defect_linear(beta1: LevelFamily, c, i: int, n: int, m: int) -> Ra
     lhs2, _ = box_integral(beta1, (pn - i,), n,
                            standard_integrand((0, 1), (pn - i,), pn), n + m)
     lhs += lhs2
-    mass, _ = box_integral(beta1, (i,), n, MPoly.const(1, 1), n + m)
+    mass, _ = box_integral(beta1, (i,), n, standard_integrand((0, 0), (i,), pn), n + m)
     u = Fraction(repr_mod((pn - i) / c, p, n), pn)
     b1 = bernoulli_poly(1, Fraction(pn - i, pn)) - c * bernoulli_poly(1, u)
     b2 = bernoulli_poly(2, Fraction(pn - i, pn)) - c ** 2 * bernoulli_poly(2, u)

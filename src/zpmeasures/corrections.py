@@ -5,6 +5,13 @@ The integrand over a box a + p^n (Z_p)^r is
     ((a_1 - x_1)/p^n)^{n_0} * prod_k ((x_k - x_{k+1} - a_k + a_{k+1})/p^n)^{n_k}
                             * ((x_r - a_r)/p^n)^{n_r}
 
+a product of linear forms.  It is kept as that product, never expanded: each
+factor is evaluated at the point in integers and the quotient by
+p^(n * sum(shape)) is taken once.  Its worst coefficient valuation, as an
+expanded polynomial, is known without expanding it: every factor's
+coefficients have valuation >= -n, and the lex-leading monomial of the
+product has coefficient exactly +-1/p^(n * sum(shape)).
+
 These identities relate its integral against sign/shift pushforwards of a
 measure to integrals over reflected/shifted boxes.  They are exact only when
 the integrand is evaluated at the true points of the measure, so they are
@@ -16,73 +23,91 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .measures import DiracCombo
-from .mpoly import MPoly
-from .padic import Rat
+from .padic import Rat, vp
 
 
-def standard_integrand(shape, base, pn: int, lift_first=0, lift_last=0) -> MPoly:
-    """The box integrand; lift_first/lift_last add the +-1 corrections that
-    appear after reflecting a box."""
-    r = len(base)
-    if len(shape) != r + 1:
+class LinearFormIntegrand:
+    """scale * prod of the standard linear forms over the box at `base`.
+
+    lift_first/lift_last add the +-1 corrections that appear after
+    reflecting a box: the first factor becomes (a_1 - x_1)/p^n + lift_first
+    and the last (x_r - a_r)/p^n + lift_last.
+    """
+
+    __slots__ = ("shape", "base", "pn", "lift_first", "lift_last", "scale", "nvars", "_factor")
+
+    def __init__(self, shape, base, pn: int, lift_first=0, lift_last=0, scale=1):
+        self.shape, self.base, self.pn = tuple(shape), tuple(base), pn
+        self.lift_first, self.lift_last = lift_first, lift_last
+        self.scale = Fraction(scale)
+        self.nvars = len(self.base)
+        self._factor = self.scale / pn ** sum(self.shape)
+
+    def evaluate(self, point) -> Rat:
+        a, pn, shape, r = self.base, self.pn, self.shape, len(self.base)
+        value = (a[0] - point[0] + pn * self.lift_first) ** shape[0]
+        for k in range(1, r):
+            value *= (point[k - 1] - point[k] - a[k - 1] + a[k]) ** shape[k]
+        value *= (point[r - 1] - a[r - 1] + pn * self.lift_last) ** shape[r]
+        return self._factor * value
+
+    def denominator_valuation(self, p: int) -> int:
+        """Worst denominator valuation of the expanded polynomial's coefficients."""
+        if not self.scale:
+            return 0
+        return max(0, -vp(self.scale, p) + vp(self.pn, p) * sum(self.shape))
+
+
+def standard_integrand(shape, base, pn: int, lift_first=0, lift_last=0,
+                       scale=1) -> LinearFormIntegrand:
+    """The box integrand for X-block sizes `shape` over the box at `base`."""
+    if len(shape) != len(base) + 1:
         raise ValueError("need r+1 exponents for r variables")
-    first = (MPoly.const(r, base[0]) - MPoly.var(r, 0)) * Fraction(1, pn) \
-        + MPoly.const(r, lift_first)
-    poly = first ** shape[0]
-    for k in range(1, r):
-        mid = (MPoly.var(r, k - 1) - MPoly.var(r, k)
-               - base[k - 1] + base[k]) * Fraction(1, pn)
-        poly = poly * mid ** shape[k]
-    last = (MPoly.var(r, r - 1) - MPoly.const(r, base[r - 1])) * Fraction(1, pn) \
-        + MPoly.const(r, lift_last)
-    return poly * last ** shape[r]
+    return LinearFormIntegrand(shape, base, pn, lift_first, lift_last, scale)
 
 
-def sign_change_identity(beta: DiracCombo, base, shape, p: int, n: int):
-    """x -> -x: integral over the base box against the sign pushforward
-    equals (-1)^m times the integral over the reflected box."""
+def _moved_box_integral(beta: DiracCombo, base, shape, p: int, n: int, e: int, c: int) -> Rat:
+    """The integral of beta over the box that x -> e*x + c (e = +-1) sends onto
+    the box at `base`; a reflection (e = -1) lifts the end factors by -1, +1."""
     pn = p ** n
-    m = sum(shape)
-    flipped = beta.pushforward_affine([(-1, 0)] * beta.dim)
-    lhs = flipped.box_integral_exact(base, n, standard_integrand(shape, base, pn), p)
-    refl = [pn - a for a in base]
-    rhs = (-1) ** m * beta.box_integral_exact(
-        refl, n, standard_integrand(shape, refl, pn, -1, 1), p)
-    return lhs, rhs
+    if e < 0:
+        box, lifts = [pn + c - a for a in base], (-1, 1)
+    else:
+        box, lifts = [a - c for a in base], (0, 0)
+    return beta.box_integral_exact(box, n, standard_integrand(shape, box, pn, *lifts), p)
 
 
-def reflect_shift_identity(beta: DiracCombo, base, shape, p: int, n: int):
+def _change_of_variables(lhs_beta, beta, base, shape, p: int, n: int, e: int, c: int):
+    """The integral over the base box against the pushforward of lhs_beta
+    under x -> e*x + c, and e^m times the integral of beta over the moved box."""
+    moved = lhs_beta.pushforward_affine([(e, c)] * lhs_beta.dim)
+    return (_moved_box_integral(moved, base, shape, p, n, 1, 0),
+            e ** sum(shape) * _moved_box_integral(beta, base, shape, p, n, e, c))
+
+
+def sign_change_identity(lhs_beta: DiracCombo, beta: DiracCombo, base, shape,
+                         p: int, n: int):
+    """x -> -x: the integral over the base box against the sign pushforward of
+    lhs_beta equals (-1)^m times the integral of beta over the reflected box."""
+    return _change_of_variables(lhs_beta, beta, base, shape, p, n, -1, 0)
+
+
+def reflect_shift_identity(lhs_beta: DiracCombo, beta: DiracCombo, base, shape,
+                           p: int, n: int):
     """x -> 1 - x: same pattern with the box reflected through 1."""
-    pn = p ** n
-    m = sum(shape)
-    moved = beta.pushforward_affine([(-1, 1)] * beta.dim)
-    lhs = moved.box_integral_exact(base, n, standard_integrand(shape, base, pn), p)
-    refl = [pn + 1 - a for a in base]
-    rhs = (-1) ** m * beta.box_integral_exact(
-        refl, n, standard_integrand(shape, refl, pn, -1, 1), p)
-    return lhs, rhs
+    return _change_of_variables(lhs_beta, beta, base, shape, p, n, -1, 1)
 
 
-def shift_identity(beta: DiracCombo, base, shape, p: int, n: int):
+def shift_identity(lhs_beta: DiracCombo, beta: DiracCombo, base, shape,
+                   p: int, n: int):
     """x -> x - 1: the box and the base both slide down by one."""
-    pn = p ** n
-    moved = beta.pushforward_affine([(1, 1)] * beta.dim)
-    lhs = moved.box_integral_exact(base, n, standard_integrand(shape, base, pn), p)
-    down = [a - 1 for a in base]
-    rhs = beta.box_integral_exact(down, n, standard_integrand(shape, down, pn), p)
-    return lhs, rhs
+    return _change_of_variables(lhs_beta, beta, base, shape, p, n, 1, 1)
 
 
 def four_term_sum(beta: DiracCombo, base, shape, p: int, n: int) -> Rat:
     """The alternating four-box sum; identically zero for measures fixed by
     the sign flip (beta even), the degenerate case of the symmetry defect."""
-    pn = p ** n
-    m = sum(shape)
-    t1 = beta.box_integral_exact(base, n, standard_integrand(shape, base, pn), p)
-    refl = [pn - a for a in base]
-    t2 = beta.box_integral_exact(refl, n, standard_integrand(shape, refl, pn, -1, 1), p)
-    refl1 = [pn + 1 - a for a in base]
-    t3 = beta.box_integral_exact(refl1, n, standard_integrand(shape, refl1, pn, -1, 1), p)
-    down = [a - 1 for a in base]
-    t4 = beta.box_integral_exact(down, n, standard_integrand(shape, down, pn), p)
-    return t1 + (-1) ** (m + 1) * t2 + (-1) ** m * t3 - t4
+    sign = (-1) ** sum(shape)
+    t1, t2, t3, t4 = (_moved_box_integral(beta, base, shape, p, n, e, c)
+                      for e, c in ((1, 0), (-1, 0), (-1, 1), (1, 1)))
+    return t1 - sign * t2 + sign * t3 - t4

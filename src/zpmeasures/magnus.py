@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .corrections import standard_integrand
 from .measures import LevelFamily, box_integral, transform_F
-from .mpoly import MPoly, accumulate
+from .mpoly import accumulate
 from .padic import PrimeContext, Rat, format_rat, vp
 
 X = -1
@@ -200,6 +200,18 @@ class NcSeries:
                              if len(m2) <= room))
         return NcSeries(self.ctx, self.level, self.degree, out)
 
+    def truncated(self, d: int) -> "NcSeries":
+        """A fresh copy truncated past degree d <= self.degree.
+
+        Terms of degree > d form a two-sided ideal, so truncating a product
+        equals the product of the truncations: a series computed once at the
+        largest degree any reader needs serves every lower degree.
+        """
+        if d > self.degree:
+            raise ValueError(f"cannot truncate a degree-{self.degree} series at {d}")
+        return NcSeries(self.ctx, self.level, d,
+                        {m: c for m, c in self.coeffs.items() if len(m) <= d})
+
     def homogeneous(self, d: int) -> dict:
         return {m: c for m, c in self.coeffs.items() if len(m) == d}
 
@@ -356,65 +368,73 @@ def embed_at_level(g: FreeWord, n: int, degree: int) -> NcSeries:
     return embed_E(project_word(g, n), degree)
 
 
+def word_tower(g: FreeWord, degrees) -> tuple:
+    """The level-n series of g for n = 0..g.level, level n at degrees[n].
+
+    Each reader takes what it needs from these: a coefficient of degree
+    <= degrees[n] is the same in every truncation that keeps it.
+    """
+    if len(degrees) != g.level + 1:
+        raise ValueError("need one degree per level 0..g.level")
+    return tuple(embed_at_level(g, n, d) for n, d in enumerate(degrees))
+
+
 def coefficient_tables(g: FreeWord, degree: int = 2):
     """Per-level alpha and gamma tables of a kernel word (for the D2 measure)."""
     alphas, gammas = [], []
-    for n in range(g.level + 1):
-        s = embed_at_level(g, n, degree)
+    for n, s in enumerate(word_tower(g, [degree] * (g.level + 1))):
         width = g.ctx.p ** n
         alphas.append([s.coeff((i,)) for i in range(width)])
         gammas.append([s.coeff((X, i)) for i in range(width)])
     return alphas, gammas
 
 
-def beta_measures(g: FreeWord, r: int, ctx: PrimeContext) -> LevelFamily:
-    """The dimension-r measure read off the X-free coefficients of the word."""
+def beta_measures(g: FreeWord, r: int, ctx: PrimeContext, tower) -> LevelFamily:
+    """The dimension-r measure read off the X-free coefficients of the word.
+
+    `tower` is the word's `word_tower`, of degree >= r at every level.
+    """
     if not kernel_check(g):
         raise ValueError("word is not in the kernel (nonzero x-exponent)")
     if r == 0:
         return LevelFamily.build(ctx, 0, lambda n, a: 1, g.level)
-    tables = []
-    for n in range(g.level + 1):
-        s = specialize_E0(embed_at_level(g, n, r))
-        tables.append(s)
-
-    def fn(n, a):
-        return tables[n].coeff(a)
-
-    return LevelFamily.build(ctx, r, fn, g.level)
+    if len(tower) != g.level + 1 or any(s.degree < r for s in tower):
+        raise ValueError(f"need the word's series at levels 0..{g.level}, degree >= {r}")
+    return LevelFamily.build(ctx, r, lambda n, a: tower[n].coeff(a), g.level)
 
 
-def graded_beta(g: FreeWord, ctx: PrimeContext, top: int):
+def graded_beta(g: FreeWord, ctx: PrimeContext, top: int, tower):
     from .measures import GradedSequence
 
-    return GradedSequence(tuple(beta_measures(g, r, ctx) for r in range(top + 1)))
+    return GradedSequence(tuple(beta_measures(g, r, ctx, tower) for r in range(top + 1)))
 
 
-def word_coefficient_congruence(g: FreeWord, ns, idx, n: int, m: int):
+def word_coefficient_congruence(g: FreeWord, ns, idx, n: int, m: int, series, beta_r):
     """Compare a series coefficient with its box-integral expression.
 
     ns = (n_0, ..., n_r) are the X-block sizes, idx = (i_1, ..., i_r) the
     Y indices of the monomial X^{n_0} Y_{i_1} X^{n_1} ... Y_{i_r} X^{n_r}
-    at level n.  Returns a dict with the coefficient, the Riemann sum at
-    level n + m, the guaranteed exponent and the achieved exponent.
+    at level n.  `series` is the word's level-n series, of degree >= r +
+    sum(ns), and `beta_r` its dimension-r measure.  Returns a dict with the
+    coefficient, the Riemann sum at level n + m, that level, the guaranteed
+    exponent and the achieved exponent.
     """
     r = len(idx)
     if len(ns) != r + 1:
         raise ValueError("need r+1 X-block sizes for r Y-letters")
+    if series.level != n or series.degree < r + sum(ns) or beta_r.dim != r:
+        raise ValueError("series or measure does not match the monomial")
     p, pn = g.ctx.p, g.ctx.p ** n
-    degree = r + sum(ns)
-    series = embed_at_level(g, n, degree)
     mono = (X,) * ns[0]
     for ik, nk in zip(idx, ns[1:]):
         mono += (ik,) + (X,) * nk
     lam = series.coeff(mono)
 
-    beta_r = beta_measures(g, r, g.ctx)
-    poly = standard_integrand(ns, idx, pn) \
-        * Fraction(1, math.prod(math.factorial(k) for k in ns))
-    value, guaranteed = box_integral(beta_r, idx, n, poly, n + m)
+    integrand = standard_integrand(
+        ns, idx, pn, scale=Fraction(1, math.prod(math.factorial(k) for k in ns)))
+    value, guaranteed = box_integral(beta_r, idx, n, integrand, n + m)
     achieved = vp(lam - value, p)
-    return {"coefficient": lam, "riemann_sum": value,
+    return {"coefficient": lam, "riemann_sum": value, "level": n + m,
             "guaranteed": guaranteed, "achieved": achieved,
             "passed": achieved >= guaranteed}
 
@@ -426,14 +446,16 @@ def exp_transform_roundtrip(g: FreeWord, r: int, terms: int):
     series from the level-0 coefficients of the word, summing
     lambda_w * prod_k (-(X_{k+1} + ... + X_r))^{n_k} over X-block shapes.
     Returns (route_a, route_b, per-coefficient ok) with comparisons made
-    within route A's congruence guarantees.
+    within route A's congruence guarantees; route B maps exponent tuples to
+    coefficients.
     """
     ctx = g.ctx
-    beta_r = beta_measures(g, r, ctx)
+    tower = word_tower(g, [r + terms] + [r] * g.level)
+    beta_r = beta_measures(g, r, ctx, tower)
     route_a = transform_F(beta_r, terms, g.level)
 
-    s0 = embed_at_level(g, 0, r + terms)
-    total = MPoly(r)
+    s0 = tower[0]
+    total = {}
     for shape in itertools.product(range(terms + 1), repeat=r):
         if sum(shape) > terms:
             continue
@@ -443,18 +465,20 @@ def exp_transform_roundtrip(g: FreeWord, r: int, terms: int):
         lam = s0.coeff(mono)
         if not lam:
             continue
-        term = MPoly.const(r, lam)
+        term = {(0,) * r: lam}
         for k, nk in enumerate(shape):
-            tail = MPoly(r)
-            for i in range(k, r):
-                tail = tail + MPoly.var(r, i)
-            term = term * (-tail) ** nk
-        total = total + term
+            for _ in range(nk):  # multiply by -(X_{k+1} + ... + X_r)
+                nxt = {}
+                for e, c in term.items():
+                    accumulate(nxt, ((e[:i] + (e[i] + 1,) + e[i + 1:], -c)
+                                     for i in range(k, r)))
+                term = nxt
+        accumulate(total, term.items())
 
     ok = {}
     for j in itertools.product(range(terms + 1), repeat=r):
         if sum(j) > terms:
             continue
-        diff = route_a.coefficient(j) - total.coeffs.get(j, Fraction(0))
+        diff = route_a.coefficient(j) - total.get(j, Fraction(0))
         ok[j] = vp(diff, ctx.p) >= route_a.guarantees[j]
     return route_a, total, ok

@@ -20,7 +20,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .mpoly import MPoly
 from .padic import (PIntegralityError, PrimeContext, Rat, format_rat,
                     repr_mod, vp)
 
@@ -226,18 +225,21 @@ def unit_sequence(ctx: PrimeContext, top: int) -> GradedSequence:
     return GradedSequence(tuple(entries))
 
 
-def box_integral(mu: LevelFamily, base, level: int, poly: MPoly, eval_level: int):
-    """Riemann sum of poly against mu over the box base + p^level * (Z_p)^dim.
+def box_integral(mu: LevelFamily, base, level: int, integrand, eval_level: int):
+    """Riemann sum of integrand against mu over the box base + p^level * (Z_p)^dim.
 
-    Returns (value, guarantee): the true integral is congruent to the value
-    mod p^guarantee.  The guarantee is computed pessimistically as
-    (eval_level - level) - denom_bound - (worst denominator valuation in poly).
+    The integrand is any polynomial with `nvars`, `evaluate(point)` and
+    `denominator_valuation(p)` (the worst denominator valuation of its
+    coefficients).  Returns (value, guarantee): the true integral is
+    congruent to the value mod p^guarantee.  The guarantee is computed
+    pessimistically as
+    (eval_level - level) - denom_bound - integrand.denominator_valuation(p).
     """
     p = mu.ctx.p
     base = tuple(int(x) % p ** level for x in base) if level else (0,) * mu.dim
     if eval_level > mu.n_max or eval_level < level:
         raise ValueError("evaluation level out of stored range")
-    if poly.nvars != mu.dim:
+    if integrand.nvars != mu.dim:
         raise ValueError("integrand variable count mismatch")
     m = eval_level - level
     pl, q = p ** level, p ** m
@@ -247,8 +249,8 @@ def box_integral(mu: LevelFamily, base, level: int, poly: MPoly, eval_level: int
         a = tuple(b + k * pl for b, k in zip(base, ks))
         w = table[a]
         if w:
-            total += poly.evaluate(a) * w
-    guarantee = m - mu.denom_bound - poly.denominator_valuation(p)
+            total += integrand.evaluate(a) * w
+    guarantee = m - mu.denom_bound - integrand.denominator_valuation(p)
     return total, guarantee
 
 
@@ -448,14 +450,14 @@ class DiracCombo:
     def negated_points(self) -> "DiracCombo":
         return self.pushforward_affine([(-1, 0)] * self.dim)
 
-    def box_integral_exact(self, base, level: int, poly: MPoly, p: int) -> Rat:
-        """Exact integral of poly over base + p^level (Z_p)^dim."""
+    def box_integral_exact(self, base, level: int, integrand, p: int) -> Rat:
+        """Exact integral of integrand (as for box_integral) over base + p^level (Z_p)^dim."""
         pl = p ** level
         base = tuple(int(b) % pl for b in base)
         total = Fraction(0)
         for pt, w in self.atoms:
             if all(repr_mod(x, p, level) == b for x, b in zip(pt, base)):
-                total += w * poly.evaluate(pt)
+                total += w * integrand.evaluate(pt)
         return total
 
     def to_level_family(self, ctx: PrimeContext, n_max=None) -> LevelFamily:

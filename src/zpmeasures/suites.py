@@ -114,9 +114,13 @@ def _random_dirac_combo(rng: random.Random, ctx: PrimeContext, dim: int,
     return linear_combine(coeffs, parts)
 
 
-def _rho_and_beta2(rng: random.Random, ctx: PrimeContext, c):
+def _rho_and_beta2(rng: random.Random, cfg: RunConfig, c):
     """rho = E_{1,c} + (1-c)/2 delta_0 and beta2 = alpha^2/2 for
-    alpha = nu + rho/2, nu a random even Dirac combination."""
+    alpha = nu + rho/2, nu a random even Dirac combination.
+
+    Both callers read levels <= 2 only, so nothing deeper is tabulated.
+    """
+    ctx = PrimeContext(cfg.p, min(cfg.n_max, 2))
     g = _random_dirac_combo(rng, ctx, 1)
     nu = linear_combine([1, 1], [g, pushforward(g, units=[-1])])
     rho = linear_combine([1, Fraction(1 - c, 2)],
@@ -187,7 +191,7 @@ def measures_suite(cfg: RunConfig) -> SuiteReport:
     if cfg.p >= 5:
         c = units[0]
         sym_level = min(cfg.n_max, 2)
-        rho, beta2 = _rho_and_beta2(rng, ctx, c)
+        rho, beta2 = _rho_and_beta2(rng, cfg, c)
         group = list(signed_group(2))
         lhs = linear_combine([eps[0] * eps[1] for _, eps in group],
                              [pushforward(beta2, perm, eps) for perm, eps in group])
@@ -248,7 +252,7 @@ def transforms_suite(cfg: RunConfig) -> SuiteReport:
         c = units[0]
         lvl = min(cfg.n_max, 2)
         K = min(terms, 3)
-        rho, beta2 = _rho_and_beta2(rng, ctx, c)
+        rho, beta2 = _rho_and_beta2(rng, cfg, c)
         P2 = iwasawa_P(beta2, K, lvl)
         exps = list(itertools.product(range(K + 1), repeat=2))
         acc = {e: Fraction(0) for e in exps}
@@ -283,9 +287,19 @@ def magnus_suite(cfg: RunConfig) -> SuiteReport:
     D = cfg.degree
     width0 = ctx.p  # level-1 alphabet size used for shuffle pairs
     words = [_random_kernel_word(rng, ctx, level) for _ in range(10)]
+    n_box = max(0, level - 1)
+    shapes = [(n0, n1) for n0 in range(3) for n1 in range(3) if n0 + n1 <= 2]
 
+    # One tower per word: degree 2 for the measures, D at the top level for
+    # the shuffle and Lie checks, 1 + n0 + n1 <= 3 at level n_box for the
+    # congruences of word 0.
+    towers, betas = [], []
     for w_i, g in enumerate(words):
-        s = magnus.embed_E(g, D)
+        degrees = [2] * level + [max(D, 2)]
+        if w_i == 0:
+            degrees[n_box] = max(degrees[n_box], 3)
+        towers.append(magnus.word_tower(g, degrees))
+        s = towers[w_i][level].truncated(D)  # a copy: the fault stays out of the tower
         if cfg.tamper and w_i == 0:
             s.coeffs[(0, 0)] = s.coeff((0, 0)) + 1
         ok_pair = None
@@ -300,27 +314,28 @@ def magnus_suite(cfg: RunConfig) -> SuiteReport:
                 "" if ok_pair is None else f"fails at {ok_pair}")
         rep.add(f"lie:word{w_i}", magnus.log_lie_check(s), "")
 
-        for r in (1, 2):
-            res = validate_distribution(magnus.beta_measures(g, r, ctx))
+        betas.append({r: magnus.beta_measures(g, r, ctx, towers[w_i]) for r in (1, 2)})
+        for r, beta in betas[w_i].items():
+            res = validate_distribution(beta)
             rep.add(f"beta-distribution:word{w_i}:r={r}", res.passed,
                     "" if res.passed else f"level={res.level} point={res.point}")
 
     # negative control: a perturbed series must fail the shuffle relations
-    bad = magnus.embed_E(words[0], D)
+    bad = towers[0][level].truncated(D)
     bad.coeffs[(0, 0)] = bad.coeff((0, 0)) + 1
     failed = not magnus.shuffle_check(bad, (0,), (0,))
     rep.add("shuffle-negative-control", failed, "perturbed series must fail")
 
     g, h = words[0], words[1]
-    A = magnus.graded_beta(g, ctx, 2)
-    B = magnus.graded_beta(h, ctx, 2)
-    C = magnus.graded_beta(g * h, ctx, 2)
+    gh = g * h
+    A = magnus.graded_beta(g, ctx, 2, towers[0])
+    B = magnus.graded_beta(h, ctx, 2, towers[1])
+    C = magnus.graded_beta(gh, ctx, 2, magnus.word_tower(gh, [2] * (level + 1)))
     S = star_convolution(A, B)
     star_ok = all(S[i].tables == C[i].tables for i in range(3))
     rep.add("star-identity", star_ok, "graded product vs word product")
 
-    b2 = magnus.beta_measures(g, 2, ctx)
-    b1 = magnus.beta_measures(g, 1, ctx)
+    b1, b2 = betas[0][1], betas[0][2]
     perm_ok = True
     for a in itertools.product(range(ctx.p), repeat=2):
         lhs = b2.tables[1][a] + b2.tables[1][(a[1], a[0])]
@@ -329,16 +344,12 @@ def magnus_suite(cfg: RunConfig) -> SuiteReport:
             break
     rep.add("permutation-sum", perm_ok, "degree-2 symmetrization vs products")
 
-    n_box = max(0, level - 1)
-    shapes = [(n0, n1) for n0 in range(3) for n1 in range(3) if n0 + n1 <= 2]
-    cong_ok, detail = True, ""
-    for shape in shapes:
-        for i in range(ctx.p ** n_box):
-            r = magnus.word_coefficient_congruence(g, shape, (i,), n_box, 1)
-            if not r["passed"]:
-                cong_ok, detail = False, f"shape={shape} i={i}"
-                break
-    rep.add("coefficient-congruence", cong_ok, detail)
+    results = ((shape, i, magnus.word_coefficient_congruence(g, shape, (i,), n_box, 1,
+                                                             towers[0][n_box], b1))
+               for shape in shapes for i in range(ctx.p ** n_box))
+    miss = next((f"shape={shape} i={i} level={r['level']} guaranteed={r['guaranteed']}"
+                 f" achieved={r['achieved']}" for shape, i, r in results if not r["passed"]), None)
+    rep.add("coefficient-congruence", miss is None, miss or "")
     return rep
 
 
@@ -389,38 +400,22 @@ def corrections_suite(cfg: RunConfig) -> SuiteReport:
             # perturb one atom on the left-hand side only
             (pt0, c0), rest = beta.atoms[0], beta.atoms[1:]
             lhs_beta = DiracCombo(r, ((pt0, c0 + 1),) + rest)
-        bad = None
-        for shape in shapes:
-            for base in bases:
-                l, _ = corrections.sign_change_identity(lhs_beta, base, shape, p, n)
-                _, rr = corrections.sign_change_identity(beta, base, shape, p, n)
-                checksum = [("sign", l == rr)]
-                l, rr = corrections.reflect_shift_identity(beta, base, shape, p, n)
-                checksum.append(("reflect", l == rr))
-                l, rr = corrections.shift_identity(beta, base, shape, p, n)
-                checksum.append(("shift", l == rr))
-                for tag, ok in checksum:
-                    if not ok:
-                        bad = f"{tag} shape={shape} base={base}"
-                        break
-                if bad:
-                    break
-            if bad:
-                break
+        identities = (("sign", corrections.sign_change_identity, lhs_beta),
+                      ("reflect", corrections.reflect_shift_identity, beta),
+                      ("shift", corrections.shift_identity, beta))
+        sides = ((f"{tag} shape={shape} base={base}", identity(lhs, beta, base, shape, p, n))
+                 for shape, base in itertools.product(shapes, bases)
+                 for tag, identity, lhs in identities)
+        bad = next((where for where, (l, rr) in sides if l != rr), None)
         rep.add(f"change-of-variables:trial{trial}", bad is None, bad or "")
 
     for trial in range(5):
         g = random_combo(r)
         beta = g + g.negated_points()
-        bad = None
-        for shape in shapes:
-            for base in [(0, 1), (1, 2), (2, 2)]:
-                s = corrections.four_term_sum(beta, base, shape, p, n)
-                if s != 0:
-                    bad = f"shape={shape} base={base} sum={format_rat(s)}"
-                    break
-            if bad:
-                break
+        sums = ((shape, base, corrections.four_term_sum(beta, base, shape, p, n))
+                for shape, base in itertools.product(shapes, [(0, 1), (1, 2), (2, 2)]))
+        bad = next((f"shape={shape} base={base} sum={format_rat(s)}"
+                    for shape, base, s in sums if s), None)
         rep.add(f"four-term-sum:trial{trial}", bad is None, bad or "")
     return rep
 

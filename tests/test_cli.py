@@ -158,6 +158,14 @@ REPORT_DIGESTS = {
         "552b626a513bcddb1ce38868abd4c82a13582aa40315e504ec2e130d25281b28",
     "emit f-series --measure E1 --c 2 --p 5 --nmax 3 --terms 5":
         "63c8c481c32d8744fb5517ad298d555c25e3bad6a8cec51145210b07d9fcca83",
+    "verify corrections --p 3 --format json":
+        "8b7985169202e266e3988180dc135f03f8c9d4416938067c275f2412e3656bbd",
+    "verify corrections --p 3 --tamper --format json":
+        "2dcf88a0b1b5987e100f23ce15d1030d4c127ad64212f4a436c93174e3b9ee3d",
+    "verify magnus --p 3 --nmax 3 --seed 32 --format json":
+        "4701d9d029233a8d637c78b14daa690d9fb23e5f70b170213e391e9c903a5c68",
+    "verify measures --p 5 --nmax 3 --seed 23 --format json":
+        "57302c53a9361c76c81828fd6d7ce5c81a4421109d288d168883566523122eb4",
 }
 
 

@@ -1,11 +1,18 @@
 import itertools
+import math
 import random
 from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zpmeasures.corrections import (four_term_sum, reflect_shift_identity,
                                     shift_identity, sign_change_identity,
                                     standard_integrand)
-from zpmeasures.measures import DiracCombo
+from zpmeasures.measures import DiracCombo, box_integral
+from zpmeasures.padic import PrimeContext, vp
+
+from polyref import expanded_standard_integrand
 
 SHAPES = [s for s in itertools.product(range(3), repeat=3) if sum(s) <= 2]
 
@@ -30,11 +37,11 @@ def test_change_of_variable_identities_exact():
         beta = random_combo(rng, 2)
         for shape in SHAPES:
             for base in [(0, 1), (1, 2), (2, 0), (1, 1)]:
-                l, r = sign_change_identity(beta, base, shape, 3, 1)
+                l, r = sign_change_identity(beta, beta, base, shape, 3, 1)
                 assert l == r
-                l, r = reflect_shift_identity(beta, base, shape, 3, 1)
+                l, r = reflect_shift_identity(beta, beta, base, shape, 3, 1)
                 assert l == r
-                l, r = shift_identity(beta, base, shape, 3, 1)
+                l, r = shift_identity(beta, beta, base, shape, 3, 1)
                 assert l == r
 
 
@@ -62,7 +69,60 @@ def test_identities_in_higher_rank():
     for _ in range(3):
         beta = random_combo(rng, 3)
         for shape in shapes:
-            l, r = sign_change_identity(beta, (0, 1, 2), shape, 2, 1)
+            l, r = sign_change_identity(beta, beta, (0, 1, 2), shape, 2, 1)
             assert l == r
-            l, r = shift_identity(beta, (1, 1, 0), shape, 2, 1)
+            l, r = shift_identity(beta, beta, (1, 1, 0), shape, 2, 1)
             assert l == r
+
+
+@st.composite
+def integrand_cases(draw, max_r=3, max_exp=3):
+    r = draw(st.integers(1, max_r))
+    shape = tuple(draw(st.lists(st.integers(0, max_exp), min_size=r + 1, max_size=r + 1)))
+    base = tuple(draw(st.lists(st.integers(-10, 10), min_size=r, max_size=r)))
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(0, 2))
+    lifts = draw(st.tuples(st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0, 1])))
+    scale = draw(st.sampled_from([1, Fraction(1, math.prod(math.factorial(k) for k in shape))]))
+    return shape, base, p, n, lifts, scale
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=integrand_cases(),
+       points=st.lists(st.lists(st.one_of(st.integers(-30, 30),
+                                          st.fractions(-9, 9, max_denominator=6)),
+                                min_size=3, max_size=3), min_size=1, max_size=3))
+def test_linear_form_integrand_matches_expanded_polynomial(case, points):
+    # the integrand keeps its linear forms; the reference multiplies them out
+    shape, base, p, n, lifts, scale = case
+    fast = standard_integrand(shape, base, p ** n, *lifts, scale=scale)
+    ref = expanded_standard_integrand(shape, base, p ** n, *lifts, scale=scale)
+    assert fast.nvars == ref.nvars == len(base)
+    for pt in points:
+        pt = pt[:len(base)]
+        assert fast.evaluate(pt) == ref.evaluate(pt)
+    for q in (2, 3, 5):
+        assert fast.denominator_valuation(q) == ref.denominator_valuation(q)
+
+
+# Atoms lie in [-6, 6]^dim, so by level SEPARATED[p] (p^level > 12) they sit
+# in distinct residue classes and the stored tables show every denominator
+# of the measure: box_integral's guarantee trusts denom_bound to do so.
+SEPARATED = {2: 4, 3: 3, 5: 2}
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=integrand_cases(max_r=2, max_exp=2), data=st.data())
+def test_box_integral_meets_its_guarantee(case, data):
+    shape, base, p, n, lifts, scale = case
+    dim, top = len(base), SEPARATED[p]
+    atoms = data.draw(st.lists(st.tuples(
+        st.tuples(*[st.integers(-6, 6)] * dim),
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))), min_size=1, max_size=4))
+    eval_level = data.draw(st.integers(n, top))
+    combo = DiracCombo.make(dim, atoms)
+    fam = combo.to_level_family(PrimeContext(p, top))
+    integrand = standard_integrand(shape, base, p ** n, *lifts, scale=scale)
+    exact = combo.box_integral_exact(base, n, integrand, p)
+    value, guarantee = box_integral(fam, base, n, integrand, eval_level)
+    assert vp(exact - value, p) >= guarantee

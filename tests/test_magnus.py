@@ -8,15 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zpmeasures.classical import make_dirac
+from zpmeasures import magnus
 from zpmeasures.magnus import (FreeWord, NcSeries, WordSyntaxError, X,
-                               beta_measures, commutator, embed_E,
-                               exp_transform_roundtrip, graded_beta,
+                               beta_measures, commutator, embed_at_level,
+                               embed_E, exp_transform_roundtrip, graded_beta,
                                kernel_check, log_lie_check, parse_word,
                                project_series, project_word, series_log,
                                shuffle_check, shuffle_words, specialize_E0,
-                               word_coefficient_congruence)
+                               word_coefficient_congruence, word_tower)
 from zpmeasures.measures import star_convolution, validate_distribution
 from zpmeasures.padic import PrimeContext, vp
+from zpmeasures.suites import RunConfig, magnus_suite
 
 CTX2 = PrimeContext(2, 2)
 CTX3 = PrimeContext(3, 2)
@@ -134,13 +136,19 @@ def test_projection_commutes_with_embedding():
                 embed_E(project_word(word, n), 3).coeffs
 
 
+def tower(g, degree):
+    return word_tower(g, [degree] * (g.level + 1))
+
+
 def test_beta_measures_dirac_case():
     g = FreeWord(CTX2, 2, ((0, 1),))
-    assert beta_measures(g, 1, CTX2).tables == make_dirac([0], CTX2).tables
-    b0 = beta_measures(g, 0, CTX2)
+    assert beta_measures(g, 1, CTX2, tower(g, 1)).tables == make_dirac([0], CTX2).tables
+    b0 = beta_measures(g, 0, CTX2, tower(g, 1))
     assert b0.dim == 0 and b0.tables[0][()] == 1
     with pytest.raises(ValueError):
-        beta_measures(FreeWord(CTX2, 2, ((X, 1),)), 1, CTX2)
+        beta_measures(FreeWord(CTX2, 2, ((X, 1),)), 1, CTX2, ())
+    with pytest.raises(ValueError):  # a tower too shallow for r = 2
+        beta_measures(g, 2, CTX2, tower(g, 1))
 
 
 def test_beta_measures_distribution_and_denominators():
@@ -148,7 +156,7 @@ def test_beta_measures_distribution_and_denominators():
     for _ in range(4):
         g = random_kernel_word(CTX2, 2, rng)
         for r in (1, 2, 3):
-            br = beta_measures(g, r, CTX2)
+            br = beta_measures(g, r, CTX2, tower(g, 3))
             assert validate_distribution(br).passed
             assert br.denom_bound <= vp(math.factorial(r), 2)
 
@@ -158,8 +166,9 @@ def test_graded_star_identity():
     for _ in range(3):
         g = random_kernel_word(CTX2, 2, rng)
         h = random_kernel_word(CTX2, 2, rng)
-        S = star_convolution(graded_beta(g, CTX2, 2), graded_beta(h, CTX2, 2))
-        C = graded_beta(g * h, CTX2, 2)
+        S = star_convolution(graded_beta(g, CTX2, 2, tower(g, 2)),
+                             graded_beta(h, CTX2, 2, tower(h, 2)))
+        C = graded_beta(g * h, CTX2, 2, tower(g * h, 2))
         for i in range(3):
             assert S[i].tables == C[i].tables
 
@@ -167,8 +176,8 @@ def test_graded_star_identity():
 def test_permutation_sum_gives_products():
     rng = random.Random(41)
     g = random_kernel_word(CTX2, 2, rng)
-    b1 = beta_measures(g, 1, CTX2)
-    b2 = beta_measures(g, 2, CTX2)
+    b1 = beta_measures(g, 1, CTX2, tower(g, 2))
+    b2 = beta_measures(g, 2, CTX2, tower(g, 2))
     for n in range(3):
         for a in itertools.product(range(2 ** n), repeat=2):
             lhs = b2.tables[n][a] + b2.tables[n][(a[1], a[0])]
@@ -178,15 +187,51 @@ def test_permutation_sum_gives_products():
 def test_word_coefficient_congruence():
     ctx = PrimeContext(3, 3)
     g = commutator(FreeWord(ctx, 3, ((X, 1),)), FreeWord(ctx, 3, ((0, 1),)))
-    rep = word_coefficient_congruence(g, (1, 0), (0,), 1, 2)
+    t = tower(g, 2)
+    b1 = beta_measures(g, 1, ctx, t)
+    rep = word_coefficient_congruence(g, (1, 0), (0,), 1, 2, t[1], b1)
     assert rep["passed"] and rep["achieved"] >= rep["guaranteed"]
     # all-zero X-blocks: the identity is definitional
-    rep0 = word_coefficient_congruence(g, (0, 0), (1,), 1, 2)
+    rep0 = word_coefficient_congruence(g, (0, 0), (1,), 1, 2, t[1], b1)
     assert rep0["passed"]
     # larger m tightens the guaranteed congruence
-    r1 = word_coefficient_congruence(g, (1, 0), (0,), 1, 1)
-    r2 = word_coefficient_congruence(g, (1, 0), (0,), 1, 2)
+    r1 = word_coefficient_congruence(g, (1, 0), (0,), 1, 1, t[1], b1)
+    r2 = word_coefficient_congruence(g, (1, 0), (0,), 1, 2, t[1], b1)
     assert r2["guaranteed"] > r1["guaranteed"]
+    with pytest.raises(ValueError):  # degree 2 cannot hold X^2 Y_0
+        word_coefficient_congruence(g, (2, 0), (0,), 1, 2, t[1], b1)
+
+
+def test_congruence_failure_carries_level_and_exponents():
+    ctx = PrimeContext(3, 3)
+    g = commutator(FreeWord(ctx, 3, ((X, 1),)), FreeWord(ctx, 3, ((0, 1),)))
+    t = tower(g, 2)
+    b1 = beta_measures(g, 1, ctx, t)
+    bad = t[1].truncated(2)
+    bad.add_term((X, 0), Fraction(1, 3))
+    rep = word_coefficient_congruence(g, (1, 0), (0,), 1, 2, bad, b1)
+    good = word_coefficient_congruence(g, (1, 0), (0,), 1, 2, t[1], b1)
+    assert not rep["passed"] and good["passed"]
+    assert rep["level"] == 3
+    assert rep["coefficient"] == good["coefficient"] + Fraction(1, 3)
+    assert rep["achieved"] == -1 < rep["guaranteed"] == good["guaranteed"]
+    assert t[1].coeff((X, 0)) == good["coefficient"]  # the tower stayed as it was
+
+
+def test_congruence_failure_detail_in_suite(monkeypatch):
+    real = magnus.word_coefficient_congruence
+
+    def perturbed(g, ns, idx, n, m, series, beta_r):
+        bad = series.truncated(series.degree)
+        bad.add_term((X,) * ns[0] + (idx[0],) + (X,) * ns[1], Fraction(1, 3))
+        return real(g, ns, idx, n, m, bad, beta_r)
+
+    monkeypatch.setattr(magnus, "word_coefficient_congruence", perturbed)
+    rep = magnus_suite(RunConfig(p=3, n_max=2, seed=1))
+    check = [c for c in rep.checks if c.name == "coefficient-congruence"][0]
+    assert not check.passed
+    # the first failure is the one reported
+    assert check.detail == "shape=(0, 0) i=0 level=2 guaranteed=1 achieved=-1"
 
 
 def test_exp_transform_roundtrip():
@@ -220,3 +265,50 @@ def test_nc_series_terms_stay_nonzero_fractions(f, g, h):
         assert all(type(c) is Fraction and c != 0 for c in r.coeffs.values())
     assert not (f - f).coeffs
     assert ((f + g) * h).coeffs == (f * h + g * h).coeffs
+
+
+@st.composite
+def kernel_words(draw):
+    p = draw(st.sampled_from([2, 3]))
+    level = draw(st.integers(1, 2))
+    ctx = PrimeContext(p, level)
+    gens = st.sampled_from([X] + list(range(p ** level)))
+    letters = draw(st.lists(st.tuples(gens, st.sampled_from([1, -1])), max_size=6))
+    bal = sum(e for g, e in letters if g == X)
+    letters += [(X, -1 if bal > 0 else 1)] * abs(bal)
+    return FreeWord(ctx, level, tuple(letters)).reduced()
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=kernel_words(), data=st.data())
+def test_truncating_a_tower_level_equals_embedding_at_lower_degree(g, data):
+    n = data.draw(st.integers(0, g.level))
+    top = data.draw(st.integers(0, 3))
+    d = data.draw(st.integers(0, top))
+    low = embed_at_level(g, n, top).truncated(d)
+    want = embed_at_level(g, n, d)
+    assert (low.level, low.degree, low.coeffs) == (want.level, want.degree, want.coeffs)
+
+
+def test_truncated_is_a_fresh_copy():
+    s = embed_E(parse_word("[x,y0]", CTX3, 1), 2)
+    t = s.truncated(2)
+    t.add_term((0, 0), Fraction(1))
+    assert s.coeff((0, 0)) == 0
+    with pytest.raises(ValueError):
+        s.truncated(3)
+
+
+@pytest.mark.parametrize("p, n_max, seed", [(2, 2, 7), (3, 2, 4), (3, 3, 32)])
+def test_magnus_suite_embeds_each_projected_word_once(monkeypatch, p, n_max, seed):
+    seen = []
+    real = magnus.embed_E
+
+    def counting(w, degree):
+        seen.append((w.level, w.letters))
+        return real(w, degree)
+
+    monkeypatch.setattr(magnus, "embed_E", counting)
+    assert magnus_suite(RunConfig(p=p, n_max=n_max, seed=seed)).passed
+    assert len(seen) == len(set(seen))
+    assert len(seen) <= 11 * (n_max + 1)  # ten words and one product, one per level

@@ -12,8 +12,9 @@ from zpmeasures.measures import (DiracCombo, GradedSequence, LevelFamily,
                                  linear_combine, measures_equal, pushforward,
                                  signed_group, star_convolution,
                                  unit_sequence, validate_distribution)
-from zpmeasures.mpoly import MPoly
 from zpmeasures.padic import INF, PIntegralityError, PrimeContext, vp
+
+from polyref import MPoly
 
 CTX = PrimeContext(3, 3)
 CTX5 = PrimeContext(5, 2)

@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zpmeasures.mpoly import MPoly
+from polyref import MPoly
 
 small = st.fractions(-3, 3, max_denominator=4)
 mpolys = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), small,

@@ -10,8 +10,9 @@ from zpmeasures.measures import (DiracCombo, box_integral, iwasawa_P,
                                  iwasawa_flip, iwasawa_swap, iwasawa_tensor,
                                  linear_combine, pushforward, transform_F,
                                  transform_F_via_P)
-from zpmeasures.mpoly import MPoly
 from zpmeasures.padic import PrimeContext, bernoulli, binom, vp
+
+from polyref import MPoly
 
 CTX = PrimeContext(3, 4)
 CTX5 = PrimeContext(5, 3)
