@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--n", type=at_least(0), default=1)
     e.add_argument("--level", type=at_least(0), default=None)
     e.add_argument("--terms", type=at_least(0), default=6)
-    e.add_argument("--degree", type=int, default=3)
+    e.add_argument("--degree", type=at_least(0), default=3)
     e.add_argument("--sigma-rep", type=int, default=1)
     e.add_argument("--measure", default="dirac",
                    choices=("dirac", "M", "E1", "N2", "D2"))

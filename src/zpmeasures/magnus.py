@@ -192,12 +192,26 @@ class NcSeries:
                         {m: c * v for m, v in self.coeffs.items()})
 
     def __mul__(self, other: "NcSeries") -> "NcSeries":
+        """Graded product: a left monomial meets only the right monomials that
+        fit in the degree, and a constant term 1 on either side multiplies nothing."""
         assert self._same_shape(other)
-        out = {}
+        left_unit = self.coeffs.get(()) == 1
+        right_unit = other.coeffs.get(()) == 1
+        by_len = [[] for _ in range(self.degree + 1)]
+        for m, c in other.coeffs.items():
+            if len(m) <= self.degree and (m or not right_unit):
+                by_len[len(m)].append((m, c))
+        fits = list(itertools.accumulate(by_len))  # fits[d]: the monomials of length <= d
+        out = {m: c for m, c in self.coeffs.items()
+               if c and len(m) <= self.degree} if right_unit else {}
         for m1, c1 in self.coeffs.items():
             room = self.degree - len(m1)
-            accumulate(out, ((m1 + m2, c1 * c2) for m2, c2 in other.coeffs.items()
-                             if len(m2) <= room))
+            if room < 0:
+                continue
+            if left_unit and not m1:
+                accumulate(out, fits[room])
+            else:
+                accumulate(out, ((m1 + m2, c1 * c2) for m2, c2 in fits[room]))
         return NcSeries(self.ctx, self.level, self.degree, out)
 
     def truncated(self, d: int) -> "NcSeries":
@@ -257,6 +271,23 @@ def series_log(s: NcSeries) -> NcSeries:
         power = power * u
         out = out + power.scaled(Fraction((-1) ** (k + 1), k))
     return out
+
+
+def word_log2(w: FreeWord) -> NcSeries:
+    """log embed_E(w) past degree 2 by Baker-Campbell-Hausdorff: log prod_i
+    exp(e_i g_i) = sum_i e_i g_i + 1/2 sum_{i<j} e_i e_j [g_i, g_j] mod degree 3,
+    in one pass over the letters; the word need not be reduced."""
+    sums, pairs = {}, {}  # sums[h] = exponent of h so far; pairs[(h, g)] += sums[h] e
+    for g, e in w.letters:
+        for h, k in sums.items():
+            pairs[(h, g)] = pairs.get((h, g), 0) + k * e
+        sums[g] = sums.get(g, 0) + e
+    coeffs = {(g,): Fraction(k) for g, k in sums.items() if k}
+    for (h, g), k in pairs.items():
+        c = k - pairs.get((g, h), 0)
+        if c:
+            coeffs[(h, g)], coeffs[(g, h)] = Fraction(c, 2), Fraction(-c, 2)
+    return NcSeries(w.ctx, w.level, 2, coeffs)
 
 
 def _left_bracketing(mono: tuple) -> dict:

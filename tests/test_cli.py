@@ -114,6 +114,7 @@ def test_emit_d2_from_word(capsys):
     ["emit", "iwasawa", "--measure", "M", "--terms", "-1"],
     ["emit", "iwasawa", "--measure", "M", "--level", "-1"],
     ["emit", "nc-series", "--word", "[y0,y1]", "--p", "2", "--n", "-1"],
+    ["emit", "nc-series", "--word", "x", "--degree", "-1"],
     ["verify", "transforms", "--p", "5", "--terms", "-1"],
     ["verify", "measures", "--mod-exp", "0"],
 ])
@@ -144,6 +145,12 @@ REPORT_DIGESTS = {
         "540ff1d2fdc3087db86a72dcd704521581e46291bb3d7ce7bcad4e1f85b21927",
     "verify octagon --p 3 --n 1 --sigma-rep 1 --tamper --format json":
         "0eb7701d2abf1c2c70cafbf04b85c4b0633102c6b42044f2346f9b37c91c040a",
+    "verify octagon --p 7 --n 1 --format json":
+        "3d90eedc9ca0cdbafddcc34287c3e18fc79bbc54dd493c0003eefef93a541741",
+    "verify octagon --p 2 --n 2 --format json":
+        "124e25701006587e08f73013b0c7af8e775a86b9ae1246d1e8765815d6c945b7",
+    "verify octagon --p 3 --n 2 --sigma-rep 4 --tamper --format json":
+        "a1bdefe9c348118de920f5ce7c5203509cee418a2c4fb7a5b37fc752610bcf63",
     "emit octagon-factor --factor C --p 3 --n 1 --sigma-rep 2":
         "f19658c6a3ffffabee956c97a9d4d4d00391cfe53a16c82b96bdcbc52440c822",
     'emit nc-series --word "[x,y0]*y1" --p 3 --n 1 --degree 3':

@@ -15,7 +15,8 @@ from zpmeasures.magnus import (FreeWord, NcSeries, WordSyntaxError, X,
                                kernel_check, log_lie_check, parse_word,
                                project_series, project_word, series_log,
                                shuffle_check, shuffle_words, specialize_E0,
-                               word_coefficient_congruence, word_tower)
+                               word_coefficient_congruence, word_log2,
+                               word_tower)
 from zpmeasures.measures import star_convolution, validate_distribution
 from zpmeasures.padic import PrimeContext, vp
 from zpmeasures.suites import RunConfig, magnus_suite
@@ -288,6 +289,27 @@ def test_truncating_a_tower_level_equals_embedding_at_lower_degree(g, data):
     low = embed_at_level(g, n, top).truncated(d)
     want = embed_at_level(g, n, d)
     assert (low.level, low.degree, low.coeffs) == (want.level, want.degree, want.coeffs)
+
+
+@st.composite
+def unreduced_words(draw):
+    """Words in X and the Y's with repeated letters and inverse pairs left in."""
+    p = draw(st.sampled_from([2, 3]))
+    level = draw(st.integers(1, 2))
+    gens = st.sampled_from([X] + list(range(p ** level)))
+    runs = st.tuples(gens, st.sampled_from([1, -1]), st.sampled_from(["once", "twice", "cancel"]))
+    letters = []
+    for g, e, kind in draw(st.lists(runs, max_size=8)):
+        letters += {"once": [(g, e)], "twice": [(g, e)] * 2, "cancel": [(g, e), (g, -e)]}[kind]
+    return FreeWord(PrimeContext(p, level), level, tuple(letters))
+
+
+@settings(max_examples=150, deadline=None)
+@given(unreduced_words())
+def test_closed_form_log2_matches_series_log(w):
+    got, want = word_log2(w), series_log(embed_E(w, 2))
+    assert (got.level, got.degree, got.coeffs) == (want.level, want.degree, want.coeffs)
+    assert all(type(c) is Fraction and c != 0 for c in got.coeffs.values())
 
 
 def test_truncated_is_a_fresh_copy():

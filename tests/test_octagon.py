@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from zpmeasures import octagon
 from zpmeasures.classical import make_dirac
-from zpmeasures.magnus import NcSeries, X
+from zpmeasures.magnus import NcSeries, X, embed_E, series_log, word_log2
 from zpmeasures.measures import linear_combine, pushforward, validate_distribution
 from zpmeasures.octagon import (FACTOR_ORDER, ONE, InconsistentRelations,
                                 SymPoly, a_sym, b_sym, build_factor,
@@ -18,6 +18,7 @@ from zpmeasures.octagon import (FACTOR_ORDER, ONE, InconsistentRelations,
                                 g_sym, octagon_product, reflection_half_system,
                                 reflection_relations, report_json_dict,
                                 series_inverse, standard_relation_set,
+                                substitution_images,
                                 symmetry_defect, unit_series)
 from zpmeasures.padic import PrimeContext
 from zpmeasures.suites import RunConfig, octagon_suite
@@ -187,6 +188,14 @@ def test_factor_derivation_grid():
         derive_factor_by_subst("A", 3, 1, 1)
 
 
+@pytest.mark.parametrize("p, n", [(3, 1), (5, 1), (2, 2), (3, 2)])
+def test_closed_form_log2_on_substitution_images(p, n):
+    for s in units(p, n):
+        for name in "CEG":
+            for word in substitution_images(name, p, n, s).values():
+                assert word_log2(word).coeffs == series_log(embed_E(word, 2)).coeffs
+
+
 def test_symmetry_defect_measure():
     ctx = PrimeContext(3, 2)
     d1 = make_dirac([1], ctx)
@@ -244,9 +253,20 @@ def test_graded_product_matches_all_pairs(sym_left, sym_right, rat_left, rat_rig
 @settings(max_examples=150, deadline=None)
 @given(polys, polys, st.fractions(-2, 2, max_denominator=3))
 def test_sympoly_terms_stay_nonzero_fractions(f, g, v):
-    results = [f + g, f - g, f * g, -f, f + 1, 3 * g, f - f, f.subs_t(v)]
-    for r in results:
+    # scalars scale the coefficients directly; a partial substitution keeps
+    # the unmapped symbols in the key
+    scalars = [(f * 0, 0), (0 * f, 0), (f * Fraction(-3, 2), Fraction(-3, 2)),
+               (Fraction(1, 2) * f, Fraction(1, 2))]
+    partial = {("a", 0): g, ("g", 1): SymPoly()}
+    subst = (f * g).substitute(partial)
+    results = [f + g, f - g, f * g, -f, f + 1, 3 * g, f - f, f.subs_t(v), subst]
+    for r in results + [r for r, _ in scalars]:
         assert all(type(c) is Fraction and c != 0 for c in r.terms.values())
+    for r, c in scalars:
+        assert r == f * SymPoly.const(c)
+    assert f * 0 is not octagon.ZERO and not (f * 0)
+    identity = {sym: SymPoly.symbol(sym) for sym in (f * g).symbols()}
+    assert subst == (f * g).substitute({**identity, **partial})
     assert not (f - f)
     assert (f * g).subs_t(v) == f.subs_t(v) * g.subs_t(v)
     assert (f + g).subs_t(v) == f.subs_t(v) + g.subs_t(v)
