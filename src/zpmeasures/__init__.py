@@ -2,24 +2,22 @@
 symbolic octagonal-relation verifier."""
 
 from .padic import (INF, PIntegralityError, PrimeContext, Rat, bernoulli,
-                    bernoulli_poly, binom, format_rat, parse_rat, repr_mod,
-                    repr_mod_pos, vp)
+                    binom, format_rat, parse_rat, repr_mod, repr_mod_pos, vp)
 from .measures import (DiracCombo, GradedSequence, IwasawaPoly, LevelFamily,
                        box_integral, exterior_power, exterior_product,
                        iwasawa_P, linear_combine, measures_equal, pushforward,
                        signed_group, star_convolution,
                        transform_F, transform_F_via_P, unit_sequence,
                        validate_distribution)
-from .classical import (e1_relation_suite, inversion_defect,
-                        inversion_defect_linear, make_D2, make_E1, make_M,
-                        make_N2, make_dirac)
+from .classical import (e1_relation_suite, make_D2, make_E1, make_M, make_N2,
+                        make_dirac)
 from .magnus import (FreeWord, NcSeries, WordSyntaxError, beta_measures,
                      commutator, embed_E, exp_transform_roundtrip,
                      kernel_check, log_lie_check, parse_word,
-                     shuffle_check, specialize_E0, word_coefficient_congruence)
+                     shuffle_check, word_coefficient_congruence)
 from .octagon import (SymPoly, build_factor, deg1_implied_by_reflection,
                       deg1_relations, degree2_symmetry_check,
                       derive_factor_by_subst, octagon_product,
-                      reflection_relations, series_inverse, symmetry_defect)
+                      reflection_relations, series_inverse)
 
 __version__ = "0.1.0"

@@ -5,6 +5,11 @@
 * mazur          E_{1,c}, the regularized Bernoulli measure
 * two-variable   N2(c) and the dilogarithm-coefficient measure D2
 
+Each named measure has one point formula (`m_value`, `e1_value`, `n2_value`,
+`d2_value`) in the level constants c = s + p^n t.  The `make_*` builders
+tabulate it with t a Fraction; the octagon module evaluates the same
+formulas with t a symbol, at chi = s + p^n t.
+
 Level formulas index residues as 1..p^n with p^n standing for the residue 0;
 `mpos` below realizes that ordering.  For M(c) the branch threshold is the
 representative of c in (0, p^n] — with the [0, p^n) representative the
@@ -13,13 +18,10 @@ distribution relation fails at level 0 and at levels where p^n divides c.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .corrections import standard_integrand
-from .measures import LevelFamily, box_integral, linear_combine, measures_equal, \
-    pushforward
-from .padic import INF, PrimeContext, Rat, bernoulli_poly, repr_mod, repr_mod_pos, vp
+from .measures import LevelFamily, linear_combine, measures_equal, pushforward
+from .padic import INF, PrimeContext, repr_mod, repr_mod_pos, vp
 
 
 def mpos(a: int, pn: int) -> int:
@@ -27,95 +29,123 @@ def mpos(a: int, pn: int) -> int:
     return pn if a == 0 else a
 
 
-def make_dirac(point, ctx: PrimeContext, n_max=None) -> LevelFamily:
+def m_value(x: int, s: int, t):
+    """M(c) at x: t plus the indicator of 1 <= x < s."""
+    return t + 1 if 1 <= x < s else t
+
+
+def e1_value(x: int, s: int, pn: int, t):
+    """E_{1,c}(x) = x/p^n - c <c^{-1} x>/p^n + (c - 1)/2 with c = s + p^n t."""
+    c = s + pn * t
+    u = (pow(s, -1, pn) * x) % pn
+    return Fraction(x, pn) - c * Fraction(u, pn) + (c - 1) * Fraction(1, 2)
+
+
+def n2_value(a: int, b: int, s: int, pn: int, t):
+    """N2(c) at (a, b): -t - 1 on 1 <= a < b < s, -t on s <= a < b <= p^n
+    (in the 1..p^n order), and antisymmetric."""
+    ma, mb = mpos(a, pn), mpos(b, pn)
+    if ma < mb:
+        if mb < s:
+            return -t - 1
+        return -t if s <= ma else 0
+    if mb < ma:
+        if ma < s:
+            return t + 1
+        return t if s <= mb else 0
+    return 0
+
+
+def d2_value(a: int, b: int, pn: int, alpha, gamma):
+    """D2 at (a, b) from residue -> coefficient maps alpha and gamma:
+    gamma(-b) - gamma(-a), plus alpha(-a) if a < b, minus alpha(-b) if b < a
+    (in the 1..p^n order)."""
+    na, nb = (-a) % pn, (-b) % pn
+    val = gamma(nb) - gamma(na)
+    ma, mb = mpos(a, pn), mpos(b, pn)
+    if ma < mb:
+        return val + alpha(na)
+    if mb < ma:
+        return val - alpha(nb)
+    return val
+
+
+def _levels(c: Fraction, ctx: PrimeContext) -> list:
+    """(s, p^n, t) per stored level: c = s + p^n t with s in (0, p^n]."""
+    out = []
+    for n in range(ctx.n_max + 1):
+        s, pn = repr_mod_pos(c, ctx.p, n), ctx.p ** n
+        out.append((s, pn, (c - s) / pn))
+    return out
+
+
+def make_dirac(point, ctx: PrimeContext) -> LevelFamily:
     point = [Fraction(a) for a in point]
     dim = len(point)
 
     def fn(n, b):
         return 1 if all(x == repr_mod(a, ctx.p, n) for x, a in zip(b, point)) else 0
 
-    return LevelFamily.build(ctx, dim, fn, n_max)
+    return LevelFamily.build(ctx, dim, fn)
 
 
-def make_M(c, ctx: PrimeContext, n_max=None) -> LevelFamily:
+def make_M(c, ctx: PrimeContext) -> LevelFamily:
     """The measure with total mass c - 1 interpolating binomial coefficients."""
     c = Fraction(c)
     if vp(c, ctx.p) < 0:
         raise ValueError("c must be p-integral")
+    levels = _levels(c, ctx)
 
     def fn(n, a):
-        s = repr_mod_pos(c, ctx.p, n)
-        base = (c - s) / ctx.p ** n
-        return base + 1 if 1 <= a[0] < s else base
+        s, _, t = levels[n]
+        return m_value(a[0], s, t)
 
-    return LevelFamily.build(ctx, 1, fn, n_max)
+    return LevelFamily.build(ctx, 1, fn)
 
 
-def make_E1(c, ctx: PrimeContext, n_max=None) -> LevelFamily:
+def make_E1(c, ctx: PrimeContext) -> LevelFamily:
     """The Mazur-Bernoulli measure: moments (B_k/k)(1 - c^k)."""
     c = Fraction(c)
     if vp(c, ctx.p) != 0:
         raise ValueError("c must be a unit")
-    cinv = 1 / c
+    levels = _levels(c, ctx)
 
     def fn(n, a):
-        pn = ctx.p ** n
-        return Fraction(a[0], pn) - c * Fraction(repr_mod(cinv * a[0], ctx.p, n), pn) \
-            + (c - 1) / 2
+        return e1_value(a[0], *levels[n])
 
-    return LevelFamily.build(ctx, 1, fn, n_max)
+    return LevelFamily.build(ctx, 1, fn)
 
 
-def make_N2(c, ctx: PrimeContext, n_max=None) -> LevelFamily:
+def make_N2(c, ctx: PrimeContext) -> LevelFamily:
     """Antisymmetric two-variable companion of M(c); c must be a unit."""
     c = Fraction(c)
     if vp(c, ctx.p) != 0:
         raise ValueError("c must be a unit")
+    levels = _levels(c, ctx)
 
     def fn(n, ab):
-        pn = ctx.p ** n
-        s = repr_mod(c, ctx.p, n)
-        t = (c - s) / pn
-        a, b = mpos(ab[0], pn), mpos(ab[1], pn)
-        val = Fraction(0)
-        if (1 <= a < b < s) or (s <= a < b <= pn):
-            val -= t
-        elif (1 <= b < a < s) or (s <= b < a <= pn):
-            val += t
-        if 1 <= a < b < s:
-            val -= 1
-        elif 1 <= b < a < s:
-            val += 1
-        return val
+        return n2_value(ab[0], ab[1], *levels[n])
 
-    return LevelFamily.build(ctx, 2, fn, n_max)
+    return LevelFamily.build(ctx, 2, fn)
 
 
-def make_D2(alpha, gamma, ctx: PrimeContext, n_max=None) -> LevelFamily:
+def make_D2(alpha, gamma, ctx: PrimeContext) -> LevelFamily:
     """Two-variable measure assembled from degree-1 and dilogarithm tables.
 
     alpha[n][i] and gamma[n][i] are level-indexed coefficient tables; alpha
     must satisfy the distribution relation and gamma its twisted analogue
     (gamma_i at level n = sum_k p gamma_{i+k p^n} - sum_k k alpha_{i+k p^n}
     one level up), which hold automatically for tables extracted from a
-    kernel word.  Violations surface through validate_distribution.
+    kernel word.  Violations surface through validate_distribution.  The
+    depth is that of the shorter table list.
     """
-    if n_max is None:
-        n_max = min(len(alpha), len(gamma)) - 1
+    levels = [(ctx.p ** n, al.__getitem__, ga.__getitem__) for n, (al, ga) in
+              enumerate(zip(alpha, gamma))]
 
     def fn(n, ab):
-        pn = ctx.p ** n
-        a, b = ab
-        na, nb = (-a) % pn, (-b) % pn
-        val = gamma[n][nb] - gamma[n][na]
-        ma, mb = mpos(a, pn), mpos(b, pn)
-        if ma < mb:
-            val += alpha[n][na]
-        elif mb < ma:
-            val -= alpha[n][nb]
-        return val
+        return d2_value(ab[0], ab[1], *levels[n])
 
-    return LevelFamily.build(ctx, 2, fn, n_max)
+    return LevelFamily.build(ctx, 2, fn, len(levels) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -162,64 +192,3 @@ def e1_relation_suite(c, ctx: PrimeContext, up_to_level: int, mod_exp: int):
                    f"T_c(E) - T_c(E o(-1)) - 2E - 2M(c) - 2(1-c) delta_0 - (1-c) delta_c"
                    f" == 0 mod p^{mod_exp}"))
     return checks
-
-
-# ---------------------------------------------------------------------------
-# Defect evaluator for the coefficient inversion formula
-
-
-def inversion_defect(beta1: LevelFamily, c, i: int, mu_exp: int, n: int, m: int) -> Rat:
-    """LHS minus RHS of the dilogarithm-coefficient inversion display.
-
-    Both integrals are Riemann sums at level n + m.  The evaluator makes no
-    claim that the defect vanishes: for the cocycle measures it would, by an
-    external reflection formula, but synthetic inputs only get evaluated.
-    """
-    ctx = beta1.ctx
-    p, pn = ctx.p, ctx.p ** n
-    if not 0 < i < pn:
-        raise ValueError("need 0 < i < p^n")
-    c = Fraction(c)
-    lhs, _ = box_integral(beta1, (i,), n, standard_integrand((0, mu_exp), (i,), pn), n + m)
-    lhs2, _ = box_integral(beta1, (pn - i,), n,
-                           standard_integrand((0, mu_exp), (pn - i,), pn), n + m)
-    lhs += (-1) ** (mu_exp + 1) * lhs2
-
-    rhs = Fraction(0)
-    for j in range(mu_exp):
-        term, _ = box_integral(beta1, (i,), n, standard_integrand((0, j), (i,), pn), n + m)
-        rhs += math.comb(mu_exp, j) * term
-    rhs += Fraction((-1) ** mu_exp, pn ** mu_exp) * _bernoulli_sum(c, i, mu_exp, p, n)
-    return lhs - rhs
-
-
-def _bernoulli_sum(c: Fraction, i: int, mu_exp: int, p: int, n: int) -> Rat:
-    pn = p ** n
-    total = Fraction(0)
-    for j in range(mu_exp + 1):
-        bracket = bernoulli_poly(j + 1, Fraction(pn - i, pn)) \
-            - c ** (j + 1) * bernoulli_poly(j + 1, Fraction(repr_mod((pn - i) / c, p, n), pn))
-        total += math.comb(mu_exp, j) * (i - pn) ** (mu_exp - j) \
-            * Fraction(pn ** j, j + 1) * bracket
-    return total
-
-
-def inversion_defect_linear(beta1: LevelFamily, c, i: int, n: int, m: int) -> Rat:
-    """The mu = 1 defect written out term by term.
-
-    Independent of the generic evaluator: the two Bernoulli brackets are
-    hard-coded, so this pins the mu = 1 specialization of inversion_defect.
-    """
-    ctx = beta1.ctx
-    p, pn = ctx.p, ctx.p ** n
-    c = Fraction(c)
-    lhs, _ = box_integral(beta1, (i,), n, standard_integrand((0, 1), (i,), pn), n + m)
-    lhs2, _ = box_integral(beta1, (pn - i,), n,
-                           standard_integrand((0, 1), (pn - i,), pn), n + m)
-    lhs += lhs2
-    mass, _ = box_integral(beta1, (i,), n, standard_integrand((0, 0), (i,), pn), n + m)
-    u = Fraction(repr_mod((pn - i) / c, p, n), pn)
-    b1 = bernoulli_poly(1, Fraction(pn - i, pn)) - c * bernoulli_poly(1, u)
-    b2 = bernoulli_poly(2, Fraction(pn - i, pn)) - c ** 2 * bernoulli_poly(2, u)
-    rhs = mass + Fraction(pn - i, pn) * b1 - Fraction(1, 2) * b2
-    return lhs - rhs

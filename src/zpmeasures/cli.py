@@ -148,8 +148,7 @@ def cmd_emit(args) -> int:
             text = json.dumps(series.to_json_dict(), sort_keys=True, indent=2)
         elif args.object == "octagon-factor":
             fac = octagon.build_factor(args.factor, args.p, args.n, args.sigma_rep)
-            terms = [{"mono": ".".join("X" if g == magnus.X else f"Y{g}" for g in m) or "1",
-                      "poly": str(c)}
+            terms = [{"mono": magnus.mono_name(m), "poly": str(c)}
                      for m, c in sorted(fac.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))]
             text = json.dumps({"factor": args.factor,
                                "config": {"p": args.p, "n": args.n, "s": args.sigma_rep},

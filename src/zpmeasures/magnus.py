@@ -150,6 +150,11 @@ def parse_word(text: str, ctx: PrimeContext, level: int) -> FreeWord:
 # Truncated non-commutative power series
 
 
+def mono_name(m) -> str:
+    """A monomial as "X.Y0.Y2", the empty monomial as "1"."""
+    return ".".join("X" if g == X else f"Y{g}" for g in m) or "1"
+
+
 @dataclass
 class NcSeries:
     """Power series in X, Y_0..Y_{p^level - 1} truncated past `degree`.
@@ -183,7 +188,10 @@ class NcSeries:
         return NcSeries(self.ctx, self.level, self.degree, out)
 
     def __sub__(self, other: "NcSeries") -> "NcSeries":
-        return self + other.scaled(-1)
+        assert self._same_shape(other)
+        out = dict(self.coeffs)
+        accumulate(out, ((m, -c) for m, c in other.coeffs.items()))
+        return NcSeries(self.ctx, self.level, self.degree, out)
 
     def scaled(self, c) -> "NcSeries":
         if not c:
@@ -230,9 +238,6 @@ class NcSeries:
         return {m: c for m, c in self.coeffs.items() if len(m) == d}
 
     def to_json_dict(self):
-        def mono_name(m):
-            return ".".join("X" if g == X else f"Y{g}" for g in m) or "1"
-
         return {"level": self.level, "degree": self.degree,
                 "terms": [{"mono": mono_name(m), "value": format_rat(self.coeffs[m])}
                           for m in sorted(self.coeffs, key=lambda m: (len(m), m))]}
@@ -252,12 +257,6 @@ def embed_E(w: FreeWord, degree: int) -> NcSeries:
     for g, e in w.letters:
         out = out * exp_gen(w.ctx, w.level, degree, g, e)
     return out
-
-
-def specialize_E0(s: NcSeries) -> NcSeries:
-    """Set X to zero: drop every monomial containing X."""
-    return NcSeries(s.ctx, s.level, s.degree,
-                    {m: c for m, c in s.coeffs.items() if X not in m})
 
 
 def series_log(s: NcSeries) -> NcSeries:

@@ -5,7 +5,9 @@ Coefficients live in a polynomial ring with formal symbols a_i (degree-1
 coefficients of the cocycle series), b_{a,b} (degree-2), g_i (the
 dilogarithm coefficients at X Y_i) and the deviation parameter t: the
 cyclotomic value is modeled as chi = s + p^n t with s a fixed unit residue,
-which turns every coefficient into an exact polynomial in t.
+which turns every coefficient into an exact polynomial in t.  The named
+measures M, E_{1,chi}, N2 and D2 are the point formulas of `classical`,
+evaluated with this symbolic t.
 
 The nine factors of the octagonal product are defined explicitly below; the
 product is truncated past degree 2, its degree-1 coefficients give one
@@ -22,8 +24,8 @@ import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
+from .classical import d2_value, e1_value, m_value, mpos, n2_value
 from .magnus import FreeWord, NcSeries, X, word_log2
-from .measures import LevelFamily, linear_combine, pushforward
 from .mpoly import accumulate
 from .padic import PrimeContext, Rat, format_rat, is_prime
 
@@ -82,10 +84,12 @@ class SymPoly:
         return SymPoly._trusted({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        out = dict(self.terms)
+        accumulate(out, ((k, -c) for k, c in _coerce(other).terms.items()))
+        return SymPoly._trusted(out)
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        return _coerce(other) - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):  # a scalar: no coercion, no key sort
@@ -216,10 +220,6 @@ def _check_config(p: int, n: int, s: int):
     return width
 
 
-def _mpos(i: int, width: int) -> int:
-    return width if i == 0 else i
-
-
 def build_factor(name: str, p: int, n: int, s: int) -> NcSeries:
     """One of the nine displayed factors, verbatim, with chi = s + p^n t.
 
@@ -283,7 +283,7 @@ def build_factor(name: str, p: int, n: int, s: int) -> NcSeries:
             out.add_term((X, i), t * Fraction(1, 2))
             out.add_term((i, X), -t * Fraction(1, 2))
         for a, b in itertools.product(range(width), repeat=2):
-            ma, mb = _mpos(a, width), _mpos(b, width)
+            ma, mb = mpos(a, width), mpos(b, width)
             if mb < ma:
                 out.add_term((a, b), t * Fraction(1, 2))
             elif ma < mb:
@@ -460,13 +460,8 @@ def deg1_relations(prod: NcSeries):
 
 
 def e1_sympoly(x: int, p: int, n: int, s: int) -> SymPoly:
-    """E_{1,chi}(x) as a polynomial in t: x/p^n - chi <chi^{-1} x>/p^n + (chi-1)/2."""
-    width = p ** n
-    chi = chi_sympoly(p, n, s)
-    sinv = pow(s, -1, width)
-    u = (sinv * x) % width
-    return SymPoly.const(Fraction(x, width)) - chi * Fraction(u, width) \
-        + (chi - ONE) * Fraction(1, 2)
+    """E_{1,chi}(x) as a polynomial in t."""
+    return e1_value(x, s, p ** n, SymPoly.t())
 
 
 def reflection_relations(p: int, n: int, s: int):
@@ -525,39 +520,6 @@ def deg1_implied_by_reflection(p: int, n: int, s: int, prod: NcSeries) -> dict:
 # The degree-2 identity between named measures
 
 
-def _m_sympoly(x: int, s: int, width: int) -> SymPoly:
-    """M(chi) at a point: t plus the indicator of 1 <= x < s."""
-    val = SymPoly.t()
-    if 1 <= x < s:
-        val = val + ONE
-    return val
-
-
-def _n2_sympoly(a: int, b: int, s: int, width: int) -> SymPoly:
-    ma, mb = _mpos(a, width), _mpos(b, width)
-    t = SymPoly.t()
-    val = SymPoly()
-    if (1 <= ma < mb < s) or (s <= ma < mb <= width):
-        val = val - t
-    elif (1 <= mb < ma < s) or (s <= mb < ma <= width):
-        val = val + t
-    if 1 <= ma < mb < s:
-        val = val - ONE
-    elif 1 <= mb < ma < s:
-        val = val + ONE
-    return val
-
-
-def _d2_sympoly(a: int, b: int, width: int) -> SymPoly:
-    val = g_sym(-b, width) - g_sym(-a, width)
-    ma, mb = _mpos(a, width), _mpos(b, width)
-    if ma < mb:
-        val = val + a_sym(-a, width)
-    elif mb < ma:
-        val = val - a_sym(-b, width)
-    return val
-
-
 def degree2_display(a: int, b: int, p: int, n: int, s: int, e1: list) -> SymPoly:
     """The sum of named-measure terms expressing the degree-2 symmetry,
     evaluated at the point (a, b) of level n.  `e1` lists E_{1,chi}(x) for
@@ -565,8 +527,10 @@ def degree2_display(a: int, b: int, p: int, n: int, s: int, e1: list) -> SymPoly
     width = p ** n
     one_m_chi = ONE - chi_sympoly(p, n, s)
     half = one_m_chi * Fraction(1, 2)
+    t = SymPoly.t()
     al = lambda x: a_sym(x, width)
-    M = lambda x: _m_sympoly(x, s, width)
+    g = lambda x: g_sym(x, width)
+    M = lambda x: m_value(x, s, t)
     # E(b) plus the (1 - chi) [b = 0] terms that share its cofactor
     Eb = e1[b] + one_m_chi if b == 0 else e1[b]
 
@@ -577,9 +541,9 @@ def degree2_display(a: int, b: int, p: int, n: int, s: int, e1: list) -> SymPoly
     # grouping step of the derivation but is dropped from the final displayed
     # statement; without it the residual is exactly -T_chi(alpha).M(chi).
     total = total + (al(a - s) - e1[a]) * M(b)
-    total = total + _d2_sympoly(a, b, width) \
-        - _d2_sympoly((a - s) % width, (b - s) % width, width)
-    total = total + (_n2_sympoly(a, b, s, width) - M(a) * M(b)) * Fraction(1, 2)
+    total = total + d2_value(a, b, width, al, g) \
+        - d2_value((a - s) % width, (b - s) % width, width, al, g)
+    total = total + (n2_value(a, b, s, width, t) - M(a) * M(b)) * Fraction(1, 2)
     if a == 0:
         total = total + half * al(b) - one_m_chi * (e1[b] + M(b))
         if b == 0:
@@ -596,10 +560,12 @@ def degree2_display(a: int, b: int, p: int, n: int, s: int, e1: list) -> SymPoly
 def degree2_display_chi1(a: int, b: int, width: int) -> SymPoly:
     """The chi = 1 form of the degree-2 identity (s = 1, t = 0)."""
     s = 1
+    al = lambda x: a_sym(x, width)
+    g = lambda x: g_sym(x, width)
     total = b_sym(a, b, width) - b_sym(-a, -b, width) \
         + b_sym(s - a, s - b, width) - b_sym(a - s, b - s, width)
-    total = total + _d2_sympoly(a, b, width)
-    total = total - _d2_sympoly((a - s) % width, (b - s) % width, width)
+    total = total + d2_value(a, b, width, al, g)
+    total = total - d2_value((a - s) % width, (b - s) % width, width, al, g)
     if b == s:
         total = total + a_sym(s - a, width)
     if a == s:
@@ -755,20 +721,3 @@ def derive_factor_by_subst(name: str, p: int, n: int, s: int) -> dict:
     return {"config": {"p": p, "n": n, "s": s}, "factor": name,
             "passed": not diff.coeffs,
             "mismatches": {m: str(c) for m, c in diff.coeffs.items()}}
-
-
-# ---------------------------------------------------------------------------
-# The measure-level symmetry defect in any dimension
-
-
-def symmetry_defect(beta_m: LevelFamily, c) -> LevelFamily:
-    """h = -(beta - beta o(-1) + T_c(beta o(-1)) - T_c(beta)).
-
-    A linear combination of pushforwards of a measure, hence a measure; it
-    vanishes identically when beta is even and c = 1.
-    """
-    m = beta_m.dim
-    flips, cvec = [-1] * m, [c] * m
-    parts = [beta_m, pushforward(beta_m, units=flips),
-             pushforward(beta_m, units=flips, shift=cvec), pushforward(beta_m, shift=cvec)]
-    return linear_combine([-1, 1, -1, 1], parts)

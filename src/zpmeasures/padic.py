@@ -117,13 +117,6 @@ def bernoulli(k: int) -> Rat:
     return -acc / (k + 1)
 
 
-def bernoulli_poly(k: int, x) -> Rat:
-    """Bernoulli polynomial B_k(x) = sum_j C(k, j) B_j x^(k-j)."""
-    x = Fraction(x)
-    return sum((math.comb(k, j) * bernoulli(j) * x ** (k - j) for j in range(k + 1)),
-               Fraction(0))
-
-
 def format_rat(x) -> str:
     """Serialize a rational as "num/den", denominator omitted when 1."""
     x = Fraction(x)

@@ -202,6 +202,12 @@ def measures_suite(cfg: RunConfig) -> SuiteReport:
     return rep
 
 
+def _first_miss(p: int, rows):
+    """The key of the first (key, got, want, guarantee) row whose got - want
+    has p-adic valuation below its guarantee; None when every row holds."""
+    return next((key for key, got, want, guar in rows if vp(got - want, p) < guar), None)
+
+
 def transforms_suite(cfg: RunConfig) -> SuiteReport:
     ctx = cfg.ctx()
     rng = random.Random(cfg.seed)
@@ -216,35 +222,26 @@ def transforms_suite(cfg: RunConfig) -> SuiteReport:
         P = iwasawa_P(M, terms, cfg.n_max)
         if cfg.tamper and c == units[0]:
             P.coeffs[(2,)] += 1
-        bad = None
-        for k in range(terms + 1):
-            want = binom(c, k + 1) - (1 if k == 0 else 0)
-            if vp(P.coefficient((k,)) - want, cfg.p) < P.guarantees[(k,)]:
-                bad = k
-                break
+        bad = _first_miss(cfg.p, ((k, P.coefficient((k,)), binom(c, k + 1) - (1 if k == 0 else 0),
+                                   P.guarantees[(k,)]) for k in range(terms + 1)))
         rep.add(f"interpolation:M({format_rat(c)})", bad is None,
                 "" if bad is None else f"coefficient k={bad} off")
 
     for c in units[:2]:
         F = transform_F(classical.make_E1(c, ctx), terms, cfg.n_max)
-        bad = None
-        for k in range(1, terms + 1):
-            want = Fraction(bernoulli(k), k) * (1 - Fraction(c) ** k) / math.factorial(k - 1)
-            if vp(F.coefficient((k - 1,)) - want, cfg.p) < F.guarantees[(k - 1,)]:
-                bad = k
-                break
+        bad = _first_miss(cfg.p, ((k, F.coefficient((k - 1,)),
+                                   Fraction(bernoulli(k), k) * (1 - Fraction(c) ** k)
+                                   / math.factorial(k - 1), F.guarantees[(k - 1,)])
+                                  for k in range(1, terms + 1)))
         rep.add(f"e1-moments:c={c}", bad is None,
                 "" if bad is None else f"moment k={bad} off")
 
     mu = _random_dirac_combo(rng, ctx, 1)
     F1 = transform_F(mu, terms, cfg.n_max)
     F2 = transform_F_via_P(iwasawa_P(mu, terms, cfg.n_max), cfg.p)
-    bad = None
-    for k in range(terms + 1):
-        e = min(F1.guarantees[(k,)], F2.guarantees[(k,)])
-        if vp(F1.coefficient((k,)) - F2.coefficient((k,)), cfg.p) < e:
-            bad = k
-            break
+    bad = _first_miss(cfg.p, ((k, F1.coefficient((k,)), F2.coefficient((k,)),
+                               min(F1.guarantees[(k,)], F2.guarantees[(k,)]))
+                              for k in range(terms + 1)))
     rep.add("exp-transform-two-routes", bad is None,
             "" if bad is None else f"coefficient k={bad} off")
 
@@ -267,12 +264,8 @@ def transforms_suite(cfg: RunConfig) -> SuiteReport:
                     else min(guar[e], pt.guarantees[e])
         P1 = iwasawa_P(rho, K, lvl)
         rhs = iwasawa_tensor(P1, P1)
-        bad = None
-        for e in exps:
-            bound = min(guar[e], rhs.guarantees[e])
-            if vp(acc[e] - rhs.coefficient(e), cfg.p) < bound:
-                bad = e
-                break
+        bad = _first_miss(cfg.p, ((e, acc[e], rhs.coefficient(e),
+                                   min(guar[e], rhs.guarantees[e])) for e in exps))
         rep.add(f"symmetrized-transform:c={c}", bad is None,
                 "" if bad is None else f"coefficient {bad} off")
     return rep

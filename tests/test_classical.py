@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from zpmeasures.classical import (e1_relation_suite, inversion_defect,
-                                  inversion_defect_linear, make_D2, make_E1,
-                                  make_M, make_N2, make_dirac)
+from zpmeasures.classical import (e1_relation_suite, make_D2, make_E1, make_M,
+                                  make_N2, make_dirac)
 from zpmeasures.magnus import FreeWord, X, coefficient_tables, commutator
 from zpmeasures.measures import linear_combine, pushforward, validate_distribution
 from zpmeasures.padic import PrimeContext
@@ -99,32 +98,3 @@ def test_e1_relation_suite_passes():
 def test_e1_relation_suite_degenerate():
     checks = e1_relation_suite(1, CTX, 3, 3)
     assert all(ok for _, ok, _ in checks)
-
-
-def test_inversion_defect_affine_in_measure():
-    b1 = linear_combine([1, 2], [make_dirac([1], CTX), make_dirac([2], CTX)])
-    b2 = linear_combine([1], [make_dirac([4], CTX)])
-    mix = linear_combine([2, -1], [b1, b2])
-    assert inversion_defect(mix, 7, 1, 2, 1, 2) == \
-        2 * inversion_defect(b1, 7, 1, 2, 1, 2) - inversion_defect(b2, 7, 1, 2, 1, 2)
-
-
-def test_inversion_defect_linear_specialization():
-    b1 = linear_combine([1, 2], [make_dirac([1], CTX), make_dirac([2], CTX)])
-    for c in (7, 5):
-        for i in (1, 2):
-            assert inversion_defect(b1, c, i, 1, 1, 2) == \
-                inversion_defect_linear(b1, c, i, 1, 2)
-
-
-def test_inversion_defect_bernoulli_part_dies_at_one():
-    from zpmeasures.classical import _bernoulli_sum
-    for i in (1, 2):
-        for mu_exp in (1, 2, 3):
-            assert _bernoulli_sum(Fraction(1), i, mu_exp, 3, 1) == 0
-
-
-def test_inversion_defect_range_check():
-    b1 = make_dirac([1], CTX)
-    with pytest.raises(ValueError):
-        inversion_defect(b1, 7, 0, 1, 1, 1)

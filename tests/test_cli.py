@@ -173,6 +173,15 @@ REPORT_DIGESTS = {
         "4701d9d029233a8d637c78b14daa690d9fb23e5f70b170213e391e9c903a5c68",
     "verify measures --p 5 --nmax 3 --seed 23 --format json":
         "57302c53a9361c76c81828fd6d7ce5c81a4421109d288d168883566523122eb4",
+    # p^2 divides c: the (0, p^n] threshold of M(c) at level 2
+    "emit measure --measure M --c 9 --p 3 --nmax 3 --format csv":
+        "7041694041c27feb39dd8b1735812d754ad3fd5d944154ae0330e2669bff0c98",
+    "emit measure --measure N2 --c -2 --p 5 --nmax 2 --format csv":
+        "26d4e504078b9a1dc73759f08d2cd5ce37cbff93041fd4bfcd05f8b954e2a4e6",
+    "emit measure --measure E1 --c 1/2 --p 3 --nmax 3 --format csv":
+        "140bfeeb7eca78b80ea93a422941ca418701ced427c4b3891161410ccdc4fa76",
+    'emit measure --measure D2 --word "[[x,y1],y2]" --p 2 --nmax 3 --format csv':
+        "2ff5cfdaeafc45d6e713dcf201e4655d4a194ef59b3385eccdc05c10bd7b32da",
 }
 
 

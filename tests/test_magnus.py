@@ -14,7 +14,7 @@ from zpmeasures.magnus import (FreeWord, NcSeries, WordSyntaxError, X,
                                embed_E, exp_transform_roundtrip, graded_beta,
                                kernel_check, log_lie_check, parse_word,
                                project_series, project_word, series_log,
-                               shuffle_check, shuffle_words, specialize_E0,
+                               shuffle_check, shuffle_words,
                                word_coefficient_congruence, word_log2,
                                word_tower)
 from zpmeasures.measures import star_convolution, validate_distribution
@@ -75,13 +75,6 @@ def test_embedding_is_multiplicative():
         a = random_kernel_word(CTX3, 1, rng)
         b = random_kernel_word(CTX3, 1, rng)
         assert (embed_E(a, 3) * embed_E(b, 3)).coeffs == embed_E(a * b, 3).coeffs
-
-
-def test_specialization_drops_x():
-    assert specialize_E0(embed_E(parse_word("x", CTX3, 1), 3)).coeffs == {(): Fraction(1)}
-    s = specialize_E0(embed_E(parse_word("[x,y0]", CTX3, 1), 3))
-    assert all(X not in m for m in s.coeffs)
-    assert all(len(m) != 1 for m in s.coeffs if m)
 
 
 def test_kernel_word_x_coefficient_antisymmetry():

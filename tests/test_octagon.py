@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zpmeasures import octagon
-from zpmeasures.classical import make_dirac
+from zpmeasures.classical import make_E1, make_M, make_N2, m_value, n2_value
 from zpmeasures.magnus import NcSeries, X, embed_E, series_log, word_log2
-from zpmeasures.measures import linear_combine, pushforward, validate_distribution
-from zpmeasures.octagon import (FACTOR_ORDER, ONE, InconsistentRelations,
+from zpmeasures.octagon import (FACTOR_ORDER, ONE, ZERO, InconsistentRelations,
                                 SymPoly, a_sym, b_sym, build_factor,
                                 build_relation_set,
                                 deg1_implied_by_reflection, deg1_relations,
@@ -18,8 +17,7 @@ from zpmeasures.octagon import (FACTOR_ORDER, ONE, InconsistentRelations,
                                 g_sym, octagon_product, reflection_half_system,
                                 reflection_relations, report_json_dict,
                                 series_inverse, standard_relation_set,
-                                substitution_images,
-                                symmetry_defect, unit_series)
+                                substitution_images, unit_series)
 from zpmeasures.padic import PrimeContext
 from zpmeasures.suites import RunConfig, octagon_suite
 
@@ -196,19 +194,21 @@ def test_closed_form_log2_on_substitution_images(p, n):
                 assert word_log2(word).coeffs == series_log(embed_E(word, 2)).coeffs
 
 
-def test_symmetry_defect_measure():
-    ctx = PrimeContext(3, 2)
-    d1 = make_dirac([1], ctx)
-    h = symmetry_defect(d1, 1)
-    assert validate_distribution(h).passed
-    want = linear_combine([-1, 1, 1, -1],
-                          [d1, make_dirac([-1], ctx), make_dirac([2], ctx),
-                           make_dirac([0], ctx)])
-    assert h.tables == want.tables
-    even = linear_combine([1, 1], [d1, pushforward(d1, units=[-1])])
-    assert symmetry_defect(even, 1).is_zero()
-    two = linear_combine([1, -3], [make_dirac([1, 2], ctx), make_dirac([0, 1], ctx)])
-    assert validate_distribution(symmetry_defect(two, 7)).passed
+@pytest.mark.parametrize("p, n", [(3, 1), (5, 1), (3, 2)])
+def test_symbolic_measures_are_the_tabulated_ones(p, n):
+    """E_{1,chi}, M(chi) and N2(chi) with chi = s + p^n t, specialized at t,
+    are the level-n tables of make_E1, make_M and make_N2 at c = chi."""
+    width, t = p ** n, SymPoly.t()
+    ctx = PrimeContext(p, n)
+    for s in units(p, n):
+        for tv in (-1, 0, 2):
+            c = s + width * tv
+            E, M, N = (make(c, ctx).tables[n] for make in (make_E1, make_M, make_N2))
+            for x in range(width):
+                assert octagon.e1_sympoly(x, p, n, s).subs_t(tv) == E[(x,)]
+                assert (ZERO + m_value(x, s, t)).subs_t(tv) == M[(x,)]
+            for a, b in itertools.product(range(width), repeat=2):
+                assert (ZERO + n2_value(a, b, s, width, t)).subs_t(tv) == N[(a, b)]
 
 
 # Small random SymPolys, and width-2 series over both coefficient rings:

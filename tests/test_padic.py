@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zpmeasures.padic import (INF, PIntegralityError, PrimeContext, bernoulli,
-                              bernoulli_poly, binom, format_rat, parse_rat,
-                              repr_mod, repr_mod_pos, vp)
+                              binom, format_rat, parse_rat, repr_mod,
+                              repr_mod_pos, vp)
 
 rationals = st.builds(Fraction, st.integers(-400, 400), st.integers(1, 60))
 
@@ -80,17 +80,6 @@ def test_bernoulli_values():
     known = [1, Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30), 0,
              Fraction(1, 42), 0, Fraction(-1, 30)]
     assert [bernoulli(k) for k in range(9)] == known
-
-
-@given(k=st.integers(0, 8), x=rationals)
-@settings(max_examples=80)
-def test_bernoulli_poly_difference(k, x):
-    assert bernoulli_poly(k, x + 1) - bernoulli_poly(k, x) == k * x ** max(k - 1, 0) * (1 if k else 0)
-
-
-def test_bernoulli_poly_at_zero():
-    for k in range(8):
-        assert bernoulli_poly(k, 0) == bernoulli(k)
 
 
 def test_rational_round_trip():
