@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import classical, magnus, octagon
@@ -75,7 +76,12 @@ def _write(text: str, out):
         with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:  # the reader left: send the flush at exit to devnull
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
 
 
 def _build_measure(args, ctx: PrimeContext):
@@ -164,7 +170,12 @@ def cmd_emit(args) -> int:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    words = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads -1/3 (unlike -2) as an option, so attach it: --c=-1/3
+    for i in range(len(words) - 1, 0, -1):
+        if words[i - 1] in ("--c", "--a") and words[i][:1] == "-" and words[i][1:2].isdigit():
+            words[i - 1:i + 1] = [words[i - 1] + "=" + words[i]]
+    args = ap.parse_args(words)
     if args.command == "verify":
         return cmd_verify(args)
     if args.command == "emit":

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -423,6 +423,8 @@ class DiracCombo:
 
     dim: int
     atoms: tuple  # ((point tuple of Fractions, coeff), ...)
+    # (p, level) -> box index, map -> pushforward image; the atoms never change
+    _memo: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
 
     @classmethod
     def make(cls, dim: int, atoms) -> "DiracCombo":
@@ -437,35 +439,37 @@ class DiracCombo:
             raise ValueError("dimension mismatch")
         return DiracCombo(self.dim, self.atoms + other.atoms)
 
-    def scaled(self, c) -> "DiracCombo":
-        c = Fraction(c)
-        return DiracCombo(self.dim, tuple((pt, c * w) for pt, w in self.atoms))
-
     def pushforward_affine(self, coords) -> "DiracCombo":
-        coords = [(int(e), Fraction(c)) for e, c in coords]
-        atoms = tuple((tuple(e * x + c for x, (e, c) in zip(pt, coords)), w)
-                      for pt, w in self.atoms)
-        return DiracCombo(self.dim, atoms)
+        """The image under x_k -> e_k * x_k + c_k, built once per map."""
+        coords = tuple((int(e), Fraction(c)) for e, c in coords)
+        if coords not in self._memo:
+            self._memo[coords] = DiracCombo(self.dim, tuple(
+                (tuple(e * x + c for x, (e, c) in zip(pt, coords)), w) for pt, w in self.atoms))
+        return self._memo[coords]
 
     def negated_points(self) -> "DiracCombo":
         return self.pushforward_affine([(-1, 0)] * self.dim)
 
+    def boxes(self, p: int, level: int) -> dict:
+        """The atoms by box, residues mod p^level -> [(point, coeff)], built once
+        per (p, level), integer coordinates as int.  Every coordinate is reduced,
+        so at level >= 1 a non-p-integral atom raises PIntegralityError for every box."""
+        if (p, level) not in self._memo:
+            index = {}
+            for pt, w in self.atoms:
+                box = tuple(repr_mod(x, p, level) for x in pt)
+                pt = tuple(int(x) if x.denominator == 1 else x for x in pt)
+                index.setdefault(box, []).append((pt, w))
+            self._memo[p, level] = index
+        return self._memo[p, level]
+
     def box_integral_exact(self, base, level: int, integrand, p: int) -> Rat:
         """Exact integral of integrand (as for box_integral) over base + p^level (Z_p)^dim."""
-        pl = p ** level
-        base = tuple(int(b) % pl for b in base)
-        total = Fraction(0)
-        for pt, w in self.atoms:
-            if all(repr_mod(x, p, level) == b for x, b in zip(pt, base)):
-                total += w * integrand.evaluate(pt)
-        return total
+        atoms = self.boxes(p, level).get(tuple(int(b) % p ** level for b in base), ())
+        return sum((w * integrand.evaluate(pt) for pt, w in atoms), Fraction(0))
 
     def to_level_family(self, ctx: PrimeContext, n_max=None) -> LevelFamily:
         def fn(n, a):
-            total = Fraction(0)
-            for pt, w in self.atoms:
-                if all(repr_mod(x, ctx.p, n) == b for x, b in zip(pt, a)):
-                    total += w
-            return total
+            return sum((w for _, w in self.boxes(ctx.p, n).get(a, ())), Fraction(0))
 
         return LevelFamily.build(ctx, self.dim, fn, n_max)

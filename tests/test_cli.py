@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 
 import pytest
 
+import zpmeasures
 from zpmeasures.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from zpmeasures.suites import RunConfig, run_suite
 
@@ -138,6 +142,34 @@ def test_transforms_valid_at_p2(capsys):
     assert "PASS interpolation:M(1/3)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("spaced,joined", [
+    (["--measure", "M", "--c", "-1/3"], ["--measure", "M", "--c=-1/3"]),
+    (["--measure", "dirac", "--a", "-1/2,3"], ["--measure", "dirac", "--a=-1/2,3"]),
+])
+def test_negative_rational_values(spaced, joined, capsys):
+    common = ["emit", "measure", "--p", "5", "--nmax", "1", "--format", "csv"]
+    assert run(common + joined) == EXIT_OK
+    expected = capsys.readouterr().out
+    assert run(common + spaced) == EXIT_OK
+    assert capsys.readouterr().out == expected
+
+
+def test_closed_pipe_ends_quietly():
+    # the table is ~400 kB, far more than a pipe holds, so the writer is still
+    # writing when the reader closes its end after two lines
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(zpmeasures.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "zpmeasures.cli", "emit", "measure",
+                             "--measure", "M", "--c=-1/3", "--p", "5", "--nmax", "6",
+                             "--format", "csv"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert head == [b"n,a_1,value\n", b"0,0,-4/3\n"]
+    assert err == b""
+    assert proc.returncode == EXIT_OK
+
+
 # sha256 of stdout, pinned so a refactor cannot change report bytes unseen;
 # the octagon-factor digest also pins the SymPoly constant term ("1*1").
 REPORT_DIGESTS = {
@@ -169,6 +201,12 @@ REPORT_DIGESTS = {
         "8b7985169202e266e3988180dc135f03f8c9d4416938067c275f2412e3656bbd",
     "verify corrections --p 3 --tamper --format json":
         "2dcf88a0b1b5987e100f23ce15d1030d4c127ad64212f4a436c93174e3b9ee3d",
+    "verify corrections --p 2 --seed 93 --format json":
+        "f1587607e8a490cf7d980716746559ee3e19edb7571250120bcc9eef92fdf472",
+    "verify corrections --p 2 --seed 93 --tamper --format json":
+        "4ab9fe558c73f6eb5c958a96fadc7425bc2f1de5f4bb9c4ed3268b26c2312221",
+    "verify corrections --p 5 --format json":
+        "21ba2e7285c5aa295153c52ac74d3ed999f8bb0c5dadfe9d7c4463638b727335",
     "verify magnus --p 3 --nmax 3 --seed 32 --format json":
         "4701d9d029233a8d637c78b14daa690d9fb23e5f70b170213e391e9c903a5c68",
     "verify measures --p 5 --nmax 3 --seed 23 --format json":

@@ -3,14 +3,15 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zpmeasures.corrections import (four_term_sum, reflect_shift_identity,
                                     shift_identity, sign_change_identity,
                                     standard_integrand)
-from zpmeasures.measures import DiracCombo, box_integral
-from zpmeasures.padic import PrimeContext, vp
+from zpmeasures.measures import DiracCombo, box_integral, residues
+from zpmeasures.padic import PIntegralityError, PrimeContext, repr_mod, vp
 
 from polyref import expanded_standard_integrand
 
@@ -126,3 +127,59 @@ def test_box_integral_meets_its_guarantee(case, data):
     exact = combo.box_integral_exact(base, n, integrand, p)
     value, guarantee = box_integral(fam, base, n, integrand, eval_level)
     assert vp(exact - value, p) >= guarantee
+
+
+def scan_box(atoms, base, level, p):
+    """Reference box membership: reduce every coordinate of every atom."""
+    pl = p ** level
+    return [(pt, w) for pt, w in atoms
+            if all(repr_mod(x, p, level) == int(b) % pl for x, b in zip(pt, base))]
+
+
+@st.composite
+def p_integral_combos(draw):
+    """p and a combination whose points are negative, non-integer (1/3 at
+    p = 2) or repeated, but always p-integral."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    dim = draw(st.integers(1, 2))
+    coord = st.builds(Fraction, st.integers(-20, 20),
+                      st.sampled_from([d for d in range(1, 10) if d % p]))
+    points = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=3))
+    picks = draw(st.lists(st.sampled_from(points), min_size=1, max_size=5))
+    return p, DiracCombo.make(dim, [(pt, draw(st.integers(-3, 3))) for pt in picks])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=p_integral_combos(), level=st.integers(0, 2), data=st.data())
+def test_box_index_matches_scan(case, level, data):
+    p, combo = case
+    dim, pl = combo.dim, p ** level
+    shape = tuple(data.draw(st.lists(st.integers(0, 2), min_size=dim + 1, max_size=dim + 1)))
+    e, c = data.draw(st.sampled_from([-1, 1])), data.draw(st.integers(-4, 4))
+    image = combo.pushforward_affine([(e, c)] * dim)
+    assert image.atoms == tuple((tuple(e * x + c for x in pt), w) for pt, w in combo.atoms)
+    assert combo.pushforward_affine([(e, c)] * dim) is image
+    ctx = PrimeContext(p, 2)
+    for beta in (combo, image):
+        for base in residues(p, level, dim):
+            integrand = standard_integrand(shape, base, pl)
+            # the box is named by an unreduced base; the index must reduce it
+            moved = tuple(b - pl for b in base)
+            scanned = scan_box(beta.atoms, moved, level, p)
+            assert beta.box_integral_exact(moved, level, integrand, p) == sum(
+                (w * integrand.evaluate(pt) for pt, w in scanned), Fraction(0))
+        fam = beta.to_level_family(ctx)
+        for n in range(ctx.n_max + 1):
+            for a in residues(p, n, dim):
+                assert fam.tables[n][a] == sum(w for _, w in scan_box(beta.atoms, a, n, p))
+    # the memo takes no part in equality or hashing
+    fresh = DiracCombo.make(dim, combo.atoms)
+    assert fresh == combo and hash(fresh) == hash(combo)
+
+
+def test_non_p_integral_atom_raises_for_every_box():
+    combo = DiracCombo.make(2, [((1, Fraction(1, 2)), 3)])
+    assert combo.box_integral_exact((0, 0), 0, standard_integrand((0, 0, 0), (0, 0), 1), 2) == 3
+    for base in itertools.product(range(2), repeat=2):
+        with pytest.raises(PIntegralityError):
+            combo.box_integral_exact(base, 1, standard_integrand((0, 0, 0), base, 2), 2)
