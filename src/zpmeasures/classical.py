@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .measures import LevelFamily, linear_combine, measures_equal, pushforward
-from .padic import INF, PrimeContext, repr_mod, repr_mod_pos, vp
+from .measures import DiracCombo, LevelFamily, linear_combine, measures_equal, pushforward
+from .padic import INF, PrimeContext, repr_mod_pos, vp
 
 
 def mpos(a: int, pn: int) -> int:
@@ -80,13 +80,7 @@ def _levels(c: Fraction, ctx: PrimeContext) -> list:
 
 
 def make_dirac(point, ctx: PrimeContext) -> LevelFamily:
-    point = [Fraction(a) for a in point]
-    dim = len(point)
-
-    def fn(n, b):
-        return 1 if all(x == repr_mod(a, ctx.p, n) for x, a in zip(b, point)) else 0
-
-    return LevelFamily.build(ctx, dim, fn)
+    return DiracCombo.make(len(point), [(point, 1)]).to_level_family(ctx)
 
 
 def make_M(c, ctx: PrimeContext) -> LevelFamily:

@@ -113,6 +113,8 @@ def cmd_verify(args) -> int:
                         mod_exp=args.mod_exp, seed=args.seed, suite=args.suite,
                         sigma_rep=args.sigma_rep, terms=args.terms, tamper=args.tamper)
         cfg.ctx()  # validate p, bounds
+        if cfg.sigma_rep is not None and cfg.suite in ("octagon", "all"):
+            octagon.check_config(cfg.p, cfg.n_max, cfg.sigma_rep)
         reports = run_suite(cfg)
     except ValueError as err:
         print(f"invalid input: {err}", file=sys.stderr)

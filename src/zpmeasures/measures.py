@@ -470,6 +470,6 @@ class DiracCombo:
 
     def to_level_family(self, ctx: PrimeContext, n_max=None) -> LevelFamily:
         def fn(n, a):
-            return sum((w for _, w in self.boxes(ctx.p, n).get(a, ())), Fraction(0))
+            return sum(w for _, w in self.boxes(ctx.p, n).get(a, ()))
 
         return LevelFamily.build(ctx, self.dim, fn, n_max)

@@ -211,7 +211,7 @@ def series_inverse(s: NcSeries) -> NcSeries:
 # The nine factors
 
 
-def _check_config(p: int, n: int, s: int):
+def check_config(p: int, n: int, s: int):
     if not is_prime(p):
         raise ValueError("p must be prime")
     width = p ** n
@@ -225,7 +225,7 @@ def build_factor(name: str, p: int, n: int, s: int) -> NcSeries:
 
     Index p^n is read as 0 and empty products of generators are 1.
     """
-    width = _check_config(p, n, s)
+    width = check_config(p, n, s)
     t = SymPoly.t()
     half = (ONE - chi_sympoly(p, n, s)) * Fraction(1, 2)  # (1 - chi)/2
     out = unit_series(p, n)
@@ -376,12 +376,15 @@ def build_factor(name: str, p: int, n: int, s: int) -> NcSeries:
 FACTOR_ORDER = "JHGFEDCBA"
 
 
-def octagon_product(p: int, n: int, s: int) -> NcSeries:
-    """The ordered product of the nine factors, truncated past degree 2."""
-    _check_config(p, n, s)
+def octagon_product(p: int, n: int, s: int, factors=None) -> NcSeries:
+    """The ordered product of the nine factors (name -> `build_factor`
+    series, built here unless given), truncated past degree 2."""
+    check_config(p, n, s)
+    if factors is None:
+        factors = {name: build_factor(name, p, n, s) for name in FACTOR_ORDER}
     out = unit_series(p, n)
     for name in FACTOR_ORDER:
-        out = out * build_factor(name, p, n, s)
+        out = out * factors[name]
     return out
 
 
@@ -400,9 +403,16 @@ class RelationSet:
     relations: list
     substitution: dict = field(default_factory=dict)
     rank: int = 0
+    # symbol tuple -> image of its monomial under the (fixed) substitution
+    _images: dict = field(default_factory=dict, compare=False, repr=False)
 
     def reduce(self, poly: SymPoly) -> SymPoly:
-        return poly.substitute(self.substitution)
+        out, images = {}, self._images
+        for (te, syms), c in poly.terms.items():
+            if syms not in images:
+                images[syms] = SymPoly._trusted({(0, syms): Fraction(1)}).substitute(self.substitution)
+            accumulate(out, (((te + t2, s2), c * c2) for (t2, s2), c2 in images[syms].terms.items()))
+        return SymPoly._trusted(out)
 
 
 def build_relation_set(relations, prefer=()) -> RelationSet:
@@ -467,7 +477,7 @@ def e1_sympoly(x: int, p: int, n: int, s: int) -> SymPoly:
 def reflection_relations(p: int, n: int, s: int):
     """The external reflection axiom, one relation per point:
     a_x - a_{-x} - E_{1,chi}(x) - (1-chi)/2 [x = 0]."""
-    width = _check_config(p, n, s)
+    width = check_config(p, n, s)
     rels = []
     for x in range(width):
         rel = a_sym(x, width) - a_sym(-x, width) - e1_sympoly(x, p, n, s)
@@ -520,41 +530,45 @@ def deg1_implied_by_reflection(p: int, n: int, s: int, prod: NcSeries) -> dict:
 # The degree-2 identity between named measures
 
 
-def degree2_display(a: int, b: int, p: int, n: int, s: int, e1: list) -> SymPoly:
-    """The sum of named-measure terms expressing the degree-2 symmetry,
-    evaluated at the point (a, b) of level n.  `e1` lists E_{1,chi}(x) for
-    x in [0, p^n), built once per residue by the caller."""
+def degree2_displays(p: int, n: int, s: int) -> dict:
+    """The named-measure display of the degree-2 symmetry at every point (a, b)
+    of level n.  What depends on the residue or on a alone is built once, and
+    each D2 value once, though it is read at (a, b) and at (a - s, b - s)."""
     width = p ** n
     one_m_chi = ONE - chi_sympoly(p, n, s)
     half = one_m_chi * Fraction(1, 2)
     t = SymPoly.t()
     al = lambda x: a_sym(x, width)
     g = lambda x: g_sym(x, width)
-    M = lambda x: m_value(x, s, t)
+    e1 = [e1_sympoly(x, p, n, s) for x in range(width)]
+    M = [m_value(x, s, t) for x in range(width)]
     # E(b) plus the (1 - chi) [b = 0] terms that share its cofactor
-    Eb = e1[b] + one_m_chi if b == 0 else e1[b]
-
-    total = b_sym(a, b, width) - b_sym(-a, -b, width) \
-        + b_sym(s - a, s - b, width) - b_sym(a - s, b - s, width)
-    total = total + (al(a - s) - al(-a) - e1[a]) * Eb
+    Eb = [e1[0] + one_m_chi] + e1[1:]
     # The translated-cocycle x interpolation-measure product appears in the
     # grouping step of the derivation but is dropped from the final displayed
     # statement; without it the residual is exactly -T_chi(alpha).M(chi).
-    total = total + (al(a - s) - e1[a]) * M(b)
-    total = total + d2_value(a, b, width, al, g) \
-        - d2_value((a - s) % width, (b - s) % width, width, al, g)
-    total = total + (n2_value(a, b, s, width, t) - M(a) * M(b)) * Fraction(1, 2)
-    if a == 0:
-        total = total + half * al(b) - one_m_chi * (e1[b] + M(b))
-        if b == 0:
-            total = total - one_m_chi * one_m_chi * Fraction(7, 8)
-    if a == s:
-        total = total + (half - ONE) * al(s - b)
+    cofactors = [(al(a - s) - al(-a) - e1[a], al(a - s) - e1[a]) for a in range(width)]
+    d2 = {(a, b): d2_value(a, b, width, al, g) for a, b in itertools.product(range(width), repeat=2)}
+
+    out = {}
+    for a, b in d2:
+        total = b_sym(a, b, width) - b_sym(-a, -b, width) \
+            + b_sym(s - a, s - b, width) - b_sym(a - s, b - s, width)
+        total = total + cofactors[a][0] * Eb[b] + cofactors[a][1] * M[b]
+        total = total + d2[a, b] - d2[(a - s) % width, (b - s) % width]
+        total = total + (n2_value(a, b, s, width, t) - M[a] * M[b]) * Fraction(1, 2)
+        if a == 0:
+            total = total + half * al(b) - one_m_chi * (e1[b] + M[b])
+            if b == 0:
+                total = total - one_m_chi * one_m_chi * Fraction(7, 8)
+        if a == s:
+            total = total + (half - ONE) * al(s - b)
+            if b == s:
+                total = total + one_m_chi * one_m_chi * Fraction(1, 8)
         if b == s:
-            total = total + one_m_chi * one_m_chi * Fraction(1, 8)
-    if b == s:
-        total = total + al(s - a)
-    return total
+            total = total + al(s - a)
+        out[a, b] = total
+    return out
 
 
 def degree2_display_chi1(a: int, b: int, width: int) -> SymPoly:
@@ -585,18 +599,18 @@ def degree2_symmetry_check(p: int, n: int, s: int, prod: NcSeries) -> dict:
     rank of the degree-1 relations, whether the shuffle relations had to be
     added, and for s = 1 the specialized chi = 1 comparison.
     """
-    width = _check_config(p, n, s)
+    width = check_config(p, n, s)
     x_coeff_zero = not prod.coeff((X,))
     rs = standard_relation_set(p, n, s, prod)
-    e1 = [e1_sympoly(x, p, n, s) for x in range(width)]
-    display = {(a, b): degree2_display(a, b, p, n, s, e1) - prod.coeff((a, b))
-               for a, b in itertools.product(range(width), repeat=2)}
+    display = degree2_displays(p, n, s)
+    for k in display:  # in place: the displays are not kept beside the residuals
+        display[k] = display[k] - prod.coeff(k)
 
     residuals = {k: rs.reduce(res) for k, res in display.items()}
     extra = []
     if any(residuals.values()):
-        rs.substitution.update({sym: rs.reduce(val)
-                                for sym, val in shuffle_substitution(width).items()})
+        shuffle = {sym: rs.reduce(val) for sym, val in shuffle_substitution(width).items()}
+        rs = RelationSet(rs.relations, {**rs.substitution, **shuffle}, rs.rank)  # fresh image memo
         residuals = {k: rs.reduce(res) for k, res in display.items()}
         extra = ["shuffle"]
 
@@ -605,10 +619,8 @@ def degree2_symmetry_check(p: int, n: int, s: int, prod: NcSeries) -> dict:
         rels0 = [r.subs_t(0) for r in
                  reflection_relations(p, n, s) + deg1_relations(prod)]
         rs0 = build_relation_set(rels0, prefer=reflection_half_system(width))
-        chi1 = {}
-        for a, b in itertools.product(range(width), repeat=2):
-            res = degree2_display_chi1(a, b, width) - prod.coeffs.get((a, b), ZERO).subs_t(0)
-            chi1[(a, b)] = rs0.reduce(res)
+        chi1 = {(a, b): rs0.reduce(degree2_display_chi1(a, b, width)
+                                   - prod.coeffs.get((a, b), ZERO).subs_t(0)) for a, b in display}
 
     passed = not any(residuals.values()) and x_coeff_zero
     if chi1 is not None:
@@ -660,7 +672,7 @@ def substitution_images(name: str, p: int, n: int, s: int) -> dict:
 
     Keys are generator ids (X or a Y index); values are level-n words.
     """
-    width = _check_config(p, n, s)
+    width = check_config(p, n, s)
     ctx = PrimeContext(p, max(n, 1))
     z = _z_word(ctx, n, width)
     images = {}
@@ -696,10 +708,10 @@ def substitution_images(name: str, p: int, n: int, s: int) -> dict:
     raise ValueError("only C, E and G are re-derived from substitutions")
 
 
-def derive_factor_by_subst(name: str, p: int, n: int, s: int) -> dict:
-    """Apply the generator substitution to the generic cocycle series and
-    compare with the displayed factor, coefficient by coefficient."""
-    width = _check_config(p, n, s)
+def derive_factor_by_subst(name: str, p: int, n: int, s: int, factor: NcSeries) -> dict:
+    """Apply the generator substitution to the generic cocycle series and compare
+    with `factor`, the caller's `build_factor(name, p, n, s)`, term by term."""
+    width = check_config(p, n, s)
     images = substitution_images(name, p, n, s)
     logs = {gen: word_log2(word) for gen, word in images.items()}
     deg1 = {gen: replace(log, coeffs=log.homogeneous(1)) for gen, log in logs.items()}
@@ -717,7 +729,7 @@ def derive_factor_by_subst(name: str, p: int, n: int, s: int) -> dict:
 
     if name in ("C", "G"):
         result = series_inverse(result)
-    diff = result - build_factor(name, p, n, s)
+    diff = result - factor
     return {"config": {"p": p, "n": n, "s": s}, "factor": name,
             "passed": not diff.coeffs,
             "mismatches": {m: str(c) for m, c in diff.coeffs.items()}}

@@ -355,7 +355,9 @@ def octagon_suite(cfg: RunConfig) -> SuiteReport:
     else:
         reps = [s for s in range(1, width) if s % cfg.p]
     for s in reps:
-        prod = octagon.octagon_product(cfg.p, cfg.n_max, s)
+        factors = {name: octagon.build_factor(name, cfg.p, cfg.n_max, s)
+                   for name in octagon.FACTOR_ORDER}
+        prod = octagon.octagon_product(cfg.p, cfg.n_max, s, factors)
         if cfg.tamper:
             prod.add_term((0, 0), octagon.SymPoly.const(1))
         rep.add(f"x-coefficient:s={s}", not prod.coeff((magnus.X,)), "")
@@ -368,7 +370,7 @@ def octagon_suite(cfg: RunConfig) -> SuiteReport:
                 f"extra_relations={res['extra_relations_used']}")
         rep.artifacts.append(octagon.report_json_dict(res))
         for name in "CEG":
-            d = octagon.derive_factor_by_subst(name, cfg.p, cfg.n_max, s)
+            d = octagon.derive_factor_by_subst(name, cfg.p, cfg.n_max, s, factors[name])
             rep.add(f"substitution-derivation:{name}:s={s}", d["passed"],
                     "" if d["passed"] else str(sorted(d["mismatches"].items())[:2]))
     return rep

@@ -23,7 +23,7 @@ from zpmeasures.measures import (DiracCombo, box_integral, exterior_power,
                                  iwasawa_tensor, linear_combine, measures_equal,
                                  pushforward, signed_group, star_convolution,
                                  validate_distribution)
-from zpmeasures.octagon import (deg1_implied_by_reflection,
+from zpmeasures.octagon import (build_factor, deg1_implied_by_reflection,
                                 degree2_symmetry_check, derive_factor_by_subst,
                                 octagon_product)
 from zpmeasures.padic import PrimeContext, bernoulli, binom, vp
@@ -138,7 +138,8 @@ def test_06_factor_rederivation_from_substitutions():
             if s % p == 0:
                 continue
             for name in "CEG":
-                ok = ok and derive_factor_by_subst(name, p, n, s)["passed"]
+                factor = build_factor(name, p, n, s)
+                ok = ok and derive_factor_by_subst(name, p, n, s, factor)["passed"]
     report(ok, "factors C, E, G re-derived exactly from generator substitutions")
 
 

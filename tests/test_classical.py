@@ -6,8 +6,9 @@ import pytest
 from zpmeasures.classical import (e1_relation_suite, make_D2, make_E1, make_M,
                                   make_N2, make_dirac)
 from zpmeasures.magnus import FreeWord, X, coefficient_tables, commutator
-from zpmeasures.measures import linear_combine, pushforward, validate_distribution
-from zpmeasures.padic import PrimeContext
+from zpmeasures.measures import (LevelFamily, linear_combine, pushforward,
+                                 validate_distribution)
+from zpmeasures.padic import PIntegralityError, PrimeContext, repr_mod
 
 CTX = PrimeContext(3, 3)
 
@@ -19,6 +20,19 @@ def test_dirac_tables_are_indicators():
             assert v in (0, 1)
             assert (v == 1) == (a[0] == 2 % 3 ** n)
     assert validate_distribution(d).passed
+
+
+@pytest.mark.parametrize("p, level, point", [(5, 3, (1, 2)), (3, 3, (Fraction(-1, 2),)),
+                                             (2, 3, (0, -3, Fraction(1, 3))), (5, 2, (7,))])
+def test_dirac_matches_a_scan_of_every_entry(p, level, point):
+    # reference: the indicator of the point's residues, tested entry by entry
+    ctx = PrimeContext(p, level)
+    scan = LevelFamily.build(ctx, len(point), lambda n, b: int(all(
+        x == repr_mod(a, p, n) for x, a in zip(b, point))))
+    d = make_dirac(point, ctx)
+    assert d.tables == scan.tables and d.denom_bound == scan.denom_bound
+    with pytest.raises(PIntegralityError):
+        make_dirac([Fraction(1, p)], ctx)
 
 
 def test_interpolation_measure_tables():

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -130,6 +131,16 @@ def test_negative_counts_rejected_at_boundary(argv, capsys):
     assert f"must be >= {int(argv[-1]) + 1}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite", ["all", "octagon"])
+def test_bad_sigma_rep_rejected_before_any_suite_runs(suite, capsys):
+    start = time.monotonic()
+    assert run(["verify", suite, "--p", "5", "--nmax", "3", "--sigma-rep", "5"]) == EXIT_USAGE
+    assert time.monotonic() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "s must be a unit residue" in err
+
+
 def test_degree_below_two_rejected_at_boundary(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["verify", "magnus", "--degree", "1"])
@@ -183,6 +194,10 @@ REPORT_DIGESTS = {
         "124e25701006587e08f73013b0c7af8e775a86b9ae1246d1e8765815d6c945b7",
     "verify octagon --p 3 --n 2 --sigma-rep 4 --tamper --format json":
         "a1bdefe9c348118de920f5ce7c5203509cee418a2c4fb7a5b37fc752610bcf63",
+    "verify octagon --p 3 --n 3 --sigma-rep 2 --format json":
+        "d1af8ccb88507c13b8ce9b8774112dcb3cc84d497379ea5d024c8e583c7730e5",
+    "verify octagon --p 5 --n 1 --format json":
+        "880337e26eac76ea52f7eafd74ac117dd05e215ffde9f4f7de26e62556f4a702",
     "emit octagon-factor --factor C --p 3 --n 1 --sigma-rep 2":
         "f19658c6a3ffffabee956c97a9d4d4d00391cfe53a16c82b96bdcbc52440c822",
     'emit nc-series --word "[x,y0]*y1" --p 3 --n 1 --degree 3':
@@ -220,6 +235,10 @@ REPORT_DIGESTS = {
         "140bfeeb7eca78b80ea93a422941ca418701ced427c4b3891161410ccdc4fa76",
     'emit measure --measure D2 --word "[[x,y1],y2]" --p 2 --nmax 3 --format csv':
         "2ff5cfdaeafc45d6e713dcf201e4655d4a194ef59b3385eccdc05c10bd7b32da",
+    "emit measure --measure dirac --a 1,2 --p 5 --nmax 2 --format csv":
+        "0ac8af5b8fdc74f2627dcb4910e31e3a9345eef0110b6f1fdbbe2c2b58a5b955",
+    "emit measure --measure dirac --a=-1/2 --p 3 --nmax 3 --format csv":
+        "2723f6fcb3468df21a0fc671e070f7458a40b50f4a20050df84f51711dc8bf70",
 }
 
 

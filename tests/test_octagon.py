@@ -10,16 +10,19 @@ from zpmeasures import octagon
 from zpmeasures.classical import make_E1, make_M, make_N2, m_value, n2_value
 from zpmeasures.magnus import NcSeries, X, embed_E, series_log, word_log2
 from zpmeasures.octagon import (FACTOR_ORDER, ONE, ZERO, InconsistentRelations,
-                                SymPoly, a_sym, b_sym, build_factor,
+                                RelationSet, SymPoly, a_sym, b_sym, build_factor,
                                 build_relation_set,
                                 deg1_implied_by_reflection, deg1_relations,
-                                degree2_symmetry_check, derive_factor_by_subst,
-                                g_sym, octagon_product, reflection_half_system,
-                                reflection_relations, report_json_dict,
-                                series_inverse, standard_relation_set,
+                                degree2_displays, degree2_symmetry_check,
+                                derive_factor_by_subst, g_sym, octagon_product,
+                                reflection_half_system, reflection_relations,
+                                report_json_dict, series_inverse,
+                                shuffle_substitution, standard_relation_set,
                                 substitution_images, unit_series)
 from zpmeasures.padic import PrimeContext
 from zpmeasures.suites import RunConfig, octagon_suite
+
+from octagonref import degree2_display
 
 GRID = [(3, 1), (5, 1), (2, 2)]
 
@@ -168,7 +171,6 @@ def test_report_serialization():
 
 def test_symbolic_shuffle_symmetrization():
     # beta_{a,b} + beta_{b,a} reduces to a_a a_b under the shuffle rewrite
-    from zpmeasures.octagon import shuffle_substitution
     width = 3
     sub = shuffle_substitution(width)
     for a, b in itertools.product(range(width), repeat=2):
@@ -180,10 +182,10 @@ def test_factor_derivation_grid():
     for p, n in GRID:
         for s in units(p, n):
             for name in "CEG":
-                rep = derive_factor_by_subst(name, p, n, s)
+                rep = derive_factor_by_subst(name, p, n, s, build_factor(name, p, n, s))
                 assert rep["passed"], (p, n, s, name, rep["mismatches"])
     with pytest.raises(ValueError):
-        derive_factor_by_subst("A", 3, 1, 1)
+        derive_factor_by_subst("A", 3, 1, 1, build_factor("A", 3, 1, 1))
 
 
 @pytest.mark.parametrize("p, n", [(3, 1), (5, 1), (2, 2), (3, 2)])
@@ -276,13 +278,26 @@ def test_octagon_suite_builds_one_product_per_residue(monkeypatch):
     calls = []
     real = octagon.octagon_product
 
-    def counting(p, n, s):
+    def counting(p, n, s, *factors):
         calls.append((p, n, s))
-        return real(p, n, s)
+        return real(p, n, s, *factors)
 
     monkeypatch.setattr(octagon, "octagon_product", counting)
     assert octagon_suite(RunConfig(p=5, n_max=1, suite="octagon")).passed
     assert calls == [(5, 1, s) for s in units(5, 1)]
+
+
+def test_octagon_suite_builds_each_factor_once_per_residue(monkeypatch):
+    calls = []
+    real = octagon.build_factor
+
+    def counting(name, p, n, s):
+        calls.append((name, s))
+        return real(name, p, n, s)
+
+    monkeypatch.setattr(octagon, "build_factor", counting)
+    assert octagon_suite(RunConfig(p=5, n_max=1, suite="octagon")).passed
+    assert sorted(calls) == sorted((name, s) for s in units(5, 1) for name in FACTOR_ORDER)
 
 
 def test_octagon_series_have_sympoly_coefficients():
@@ -306,6 +321,17 @@ def test_checks_read_the_product_they_are_given():
     assert not deg1_implied_by_reflection(3, 1, 1, bad)["passed"]
 
 
+def test_shuffle_retry_reads_the_extended_substitution():
+    # b_{1,0} + b_{0,1} - a_0 a_1 vanishes only under the shuffle relations,
+    # so the check passes only if its retry reads no image memoized under the
+    # degree-1 substitution alone
+    prod = octagon_product(3, 1, 2)
+    prod.add_term((0, 0), b_sym(1, 0, 3) + b_sym(0, 1, 3) - a_sym(0, 3) * a_sym(1, 3))
+    rep = degree2_symmetry_check(3, 1, 2, prod)
+    assert rep["extra_relations_used"] == ["shuffle"]
+    assert rep["passed"]
+
+
 def test_octagon_tamper_fails_inside_the_real_check():
     rep = octagon_suite(RunConfig(p=3, n_max=1, sigma_rep=1, suite="octagon",
                                   tamper=True))
@@ -313,3 +339,36 @@ def test_octagon_tamper_fails_inside_the_real_check():
     assert [c.name for c in failed] == ["degree2-residuals:s=1"]
     assert failed[0].detail == "nonzero at [(0, 0)]"
     assert rep.artifacts[0]["passed"] is False
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (5, 1), (2, 2), (3, 2)])
+def test_all_points_display_matches_the_point_formula(p, n):
+    width = p ** n
+    for s in units(p, n):
+        displays = degree2_displays(p, n, s)
+        assert list(displays) == list(itertools.product(range(width), repeat=2))
+        for (a, b), display in displays.items():
+            assert display == degree2_display(a, b, p, n, s), (p, n, s, a, b)
+
+
+# Random SymPolys over the symbols of a real relation set, up to three
+# symbols and t^2 per monomial.  Both sets keep their memo across examples,
+# so later examples also read images memoized by earlier ones.
+REDUCE_SET = standard_relation_set(3, 2, 2, octagon_product(3, 2, 2))
+SHUFFLED_SET = RelationSet(REDUCE_SET.relations, {**REDUCE_SET.substitution, **{
+    sym: REDUCE_SET.reduce(val) for sym, val in shuffle_substitution(9).items()}},
+                           REDUCE_SET.rank)
+SET_SYMBOLS = sorted({sym for rel in REDUCE_SET.relations for sym in rel.symbols()}
+                     | set(shuffle_substitution(9)) | {("g", 4), ("b", 2, 7)})
+set_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2),
+              st.lists(st.sampled_from(SET_SYMBOLS), max_size=3).map(lambda s: tuple(sorted(s)))),
+    st.fractions(-3, 3, max_denominator=4), max_size=6).map(SymPoly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(set_polys)
+def test_memoized_reduce_is_the_substitution(poly):
+    for rs in (REDUCE_SET, SHUFFLED_SET):
+        assert rs.reduce(poly) == poly.substitute(rs.substitution)
+        assert all(type(c) is Fraction and c for c in rs.reduce(poly).terms.values())
