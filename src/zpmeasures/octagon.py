@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import gcd, lcm
 
 from .classical import d2_value, e1_value, m_value, mpos, n2_value
 from .magnus import FreeWord, NcSeries, X, word_log2
@@ -41,121 +42,136 @@ def sym_name(sym) -> str:
 
 
 class SymPoly:
-    """Sparse polynomial in t and the indexed symbols, exact coefficients."""
+    """Sparse polynomial in t and the indexed symbols, exact coefficients:
+    nonzero integer numerators over one positive denominator `den`, in lowest
+    terms.  Each result is normalized once, not once per coefficient."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[key] = c
+        terms = {k: Fraction(c) for k, c in (terms or {}).items() if c}
+        self.den = lcm(*(c.denominator for c in terms.values()))
+        self.terms = {k: c.numerator * (self.den // c.denominator) for k, c in terms.items()}
 
     @classmethod
-    def _trusted(cls, terms: dict) -> "SymPoly":
-        """Wrap a dict that already maps keys to nonzero Fractions."""
+    def _norm(cls, terms: dict, den: int = 1) -> "SymPoly":
+        """Wrap nonzero integer numerators over den > 0, cancelling their gcd."""
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                terms, den = {k: c // g for k, c in terms.items()}, den // g
         out = object.__new__(cls)
-        out.terms = terms
+        out.terms, out.den = terms, den
         return out
 
     @classmethod
     def const(cls, c) -> "SymPoly":
-        return cls({(0, ()): Fraction(c)})
+        c = Fraction(c)
+        return cls._norm({(0, ()): c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def t(cls, exp: int = 1) -> "SymPoly":
-        return cls._trusted({(exp, ()): Fraction(1)})
+        return cls._norm({(exp, ()): 1})
 
     @classmethod
     def symbol(cls, sym) -> "SymPoly":
-        return cls._trusted({(0, (tuple(sym),)): Fraction(1)})
+        return cls._norm({(0, (tuple(sym),)): 1})
 
-    def __add__(self, other):
+    def __add__(self, other, sign: int = 1):
         other = _coerce(other)
         out = dict(self.terms)
-        accumulate(out, other.terms.items())
-        return SymPoly._trusted(out)
+        return SymPoly._norm(out, _merge(out, self.den, other.terms, other.den, sign))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SymPoly._trusted({k: -c for k, c in self.terms.items()})
+        return SymPoly._norm({k: -c for k, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        accumulate(out, ((k, -c) for k, c in _coerce(other).terms.items()))
-        return SymPoly._trusted(out)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):  # a scalar: no coercion, no key sort
-            return SymPoly._trusted({k: c * other for k, c in self.terms.items()} if other else {})
+            terms = {k: c * other.numerator for k, c in self.terms.items()} if other else {}
+            return SymPoly._norm(terms, self.den * other.denominator)
         out = {}
         for (t1, s1), c1 in self.terms.items():
             accumulate(out, (((t1 + t2, tuple(sorted(s1 + s2))), c1 * c2)
                              for (t2, s2), c2 in other.terms.items()))
-        return SymPoly._trusted(out)
+        return SymPoly._norm(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return self.terms == _coerce(other).terms
+        other = _coerce(other)
+        return self.den == other.den and self.terms == other.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def symbols(self):
-        out = set()
-        for (_, syms) in self.terms:
-            out.update(syms)
-        return out
+        return {sym for (_, syms) in self.terms for sym in syms}
 
     def symbol_coefficient(self, sym) -> Rat:
         """Rational coefficient of the bare symbol (t-free, linear); 0 if the
         symbol only occurs with t or in products."""
-        return self.terms.get((0, (tuple(sym),)), Fraction(0))
+        return Fraction(self.terms.get((0, (tuple(sym),)), 0), self.den)
 
     def subs_t(self, value) -> "SymPoly":
+        """t = a/b: scale t^te by a^te b^(top - te), over b^top for top the highest te kept."""
         value = Fraction(value)
+        a, b = value.numerator, value.denominator
+        kept = [(k, c) for k, c in self.terms.items() if a or not k[0]]
+        top = max((te for (te, _), _ in kept), default=0)
         out = {}
-        accumulate(out, (((0, syms), c * value ** te if te else c)
-                         for (te, syms), c in self.terms.items() if value or not te))
-        return SymPoly._trusted(out)
+        accumulate(out, (((0, syms), c * a ** te * b ** (top - te)) for (te, syms), c in kept))
+        return SymPoly._norm(out, self.den * b ** top)
 
     def substitute(self, mapping) -> "SymPoly":
         """Replace mapped symbols by polynomials (exact, product-expanded)."""
         if not mapping:
             return self
-        out = {}
+        out, den = {}, 1
         for (te, syms), c in self.terms.items():
             # unmapped symbols stay in the key
-            term = SymPoly._trusted({(te, tuple(x for x in syms if x not in mapping)): c})
+            term = SymPoly._norm({(te, tuple(x for x in syms if x not in mapping)): c})
             for sym in syms:
                 if sym in mapping:
                     term = term * mapping[sym]
-            accumulate(out, term.terms.items())
-        return SymPoly._trusted(out)
+            den = _merge(out, den, term.terms, term.den)
+        return SymPoly._norm(out, den * self.den)
 
     def __str__(self):
         if not self.terms:
             return "0"
         bits = []
         for (te, syms) in sorted(self.terms, key=lambda k: (len(k[1]), k[1], k[0])):
-            c = self.terms[(te, syms)]
             factors = [sym_name(s) for s in syms]
             if te == 1:
                 factors.append("t")
             elif te > 1:
                 factors.append(f"t^{te}")
-            mono = "*".join(factors) if factors else "1"
-            bits.append(f"{format_rat(c)}*{mono}")
+            c = format_rat(Fraction(self.terms[(te, syms)], self.den))
+            bits.append(f"{c}*{'*'.join(factors) or '1'}")
         return " + ".join(bits)
 
     __repr__ = __str__
+
+
+def _merge(out: dict, den: int, terms: dict, tden: int, mult: int = 1) -> int:
+    """Add mult * terms / tden into the numerators `out` over `den`, in place;
+    return the common denominator, lcm(den, tden)."""
+    if den % tden:
+        scale = tden // gcd(den, tden)
+        for k in out:
+            out[k] *= scale
+        den *= scale
+    f = mult * (den // tden)
+    accumulate(out, terms.items() if f == 1 else zip(terms, map(f.__mul__, terms.values())))
+    return den
 
 
 def _coerce(x) -> SymPoly:
@@ -403,16 +419,16 @@ class RelationSet:
     relations: list
     substitution: dict = field(default_factory=dict)
     rank: int = 0
-    # symbol tuple -> image of its monomial under the (fixed) substitution
+    # monomial key -> image of the monomial under the (fixed) substitution
     _images: dict = field(default_factory=dict, compare=False, repr=False)
 
     def reduce(self, poly: SymPoly) -> SymPoly:
-        out, images = {}, self._images
-        for (te, syms), c in poly.terms.items():
-            if syms not in images:
-                images[syms] = SymPoly._trusted({(0, syms): Fraction(1)}).substitute(self.substitution)
-            accumulate(out, (((te + t2, s2), c * c2) for (t2, s2), c2 in images[syms].terms.items()))
-        return SymPoly._trusted(out)
+        out, den, images = {}, 1, self._images
+        for key, c in poly.terms.items():
+            if key not in images:
+                images[key] = SymPoly._norm({key: 1}).substitute(self.substitution)
+            den = _merge(out, den, images[key].terms, images[key].den, c)
+        return SymPoly._norm(out, den * poly.den)
 
 
 def build_relation_set(relations, prefer=()) -> RelationSet:
@@ -458,7 +474,7 @@ def build_relation_set(relations, prefer=()) -> RelationSet:
     rs = RelationSet(list(relations), subst, rank)
     for rel in relations:
         if rs.reduce(rel):
-            raise InconsistentRelations("reduction is not idempotent on input")
+            raise InconsistentRelations(f"reduction is not idempotent on input: {rel}")
     return rs
 
 
@@ -530,16 +546,22 @@ def deg1_implied_by_reflection(p: int, n: int, s: int, prod: NcSeries) -> dict:
 # The degree-2 identity between named measures
 
 
-def degree2_displays(p: int, n: int, s: int) -> dict:
+def d2_table(width: int) -> dict:
+    """D2 at every point (a, b) of the level, over the symbols a_i and g_i."""
+    al = lambda x: a_sym(x, width)
+    g = lambda x: g_sym(x, width)
+    return {(a, b): d2_value(a, b, width, al, g) for a, b in itertools.product(range(width), repeat=2)}
+
+
+def degree2_displays(p: int, n: int, s: int, d2: dict) -> dict:
     """The named-measure display of the degree-2 symmetry at every point (a, b)
     of level n.  What depends on the residue or on a alone is built once, and
-    each D2 value once, though it is read at (a, b) and at (a - s, b - s)."""
+    D2 is read from the level's `d2_table`, at (a, b) and at (a - s, b - s)."""
     width = p ** n
     one_m_chi = ONE - chi_sympoly(p, n, s)
     half = one_m_chi * Fraction(1, 2)
     t = SymPoly.t()
     al = lambda x: a_sym(x, width)
-    g = lambda x: g_sym(x, width)
     e1 = [e1_sympoly(x, p, n, s) for x in range(width)]
     M = [m_value(x, s, t) for x in range(width)]
     # E(b) plus the (1 - chi) [b = 0] terms that share its cofactor
@@ -548,7 +570,6 @@ def degree2_displays(p: int, n: int, s: int) -> dict:
     # grouping step of the derivation but is dropped from the final displayed
     # statement; without it the residual is exactly -T_chi(alpha).M(chi).
     cofactors = [(al(a - s) - al(-a) - e1[a], al(a - s) - e1[a]) for a in range(width)]
-    d2 = {(a, b): d2_value(a, b, width, al, g) for a, b in itertools.product(range(width), repeat=2)}
 
     out = {}
     for a, b in d2:
@@ -571,15 +592,13 @@ def degree2_displays(p: int, n: int, s: int) -> dict:
     return out
 
 
-def degree2_display_chi1(a: int, b: int, width: int) -> SymPoly:
-    """The chi = 1 form of the degree-2 identity (s = 1, t = 0)."""
+def degree2_display_chi1(a: int, b: int, width: int, d2: dict) -> SymPoly:
+    """The chi = 1 form of the degree-2 identity (s = 1, t = 0), reading D2
+    from the level's `d2_table`."""
     s = 1
-    al = lambda x: a_sym(x, width)
-    g = lambda x: g_sym(x, width)
     total = b_sym(a, b, width) - b_sym(-a, -b, width) \
         + b_sym(s - a, s - b, width) - b_sym(a - s, b - s, width)
-    total = total + d2_value(a, b, width, al, g)
-    total = total - d2_value((a - s) % width, (b - s) % width, width, al, g)
+    total = total + d2[a, b] - d2[(a - s) % width, (b - s) % width]
     if b == s:
         total = total + a_sym(s - a, width)
     if a == s:
@@ -597,41 +616,45 @@ def degree2_symmetry_check(p: int, n: int, s: int, prod: NcSeries) -> dict:
 
     Returns the report payload: residuals in full (all zero on success), the
     rank of the degree-1 relations, whether the shuffle relations had to be
-    added, and for s = 1 the specialized chi = 1 comparison.
+    added, and for s = 1 the specialized chi = 1 comparison.  Degree-1
+    relations that contradict the reflection relations fail the check, and
+    `inconsistent_relations` names the relation set and the relation.
     """
     width = check_config(p, n, s)
-    x_coeff_zero = not prod.coeff((X,))
-    rs = standard_relation_set(p, n, s, prod)
-    display = degree2_displays(p, n, s)
-    for k in display:  # in place: the displays are not kept beside the residuals
-        display[k] = display[k] - prod.coeff(k)
+    report = {"config": {"p": p, "n": n, "s": s}, "x_coeff_zero": not prod.coeff((X,)),
+              "deg1_rank": 0, "residuals": {}, "chi1_residuals": None,
+              "extra_relations_used": [], "passed": False}
+    relation_set = "standard"
+    try:
+        rs = standard_relation_set(p, n, s, prod)
+        d2 = d2_table(width)
+        display = degree2_displays(p, n, s, d2)
+        for k in display:  # in place: the displays are not kept beside the residuals
+            display[k] = display[k] - prod.coeff(k)
 
-    residuals = {k: rs.reduce(res) for k, res in display.items()}
-    extra = []
-    if any(residuals.values()):
-        shuffle = {sym: rs.reduce(val) for sym, val in shuffle_substitution(width).items()}
-        rs = RelationSet(rs.relations, {**rs.substitution, **shuffle}, rs.rank)  # fresh image memo
         residuals = {k: rs.reduce(res) for k, res in display.items()}
-        extra = ["shuffle"]
+        if any(residuals.values()):
+            shuffle = {sym: rs.reduce(val) for sym, val in shuffle_substitution(width).items()}
+            rs = RelationSet(rs.relations, {**rs.substitution, **shuffle}, rs.rank)  # fresh image memo
+            residuals = {k: rs.reduce(res) for k, res in display.items()}
+            report["extra_relations_used"] = ["shuffle"]
+        report.update(deg1_rank=rs.rank, residuals=residuals)
 
-    chi1 = None
-    if s == 1:
-        rels0 = [r.subs_t(0) for r in
-                 reflection_relations(p, n, s) + deg1_relations(prod)]
-        rs0 = build_relation_set(rels0, prefer=reflection_half_system(width))
-        chi1 = {(a, b): rs0.reduce(degree2_display_chi1(a, b, width)
+        if s == 1:
+            relation_set = "chi1"
+            rels0 = [r.subs_t(0) for r in
+                     reflection_relations(p, n, s) + deg1_relations(prod)]
+            rs0 = build_relation_set(rels0, prefer=reflection_half_system(width))
+            report["chi1_residuals"] = {
+                (a, b): rs0.reduce(degree2_display_chi1(a, b, width, d2)
                                    - prod.coeffs.get((a, b), ZERO).subs_t(0)) for a, b in display}
+    except InconsistentRelations as err:
+        report["inconsistent_relations"] = f"{relation_set}: {err}"
+        return report
 
-    passed = not any(residuals.values()) and x_coeff_zero
-    if chi1 is not None:
-        passed = passed and not any(chi1.values())
-    return {"config": {"p": p, "n": n, "s": s},
-            "x_coeff_zero": x_coeff_zero,
-            "deg1_rank": rs.rank,
-            "residuals": residuals,
-            "chi1_residuals": chi1,
-            "extra_relations_used": extra,
-            "passed": passed}
+    report["passed"] = report["x_coeff_zero"] and not any(residuals.values()) \
+        and not any((report["chi1_residuals"] or {}).values())
+    return report
 
 
 def report_json_dict(report: dict) -> dict:
@@ -645,6 +668,8 @@ def report_json_dict(report: dict) -> dict:
     if report.get("chi1_residuals") is not None:
         out["chi1_residuals"] = [{"a": a, "b": b, "poly": str(r)}
                                  for (a, b), r in sorted(report["chi1_residuals"].items())]
+    if "inconsistent_relations" in report:
+        out["inconsistent_relations"] = report["inconsistent_relations"]
     return out
 
 

@@ -1,9 +1,13 @@
-"""Expanded-polynomial reference for the tests.
+"""Expanded-polynomial references for the tests.
 
 `MPoly` is a plain dense-dict polynomial over Q.  It stands in for the
 library's integrands wherever a test wants an integrand written out term by
 term (moments, products of binomials) or an independent expansion of the
 standard integrand to compare the product-of-linear-forms form against.
+
+`FracSymPoly` is the octagon's polynomial in t and the indexed symbols with
+one `Fraction` per coefficient.  The library's `octagon.SymPoly` keeps
+integer numerators over one denominator; the tests check the two agree.
 """
 
 from __future__ import annotations
@@ -11,7 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from zpmeasures.mpoly import accumulate
-from zpmeasures.padic import vp
+from zpmeasures.octagon import sym_name
+from zpmeasures.padic import format_rat, vp
 
 
 class MPoly:
@@ -95,3 +100,81 @@ def expanded_standard_integrand(shape, base, pn, lift_first=0, lift_last=0, scal
         poly = poly * mid ** shape[k]
     last = (MPoly.var(r, r - 1) - base[r - 1]) * Fraction(1, pn) + lift_last
     return poly * last ** shape[r] * Fraction(scale)
+
+
+class FracSymPoly:
+    """Sparse polynomial in t and the indexed symbols, one Fraction per
+    coefficient; keys are (t exponent, sorted symbol tuple)."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {k: Fraction(c) for k, c in (terms or {}).items() if c}
+
+    @classmethod
+    def const(cls, c) -> "FracSymPoly":
+        return cls({(0, ()): c})
+
+    @classmethod
+    def of(cls, poly) -> "FracSymPoly":
+        """The reference copy of an `octagon.SymPoly`."""
+        return cls({k: Fraction(c, poly.den) for k, c in poly.terms.items()})
+
+    def _coerce(self, other) -> "FracSymPoly":
+        return other if isinstance(other, FracSymPoly) else FracSymPoly.const(other)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        accumulate(out, self._coerce(other).terms.items())
+        return FracSymPoly(out)
+
+    def __neg__(self):
+        return FracSymPoly({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return FracSymPoly({k: c * other for k, c in self.terms.items()})
+        out = {}
+        for (t1, s1), c1 in self.terms.items():
+            accumulate(out, (((t1 + t2, tuple(sorted(s1 + s2))), c1 * c2)
+                             for (t2, s2), c2 in other.terms.items()))
+        return FracSymPoly(out)
+
+    def __eq__(self, other):
+        return self.terms == self._coerce(other).terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def subs_t(self, value) -> "FracSymPoly":
+        value = Fraction(value)
+        out = {}
+        accumulate(out, (((0, syms), c * value ** te)
+                         for (te, syms), c in self.terms.items() if value or not te))
+        return FracSymPoly(out)
+
+    def substitute(self, mapping) -> "FracSymPoly":
+        out = {}
+        for (te, syms), c in self.terms.items():
+            term = FracSymPoly({(te, tuple(x for x in syms if x not in mapping)): c})
+            for sym in syms:
+                if sym in mapping:
+                    term = term * mapping[sym]
+            accumulate(out, term.terms.items())
+        return FracSymPoly(out)
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        bits = []
+        for (te, syms) in sorted(self.terms, key=lambda k: (len(k[1]), k[1], k[0])):
+            factors = [sym_name(s) for s in syms]
+            if te == 1:
+                factors.append("t")
+            elif te > 1:
+                factors.append(f"t^{te}")
+            bits.append(f"{format_rat(self.terms[(te, syms)])}*{'*'.join(factors) or '1'}")
+        return " + ".join(bits)

@@ -9,6 +9,7 @@ import time
 import pytest
 
 import zpmeasures
+from zpmeasures import octagon
 from zpmeasures.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from zpmeasures.suites import RunConfig, run_suite
 
@@ -165,6 +166,37 @@ def test_negative_rational_values(spaced, joined, capsys):
     assert capsys.readouterr().out == expected
 
 
+def test_inconsistent_degree1_relations_exit_1(monkeypatch, capsys):
+    # a product whose degree-1 relations contradict the reflection relations
+    # fails an identity (exit 1, pinpointed); it is not invalid input
+    real = octagon.octagon_product
+
+    def tampered(p, n, s, *factors):
+        prod = real(p, n, s, *factors)
+        prod.add_term((1,), octagon.SymPoly.const(1))
+        return prod
+
+    monkeypatch.setattr(octagon, "octagon_product", tampered)
+    assert run(["verify", "octagon", "--p", "3", "--n", "1", "--sigma-rep", "1"]) == EXIT_FAIL
+    out, err = capsys.readouterr()
+    assert "standard: unresolvable relation: 1*1" in out
+    assert err == ""
+
+
+@pytest.mark.parametrize("command", [
+    "verify octagon --p 3 --n 2 --sigma-rep 1 --format json",
+    "verify octagon --p 3 --n 1 --sigma-rep 1 --tamper --format json"])
+def test_report_bytes_do_not_depend_on_the_hash_seed(command):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(zpmeasures.__file__)))
+    outs = []
+    for seed in ("0", "12345"):
+        proc = subprocess.run([sys.executable, "-m", "zpmeasures.cli"] + shlex.split(command),
+                              capture_output=True, env=dict(env, PYTHONHASHSEED=seed), timeout=300)
+        assert proc.returncode == (EXIT_FAIL if "--tamper" in command else EXIT_OK)
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] and outs[0]
+
+
 def test_closed_pipe_ends_quietly():
     # the table is ~400 kB, far more than a pipe holds, so the writer is still
     # writing when the reader closes its end after two lines
@@ -200,6 +232,13 @@ REPORT_DIGESTS = {
         "880337e26eac76ea52f7eafd74ac117dd05e215ffde9f4f7de26e62556f4a702",
     "emit octagon-factor --factor C --p 3 --n 1 --sigma-rep 2":
         "f19658c6a3ffffabee956c97a9d4d4d00391cfe53a16c82b96bdcbc52440c822",
+    # the chi = 1 comparison at n = 2, and half and t^2 coefficients of D
+    "verify octagon --p 3 --n 2 --sigma-rep 1 --format json":
+        "3b354d5a8886a9b03728a97e588a0c12973a84a7d7e10104e8d144f0ea4a7bdc",
+    "verify octagon --p 2 --n 3 --format json":
+        "8a7ba0a93a8bae4b9aab680b840e3e732149881fe3fb74fcaefc5dab240ded66",
+    "emit octagon-factor --factor D --p 5 --n 1 --sigma-rep 3":
+        "a37cfc8408c3d61105eb5b7ef5e99a372fdf460ab3f1a44632665ace01b82b4a",
     'emit nc-series --word "[x,y0]*y1" --p 3 --n 1 --degree 3':
         "717afe528608511365cb56e9c9f899472147023eef81d3879259c748356bbaba",
     "verify magnus --p 2 --nmax 2 --seed 7 --format json":

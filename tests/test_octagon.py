@@ -1,6 +1,7 @@
 import itertools
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -23,12 +24,20 @@ from zpmeasures.padic import PrimeContext
 from zpmeasures.suites import RunConfig, octagon_suite
 
 from octagonref import degree2_display
+from polyref import FracSymPoly
 
 GRID = [(3, 1), (5, 1), (2, 2)]
 
 
 def units(p, n):
     return [s for s in range(1, p ** n) if s % p]
+
+
+def in_lowest_terms(poly):
+    """SymPoly's invariant: nonzero int numerators over an int den > 0, gcd 1."""
+    nums = list(poly.terms.values())
+    return (type(poly.den) is int and poly.den > 0 and gcd(poly.den, *nums) == 1
+            and all(type(c) is int and c for c in nums))
 
 
 def test_sympoly_arithmetic():
@@ -129,6 +138,40 @@ def test_inconsistent_relations_detected():
         build_relation_set([SymPoly.const(1)])
 
 
+@pytest.mark.parametrize("p, n, s, mono, extra, pinpoint", [
+    (3, 1, 1, (1,), SymPoly.const(1), "unresolvable relation: 1*1"),
+    (3, 1, 2, (1,), SymPoly.t(), "unresolvable relation: 1*t"),
+    (3, 1, 1, (0,), a_sym(0, 3) * (ONE + SymPoly.t()),
+     "reduction is not idempotent on input: -1/2*t + 1*a_0 + 1*a_0*t + 1*a_1 + -1*a_2")])
+def test_inconsistent_degree1_relations_fail_the_check(p, n, s, mono, extra, pinpoint):
+    # a degree-1 coefficient that contradicts the reflection relations is a
+    # failed identity, pinpointed by the relation left over, not bad input
+    prod = octagon_product(p, n, s)
+    prod.add_term(mono, extra)
+    rep = degree2_symmetry_check(p, n, s, prod)
+    assert rep["passed"] is False
+    assert rep["inconsistent_relations"] == f"standard: {pinpoint}"
+    assert report_json_dict(rep)["inconsistent_relations"] == rep["inconsistent_relations"]
+    assert "inconsistent_relations" not in report_json_dict(
+        degree2_symmetry_check(p, n, s, octagon_product(p, n, s)))
+
+
+def test_inconsistent_chi1_relations_fail_the_check(monkeypatch):
+    # the t = 0 relation set of the chi = 1 comparison is caught the same way
+    real = octagon.build_relation_set
+
+    def failing_at_t0(relations, prefer=()):
+        if not any(te for rel in relations for te, _ in rel.terms):
+            raise InconsistentRelations("unresolvable relation: 1*1")
+        return real(relations, prefer)
+
+    monkeypatch.setattr(octagon, "build_relation_set", failing_at_t0)
+    rep = degree2_symmetry_check(3, 1, 1, octagon_product(3, 1, 1))
+    assert rep["passed"] is False
+    assert rep["chi1_residuals"] is None and not any(rep["residuals"].values())
+    assert rep["inconsistent_relations"] == "chi1: unresolvable relation: 1*1"
+
+
 def test_reflection_relations_structure():
     rels = reflection_relations(3, 1, 2)
     assert not rels[0]  # the x = 0 relation collapses
@@ -218,8 +261,8 @@ def test_symbolic_measures_are_the_tabulated_ones(p, n):
 # degree 3.  Input monomials one longer than the degree check that the
 # product drops them as the all-pairs product does.
 SYMBOLS = [(), (("a", 0),), (("a", 1),), (("a", 0), ("g", 1)), (("b", 0, 1),)]
-polys = st.dictionaries(st.tuples(st.integers(0, 2), st.sampled_from(SYMBOLS)),
-                        st.fractions(-3, 3, max_denominator=4), max_size=4).map(SymPoly)
+poly_keys = st.tuples(st.integers(0, 2), st.sampled_from(SYMBOLS))
+polys = st.dictionaries(poly_keys, st.fractions(-3, 3, max_denominator=4), max_size=4).map(SymPoly)
 CTX2 = PrimeContext(2, 1)
 
 
@@ -263,7 +306,7 @@ def test_sympoly_terms_stay_nonzero_fractions(f, g, v):
     subst = (f * g).substitute(partial)
     results = [f + g, f - g, f * g, -f, f + 1, 3 * g, f - f, f.subs_t(v), subst]
     for r in results + [r for r, _ in scalars]:
-        assert all(type(c) is Fraction and c != 0 for c in r.terms.values())
+        assert in_lowest_terms(r)
     for r, c in scalars:
         assert r == f * SymPoly.const(c)
     assert f * 0 is not octagon.ZERO and not (f * 0)
@@ -272,6 +315,43 @@ def test_sympoly_terms_stay_nonzero_fractions(f, g, v):
     assert not (f - f)
     assert (f * g).subs_t(v) == f.subs_t(v) * g.subs_t(v)
     assert (f + g).subs_t(v) == f.subs_t(v) + g.subs_t(v)
+
+
+# The same operations on SymPoly (integer numerators over one denominator)
+# and on the reference with one Fraction per coefficient, over denominators
+# up to 8.
+rat8 = st.fractions(-3, 3, max_denominator=8)
+polys8 = st.dictionaries(poly_keys, rat8, max_size=4).map(SymPoly)
+
+
+def assert_agree(got, want):
+    assert str(got) == str(want)
+    assert FracSymPoly.of(got) == want
+    assert in_lowest_terms(got)
+
+
+def test_halves_that_sum_to_an_integer():
+    half = SymPoly.const(Fraction(1, 2)) * SymPoly.t()
+    assert (half + half).den == 1 and half + half == SymPoly.t()
+    assert (half - half).den == 1 and not (half - half)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys8, polys8, rat8, st.fractions(-2, 2, max_denominator=3))
+def test_sympoly_matches_the_fraction_reference(f, g, c, v):
+    rf, rg = FracSymPoly.of(f), FracSymPoly.of(g)
+    half_f, half_g = f * Fraction(1, 2), Fraction(1, 2) * g
+    pairs = [(f + g, rf + rg), (f - g, rf - rg), (f * g, rf * rg), (-f, -rf),
+             (f * 3, rf * 3), (-2 * g, rg * -2), (f * c, rf * c), (c * g, rg * c),
+             (f * 0, rf * 0), (f - f, rf - rf), (f * g - g * f, rf - rf),
+             (half_f + half_f, rf), (half_f - half_g + half_f + half_g, rf),
+             (f.subs_t(v), rf.subs_t(v)), (f.subs_t(0), rf.subs_t(0)),
+             (f.substitute({("a", 0): g, ("g", 1): f * c}),
+              rf.substitute({("a", 0): rg, ("g", 1): rf * c}))]
+    for got, want in pairs:
+        assert_agree(got, want)
+    assert (f == g) == (rf == rg)
+    assert f == SymPoly(rf.terms) and in_lowest_terms(SymPoly(rf.terms))
 
 
 def test_octagon_suite_builds_one_product_per_residue(monkeypatch):
@@ -345,7 +425,7 @@ def test_octagon_tamper_fails_inside_the_real_check():
 def test_all_points_display_matches_the_point_formula(p, n):
     width = p ** n
     for s in units(p, n):
-        displays = degree2_displays(p, n, s)
+        displays = degree2_displays(p, n, s, octagon.d2_table(width))
         assert list(displays) == list(itertools.product(range(width), repeat=2))
         for (a, b), display in displays.items():
             assert display == degree2_display(a, b, p, n, s), (p, n, s, a, b)
@@ -360,10 +440,11 @@ SHUFFLED_SET = RelationSet(REDUCE_SET.relations, {**REDUCE_SET.substitution, **{
                            REDUCE_SET.rank)
 SET_SYMBOLS = sorted({sym for rel in REDUCE_SET.relations for sym in rel.symbols()}
                      | set(shuffle_substitution(9)) | {("g", 4), ("b", 2, 7)})
-set_polys = st.dictionaries(
-    st.tuples(st.integers(0, 2),
-              st.lists(st.sampled_from(SET_SYMBOLS), max_size=3).map(lambda s: tuple(sorted(s)))),
-    st.fractions(-3, 3, max_denominator=4), max_size=6).map(SymPoly)
+set_keys = st.tuples(
+    st.integers(0, 2),
+    st.lists(st.sampled_from(SET_SYMBOLS), max_size=3).map(lambda s: tuple(sorted(s))))
+set_polys = st.dictionaries(set_keys, st.fractions(-3, 3, max_denominator=4),
+                            max_size=6).map(SymPoly)
 
 
 @settings(max_examples=150, deadline=None)
@@ -371,4 +452,19 @@ set_polys = st.dictionaries(
 def test_memoized_reduce_is_the_substitution(poly):
     for rs in (REDUCE_SET, SHUFFLED_SET):
         assert rs.reduce(poly) == poly.substitute(rs.substitution)
-        assert all(type(c) is Fraction and c for c in rs.reduce(poly).terms.values())
+        assert in_lowest_terms(rs.reduce(poly))
+
+
+set_polys8 = st.dictionaries(set_keys, rat8, max_size=6).map(SymPoly)
+REF_SUBSTITUTIONS = [(rs, {sym: FracSymPoly.of(img) for sym, img in rs.substitution.items()})
+                     for rs in (REDUCE_SET, SHUFFLED_SET)]
+# a relation with a denominator: its multiples reduce to zero through the lcm
+FRACTIONAL_RELATION = next(rel for rel in REDUCE_SET.relations if rel.den > 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(set_polys8)
+def test_reduce_matches_the_fraction_reference(poly):
+    for rs, ref_substitution in REF_SUBSTITUTIONS:
+        assert_agree(rs.reduce(poly), FracSymPoly.of(poly).substitute(ref_substitution))
+        assert_agree(rs.reduce(poly * FRACTIONAL_RELATION), FracSymPoly())
