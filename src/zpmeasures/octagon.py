@@ -546,22 +546,17 @@ def deg1_implied_by_reflection(p: int, n: int, s: int, prod: NcSeries) -> dict:
 # The degree-2 identity between named measures
 
 
-def d2_table(width: int) -> dict:
-    """D2 at every point (a, b) of the level, over the symbols a_i and g_i."""
-    al = lambda x: a_sym(x, width)
-    g = lambda x: g_sym(x, width)
-    return {(a, b): d2_value(a, b, width, al, g) for a, b in itertools.product(range(width), repeat=2)}
-
-
-def degree2_displays(p: int, n: int, s: int, d2: dict) -> dict:
+def degree2_displays(p: int, n: int, s: int) -> dict:
     """The named-measure display of the degree-2 symmetry at every point (a, b)
     of level n.  What depends on the residue or on a alone is built once, and
-    D2 is read from the level's `d2_table`, at (a, b) and at (a - s, b - s)."""
+    D2 is tabulated once, then read at (a, b) and at (a - s, b - s)."""
     width = p ** n
     one_m_chi = ONE - chi_sympoly(p, n, s)
     half = one_m_chi * Fraction(1, 2)
     t = SymPoly.t()
     al = lambda x: a_sym(x, width)
+    g = lambda x: g_sym(x, width)
+    d2 = {(a, b): d2_value(a, b, width, al, g) for a, b in itertools.product(range(width), repeat=2)}
     e1 = [e1_sympoly(x, p, n, s) for x in range(width)]
     M = [m_value(x, s, t) for x in range(width)]
     # E(b) plus the (1 - chi) [b = 0] terms that share its cofactor
@@ -592,20 +587,6 @@ def degree2_displays(p: int, n: int, s: int, d2: dict) -> dict:
     return out
 
 
-def degree2_display_chi1(a: int, b: int, width: int, d2: dict) -> SymPoly:
-    """The chi = 1 form of the degree-2 identity (s = 1, t = 0), reading D2
-    from the level's `d2_table`."""
-    s = 1
-    total = b_sym(a, b, width) - b_sym(-a, -b, width) \
-        + b_sym(s - a, s - b, width) - b_sym(a - s, b - s, width)
-    total = total + d2[a, b] - d2[(a - s) % width, (b - s) % width]
-    if b == s:
-        total = total + a_sym(s - a, width)
-    if a == s:
-        total = total - a_sym(s - b, width)
-    return total
-
-
 def degree2_symmetry_check(p: int, n: int, s: int, prod: NcSeries) -> dict:
     """Match the named-measure display against the product's Y_a Y_b
     coefficients modulo the degree-1 + reflection ideal.
@@ -616,42 +597,35 @@ def degree2_symmetry_check(p: int, n: int, s: int, prod: NcSeries) -> dict:
 
     Returns the report payload: residuals in full (all zero on success), the
     rank of the degree-1 relations, whether the shuffle relations had to be
-    added, and for s = 1 the specialized chi = 1 comparison.  Degree-1
-    relations that contradict the reflection relations fail the check, and
-    `inconsistent_relations` names the relation set and the relation.
+    added, and for s = 1 the chi = 1 comparison.  That is the t = 0 image of
+    the residuals before any shuffle retry: at c = 1 every E_{1,c}, M and N2
+    term of the display and 1 - chi vanish, and t = 0 commutes with the
+    elimination, whose pivots are t-free.  Degree-1 relations that contradict
+    the reflection relations fail the check, and `inconsistent_relations`
+    names the relation left over.
     """
     width = check_config(p, n, s)
     report = {"config": {"p": p, "n": n, "s": s}, "x_coeff_zero": not prod.coeff((X,)),
               "deg1_rank": 0, "residuals": {}, "chi1_residuals": None,
               "extra_relations_used": [], "passed": False}
-    relation_set = "standard"
     try:
         rs = standard_relation_set(p, n, s, prod)
-        d2 = d2_table(width)
-        display = degree2_displays(p, n, s, d2)
-        for k in display:  # in place: the displays are not kept beside the residuals
-            display[k] = display[k] - prod.coeff(k)
-
-        residuals = {k: rs.reduce(res) for k, res in display.items()}
-        if any(residuals.values()):
-            shuffle = {sym: rs.reduce(val) for sym, val in shuffle_substitution(width).items()}
-            rs = RelationSet(rs.relations, {**rs.substitution, **shuffle}, rs.rank)  # fresh image memo
-            residuals = {k: rs.reduce(res) for k, res in display.items()}
-            report["extra_relations_used"] = ["shuffle"]
-        report.update(deg1_rank=rs.rank, residuals=residuals)
-
-        if s == 1:
-            relation_set = "chi1"
-            rels0 = [r.subs_t(0) for r in
-                     reflection_relations(p, n, s) + deg1_relations(prod)]
-            rs0 = build_relation_set(rels0, prefer=reflection_half_system(width))
-            report["chi1_residuals"] = {
-                (a, b): rs0.reduce(degree2_display_chi1(a, b, width, d2)
-                                   - prod.coeffs.get((a, b), ZERO).subs_t(0)) for a, b in display}
     except InconsistentRelations as err:
-        report["inconsistent_relations"] = f"{relation_set}: {err}"
+        report["inconsistent_relations"] = f"standard: {err}"
         return report
+    display = degree2_displays(p, n, s)
+    for k in display:  # in place: the displays are not kept beside the residuals
+        display[k] = display[k] - prod.coeff(k)
 
+    residuals = {k: rs.reduce(res) for k, res in display.items()}
+    if s == 1:
+        report["chi1_residuals"] = {k: r.subs_t(0) for k, r in residuals.items()}
+    if any(residuals.values()):
+        shuffle = {sym: rs.reduce(val) for sym, val in shuffle_substitution(width).items()}
+        rs = RelationSet(rs.relations, {**rs.substitution, **shuffle}, rs.rank)  # fresh image memo
+        residuals = {k: rs.reduce(res) for k, res in display.items()}
+        report["extra_relations_used"] = ["shuffle"]
+    report.update(deg1_rank=rs.rank, residuals=residuals)
     report["passed"] = report["x_coeff_zero"] and not any(residuals.values()) \
         and not any((report["chi1_residuals"] or {}).values())
     return report

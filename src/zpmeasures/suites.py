@@ -363,7 +363,8 @@ def octagon_suite(cfg: RunConfig) -> SuiteReport:
             prod.add_term((0, 0), octagon.SymPoly.const(1))
         rep.add(f"x-coefficient:s={s}", not prod.coeff((magnus.X,)), "")
         d1 = octagon.deg1_implied_by_reflection(cfg.p, cfg.n_max, s, prod)
-        rep.add(f"deg1-from-reflection:s={s}", d1["passed"], "")
+        left = [i for i, r in enumerate(d1["residuals"]) if r]
+        rep.add(f"deg1-from-reflection:s={s}", d1["passed"], f"nonzero at {left[:3]}" if left else "")
         res = octagon.degree2_symmetry_check(cfg.p, cfg.n_max, s, prod)
         nonzero = [k for k, v in res["residuals"].items() if v]
         rep.add(f"degree2-residuals:s={s}", res["passed"],

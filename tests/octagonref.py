@@ -1,17 +1,25 @@
-"""Point-by-point reference for the octagon's degree-2 display.
+"""Point-by-point references for the octagon's degree-2 display.
 
 `degree2_display` writes the named-measure display of the degree-2 symmetry
 at one point (a, b), rebuilding every term it needs.  The library builds the
 display at all width^2 points at once (`octagon.degree2_displays`), sharing
 what the points have in common; the tests compare the two.
+
+`chi1_residuals_reference` is the chi = 1 comparison written on its own: the
+chi = 1 display (`degree2_display_chi1`) against the product's t = 0
+coefficients, reduced by a relation set eliminated from the t = 0 relations.
+The library reads the same comparison off the s = 1 residuals at t = 0.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from zpmeasures.classical import d2_value, m_value, n2_value
-from zpmeasures.octagon import ONE, SymPoly, a_sym, b_sym, chi_sympoly, e1_sympoly, g_sym
+from zpmeasures.octagon import (ONE, ZERO, SymPoly, a_sym, b_sym, build_relation_set,
+                                chi_sympoly, deg1_relations, e1_sympoly, g_sym,
+                                reflection_half_system, reflection_relations)
 
 
 def degree2_display(a: int, b: int, p: int, n: int, s: int) -> SymPoly:
@@ -46,3 +54,29 @@ def degree2_display(a: int, b: int, p: int, n: int, s: int) -> SymPoly:
     if b == s:
         total = total + al(s - a)
     return total
+
+
+def degree2_display_chi1(a: int, b: int, width: int) -> SymPoly:
+    """The chi = 1 form of the degree-2 identity (s = 1, t = 0) at (a, b)."""
+    s = 1
+    al = lambda x: a_sym(x, width)
+    g = lambda x: g_sym(x, width)
+    total = b_sym(a, b, width) - b_sym(-a, -b, width) \
+        + b_sym(s - a, s - b, width) - b_sym(a - s, b - s, width)
+    total = total + d2_value(a, b, width, al, g) \
+        - d2_value((a - s) % width, (b - s) % width, width, al, g)
+    if b == s:
+        total = total + al(s - a)
+    if a == s:
+        total = total - al(s - b)
+    return total
+
+
+def chi1_residuals_reference(p: int, n: int, prod) -> dict:
+    """The chi = 1 residual at every point (a, b), from the t = 0 relations."""
+    width = p ** n
+    rels0 = [r.subs_t(0) for r in reflection_relations(p, n, 1) + deg1_relations(prod)]
+    rs0 = build_relation_set(rels0, prefer=reflection_half_system(width))
+    return {(a, b): rs0.reduce(degree2_display_chi1(a, b, width)
+                               - prod.coeffs.get((a, b), ZERO).subs_t(0))
+            for a, b in itertools.product(range(width), repeat=2)}

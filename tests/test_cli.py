@@ -179,13 +179,15 @@ def test_inconsistent_degree1_relations_exit_1(monkeypatch, capsys):
     monkeypatch.setattr(octagon, "octagon_product", tampered)
     assert run(["verify", "octagon", "--p", "3", "--n", "1", "--sigma-rep", "1"]) == EXIT_FAIL
     out, err = capsys.readouterr()
+    assert "FAIL deg1-from-reflection:s=1  [nonzero at [1]]" in out
     assert "standard: unresolvable relation: 1*1" in out
     assert err == ""
 
 
 @pytest.mark.parametrize("command", [
     "verify octagon --p 3 --n 2 --sigma-rep 1 --format json",
-    "verify octagon --p 3 --n 1 --sigma-rep 1 --tamper --format json"])
+    "verify octagon --p 3 --n 1 --sigma-rep 1 --tamper --format json",
+    "verify octagon --p 3 --n 2 --sigma-rep 1 --tamper --format json"])
 def test_report_bytes_do_not_depend_on_the_hash_seed(command):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(zpmeasures.__file__)))
     outs = []
@@ -235,6 +237,9 @@ REPORT_DIGESTS = {
     # the chi = 1 comparison at n = 2, and half and t^2 coefficients of D
     "verify octagon --p 3 --n 2 --sigma-rep 1 --format json":
         "3b354d5a8886a9b03728a97e588a0c12973a84a7d7e10104e8d144f0ea4a7bdc",
+    # the chi = 1 comparison failing at n = 2
+    "verify octagon --p 3 --n 2 --sigma-rep 1 --tamper --format json":
+        "a5d3a63fdf2881065799e15e00f99bd43051bfe1d7d500d8144af1425a6440d9",
     "verify octagon --p 2 --n 3 --format json":
         "8a7ba0a93a8bae4b9aab680b840e3e732149881fe3fb74fcaefc5dab240ded66",
     "emit octagon-factor --factor D --p 5 --n 1 --sigma-rep 3":

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zpmeasures import octagon
-from zpmeasures.classical import make_E1, make_M, make_N2, m_value, n2_value
+from zpmeasures.classical import e1_value, make_E1, make_M, make_N2, m_value, n2_value
 from zpmeasures.magnus import NcSeries, X, embed_E, series_log, word_log2
 from zpmeasures.octagon import (FACTOR_ORDER, ONE, ZERO, InconsistentRelations,
                                 RelationSet, SymPoly, a_sym, b_sym, build_factor,
@@ -23,7 +23,7 @@ from zpmeasures.octagon import (FACTOR_ORDER, ONE, ZERO, InconsistentRelations,
 from zpmeasures.padic import PrimeContext
 from zpmeasures.suites import RunConfig, octagon_suite
 
-from octagonref import degree2_display
+from octagonref import chi1_residuals_reference, degree2_display
 from polyref import FracSymPoly
 
 GRID = [(3, 1), (5, 1), (2, 2)]
@@ -156,20 +156,54 @@ def test_inconsistent_degree1_relations_fail_the_check(p, n, s, mono, extra, pin
         degree2_symmetry_check(p, n, s, octagon_product(p, n, s)))
 
 
-def test_inconsistent_chi1_relations_fail_the_check(monkeypatch):
-    # the t = 0 relation set of the chi = 1 comparison is caught the same way
-    real = octagon.build_relation_set
+def test_level_constants_vanish_at_chi_1():
+    # at c = 1 (s = 1, t = 0) every E_{1,c}, M and N2 term of the degree-2
+    # display is zero, so the s = 1 display at t = 0 is the chi = 1 display
+    for p, n in GRID:
+        width = p ** n
+        for x in range(width):
+            assert e1_value(x, 1, width, 0) == 0 and m_value(x, 1, 0) == 0
+        for a, b in itertools.product(range(width), repeat=2):
+            assert n2_value(a, b, 1, width, 0) == 0
 
-    def failing_at_t0(relations, prefer=()):
-        if not any(te for rel in relations for te, _ in rel.terms):
-            raise InconsistentRelations("unresolvable relation: 1*1")
-        return real(relations, prefer)
 
-    monkeypatch.setattr(octagon, "build_relation_set", failing_at_t0)
-    rep = degree2_symmetry_check(3, 1, 1, octagon_product(3, 1, 1))
+def test_chi1_residuals_are_the_reference_comparison():
+    for p, n in GRID:
+        prod = octagon_product(p, n, 1)
+        rep = degree2_symmetry_check(p, n, 1, prod)
+        assert rep["chi1_residuals"] == chi1_residuals_reference(p, n, prod), (p, n)
+
+
+@pytest.mark.parametrize("additions", [
+    # a degree-2 constant
+    [((0, 0), SymPoly.const(1))],
+    # a t-dependent term; only its constant survives at t = 0
+    [((1, 2), SymPoly.t() * a_sym(1, 3) + SymPoly.const(Fraction(1, 2)))],
+    # a degree-1 term that raises the rank (g_0 becomes a pivot), read at (0, 0)
+    [((1,), b_sym(1, 2, 3) + g_sym(0, 3)), ((0, 0), g_sym(0, 3))],
+])
+def test_chi1_residuals_match_the_reference_on_perturbed_products(additions):
+    prod = octagon_product(3, 1, 1)
+    for mono, extra in additions:
+        prod.add_term(mono, extra)
+    rep = degree2_symmetry_check(3, 1, 1, prod)
+    assert "inconsistent_relations" not in rep
+    assert rep["chi1_residuals"] == chi1_residuals_reference(3, 1, prod)
+    assert any(rep["chi1_residuals"].values()) and not rep["passed"]
+
+
+def test_chi1_residuals_precede_the_shuffle_retry():
+    # b_{1,0} + b_{0,1} - a_0 a_1 vanishes only under the shuffle relations:
+    # the standard residuals pass after the retry, the chi = 1 ones (read
+    # before it) do not, and the check fails
+    prod = octagon_product(3, 1, 1)
+    prod.add_term((0, 0), b_sym(1, 0, 3) + b_sym(0, 1, 3) - a_sym(0, 3) * a_sym(1, 3))
+    rep = degree2_symmetry_check(3, 1, 1, prod)
+    assert rep["extra_relations_used"] == ["shuffle"]
+    assert not any(rep["residuals"].values())
+    assert rep["chi1_residuals"] == chi1_residuals_reference(3, 1, prod)
+    assert [k for k, r in rep["chi1_residuals"].items() if r] == [(0, 0)]
     assert rep["passed"] is False
-    assert rep["chi1_residuals"] is None and not any(rep["residuals"].values())
-    assert rep["inconsistent_relations"] == "chi1: unresolvable relation: 1*1"
 
 
 def test_reflection_relations_structure():
@@ -425,7 +459,7 @@ def test_octagon_tamper_fails_inside_the_real_check():
 def test_all_points_display_matches_the_point_formula(p, n):
     width = p ** n
     for s in units(p, n):
-        displays = degree2_displays(p, n, s, octagon.d2_table(width))
+        displays = degree2_displays(p, n, s)
         assert list(displays) == list(itertools.product(range(width), repeat=2))
         for (a, b), display in displays.items():
             assert display == degree2_display(a, b, p, n, s), (p, n, s, a, b)
