@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("suite", choices=SUITES)
     v.add_argument("--p", type=int, default=3)
     v.add_argument("--nmax", type=int, default=3)
-    v.add_argument("--n", type=int, default=None, help="octagon level (defaults to --nmax)")
+    v.add_argument("--n", type=int, default=None, help="octagon suite only: level (default --nmax)")
     v.add_argument("--sigma-rep", type=int, default=None)
     # the magnus suite multiplies pairs of letters, so degree 1 truncates them away
     v.add_argument("--degree", type=at_least(2), default=3)
@@ -107,8 +107,10 @@ def _build_measure(args, ctx: PrimeContext):
 
 
 def cmd_verify(args) -> int:
-    n_max = args.n if (args.suite == "octagon" and args.n is not None) else args.nmax
+    n_max = args.nmax if args.n is None else args.n
     try:
+        if args.n is not None and args.suite != "octagon":
+            raise ValueError("--n sets the octagon level and applies to the octagon suite only")
         cfg = RunConfig(p=args.p, n_max=n_max, degree=args.degree,
                         mod_exp=args.mod_exp, seed=args.seed, suite=args.suite,
                         sigma_rep=args.sigma_rep, terms=args.terms, tamper=args.tamper)

@@ -234,6 +234,24 @@ class NcSeries:
         return NcSeries(self.ctx, self.level, d,
                         {m: c for m, c in self.coeffs.items() if len(m) <= d})
 
+    def substitute(self, images: dict) -> "NcSeries":
+        """Replace each generator g by images[g] (constant-free, one shape, this
+        degree), so a monomial of length L reads image terms of degree <= degree - L + 1."""
+        shape = next(iter(images.values()))
+        ctx, level, degree = shape.ctx, shape.level, self.degree
+        cut = {(g, d): NcSeries(ctx, level, degree,
+                                {m: c for m, c in im.coeffs.items() if len(m) <= d})
+               for g, im in images.items() for d in range(1, degree + 1)}
+        out = {m: c for m, c in self.coeffs.items() if not m}
+        for mono, c in self.coeffs.items():
+            if 0 < len(mono) <= degree:
+                room = degree - len(mono) + 1
+                term = cut[mono[0], room].scaled(c)
+                for g in mono[1:]:
+                    term = term * cut[g, room]
+                accumulate(out, term.coeffs.items())
+        return NcSeries(ctx, level, degree, out)
+
     def homogeneous(self, d: int) -> dict:
         return {m: c for m, c in self.coeffs.items() if len(m) == d}
 
@@ -369,7 +387,7 @@ def project_word(w: FreeWord, n: int) -> FreeWord:
 
 
 def project_series(s: NcSeries, n: int) -> NcSeries:
-    """Generator substitution X -> p^m X, Y_{i+k p^n} -> exp(-kX) Y_i exp(kX)."""
+    """`NcSeries.substitute` of X -> p^m X, Y_{i+k p^n} -> exp(-kX) Y_i exp(kX)."""
     if n > s.level:
         raise ValueError("can only project downward")
     ctx = s.ctx
@@ -381,13 +399,7 @@ def project_series(s: NcSeries, n: int) -> NcSeries:
         images[g] = exp_gen(ctx, n, s.degree, X, -k) \
             * NcSeries(ctx, n, s.degree, {(i,): Fraction(1)}) \
             * exp_gen(ctx, n, s.degree, X, k)
-    out = NcSeries(ctx, n, s.degree, {})
-    for mono, c in s.coeffs.items():
-        term = NcSeries.one(ctx, n, s.degree).scaled(c)
-        for g in mono:
-            term = term * images[g]
-        out = out + term
-    return out
+    return s.substitute(images)
 
 
 # ---------------------------------------------------------------------------

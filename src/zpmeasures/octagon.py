@@ -15,7 +15,7 @@ relation per Y_i, and the degree-2 coefficients are matched against the
 named-measure form of the symmetry of the two-variable cocycle measure,
 modulo the relation ideal generated by the degree-1 relations and the
 external reflection relation.  Three of the factors are additionally
-re-derived from generator substitutions as an independent cross-check.
+re-derived as substitution images of factor A, an independent cross-check.
 """
 
 from __future__ import annotations
@@ -392,12 +392,14 @@ def build_factor(name: str, p: int, n: int, s: int) -> NcSeries:
 FACTOR_ORDER = "JHGFEDCBA"
 
 
-def octagon_product(p: int, n: int, s: int, factors=None) -> NcSeries:
-    """The ordered product of the nine factors (name -> `build_factor`
-    series, built here unless given), truncated past degree 2."""
+def build_factors(p: int, n: int, s: int) -> dict:
+    """The nine factors at (p, n, s), name -> `build_factor` series."""
+    return {name: build_factor(name, p, n, s) for name in FACTOR_ORDER}
+
+
+def octagon_product(p: int, n: int, s: int, factors: dict) -> NcSeries:
+    """The ordered product of the nine `build_factors(p, n, s)`, past degree 2."""
     check_config(p, n, s)
-    if factors is None:
-        factors = {name: build_factor(name, p, n, s) for name in FACTOR_ORDER}
     out = unit_series(p, n)
     for name in FACTOR_ORDER:
         out = out * factors[name]
@@ -707,25 +709,12 @@ def substitution_images(name: str, p: int, n: int, s: int) -> dict:
     raise ValueError("only C, E and G are re-derived from substitutions")
 
 
-def derive_factor_by_subst(name: str, p: int, n: int, s: int, factor: NcSeries) -> dict:
-    """Apply the generator substitution to the generic cocycle series and compare
-    with `factor`, the caller's `build_factor(name, p, n, s)`, term by term."""
-    width = check_config(p, n, s)
+def derive_factor_by_subst(name: str, p: int, n: int, s: int, A: NcSeries,
+                           factor: NcSeries) -> dict:
+    """Substitute the logs of the name's generator images into factor A's display
+    `A`, invert for C and G, and compare with the display `factor` term by term."""
     images = substitution_images(name, p, n, s)
-    logs = {gen: word_log2(word) for gen, word in images.items()}
-    deg1 = {gen: replace(log, coeffs=log.homogeneous(1)) for gen, log in logs.items()}
-    result = unit_series(p, n)
-
-    def add(series, sym):
-        accumulate(result.coeffs, series.scaled(sym).coeffs.items())
-
-    for i in range(width):
-        add(logs[i], a_sym(i, width))
-    for a, b in itertools.product(range(width), repeat=2):
-        add(deg1[a] * deg1[b], b_sym(a, b, width))
-    for i in range(width):
-        add(deg1[X] * deg1[i] - deg1[i] * deg1[X], g_sym(i, width))
-
+    result = A.substitute({gen: word_log2(word) for gen, word in images.items()})
     if name in ("C", "G"):
         result = series_inverse(result)
     diff = result - factor

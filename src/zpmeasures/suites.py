@@ -347,25 +347,23 @@ def magnus_suite(cfg: RunConfig) -> SuiteReport:
 
 
 def octagon_suite(cfg: RunConfig) -> SuiteReport:
-    rep = SuiteReport("octagon", {"p": cfg.p, "n": cfg.n_max,
-                                  "sigma_rep": cfg.sigma_rep})
-    width = cfg.p ** cfg.n_max
+    p, n = cfg.p, cfg.n_max
+    rep = SuiteReport("octagon", {"p": p, "n": n, "sigma_rep": cfg.sigma_rep})
     if cfg.sigma_rep is not None:
         reps = [cfg.sigma_rep]
     else:
-        reps = [s for s in range(1, width) if s % cfg.p]
+        reps = [s for s in range(1, p ** n) if s % p]
     for s in reps:
-        factors = {name: octagon.build_factor(name, cfg.p, cfg.n_max, s)
-                   for name in octagon.FACTOR_ORDER}
-        prod = octagon.octagon_product(cfg.p, cfg.n_max, s, factors)
-        factors = {name: factors[name] for name in "CEG"}  # all that is read past the product
+        factors = octagon.build_factors(p, n, s)
+        prod = octagon.octagon_product(p, n, s, factors)
+        factors = {name: factors[name] for name in "ACEG"}  # all that is read past the product
         if cfg.tamper:
             prod.add_term((0, 0), octagon.SymPoly.const(1))
         rep.add(f"x-coefficient:s={s}", not prod.coeff((magnus.X,)), "")
-        d1 = octagon.deg1_implied_by_reflection(cfg.p, cfg.n_max, s, prod)
+        d1 = octagon.deg1_implied_by_reflection(p, n, s, prod)
         left = [i for i, r in enumerate(d1["residuals"]) if r]
         rep.add(f"deg1-from-reflection:s={s}", d1["passed"], f"nonzero at {left[:3]}" if left else "")
-        res = octagon.degree2_symmetry_check(cfg.p, cfg.n_max, s, prod)
+        res = octagon.degree2_symmetry_check(p, n, s, prod)
         nonzero = [k for k, v in res["residuals"].items() if v]
         rep.add(f"degree2-residuals:s={s}", res["passed"],
                 res.get("inconsistent_relations") or
@@ -373,7 +371,7 @@ def octagon_suite(cfg: RunConfig) -> SuiteReport:
                  f"extra_relations={res['extra_relations_used']}"))
         rep.artifacts.append(octagon.report_json_dict(res))
         for name in "CEG":
-            d = octagon.derive_factor_by_subst(name, cfg.p, cfg.n_max, s, factors[name])
+            d = octagon.derive_factor_by_subst(name, p, n, s, factors["A"], factors[name])
             rep.add(f"substitution-derivation:{name}:s={s}", d["passed"],
                     "" if d["passed"] else str(sorted(d["mismatches"].items())[:2]))
     return rep

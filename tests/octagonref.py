@@ -9,17 +9,25 @@ what the points have in common; the tests compare the two.
 chi = 1 display (`degree2_display_chi1`) against the product's t = 0
 coefficients, reduced by a relation set eliminated from the t = 0 relations.
 The library reads the same comparison off the s = 1 residuals at t = 0.
+
+`generic_series_by_subst` writes out the generic cocycle series under the
+C, E or G generator substitution term by term.  The library substitutes the
+image logs into factor A's display (`NcSeries.substitute`).
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 from zpmeasures.classical import d2_value, m_value, n2_value
+from zpmeasures.magnus import X, word_log2
+from zpmeasures.mpoly import accumulate
 from zpmeasures.octagon import (ONE, ZERO, SymPoly, a_sym, b_sym, build_relation_set,
                                 chi_sympoly, deg1_relations, e1_sympoly, g_sym,
-                                reflection_half_system, reflection_relations)
+                                reflection_half_system, reflection_relations,
+                                substitution_images, unit_series)
 
 
 def degree2_display(a: int, b: int, p: int, n: int, s: int) -> SymPoly:
@@ -80,3 +88,25 @@ def chi1_residuals_reference(p: int, n: int, prod) -> dict:
     return {(a, b): rs0.reduce(degree2_display_chi1(a, b, width)
                                - prod.coeffs.get((a, b), ZERO).subs_t(0))
             for a, b in itertools.product(range(width), repeat=2)}
+
+
+def generic_series_by_subst(name: str, p: int, n: int, s: int):
+    """1 + sum a_i Y_i + sum b_{a,b} Y_a Y_b + sum g_i [X, Y_i] with each
+    generator replaced by the log of its image word, past degree 2: Y_i by
+    the whole log, and in the quadratic terms each letter by the log's
+    degree-1 part."""
+    width = p ** n
+    logs = {gen: word_log2(word) for gen, word in substitution_images(name, p, n, s).items()}
+    deg1 = {gen: replace(log, coeffs=log.homogeneous(1)) for gen, log in logs.items()}
+    result = unit_series(p, n)
+
+    def add(series, sym):
+        accumulate(result.coeffs, series.scaled(sym).coeffs.items())
+
+    for i in range(width):
+        add(logs[i], a_sym(i, width))
+    for a, b in itertools.product(range(width), repeat=2):
+        add(deg1[a] * deg1[b], b_sym(a, b, width))
+    for i in range(width):
+        add(deg1[X] * deg1[i] - deg1[i] * deg1[X], g_sym(i, width))
+    return result

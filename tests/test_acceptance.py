@@ -23,7 +23,7 @@ from zpmeasures.measures import (DiracCombo, box_integral, exterior_power,
                                  iwasawa_tensor, linear_combine, measures_equal,
                                  pushforward, signed_group, star_convolution,
                                  validate_distribution)
-from zpmeasures.octagon import (build_factor, deg1_implied_by_reflection,
+from zpmeasures.octagon import (build_factors, deg1_implied_by_reflection,
                                 degree2_symmetry_check, derive_factor_by_subst,
                                 octagon_product)
 from zpmeasures.padic import PrimeContext, bernoulli, binom, vp
@@ -119,7 +119,7 @@ def test_05_octagon_symbolic_suite():
             if s % p == 0:
                 continue
             start = time.monotonic()
-            prod = octagon_product(p, n, s)
+            prod = octagon_product(p, n, s, build_factors(p, n, s))
             ok = ok and not prod.coeff((X,))
             ok = ok and deg1_implied_by_reflection(p, n, s, prod)["passed"]
             rep = degree2_symmetry_check(p, n, s, prod)
@@ -137,9 +137,10 @@ def test_06_factor_rederivation_from_substitutions():
         for s in range(1, p ** n):
             if s % p == 0:
                 continue
+            factors = build_factors(p, n, s)
             for name in "CEG":
-                factor = build_factor(name, p, n, s)
-                ok = ok and derive_factor_by_subst(name, p, n, s, factor)["passed"]
+                rep = derive_factor_by_subst(name, p, n, s, factors["A"], factors[name])
+                ok = ok and rep["passed"]
     report(ok, "factors C, E, G re-derived exactly from generator substitutions")
 
 

@@ -9,7 +9,7 @@ import time
 import pytest
 
 import zpmeasures
-from zpmeasures import octagon
+from zpmeasures import cli, octagon
 from zpmeasures.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from zpmeasures.suites import RunConfig, run_suite
 
@@ -142,6 +142,17 @@ def test_bad_sigma_rep_rejected_before_any_suite_runs(suite, capsys):
     assert "s must be a unit residue" in err
 
 
+@pytest.mark.parametrize("suite", ["all", "measures"])
+def test_octagon_level_rejected_outside_the_octagon_suite(suite, monkeypatch, capsys):
+    # --n would otherwise be dropped in silence: `all` ran the octagon at --nmax
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", ran.append)
+    assert run(["verify", suite, "--p", "2", "--nmax", "1", "--n", "2"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert ran == [] and out == ""
+    assert "--n sets the octagon level" in err
+
+
 def test_degree_below_two_rejected_at_boundary(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["verify", "magnus", "--degree", "1"])
@@ -234,6 +245,9 @@ REPORT_DIGESTS = {
         "880337e26eac76ea52f7eafd74ac117dd05e215ffde9f4f7de26e62556f4a702",
     "emit octagon-factor --factor C --p 3 --n 1 --sigma-rep 2":
         "f19658c6a3ffffabee956c97a9d4d4d00391cfe53a16c82b96bdcbc52440c822",
+    # the series the C, E and G derivations substitute into
+    "emit octagon-factor --factor A --p 3 --n 2 --sigma-rep 1":
+        "53e1c85efb974d1f8dae8b1a78da5f8783a1d7e2409d0bbd6c2de8d6648343ac",
     # the chi = 1 comparison at n = 2, and half and t^2 coefficients of D
     "verify octagon --p 3 --n 2 --sigma-rep 1 --format json":
         "3b354d5a8886a9b03728a97e588a0c12973a84a7d7e10104e8d144f0ea4a7bdc",

@@ -12,7 +12,7 @@ from zpmeasures.classical import e1_value, make_E1, make_M, make_N2, m_value, n2
 from zpmeasures.magnus import NcSeries, X, embed_E, series_log, word_log2
 from zpmeasures.octagon import (FACTOR_ORDER, ONE, ZERO, InconsistentRelations,
                                 RelationSet, SymPoly, a_sym, b_sym, build_factor,
-                                build_relation_set,
+                                build_factors, build_relation_set,
                                 deg1_implied_by_reflection, deg1_relations,
                                 degree2_displays, degree2_symmetry_check,
                                 derive_factor_by_subst, g_sym, octagon_product,
@@ -23,7 +23,7 @@ from zpmeasures.octagon import (FACTOR_ORDER, ONE, ZERO, InconsistentRelations,
 from zpmeasures.padic import PrimeContext
 from zpmeasures.suites import RunConfig, octagon_suite
 
-from octagonref import chi1_residuals_reference, degree2_display
+from octagonref import chi1_residuals_reference, degree2_display, generic_series_by_subst
 from polyref import FracSymPoly
 
 GRID = [(3, 1), (5, 1), (2, 2)]
@@ -31,6 +31,10 @@ GRID = [(3, 1), (5, 1), (2, 2)]
 
 def units(p, n):
     return [s for s in range(1, p ** n) if s % p]
+
+
+def product(p, n, s):
+    return octagon_product(p, n, s, build_factors(p, n, s))
 
 
 def in_lowest_terms(poly):
@@ -87,27 +91,27 @@ def test_series_inverse():
     assert (inv3 * s3).coeffs == {(): Fraction(1)}
     with pytest.raises(ValueError):
         series_inverse(s3.scaled(2))
-    prod = octagon_product(3, 1, 2)
+    prod = product(3, 1, 2)
     assert (prod * series_inverse(prod)).coeffs == {(): SymPoly.const(1)}
 
 
 def test_product_constant_and_x_coefficient():
     for p, n in GRID:
         for s in units(p, n):
-            prod = octagon_product(p, n, s)
+            prod = product(p, n, s)
             assert prod.coeff(()) == SymPoly.const(1)
             assert not prod.coeff((X,))
 
 
 def test_product_with_everything_zero_is_one():
-    prod = octagon_product(3, 1, 1)
+    prod = product(3, 1, 1)
     kill = {sym: SymPoly() for c in prod.coeffs.values() for sym in c.symbols()}
     vals = {m: c.substitute(kill).subs_t(0) for m, c in prod.coeffs.items()}
     assert {m: c for m, c in vals.items() if c} == {(): SymPoly.const(1)}
 
 
 def test_chi1_degree1_coefficients():
-    prod = octagon_product(3, 1, 1)
+    prod = product(3, 1, 1)
     for i in range(3):
         got = prod.coeff((i,)).subs_t(0)
         want = a_sym(i, 3) - a_sym(-i, 3) + a_sym(1 - i, 3) - a_sym(i - 1, 3)
@@ -115,18 +119,18 @@ def test_chi1_degree1_coefficients():
 
 
 def test_deg1_elimination_telescopes():
-    rels = [r.subs_t(0) for r in deg1_relations(octagon_product(3, 1, 1))]
+    rels = [r.subs_t(0) for r in deg1_relations(product(3, 1, 1))]
     rs = build_relation_set(rels)
     assert not rs.reduce(a_sym(2, 3) - a_sym(1, 3))
     assert rs.rank == 1
-    rels2 = [r.subs_t(0) for r in deg1_relations(octagon_product(2, 1, 1))]
+    rels2 = [r.subs_t(0) for r in deg1_relations(product(2, 1, 1))]
     rs2 = build_relation_set(rels2)
     assert rs2.rank <= 1
 
 
 def test_relations_reduce_idempotent_and_vanish():
     for p, n, s in [(3, 1, 2), (2, 2, 3)]:
-        rs = standard_relation_set(p, n, s, octagon_product(p, n, s))
+        rs = standard_relation_set(p, n, s, product(p, n, s))
         for r in reflection_relations(p, n, s):
             assert not rs.reduce(r)
         q = a_sym(1, p ** n) * a_sym(2 % p ** n, p ** n) + SymPoly.t()
@@ -146,14 +150,14 @@ def test_inconsistent_relations_detected():
 def test_inconsistent_degree1_relations_fail_the_check(p, n, s, mono, extra, pinpoint):
     # a degree-1 coefficient that contradicts the reflection relations is a
     # failed identity, pinpointed by the relation left over, not bad input
-    prod = octagon_product(p, n, s)
+    prod = product(p, n, s)
     prod.add_term(mono, extra)
     rep = degree2_symmetry_check(p, n, s, prod)
     assert rep["passed"] is False
     assert rep["inconsistent_relations"] == f"standard: {pinpoint}"
     assert report_json_dict(rep)["inconsistent_relations"] == rep["inconsistent_relations"]
     assert "inconsistent_relations" not in report_json_dict(
-        degree2_symmetry_check(p, n, s, octagon_product(p, n, s)))
+        degree2_symmetry_check(p, n, s, product(p, n, s)))
 
 
 def test_level_constants_vanish_at_chi_1():
@@ -169,7 +173,7 @@ def test_level_constants_vanish_at_chi_1():
 
 def test_chi1_residuals_are_the_reference_comparison():
     for p, n in GRID:
-        prod = octagon_product(p, n, 1)
+        prod = product(p, n, 1)
         rep = degree2_symmetry_check(p, n, 1, prod)
         assert rep["chi1_residuals"] == chi1_residuals_reference(p, n, prod), (p, n)
 
@@ -183,7 +187,7 @@ def test_chi1_residuals_are_the_reference_comparison():
     [((1,), b_sym(1, 2, 3) + g_sym(0, 3)), ((0, 0), g_sym(0, 3))],
 ])
 def test_chi1_residuals_match_the_reference_on_perturbed_products(additions):
-    prod = octagon_product(3, 1, 1)
+    prod = product(3, 1, 1)
     for mono, extra in additions:
         prod.add_term(mono, extra)
     rep = degree2_symmetry_check(3, 1, 1, prod)
@@ -196,7 +200,7 @@ def test_chi1_residuals_precede_the_shuffle_retry():
     # b_{1,0} + b_{0,1} - a_0 a_1 vanishes only under the shuffle relations:
     # the standard residuals pass after the retry, the chi = 1 ones (read
     # before it) do not, and the check fails
-    prod = octagon_product(3, 1, 1)
+    prod = product(3, 1, 1)
     prod.add_term((0, 0), b_sym(1, 0, 3) + b_sym(0, 1, 3) - a_sym(0, 3) * a_sym(1, 3))
     rep = degree2_symmetry_check(3, 1, 1, prod)
     assert rep["extra_relations_used"] == ["shuffle"]
@@ -223,13 +227,13 @@ def test_reflection_relations_structure():
 def test_deg1_implied_by_reflection_grid():
     for p, n in GRID:
         for s in units(p, n):
-            assert deg1_implied_by_reflection(p, n, s, octagon_product(p, n, s))["passed"]
+            assert deg1_implied_by_reflection(p, n, s, product(p, n, s))["passed"]
 
 
 def test_degree2_symmetry_grid():
     for p, n in GRID:
         for s in units(p, n):
-            rep = degree2_symmetry_check(p, n, s, octagon_product(p, n, s))
+            rep = degree2_symmetry_check(p, n, s, product(p, n, s))
             assert rep["x_coeff_zero"]
             assert not any(rep["residuals"].values()), (p, n, s)
             assert rep["extra_relations_used"] == []
@@ -239,7 +243,7 @@ def test_degree2_symmetry_grid():
 
 
 def test_report_serialization():
-    rep = degree2_symmetry_check(3, 1, 1, octagon_product(3, 1, 1))
+    rep = degree2_symmetry_check(3, 1, 1, product(3, 1, 1))
     d = report_json_dict(rep)
     assert d["config"] == {"p": 3, "n": 1, "s": 1}
     assert d["x_coeff_zero"] is True
@@ -258,11 +262,37 @@ def test_symbolic_shuffle_symmetrization():
 def test_factor_derivation_grid():
     for p, n in GRID:
         for s in units(p, n):
+            factors = build_factors(p, n, s)
             for name in "CEG":
-                rep = derive_factor_by_subst(name, p, n, s, build_factor(name, p, n, s))
+                rep = derive_factor_by_subst(name, p, n, s, factors["A"], factors[name])
                 assert rep["passed"], (p, n, s, name, rep["mismatches"])
+    A = build_factor("A", 3, 1, 1)
     with pytest.raises(ValueError):
-        derive_factor_by_subst("A", 3, 1, 1, build_factor("A", 3, 1, 1))
+        derive_factor_by_subst("A", 3, 1, 1, A, A)
+
+
+@pytest.mark.parametrize("p, n, s", [(p, n, s) for p, n in GRID for s in units(p, n)]
+                         + [(3, 3, 1), (3, 3, 2)])
+def test_substituted_A_is_the_hand_expanded_series(p, n, s):
+    A = build_factor("A", p, n, s)
+    for name in "CEG":
+        logs = {gen: word_log2(word) for gen, word in substitution_images(name, p, n, s).items()}
+        assert A.substitute(logs).coeffs == generic_series_by_subst(name, p, n, s).coeffs
+
+
+def test_derivation_fails_on_a_perturbed_display():
+    factors = build_factors(3, 1, 2)
+    factors["C"].add_term((1, 0), SymPoly.const(1))
+    rep = derive_factor_by_subst("C", 3, 1, 2, factors["A"], factors["C"])
+    assert not rep["passed"]
+    assert rep["mismatches"] == {(1, 0): "-1*1"}
+
+
+def test_derivation_fails_on_a_perturbed_g_term_of_A():
+    factors = build_factors(3, 1, 2)
+    factors["A"].add_term((X, 1), SymPoly.const(1))  # g_1 + 1 at X Y_1
+    reps = [derive_factor_by_subst(name, 3, 1, 2, factors["A"], factors[name]) for name in "CEG"]
+    assert not all(rep["passed"] for rep in reps)
 
 
 @pytest.mark.parametrize("p, n", [(3, 1), (5, 1), (2, 2), (3, 2)])
@@ -327,6 +357,39 @@ def test_graded_product_matches_all_pairs(sym_left, sym_right, rat_left, rat_rig
         # product must prune as the all-pairs product does
         for a, b in ((left, right), (unit + left, unit - left)):
             assert (a * b).coeffs == all_pairs_product(a, b)
+
+
+def image_maps(coeffs, degree):
+    """A constant-free image of degree <= `degree` for each of X, Y0, Y1."""
+    monos = st.lists(st.sampled_from([X, 0, 1]), min_size=1, max_size=degree).map(tuple)
+    image = st.dictionaries(monos, coeffs, max_size=5).map(
+        lambda c: NcSeries(CTX2, 1, degree, {m: v for m, v in c.items() if v}))
+    return st.fixed_dictionaries({g: image for g in (X, 0, 1)})
+
+
+def substitute_reference(f, images):
+    """Each monomial's letters replaced by their whole, uncut images."""
+    out = replace(f, coeffs={})
+    for mono, c in f.coeffs.items():
+        term = replace(f, coeffs={(): c})
+        for g in mono:
+            term = term * images[g]
+        out = out + term
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_substitute_matches_whole_image_products(data):
+    rings = [polys, st.fractions(-3, 3, max_denominator=4)]
+    degree = data.draw(st.sampled_from([2, 3]), label="degree")
+    coeffs = data.draw(st.sampled_from(rings), label="series ring")
+    f, g = data.draw(series(coeffs, degree)), data.draw(series(coeffs, degree))
+    images = data.draw(image_maps(data.draw(st.sampled_from(rings), label="image ring"), degree))
+    image = f.substitute(images)
+    assert image.degree == degree
+    assert image.coeffs == substitute_reference(f, images).coeffs
+    assert (f * g).substitute(images).coeffs == (image * g.substitute(images)).coeffs
 
 
 @settings(max_examples=150, deadline=None)
@@ -415,18 +478,19 @@ def test_octagon_suite_builds_each_factor_once_per_residue(monkeypatch):
 
 
 def test_octagon_series_have_sympoly_coefficients():
-    prod = octagon_product(3, 1, 2)
-    factors = [build_factor(name, 3, 1, 2) for name in FACTOR_ORDER]
-    for s in factors + [prod, series_inverse(prod)]:
+    factors = build_factors(3, 1, 2)
+    prod = octagon_product(3, 1, 2, factors)
+    assert list(factors) == list(FACTOR_ORDER)
+    for s in list(factors.values()) + [prod, series_inverse(prod)]:
         assert s.degree == 2 and s.coeff(()) == ONE
         assert all(type(c) is SymPoly and c for c in s.coeffs.values())
 
 
 def test_checks_read_the_product_they_are_given():
-    prod = octagon_product(3, 1, 1)
+    prod = product(3, 1, 1)
     assert deg1_implied_by_reflection(3, 1, 1, prod)["passed"]
     assert degree2_symmetry_check(3, 1, 1, prod)["passed"]
-    bad = octagon_product(3, 1, 1)
+    bad = product(3, 1, 1)
     bad.add_term((0, 0), SymPoly.const(1))
     rep = degree2_symmetry_check(3, 1, 1, bad)
     assert not rep["passed"]
@@ -439,7 +503,7 @@ def test_shuffle_retry_reads_the_extended_substitution():
     # b_{1,0} + b_{0,1} - a_0 a_1 vanishes only under the shuffle relations,
     # so the check passes only if its retry reads no image memoized under the
     # degree-1 substitution alone
-    prod = octagon_product(3, 1, 2)
+    prod = product(3, 1, 2)
     prod.add_term((0, 0), b_sym(1, 0, 3) + b_sym(0, 1, 3) - a_sym(0, 3) * a_sym(1, 3))
     rep = degree2_symmetry_check(3, 1, 2, prod)
     assert rep["extra_relations_used"] == ["shuffle"]
@@ -468,7 +532,7 @@ def test_all_points_display_matches_the_point_formula(p, n):
 # Random SymPolys over the symbols of a real relation set, up to three
 # symbols and t^2 per monomial.  Both sets keep their memo across examples,
 # so later examples also read images memoized by earlier ones.
-REDUCE_SET = standard_relation_set(3, 2, 2, octagon_product(3, 2, 2))
+REDUCE_SET = standard_relation_set(3, 2, 2, product(3, 2, 2))
 SHUFFLED_SET = RelationSet(REDUCE_SET.relations, {**REDUCE_SET.substitution, **{
     sym: REDUCE_SET.reduce(val) for sym, val in shuffle_substitution(9).items()}},
                            REDUCE_SET.rank)
