@@ -5,7 +5,9 @@ embedding sends each generator to the exponential of a non-commuting
 variable; coefficients of the image series, collected across levels via the
 covering projections, are exactly the level tables of measures on (Z_p)^r.
 
-Generators are encoded as ints: -1 is X, i >= 0 is Y_i.  Monomials are
+Generators are encoded as ints: -1 is X, i >= 0 is Y_i.  A word's letters are
+(generator, nonzero int exponent) pairs in one normal form, freely reduced
+with one letter per run, so x^k is the single letter (X, k).  Monomials are
 tuples of generator ids.
 """
 
@@ -31,7 +33,14 @@ class WordSyntaxError(ValueError):
 
 @dataclass(frozen=True)
 class FreeWord:
-    """A word in the level-n generators; letters are (generator, +-1) pairs."""
+    """A word in the level-n generators, stored in normal form.
+
+    Letters are (generator, nonzero int) pairs, no two neighbours share a
+    generator, and runs that cancel are gone: two words are equal exactly
+    when they are the same element of the free group.  Any letters may be
+    passed in; one stack pass adds each exponent to a top letter of the same
+    generator and drops a letter whose exponent reaches zero.
+    """
 
     ctx: PrimeContext
     level: int
@@ -39,11 +48,17 @@ class FreeWord:
 
     def __post_init__(self):
         width = self.ctx.p ** self.level
+        out = []
         for g, e in self.letters:
             if not (g == X or 0 <= g < width):
                 raise ValueError(f"generator {g} out of range at level {self.level}")
-            if e not in (1, -1):
-                raise ValueError("letter exponents must be +-1")
+            if type(e) is not int:
+                raise ValueError("letter exponents must be integers")
+            if out and out[-1][0] == g:
+                e += out.pop()[1]
+            if e:
+                out.append((g, e))
+        object.__setattr__(self, "letters", tuple(out))
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         if (self.ctx, self.level) != (other.ctx, other.level):
@@ -54,23 +69,10 @@ class FreeWord:
         return FreeWord(self.ctx, self.level,
                         tuple((g, -e) for g, e in reversed(self.letters)))
 
-    def reduced(self) -> "FreeWord":
-        """Freely reduce: cancel adjacent inverse pairs."""
-        out = []
-        for letter in self.letters:
-            if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
-                out.pop()
-            else:
-                out.append(letter)
-        return FreeWord(self.ctx, self.level, tuple(out))
-
-    def x_exponent(self) -> int:
-        return sum(e for g, e in self.letters if g == X)
-
 
 def kernel_check(w: FreeWord) -> bool:
     """True iff the total x-exponent vanishes (the word survives every level)."""
-    return w.x_exponent() == 0
+    return sum(e for g, e in w.letters if g == X) == 0
 
 
 def commutator(a: FreeWord, b: FreeWord) -> FreeWord:
@@ -81,8 +83,9 @@ _TOKEN = re.compile(r"\s*(y\d+|x|\[|\]|,|\*|\^-?\d+)")
 
 
 def parse_word(text: str, ctx: PrimeContext, level: int) -> FreeWord:
-    """Word grammar: generators x, y0..y{p^n-1}; ^-1 (or ^k) powers;
-    [a,b] commutator sugar; concatenation by '*' or whitespace."""
+    """Word grammar: generators x, y0..y{p^n-1}; ^-1 (or ^k) powers, x^0 the
+    identity; [a,b] commutator sugar; concatenation by '*' or whitespace.
+    Text that names no generator is rejected as an empty word."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -107,41 +110,35 @@ def parse_word(text: str, ctx: PrimeContext, level: int) -> FreeWord:
         return tok
 
     def parse_seq(stop) -> FreeWord:
-        word = FreeWord(ctx, level, ())
+        letters = []  # one normalization per sequence: a product per item is quadratic
         while peek() is not None and peek() not in stop:
             if peek() == "*":
                 take()
                 continue
-            word = word * parse_item()
-        return word
+            letters += parse_item().letters
+        return FreeWord(ctx, level, tuple(letters))
+
+    def power() -> int:
+        return int(take()[1:]) if peek() and peek().startswith("^") else 1
 
     def parse_item() -> FreeWord:
         tok = take()
-        if tok == "[":
-            a = parse_seq({","})
-            if take() != ",":
-                raise WordSyntaxError("expected ',' in commutator")
-            b = parse_seq({"]"})
-            if take() != "]":
-                raise WordSyntaxError("expected ']'")
-            item = commutator(a, b)
-        elif tok == "x":
-            item = FreeWord(ctx, level, ((X, 1),))
-        elif tok and tok.startswith("y"):
-            item = FreeWord(ctx, level, ((int(tok[1:]), 1),))
-        else:
+        if tok == "x" or (tok and tok.startswith("y")):
+            g = X if tok == "x" else int(tok[1:])
+            return FreeWord(ctx, level, ((g, power()),))
+        if tok != "[":
             raise WordSyntaxError(f"unexpected token {tok!r}")
-        if peek() and peek().startswith("^"):
-            k = int(take()[1:])
-            if k == 0:
-                item = FreeWord(ctx, level, ())
-            else:
-                base = item if k > 0 else item.inverse()
-                item = FreeWord(ctx, level, base.letters * abs(k))
-        return item
+        a = parse_seq({","})
+        if take() != ",":
+            raise WordSyntaxError("expected ',' in commutator")
+        b = parse_seq({"]"})
+        if take() != "]":
+            raise WordSyntaxError("expected ']'")
+        item, k = commutator(a, b), power()
+        return FreeWord(ctx, level, (item if k > 0 else item.inverse()).letters * abs(k))
 
     word = parse_seq(set())
-    if not word.letters:
+    if not any(tok and tok[0] in "xy" for tok in tokens):
         raise WordSyntaxError("empty word")
     return word
 
@@ -262,15 +259,15 @@ class NcSeries:
 
 
 def exp_gen(ctx, level, degree, gen: int, k: int) -> NcSeries:
-    """exp(k * generator), k an integer."""
-    coeffs = {}
-    for j in range(degree + 1):
-        coeffs[(gen,) * j] = Fraction(k ** j, math.factorial(j))
-    return NcSeries(ctx, level, degree, coeffs)
+    """exp(k * generator), k an integer; k = 0 gives the unit series."""
+    return NcSeries(ctx, level, degree,
+                    {(gen,) * j: Fraction(k ** j, math.factorial(j))
+                     for j in range(degree + 1 if k else 1)})
 
 
 def embed_E(w: FreeWord, degree: int) -> NcSeries:
-    """Product over the letters of exp(+-generator), truncated."""
+    """Product over the letters (g, e) of exp(e * g), truncated: a run g^e
+    costs one product."""
     out = NcSeries.one(w.ctx, w.level, degree)
     for g, e in w.letters:
         out = out * exp_gen(w.ctx, w.level, degree, g, e)
@@ -293,7 +290,7 @@ def series_log(s: NcSeries) -> NcSeries:
 def word_log2(w: FreeWord) -> NcSeries:
     """log embed_E(w) past degree 2 by Baker-Campbell-Hausdorff: log prod_i
     exp(e_i g_i) = sum_i e_i g_i + 1/2 sum_{i<j} e_i e_j [g_i, g_j] mod degree 3,
-    in one pass over the letters; the word need not be reduced."""
+    in one pass over the (reduced) letters."""
     sums, pairs = {}, {}  # sums[h] = exponent of h so far; pairs[(h, g)] += sums[h] e
     for g, e in w.letters:
         for h, k in sums.items():
@@ -368,21 +365,19 @@ def shuffle_check(s: NcSeries, u, v) -> bool:
 
 
 def project_word(w: FreeWord, n: int) -> FreeWord:
-    """Push a level n+m word down to level n: x -> x^{p^m},
-    y_{i + k p^n} -> x^{-k} y_i x^{k}."""
+    """Push a level n+m word down to level n: x^e -> the letter (X, e p^m),
+    y_{i + k p^n}^e -> (X, -k) (i, e) (X, k), then normalize."""
     if n > w.level:
         raise ValueError("can only project downward")
-    p, pn = w.ctx.p, w.ctx.p ** n
+    pn = w.ctx.p ** n
     pm = w.ctx.p ** (w.level - n)
     letters = []
     for g, e in w.letters:
         if g == X:
-            letters.extend([(X, e)] * pm)
+            letters.append((X, e * pm))
         else:
             i, k = g % pn, g // pn
-            letters.extend([(X, -1)] * k)
-            letters.append((i, e))
-            letters.extend([(X, 1)] * k)
+            letters += [(X, -k), (i, e), (X, k)]
     return FreeWord(w.ctx, n, tuple(letters))
 
 

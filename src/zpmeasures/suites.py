@@ -136,8 +136,8 @@ def _random_kernel_word(rng: random.Random, ctx: PrimeContext, level: int,
     for _ in range(length):
         letters.append((rng.choice(gens), rng.choice((1, -1))))
     bal = sum(e for g, e in letters if g == magnus.X)
-    letters.extend([(magnus.X, -1 if bal > 0 else 1)] * abs(bal))
-    word = magnus.FreeWord(ctx, level, tuple(letters)).reduced()
+    letters.append((magnus.X, -bal))
+    word = magnus.FreeWord(ctx, level, tuple(letters))
     if not word.letters:
         return magnus.commutator(magnus.FreeWord(ctx, level, ((magnus.X, 1),)),
                                  magnus.FreeWord(ctx, level, ((0, 1),)))

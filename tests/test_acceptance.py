@@ -149,7 +149,7 @@ def _random_kernel_word(rng, ctx, level, length=6):
     letters = [(rng.choice(gens), rng.choice((1, -1))) for _ in range(length)]
     bal = sum(e for g, e in letters if g == X)
     letters += [(X, -1 if bal > 0 else 1)] * abs(bal)
-    w = FreeWord(ctx, level, tuple(letters)).reduced()
+    w = FreeWord(ctx, level, tuple(letters))
     return w if w.letters else FreeWord(ctx, level, ((0, 1), (1, 1)))
 
 

@@ -104,6 +104,21 @@ def test_emit_rejects_bad_word(capsys):
     assert run(["emit", "nc-series", "--word", "y9 q", "--p", "2", "--n", "1"]) == EXIT_USAGE
 
 
+def test_zero_power_is_the_identity(capsys):
+    args = ["--p", "3", "--n", "1", "--degree", "2"]
+    assert run(["emit", "nc-series", "--word", "y0 y0^-1"] + args) == EXIT_OK
+    want = capsys.readouterr().out
+    for word in ("x^0", "x^-0"):
+        assert run(["emit", "nc-series", "--word", word] + args) == EXIT_OK
+        assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("word", ["", "*", "[,]"])
+def test_emit_rejects_text_naming_no_generator(word, capsys):
+    assert run(["emit", "nc-series", "--word", word, "--p", "3", "--n", "1",
+                "--degree", "2"]) == EXIT_USAGE
+
+
 def test_emit_rejects_bad_rational(capsys):
     assert run(["emit", "iwasawa", "--measure", "M", "--c", "x/y",
                 "--p", "3", "--nmax", "2"]) == EXIT_USAGE
@@ -280,8 +295,15 @@ REPORT_DIGESTS = {
         "4ab9fe558c73f6eb5c958a96fadc7425bc2f1de5f4bb9c4ed3268b26c2312221",
     "verify corrections --p 5 --format json":
         "21ba2e7285c5aa295153c52ac74d3ed999f8bb0c5dadfe9d7c4463638b727335",
+    # the longest projected words of the words-integrands benchmark
     "verify magnus --p 3 --nmax 3 --seed 32 --format json":
         "4701d9d029233a8d637c78b14daa690d9fb23e5f70b170213e391e9c903a5c68",
+    # powers of generators and of a commutator through the parser
+    'emit nc-series --word "x^5*y1^-2*[x,y0]^2" --p 3 --n 1 --degree 3':
+        "b8b5f49c57ef41ecfbc149a88a80dd697984dda4a80b3b1524d6fcad3f6f25eb",
+    # y5 = y_{2 + 1*3} is projected to level 1 by conjugation with x
+    'emit measure --measure D2 --word "[x,y5]*y0" --p 3 --nmax 2':
+        "1eac10eb72919c5638f1744a8d646983b229d30ddc2aa6789a95c426c5cd527f",
     "verify measures --p 5 --nmax 3 --seed 23 --format json":
         "57302c53a9361c76c81828fd6d7ce5c81a4421109d288d168883566523122eb4",
     # p^2 divides c: the (0, p^n] threshold of M(c) at level 2

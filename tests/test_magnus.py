@@ -30,7 +30,7 @@ def random_kernel_word(ctx, level, rng, length=6):
     letters = [(rng.choice(gens), rng.choice((1, -1))) for _ in range(length)]
     bal = sum(e for g, e in letters if g == X)
     letters += [(X, -1 if bal > 0 else 1)] * abs(bal)
-    w = FreeWord(ctx, level, tuple(letters)).reduced()
+    w = FreeWord(ctx, level, tuple(letters))
     return w if w.letters else FreeWord(ctx, level, ((0, 1), (1, 1)))
 
 
@@ -38,7 +38,9 @@ def test_word_parsing():
     w = parse_word("[y0,y1]", CTX3, 1)
     assert w.letters == ((0, 1), (1, 1), (0, -1), (1, -1))
     w = parse_word("y0^3 x y1 x^-1", CTX3, 1)
-    assert w.letters == ((0, 1),) * 3 + ((X, 1), (1, 1), (X, -1))
+    assert w.letters == ((0, 3), (X, 1), (1, 1), (X, -1))
+    assert parse_word("x^2 x^-5 [y0,y1]^-2", CTX3, 1).letters == \
+        ((X, -3),) + ((1, 1), (0, 1), (1, -1), (0, -1)) * 2
     assert parse_word("y0 * y1", CTX3, 1).letters == ((0, 1), (1, 1))
     with pytest.raises(WordSyntaxError):
         parse_word("w0", CTX3, 1)
@@ -48,7 +50,16 @@ def test_word_parsing():
 
 def test_free_reduction_and_kernel():
     w = parse_word("x y0 y0^-1 x^-1 y1", CTX3, 1)
-    assert w.reduced().letters == ((1, 1),)
+    assert w.letters == ((1, 1),)
+    assert w == parse_word("y1", CTX3, 1)
+    for identity in ("x^0", "x^-0", "y0 y0^-1", "[x,x]", "x^3 x^-3"):
+        assert parse_word(identity, CTX3, 1).letters == ()
+    for empty in ("", "*", "[,]", "[*,]^2"):
+        with pytest.raises(WordSyntaxError, match="empty word"):
+            parse_word(empty, CTX3, 1)
+    for bad in (Fraction(1), 1.0, "1"):
+        with pytest.raises(ValueError, match="integers"):
+            FreeWord(CTX3, 1, ((0, bad),))
     assert kernel_check(parse_word("[x,y0]", CTX3, 1))
     assert not kernel_check(parse_word("x", CTX3, 1))
     assert kernel_check(parse_word("y0^3 x y1 x^-1", CTX3, 1))
@@ -114,7 +125,7 @@ def test_gamma_of_x_y_commutator():
 def test_projection_on_words():
     assert project_word(FreeWord(CTX2, 2, ((0, 1),)), 1).letters == ((0, 1),)
     x1 = FreeWord(CTX3, 1, ((X, 1),))
-    assert project_word(x1, 0).letters == ((X, 1),) * 3
+    assert project_word(x1, 0).letters == ((X, 3),)
     y3 = FreeWord(CTX2, 2, ((3, 1),))
     assert project_word(y3, 1).letters == ((X, -1), (1, 1), (X, 1))
 
@@ -270,7 +281,7 @@ def kernel_words(draw):
     letters = draw(st.lists(st.tuples(gens, st.sampled_from([1, -1])), max_size=6))
     bal = sum(e for g, e in letters if g == X)
     letters += [(X, -1 if bal > 0 else 1)] * abs(bal)
-    return FreeWord(ctx, level, tuple(letters)).reduced()
+    return FreeWord(ctx, level, tuple(letters))
 
 
 @settings(max_examples=60, deadline=None)
@@ -285,21 +296,82 @@ def test_truncating_a_tower_level_equals_embedding_at_lower_degree(g, data):
 
 
 @st.composite
-def unreduced_words(draw):
-    """Words in X and the Y's with repeated letters and inverse pairs left in."""
+def raw_letters(draw, exponents=(1, -1)):
+    """(p, level, letters): letters in X and the Y's with repeated letters and
+    inverse pairs left in, each exponent drawn from `exponents`."""
     p = draw(st.sampled_from([2, 3]))
     level = draw(st.integers(1, 2))
     gens = st.sampled_from([X] + list(range(p ** level)))
-    runs = st.tuples(gens, st.sampled_from([1, -1]), st.sampled_from(["once", "twice", "cancel"]))
+    runs = st.tuples(gens, st.sampled_from(exponents),
+                     st.sampled_from(["once", "twice", "cancel"]))
     letters = []
     for g, e, kind in draw(st.lists(runs, max_size=8)):
         letters += {"once": [(g, e)], "twice": [(g, e)] * 2, "cancel": [(g, e), (g, -e)]}[kind]
-    return FreeWord(PrimeContext(p, level), level, tuple(letters))
+    return p, level, letters
+
+
+def reference_normal_form(letters):
+    """Cancel adjacent inverse pairs of +-1 letters, then merge each run."""
+    out = []
+    for g, e in letters:
+        if out and out[-1] == (g, -e):
+            out.pop()
+        else:
+            out.append((g, e))
+    return tuple((g, sum(e for _, e in run))
+                 for g, run in itertools.groupby(out, key=lambda letter: letter[0]))
+
+
+def reference_embedding(ctx, level, letters, degree):
+    """embed_E spelled letter by letter: one exp_gen factor per raw letter."""
+    out = NcSeries.one(ctx, level, degree)
+    for g, e in letters:
+        out = out * magnus.exp_gen(ctx, level, degree, g, e)
+    return out
+
+
+def reference_projection(p, letters, n, m):
+    """project_word spelled letter by letter: x -> p^m letters x,
+    y_{i + k p^n} -> k letters x^-1, then y_i, then k letters x."""
+    out = []
+    for g, e in letters:
+        if g == X:
+            out += [(X, e)] * p ** m
+        else:
+            i, k = g % p ** n, g // p ** n
+            out += [(X, -1)] * k + [(i, e)] + [(X, 1)] * k
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_letters(), st.data())
+def test_normal_form_matches_letter_by_letter_reference(word, data):
+    p, level, letters = word
+    ctx = PrimeContext(p, level)
+    w = FreeWord(ctx, level, tuple(letters))
+    assert w.letters == reference_normal_form(letters)
+    assert embed_E(w, 3).coeffs == reference_embedding(ctx, level, letters, 3).coeffs
+    n = data.draw(st.integers(0, level))
+    unrolled = reference_projection(p, letters, n, level - n)
+    projected = project_word(w, n)
+    assert projected == FreeWord(ctx, n, tuple(unrolled))
+    assert embed_E(projected, 3).coeffs == reference_embedding(ctx, n, unrolled, 3).coeffs
+
+
+@pytest.mark.parametrize("k", [-2, 0, 3])
+def test_exp_gen_stores_no_zero(k):
+    s = magnus.exp_gen(CTX3, 1, 3, X, k)
+    assert all(c for c in s.coeffs.values())
+    assert len(s.coeffs) == (4 if k else 1)
+    if k == 0:
+        assert s == NcSeries.one(CTX3, 1, 3)
 
 
 @settings(max_examples=150, deadline=None)
-@given(unreduced_words())
-def test_closed_form_log2_matches_series_log(w):
+@given(raw_letters(exponents=(1, -1, 2, -2, 3, -3)))
+def test_closed_form_log2_matches_series_log(word):
+    p, level, letters = word
+    w = FreeWord(PrimeContext(p, level), level, tuple(letters))
     got, want = word_log2(w), series_log(embed_E(w, 2))
     assert (got.level, got.degree, got.coeffs) == (want.level, want.degree, want.coeffs)
     assert all(type(c) is Fraction and c != 0 for c in got.coeffs.values())
