@@ -7,8 +7,8 @@
 
 Each named measure has one point formula (`m_value`, `e1_value`, `n2_value`,
 `d2_value`) in the level constants c = s + p^n t.  The `make_*` builders
-tabulate it with t a Fraction; the octagon module evaluates the same
-formulas with t a symbol, at chi = s + p^n t.
+tabulate it with t rational (an int when c is); the octagon module
+evaluates the same formulas with t a symbol, at chi = s + p^n t.
 
 Level formulas index residues as 1..p^n with p^n standing for the residue 0;
 `mpos` below realizes that ordering.  For M(c) the branch threshold is the
@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .measures import DiracCombo, LevelFamily, linear_combine, measures_equal, pushforward
-from .padic import INF, PrimeContext, repr_mod_pos, vp
+from .padic import INF, PrimeContext, exact, repr_mod_pos, vp
 
 
 def mpos(a: int, pn: int) -> int:
@@ -70,12 +70,17 @@ def d2_value(a: int, b: int, pn: int, alpha, gamma):
     return val
 
 
-def _levels(c: Fraction, ctx: PrimeContext) -> list:
-    """(s, p^n, t) per stored level: c = s + p^n t with s in (0, p^n]."""
+def _levels(c, ctx: PrimeContext, unit: bool) -> list:
+    """(s, p^n, t) per level: c = s + p^n t, s in (0, p^n], t in normal form.
+    c must be p-integral, and a unit when `unit` is set."""
+    c = Fraction(c)
+    v = vp(c, ctx.p)
+    if v < 0 or (unit and v != 0):
+        raise ValueError("c must be a unit" if unit else "c must be p-integral")
     out = []
     for n in range(ctx.n_max + 1):
         s, pn = repr_mod_pos(c, ctx.p, n), ctx.p ** n
-        out.append((s, pn, (c - s) / pn))
+        out.append((s, pn, exact((c - s) / pn)))
     return out
 
 
@@ -85,42 +90,20 @@ def make_dirac(point, ctx: PrimeContext) -> LevelFamily:
 
 def make_M(c, ctx: PrimeContext) -> LevelFamily:
     """The measure with total mass c - 1 interpolating binomial coefficients."""
-    c = Fraction(c)
-    if vp(c, ctx.p) < 0:
-        raise ValueError("c must be p-integral")
-    levels = _levels(c, ctx)
-
-    def fn(n, a):
-        s, _, t = levels[n]
-        return m_value(a[0], s, t)
-
-    return LevelFamily.build(ctx, 1, fn)
+    levels = _levels(c, ctx, unit=False)
+    return LevelFamily.build(ctx, 1, lambda n, a: m_value(a[0], levels[n][0], levels[n][2]))
 
 
 def make_E1(c, ctx: PrimeContext) -> LevelFamily:
     """The Mazur-Bernoulli measure: moments (B_k/k)(1 - c^k)."""
-    c = Fraction(c)
-    if vp(c, ctx.p) != 0:
-        raise ValueError("c must be a unit")
-    levels = _levels(c, ctx)
-
-    def fn(n, a):
-        return e1_value(a[0], *levels[n])
-
-    return LevelFamily.build(ctx, 1, fn)
+    levels = _levels(c, ctx, unit=True)
+    return LevelFamily.build(ctx, 1, lambda n, a: e1_value(a[0], *levels[n]))
 
 
 def make_N2(c, ctx: PrimeContext) -> LevelFamily:
     """Antisymmetric two-variable companion of M(c); c must be a unit."""
-    c = Fraction(c)
-    if vp(c, ctx.p) != 0:
-        raise ValueError("c must be a unit")
-    levels = _levels(c, ctx)
-
-    def fn(n, ab):
-        return n2_value(ab[0], ab[1], *levels[n])
-
-    return LevelFamily.build(ctx, 2, fn)
+    levels = _levels(c, ctx, unit=True)
+    return LevelFamily.build(ctx, 2, lambda n, ab: n2_value(ab[0], ab[1], *levels[n]))
 
 
 def make_D2(alpha, gamma, ctx: PrimeContext) -> LevelFamily:
@@ -158,7 +141,8 @@ def e1_relation_suite(c, ctx: PrimeContext, up_to_level: int, mod_exp: int):
     analogue of i/ii with alpha(sigma) in place of E) is an external input;
     it is checked symbolically in the octagon module, not here.
 
-    Returns a list of (name, passed, detail) triples.
+    Returns a list of (name, passed, detail) triples; a failed relation's
+    detail ends with the level, point and valuation of its first miss.
     """
     c = Fraction(c)
     E = make_E1(c, ctx)
@@ -168,21 +152,19 @@ def e1_relation_suite(c, ctx: PrimeContext, up_to_level: int, mod_exp: int):
     Em = pushforward(E, units=[-1])
     TcE = pushforward(E, shift=[c])
     TcEm = pushforward(E, units=[-1], shift=[c])
-    zero = LevelFamily.zero(ctx, 1)
+    zero, level = LevelFamily.zero(ctx, 1), min(up_to_level, E.n_max)
+    relations = (
+        ("reflection", linear_combine([1, 1, -(c - 1)], [E, Em, d0]), INF,
+         "E + E o(-1) - (c-1) delta_0 == 0 exactly"),
+        ("translation", linear_combine([1, -1, -1, -(1 - c)], [TcE, E, M, d0]), mod_exp,
+         f"T_c(E) - E - M(c) - (1-c) delta_0 == 0 mod p^{mod_exp}"),
+        ("translated-reflection",
+         linear_combine([1, -1, -2, -2, -2 * (1 - c), -(1 - c)], [TcE, TcEm, E, M, d0, dc]),
+         mod_exp, f"T_c(E) - T_c(E o(-1)) - 2E - 2M(c) - 2(1-c) delta_0 - (1-c) delta_c"
+                  f" == 0 mod p^{mod_exp}"),
+    )
     checks = []
-
-    rel_i = linear_combine([1, 1, -(c - 1)], [E, Em, d0])
-    checks.append(("reflection", measures_equal(rel_i, zero, min(up_to_level, E.n_max), INF),
-                   "E + E o(-1) - (c-1) delta_0 == 0 exactly"))
-
-    rel_ii = linear_combine([1, -1, -1, -(1 - c)], [TcE, E, M, d0])
-    checks.append(("translation", measures_equal(rel_ii, zero, min(up_to_level, E.n_max), mod_exp),
-                   f"T_c(E) - E - M(c) - (1-c) delta_0 == 0 mod p^{mod_exp}"))
-
-    rel_iv = linear_combine([1, -1, -2, -2, -2 * (1 - c), -(1 - c)],
-                            [TcE, TcEm, E, M, d0, dc])
-    checks.append(("translated-reflection",
-                   measures_equal(rel_iv, zero, min(up_to_level, E.n_max), mod_exp),
-                   f"T_c(E) - T_c(E o(-1)) - 2E - 2M(c) - 2(1-c) delta_0 - (1-c) delta_c"
-                   f" == 0 mod p^{mod_exp}"))
+    for name, rel, exp, claim in relations:
+        res = measures_equal(rel, zero, level, exp)
+        checks.append((name, res.passed, claim if res else f"{claim}; {res.pinpoint(ctx.p)}"))
     return checks

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .padic import (PIntegralityError, PrimeContext, Rat, format_rat,
+from .padic import (PIntegralityError, PrimeContext, Rat, exact, format_rat,
                     repr_mod, vp)
 
 
@@ -35,7 +35,7 @@ class LevelFamily:
 
     ctx: PrimeContext
     dim: int
-    tables: tuple  # tables[n]: dict point-tuple -> Fraction
+    tables: tuple  # tables[n]: dict point-tuple -> value in normal form (padic.exact)
     denom_bound: int
 
     @property
@@ -47,30 +47,28 @@ class LevelFamily:
 
     @classmethod
     def build(cls, ctx: PrimeContext, dim: int, fn: Callable, n_max=None) -> "LevelFamily":
-        """Tabulate fn(n, point) for all stored levels."""
+        """Tabulate fn(n, point) in normal form for all stored levels; only
+        non-integral values can raise denom_bound."""
         if n_max is None:
             n_max = ctx.n_max
+        p = ctx.p
         tables = []
         worst = 0
         for n in range(n_max + 1):
             table = {}
-            for a in residues(ctx.p, n, dim):
-                v = Fraction(fn(n, a))
+            for a in residues(p, n, dim):
+                v = fn(n, a)
+                if type(v) is not int:
+                    v = exact(v)
+                    if type(v) is not int:
+                        worst = max(worst, -vp(v, p))
                 table[a] = v
-                if v:
-                    worst = max(worst, -min(0, vp(v, ctx.p)))
             tables.append(table)
         return cls(ctx, dim, tuple(tables), worst)
 
     @classmethod
     def zero(cls, ctx: PrimeContext, dim: int, n_max=None) -> "LevelFamily":
         return cls.build(ctx, dim, lambda n, a: 0, n_max)
-
-    def is_zero(self) -> bool:
-        return all(not v for t in self.tables for v in t.values())
-
-    def total_mass(self) -> Rat:
-        return self.tables[0][(0,) * self.dim]
 
     def csv_lines(self):
         """Rows "n,a_1,..,a_m,value" for every stored entry."""
@@ -82,6 +80,8 @@ class LevelFamily:
 
 @dataclass
 class DistributionReport:
+    """A table check, truthy iff passed; a failure names its first miss."""
+
     passed: bool
     level: int | None = None
     point: tuple | None = None
@@ -89,6 +89,10 @@ class DistributionReport:
 
     def __bool__(self):
         return self.passed
+
+    def pinpoint(self, p: int) -> str:
+        """The miss of a failed comparison, with the defect's p-adic valuation."""
+        return f"level={self.level} point={self.point} valuation={vp(self.defect, p)}"
 
 
 def lifts(point, p: int, n: int, dim: int):
@@ -104,7 +108,7 @@ def validate_distribution(mu: LevelFamily) -> DistributionReport:
     p = mu.ctx.p
     for n in range(mu.n_max):
         for a in residues(p, n, mu.dim):
-            total = sum((mu.tables[n + 1][b] for b in lifts(a, p, n, mu.dim)), Fraction(0))
+            total = sum(mu.tables[n + 1][b] for b in lifts(a, p, n, mu.dim))
             defect = mu.tables[n][a] - total
             if defect:
                 return DistributionReport(False, n, a, defect)
@@ -119,10 +123,10 @@ def linear_combine(coeffs: Sequence, mus: Sequence[LevelFamily]) -> LevelFamily:
         if m.ctx != ctx or m.dim != dim:
             raise ValueError("context/dimension mismatch")
     n_max = min(m.n_max for m in mus)
-    coeffs = [Fraction(c) for c in coeffs]
+    coeffs = [exact(c) for c in coeffs]
 
     def fn(n, a):
-        return sum((c * m.tables[n][a] for c, m in zip(coeffs, mus)), Fraction(0))
+        return sum(c * m.tables[n][a] for c, m in zip(coeffs, mus))
 
     return LevelFamily.build(ctx, dim, fn, n_max)
 
@@ -217,14 +221,6 @@ def star_convolution(a: GradedSequence, b: GradedSequence) -> GradedSequence:
     return GradedSequence(tuple(out))
 
 
-def unit_sequence(ctx: PrimeContext, top: int) -> GradedSequence:
-    """(1, 0, 0, ...): the two-sided identity for the star product."""
-    entries = [LevelFamily.build(ctx, 0, lambda n, a: 1)]
-    for i in range(1, top + 1):
-        entries.append(LevelFamily.zero(ctx, i))
-    return GradedSequence(tuple(entries))
-
-
 def box_integral(mu: LevelFamily, base, level: int, integrand, eval_level: int):
     """Riemann sum of integrand against mu over the box base + p^level * (Z_p)^dim.
 
@@ -243,7 +239,7 @@ def box_integral(mu: LevelFamily, base, level: int, integrand, eval_level: int):
         raise ValueError("integrand variable count mismatch")
     m = eval_level - level
     pl, q = p ** level, p ** m
-    total = Fraction(0)
+    total = 0
     table = mu.tables[eval_level]
     for ks in itertools.product(range(q), repeat=mu.dim):
         a = tuple(b + k * pl for b, k in zip(base, ks))
@@ -260,7 +256,7 @@ class IwasawaPoly:
 
     dim: int
     terms: int
-    coeffs: dict  # exponent tuple -> Fraction
+    coeffs: dict  # exponent tuple -> exact rational
     guarantees: dict  # exponent tuple -> int
 
     def to_json_dict(self):
@@ -271,7 +267,7 @@ class IwasawaPoly:
         return {"dim": self.dim, "terms": self.terms, "coeffs": out}
 
     def coefficient(self, exps) -> Rat:
-        return self.coeffs.get(tuple(exps), Fraction(0))
+        return self.coeffs.get(tuple(exps), 0)
 
 
 def _axis_transform(mu: LevelFamily, terms: int, eval_level: int, weight) -> IwasawaPoly:
@@ -295,7 +291,7 @@ def _axis_transform(mu: LevelFamily, terms: int, eval_level: int, weight) -> Iwa
         partial = nxt
     coeffs, guars = {}, {}
     for j in itertools.product(range(terms + 1), repeat=mu.dim):
-        coeffs[j] = partial.get(j, Fraction(0))
+        coeffs[j] = partial.get(j, 0)
         guars[j] = eval_level - mu.denom_bound - sum(vp(math.factorial(jk), p) for jk in j)
     return IwasawaPoly(mu.dim, terms, coeffs, guars)
 
@@ -306,7 +302,7 @@ def iwasawa_P(mu: LevelFamily, terms: int, eval_level: int) -> IwasawaPoly:
     Coefficient of prod T_k^{j_k} is the integral of prod binom(x_k, j_k);
     it is correct mod p^(eval_level - denom_bound - sum vp(j_k!)).
     """
-    return _axis_transform(mu, terms, eval_level, lambda x, j: Fraction(math.comb(x, j)))
+    return _axis_transform(mu, terms, eval_level, math.comb)
 
 
 def transform_F(mu: LevelFamily, terms: int, eval_level: int) -> IwasawaPoly:
@@ -394,19 +390,22 @@ def iwasawa_tensor(a: IwasawaPoly, b: IwasawaPoly) -> IwasawaPoly:
     return IwasawaPoly(a.dim + b.dim, terms, coeffs, guars)
 
 
-def measures_equal(mu: LevelFamily, nu: LevelFamily, up_to_level: int, mod_exp) -> bool:
-    """True iff vp(mu - nu) >= mod_exp at every point of every level <= up_to_level.
+def measures_equal(mu: LevelFamily, nu: LevelFamily, up_to_level: int,
+                   mod_exp) -> DistributionReport:
+    """Passes iff vp(mu - nu) >= mod_exp at every point of every level <= up_to_level.
 
-    Pass mod_exp = INF for exact equality.
+    Pass mod_exp = INF for exact equality.  A miss names the first level and
+    point where it fails, with the difference mu - nu there as the defect.
     """
     if mu.ctx != nu.ctx or mu.dim != nu.dim:
         raise ValueError("context/dimension mismatch")
     p = mu.ctx.p
     for n in range(up_to_level + 1):
         for a, v in mu.tables[n].items():
-            if vp(v - nu.tables[n][a], p) < mod_exp:
-                return False
-    return True
+            diff = v - nu.tables[n][a]
+            if vp(diff, p) < mod_exp:
+                return DistributionReport(False, n, a, diff)
+    return DistributionReport(True)
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +421,13 @@ class DiracCombo:
     """
 
     dim: int
-    atoms: tuple  # ((point tuple of Fractions, coeff), ...)
+    atoms: tuple  # ((point tuple, coeff), ...), every scalar in normal form (padic.exact)
     # (p, level) -> box index, map -> pushforward image; the atoms never change
     _memo: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
 
     @classmethod
     def make(cls, dim: int, atoms) -> "DiracCombo":
-        packed = tuple((tuple(Fraction(x) for x in pt), Fraction(c)) for pt, c in atoms)
+        packed = tuple((tuple(exact(x) for x in pt), exact(c)) for pt, c in atoms)
         for pt, _ in packed:
             if len(pt) != dim:
                 raise ValueError("point dimension mismatch")
@@ -441,10 +440,11 @@ class DiracCombo:
 
     def pushforward_affine(self, coords) -> "DiracCombo":
         """The image under x_k -> e_k * x_k + c_k, built once per map."""
-        coords = tuple((int(e), Fraction(c)) for e, c in coords)
+        coords = tuple((int(e), exact(c)) for e, c in coords)
         if coords not in self._memo:
             self._memo[coords] = DiracCombo(self.dim, tuple(
-                (tuple(e * x + c for x, (e, c) in zip(pt, coords)), w) for pt, w in self.atoms))
+                (tuple(exact(e * x + c) for x, (e, c) in zip(pt, coords)), w)
+                for pt, w in self.atoms))
         return self._memo[coords]
 
     def negated_points(self) -> "DiracCombo":
@@ -452,13 +452,12 @@ class DiracCombo:
 
     def boxes(self, p: int, level: int) -> dict:
         """The atoms by box, residues mod p^level -> [(point, coeff)], built once
-        per (p, level), integer coordinates as int.  Every coordinate is reduced,
-        so at level >= 1 a non-p-integral atom raises PIntegralityError for every box."""
+        per (p, level).  Every coordinate is reduced, so at level >= 1 a
+        non-p-integral atom raises PIntegralityError for every box."""
         if (p, level) not in self._memo:
             index = {}
             for pt, w in self.atoms:
                 box = tuple(repr_mod(x, p, level) for x in pt)
-                pt = tuple(int(x) if x.denominator == 1 else x for x in pt)
                 index.setdefault(box, []).append((pt, w))
             self._memo[p, level] = index
         return self._memo[p, level]
@@ -466,7 +465,7 @@ class DiracCombo:
     def box_integral_exact(self, base, level: int, integrand, p: int) -> Rat:
         """Exact integral of integrand (as for box_integral) over base + p^level (Z_p)^dim."""
         atoms = self.boxes(p, level).get(tuple(int(b) % p ** level for b in base), ())
-        return sum((w * integrand.evaluate(pt) for pt, w in atoms), Fraction(0))
+        return sum(w * integrand.evaluate(pt) for pt, w in atoms)
 
     def to_level_family(self, ctx: PrimeContext, n_max=None) -> LevelFamily:
         def fn(n, a):

@@ -1,8 +1,9 @@
 """Exact rational arithmetic with p-adic views.
 
-All scalars in this package are `fractions.Fraction` values; a "p-adic
-number" is an exact rational inspected through its p-adic valuation and
-canonical residue representatives.  Nothing here is approximate.
+All scalars in this package are exact rationals, `int` or `fractions.Fraction`;
+measure tables keep them in normal form (`exact`).  A "p-adic number" is an
+exact rational inspected through its p-adic valuation and canonical residue
+representatives.  Nothing here is approximate.
 """
 
 from __future__ import annotations
@@ -49,11 +50,12 @@ class PrimeContext:
 
 def vp(x, p: int):
     """p-adic valuation of a rational; INF for x = 0."""
-    x = Fraction(x)
-    if x == 0:
+    if type(x) not in (int, Fraction):
+        x = Fraction(x)
+    num, den = x.as_integer_ratio()
+    if num == 0:
         return INF
     v = 0
-    num, den = x.numerator, x.denominator
     while num % p == 0:
         num //= p
         v += 1
@@ -61,6 +63,15 @@ def vp(x, p: int):
         den //= p
         v -= 1
     return v
+
+
+def exact(x):
+    """The normal form of a rational: an int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def repr_mod(c, p: int, n: int) -> int:
@@ -119,10 +130,7 @@ def bernoulli(k: int) -> Rat:
 
 def format_rat(x) -> str:
     """Serialize a rational as "num/den", denominator omitted when 1."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(exact(x))
 
 
 def parse_rat(text: str) -> Rat:

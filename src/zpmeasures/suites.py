@@ -196,9 +196,10 @@ def measures_suite(cfg: RunConfig) -> SuiteReport:
         lhs = linear_combine([eps[0] * eps[1] for _, eps in group],
                              [pushforward(beta2, perm, eps) for perm, eps in group])
         rhs = exterior_power(rho, 2)
-        ok = measures_equal(lhs, rhs, sym_level, cfg.mod_exp)
-        rep.add(f"signed-symmetrization:c={c}", ok,
-                f"group sum vs square, level {sym_level} mod p^{cfg.mod_exp}")
+        res = measures_equal(lhs, rhs, sym_level, cfg.mod_exp)
+        claim = f"group sum vs square, level {sym_level} mod p^{cfg.mod_exp}"
+        rep.add(f"signed-symmetrization:c={c}", res.passed,
+                claim if res else f"{claim}; {res.pinpoint(cfg.p)}")
     return rep
 
 

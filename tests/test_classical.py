@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from zpmeasures import classical
 from zpmeasures.classical import (e1_relation_suite, make_D2, make_E1, make_M,
                                   make_N2, make_dirac)
 from zpmeasures.magnus import FreeWord, X, coefficient_tables, commutator
 from zpmeasures.measures import (LevelFamily, linear_combine, pushforward,
                                  validate_distribution)
 from zpmeasures.padic import PIntegralityError, PrimeContext, repr_mod
+
+from levelref import is_zero, total_mass
 
 CTX = PrimeContext(3, 3)
 
@@ -38,23 +41,23 @@ def test_dirac_matches_a_scan_of_every_entry(p, level, point):
 def test_interpolation_measure_tables():
     M = make_M(-1, PrimeContext(3, 1))
     assert [M.value(1, (i,)) for i in range(3)] == [-1, 0, -1]
-    assert make_M(1, CTX).is_zero()
+    assert is_zero(make_M(1, CTX))
     for c in (7, -2, Fraction(1, 2), 3, 9, 0):
         M = make_M(c, CTX)
         assert validate_distribution(M).passed
-        assert M.total_mass() == Fraction(c) - 1
+        assert total_mass(M) == Fraction(c) - 1
 
 
 def test_mazur_measure_basics():
     for c in (7, -2, Fraction(1, 2)):
         E = make_E1(c, CTX)
         assert validate_distribution(E).passed
-        assert E.total_mass() == (Fraction(c) - 1) / 2
+        assert total_mass(E) == (Fraction(c) - 1) / 2
         # reflection relation holds exactly at every level
         rel = linear_combine([1, 1, -(Fraction(c) - 1)],
                              [E, pushforward(E, units=[-1]), make_dirac([0], CTX)])
-        assert rel.is_zero()
-    assert make_E1(1, CTX).is_zero()
+        assert is_zero(rel)
+    assert is_zero(make_E1(1, CTX))
     with pytest.raises(ValueError):
         make_E1(3, CTX)
 
@@ -66,7 +69,7 @@ def test_two_variable_companion():
         for n in range(N.n_max + 1):
             for (a, b), v in N.tables[n].items():
                 assert N.tables[n][(b, a)] == -v
-    assert make_N2(1, CTX).is_zero()
+    assert is_zero(make_N2(1, CTX))
 
 
 def test_dilog_measure_from_word():
@@ -112,3 +115,22 @@ def test_e1_relation_suite_passes():
 def test_e1_relation_suite_degenerate():
     checks = e1_relation_suite(1, CTX, 3, 3)
     assert all(ok for _, ok, _ in checks)
+
+
+def test_failed_e1_relation_names_level_point_valuation(monkeypatch):
+    real = classical.make_M
+
+    def perturbed(c, ctx):  # M(c) off by p at level 2, point 1
+        mu = real(c, ctx)
+        tables = list(mu.tables)
+        tables[2] = dict(tables[2])
+        tables[2][(1,)] += ctx.p
+        return LevelFamily(ctx, 1, tuple(tables), mu.denom_bound)
+
+    monkeypatch.setattr(classical, "make_M", perturbed)
+    checks = {name: (ok, detail) for name, ok, detail in e1_relation_suite(7, CTX, 3, 3)}
+    assert checks["reflection"] == (True, "E + E o(-1) - (c-1) delta_0 == 0 exactly")
+    for name in ("translation", "translated-reflection"):
+        ok, detail = checks[name]
+        assert ok is False
+        assert detail.endswith(" == 0 mod p^3; level=2 point=(1,) valuation=1")

@@ -9,7 +9,8 @@ import time
 import pytest
 
 import zpmeasures
-from zpmeasures import cli, octagon
+from zpmeasures import cli, octagon, suites
+from zpmeasures.measures import LevelFamily
 from zpmeasures.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from zpmeasures.suites import RunConfig, run_suite
 
@@ -55,6 +56,24 @@ def test_tamper_pinpoints_failure():
     failure = report.first_failure()
     assert failure is not None
     assert "level=" in failure.detail and "point=" in failure.detail
+
+
+def test_failed_signed_symmetrization_names_its_miss(monkeypatch):
+    real = suites._rho_and_beta2
+
+    def perturbed(rng, cfg, c):  # beta2 off by p at one level-1 point
+        rho, beta2 = real(rng, cfg, c)
+        tables = list(beta2.tables)
+        tables[1] = dict(tables[1])
+        tables[1][(1, 2)] += cfg.p
+        return rho, LevelFamily(beta2.ctx, 2, tuple(tables), beta2.denom_bound)
+
+    monkeypatch.setattr(suites, "_rho_and_beta2", perturbed)
+    report = run_suite(RunConfig(p=5, n_max=2, suite="measures"))[0]
+    failure = report.first_failure()
+    assert failure.name.startswith("signed-symmetrization:")
+    assert failure.detail.startswith("group sum vs square, level 2 mod p^3; level=1 point=")
+    assert failure.detail.endswith(" valuation=1")
 
 
 def test_reports_deterministic(tmp_path):
@@ -319,6 +338,21 @@ REPORT_DIGESTS = {
         "0ac8af5b8fdc74f2627dcb4910e31e3a9345eef0110b6f1fdbbe2c2b58a5b955",
     "emit measure --measure dirac --a=-1/2 --p 3 --nmax 3 --format csv":
         "2723f6fcb3468df21a0fc671e070f7458a40b50f4a20050df84f51711dc8bf70",
+    # the level-table layer: the tables-transforms benchmark's three commands,
+    # a failing distribution check, and json rows with denom_bound
+    "verify measures --p 5 --nmax 2 --seed 0 --format json":
+        "9bd7badbac21fdc93313f3195438169747833937a57e2393a802c1c1ea1107e9",
+    "verify measures --p 3 --nmax 3 --seed 1 --tamper --format json":
+        "7024fd5b312f17a8db46c0c415b9d0cd3b58c85cfa7132ad6fbb58e2778b5e3d",
+    "verify transforms --p 5 --nmax 3 --seed 23 --format json":
+        "976d20f19d43d7b1b72ecc7381a6ed994877b7078f22facc48dd4792370cf37d",
+    "emit iwasawa --measure N2 --p 5 --nmax 3 --terms 6 --c 7":
+        "4bec9dfd309d2b1f5ac27042cdade1c9040bd2064b65c1032345635a61b08c62",
+    "emit measure --measure E1 --c 7 --p 5 --nmax 2 --format json":
+        "2b24ae74b46aad7ffd52933ce4d3fef88a331e2bf31bc93b459db56bb4f2563a",
+    # a Dirac mass at a point with a half-integral coordinate
+    "emit measure --measure dirac --a 1/2,3 --p 3 --nmax 2":
+        "917393b6c719425934bba035ca2b56f72577e11aff9b5fbdf356a1f76424659f",
 }
 
 

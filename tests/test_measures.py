@@ -3,17 +3,19 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from zpmeasures.classical import make_dirac, make_M
+from zpmeasures.classical import make_D2, make_dirac, make_E1, make_M, make_N2
+from zpmeasures.magnus import coefficient_tables, parse_word
 from zpmeasures.measures import (DiracCombo, GradedSequence, LevelFamily,
                                  box_integral, exterior_product, lifts,
                                  linear_combine, measures_equal, pushforward,
                                  signed_group, star_convolution,
-                                 unit_sequence, validate_distribution)
+                                 validate_distribution)
 from zpmeasures.padic import INF, PIntegralityError, PrimeContext, vp
 
+from levelref import fraction_tables, is_zero, total_mass, unit_sequence
 from polyref import MPoly
 
 CTX = PrimeContext(3, 3)
@@ -40,7 +42,7 @@ def test_validate_distribution_negative_control():
 def test_linear_combine_identities():
     a, b = dirac_pair()
     assert linear_combine([1, 0], [a, b]).tables == a.tables
-    assert linear_combine([1, -1], [a, a]).is_zero()
+    assert is_zero(linear_combine([1, -1], [a, a]))
 
 
 def test_translate_and_errors():
@@ -99,7 +101,7 @@ def test_signed_perm_action():
     # the sign character sums to zero over the group
     group = list(signed_group(2))
     parts = [pushforward(d00, perm, eps) for perm, eps in group]
-    assert linear_combine([eps[0] * eps[1] for _, eps in group], parts).is_zero()
+    assert is_zero(linear_combine([eps[0] * eps[1] for _, eps in group], parts))
 
 
 def test_signed_perm_semidirect_composition():
@@ -175,7 +177,7 @@ def test_star_convolution_unit_and_associativity():
 def test_box_integral_basics():
     M = make_M(7, CTX)
     v, e = box_integral(M, (0,), 0, MPoly.const(1, 1), 3)
-    assert v == M.total_mass() == 6
+    assert v == total_mass(M) == 6
     assert e == 3
     d = make_dirac([2], CTX)
     x = MPoly.var(1, 0)
@@ -202,6 +204,22 @@ def test_measures_equal_modes():
     assert not measures_equal(a, shifted, 2, 3)
 
 
+def test_measures_equal_names_its_miss():
+    a = make_M(7, CTX5)
+    tables = list(a.tables)
+    t = dict(tables[2])
+    t[(3,)] += 25
+    tables[2] = t
+    shifted = LevelFamily(CTX5, 1, tuple(tables), a.denom_bound)
+    res = measures_equal(a, shifted, 2, 3)
+    assert not res
+    assert (res.passed, res.level, res.point, res.defect) == (False, 2, (3,), -25)
+    assert res.pinpoint(5) == "level=2 point=(3,) valuation=2"
+    # a miss below the compared levels is not seen; a pass names nothing
+    ok = measures_equal(a, shifted, 1, INF)
+    assert ok and (ok.level, ok.point, ok.defect) == (None, None, None)
+
+
 def test_dirac_combo_matches_level_tables():
     rng = random.Random(5)
     atoms = [((rng.randrange(-9, 9),), Fraction(rng.randrange(-3, 4))) for _ in range(4)]
@@ -217,3 +235,113 @@ def test_dirac_combo_matches_level_tables():
 
 def test_distribution_relation_lift_count():
     assert len(list(lifts((0, 0), 3, 1, 2))) == 9
+
+
+# ---------------------------------------------------------------------------
+# Normal form: every stored value is an int, or a Fraction with denominator
+# > 1, and the tables and denom_bound equal those of the all-Fraction build.
+
+
+def in_normal_form(mu: LevelFamily) -> bool:
+    return all(type(v) is int or (type(v) is Fraction and v.denominator > 1)
+               for t in mu.tables for v in t.values())
+
+
+def same_both_ways(build):
+    """build() with the library's LevelFamily.build and with the reference."""
+    got = build()
+    with fraction_tables():
+        want = build()
+    assert all(type(v) is Fraction for t in want.tables for v in t.values())
+    assert got.tables == want.tables
+    assert got.denom_bound == want.denom_bound
+    assert in_normal_form(got)
+    return got
+
+
+p_integral = st.builds(lambda p, num, den: (p, Fraction(num, den)),
+                       st.sampled_from([2, 3, 5]), st.integers(-60, 60), st.integers(1, 6)
+                       ).filter(lambda pc: pc[1].denominator % pc[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(pc=p_integral, n_max=st.integers(1, 3))
+@example(pc=(3, Fraction(7)), n_max=3)
+@example(pc=(5, Fraction(7, 2)), n_max=2)
+@example(pc=(2, Fraction(-1, 3)), n_max=3)
+def test_named_measures_match_the_fraction_reference(pc, n_max):
+    p, c = pc
+    ctx = PrimeContext(p, n_max)
+    same_both_ways(lambda: make_M(c, ctx))
+    if c.numerator % p:  # a unit
+        same_both_ways(lambda: make_E1(c, ctx))
+        same_both_ways(lambda: make_N2(c, PrimeContext(p, min(n_max, 2))))
+
+
+@pytest.mark.parametrize("word, p, level", [("[x,y0]", 3, 2), ("[[x,y1],y2]", 2, 3),
+                                             ("[x,y5]*y0", 3, 2), ("[x,y3]*[y1,y2]", 5, 1)])
+def test_d2_matches_the_fraction_reference(word, p, level):
+    ctx = PrimeContext(p, level)
+    alphas, gammas = coefficient_tables(parse_word(word, ctx, level))
+    same_both_ways(lambda: make_D2(alphas, gammas, ctx))
+
+
+@st.composite
+def combinations(draw):
+    """Integer-weighted Dirac masses and one rational coefficient for each."""
+    mus = [DiracCombo.make(1, [((draw(st.integers(-9, 9)),), draw(st.integers(-3, 3)))])
+           for _ in range(draw(st.integers(1, 3)))]
+    coeffs = draw(st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+                           min_size=len(mus), max_size=len(mus)))
+    return mus, coeffs
+
+
+@settings(max_examples=40, deadline=None)
+@given(combinations())
+def test_linear_combine_matches_the_fraction_reference(case):
+    combos, coeffs = case
+
+    def build(coeffs, combos):
+        return linear_combine(coeffs, [mu.to_level_family(CTX) for mu in combos])
+
+    same_both_ways(lambda: build(coeffs, combos))
+    zero = same_both_ways(lambda: build(coeffs + [-c for c in coeffs], combos + combos))
+    assert is_zero(zero) and zero.denom_bound == 0
+    halves = same_both_ways(lambda: build([Fraction(1, 2)] * 2 * len(combos), combos + combos))
+    assert all(type(v) is int for t in halves.tables for v in t.values())
+
+
+@settings(max_examples=30, deadline=None)
+@given(pc=p_integral, unit=st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-4, 7)]),
+       shift=st.builds(Fraction, st.integers(-20, 20), st.sampled_from([1, 2, 4, 7])))
+def test_pushforward_and_products_match_the_fraction_reference(pc, unit, shift):
+    p, c = pc
+    assume(vp(unit, p) == 0 and vp(shift, p) >= 0)
+    ctx = PrimeContext(p, 2)
+    same_both_ways(lambda: pushforward(make_M(c, ctx), units=[unit]))
+    same_both_ways(lambda: pushforward(make_M(c, ctx), shift=[shift]))
+    if c.numerator % p:
+        same_both_ways(lambda: pushforward(make_E1(c, ctx), units=[unit], shift=[shift]))
+        same_both_ways(lambda: exterior_product(make_E1(c, ctx), make_M(c, ctx)))
+    same_both_ways(lambda: exterior_product(make_M(c, ctx), make_dirac([shift], ctx)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([3, 5]), k=st.integers(1, 3), others=st.lists(st.tuples(
+    st.integers(-20, 20), st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3]))),
+    max_size=3))
+def test_dirac_combinations_match_the_fraction_reference(p, k, others):
+    ctx = PrimeContext(p, 3)
+    # two halves share a box below level k and sum to 1 there
+    pair = DiracCombo.make(1, [((0,), Fraction(1, 2)), ((p ** k,), Fraction(1, 2))])
+    mu = same_both_ways(lambda: pair.to_level_family(ctx))
+    assert all(mu.tables[n][(0,)] == 1 and type(mu.tables[n][(0,)]) is int for n in range(k))
+    combo = pair + DiracCombo.make(1, [((x,), w) for x, w in others])
+    same_both_ways(lambda: combo.to_level_family(ctx))
+    # points at odd halves, moved by a half onto integers
+    halves = DiracCombo.make(2, [((Fraction(2 * x + 1, 2), Fraction(-1, 2)), w) for x, w in others]
+                             + [((Fraction(1, 2), Fraction(1, 2)), Fraction(3, 3))])
+    moved = halves.pushforward_affine([(1, Fraction(1, 2)), (-1, Fraction(1, 2))])
+    assert all(type(x) is int for pt, w in moved.atoms for x in pt)
+    assert all(type(w) is int or w.denominator > 1 for pt, w in moved.atoms)
+    same_both_ways(lambda: moved.to_level_family(PrimeContext(p, 2)))

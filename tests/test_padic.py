@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zpmeasures.padic import (INF, PIntegralityError, PrimeContext, bernoulli,
-                              binom, format_rat, parse_rat, repr_mod,
+                              binom, exact, format_rat, parse_rat, repr_mod,
                               repr_mod_pos, vp)
 
 rationals = st.builds(Fraction, st.integers(-400, 400), st.integers(1, 60))
@@ -87,3 +87,29 @@ def test_rational_round_trip():
     assert format_rat(Fraction(-7, 2)) == "-7/2"
     assert parse_rat("-7/2") == Fraction(-7, 2)
     assert parse_rat("11") == 11
+
+
+@given(num=st.integers(-10 ** 6, 10 ** 6), den=st.integers(1, 60),
+       p=st.sampled_from([2, 3, 5, 7]))
+@settings(max_examples=200)
+def test_int_fast_paths_match_the_fraction_path(num, den, p):
+    # an int and the equal Fraction read the same; zero and negatives included
+    for n in (num, -num, 0):
+        assert vp(n, p) == vp(Fraction(n), p)
+        assert format_rat(n) == format_rat(Fraction(n)) == str(n)
+        assert type(exact(n)) is int and type(exact(Fraction(n))) is int
+        assert exact(Fraction(n)) == n
+    x = Fraction(num, den)
+    if num:
+        assert vp(x, p) == vp(num, p) - vp(den, p)
+    assert exact(x) == x
+    assert type(exact(x)) is (int if x.denominator == 1 else Fraction)
+    assert format_rat(exact(x)) == format_rat(x)
+
+
+def test_exact_examples():
+    assert exact(Fraction(6, 3)) == 2 and type(exact(Fraction(6, 3))) is int
+    assert exact(Fraction(-3, 6)) == Fraction(-1, 2)
+    assert exact("7/7") == 1 and type(exact("7/7")) is int
+    assert format_rat(exact(Fraction(-3, 6))) == "-1/2"
+    assert vp(-12, 2) == 2 and vp(Fraction(-1, 12), 2) == -2
