@@ -6,8 +6,9 @@ The integrand over a box a + p^n (Z_p)^r is
                             * ((x_r - a_r)/p^n)^{n_r}
 
 a product of linear forms.  It is kept as that product, never expanded: each
-factor is evaluated at the point in integers and the quotient by
-p^(n * sum(shape)) is taken once.  Its worst coefficient valuation, as an
+factor is evaluated at the point in integers, and an exact box integral sums
+the weighted products over the box's atoms before it divides by
+p^(n * sum(shape)), once per box.  Its worst coefficient valuation, as an
 expanded polynomial, is known without expanding it: every factor's
 coefficients have valuation >= -n, and the lex-leading monomial of the
 product has coefficient exactly +-1/p^(n * sum(shape)).
@@ -34,22 +35,29 @@ class LinearFormIntegrand:
     and the last (x_r - a_r)/p^n + lift_last.
     """
 
-    __slots__ = ("shape", "base", "pn", "lift_first", "lift_last", "scale", "nvars", "_factor")
+    __slots__ = ("shape", "base", "pn", "lift_first", "lift_last", "scale", "nvars")
 
     def __init__(self, shape, base, pn: int, lift_first=0, lift_last=0, scale=1):
         self.shape, self.base, self.pn = tuple(shape), tuple(base), pn
         self.lift_first, self.lift_last = lift_first, lift_last
-        self.scale = Fraction(scale)
+        self.scale = scale
         self.nvars = len(self.base)
-        self._factor = self.scale / pn ** sum(self.shape)
 
-    def evaluate(self, point) -> Rat:
+    @property
+    def factor(self) -> Rat:
+        """scale / p^(n * sum(shape)), the one division of an evaluation."""
+        return Fraction(self.scale) / self.pn ** sum(self.shape)
+
+    def forms(self, point):
+        """The unscaled product of the linear forms: an integer at an integer point."""
         a, pn, shape, r = self.base, self.pn, self.shape, len(self.base)
         value = (a[0] - point[0] + pn * self.lift_first) ** shape[0]
         for k in range(1, r):
             value *= (point[k - 1] - point[k] - a[k - 1] + a[k]) ** shape[k]
-        value *= (point[r - 1] - a[r - 1] + pn * self.lift_last) ** shape[r]
-        return self._factor * value
+        return value * (point[r - 1] - a[r - 1] + pn * self.lift_last) ** shape[r]
+
+    def evaluate(self, point) -> Rat:
+        return self.factor * self.forms(point)
 
     def denominator_valuation(self, p: int) -> int:
         """Worst denominator valuation of the expanded polynomial's coefficients."""

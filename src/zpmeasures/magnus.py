@@ -274,17 +274,27 @@ def embed_E(w: FreeWord, degree: int) -> NcSeries:
     return out
 
 
-def series_log(s: NcSeries) -> NcSeries:
-    """log of a series with constant term 1, truncated at the series degree."""
+def _log_kernel(s: NcSeries):
+    """(N, Q), N an integer series with log s = N / Q: for L the lcm of the
+    denominators, D the degree, K = lcm(1..D) and U = L (s - 1),
+    K L^D log s = sum_k (-1)^(k+1) (K/k) L^(D-k) U^k."""
     if s.coeff(()) != 1:
         raise ValueError("log needs constant term 1")
-    u = s - NcSeries.one(s.ctx, s.level, s.degree)
-    out = NcSeries(s.ctx, s.level, s.degree, {})
-    power = NcSeries.one(s.ctx, s.level, s.degree)
-    for k in range(1, s.degree + 1):
+    D, L = s.degree, math.lcm(*(c.denominator for c in s.coeffs.values()))
+    K = math.lcm(*range(1, D + 1))
+    u = NcSeries(s.ctx, s.level, D,
+                 {m: c.numerator * (L // c.denominator) for m, c in s.coeffs.items() if m})
+    out, power = NcSeries(s.ctx, s.level, D, {}), NcSeries.one(s.ctx, s.level, D)
+    for k in range(1, D + 1):
         power = power * u
-        out = out + power.scaled(Fraction((-1) ** (k + 1), k))
-    return out
+        out = out + power.scaled((-1) ** (k + 1) * (K // k) * L ** (D - k))
+    return out, K * L ** D
+
+
+def series_log(s: NcSeries) -> NcSeries:
+    """log of a series with constant term 1, truncated at the series degree."""
+    kernel, q = _log_kernel(s)
+    return kernel.scaled(Fraction(1, q))
 
 
 def word_log2(w: FreeWord) -> NcSeries:
@@ -305,8 +315,8 @@ def word_log2(w: FreeWord) -> NcSeries:
 
 
 def _left_bracketing(mono: tuple) -> dict:
-    """Dynkin map on one monomial: w = g1..gd -> [[g1,g2],...,gd]."""
-    out = {mono[:1]: Fraction(1)}
+    """Dynkin map on one monomial: w = g1..gd -> [[g1,g2],...,gd], int multiplicities."""
+    out = {mono[:1]: 1}
     for g in mono[1:]:
         nxt = {}
         for m, c in out.items():
@@ -319,33 +329,24 @@ def log_lie_check(s: NcSeries) -> bool:
     """True iff log(s) is a Lie series degree by degree.
 
     Uses the Dynkin-Specht-Wever criterion: a homogeneous element L of
-    degree d is Lie iff left-bracketing maps it to d * L.
+    degree d is Lie iff left-bracketing maps it to d * L.  Left-bracketing
+    keeps degrees and is linear, so every degree is checked at once, on the
+    integer Q log(s) of `_log_kernel`.
     """
-    logs = series_log(s)
-    for d in range(1, s.degree + 1):
-        comp = logs.homogeneous(d)
-        image = {}
-        for m, c in comp.items():
-            accumulate(image, ((mm, c * cc) for mm, cc in _left_bracketing(m).items()))
-        want = {m: d * c for m, c in comp.items()}
-        if image != want:
-            return False
-    return True
+    kernel = _log_kernel(s)[0].coeffs
+    image = {}
+    accumulate(image, ((mm, c * cc) for m, c in kernel.items()
+                       for mm, cc in _left_bracketing(m).items()))
+    return image == {m: len(m) * c for m, c in kernel.items()}
 
 
 def shuffle_words(u: tuple, v: tuple) -> dict:
     """All interleavings of u and v with multiplicities."""
-    if not u:
-        return {v: 1}
-    if not v:
-        return {u: 1}
+    if not u or not v:
+        return {u + v: 1}
     out = {}
-    for w, c in shuffle_words(u[1:], v).items():
-        m = (u[0],) + w
-        out[m] = out.get(m, 0) + c
-    for w, c in shuffle_words(u, v[1:]).items():
-        m = (v[0],) + w
-        out[m] = out.get(m, 0) + c
+    accumulate(out, (((u[0],) + w, c) for w, c in shuffle_words(u[1:], v).items()))
+    accumulate(out, (((v[0],) + w, c) for w, c in shuffle_words(u, v[1:]).items()))
     return out
 
 

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Callable, Sequence
 
 from .padic import (PIntegralityError, PrimeContext, Rat, exact, format_rat,
@@ -41,9 +42,6 @@ class LevelFamily:
     @property
     def n_max(self) -> int:
         return len(self.tables) - 1
-
-    def value(self, n: int, point) -> Rat:
-        return self.tables[n][tuple(point)]
 
     @classmethod
     def build(cls, ctx: PrimeContext, dim: int, fn: Callable, n_max=None) -> "LevelFamily":
@@ -95,21 +93,24 @@ class DistributionReport:
         return f"level={self.level} point={self.point} valuation={vp(self.defect, p)}"
 
 
-def lifts(point, p: int, n: int, dim: int):
+@lru_cache(maxsize=None)
+def _lift_offsets(p: int, n: int, dim: int) -> tuple:
+    """The p^dim offsets k * p^n, k in [0, p)^dim, from a level-n point to its lifts."""
+    return tuple(tuple(k * p ** n for k in ks) for ks in itertools.product(range(p), repeat=dim))
+
+
+def lifts(point, p: int, n: int, dim: int) -> list:
     """The p^dim level-(n+1) points over a level-n point."""
-    shifts = itertools.product(range(p), repeat=dim)
-    pn = p ** n
-    for ks in shifts:
-        yield tuple(a + k * pn for a, k in zip(point, ks))
+    return [tuple(map(add, point, off)) for off in _lift_offsets(p, n, dim)]
 
 
 def validate_distribution(mu: LevelFamily) -> DistributionReport:
     """Check the distribution relation exactly at every stored level pair."""
     p = mu.ctx.p
     for n in range(mu.n_max):
+        here, up = mu.tables[n], mu.tables[n + 1]
         for a in residues(p, n, mu.dim):
-            total = sum(mu.tables[n + 1][b] for b in lifts(a, p, n, mu.dim))
-            defect = mu.tables[n][a] - total
+            defect = here[a] - sum(map(up.__getitem__, lifts(a, p, n, mu.dim)))
             if defect:
                 return DistributionReport(False, n, a, defect)
     return DistributionReport(True)
@@ -463,9 +464,11 @@ class DiracCombo:
         return self._memo[p, level]
 
     def box_integral_exact(self, base, level: int, integrand, p: int) -> Rat:
-        """Exact integral of integrand (as for box_integral) over base + p^level (Z_p)^dim."""
+        """Exact integral of a `corrections.LinearFormIntegrand` over base + p^level
+        (Z_p)^dim: its unscaled products summed over the atoms, times its factor once."""
         atoms = self.boxes(p, level).get(tuple(int(b) % p ** level for b in base), ())
-        return sum(w * integrand.evaluate(pt) for pt, w in atoms)
+        total = sum(w * integrand.forms(pt) for pt, w in atoms)
+        return integrand.factor * total if total else 0
 
     def to_level_family(self, ctx: PrimeContext, n_max=None) -> LevelFamily:
         def fn(n, a):

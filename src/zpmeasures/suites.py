@@ -63,12 +63,6 @@ class SuiteReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def first_failure(self):
-        for c in self.checks:
-            if not c.passed:
-                return c
-        return None
-
     def to_dict(self):
         out = {"suite": self.suite, "config": self.config,
                "passed": self.passed,
@@ -296,23 +290,18 @@ def magnus_suite(cfg: RunConfig) -> SuiteReport:
         s = towers[w_i][level].truncated(D)  # a copy: the fault stays out of the tower
         if cfg.tamper and w_i == 0:
             s.coeffs[(0, 0)] = s.coeff((0, 0)) + 1
-        ok_pair = None
         ys = range(min(width0, ctx.p ** level))
         pairs = [((a,), (b,)) for a in ys for b in ys]
         pairs += [((a,), (b, c)) for a in ys for b in ys for c in ys if D >= 3]
-        for u, v in pairs:
-            if not magnus.shuffle_check(s, u, v):
-                ok_pair = (u, v)
-                break
-        rep.add(f"shuffle:word{w_i}", ok_pair is None,
-                "" if ok_pair is None else f"fails at {ok_pair}")
+        miss = next((pair for pair in pairs if not magnus.shuffle_check(s, *pair)), None)
+        rep.add(f"shuffle:word{w_i}", miss is None, "" if miss is None else f"fails at {miss}")
         rep.add(f"lie:word{w_i}", magnus.log_lie_check(s), "")
 
         betas.append({r: magnus.beta_measures(g, r, ctx, towers[w_i]) for r in (1, 2)})
         for r, beta in betas[w_i].items():
             res = validate_distribution(beta)
             rep.add(f"beta-distribution:word{w_i}:r={r}", res.passed,
-                    "" if res.passed else f"level={res.level} point={res.point}")
+                    "" if res.passed else res.pinpoint(cfg.p))
 
     # negative control: a perturbed series must fail the shuffle relations
     bad = towers[0][level].truncated(D)
@@ -330,12 +319,9 @@ def magnus_suite(cfg: RunConfig) -> SuiteReport:
     rep.add("star-identity", star_ok, "graded product vs word product")
 
     b1, b2 = betas[0][1], betas[0][2]
-    perm_ok = True
-    for a in itertools.product(range(ctx.p), repeat=2):
-        lhs = b2.tables[1][a] + b2.tables[1][(a[1], a[0])]
-        if lhs != b1.tables[1][(a[0],)] * b1.tables[1][(a[1],)]:
-            perm_ok = False
-            break
+    t1, t2 = b1.tables[1], b2.tables[1]
+    perm_ok = all(t2[a] + t2[a[::-1]] == t1[a[:1]] * t1[a[1:]]
+                  for a in itertools.product(range(ctx.p), repeat=2))
     rep.add("permutation-sum", perm_ok, "degree-2 symmetrization vs products")
 
     results = ((shape, i, magnus.word_coefficient_congruence(g, shape, (i,), n_box, 1,

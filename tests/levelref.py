@@ -7,8 +7,8 @@ build stores each value in normal form (an `int` when integral, otherwise a
 `fraction_tables()` every builder tabulates through the reference, so the
 tests can check the two give the same tables and bound.
 
-`unit_sequence`, `is_zero` and `total_mass` are conveniences only the tests
-read.
+`unit_sequence`, `is_zero`, `total_mass` and `value` are conveniences only
+the tests read.
 """
 
 from __future__ import annotations
@@ -62,3 +62,7 @@ def is_zero(mu: LevelFamily) -> bool:
 
 def total_mass(mu: LevelFamily):
     return mu.tables[0][(0,) * mu.dim]
+
+
+def value(mu: LevelFamily, n: int, point):
+    return mu.tables[n][tuple(point)]

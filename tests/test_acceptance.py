@@ -31,6 +31,7 @@ from zpmeasures.suites import SUITE_RUNNERS, RunConfig
 
 from levelref import is_zero
 from polyref import MPoly
+from reportref import first_failure
 
 OCTAGON_GRID = [(3, 1), (5, 1), (2, 2)]
 
@@ -266,7 +267,7 @@ def test_10_negative_controls_fail_every_suite():
     ok = True
     for name, cfg in configs.items():
         rep = SUITE_RUNNERS[name](cfg)
-        failure = rep.first_failure()
+        failure = first_failure(rep)
         ok = ok and (not rep.passed) and failure is not None and failure.name
         clean = SUITE_RUNNERS[name](RunConfig(**{**cfg.__dict__, "tamper": False}))
         ok = ok and clean.passed

@@ -14,6 +14,8 @@ from zpmeasures.measures import LevelFamily
 from zpmeasures.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from zpmeasures.suites import RunConfig, run_suite
 
+from reportref import first_failure
+
 
 def run(argv):
     return main(argv)
@@ -53,7 +55,7 @@ def test_tamper_fails_each_suite(suite, args, capsys):
 def test_tamper_pinpoints_failure():
     cfg = RunConfig(p=3, n_max=3, suite="measures", tamper=True)
     report = run_suite(cfg)[0]
-    failure = report.first_failure()
+    failure = first_failure(report)
     assert failure is not None
     assert "level=" in failure.detail and "point=" in failure.detail
 
@@ -70,7 +72,7 @@ def test_failed_signed_symmetrization_names_its_miss(monkeypatch):
 
     monkeypatch.setattr(suites, "_rho_and_beta2", perturbed)
     report = run_suite(RunConfig(p=5, n_max=2, suite="measures"))[0]
-    failure = report.first_failure()
+    failure = first_failure(report)
     assert failure.name.startswith("signed-symmetrization:")
     assert failure.detail.startswith("group sum vs square, level 2 mod p^3; level=1 point=")
     assert failure.detail.endswith(" valuation=1")

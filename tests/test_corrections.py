@@ -146,7 +146,8 @@ def p_integral_combos(draw):
                       st.sampled_from([d for d in range(1, 10) if d % p]))
     points = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=3))
     picks = draw(st.lists(st.sampled_from(points), min_size=1, max_size=5))
-    return p, DiracCombo.make(dim, [(pt, draw(st.integers(-3, 3))) for pt in picks])
+    weights = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=6))
+    return p, DiracCombo.make(dim, [(pt, draw(weights)) for pt in picks])
 
 
 @settings(max_examples=60, deadline=None)
@@ -155,6 +156,8 @@ def test_box_index_matches_scan(case, level, data):
     p, combo = case
     dim, pl = combo.dim, p ** level
     shape = tuple(data.draw(st.lists(st.integers(0, 2), min_size=dim + 1, max_size=dim + 1)))
+    lift = data.draw(st.sampled_from([(0, 0), (-1, 1)]))  # plain and reflected boxes
+    scale = data.draw(st.sampled_from([1, Fraction(1, 2), Fraction(-3, 4)]))
     e, c = data.draw(st.sampled_from([-1, 1])), data.draw(st.integers(-4, 4))
     image = combo.pushforward_affine([(e, c)] * dim)
     assert image.atoms == tuple((tuple(e * x + c for x in pt), w) for pt, w in combo.atoms)
@@ -162,10 +165,11 @@ def test_box_index_matches_scan(case, level, data):
     ctx = PrimeContext(p, 2)
     for beta in (combo, image):
         for base in residues(p, level, dim):
-            integrand = standard_integrand(shape, base, pl)
+            integrand = standard_integrand(shape, base, pl, *lift, scale=scale)
             # the box is named by an unreduced base; the index must reduce it
             moved = tuple(b - pl for b in base)
             scanned = scan_box(beta.atoms, moved, level, p)
+            # one division per box equals a scaled evaluation per atom
             assert beta.box_integral_exact(moved, level, integrand, p) == sum(
                 (w * integrand.evaluate(pt) for pt, w in scanned), Fraction(0))
         fam = beta.to_level_family(ctx)

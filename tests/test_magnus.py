@@ -17,9 +17,11 @@ from zpmeasures.magnus import (FreeWord, NcSeries, WordSyntaxError, X,
                                shuffle_check, shuffle_words,
                                word_coefficient_congruence, word_log2,
                                word_tower)
-from zpmeasures.measures import star_convolution, validate_distribution
+from zpmeasures.measures import LevelFamily, star_convolution, validate_distribution
 from zpmeasures.padic import PrimeContext, vp
 from zpmeasures.suites import RunConfig, magnus_suite
+
+import lieref
 
 CTX2 = PrimeContext(2, 2)
 CTX3 = PrimeContext(3, 2)
@@ -239,6 +241,27 @@ def test_congruence_failure_detail_in_suite(monkeypatch):
     assert check.detail == "shape=(0, 0) i=0 level=2 guaranteed=1 achieved=-1"
 
 
+def test_beta_distribution_failure_names_level_point_valuation(monkeypatch):
+    real, seen = magnus.beta_measures, []
+
+    def perturbed(g, r, ctx, tower):  # word 0's beta_2 off by p^2 at one level-1 point
+        beta = real(g, r, ctx, tower)
+        seen.append(r)
+        if seen != [1, 2]:
+            return beta
+        tables = list(beta.tables)
+        tables[1] = dict(tables[1])
+        tables[1][(1, 2)] += 9
+        return LevelFamily(beta.ctx, 2, tuple(tables), beta.denom_bound)
+
+    monkeypatch.setattr(magnus, "beta_measures", perturbed)
+    rep = magnus_suite(RunConfig(p=3, n_max=2, seed=1))
+    failed = [c for c in rep.checks if c.name.startswith("beta-distribution:") and not c.passed]
+    # the level-0 total misses the lifts' sum by -9; level 1 is not reached
+    assert [(c.name, c.detail) for c in failed] == \
+        [("beta-distribution:word0:r=2", "level=0 point=(0, 0) valuation=2")]
+
+
 def test_exp_transform_roundtrip():
     g = commutator(FreeWord(CTX2, 2, ((0, 1),)), FreeWord(CTX2, 2, ((1, 1),)))
     _, _, ok = exp_transform_roundtrip(g, 2, 3)
@@ -293,6 +316,37 @@ def test_truncating_a_tower_level_equals_embedding_at_lower_degree(g, data):
     low = embed_at_level(g, n, top).truncated(d)
     want = embed_at_level(g, n, d)
     assert (low.level, low.degree, low.coeffs) == (want.level, want.degree, want.coeffs)
+
+
+@st.composite
+def log_cases(draw):
+    """A series with constant term 1 at degree 2-4: a seeded kernel word's
+    embedding, the same with one coefficient moved by a random Fraction, or
+    random coefficients with denominators 2-12."""
+    p, level = draw(st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2)]))
+    ctx, degree = PrimeContext(p, level), draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["word", "perturbed", "denominators"]))
+    gens = [X] + list(range(p ** level))
+    monos = st.lists(st.sampled_from(gens), min_size=1, max_size=degree).map(tuple)
+    if kind == "denominators":
+        coeffs = draw(st.dictionaries(monos, st.builds(
+            Fraction, st.integers(-12, 12), st.integers(2, 12)), max_size=8))
+        return NcSeries(ctx, level, degree, {(): Fraction(1), **coeffs})
+    w = random_kernel_word(ctx, level, random.Random(draw(st.integers(0, 10 ** 6))))
+    s = embed_E(w, degree)
+    if kind == "perturbed":
+        s.add_term(draw(st.sampled_from(sorted(s.coeffs, key=len)[1:]) | monos),
+                   draw(st.fractions(-5, 5, max_denominator=12).filter(bool)))
+    return s
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_cases())
+def test_integer_log_kernel_matches_fraction_reference(s):
+    # the library divides one integer kernel per coefficient; the reference
+    # sums one Fraction per term
+    assert series_log(s).coeffs == lieref.series_log(s).coeffs
+    assert log_lie_check(s) == lieref.log_lie_check(s)
 
 
 @st.composite

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zpmeasures.classical import make_D2, make_dirac, make_E1, make_M, make_N2
+from zpmeasures.corrections import standard_integrand
 from zpmeasures.magnus import coefficient_tables, parse_word
 from zpmeasures.measures import (DiracCombo, GradedSequence, LevelFamily,
                                  box_integral, exterior_product, lifts,
@@ -227,7 +228,7 @@ def test_dirac_combo_matches_level_tables():
     fam = combo.to_level_family(CTX)
     assert validate_distribution(fam).passed
     # box integral against the level family agrees mod p^m with the exact one
-    poly = MPoly.var(1, 0) ** 2
+    poly = standard_integrand((0, 2), (0,), 1)  # x^2
     exact = combo.box_integral_exact((1,), 1, poly, 3)
     riemann, e = box_integral(fam, (1,), 1, poly, 3)
     assert vp(exact - riemann, 3) >= e
