@@ -169,8 +169,8 @@ class NcSeries:
     def one(cls, ctx, level, degree) -> "NcSeries":
         return cls(ctx, level, degree, {(): Fraction(1)})
 
-    def coeff(self, mono) -> Rat:
-        return self.coeffs.get(tuple(mono), Fraction(0))
+    def coeff(self, mono: tuple) -> Rat:
+        return self.coeffs.get(mono, 0)
 
     def add_term(self, mono, c):
         accumulate(self.coeffs, ((tuple(mono), c),))

@@ -389,19 +389,31 @@ def build_factor(name: str, p: int, n: int, s: int) -> NcSeries:
     raise ValueError(f"unknown factor {name!r}")
 
 
-FACTOR_ORDER = "JHGFEDCBA"
+# A, C and D do not read s, so a sweep builds them and their run D·C once: terms
+# past degree 2 form a two-sided ideal, so the truncated product is associative.
+PRODUCT_ORDER = ("J", "H", "G", "F", "E", "DC", "B", "A")
+FACTOR_ORDER = ("J", "H", "G", "F", "E", "D", "C", "DC", "B", "A")
 
 
-def build_factors(p: int, n: int, s: int) -> dict:
-    """The nine factors at (p, n, s), name -> `build_factor` series."""
-    return {name: build_factor(name, p, n, s) for name in FACTOR_ORDER}
+def residue_free_factors(p: int, n: int) -> dict:
+    """A, C, D and the run D·C at level n; 1 is a unit residue at every n >= 1."""
+    factors = {name: build_factor(name, p, n, 1) for name in "ACD"}
+    factors["DC"] = factors["D"] * factors["C"]
+    return factors
+
+
+def build_factors(p: int, n: int, s: int, shared: dict = None) -> dict:
+    """The nine factors at (p, n, s) and D·C; `shared`: `residue_free_factors(p, n)`."""
+    shared = shared or residue_free_factors(p, n)
+    return {name: shared[name] if name in shared else build_factor(name, p, n, s)
+            for name in FACTOR_ORDER}
 
 
 def octagon_product(p: int, n: int, s: int, factors: dict) -> NcSeries:
-    """The ordered product of the nine `build_factors(p, n, s)`, past degree 2."""
+    """The product J·H·G·F·E·D·C·B·A of the `build_factors(p, n, s)`, past degree 2."""
     check_config(p, n, s)
     out = unit_series(p, n)
-    for name in FACTOR_ORDER:
+    for name in PRODUCT_ORDER:
         out = out * factors[name]
     return out
 
@@ -554,7 +566,6 @@ def degree2_displays(p: int, n: int, s: int) -> dict:
     D2 is tabulated once, then read at (a, b) and at (a - s, b - s)."""
     width = p ** n
     one_m_chi = ONE - chi_sympoly(p, n, s)
-    half = one_m_chi * Fraction(1, 2)
     t = SymPoly.t()
     al = lambda x: a_sym(x, width)
     g = lambda x: g_sym(x, width)
@@ -570,22 +581,26 @@ def degree2_displays(p: int, n: int, s: int) -> dict:
 
     out = {}
     for a, b in d2:
-        total = b_sym(a, b, width) - b_sym(-a, -b, width) \
-            + b_sym(s - a, s - b, width) - b_sym(a - s, b - s, width)
-        total = total + cofactors[a][0] * Eb[b] + cofactors[a][1] * M[b]
-        total = total + d2[a, b] - d2[(a - s) % width, (b - s) % width]
-        total = total + (n2_value(a, b, s, width, t) - M[a] * M[b]) * Fraction(1, 2)
+        # (poly, num, div): the display is the sum of poly * num / div
+        parts = [(b_sym(a, b, width), 1, 1), (b_sym(-a, -b, width), -1, 1),
+                 (b_sym(s - a, s - b, width), 1, 1), (b_sym(a - s, b - s, width), -1, 1),
+                 (cofactors[a][0] * Eb[b], 1, 1), (cofactors[a][1] * M[b], 1, 1),
+                 (d2[a, b], 1, 1), (d2[(a - s) % width, (b - s) % width], -1, 1),
+                 (_coerce(n2_value(a, b, s, width, t)), 1, 2), (M[a] * M[b], -1, 2)]
         if a == 0:
-            total = total + half * al(b) - one_m_chi * (e1[b] + M[b])
+            parts += [(one_m_chi * al(b), 1, 2), (one_m_chi * (e1[b] + M[b]), -1, 1)]
             if b == 0:
-                total = total - one_m_chi * one_m_chi * Fraction(7, 8)
+                parts.append((one_m_chi * one_m_chi, -7, 8))
         if a == s:
-            total = total + (half - ONE) * al(s - b)
+            parts.append(((one_m_chi - 2) * al(s - b), 1, 2))
             if b == s:
-                total = total + one_m_chi * one_m_chi * Fraction(1, 8)
+                parts.append((one_m_chi * one_m_chi, 1, 8))
         if b == s:
-            total = total + al(s - a)
-        out[a, b] = total
+            parts.append((al(s - a), 1, 1))
+        terms, den = {}, 1
+        for poly, num, div in parts:
+            den = _merge(terms, den, poly.terms, poly.den * div, num)
+        out[a, b] = SymPoly._norm(terms, den)
     return out
 
 
@@ -717,7 +732,7 @@ def derive_factor_by_subst(name: str, p: int, n: int, s: int, A: NcSeries,
     result = A.substitute({gen: word_log2(word) for gen, word in images.items()})
     if name in ("C", "G"):
         result = series_inverse(result)
-    diff = result - factor
+    diff = {} if result.coeffs == factor.coeffs else (result - factor).coeffs
     return {"config": {"p": p, "n": n, "s": s}, "factor": name,
-            "passed": not diff.coeffs,
-            "mismatches": {m: str(c) for m, c in diff.coeffs.items()}}
+            "passed": not diff,
+            "mismatches": {m: str(c) for m, c in diff.items()}}

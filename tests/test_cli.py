@@ -290,6 +290,9 @@ REPORT_DIGESTS = {
     # the chi = 1 comparison failing at n = 2
     "verify octagon --p 3 --n 2 --sigma-rep 1 --tamper --format json":
         "a5d3a63fdf2881065799e15e00f99bd43051bfe1d7d500d8144af1425a6440d9",
+    # the full width-9 sweep: one C re-derivation reported at all six residues
+    "verify octagon --p 3 --n 2 --format json":
+        "e677f574409a7604cbf717a44e9f1857d8d8de9941c0f5a11636a675ff18c5bf",
     "verify octagon --p 2 --n 3 --format json":
         "8a7ba0a93a8bae4b9aab680b840e3e732149881fe3fb74fcaefc5dab240ded66",
     "emit octagon-factor --factor D --p 5 --n 1 --sigma-rep 3":

@@ -464,17 +464,45 @@ def test_octagon_suite_builds_one_product_per_residue(monkeypatch):
     assert calls == [(5, 1, s) for s in units(5, 1)]
 
 
-def test_octagon_suite_builds_each_factor_once_per_residue(monkeypatch):
-    calls = []
+def test_octagon_suite_builds_residue_free_work_once_per_sweep(monkeypatch):
+    built, derived = [], []
+    real_build, real_derive = octagon.build_factor, octagon.derive_factor_by_subst
+
+    def counting_build(name, p, n, s):
+        built.append(name)
+        return real_build(name, p, n, s)
+
+    def counting_derive(name, p, n, s, *series):
+        derived.append(name)
+        return real_derive(name, p, n, s, *series)
+
+    monkeypatch.setattr(octagon, "build_factor", counting_build)
+    monkeypatch.setattr(octagon, "derive_factor_by_subst", counting_derive)
+    assert octagon_suite(RunConfig(p=5, n_max=1, suite="octagon")).passed
+    residues = len(units(5, 1))
+    assert sorted(built) == sorted(list("ACD") + list("BEFGHJ") * residues)
+    assert sorted(derived) == sorted(["C"] + list("EG") * residues)
+
+
+def test_a_fault_in_the_shared_c_reaches_every_residue(monkeypatch):
     real = octagon.build_factor
 
-    def counting(name, p, n, s):
-        calls.append((name, s))
-        return real(name, p, n, s)
+    def faulty(name, p, n, s):
+        out = real(name, p, n, s)
+        if name == "C":
+            out.add_term((0, 0), SymPoly.const(1))
+        return out
 
-    monkeypatch.setattr(octagon, "build_factor", counting)
-    assert octagon_suite(RunConfig(p=5, n_max=1, suite="octagon")).passed
-    assert sorted(calls) == sorted((name, s) for s in units(5, 1) for name in FACTOR_ORDER)
+    monkeypatch.setattr(octagon, "build_factor", faulty)
+    rep = octagon_suite(RunConfig(p=5, n_max=1, suite="octagon"))
+    checks = {c.name: c for c in rep.checks}
+    details = set()
+    for s in units(5, 1):
+        derivation = checks[f"substitution-derivation:C:s={s}"]
+        assert not derivation.passed
+        details.add(derivation.detail)
+        assert not checks[f"degree2-residuals:s={s}"].passed
+    assert details == {"[((0, 0), '-1*1')]"}
 
 
 def test_octagon_series_have_sympoly_coefficients():
@@ -519,7 +547,7 @@ def test_octagon_tamper_fails_inside_the_real_check():
     assert rep.artifacts[0]["passed"] is False
 
 
-@pytest.mark.parametrize("p, n", [(3, 1), (5, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("p, n", [(3, 1), (5, 1), (2, 2), (3, 2), (2, 3), (7, 1)])
 def test_all_points_display_matches_the_point_formula(p, n):
     width = p ** n
     for s in units(p, n):
