@@ -1,7 +1,8 @@
 """Command-line front end: `verify` runs named suites, `emit` serializes
 measures, transforms, series and octagon factors.
 
-Exit codes: 0 all checks pass, 1 an identity failed, 2 invalid input.
+Exit codes: 0 all checks pass, 1 an identity failed, 2 invalid input,
+3 an internal error (an exception that escaped a command, MemoryError included).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .measures import iwasawa_P, transform_F
 from .padic import PrimeContext, parse_rat
 from .suites import SUITES, RunConfig, run_suite
 
-EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
+EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 
 
 def at_least(low: int):
@@ -180,12 +181,15 @@ def main(argv=None) -> int:
         if words[i - 1] in ("--c", "--a") and words[i][:1] == "-" and words[i][1:2].isdigit():
             words[i - 1:i + 1] = [words[i - 1] + "=" + words[i]]
     args = ap.parse_args(words)
-    if args.command == "verify":
-        return cmd_verify(args)
-    if args.command == "emit":
-        return cmd_emit(args)
-    ap.print_help()
-    return EXIT_USAGE
+    command = {"verify": cmd_verify, "emit": cmd_emit}.get(args.command)
+    if command is None:
+        ap.print_help()
+        return EXIT_USAGE
+    try:
+        return command(args)
+    except Exception as err:  # a fault of the program, never a failed identity
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

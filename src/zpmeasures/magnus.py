@@ -16,13 +16,13 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .corrections import standard_integrand
 from .measures import LevelFamily, box_integral, transform_F
 from .mpoly import accumulate
 from .padic import PrimeContext, Rat, format_rat, vp
+from .record import Frozen, Record
 
 X = -1
 
@@ -31,8 +31,7 @@ class WordSyntaxError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FreeWord:
+class FreeWord(Frozen):
     """A word in the level-n generators, stored in normal form.
 
     Letters are (generator, nonzero int) pairs, no two neighbours share a
@@ -42,23 +41,21 @@ class FreeWord:
     generator and drops a letter whose exponent reaches zero.
     """
 
-    ctx: PrimeContext
-    level: int
-    letters: tuple
+    __slots__ = _fields = ("ctx", "level", "letters")
 
-    def __post_init__(self):
-        width = self.ctx.p ** self.level
+    def __init__(self, ctx: PrimeContext, level: int, letters: tuple):
+        width = ctx.p ** level
         out = []
-        for g, e in self.letters:
+        for g, e in letters:
             if not (g == X or 0 <= g < width):
-                raise ValueError(f"generator {g} out of range at level {self.level}")
+                raise ValueError(f"generator {g} out of range at level {level}")
             if type(e) is not int:
                 raise ValueError("letter exponents must be integers")
             if out and out[-1][0] == g:
                 e += out.pop()[1]
             if e:
                 out.append((g, e))
-        object.__setattr__(self, "letters", tuple(out))
+        self._init(ctx, level, tuple(out))
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         if (self.ctx, self.level) != (other.ctx, other.level):
@@ -152,18 +149,18 @@ def mono_name(m) -> str:
     return ".".join("X" if g == X else f"Y{g}" for g in m) or "1"
 
 
-@dataclass
-class NcSeries:
+class NcSeries(Record):
     """Power series in X, Y_0..Y_{p^level - 1} truncated past `degree`.
 
     Coefficients are Fractions, or any ring elements whose truth value says
     "nonzero" (the octagon's series have SymPoly coefficients).
     """
 
-    ctx: PrimeContext
-    level: int
-    degree: int
-    coeffs: dict  # monomial tuple -> coefficient
+    __slots__ = _fields = ("ctx", "level", "degree", "coeffs")
+
+    def __init__(self, ctx: PrimeContext, level: int, degree: int, coeffs: dict):
+        # coeffs: monomial tuple -> coefficient
+        self.ctx, self.level, self.degree, self.coeffs = ctx, level, degree, coeffs
 
     @classmethod
     def one(cls, ctx, level, degree) -> "NcSeries":

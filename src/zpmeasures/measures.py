@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
-from typing import Callable, Sequence
 
 from .padic import (PIntegralityError, PrimeContext, Rat, exact, format_rat,
                     repr_mod, vp)
+from .record import Frozen, Record
 
 
 def residues(p: int, n: int, dim: int):
@@ -30,21 +29,21 @@ def residues(p: int, n: int, dim: int):
     return itertools.product(range(p ** n), repeat=dim)
 
 
-@dataclass(frozen=True)
-class LevelFamily:
+class LevelFamily(Frozen):
     """A measure (or bounded-denominator distribution) up to level n_max."""
 
-    ctx: PrimeContext
-    dim: int
-    tables: tuple  # tables[n]: dict point-tuple -> value in normal form (padic.exact)
-    denom_bound: int
+    __slots__ = _fields = ("ctx", "dim", "tables", "denom_bound")
+
+    def __init__(self, ctx: PrimeContext, dim: int, tables: tuple, denom_bound: int):
+        # tables[n]: dict point-tuple -> value in normal form (padic.exact)
+        self._init(ctx, dim, tables, denom_bound)
 
     @property
     def n_max(self) -> int:
         return len(self.tables) - 1
 
     @classmethod
-    def build(cls, ctx: PrimeContext, dim: int, fn: Callable, n_max=None) -> "LevelFamily":
+    def build(cls, ctx: PrimeContext, dim: int, fn, n_max=None) -> "LevelFamily":
         """Tabulate fn(n, point) in normal form for all stored levels; only
         non-integral values can raise denom_bound."""
         if n_max is None:
@@ -76,14 +75,14 @@ class LevelFamily:
                 yield ",".join([str(n)] + [str(x) for x in a] + [format_rat(table[a])])
 
 
-@dataclass
-class DistributionReport:
+class DistributionReport(Record):
     """A table check, truthy iff passed; a failure names its first miss."""
 
-    passed: bool
-    level: int | None = None
-    point: tuple | None = None
-    defect: Rat | None = None
+    __slots__ = _fields = ("passed", "level", "point", "defect")
+
+    def __init__(self, passed: bool, level: int | None = None, point: tuple | None = None,
+                 defect: Rat | None = None):
+        self.passed, self.level, self.point, self.defect = passed, level, point, defect
 
     def __bool__(self):
         return self.passed
@@ -116,7 +115,7 @@ def validate_distribution(mu: LevelFamily) -> DistributionReport:
     return DistributionReport(True)
 
 
-def linear_combine(coeffs: Sequence, mus: Sequence[LevelFamily]) -> LevelFamily:
+def linear_combine(coeffs, mus: list[LevelFamily]) -> LevelFamily:
     if not mus:
         raise ValueError("nothing to combine")
     ctx, dim = mus[0].ctx, mus[0].dim
@@ -193,16 +192,16 @@ def exterior_power(alpha: LevelFamily, m: int) -> LevelFamily:
     return out
 
 
-@dataclass(frozen=True)
-class GradedSequence:
+class GradedSequence(Frozen):
     """A finite list (mu_0, mu_1, ..., mu_M), mu_i of dimension i."""
 
-    entries: tuple
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self):
-        for i, mu in enumerate(self.entries):
+    def __init__(self, entries: tuple):
+        for i, mu in enumerate(entries):
             if mu.dim != i:
                 raise ValueError("entry dimensions must be 0, 1, 2, ...")
+        self._init(entries)
 
     @property
     def top(self) -> int:
@@ -251,14 +250,14 @@ def box_integral(mu: LevelFamily, base, level: int, integrand, eval_level: int):
     return total, guarantee
 
 
-@dataclass
-class IwasawaPoly:
+class IwasawaPoly(Record):
     """Truncated transform: coefficient table plus per-coefficient guarantees."""
 
-    dim: int
-    terms: int
-    coeffs: dict  # exponent tuple -> exact rational
-    guarantees: dict  # exponent tuple -> int
+    __slots__ = _fields = ("dim", "terms", "coeffs", "guarantees")
+
+    def __init__(self, dim: int, terms: int, coeffs: dict, guarantees: dict):
+        # coeffs: exponent tuple -> exact rational; guarantees: exponent tuple -> int
+        self.dim, self.terms, self.coeffs, self.guarantees = dim, terms, coeffs, guarantees
 
     def to_json_dict(self):
         out = []
@@ -413,18 +412,20 @@ def measures_equal(mu: LevelFamily, nu: LevelFamily, up_to_level: int,
 # Exact finite Dirac combinations
 
 
-@dataclass(frozen=True)
-class DiracCombo:
+class DiracCombo(Frozen):
     """sum_j c_j * delta_{v_j} with the points v_j kept as exact integers.
 
     Box integrals here are evaluated at the true points, so change-of-variable
     identities that are only congruences for level tables hold exactly.
     """
 
-    dim: int
-    atoms: tuple  # ((point tuple, coeff), ...), every scalar in normal form (padic.exact)
-    # (p, level) -> box index, map -> pushforward image; the atoms never change
-    _memo: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
+    _fields = ("dim", "atoms")
+    __slots__ = _fields + ("_memo",)
+
+    def __init__(self, dim: int, atoms: tuple):
+        # atoms: ((point tuple, coeff), ...), every scalar in normal form (padic.exact);
+        # _memo: (p, level) -> box index, map -> pushforward image; the atoms never change
+        self._init(dim, atoms, {})
 
     @classmethod
     def make(cls, dim: int, atoms) -> "DiracCombo":

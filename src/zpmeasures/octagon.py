@@ -21,7 +21,6 @@ re-derived as substitution images of factor A, an independent cross-check.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -29,6 +28,7 @@ from .classical import d2_value, e1_value, m_value, mpos, n2_value
 from .magnus import FreeWord, NcSeries, X, word_log2
 from .mpoly import accumulate
 from .padic import PrimeContext, Rat, format_rat, is_prime
+from .record import Record
 
 # Symbols are tuples: ('a', i), ('b', i, j), ('g', i).  t is tracked as a
 # separate exponent in each monomial key (t_exp, symbol_tuple).
@@ -214,7 +214,7 @@ def series_inverse(s: NcSeries) -> NcSeries:
     c0 = s.coeff(())
     if c0 != 1:
         raise ValueError("inverse needs constant term 1")
-    one = replace(s, coeffs={(): c0})
+    one = NcSeries(s.ctx, s.level, s.degree, {(): c0})
     neg_u = one - s
     out, power = one + neg_u, neg_u
     for _ in range(s.degree - 1):
@@ -426,15 +426,17 @@ class InconsistentRelations(ValueError):
     pass
 
 
-@dataclass
-class RelationSet:
+class RelationSet(Record):
     """Relations plus the triangular substitution solving them."""
 
-    relations: list
-    substitution: dict = field(default_factory=dict)
-    rank: int = 0
-    # monomial key -> image of the monomial under the (fixed) substitution
-    _images: dict = field(default_factory=dict, compare=False, repr=False)
+    _fields = ("relations", "substitution", "rank")
+    __slots__ = _fields + ("_images",)
+
+    def __init__(self, relations: list, substitution: dict | None = None, rank: int = 0):
+        self.relations, self.rank = relations, rank
+        self.substitution = {} if substitution is None else substitution
+        # monomial key -> image of the monomial under the (fixed) substitution
+        self._images = {}
 
     def reduce(self, poly: SymPoly) -> SymPoly:
         out, den, images = {}, 1, self._images
@@ -560,10 +562,11 @@ def deg1_implied_by_reflection(p: int, n: int, s: int, prod: NcSeries) -> dict:
 # The degree-2 identity between named measures
 
 
-def degree2_displays(p: int, n: int, s: int) -> dict:
-    """The named-measure display of the degree-2 symmetry at every point (a, b)
-    of level n.  What depends on the residue or on a alone is built once, and
-    D2 is tabulated once, then read at (a, b) and at (a - s, b - s)."""
+def degree2_displays(p: int, n: int, s: int, prod: NcSeries) -> dict:
+    """The named-measure display of the degree-2 symmetry minus the Y_a Y_b
+    coefficient of `prod`, at every point (a, b) of level n.  What depends on
+    the residue or on a alone is built once, and D2 is tabulated once, then
+    read at (a, b) and at (a - s, b - s)."""
     width = p ** n
     one_m_chi = ONE - chi_sympoly(p, n, s)
     t = SymPoly.t()
@@ -586,7 +589,8 @@ def degree2_displays(p: int, n: int, s: int) -> dict:
                  (b_sym(s - a, s - b, width), 1, 1), (b_sym(a - s, b - s, width), -1, 1),
                  (cofactors[a][0] * Eb[b], 1, 1), (cofactors[a][1] * M[b], 1, 1),
                  (d2[a, b], 1, 1), (d2[(a - s) % width, (b - s) % width], -1, 1),
-                 (_coerce(n2_value(a, b, s, width, t)), 1, 2), (M[a] * M[b], -1, 2)]
+                 (_coerce(n2_value(a, b, s, width, t)), 1, 2), (M[a] * M[b], -1, 2),
+                 (prod.coeffs.get((a, b), ZERO), -1, 1)]
         if a == 0:
             parts += [(one_m_chi * al(b), 1, 2), (one_m_chi * (e1[b] + M[b]), -1, 1)]
             if b == 0:
@@ -630,17 +634,14 @@ def degree2_symmetry_check(p: int, n: int, s: int, prod: NcSeries) -> dict:
     except InconsistentRelations as err:
         report["inconsistent_relations"] = f"standard: {err}"
         return report
-    display = degree2_displays(p, n, s)
-    for k in display:  # in place: the displays are not kept beside the residuals
-        display[k] = display[k] - prod.coeff(k)
-
-    residuals = {k: rs.reduce(res) for k, res in display.items()}
+    unreduced = degree2_displays(p, n, s, prod)
+    residuals = {k: rs.reduce(res) for k, res in unreduced.items()}
     if s == 1:
         report["chi1_residuals"] = {k: r.subs_t(0) for k, r in residuals.items()}
     if any(residuals.values()):
         shuffle = {sym: rs.reduce(val) for sym, val in shuffle_substitution(width).items()}
         rs = RelationSet(rs.relations, {**rs.substitution, **shuffle}, rs.rank)  # fresh image memo
-        residuals = {k: rs.reduce(res) for k, res in display.items()}
+        residuals = {k: rs.reduce(res) for k, res in unreduced.items()}
         report["extra_relations_used"] = ["shuffle"]
     report.update(deg1_rank=rs.rank, residuals=residuals)
     report["passed"] = report["x_coeff_zero"] and not any(residuals.values()) \

@@ -9,9 +9,10 @@ representatives.  Nothing here is approximate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from .record import Frozen
 
 Rat = Fraction
 
@@ -34,18 +35,17 @@ def is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeContext:
+class PrimeContext(Frozen):
     """The fixed prime and the deepest stored level."""
 
-    p: int
-    n_max: int
+    __slots__ = _fields = ("p", "n_max")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.n_max < 1:
+    def __init__(self, p: int, n_max: int):
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        if n_max < 1:
             raise ValueError("n_max must be >= 1")
+        self._init(p, n_max)
 
 
 def vp(x, p: int):

@@ -12,7 +12,6 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import classical, corrections, magnus, octagon
@@ -22,39 +21,42 @@ from .measures import (DiracCombo, LevelFamily, exterior_power, iwasawa_P,
                        signed_group, star_convolution,
                        transform_F, transform_F_via_P, validate_distribution)
 from .padic import PrimeContext, bernoulli, binom, format_rat, vp
+from .record import Record
 
 SUITES = ("octagon", "measures", "magnus", "transforms", "corrections", "all")
 
 
-@dataclass
-class RunConfig:
-    p: int = 3
-    n_max: int = 3
-    degree: int = 3
-    mod_exp: int = 3
-    seed: int = 0
-    suite: str = "all"
-    sigma_rep: int | None = None
-    terms: int = 6
-    tamper: bool = False
+class RunConfig(Record):
+    """One `verify` invocation; keeps a __dict__, so RunConfig(**cfg.__dict__) copies it."""
+
+    _fields = ("p", "n_max", "degree", "mod_exp", "seed", "suite", "sigma_rep", "terms",
+               "tamper")
+
+    def __init__(self, p: int = 3, n_max: int = 3, degree: int = 3, mod_exp: int = 3,
+                 seed: int = 0, suite: str = "all", sigma_rep: int | None = None,
+                 terms: int = 6, tamper: bool = False):
+        self.p, self.n_max, self.degree, self.mod_exp, self.seed = p, n_max, degree, mod_exp, seed
+        self.suite, self.sigma_rep, self.terms, self.tamper = suite, sigma_rep, terms, tamper
 
     def ctx(self) -> PrimeContext:
         return PrimeContext(self.p, self.n_max)
 
 
-@dataclass
-class Check:
-    name: str
-    passed: bool
-    detail: str = ""
+class Check(Record):
+    __slots__ = _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.name, self.passed, self.detail = name, passed, detail
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    config: dict
-    checks: list = field(default_factory=list)
-    artifacts: list = field(default_factory=list)
+class SuiteReport(Record):
+    __slots__ = _fields = ("suite", "config", "checks", "artifacts")
+
+    def __init__(self, suite: str, config: dict, checks: list | None = None,
+                 artifacts: list | None = None):
+        self.suite, self.config = suite, config
+        self.checks = [] if checks is None else checks
+        self.artifacts = [] if artifacts is None else artifacts
 
     def add(self, name, passed, detail=""):
         self.checks.append(Check(name, bool(passed), detail))

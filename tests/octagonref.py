@@ -18,11 +18,10 @@ image logs into factor A's display (`NcSeries.substitute`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 from zpmeasures.classical import d2_value, m_value, n2_value
-from zpmeasures.magnus import X, word_log2
+from zpmeasures.magnus import NcSeries, X, word_log2
 from zpmeasures.mpoly import accumulate
 from zpmeasures.octagon import (ONE, ZERO, SymPoly, a_sym, b_sym, build_relation_set,
                                 chi_sympoly, deg1_relations, e1_sympoly, g_sym,
@@ -97,7 +96,8 @@ def generic_series_by_subst(name: str, p: int, n: int, s: int):
     degree-1 part."""
     width = p ** n
     logs = {gen: word_log2(word) for gen, word in substitution_images(name, p, n, s).items()}
-    deg1 = {gen: replace(log, coeffs=log.homogeneous(1)) for gen, log in logs.items()}
+    deg1 = {gen: NcSeries(log.ctx, log.level, log.degree, log.homogeneous(1))
+            for gen, log in logs.items()}
     result = unit_series(p, n)
 
     def add(series, sym):

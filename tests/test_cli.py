@@ -11,7 +11,7 @@ import pytest
 import zpmeasures
 from zpmeasures import cli, octagon, suites
 from zpmeasures.measures import LevelFamily
-from zpmeasures.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from zpmeasures.cli import EXIT_FAIL, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from zpmeasures.suites import RunConfig, run_suite
 
 from reportref import first_failure
@@ -260,6 +260,33 @@ def test_closed_pipe_ends_quietly():
     assert head == [b"n,a_1,value\n", b"0,0,-4/3\n"]
     assert err == b""
     assert proc.returncode == EXIT_OK
+
+
+@pytest.mark.parametrize("target, argv", [
+    ("run_suite", ["verify", "measures", "--p", "31", "--nmax", "3"]),
+    ("_build_measure", ["emit", "measure", "--measure", "N2", "--p", "31", "--nmax", "3"])])
+def test_escaped_exception_exits_3_not_1(target, argv, monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError("level tables too large")
+
+    monkeypatch.setattr(cli, target, exhausted)
+    assert run(argv) == EXIT_INTERNAL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["internal error: MemoryError: level tables too large"]
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # only what the import itself adds counts: a site hook may load modules first
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(zpmeasures.__file__)))
+    code = ("import sys; before = set(sys.modules); import zpmeasures.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "zpmeasures.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 # sha256 of stdout, pinned so a refactor cannot change report bytes unseen;
