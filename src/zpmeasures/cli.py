@@ -1,8 +1,9 @@
 """Command-line front end: `verify` runs named suites, `emit` serializes
 measures, transforms, series and octagon factors.
 
-Exit codes: 0 all checks pass, 1 an identity failed, 2 invalid input,
-3 an internal error (an exception that escaped a command, MemoryError included).
+Exit codes: 0 all checks pass, 1 an identity failed, 2 invalid input (an
+unwritable `--out` too), 3 an internal error (any exception that escaped a
+command, MemoryError and a ValueError raised inside a suite included).
 """
 
 from __future__ import annotations
@@ -72,6 +73,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _writable(path: str) -> bool:
+    """Whether `open(path, "w")` can succeed: no directory, in a writable folder."""
+    folder = os.path.dirname(path) or "."
+    return not os.path.isdir(path) and os.path.isdir(folder) and \
+        os.access(path if os.path.exists(path) else folder, os.W_OK)
+
+
 def _write(text: str, out):
     if out:
         with open(out, "w") as fh:
@@ -118,10 +126,10 @@ def cmd_verify(args) -> int:
         cfg.ctx()  # validate p, bounds
         if cfg.sigma_rep is not None and cfg.suite in ("octagon", "all"):
             octagon.check_config(cfg.p, cfg.n_max, cfg.sigma_rep)
-        reports = run_suite(cfg)
     except ValueError as err:
         print(f"invalid input: {err}", file=sys.stderr)
         return EXIT_USAGE
+    reports = run_suite(cfg)  # a ValueError from here on is a fault of the program
     if args.format == "json":
         text = json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2)
     elif args.format == "csv":
@@ -184,6 +192,9 @@ def main(argv=None) -> int:
     command = {"verify": cmd_verify, "emit": cmd_emit}.get(args.command)
     if command is None:
         ap.print_help()
+        return EXIT_USAGE
+    if args.out and not _writable(args.out):  # refused before any work is done
+        print(f"invalid input: --out {args.out} cannot be opened for writing", file=sys.stderr)
         return EXIT_USAGE
     try:
         return command(args)

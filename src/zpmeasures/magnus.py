@@ -19,8 +19,7 @@ import re
 from fractions import Fraction
 
 from .corrections import standard_integrand
-from .measures import LevelFamily, box_integral, transform_F
-from .mpoly import accumulate
+from .measures import GradedSequence, LevelFamily, box_integral
 from .padic import PrimeContext, Rat, format_rat, vp
 from .record import Frozen, Record
 
@@ -144,6 +143,24 @@ def parse_word(text: str, ctx: PrimeContext, level: int) -> FreeWord:
 # Truncated non-commutative power series
 
 
+def accumulate(out: dict, pairs) -> None:
+    """Add (key, coefficient) pairs into `out`, dropping keys that cancel.
+
+    The one add-and-prune loop behind the package's sparse algebras:
+    `NcSeries` (the Magnus and octagon series) and the octagon's `SymPoly`
+    both add through it, so a cancelled coefficient never stays behind as a
+    stored zero.  Coefficients may be Fractions or anything whose truth value
+    says "nonzero" (such as SymPoly).
+    """
+    for k, c in pairs:
+        if k in out:
+            c = out[k] + c
+        if c:
+            out[k] = c
+        else:
+            out.pop(k, None)
+
+
 def mono_name(m) -> str:
     """A monomial as "X.Y0.Y2", the empty monomial as "1"."""
     return ".".join("X" if g == X else f"Y{g}" for g in m) or "1"
@@ -246,9 +263,6 @@ class NcSeries(Record):
                 accumulate(out, term.coeffs.items())
         return NcSeries(ctx, level, degree, out)
 
-    def homogeneous(self, d: int) -> dict:
-        return {m: c for m, c in self.coeffs.items() if len(m) == d}
-
     def to_json_dict(self):
         return {"level": self.level, "degree": self.degree,
                 "terms": [{"mono": mono_name(m), "value": format_rat(self.coeffs[m])}
@@ -286,12 +300,6 @@ def _log_kernel(s: NcSeries):
         power = power * u
         out = out + power.scaled((-1) ** (k + 1) * (K // k) * L ** (D - k))
     return out, K * L ** D
-
-
-def series_log(s: NcSeries) -> NcSeries:
-    """log of a series with constant term 1, truncated at the series degree."""
-    kernel, q = _log_kernel(s)
-    return kernel.scaled(Fraction(1, q))
 
 
 def word_log2(w: FreeWord) -> NcSeries:
@@ -379,22 +387,6 @@ def project_word(w: FreeWord, n: int) -> FreeWord:
     return FreeWord(w.ctx, n, tuple(letters))
 
 
-def project_series(s: NcSeries, n: int) -> NcSeries:
-    """`NcSeries.substitute` of X -> p^m X, Y_{i+k p^n} -> exp(-kX) Y_i exp(kX)."""
-    if n > s.level:
-        raise ValueError("can only project downward")
-    ctx = s.ctx
-    pn = ctx.p ** n
-    pm = ctx.p ** (s.level - n)
-    images = {X: NcSeries(ctx, n, s.degree, {(X,): Fraction(pm)})}
-    for g in range(ctx.p ** s.level):
-        i, k = g % pn, g // pn
-        images[g] = exp_gen(ctx, n, s.degree, X, -k) \
-            * NcSeries(ctx, n, s.degree, {(i,): Fraction(1)}) \
-            * exp_gen(ctx, n, s.degree, X, k)
-    return s.substitute(images)
-
-
 # ---------------------------------------------------------------------------
 # Coefficient views and measures
 
@@ -439,8 +431,6 @@ def beta_measures(g: FreeWord, r: int, ctx: PrimeContext, tower) -> LevelFamily:
 
 
 def graded_beta(g: FreeWord, ctx: PrimeContext, top: int, tower):
-    from .measures import GradedSequence
-
     return GradedSequence(tuple(beta_measures(g, r, ctx, tower) for r in range(top + 1)))
 
 
@@ -472,48 +462,3 @@ def word_coefficient_congruence(g: FreeWord, ns, idx, n: int, m: int, series, be
     return {"coefficient": lam, "riemann_sum": value, "level": n + m,
             "guaranteed": guaranteed, "achieved": achieved,
             "passed": achieved >= guaranteed}
-
-
-def exp_transform_roundtrip(g: FreeWord, r: int, terms: int):
-    """Build the exponential transform of the dimension-r measure two ways.
-
-    Route A evaluates moments of the level tables.  Route B rebuilds the same
-    series from the level-0 coefficients of the word, summing
-    lambda_w * prod_k (-(X_{k+1} + ... + X_r))^{n_k} over X-block shapes.
-    Returns (route_a, route_b, per-coefficient ok) with comparisons made
-    within route A's congruence guarantees; route B maps exponent tuples to
-    coefficients.
-    """
-    ctx = g.ctx
-    tower = word_tower(g, [r + terms] + [r] * g.level)
-    beta_r = beta_measures(g, r, ctx, tower)
-    route_a = transform_F(beta_r, terms, g.level)
-
-    s0 = tower[0]
-    total = {}
-    for shape in itertools.product(range(terms + 1), repeat=r):
-        if sum(shape) > terms:
-            continue
-        mono = ()
-        for nk in shape:
-            mono += (X,) * nk + (0,)
-        lam = s0.coeff(mono)
-        if not lam:
-            continue
-        term = {(0,) * r: lam}
-        for k, nk in enumerate(shape):
-            for _ in range(nk):  # multiply by -(X_{k+1} + ... + X_r)
-                nxt = {}
-                for e, c in term.items():
-                    accumulate(nxt, ((e[:i] + (e[i] + 1,) + e[i + 1:], -c)
-                                     for i in range(k, r)))
-                term = nxt
-        accumulate(total, term.items())
-
-    ok = {}
-    for j in itertools.product(range(terms + 1), repeat=r):
-        if sum(j) > terms:
-            continue
-        diff = route_a.coefficient(j) - total.get(j, Fraction(0))
-        ok[j] = vp(diff, ctx.p) >= route_a.guarantees[j]
-    return route_a, total, ok

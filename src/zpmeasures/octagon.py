@@ -25,8 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .classical import d2_value, e1_value, m_value, mpos, n2_value
-from .magnus import FreeWord, NcSeries, X, word_log2
-from .mpoly import accumulate
+from .magnus import FreeWord, NcSeries, X, accumulate, word_log2
 from .padic import PrimeContext, Rat, format_rat, is_prime
 from .record import Record
 

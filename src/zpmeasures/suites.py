@@ -102,12 +102,10 @@ def _seeded_units(rng: random.Random, p: int, count: int):
 
 def _random_dirac_combo(rng: random.Random, ctx: PrimeContext, dim: int,
                         atoms: int = 3) -> LevelFamily:
-    parts, coeffs = [], []
-    for _ in range(atoms):
-        pt = [rng.randrange(0, ctx.p ** min(2, ctx.n_max)) for _ in range(dim)]
-        parts.append(classical.make_dirac(pt, ctx))
-        coeffs.append(rng.randrange(-3, 4))
-    return linear_combine(coeffs, parts)
+    span = ctx.p ** min(2, ctx.n_max)
+    drawn = [([rng.randrange(0, span) for _ in range(dim)], rng.randrange(-3, 4))
+             for _ in range(atoms)]  # per atom: its point, then its coefficient
+    return DiracCombo.make(dim, drawn).to_level_family(ctx)
 
 
 def _rho_and_beta2(rng: random.Random, cfg: RunConfig, c):
@@ -299,9 +297,9 @@ def magnus_suite(cfg: RunConfig) -> SuiteReport:
         rep.add(f"shuffle:word{w_i}", miss is None, "" if miss is None else f"fails at {miss}")
         rep.add(f"lie:word{w_i}", magnus.log_lie_check(s), "")
 
-        betas.append({r: magnus.beta_measures(g, r, ctx, towers[w_i]) for r in (1, 2)})
-        for r, beta in betas[w_i].items():
-            res = validate_distribution(beta)
+        betas.append(magnus.graded_beta(g, ctx, 2, towers[w_i]))
+        for r in (1, 2):
+            res = validate_distribution(betas[w_i][r])
             rep.add(f"beta-distribution:word{w_i}:r={r}", res.passed,
                     "" if res.passed else res.pinpoint(cfg.p))
 
@@ -311,12 +309,10 @@ def magnus_suite(cfg: RunConfig) -> SuiteReport:
     failed = not magnus.shuffle_check(bad, (0,), (0,))
     rep.add("shuffle-negative-control", failed, "perturbed series must fail")
 
-    g, h = words[0], words[1]
-    gh = g * h
-    A = magnus.graded_beta(g, ctx, 2, towers[0])
-    B = magnus.graded_beta(h, ctx, 2, towers[1])
+    g = words[0]
+    gh = g * words[1]
     C = magnus.graded_beta(gh, ctx, 2, magnus.word_tower(gh, [2] * (level + 1)))
-    S = star_convolution(A, B)
+    S = star_convolution(betas[0], betas[1])
     star_ok = all(S[i].tables == C[i].tables for i in range(3))
     rep.add("star-identity", star_ok, "graded product vs word product")
 

@@ -2,9 +2,9 @@
 
 `series_log` sums (-1)^(k+1) (s - 1)^k / k with one `Fraction` per term, and
 `log_lie_check` reads the Dynkin-Specht-Wever criterion off that log.  The
-library's `magnus.series_log` and `magnus.log_lie_check` run on an integer
-kernel, K L^D log s for L the lcm of the denominators, D the degree and
-K = lcm(1..D); the tests check the two agree.
+library's `magnus.log_lie_check` runs on an integer kernel
+(`magnus._log_kernel`), K L^D log s for L the lcm of the denominators, D the
+degree and K = lcm(1..D); the tests check the two agree.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from zpmeasures.magnus import NcSeries
-from zpmeasures.mpoly import accumulate
+
+from seriesref import accumulate, homogeneous
 
 
 def series_log(s: NcSeries) -> NcSeries:
@@ -44,7 +45,7 @@ def log_lie_check(s: NcSeries) -> bool:
     left-bracketing image d * L."""
     logs = series_log(s)
     for d in range(1, s.degree + 1):
-        comp = logs.homogeneous(d)
+        comp = homogeneous(logs, d)
         image = {}
         for m, c in comp.items():
             accumulate(image, ((mm, c * cc) for mm, cc in left_bracketing(m).items()))

@@ -22,11 +22,12 @@ from fractions import Fraction
 
 from zpmeasures.classical import d2_value, m_value, n2_value
 from zpmeasures.magnus import NcSeries, X, word_log2
-from zpmeasures.mpoly import accumulate
 from zpmeasures.octagon import (ONE, ZERO, SymPoly, a_sym, b_sym, build_relation_set,
                                 chi_sympoly, deg1_relations, e1_sympoly, g_sym,
                                 reflection_half_system, reflection_relations,
                                 substitution_images, unit_series)
+
+from seriesref import accumulate, homogeneous
 
 
 def degree2_display(a: int, b: int, p: int, n: int, s: int) -> SymPoly:
@@ -96,7 +97,7 @@ def generic_series_by_subst(name: str, p: int, n: int, s: int):
     degree-1 part."""
     width = p ** n
     logs = {gen: word_log2(word) for gen, word in substitution_images(name, p, n, s).items()}
-    deg1 = {gen: NcSeries(log.ctx, log.level, log.degree, log.homogeneous(1))
+    deg1 = {gen: NcSeries(log.ctx, log.level, log.degree, homogeneous(log, 1))
             for gen, log in logs.items()}
     result = unit_series(p, n)
 

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from zpmeasures.mpoly import accumulate
 from zpmeasures.octagon import sym_name
 from zpmeasures.padic import format_rat, vp
+
+from seriesref import accumulate
 
 
 class MPoly:

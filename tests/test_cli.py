@@ -276,6 +276,44 @@ def test_escaped_exception_exits_3_not_1(target, argv, monkeypatch, capsys):
     assert err.splitlines() == ["internal error: MemoryError: level tables too large"]
 
 
+def test_value_error_inside_a_suite_is_internal(monkeypatch, capsys):
+    def boom(cfg):
+        raise ValueError("boom")
+
+    monkeypatch.setitem(suites.SUITE_RUNNERS, "measures", boom)
+    assert run(["verify", "measures", "--p", "3", "--nmax", "1"]) == EXIT_INTERNAL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["internal error: ValueError: boom"]
+
+
+@pytest.mark.parametrize("where", ["missing-folder", "folder"])
+@pytest.mark.parametrize("argv, target", [
+    (["verify", "measures", "--p", "3", "--nmax", "1"], "run_suite"),
+    (["emit", "measure", "--measure", "M", "--p", "3", "--nmax", "1"], "_build_measure")])
+def test_unwritable_out_rejected_before_any_work(argv, target, where, tmp_path,
+                                                 monkeypatch, capsys):
+    def never(*args):
+        pytest.fail(f"{target} ran although --out cannot be written")
+
+    monkeypatch.setattr(cli, target, never)
+    out_path = tmp_path / "missing" / "x" if where == "missing-folder" else tmp_path
+    assert run(argv + ["--out", str(out_path)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"invalid input: --out {out_path} cannot be opened for writing"]
+
+
+def test_out_in_the_working_directory_gets_the_stdout_bytes(tmp_path, monkeypatch, capsys):
+    argv = ["verify", "measures", "--p", "3", "--nmax", "1"]
+    assert run(argv) == EXIT_OK
+    stdout = capsys.readouterr().out
+    monkeypatch.chdir(tmp_path)  # a bare file name: its folder is "."
+    assert run(argv + ["--out", "r.txt"]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "r.txt").read_text() == stdout
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # only what the import itself adds counts: a site hook may load modules first
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(zpmeasures.__file__)))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from zpmeasures import octagon
 from zpmeasures.classical import e1_value, make_E1, make_M, make_N2, m_value, n2_value
-from zpmeasures.magnus import NcSeries, X, embed_E, series_log, word_log2
+from zpmeasures.magnus import NcSeries, X, embed_E, word_log2
 from zpmeasures.octagon import (FACTOR_ORDER, ONE, ZERO, InconsistentRelations,
                                 RelationSet, SymPoly, a_sym, b_sym, build_factor,
                                 build_factors, build_relation_set,
@@ -22,6 +22,7 @@ from zpmeasures.octagon import (FACTOR_ORDER, ONE, ZERO, InconsistentRelations,
 from zpmeasures.padic import PrimeContext
 from zpmeasures.suites import RunConfig, octagon_suite
 
+from lieref import series_log
 from octagonref import chi1_residuals_reference, degree2_display, generic_series_by_subst
 from polyref import FracSymPoly
 
