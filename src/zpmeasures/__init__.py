@@ -14,9 +14,8 @@ from .classical import (e1_relation_suite, make_D2, make_E1, make_M, make_N2,
 from .magnus import (FreeWord, NcSeries, WordSyntaxError, beta_measures,
                      commutator, embed_E, kernel_check, log_lie_check,
                      parse_word, shuffle_check, word_coefficient_congruence)
-from .octagon import (SymPoly, build_factor, deg1_implied_by_reflection,
-                      deg1_relations, degree2_symmetry_check,
-                      derive_factor_by_subst, octagon_product,
-                      reflection_relations, series_inverse)
+from .octagon import (SymPoly, build_factor, deg1_relations,
+                      degree2_symmetry_check, derive_factor_by_subst,
+                      octagon_product, reflection_relations, series_inverse)
 
 __version__ = "0.1.0"

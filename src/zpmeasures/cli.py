@@ -120,11 +120,14 @@ def cmd_verify(args) -> int:
     try:
         if args.n is not None and args.suite != "octagon":
             raise ValueError("--n sets the octagon level and applies to the octagon suite only")
+        if args.sigma_rep is not None and args.suite not in ("octagon", "all"):
+            raise ValueError("--sigma-rep sets the octagon residue and applies to "
+                             "the octagon suite and all only")
         cfg = RunConfig(p=args.p, n_max=n_max, degree=args.degree,
                         mod_exp=args.mod_exp, seed=args.seed, suite=args.suite,
                         sigma_rep=args.sigma_rep, terms=args.terms, tamper=args.tamper)
         cfg.ctx()  # validate p, bounds
-        if cfg.sigma_rep is not None and cfg.suite in ("octagon", "all"):
+        if cfg.sigma_rep is not None:
             octagon.check_config(cfg.p, cfg.n_max, cfg.sigma_rep)
     except ValueError as err:
         print(f"invalid input: {err}", file=sys.stderr)

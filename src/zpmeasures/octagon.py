@@ -426,14 +426,17 @@ class InconsistentRelations(ValueError):
 
 
 class RelationSet(Record):
-    """Relations plus the triangular substitution solving them."""
+    """Relations plus the triangular substitution solving them; `resolve`
+    takes more relations into a built set."""
 
     _fields = ("relations", "substitution", "rank")
-    __slots__ = _fields + ("_images",)
+    __slots__ = _fields + ("prefer", "_images")
 
-    def __init__(self, relations: list, substitution: dict | None = None, rank: int = 0):
+    def __init__(self, relations: list, substitution: dict | None = None, rank: int = 0,
+                 prefer=()):
         self.relations, self.rank = relations, rank
         self.substitution = {} if substitution is None else substitution
+        self.prefer = [tuple(s) for s in prefer]
         # monomial key -> image of the monomial under the (fixed) substitution
         self._images = {}
 
@@ -445,52 +448,41 @@ class RelationSet(Record):
             den = _merge(out, den, images[key].terms, images[key].den, c)
         return SymPoly._norm(out, den * poly.den)
 
+    def resolve(self, relations) -> "RelationSet":
+        """Gauss-style elimination of `relations` into the set, then a check
+        that every relation of the set reduces to zero; returns the set.
+
+        A pivot must carry a rational coefficient: the first `prefer` symbol
+        that does, else the last such symbol.  A relation left with no pivot,
+        a surviving nonzero constant say, means the set is inconsistent.
+        """
+        subst = self.substitution
+        for rel in relations:
+            self.relations.append(rel)
+            rel = rel.substitute(subst)
+            if not rel:
+                continue
+            candidates = [sym for sym in sorted(rel.symbols()) if rel.symbol_coefficient(sym)]
+            if not candidates:
+                raise InconsistentRelations(f"unresolvable relation: {rel}")
+            pick = next((want for want in self.prefer if want in candidates), candidates[-1])
+            solved = SymPoly.symbol(pick) - rel * (1 / rel.symbol_coefficient(pick))
+            # back-substitute into existing solutions to keep the map triangular
+            for k in list(subst):
+                subst[k] = subst[k].substitute({pick: solved})
+            subst[pick] = solved
+            self.rank += 1
+        self._images = {}  # the substitution may have grown
+        for rel in self.relations:
+            if self.reduce(rel):
+                raise InconsistentRelations(f"reduction is not idempotent on input: {rel}")
+        return self
+
 
 def build_relation_set(relations, prefer=()) -> RelationSet:
-    """Gauss-style elimination; pivots must carry rational coefficients.
-
-    `prefer` lists symbols to eliminate first (the reflection relations
-    eliminate a_{-x} for x in a half-system).  Every relation must reduce to
-    zero; a surviving nonzero constant means the set is inconsistent.
-    """
-    subst: dict = {}
-    prefer = [tuple(s) for s in prefer]
-    rank = 0
-
-    def resolve(rel: SymPoly):
-        nonlocal rank
-        rel = rel.substitute(subst)
-        if not rel:
-            return
-        candidates = []
-        for sym in sorted(rel.symbols()):
-            c = rel.symbol_coefficient(sym)
-            if c:
-                candidates.append(sym)
-        if not candidates:
-            raise InconsistentRelations(f"unresolvable relation: {rel}")
-        pick = None
-        for want in prefer:
-            if want in candidates:
-                pick = want
-                break
-        if pick is None:
-            pick = candidates[-1]
-        c = rel.symbol_coefficient(pick)
-        solved = SymPoly.symbol(pick) - rel * (1 / c)
-        # back-substitute into existing solutions to keep the map triangular
-        for k in list(subst):
-            subst[k] = subst[k].substitute({pick: solved})
-        subst[pick] = solved
-        rank += 1
-
-    for rel in relations:
-        resolve(rel)
-    rs = RelationSet(list(relations), subst, rank)
-    for rel in relations:
-        if rs.reduce(rel):
-            raise InconsistentRelations(f"reduction is not idempotent on input: {rel}")
-    return rs
+    """The set solving `relations`, eliminating `prefer` symbols first (the
+    reflection relations eliminate a_{-x} for x in a half-system)."""
+    return RelationSet([], prefer=prefer).resolve(relations)
 
 
 def deg1_relations(prod: NcSeries):
@@ -520,12 +512,7 @@ def reflection_relations(p: int, n: int, s: int):
 
 def reflection_half_system(width: int):
     """Symbols a_{-x} for x in a fixed half-system (the elimination targets)."""
-    prefer = []
-    for x in range(1, width):
-        nx = (-x) % width
-        if nx > x:
-            prefer.append(("a", nx))
-    return prefer
+    return [("a", width - x) for x in range(1, width) if width - x > x]
 
 
 def shuffle_substitution(width: int) -> dict:
@@ -536,25 +523,6 @@ def shuffle_substitution(width: int) -> dict:
         for y in range(x):
             mapping[("b", x, y)] = a_sym(x, width) * a_sym(y, width) - b_sym(y, x, width)
     return mapping
-
-
-def standard_relation_set(p: int, n: int, s: int, prod: NcSeries) -> RelationSet:
-    rels = reflection_relations(p, n, s) + deg1_relations(prod)
-    return build_relation_set(rels, prefer=reflection_half_system(p ** n))
-
-
-def deg1_implied_by_reflection(p: int, n: int, s: int, prod: NcSeries) -> dict:
-    """Check that every degree-1 relation of the product lies in the ideal
-    generated by the reflection relations alone.
-
-    `prod` is the octagon product at (p, n, s), as built by the caller with
-    `octagon_product` (a negative control passes a tampered one).
-    """
-    refl = build_relation_set(reflection_relations(p, n, s),
-                              prefer=reflection_half_system(p ** n))
-    residuals = [refl.reduce(rel) for rel in deg1_relations(prod)]
-    return {"passed": not any(residuals),
-            "residuals": residuals}
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +581,10 @@ def degree2_symmetry_check(p: int, n: int, s: int, prod: NcSeries) -> dict:
 
     `prod` is the octagon product at (p, n, s), as built by the caller with
     `octagon_product` (a negative control passes a tampered one): its Y_a Y_b
-    coefficients are matched, its degree-1 coefficients join the ideal.
+    coefficients are matched, its degree-1 coefficients join the ideal.  One
+    relation set serves both degrees: the reflection relations are solved
+    first, the degree-1 relations reduced through them (`deg1_residuals`, all
+    zero when they lie in the reflection ideal) and then resolved into it.
 
     Returns the report payload: residuals in full (all zero on success), the
     rank of the degree-1 relations, whether the shuffle relations had to be
@@ -628,8 +599,11 @@ def degree2_symmetry_check(p: int, n: int, s: int, prod: NcSeries) -> dict:
     report = {"config": {"p": p, "n": n, "s": s}, "x_coeff_zero": not prod.coeff((X,)),
               "deg1_rank": 0, "residuals": {}, "chi1_residuals": None,
               "extra_relations_used": [], "passed": False}
+    deg1 = deg1_relations(prod)
+    rs = build_relation_set(reflection_relations(p, n, s), prefer=reflection_half_system(width))
+    report["deg1_residuals"] = [rs.reduce(rel) for rel in deg1]
     try:
-        rs = standard_relation_set(p, n, s, prod)
+        rs.resolve(deg1)
     except InconsistentRelations as err:
         report["inconsistent_relations"] = f"standard: {err}"
         return report

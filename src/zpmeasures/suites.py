@@ -198,9 +198,19 @@ def measures_suite(cfg: RunConfig) -> SuiteReport:
 
 
 def _first_miss(p: int, rows):
-    """The key of the first (key, got, want, guarantee) row whose got - want
-    has p-adic valuation below its guarantee; None when every row holds."""
-    return next((key for key, got, want, guar in rows if vp(got - want, p) < guar), None)
+    """The first (key, got, want, guarantee) row whose got - want has p-adic
+    valuation below its guarantee; None when every row holds."""
+    return next((row for row in rows if vp(row[1] - row[2], p) < row[3]), None)
+
+
+def _miss_detail(p: int, label: str, row) -> str:
+    """'' for no miss; else the missed row, `label` formatted with its key,
+    and the valuation its difference reached."""
+    if row is None:
+        return ""
+    key, got, want, guar = row
+    return (f"{label.format(key)} off: got={format_rat(got)} want={format_rat(want)} "
+            f"guarantee={guar} valuation={vp(got - want, p)}")
 
 
 def transforms_suite(cfg: RunConfig) -> SuiteReport:
@@ -220,7 +230,7 @@ def transforms_suite(cfg: RunConfig) -> SuiteReport:
         bad = _first_miss(cfg.p, ((k, P.coefficient((k,)), binom(c, k + 1) - (1 if k == 0 else 0),
                                    P.guarantees[(k,)]) for k in range(terms + 1)))
         rep.add(f"interpolation:M({format_rat(c)})", bad is None,
-                "" if bad is None else f"coefficient k={bad} off")
+                _miss_detail(cfg.p, "coefficient k={}", bad))
 
     for c in units[:2]:
         F = transform_F(classical.make_E1(c, ctx), terms, cfg.n_max)
@@ -228,8 +238,7 @@ def transforms_suite(cfg: RunConfig) -> SuiteReport:
                                    Fraction(bernoulli(k), k) * (1 - Fraction(c) ** k)
                                    / math.factorial(k - 1), F.guarantees[(k - 1,)])
                                   for k in range(1, terms + 1)))
-        rep.add(f"e1-moments:c={c}", bad is None,
-                "" if bad is None else f"moment k={bad} off")
+        rep.add(f"e1-moments:c={c}", bad is None, _miss_detail(cfg.p, "moment k={}", bad))
 
     mu = _random_dirac_combo(rng, ctx, 1)
     F1 = transform_F(mu, terms, cfg.n_max)
@@ -237,8 +246,7 @@ def transforms_suite(cfg: RunConfig) -> SuiteReport:
     bad = _first_miss(cfg.p, ((k, F1.coefficient((k,)), F2.coefficient((k,)),
                                min(F1.guarantees[(k,)], F2.guarantees[(k,)]))
                               for k in range(terms + 1)))
-    rep.add("exp-transform-two-routes", bad is None,
-            "" if bad is None else f"coefficient k={bad} off")
+    rep.add("exp-transform-two-routes", bad is None, _miss_detail(cfg.p, "coefficient k={}", bad))
 
     if cfg.p >= 5:
         c = units[0]
@@ -262,7 +270,7 @@ def transforms_suite(cfg: RunConfig) -> SuiteReport:
         bad = _first_miss(cfg.p, ((e, acc[e], rhs.coefficient(e),
                                    min(guar[e], rhs.guarantees[e])) for e in exps))
         rep.add(f"symmetrized-transform:c={c}", bad is None,
-                "" if bad is None else f"coefficient {bad} off")
+                _miss_detail(cfg.p, "coefficient {}", bad))
     return rep
 
 
@@ -347,10 +355,9 @@ def octagon_suite(cfg: RunConfig) -> SuiteReport:
         if cfg.tamper:
             prod.add_term((0, 0), octagon.SymPoly.const(1))
         rep.add(f"x-coefficient:s={s}", not prod.coeff((magnus.X,)), "")
-        d1 = octagon.deg1_implied_by_reflection(p, n, s, prod)
-        left = [i for i, r in enumerate(d1["residuals"]) if r]
-        rep.add(f"deg1-from-reflection:s={s}", d1["passed"], f"nonzero at {left[:3]}" if left else "")
         res = octagon.degree2_symmetry_check(p, n, s, prod)
+        left = [i for i, r in enumerate(res["deg1_residuals"]) if r]
+        rep.add(f"deg1-from-reflection:s={s}", not left, f"nonzero at {left[:3]}" if left else "")
         nonzero = [k for k, v in res["residuals"].items() if v]
         rep.add(f"degree2-residuals:s={s}", res["passed"],
                 res.get("inconsistent_relations") or

@@ -10,6 +10,11 @@ chi = 1 display (`degree2_display_chi1`) against the product's t = 0
 coefficients, reduced by a relation set eliminated from the t = 0 relations.
 The library reads the same comparison off the s = 1 residuals at t = 0.
 
+`standard_relation_set` solves the reflection and degree-1 relations in one
+elimination from scratch.  The library solves the reflection relations
+first and resolves the degree-1 relations into that set
+(`octagon.degree2_symmetry_check`), which makes the same set.
+
 `generic_series_by_subst` writes out the generic cocycle series under the
 C, E or G generator substitution term by term.  The library substitutes the
 image logs into factor A's display (`NcSeries.substitute`).
@@ -88,6 +93,12 @@ def chi1_residuals_reference(p: int, n: int, prod) -> dict:
     return {(a, b): rs0.reduce(degree2_display_chi1(a, b, width)
                                - prod.coeffs.get((a, b), ZERO).subs_t(0))
             for a, b in itertools.product(range(width), repeat=2)}
+
+
+def standard_relation_set(p: int, n: int, s: int, prod):
+    """The reflection and degree-1 relations of `prod`, solved together."""
+    rels = reflection_relations(p, n, s) + deg1_relations(prod)
+    return build_relation_set(rels, prefer=reflection_half_system(p ** n))
 
 
 def generic_series_by_subst(name: str, p: int, n: int, s: int):

@@ -23,9 +23,8 @@ from zpmeasures.measures import (DiracCombo, box_integral, exterior_power,
                                  iwasawa_tensor, linear_combine, measures_equal,
                                  pushforward, signed_group, star_convolution,
                                  validate_distribution)
-from zpmeasures.octagon import (build_factors, deg1_implied_by_reflection,
-                                degree2_symmetry_check, derive_factor_by_subst,
-                                octagon_product)
+from zpmeasures.octagon import (build_factors, degree2_symmetry_check,
+                                derive_factor_by_subst, octagon_product)
 from zpmeasures.padic import PrimeContext, bernoulli, binom, vp
 from zpmeasures.suites import SUITE_RUNNERS, RunConfig
 
@@ -123,8 +122,8 @@ def test_05_octagon_symbolic_suite():
             start = time.monotonic()
             prod = octagon_product(p, n, s, build_factors(p, n, s))
             ok = ok and not prod.coeff((X,))
-            ok = ok and deg1_implied_by_reflection(p, n, s, prod)["passed"]
             rep = degree2_symmetry_check(p, n, s, prod)
+            ok = ok and not any(rep["deg1_residuals"])
             ok = ok and rep["passed"]
             ok = ok and not any(rep["residuals"].values())
             elapsed = time.monotonic() - start

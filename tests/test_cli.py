@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -76,6 +77,33 @@ def test_failed_signed_symmetrization_names_its_miss(monkeypatch):
     assert failure.name.startswith("signed-symmetrization:")
     assert failure.detail.startswith("group sum vs square, level 2 mod p^3; level=1 point=")
     assert failure.detail.endswith(" valuation=1")
+
+
+def test_failed_transforms_checks_name_their_miss(monkeypatch):
+    # one coefficient off by 1 in each transform the four checks read
+    def off_by_one(fn, exp):
+        def perturbed(*args):
+            out = fn(*args)
+            if out.dim == len(exp):
+                out.coeffs[exp] = out.coefficient(exp) + 1
+            return out
+        return perturbed
+
+    monkeypatch.setattr(suites, "iwasawa_P", off_by_one(suites.iwasawa_P, (2,)))
+    monkeypatch.setattr(suites, "transform_F", off_by_one(suites.transform_F, (1,)))
+    monkeypatch.setattr(suites, "iwasawa_tensor", off_by_one(suites.iwasawa_tensor, (0, 1)))
+    report = run_suite(RunConfig(p=5, n_max=2, terms=3, suite="transforms"))[0]
+    failed = {c.name.split(":")[0]: c.detail for c in report.checks if not c.passed}
+    assert sorted(failed) == ["e1-moments", "exp-transform-two-routes", "interpolation",
+                              "symmetrized-transform"]
+    assert failed["e1-moments"].startswith("moment k=2 off: got=")
+    assert failed["exp-transform-two-routes"].startswith("coefficient k=1 off: got=")
+    assert failed["symmetrized-transform"].startswith("coefficient (0, 1) off: got=")
+    for detail in failed.values():
+        fields = dict(item.split("=", 1) for item in detail.split(": ", 1)[1].split())
+        assert list(fields) == ["got", "want", "guarantee", "valuation"]
+        assert int(fields["valuation"]) < int(fields["guarantee"])
+        assert Fraction(fields["got"]) != Fraction(fields["want"])
 
 
 def test_reports_deterministic(tmp_path):
@@ -176,6 +204,24 @@ def test_bad_sigma_rep_rejected_before_any_suite_runs(suite, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "s must be a unit residue" in err
+
+
+@pytest.mark.parametrize("suite", ["measures", "magnus", "transforms", "corrections"])
+def test_sigma_rep_rejected_outside_octagon_and_all(suite, monkeypatch, capsys):
+    # the residue would otherwise be dropped in silence
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", ran.append)
+    assert run(["verify", suite, "--p", "3", "--nmax", "1", "--sigma-rep", "5"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert ran == [] and out == ""
+    assert "--sigma-rep sets the octagon residue" in err
+
+
+def test_all_keeps_its_sigma_rep(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: ran.append(cfg) or [])
+    assert run(["verify", "all", "--p", "3", "--nmax", "1", "--sigma-rep", "2"]) == EXIT_OK
+    assert [cfg.sigma_rep for cfg in ran] == [2]
 
 
 @pytest.mark.parametrize("suite", ["all", "measures"])
@@ -369,7 +415,7 @@ REPORT_DIGESTS = {
     "verify transforms --p 5 --nmax 2 --seed 2 --format json":
         "5d466c862cb01d6cdea55e0168e3bc70d584131527af360d9875da8b76a1ad10",
     "verify transforms --p 3 --nmax 2 --seed 1 --tamper --format json":
-        "0d0808e89f04c091b6df5ac327a7ee8a1c781e8fa0a0ed9c7923aa45d5dd94d9",
+        "e47c3472cee0ef173919f4b4463c00928e246d0def80a119faad194d64b5427a",
     "emit iwasawa --measure N2 --c 7 --p 3 --nmax 2 --terms 4":
         "552b626a513bcddb1ce38868abd4c82a13582aa40315e504ec2e130d25281b28",
     "emit f-series --measure E1 --c 2 --p 5 --nmax 3 --terms 5":

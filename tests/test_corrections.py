@@ -129,6 +129,19 @@ def test_box_integral_meets_its_guarantee(case, data):
     assert vp(exact - value, p) >= guarantee
 
 
+@pytest.mark.parametrize("depth", [4, pytest.param(3, marks=pytest.mark.xfail(
+    strict=True, reason="denom_bound reads the stored levels only: the atoms' 1/2 "
+                        "first shows in a level-4 table, so depth 3 claims guarantee 3"))])
+def test_box_integral_guarantee_with_denominators_below_the_stored_depth(depth):
+    # the atoms at 0 and 8 share every box down to level 3, where they sum to 1
+    combo = DiracCombo.make(1, [((0,), Fraction(1, 2)), ((8,), Fraction(1, 2))])
+    integrand = standard_integrand((0, 1), (0,), 1)
+    exact = combo.box_integral_exact((0,), 0, integrand, 2)
+    value, guarantee = box_integral(combo.to_level_family(PrimeContext(2, depth)),
+                                    (0,), 0, integrand, 3)
+    assert vp(exact - value, 2) >= guarantee
+
+
 def scan_box(atoms, base, level, p):
     """Reference box membership: reduce every coordinate of every atom."""
     pl = p ** level

@@ -11,19 +11,19 @@ from zpmeasures.classical import e1_value, make_E1, make_M, make_N2, m_value, n2
 from zpmeasures.magnus import NcSeries, X, embed_E, word_log2
 from zpmeasures.octagon import (FACTOR_ORDER, ONE, ZERO, InconsistentRelations,
                                 RelationSet, SymPoly, a_sym, b_sym, build_factor,
-                                build_factors, build_relation_set,
-                                deg1_implied_by_reflection, deg1_relations,
+                                build_factors, build_relation_set, deg1_relations,
                                 degree2_displays, degree2_symmetry_check,
                                 derive_factor_by_subst, g_sym, octagon_product,
                                 reflection_half_system, reflection_relations,
                                 report_json_dict, series_inverse,
-                                shuffle_substitution, standard_relation_set,
-                                substitution_images, unit_series)
+                                shuffle_substitution, substitution_images,
+                                unit_series)
 from zpmeasures.padic import PrimeContext
 from zpmeasures.suites import RunConfig, octagon_suite
 
 from lieref import series_log
-from octagonref import chi1_residuals_reference, degree2_display, generic_series_by_subst
+from octagonref import (chi1_residuals_reference, degree2_display, generic_series_by_subst,
+                        standard_relation_set)
 from polyref import FracSymPoly
 
 GRID = [(3, 1), (5, 1), (2, 2)]
@@ -227,7 +227,9 @@ def test_reflection_relations_structure():
 def test_deg1_implied_by_reflection_grid():
     for p, n in GRID:
         for s in units(p, n):
-            assert deg1_implied_by_reflection(p, n, s, product(p, n, s))["passed"]
+            rep = degree2_symmetry_check(p, n, s, product(p, n, s))
+            assert len(rep["deg1_residuals"]) == p ** n
+            assert not any(rep["deg1_residuals"]), (p, n, s)
 
 
 def test_degree2_symmetry_grid():
@@ -516,15 +518,38 @@ def test_octagon_series_have_sympoly_coefficients():
 
 def test_checks_read_the_product_they_are_given():
     prod = product(3, 1, 1)
-    assert deg1_implied_by_reflection(3, 1, 1, prod)["passed"]
-    assert degree2_symmetry_check(3, 1, 1, prod)["passed"]
+    rep = degree2_symmetry_check(3, 1, 1, prod)
+    assert rep["passed"] and not any(rep["deg1_residuals"])
     bad = product(3, 1, 1)
     bad.add_term((0, 0), SymPoly.const(1))
     rep = degree2_symmetry_check(3, 1, 1, bad)
     assert not rep["passed"]
     assert [k for k, r in rep["residuals"].items() if r] == [(0, 0)]
+    assert not any(rep["deg1_residuals"])
     bad.add_term((1,), SymPoly.const(1))
-    assert not deg1_implied_by_reflection(3, 1, 1, bad)["passed"]
+    rep = degree2_symmetry_check(3, 1, 1, bad)
+    assert [i for i, r in enumerate(rep["deg1_residuals"]) if r] == [1]
+    assert rep["inconsistent_relations"] == "standard: unresolvable relation: 1*1"
+
+
+def test_a_sweep_solves_one_relation_set_per_residue(monkeypatch):
+    # the degree-1 check reads its residuals off the set the degree-2 check extends
+    calls = []
+    real = octagon.build_relation_set
+    monkeypatch.setattr(octagon, "build_relation_set",
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    rep = octagon_suite(RunConfig(p=3, n_max=2, suite="octagon"))
+    assert rep.passed
+    assert len(calls) == len(units(3, 2)) == 6
+
+
+def test_resolving_into_a_built_set_is_one_elimination():
+    for p, n, s in [(3, 1, 2), (2, 2, 3), (5, 1, 4)]:
+        prod = product(p, n, s)
+        rs = build_relation_set(reflection_relations(p, n, s),
+                                prefer=reflection_half_system(p ** n))
+        assert rs.resolve(deg1_relations(prod)) is rs
+        assert rs == standard_relation_set(p, n, s, prod)
 
 
 def test_shuffle_retry_reads_the_extended_substitution():
