@@ -58,8 +58,9 @@ class SuiteReport(Record):
         self.checks = [] if checks is None else checks
         self.artifacts = [] if artifacts is None else artifacts
 
-    def add(self, name, passed, detail=""):
-        self.checks.append(Check(name, bool(passed), detail))
+    def add(self, name, miss, holds=""):
+        """Record a check: it fails with detail `miss`, or passes with `holds` if `miss` is None."""
+        self.checks.append(Check(name, miss is None, holds if miss is None else miss))
 
     @property
     def passed(self) -> bool:
@@ -173,14 +174,12 @@ def measures_suite(cfg: RunConfig) -> SuiteReport:
 
     for name, mu in named.items():
         res = validate_distribution(mu)
-        detail = "" if res.passed else \
-            f"level={res.level} point={res.point} defect={format_rat(res.defect)}"
-        rep.add(f"distribution:{name}", res.passed, detail)
+        rep.add(f"distribution:{name}", None if res else
+                f"level={res.level} point={res.point} defect={format_rat(res.defect)}")
 
     for c in units:
-        checks = classical.e1_relation_suite(c, ctx, cfg.n_max, cfg.mod_exp)
-        for nm, ok, detail in checks:
-            rep.add(f"e1-relations:{nm}:c={c}", ok, detail if not ok else "")
+        for nm, ok, detail in classical.e1_relation_suite(c, ctx, cfg.n_max, cfg.mod_exp):
+            rep.add(f"e1-relations:{nm}:c={c}", None if ok else detail)
 
     if cfg.p >= 5:
         c = units[0]
@@ -192,25 +191,18 @@ def measures_suite(cfg: RunConfig) -> SuiteReport:
         rhs = exterior_power(rho, 2)
         res = measures_equal(lhs, rhs, sym_level, cfg.mod_exp)
         claim = f"group sum vs square, level {sym_level} mod p^{cfg.mod_exp}"
-        rep.add(f"signed-symmetrization:c={c}", res.passed,
-                claim if res else f"{claim}; {res.pinpoint(cfg.p)}")
+        rep.add(f"signed-symmetrization:c={c}", None if res else f"{claim}; {res.pinpoint(cfg.p)}",
+                claim)
     return rep
 
 
-def _first_miss(p: int, rows):
+def _first_miss(p: int, label: str, rows):
     """The first (key, got, want, guarantee) row whose got - want has p-adic
-    valuation below its guarantee; None when every row holds."""
-    return next((row for row in rows if vp(row[1] - row[2], p) < row[3]), None)
-
-
-def _miss_detail(p: int, label: str, row) -> str:
-    """'' for no miss; else the missed row, `label` formatted with its key,
-    and the valuation its difference reached."""
-    if row is None:
-        return ""
-    key, got, want, guar = row
-    return (f"{label.format(key)} off: got={format_rat(got)} want={format_rat(want)} "
-            f"guarantee={guar} valuation={vp(got - want, p)}")
+    valuation below its guarantee: `label` formatted with its key, the row and
+    the valuation reached.  None when every row holds."""
+    return next((f"{label.format(key)} off: got={format_rat(got)} want={format_rat(want)} "
+                 f"guarantee={guar} valuation={vp(got - want, p)}"
+                 for key, got, want, guar in rows if vp(got - want, p) < guar), None)
 
 
 def transforms_suite(cfg: RunConfig) -> SuiteReport:
@@ -227,26 +219,22 @@ def transforms_suite(cfg: RunConfig) -> SuiteReport:
         P = iwasawa_P(M, terms, cfg.n_max)
         if cfg.tamper and c == units[0]:
             P.coeffs[(2,)] += 1
-        bad = _first_miss(cfg.p, ((k, P.coefficient((k,)), binom(c, k + 1) - (1 if k == 0 else 0),
-                                   P.guarantees[(k,)]) for k in range(terms + 1)))
-        rep.add(f"interpolation:M({format_rat(c)})", bad is None,
-                _miss_detail(cfg.p, "coefficient k={}", bad))
+        rep.add(f"interpolation:M({format_rat(c)})", _first_miss(cfg.p, "coefficient k={}", (
+            (k, P.coefficient((k,)), binom(c, k + 1) - (1 if k == 0 else 0), P.guarantees[(k,)])
+            for k in range(terms + 1))))
 
     for c in units[:2]:
         F = transform_F(classical.make_E1(c, ctx), terms, cfg.n_max)
-        bad = _first_miss(cfg.p, ((k, F.coefficient((k - 1,)),
-                                   Fraction(bernoulli(k), k) * (1 - Fraction(c) ** k)
-                                   / math.factorial(k - 1), F.guarantees[(k - 1,)])
-                                  for k in range(1, terms + 1)))
-        rep.add(f"e1-moments:c={c}", bad is None, _miss_detail(cfg.p, "moment k={}", bad))
+        rep.add(f"e1-moments:c={c}", _first_miss(cfg.p, "moment k={}", (
+            (k, F.coefficient((k - 1,)), Fraction(bernoulli(k), k) * (1 - Fraction(c) ** k)
+             / math.factorial(k - 1), F.guarantees[(k - 1,)]) for k in range(1, terms + 1))))
 
     mu = _random_dirac_combo(rng, ctx, 1)
     F1 = transform_F(mu, terms, cfg.n_max)
     F2 = transform_F_via_P(iwasawa_P(mu, terms, cfg.n_max), cfg.p)
-    bad = _first_miss(cfg.p, ((k, F1.coefficient((k,)), F2.coefficient((k,)),
-                               min(F1.guarantees[(k,)], F2.guarantees[(k,)]))
-                              for k in range(terms + 1)))
-    rep.add("exp-transform-two-routes", bad is None, _miss_detail(cfg.p, "coefficient k={}", bad))
+    rep.add("exp-transform-two-routes", _first_miss(cfg.p, "coefficient k={}", (
+        (k, F1.coefficient((k,)), F2.coefficient((k,)),
+         min(F1.guarantees[(k,)], F2.guarantees[(k,)])) for k in range(terms + 1))))
 
     if cfg.p >= 5:
         c = units[0]
@@ -267,10 +255,8 @@ def transforms_suite(cfg: RunConfig) -> SuiteReport:
                     else min(guar[e], pt.guarantees[e])
         P1 = iwasawa_P(rho, K, lvl)
         rhs = iwasawa_tensor(P1, P1)
-        bad = _first_miss(cfg.p, ((e, acc[e], rhs.coefficient(e),
-                                   min(guar[e], rhs.guarantees[e])) for e in exps))
-        rep.add(f"symmetrized-transform:c={c}", bad is None,
-                _miss_detail(cfg.p, "coefficient {}", bad))
+        rep.add(f"symmetrized-transform:c={c}", _first_miss(cfg.p, "coefficient {}", (
+            (e, acc[e], rhs.coefficient(e), min(guar[e], rhs.guarantees[e])) for e in exps)))
     return rep
 
 
@@ -301,41 +287,45 @@ def magnus_suite(cfg: RunConfig) -> SuiteReport:
         ys = range(min(width0, ctx.p ** level))
         pairs = [((a,), (b,)) for a in ys for b in ys]
         pairs += [((a,), (b, c)) for a in ys for b in ys for c in ys if D >= 3]
-        miss = next((pair for pair in pairs if not magnus.shuffle_check(s, *pair)), None)
-        rep.add(f"shuffle:word{w_i}", miss is None, "" if miss is None else f"fails at {miss}")
-        rep.add(f"lie:word{w_i}", magnus.log_lie_check(s), "")
+        rep.add(f"shuffle:word{w_i}", next((f"fails at {pair}" for pair in pairs
+                                             if not magnus.shuffle_check(s, *pair)), None))
+        rep.add(f"lie:word{w_i}", None if magnus.log_lie_check(s) else
+                "log fails Dynkin-Specht-Wever: not a Lie series")
 
         betas.append(magnus.graded_beta(g, ctx, 2, towers[w_i]))
         for r in (1, 2):
             res = validate_distribution(betas[w_i][r])
-            rep.add(f"beta-distribution:word{w_i}:r={r}", res.passed,
-                    "" if res.passed else res.pinpoint(cfg.p))
+            rep.add(f"beta-distribution:word{w_i}:r={r}", None if res else res.pinpoint(cfg.p))
 
     # negative control: a perturbed series must fail the shuffle relations
     bad = towers[0][level].truncated(D)
     bad.coeffs[(0, 0)] = bad.coeff((0, 0)) + 1
-    failed = not magnus.shuffle_check(bad, (0,), (0,))
-    rep.add("shuffle-negative-control", failed, "perturbed series must fail")
+    claim = "perturbed series must fail"
+    rep.add("shuffle-negative-control", claim if magnus.shuffle_check(bad, (0,), (0,)) else None,
+            claim)
 
     g = words[0]
     gh = g * words[1]
     C = magnus.graded_beta(gh, ctx, 2, magnus.word_tower(gh, [2] * (level + 1)))
     S = star_convolution(betas[0], betas[1])
-    star_ok = all(S[i].tables == C[i].tables for i in range(3))
-    rep.add("star-identity", star_ok, "graded product vs word product")
+    claim = "graded product vs word product"
+    rep.add("star-identity", next((f"{claim}: degree {i} differs" for i in range(3)
+                                   if S[i].tables != C[i].tables), None), claim)
 
     b1, b2 = betas[0][1], betas[0][2]
     t1, t2 = b1.tables[1], b2.tables[1]
-    perm_ok = all(t2[a] + t2[a[::-1]] == t1[a[:1]] * t1[a[1:]]
-                  for a in itertools.product(range(ctx.p), repeat=2))
-    rep.add("permutation-sum", perm_ok, "degree-2 symmetrization vs products")
+    claim = "degree-2 symmetrization vs products"
+    rep.add("permutation-sum", next((f"{claim}: level 1 point {a} differs"
+                                     for a in itertools.product(range(ctx.p), repeat=2)
+                                     if t2[a] + t2[a[::-1]] != t1[a[:1]] * t1[a[1:]]), None),
+            claim)
 
     results = ((shape, i, magnus.word_coefficient_congruence(g, shape, (i,), n_box, 1,
                                                              towers[0][n_box], b1))
                for shape in shapes for i in range(ctx.p ** n_box))
-    miss = next((f"shape={shape} i={i} level={r['level']} guaranteed={r['guaranteed']}"
-                 f" achieved={r['achieved']}" for shape, i, r in results if not r["passed"]), None)
-    rep.add("coefficient-congruence", miss is None, miss or "")
+    rep.add("coefficient-congruence", next(
+        (f"shape={shape} i={i} level={r['level']} guaranteed={r['guaranteed']}"
+         f" achieved={r['achieved']}" for shape, i, r in results if not r["passed"]), None))
     return rep
 
 
@@ -354,21 +344,22 @@ def octagon_suite(cfg: RunConfig) -> SuiteReport:
         prod = octagon.octagon_product(p, n, s, factors)
         if cfg.tamper:
             prod.add_term((0, 0), octagon.SymPoly.const(1))
-        rep.add(f"x-coefficient:s={s}", not prod.coeff((magnus.X,)), "")
         res = octagon.degree2_symmetry_check(p, n, s, prod)
+        rep.add(f"x-coefficient:s={s}", None if res["x_coeff_zero"] else
+                f"X coefficient {prod.coeff((magnus.X,))}")
         left = [i for i, r in enumerate(res["deg1_residuals"]) if r]
-        rep.add(f"deg1-from-reflection:s={s}", not left, f"nonzero at {left[:3]}" if left else "")
+        rep.add(f"deg1-from-reflection:s={s}", f"nonzero at {left[:3]}" if left else None)
         nonzero = [k for k, v in res["residuals"].items() if v]
-        rep.add(f"degree2-residuals:s={s}", res["passed"],
+        extra = f"extra_relations={res['extra_relations_used']}"
+        rep.add(f"degree2-residuals:s={s}", None if res["passed"] else
                 res.get("inconsistent_relations") or
-                (f"nonzero at {nonzero[:3]}" if nonzero else
-                 f"extra_relations={res['extra_relations_used']}"))
+                (f"nonzero at {nonzero[:3]}" if nonzero else extra), extra)
         rep.artifacts.append(octagon.report_json_dict(res))
         for name in "EG":
             derived[name] = octagon.derive_factor_by_subst(name, p, n, s, shared["A"], factors[name])
         for name, d in derived.items():
-            rep.add(f"substitution-derivation:{name}:s={s}", d["passed"],
-                    "" if d["passed"] else str(sorted(d["mismatches"].items())[:2]))
+            rep.add(f"substitution-derivation:{name}:s={s}",
+                    None if d["passed"] else str(sorted(d["mismatches"].items())[:2]))
     return rep
 
 
@@ -397,17 +388,17 @@ def corrections_suite(cfg: RunConfig) -> SuiteReport:
         sides = ((f"{tag} shape={shape} base={base}", identity(lhs, beta, base, shape, p, n))
                  for shape, base in itertools.product(shapes, bases)
                  for tag, identity, lhs in identities)
-        bad = next((where for where, (l, rr) in sides if l != rr), None)
-        rep.add(f"change-of-variables:trial{trial}", bad is None, bad or "")
+        rep.add(f"change-of-variables:trial{trial}",
+                next((where for where, (l, rr) in sides if l != rr), None))
 
     for trial in range(5):
         g = random_combo(r)
         beta = g + g.negated_points()
         sums = ((shape, base, corrections.four_term_sum(beta, base, shape, p, n))
                 for shape, base in itertools.product(shapes, [(0, 1), (1, 2), (2, 2)]))
-        bad = next((f"shape={shape} base={base} sum={format_rat(s)}"
-                    for shape, base, s in sums if s), None)
-        rep.add(f"four-term-sum:trial{trial}", bad is None, bad or "")
+        rep.add(f"four-term-sum:trial{trial}", next(
+            (f"shape={shape} base={base} sum={format_rat(s)}" for shape, base, s in sums if s),
+            None))
     return rep
 
 
@@ -423,6 +414,5 @@ SUITE_RUNNERS = {
 def run_suite(cfg: RunConfig):
     """Run one suite (or all); returns a list of SuiteReport."""
     if cfg.suite == "all":
-        return [SUITE_RUNNERS[name](cfg) for name in
-                ("measures", "transforms", "magnus", "octagon", "corrections")]
+        return [runner(cfg) for runner in SUITE_RUNNERS.values()]
     return [SUITE_RUNNERS[cfg.suite](cfg)]

@@ -1,0 +1,112 @@
+"""A fault for each check that no `--tamper` run fails on its own.
+
+A check that always passes keeps every passing-report digest the same, so
+only a run in which that very check fails can show that it still checks.
+Each case puts one fault into the check's own input, through the code path
+the suite runs, and asserts that the named check line fails with a detail
+naming its miss.
+"""
+
+import itertools
+
+import pytest
+
+from zpmeasures import classical, corrections, magnus, octagon
+from zpmeasures.measures import DiracCombo, GradedSequence, LevelFamily
+from zpmeasures.suites import RunConfig, run_suite
+
+
+def bumped(mu: LevelFamily, level: int, point: tuple) -> LevelFamily:
+    """`mu` with one table entry raised by 1."""
+    tables = list(mu.tables)
+    tables[level] = dict(tables[level])
+    tables[level][point] += 1
+    return LevelFamily(mu.ctx, mu.dim, tuple(tables), mu.denom_bound)
+
+
+def bump_e1(monkeypatch):
+    real = classical.make_E1
+    monkeypatch.setattr(classical, "make_E1", lambda c, ctx: bumped(real(c, ctx), 1, (1,)))
+
+
+def bump_graded_beta(call: int, r: int, point: tuple):
+    """A fault in the degree-r measure of the `call`-th word the suite embeds."""
+    def patch(monkeypatch):
+        real, calls = magnus.graded_beta, itertools.count()
+
+        def perturbed(*args):
+            betas = real(*args)
+            if next(calls) != call:
+                return betas
+            entries = list(betas.entries)
+            entries[r] = bumped(entries[r], 1, point)
+            return GradedSequence(tuple(entries))
+
+        monkeypatch.setattr(magnus, "graded_beta", perturbed)
+    return patch
+
+
+def shuffle_check_accepts_all(monkeypatch):
+    # the negative control must catch a shuffle check that holds for any series
+    monkeypatch.setattr(magnus, "shuffle_check", lambda s, u, v: True)
+
+
+def x_term_in_product(monkeypatch):
+    real = octagon.octagon_product
+
+    def perturbed(*args):
+        prod = real(*args)
+        prod.add_term((magnus.X,), octagon.SymPoly.const(1))
+        return prod
+
+    monkeypatch.setattr(octagon, "octagon_product", perturbed)
+
+
+def odd_measure(monkeypatch):
+    # one extra atom whose negative is missing: beta is no longer even
+    real = corrections.four_term_sum
+    odd = DiracCombo.make(2, [((1, 2), 1)])
+    monkeypatch.setattr(corrections, "four_term_sum",
+                        lambda beta, *args: real(beta + odd, *args))
+
+
+def no_fault(monkeypatch):
+    pass
+
+
+FAULTS = {
+    "e1-relations:reflection:c=": (bump_e1, RunConfig(p=3, n_max=2, suite="measures")),
+    "shuffle:word0": (no_fault, RunConfig(p=2, n_max=2, suite="magnus", tamper=True)),
+    "lie:word0": (no_fault, RunConfig(p=2, n_max=2, suite="magnus", tamper=True)),
+    "shuffle-negative-control": (shuffle_check_accepts_all,
+                                 RunConfig(p=2, n_max=2, suite="magnus")),
+    "star-identity": (bump_graded_beta(1, 1, (1,)), RunConfig(p=3, n_max=2, suite="magnus")),
+    "permutation-sum": (bump_graded_beta(0, 2, (0, 1)),
+                        RunConfig(p=3, n_max=2, suite="magnus")),
+    "x-coefficient:s=1": (x_term_in_product,
+                          RunConfig(p=3, n_max=1, suite="octagon", sigma_rep=1)),
+    "four-term-sum:trial": (odd_measure, RunConfig(p=3, suite="corrections")),
+}
+
+
+@pytest.mark.parametrize("line", sorted(FAULTS))
+def test_fault_fails_its_own_check_line(line, monkeypatch):
+    fault, cfg = FAULTS[line]
+    fault(monkeypatch)
+    report = run_suite(cfg)[0]
+    assert any(c.name.startswith(line) and not c.passed for c in report.checks)
+    assert all(c.detail for c in report.checks if not c.passed)
+
+
+def test_failed_lines_name_their_first_miss(monkeypatch):
+    details = {}
+    for line in ("lie:word0", "star-identity", "permutation-sum", "x-coefficient:s=1"):
+        fault, cfg = FAULTS[line]
+        with monkeypatch.context() as m:
+            fault(m)
+            details[line] = next(c.detail for c in run_suite(cfg)[0].checks if c.name == line)
+    assert details["lie:word0"] == "log fails Dynkin-Specht-Wever: not a Lie series"
+    assert details["star-identity"] == "graded product vs word product: degree 1 differs"
+    assert details["permutation-sum"] == \
+        "degree-2 symmetrization vs products: level 1 point (0, 1) differs"
+    assert details["x-coefficient:s=1"] == "X coefficient 1*1"
