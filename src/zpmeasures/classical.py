@@ -141,8 +141,9 @@ def e1_relation_suite(c, ctx: PrimeContext, up_to_level: int, mod_exp: int):
     analogue of i/ii with alpha(sigma) in place of E) is an external input;
     it is checked symbolically in the octagon module, not here.
 
-    Returns a list of (name, passed, detail) triples; a failed relation's
-    detail ends with the level, point and valuation of its first miss.
+    Returns a list of (name, miss) pairs: miss is None when the relation
+    holds, else its claim followed by the level, point and valuation of its
+    first miss.
     """
     c = Fraction(c)
     E = make_E1(c, ctx)
@@ -166,5 +167,5 @@ def e1_relation_suite(c, ctx: PrimeContext, up_to_level: int, mod_exp: int):
     checks = []
     for name, rel, exp, claim in relations:
         res = measures_equal(rel, zero, level, exp)
-        checks.append((name, res.passed, claim if res else f"{claim}; {res.pinpoint(ctx.p)}"))
+        checks.append((name, None if res else f"{claim}; {res.pinpoint(ctx.p)}"))
     return checks

@@ -440,9 +440,10 @@ def word_coefficient_congruence(g: FreeWord, ns, idx, n: int, m: int, series, be
     ns = (n_0, ..., n_r) are the X-block sizes, idx = (i_1, ..., i_r) the
     Y indices of the monomial X^{n_0} Y_{i_1} X^{n_1} ... Y_{i_r} X^{n_r}
     at level n.  `series` is the word's level-n series, of degree >= r +
-    sum(ns), and `beta_r` its dimension-r measure.  Returns a dict with the
-    coefficient, the Riemann sum at level n + m, that level, the guaranteed
-    exponent and the achieved exponent.
+    sum(ns), and `beta_r` its dimension-r measure.  Returns (achieved,
+    guaranteed): the valuation of the coefficient minus its Riemann sum at
+    level n + m, and the exponent the box integral guarantees; the
+    congruence holds when achieved >= guaranteed.
     """
     r = len(idx)
     if len(ns) != r + 1:
@@ -458,7 +459,4 @@ def word_coefficient_congruence(g: FreeWord, ns, idx, n: int, m: int, series, be
     integrand = standard_integrand(
         ns, idx, pn, scale=Fraction(1, math.prod(math.factorial(k) for k in ns)))
     value, guaranteed = box_integral(beta_r, idx, n, integrand, n + m)
-    achieved = vp(lam - value, p)
-    return {"coefficient": lam, "riemann_sum": value, "level": n + m,
-            "guaranteed": guaranteed, "achieved": achieved,
-            "passed": achieved >= guaranteed}
+    return vp(lam - value, p), guaranteed

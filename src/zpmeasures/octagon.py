@@ -575,7 +575,11 @@ def degree2_displays(p: int, n: int, s: int, prod: NcSeries) -> dict:
     return out
 
 
-def degree2_symmetry_check(p: int, n: int, s: int, prod: NcSeries) -> dict:
+def _rows(residuals: dict) -> list:
+    return [{"a": a, "b": b, "poly": str(r)} for (a, b), r in sorted(residuals.items())]
+
+
+def degree2_symmetry_check(p: int, n: int, s: int, prod: NcSeries) -> tuple:
     """Match the named-measure display against the product's Y_a Y_b
     coefficients modulo the degree-1 + reflection ideal.
 
@@ -583,59 +587,52 @@ def degree2_symmetry_check(p: int, n: int, s: int, prod: NcSeries) -> dict:
     `octagon_product` (a negative control passes a tampered one): its Y_a Y_b
     coefficients are matched, its degree-1 coefficients join the ideal.  One
     relation set serves both degrees: the reflection relations are solved
-    first, the degree-1 relations reduced through them (`deg1_residuals`, all
-    zero when they lie in the reflection ideal) and then resolved into it.
+    first, the degree-1 relations reduced through them and then resolved
+    into it.
 
-    Returns the report payload: residuals in full (all zero on success), the
-    rank of the degree-1 relations, whether the shuffle relations had to be
-    added, and for s = 1 the chi = 1 comparison.  That is the t = 0 image of
-    the residuals before any shuffle retry: at c = 1 every E_{1,c}, M and N2
-    term of the display and 1 - chi vanish, and t = 0 commutes with the
-    elimination, whose pivots are t-free.  Degree-1 relations that contradict
-    the reflection relations fail the check, and `inconsistent_relations`
-    names the relation left over.
+    Returns (deg1_miss, miss, report).  `deg1_miss` names the first Y indices
+    whose degree-1 relation the reflection relations do not imply, or is None.
+    `miss` is the first of: the degree-1 relation that contradicts the
+    reflection relations (`standard: ...`), the points whose residual survives
+    (after a retry with the shuffle relations), and for s = 1 the points of
+    the chi = 1 comparison that do not vanish; None when nothing misses.  The
+    chi = 1 comparison is the t = 0 image of the residuals before any shuffle
+    retry: at c = 1 every E_{1,c}, M and N2 term of the display and 1 - chi
+    vanish, and t = 0 commutes with the elimination, whose pivots are t-free.
+    `report` is the JSON artifact: residuals in full (all zero on success),
+    the rank of the degree-1 relations and whether the shuffle relations had
+    to be added; its `passed` also needs the product's X coefficient to be 0.
     """
     width = check_config(p, n, s)
-    report = {"config": {"p": p, "n": n, "s": s}, "x_coeff_zero": not prod.coeff((X,)),
-              "deg1_rank": 0, "residuals": {}, "chi1_residuals": None,
-              "extra_relations_used": [], "passed": False}
+    x_coeff_zero = not prod.coeff((X,))
+    report = {"config": {"p": p, "n": n, "s": s}, "x_coeff_zero": x_coeff_zero,
+              "deg1_rank": 0, "residuals": [], "extra_relations_used": [], "passed": False}
     deg1 = deg1_relations(prod)
     rs = build_relation_set(reflection_relations(p, n, s), prefer=reflection_half_system(width))
-    report["deg1_residuals"] = [rs.reduce(rel) for rel in deg1]
+    left = [i for i, rel in enumerate(deg1) if rs.reduce(rel)]
+    deg1_miss = f"nonzero at {left[:3]}" if left else None
     try:
         rs.resolve(deg1)
     except InconsistentRelations as err:
-        report["inconsistent_relations"] = f"standard: {err}"
-        return report
+        report["inconsistent_relations"] = miss = f"standard: {err}"
+        return deg1_miss, miss, report
     unreduced = degree2_displays(p, n, s, prod)
     residuals = {k: rs.reduce(res) for k, res in unreduced.items()}
-    if s == 1:
-        report["chi1_residuals"] = {k: r.subs_t(0) for k, r in residuals.items()}
+    chi1 = {k: r.subs_t(0) for k, r in residuals.items()} if s == 1 else {}
     if any(residuals.values()):
         shuffle = {sym: rs.reduce(val) for sym, val in shuffle_substitution(width).items()}
         rs = RelationSet(rs.relations, {**rs.substitution, **shuffle}, rs.rank)  # fresh image memo
         residuals = {k: rs.reduce(res) for k, res in unreduced.items()}
         report["extra_relations_used"] = ["shuffle"]
-    report.update(deg1_rank=rs.rank, residuals=residuals)
-    report["passed"] = report["x_coeff_zero"] and not any(residuals.values()) \
-        and not any((report["chi1_residuals"] or {}).values())
-    return report
-
-
-def report_json_dict(report: dict) -> dict:
-    out = {"config": report["config"],
-           "x_coeff_zero": report["x_coeff_zero"],
-           "deg1_rank": report["deg1_rank"],
-           "residuals": [{"a": a, "b": b, "poly": str(r)}
-                         for (a, b), r in sorted(report["residuals"].items())],
-           "extra_relations_used": report["extra_relations_used"],
-           "passed": report["passed"]}
-    if report.get("chi1_residuals") is not None:
-        out["chi1_residuals"] = [{"a": a, "b": b, "poly": str(r)}
-                                 for (a, b), r in sorted(report["chi1_residuals"].items())]
-    if "inconsistent_relations" in report:
-        out["inconsistent_relations"] = report["inconsistent_relations"]
-    return out
+    nonzero = [k for k, r in residuals.items() if r]
+    chi1_nonzero = [k for k, r in chi1.items() if r]
+    miss = (f"nonzero at {nonzero[:3]}" if nonzero else
+            f"chi=1 nonzero at {chi1_nonzero[:3]}" if chi1_nonzero else None)
+    report.update(deg1_rank=rs.rank, residuals=_rows(residuals),
+                  passed=x_coeff_zero and miss is None)
+    if s == 1:
+        report["chi1_residuals"] = _rows(chi1)
+    return deg1_miss, miss, report
 
 
 # ---------------------------------------------------------------------------
@@ -701,12 +698,10 @@ def substitution_images(name: str, p: int, n: int, s: int) -> dict:
 def derive_factor_by_subst(name: str, p: int, n: int, s: int, A: NcSeries,
                            factor: NcSeries) -> dict:
     """Substitute the logs of the name's generator images into factor A's display
-    `A`, invert for C and G, and compare with the display `factor` term by term."""
+    `A`, invert for C and G, and compare with the display `factor` term by term:
+    the coefficients of the result minus `factor`, empty when they agree."""
     images = substitution_images(name, p, n, s)
     result = A.substitute({gen: word_log2(word) for gen, word in images.items()})
     if name in ("C", "G"):
         result = series_inverse(result)
-    diff = {} if result.coeffs == factor.coeffs else (result - factor).coeffs
-    return {"config": {"p": p, "n": n, "s": s}, "factor": name,
-            "passed": not diff,
-            "mismatches": {m: str(c) for m, c in diff.items()}}
+    return {} if result.coeffs == factor.coeffs else (result - factor).coeffs

@@ -178,8 +178,8 @@ def measures_suite(cfg: RunConfig) -> SuiteReport:
                 f"level={res.level} point={res.point} defect={format_rat(res.defect)}")
 
     for c in units:
-        for nm, ok, detail in classical.e1_relation_suite(c, ctx, cfg.n_max, cfg.mod_exp):
-            rep.add(f"e1-relations:{nm}:c={c}", None if ok else detail)
+        for nm, miss in classical.e1_relation_suite(c, ctx, cfg.n_max, cfg.mod_exp):
+            rep.add(f"e1-relations:{nm}:c={c}", miss)
 
     if cfg.p >= 5:
         c = units[0]
@@ -320,12 +320,12 @@ def magnus_suite(cfg: RunConfig) -> SuiteReport:
                                      if t2[a] + t2[a[::-1]] != t1[a[:1]] * t1[a[1:]]), None),
             claim)
 
-    results = ((shape, i, magnus.word_coefficient_congruence(g, shape, (i,), n_box, 1,
-                                                             towers[0][n_box], b1))
+    results = ((shape, i, *magnus.word_coefficient_congruence(g, shape, (i,), n_box, 1,
+                                                              towers[0][n_box], b1))
                for shape in shapes for i in range(ctx.p ** n_box))
     rep.add("coefficient-congruence", next(
-        (f"shape={shape} i={i} level={r['level']} guaranteed={r['guaranteed']}"
-         f" achieved={r['achieved']}" for shape, i, r in results if not r["passed"]), None))
+        (f"shape={shape} i={i} level={n_box + 1} guaranteed={guaranteed} achieved={achieved}"
+         for shape, i, achieved, guaranteed in results if achieved < guaranteed), None))
     return rep
 
 
@@ -344,22 +344,18 @@ def octagon_suite(cfg: RunConfig) -> SuiteReport:
         prod = octagon.octagon_product(p, n, s, factors)
         if cfg.tamper:
             prod.add_term((0, 0), octagon.SymPoly.const(1))
-        res = octagon.degree2_symmetry_check(p, n, s, prod)
-        rep.add(f"x-coefficient:s={s}", None if res["x_coeff_zero"] else
-                f"X coefficient {prod.coeff((magnus.X,))}")
-        left = [i for i, r in enumerate(res["deg1_residuals"]) if r]
-        rep.add(f"deg1-from-reflection:s={s}", f"nonzero at {left[:3]}" if left else None)
-        nonzero = [k for k, v in res["residuals"].items() if v]
-        extra = f"extra_relations={res['extra_relations_used']}"
-        rep.add(f"degree2-residuals:s={s}", None if res["passed"] else
-                res.get("inconsistent_relations") or
-                (f"nonzero at {nonzero[:3]}" if nonzero else extra), extra)
-        rep.artifacts.append(octagon.report_json_dict(res))
+        deg1_miss, miss, report = octagon.degree2_symmetry_check(p, n, s, prod)
+        x_coeff = prod.coeff((magnus.X,))
+        rep.add(f"x-coefficient:s={s}", f"X coefficient {x_coeff}" if x_coeff else None)
+        rep.add(f"deg1-from-reflection:s={s}", deg1_miss)
+        rep.add(f"degree2-residuals:s={s}", miss,
+                f"extra_relations={report['extra_relations_used']}")
+        rep.artifacts.append(report)
         for name in "EG":
             derived[name] = octagon.derive_factor_by_subst(name, p, n, s, shared["A"], factors[name])
-        for name, d in derived.items():
+        for name, diff in derived.items():
             rep.add(f"substitution-derivation:{name}:s={s}",
-                    None if d["passed"] else str(sorted(d["mismatches"].items())[:2]))
+                    str(sorted((m, str(c)) for m, c in diff.items())[:2]) if diff else None)
     return rep
 
 

@@ -75,7 +75,7 @@ def test_02_e1_relation_suite_seeded_units():
         ctx = PrimeContext(p, 3)
         for c in seeded_units(p, p, 5):
             checks = e1_relation_suite(c, ctx, 3, 3)
-            ok = ok and all(passed for _, passed, _ in checks)
+            ok = ok and all(miss is None for _, miss in checks)
             # the reflection identity must additionally hold exactly
             E = make_E1(c, ctx)
             rel = linear_combine([1, 1, -(Fraction(c) - 1)],
@@ -122,10 +122,10 @@ def test_05_octagon_symbolic_suite():
             start = time.monotonic()
             prod = octagon_product(p, n, s, build_factors(p, n, s))
             ok = ok and not prod.coeff((X,))
-            rep = degree2_symmetry_check(p, n, s, prod)
-            ok = ok and not any(rep["deg1_residuals"])
+            deg1_miss, miss, rep = degree2_symmetry_check(p, n, s, prod)
+            ok = ok and deg1_miss is None and miss is None
             ok = ok and rep["passed"]
-            ok = ok and not any(rep["residuals"].values())
+            ok = ok and all(row["poly"] == "0" for row in rep["residuals"])
             elapsed = time.monotonic() - start
             worst = max(worst, elapsed)
             ok = ok and elapsed < 60.0
@@ -140,8 +140,8 @@ def test_06_factor_rederivation_from_substitutions():
                 continue
             factors = build_factors(p, n, s)
             for name in "CEG":
-                rep = derive_factor_by_subst(name, p, n, s, factors["A"], factors[name])
-                ok = ok and rep["passed"]
+                ok = ok and not derive_factor_by_subst(name, p, n, s, factors["A"],
+                                                       factors[name])
     report(ok, "factors C, E, G re-derived exactly from generator substitutions")
 
 
@@ -186,9 +186,9 @@ def test_07_magnus_suite_seeded_words():
         for n0 in range(3):
             for n1 in range(3 - n0):
                 for i in range(p ** n_box):
-                    r = word_coefficient_congruence(g, (n0, n1), (i,), n_box, 1,
-                                                    towers[0][n_box], b1)
-                    ok = ok and r["passed"]
+                    achieved, guaranteed = word_coefficient_congruence(
+                        g, (n0, n1), (i,), n_box, 1, towers[0][n_box], b1)
+                    ok = ok and achieved >= guaranteed
     report(ok, "magnus suite: shuffle, Lie, distribution, star, symmetrization, congruences")
 
 

@@ -51,15 +51,26 @@ def shuffle_check_accepts_all(monkeypatch):
     monkeypatch.setattr(magnus, "shuffle_check", lambda s, u, v: True)
 
 
-def x_term_in_product(monkeypatch):
-    real = octagon.octagon_product
+def term_in_product(mono, term):
+    """A fault that adds term(width) at `mono` of every octagon product."""
+    def patch(monkeypatch):
+        real = octagon.octagon_product
 
-    def perturbed(*args):
-        prod = real(*args)
-        prod.add_term((magnus.X,), octagon.SymPoly.const(1))
-        return prod
+        def perturbed(p, n, *args):
+            prod = real(p, n, *args)
+            prod.add_term(mono, term(p ** n))
+            return prod
 
-    monkeypatch.setattr(octagon, "octagon_product", perturbed)
+        monkeypatch.setattr(octagon, "octagon_product", perturbed)
+    return patch
+
+
+x_term_in_product = term_in_product((magnus.X,), lambda width: octagon.SymPoly.const(1))
+# b_{1,0} + b_{0,1} - a_0 a_1 vanishes under the shuffle relations but not in
+# the chi = 1 comparison, which is read before the shuffle retry
+shuffle_term_in_product = term_in_product(
+    (0, 0), lambda width: octagon.b_sym(1, 0, width) + octagon.b_sym(0, 1, width)
+    - octagon.a_sym(0, width) * octagon.a_sym(1, width))
 
 
 def odd_measure(monkeypatch):
@@ -85,6 +96,8 @@ FAULTS = {
                         RunConfig(p=3, n_max=2, suite="magnus")),
     "x-coefficient:s=1": (x_term_in_product,
                           RunConfig(p=3, n_max=1, suite="octagon", sigma_rep=1)),
+    "degree2-residuals:s=1": (shuffle_term_in_product,
+                              RunConfig(p=3, n_max=1, suite="octagon", sigma_rep=1)),
     "four-term-sum:trial": (odd_measure, RunConfig(p=3, suite="corrections")),
 }
 
@@ -100,7 +113,8 @@ def test_fault_fails_its_own_check_line(line, monkeypatch):
 
 def test_failed_lines_name_their_first_miss(monkeypatch):
     details = {}
-    for line in ("lie:word0", "star-identity", "permutation-sum", "x-coefficient:s=1"):
+    for line in ("lie:word0", "star-identity", "permutation-sum", "x-coefficient:s=1",
+                 "degree2-residuals:s=1"):
         fault, cfg = FAULTS[line]
         with monkeypatch.context() as m:
             fault(m)
@@ -110,3 +124,15 @@ def test_failed_lines_name_their_first_miss(monkeypatch):
     assert details["permutation-sum"] == \
         "degree-2 symmetrization vs products: level 1 point (0, 1) differs"
     assert details["x-coefficient:s=1"] == "X coefficient 1*1"
+    assert details["degree2-residuals:s=1"] == "chi=1 nonzero at [(0, 0)]"
+
+
+def test_an_x_coefficient_fails_its_own_line_only(monkeypatch):
+    # the degree-2 residuals do not read the X coefficient; the artifact's
+    # verdict still does
+    x_term_in_product(monkeypatch)
+    report = run_suite(FAULTS["x-coefficient:s=1"][1])[0]
+    checks = {c.name: c for c in report.checks}
+    assert [name for name, c in checks.items() if not c.passed] == ["x-coefficient:s=1"]
+    assert checks["degree2-residuals:s=1"].detail == "extra_relations=[]"
+    assert report.artifacts[0]["passed"] is False

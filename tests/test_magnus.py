@@ -196,15 +196,15 @@ def test_word_coefficient_congruence():
     g = commutator(FreeWord(ctx, 3, ((X, 1),)), FreeWord(ctx, 3, ((0, 1),)))
     t = tower(g, 2)
     b1 = beta_measures(g, 1, ctx, t)
-    rep = word_coefficient_congruence(g, (1, 0), (0,), 1, 2, t[1], b1)
-    assert rep["passed"] and rep["achieved"] >= rep["guaranteed"]
+    achieved, guaranteed = word_coefficient_congruence(g, (1, 0), (0,), 1, 2, t[1], b1)
+    assert achieved >= guaranteed
     # all-zero X-blocks: the identity is definitional
-    rep0 = word_coefficient_congruence(g, (0, 0), (1,), 1, 2, t[1], b1)
-    assert rep0["passed"]
+    achieved0, guaranteed0 = word_coefficient_congruence(g, (0, 0), (1,), 1, 2, t[1], b1)
+    assert achieved0 >= guaranteed0
     # larger m tightens the guaranteed congruence
-    r1 = word_coefficient_congruence(g, (1, 0), (0,), 1, 1, t[1], b1)
-    r2 = word_coefficient_congruence(g, (1, 0), (0,), 1, 2, t[1], b1)
-    assert r2["guaranteed"] > r1["guaranteed"]
+    _, g1 = word_coefficient_congruence(g, (1, 0), (0,), 1, 1, t[1], b1)
+    _, g2 = word_coefficient_congruence(g, (1, 0), (0,), 1, 2, t[1], b1)
+    assert g2 > g1
     with pytest.raises(ValueError):  # degree 2 cannot hold X^2 Y_0
         word_coefficient_congruence(g, (2, 0), (0,), 1, 2, t[1], b1)
 
@@ -214,15 +214,15 @@ def test_congruence_failure_carries_level_and_exponents():
     g = commutator(FreeWord(ctx, 3, ((X, 1),)), FreeWord(ctx, 3, ((0, 1),)))
     t = tower(g, 2)
     b1 = beta_measures(g, 1, ctx, t)
+    coefficient = t[1].coeff((X, 0))
     bad = t[1].truncated(2)
     bad.add_term((X, 0), Fraction(1, 3))
-    rep = word_coefficient_congruence(g, (1, 0), (0,), 1, 2, bad, b1)
+    achieved, guaranteed = word_coefficient_congruence(g, (1, 0), (0,), 1, 2, bad, b1)
     good = word_coefficient_congruence(g, (1, 0), (0,), 1, 2, t[1], b1)
-    assert not rep["passed"] and good["passed"]
-    assert rep["level"] == 3
-    assert rep["coefficient"] == good["coefficient"] + Fraction(1, 3)
-    assert rep["achieved"] == -1 < rep["guaranteed"] == good["guaranteed"]
-    assert t[1].coeff((X, 0)) == good["coefficient"]  # the tower stayed as it was
+    assert good[0] >= good[1]
+    # the 1/3 added to the coefficient is the miss: valuation -1
+    assert achieved == -1 < guaranteed == good[1]
+    assert t[1].coeff((X, 0)) == coefficient  # the tower stayed as it was
 
 
 def test_congruence_failure_detail_in_suite(monkeypatch):
