@@ -177,7 +177,7 @@ def cmd_emit(args) -> int:
                                "terms": terms}, sort_keys=True, indent=2)
         else:
             raise ValueError(f"unknown object {args.object}")
-    except (ValueError, ZeroDivisionError, magnus.WordSyntaxError) as err:
+    except (ValueError, ZeroDivisionError) as err:
         print(f"invalid input: {err}", file=sys.stderr)
         return EXIT_USAGE
     _write(text, args.out)

@@ -515,16 +515,6 @@ def reflection_half_system(width: int):
     return [("a", width - x) for x in range(1, width) if width - x > x]
 
 
-def shuffle_substitution(width: int) -> dict:
-    """b_{x,y} with x > y rewrites to a_x a_y - b_{y,x}; b_{x,x} to a_x^2/2."""
-    mapping = {}
-    for x in range(width):
-        mapping[("b", x, x)] = a_sym(x, width) * a_sym(x, width) * Fraction(1, 2)
-        for y in range(x):
-            mapping[("b", x, y)] = a_sym(x, width) * a_sym(y, width) - b_sym(y, x, width)
-    return mapping
-
-
 # ---------------------------------------------------------------------------
 # The degree-2 identity between named measures
 
@@ -593,15 +583,15 @@ def degree2_symmetry_check(p: int, n: int, s: int, prod: NcSeries) -> tuple:
     Returns (deg1_miss, miss, report).  `deg1_miss` names the first Y indices
     whose degree-1 relation the reflection relations do not imply, or is None.
     `miss` is the first of: the degree-1 relation that contradicts the
-    reflection relations (`standard: ...`), the points whose residual survives
-    (after a retry with the shuffle relations), and for s = 1 the points of
-    the chi = 1 comparison that do not vanish; None when nothing misses.  The
-    chi = 1 comparison is the t = 0 image of the residuals before any shuffle
-    retry: at c = 1 every E_{1,c}, M and N2 term of the display and 1 - chi
-    vanish, and t = 0 commutes with the elimination, whose pivots are t-free.
-    `report` is the JSON artifact: residuals in full (all zero on success),
-    the rank of the degree-1 relations and whether the shuffle relations had
-    to be added; its `passed` also needs the product's X coefficient to be 0.
+    reflection relations (`standard: ...`) and the points whose residual
+    survives the one reduction (`nonzero at [(a, b), ...]`); None when
+    nothing misses.  `report` is the JSON artifact: residuals in full (all
+    zero on success), the rank of the degree-1 relations, an always empty
+    `extra_relations_used`, and for s = 1 the chi = 1 rows, the t = 0 image
+    of the residuals: at c = 1 every E_{1,c}, M and N2 term of the display
+    and 1 - chi vanish, and t = 0 commutes with the elimination, whose
+    pivots are t-free, so these rows vanish whenever the residuals do.  Its
+    `passed` also needs the product's X coefficient to be 0.
     """
     width = check_config(p, n, s)
     x_coeff_zero = not prod.coeff((X,))
@@ -616,22 +606,13 @@ def degree2_symmetry_check(p: int, n: int, s: int, prod: NcSeries) -> tuple:
     except InconsistentRelations as err:
         report["inconsistent_relations"] = miss = f"standard: {err}"
         return deg1_miss, miss, report
-    unreduced = degree2_displays(p, n, s, prod)
-    residuals = {k: rs.reduce(res) for k, res in unreduced.items()}
-    chi1 = {k: r.subs_t(0) for k, r in residuals.items()} if s == 1 else {}
-    if any(residuals.values()):
-        shuffle = {sym: rs.reduce(val) for sym, val in shuffle_substitution(width).items()}
-        rs = RelationSet(rs.relations, {**rs.substitution, **shuffle}, rs.rank)  # fresh image memo
-        residuals = {k: rs.reduce(res) for k, res in unreduced.items()}
-        report["extra_relations_used"] = ["shuffle"]
+    residuals = {k: rs.reduce(res) for k, res in degree2_displays(p, n, s, prod).items()}
     nonzero = [k for k, r in residuals.items() if r]
-    chi1_nonzero = [k for k, r in chi1.items() if r]
-    miss = (f"nonzero at {nonzero[:3]}" if nonzero else
-            f"chi=1 nonzero at {chi1_nonzero[:3]}" if chi1_nonzero else None)
+    miss = f"nonzero at {nonzero[:3]}" if nonzero else None
     report.update(deg1_rank=rs.rank, residuals=_rows(residuals),
                   passed=x_coeff_zero and miss is None)
     if s == 1:
-        report["chi1_residuals"] = _rows(chi1)
+        report["chi1_residuals"] = _rows({k: r.subs_t(0) for k, r in residuals.items()})
     return deg1_miss, miss, report
 
 

@@ -15,6 +15,11 @@ elimination from scratch.  The library solves the reflection relations
 first and resolves the degree-1 relations into that set
 (`octagon.degree2_symmetry_check`), which makes the same set.
 
+`shuffle_substitution` rewrites each b_{x,y} with x >= y by the shuffle
+relations, which a group-like series satisfies.  The library's degree-2
+check reduces modulo the reflection and degree-1 relations only; the tests
+extend a relation set with this rewrite to exercise `RelationSet.reduce`.
+
 `generic_series_by_subst` writes out the generic cocycle series under the
 C, E or G generator substitution term by term.  The library substitutes the
 image logs into factor A's display (`NcSeries.substitute`).
@@ -99,6 +104,16 @@ def standard_relation_set(p: int, n: int, s: int, prod):
     """The reflection and degree-1 relations of `prod`, solved together."""
     rels = reflection_relations(p, n, s) + deg1_relations(prod)
     return build_relation_set(rels, prefer=reflection_half_system(p ** n))
+
+
+def shuffle_substitution(width: int) -> dict:
+    """b_{x,y} with x > y rewrites to a_x a_y - b_{y,x}; b_{x,x} to a_x^2/2."""
+    mapping = {}
+    for x in range(width):
+        mapping[("b", x, x)] = a_sym(x, width) * a_sym(x, width) * Fraction(1, 2)
+        for y in range(x):
+            mapping[("b", x, y)] = a_sym(x, width) * a_sym(y, width) - b_sym(y, x, width)
+    return mapping
 
 
 def generic_series_by_subst(name: str, p: int, n: int, s: int):

@@ -379,13 +379,13 @@ REPORT_DIGESTS = {
     "verify octagon --p 3 --n 1 --format json":
         "540ff1d2fdc3087db86a72dcd704521581e46291bb3d7ce7bcad4e1f85b21927",
     "verify octagon --p 3 --n 1 --sigma-rep 1 --tamper --format json":
-        "0eb7701d2abf1c2c70cafbf04b85c4b0633102c6b42044f2346f9b37c91c040a",
+        "9ef893e4be2173debf776a448883a9ff60c62dbd4bfc963bed2ffb57a0d2a718",
     "verify octagon --p 7 --n 1 --format json":
         "3d90eedc9ca0cdbafddcc34287c3e18fc79bbc54dd493c0003eefef93a541741",
     "verify octagon --p 2 --n 2 --format json":
         "124e25701006587e08f73013b0c7af8e775a86b9ae1246d1e8765815d6c945b7",
     "verify octagon --p 3 --n 2 --sigma-rep 4 --tamper --format json":
-        "a1bdefe9c348118de920f5ce7c5203509cee418a2c4fb7a5b37fc752610bcf63",
+        "1987076499a2d92e65c21585c4136a9bb9539cff1e99e1dd54caf5ee4f18d6f9",
     "verify octagon --p 3 --n 3 --sigma-rep 2 --format json":
         "d1af8ccb88507c13b8ce9b8774112dcb3cc84d497379ea5d024c8e583c7730e5",
     "verify octagon --p 5 --n 1 --format json":
@@ -398,9 +398,9 @@ REPORT_DIGESTS = {
     # the chi = 1 comparison at n = 2, and half and t^2 coefficients of D
     "verify octagon --p 3 --n 2 --sigma-rep 1 --format json":
         "3b354d5a8886a9b03728a97e588a0c12973a84a7d7e10104e8d144f0ea4a7bdc",
-    # the chi = 1 comparison failing at n = 2
+    # the degree-2 residuals and the chi = 1 rows failing at n = 2
     "verify octagon --p 3 --n 2 --sigma-rep 1 --tamper --format json":
-        "a5d3a63fdf2881065799e15e00f99bd43051bfe1d7d500d8144af1425a6440d9",
+        "1e67554ae9fbbc6e7b09999c8cca93f27f6598a0578c7096c7d952272afaf4aa",
     # the full width-9 sweep: one C re-derivation reported at all six residues
     "verify octagon --p 3 --n 2 --format json":
         "e677f574409a7604cbf717a44e9f1857d8d8de9941c0f5a11636a675ff18c5bf",

@@ -66,8 +66,8 @@ def term_in_product(mono, term):
 
 
 x_term_in_product = term_in_product((magnus.X,), lambda width: octagon.SymPoly.const(1))
-# b_{1,0} + b_{0,1} - a_0 a_1 vanishes under the shuffle relations but not in
-# the chi = 1 comparison, which is read before the shuffle retry
+# b_{1,0} + b_{0,1} - a_0 a_1 vanishes under the shuffle relations, which the
+# degree-2 check does not assume: it survives at (0, 0) of every residue
 shuffle_term_in_product = term_in_product(
     (0, 0), lambda width: octagon.b_sym(1, 0, width) + octagon.b_sym(0, 1, width)
     - octagon.a_sym(0, width) * octagon.a_sym(1, width))
@@ -98,6 +98,8 @@ FAULTS = {
                           RunConfig(p=3, n_max=1, suite="octagon", sigma_rep=1)),
     "degree2-residuals:s=1": (shuffle_term_in_product,
                               RunConfig(p=3, n_max=1, suite="octagon", sigma_rep=1)),
+    "degree2-residuals:s=2": (shuffle_term_in_product,
+                              RunConfig(p=3, n_max=1, suite="octagon", sigma_rep=2)),
     "four-term-sum:trial": (odd_measure, RunConfig(p=3, suite="corrections")),
 }
 
@@ -114,7 +116,7 @@ def test_fault_fails_its_own_check_line(line, monkeypatch):
 def test_failed_lines_name_their_first_miss(monkeypatch):
     details = {}
     for line in ("lie:word0", "star-identity", "permutation-sum", "x-coefficient:s=1",
-                 "degree2-residuals:s=1"):
+                 "degree2-residuals:s=1", "degree2-residuals:s=2"):
         fault, cfg = FAULTS[line]
         with monkeypatch.context() as m:
             fault(m)
@@ -124,7 +126,8 @@ def test_failed_lines_name_their_first_miss(monkeypatch):
     assert details["permutation-sum"] == \
         "degree-2 symmetrization vs products: level 1 point (0, 1) differs"
     assert details["x-coefficient:s=1"] == "X coefficient 1*1"
-    assert details["degree2-residuals:s=1"] == "chi=1 nonzero at [(0, 0)]"
+    assert details["degree2-residuals:s=1"] == "nonzero at [(0, 0)]"
+    assert details["degree2-residuals:s=2"] == "nonzero at [(0, 0)]"
 
 
 def test_an_x_coefficient_fails_its_own_line_only(monkeypatch):

@@ -15,16 +15,15 @@ from zpmeasures.octagon import (FACTOR_ORDER, ONE, ZERO, InconsistentRelations,
                                 degree2_displays, degree2_symmetry_check,
                                 derive_factor_by_subst, g_sym, octagon_product,
                                 reflection_half_system, reflection_relations,
-                                series_inverse,
-                                shuffle_substitution, substitution_images,
-                                unit_series)
+                                series_inverse, substitution_images, unit_series)
 from zpmeasures.padic import PrimeContext
 from zpmeasures.suites import RunConfig, octagon_suite
 
 from lieref import series_log
 from octagonref import (chi1_residuals_reference, degree2_display, generic_series_by_subst,
-                        standard_relation_set)
+                        shuffle_substitution, standard_relation_set)
 from polyref import FracSymPoly
+from test_faults import shuffle_term_in_product
 
 GRID = [(3, 1), (5, 1), (2, 2)]
 
@@ -206,19 +205,36 @@ def test_chi1_residuals_match_the_reference_on_perturbed_products(additions):
     assert any(reference.values()) and miss is not None and not rep["passed"]
 
 
+@pytest.mark.parametrize("p, n", [(3, 1), (5, 1)])
+def test_a_term_only_the_shuffle_relations_clear_fails_every_residue(p, n, monkeypatch):
+    # b_{1,0} + b_{0,1} - a_0 a_1 vanishes under the shuffle relations, which
+    # the check does not assume: every residue of the sweep fails at (0, 0),
+    # and at s = 1 the chi = 1 rows are still the reference comparison
+    shuffle_term_in_product(monkeypatch)
+    rep = octagon_suite(RunConfig(p=p, n_max=n, suite="octagon"))
+    lines = {c.name: c for c in rep.checks if c.name.startswith("degree2-residuals")}
+    assert list(lines) == [f"degree2-residuals:s={s}" for s in units(p, n)]
+    assert {(c.passed, c.detail) for c in lines.values()} == {(False, "nonzero at [(0, 0)]")}
+    assert all(a["extra_relations_used"] == [] and not a["passed"] for a in rep.artifacts)
+    prod = octagon.octagon_product(p, n, 1, build_factors(p, n, 1))
+    reference = chi1_residuals_reference(p, n, prod)
+    assert row_polys(rep.artifacts[0]["chi1_residuals"]) == strings(reference)
+    assert [k for k, r in reference.items() if r] == [(0, 0)]
+
+
 def test_chi1_residuals_precede_the_shuffle_retry():
-    # b_{1,0} + b_{0,1} - a_0 a_1 vanishes only under the shuffle relations:
-    # the standard residuals pass after the retry, the chi = 1 ones (read
-    # before it) do not, and the check fails
+    # b_{1,0} + b_{0,1} - a_0 a_1 vanishes only under the shuffle relations;
+    # no shuffle retry follows the standard reduction, so the residuals fail
+    # first, and the chi = 1 rows are their t = 0 image, the reference
     prod = product(3, 1, 1)
     prod.add_term((0, 0), b_sym(1, 0, 3) + b_sym(0, 1, 3) - a_sym(0, 3) * a_sym(1, 3))
     _, miss, rep = degree2_symmetry_check(3, 1, 1, prod)
     reference = chi1_residuals_reference(3, 1, prod)
-    assert rep["extra_relations_used"] == ["shuffle"]
-    assert all(row["poly"] == "0" for row in rep["residuals"])
+    assert rep["extra_relations_used"] == []
+    assert [row["poly"] != "0" for row in rep["residuals"]].count(True) == 1
     assert row_polys(rep["chi1_residuals"]) == strings(reference)
     assert [k for k, r in reference.items() if r] == [(0, 0)]
-    assert miss == "chi=1 nonzero at [(0, 0)]"
+    assert miss == "nonzero at [(0, 0)]"
     assert rep["passed"] is False
 
 
@@ -569,14 +585,13 @@ def test_resolving_into_a_built_set_is_one_elimination():
 
 
 def test_shuffle_retry_reads_the_extended_substitution():
-    # b_{1,0} + b_{0,1} - a_0 a_1 vanishes only under the shuffle relations,
-    # so the check passes only if its retry reads no image memoized under the
-    # degree-1 substitution alone
+    # the same term at s = 2, which a shuffle retry would clear: the check
+    # reads the standard substitution alone, with no retry, and fails
     prod = product(3, 1, 2)
     prod.add_term((0, 0), b_sym(1, 0, 3) + b_sym(0, 1, 3) - a_sym(0, 3) * a_sym(1, 3))
     _, miss, rep = degree2_symmetry_check(3, 1, 2, prod)
-    assert rep["extra_relations_used"] == ["shuffle"]
-    assert miss is None and rep["passed"]
+    assert rep["extra_relations_used"] == []
+    assert miss == "nonzero at [(0, 0)]" and not rep["passed"]
 
 
 def test_octagon_tamper_fails_inside_the_real_check():
