@@ -35,10 +35,11 @@ def m_value(x: int, s: int, t):
 
 
 def e1_value(x: int, s: int, pn: int, t):
-    """E_{1,c}(x) = x/p^n - c <c^{-1} x>/p^n + (c - 1)/2 with c = s + p^n t."""
+    """E_{1,c}(x) = x/p^n - c <c^{-1} x>/p^n + (c - 1)/2 with c = s + p^n t,
+    written over the one denominator 2p^n."""
     c = s + pn * t
     u = (pow(s, -1, pn) * x) % pn
-    return Fraction(x, pn) - c * Fraction(u, pn) + (c - 1) * Fraction(1, 2)
+    return (pn * (c - 1) - 2 * u * c + 2 * x) * Fraction(1, 2 * pn)
 
 
 def n2_value(a: int, b: int, s: int, pn: int, t):

@@ -115,7 +115,18 @@ def validate_distribution(mu: LevelFamily) -> DistributionReport:
     return DistributionReport(True)
 
 
+def _numerators(table: dict) -> tuple:
+    """(N, D): the table as int numerators N[a] over the lcm D of its
+    denominators; an all-int table comes back as it is, with D = 1."""
+    if all(type(v) is int for v in table.values()):
+        return table, 1
+    den = math.lcm(*[v.denominator for v in table.values()])
+    return {a: v.numerator * (den // v.denominator) for a, v in table.items()}, den
+
+
 def linear_combine(coeffs, mus: list[LevelFamily]) -> LevelFamily:
+    """sum_i c_i mu_i, as int numerators over one denominator per level: one
+    division per entry."""
     if not mus:
         raise ValueError("nothing to combine")
     ctx, dim = mus[0].ctx, mus[0].dim
@@ -123,10 +134,18 @@ def linear_combine(coeffs, mus: list[LevelFamily]) -> LevelFamily:
         if m.ctx != ctx or m.dim != dim:
             raise ValueError("context/dimension mismatch")
     n_max = min(m.n_max for m in mus)
-    coeffs = [exact(c) for c in coeffs]
+    pairs = [(c, m) for c, m in zip(map(Fraction, coeffs), mus) if c]
+    levels = []  # per level: the common denominator q and [(int weight, numerators)]
+    for n in range(n_max + 1):
+        parts = [(c, *_numerators(m.tables[n])) for c, m in pairs]
+        q = math.lcm(*[c.denominator * d for c, _, d in parts])
+        levels.append((q, [(c.numerator * (q // (c.denominator * d)), nums)
+                           for c, nums, d in parts]))
 
     def fn(n, a):
-        return sum(c * m.tables[n][a] for c, m in zip(coeffs, mus))
+        q, parts = levels[n]
+        total = sum([w * nums[a] for w, nums in parts])
+        return total // q if total % q == 0 else Fraction(total, q)
 
     return LevelFamily.build(ctx, dim, fn, n_max)
 
@@ -270,18 +289,20 @@ class IwasawaPoly(Record):
         return self.coeffs.get(tuple(exps), 0)
 
 
-def _axis_transform(mu: LevelFamily, terms: int, eval_level: int, weight) -> IwasawaPoly:
-    """Integrals of prod_k weight(x_k, j_k) against mu, j in [0, terms]^dim, by
-    contracting the level-eval_level table one axis at a time with the
-    (terms+1) x p^eval_level matrix weight(x, j).  Both weights used here are
-    integers over j!, hence the guarantee eval_level - denom_bound - sum vp(j_k!).
+def _axis_transform(mu: LevelFamily, terms: int, eval_level: int, weight, scale) -> IwasawaPoly:
+    """Integrals of prod_k weight(x_k, j_k) / scale(j_k) against mu, j in
+    [0, terms]^dim, by contracting the level-eval_level table's int numerators
+    one axis at a time with the (terms+1) x p^eval_level int matrix weight(x, j),
+    then dividing once per coefficient.  Both weights used here are integers over
+    j!, hence the guarantee eval_level - denom_bound - sum vp(j_k!).
     """
     if not 0 <= eval_level <= mu.n_max:
         raise ValueError("evaluation level out of stored range")
     p = mu.ctx.p
     rows = [[weight(x, j) for x in range(p ** eval_level)] for j in range(terms + 1)]
+    nums, den = _numerators(mu.tables[eval_level])
     # keys are (j_1..j_k, x_{k+1}..x_dim) once k axes are contracted
-    partial = {a: v for a, v in mu.tables[eval_level].items() if v}
+    partial = {a: v for a, v in nums.items() if v}
     for k in range(mu.dim):
         nxt = {}
         for idx, v in partial.items():
@@ -291,7 +312,7 @@ def _axis_transform(mu: LevelFamily, terms: int, eval_level: int, weight) -> Iwa
         partial = nxt
     coeffs, guars = {}, {}
     for j in itertools.product(range(terms + 1), repeat=mu.dim):
-        coeffs[j] = partial.get(j, 0)
+        coeffs[j] = exact(Fraction(partial.get(j, 0), den * math.prod(map(scale, j))))
         guars[j] = eval_level - mu.denom_bound - sum(vp(math.factorial(jk), p) for jk in j)
     return IwasawaPoly(mu.dim, terms, coeffs, guars)
 
@@ -302,13 +323,12 @@ def iwasawa_P(mu: LevelFamily, terms: int, eval_level: int) -> IwasawaPoly:
     Coefficient of prod T_k^{j_k} is the integral of prod binom(x_k, j_k);
     it is correct mod p^(eval_level - denom_bound - sum vp(j_k!)).
     """
-    return _axis_transform(mu, terms, eval_level, math.comb)
+    return _axis_transform(mu, terms, eval_level, math.comb, lambda j: 1)
 
 
 def transform_F(mu: LevelFamily, terms: int, eval_level: int) -> IwasawaPoly:
     """Exponential form of the transform: coefficients are moments / factorials."""
-    return _axis_transform(mu, terms, eval_level,
-                           lambda x, j: Fraction(x ** j, math.factorial(j)))
+    return _axis_transform(mu, terms, eval_level, pow, math.factorial)
 
 
 @lru_cache(maxsize=None)
@@ -328,7 +348,7 @@ def _substitute_T(pt: IwasawaPoly, col, p: int) -> IwasawaPoly:
     """
     coeffs, guars = {}, {}
     for i in itertools.product(range(pt.terms + 1), repeat=pt.dim):
-        total = Fraction(0)
+        total = 0
         gs = []
         for j in itertools.product(*(range(ik + 1) for ik in i)):
             factor = math.prod(col(k, ik, jk) for k, (ik, jk) in enumerate(zip(i, j)))
@@ -336,7 +356,7 @@ def _substitute_T(pt: IwasawaPoly, col, p: int) -> IwasawaPoly:
                 continue
             total += pt.coefficient(j) * factor
             gs.append(pt.guarantees[j] + min(0, vp(factor, p)))
-        coeffs[i] = total
+        coeffs[i] = exact(total)
         guars[i] = min(gs)
     return IwasawaPoly(pt.dim, pt.terms, coeffs, guars)
 

@@ -432,10 +432,8 @@ class RelationSet(Record):
     _fields = ("relations", "substitution", "rank")
     __slots__ = _fields + ("prefer", "_images")
 
-    def __init__(self, relations: list, substitution: dict | None = None, rank: int = 0,
-                 prefer=()):
-        self.relations, self.rank = relations, rank
-        self.substitution = {} if substitution is None else substitution
+    def __init__(self, prefer=()):
+        self.relations, self.substitution, self.rank = [], {}, 0
         self.prefer = [tuple(s) for s in prefer]
         # monomial key -> image of the monomial under the (fixed) substitution
         self._images = {}
@@ -482,7 +480,7 @@ class RelationSet(Record):
 def build_relation_set(relations, prefer=()) -> RelationSet:
     """The set solving `relations`, eliminating `prefer` symbols first (the
     reflection relations eliminate a_{-x} for x in a half-system)."""
-    return RelationSet([], prefer=prefer).resolve(relations)
+    return RelationSet(prefer=prefer).resolve(relations)
 
 
 def deg1_relations(prod: NcSeries):

@@ -7,8 +7,11 @@ build stores each value in normal form (an `int` when integral, otherwise a
 `fraction_tables()` every builder tabulates through the reference, so the
 tests can check the two give the same tables and bound.
 
-`unit_sequence`, `is_zero`, `total_mass` and `value` are conveniences only
-the tests read.
+`e1_value_reference` is E_{1,c} by its three-term formula, one `Fraction`
+per term, against which `classical.e1_value` is checked.
+
+`normal_form`, `unit_sequence`, `is_zero`, `total_mass` and `value` are
+conveniences only the tests read.
 """
 
 from __future__ import annotations
@@ -37,6 +40,13 @@ def build_fraction(cls, ctx: PrimeContext, dim: int, fn, n_max=None) -> LevelFam
     return cls(ctx, dim, tuple(tables), worst)
 
 
+def e1_value_reference(x: int, s: int, pn: int, t):
+    """E_{1,c}(x) = x/p^n - c <c^{-1} x>/p^n + (c - 1)/2 with c = s + p^n t."""
+    c = s + pn * t
+    u = (pow(s, -1, pn) * x) % pn
+    return Fraction(x, pn) - c * Fraction(u, pn) + (c - 1) * Fraction(1, 2)
+
+
 @contextmanager
 def fraction_tables():
     """Within the block, `LevelFamily.build` is `build_fraction`."""
@@ -46,6 +56,11 @@ def fraction_tables():
         yield
     finally:
         LevelFamily.build = real
+
+
+def normal_form(v) -> bool:
+    """v is an int, or a Fraction that is not integral."""
+    return type(v) is int or (type(v) is Fraction and v.denominator > 1)
 
 
 def unit_sequence(ctx: PrimeContext, top: int) -> GradedSequence:

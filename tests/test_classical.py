@@ -9,9 +9,10 @@ from zpmeasures.classical import (e1_relation_suite, make_D2, make_E1, make_M,
 from zpmeasures.magnus import FreeWord, X, coefficient_tables, commutator
 from zpmeasures.measures import (LevelFamily, linear_combine, pushforward,
                                  validate_distribution)
+from zpmeasures.octagon import SymPoly
 from zpmeasures.padic import PIntegralityError, PrimeContext, repr_mod
 
-from levelref import is_zero, total_mass, value
+from levelref import e1_value_reference, is_zero, total_mass, value
 
 CTX = PrimeContext(3, 3)
 
@@ -60,6 +61,14 @@ def test_mazur_measure_basics():
     assert is_zero(make_E1(1, CTX))
     with pytest.raises(ValueError):
         make_E1(3, CTX)
+
+
+@pytest.mark.parametrize("s, pn", [(1, 1), (1, 2), (1, 3), (2, 3), (4, 5), (7, 9),
+                                   (3, 8), (13, 25), (24, 25), (48, 49)])
+def test_e1_value_matches_the_three_term_formula(s, pn):
+    for t in (0, 3, -2, Fraction(-1, 2), Fraction(5, 7), SymPoly.t()):
+        for x in range(pn):
+            assert classical.e1_value(x, s, pn, t) == e1_value_reference(x, s, pn, t), (x, t)
 
 
 def test_two_variable_companion():

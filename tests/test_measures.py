@@ -16,7 +16,7 @@ from zpmeasures.measures import (DiracCombo, GradedSequence, LevelFamily,
                                  validate_distribution)
 from zpmeasures.padic import INF, PIntegralityError, PrimeContext, vp
 
-from levelref import fraction_tables, is_zero, total_mass, unit_sequence
+from levelref import fraction_tables, is_zero, normal_form, total_mass, unit_sequence
 from polyref import MPoly
 
 CTX = PrimeContext(3, 3)
@@ -244,8 +244,7 @@ def test_distribution_relation_lift_count():
 
 
 def in_normal_form(mu: LevelFamily) -> bool:
-    return all(type(v) is int or (type(v) is Fraction and v.denominator > 1)
-               for t in mu.tables for v in t.values())
+    return all(normal_form(v) for t in mu.tables for v in t.values())
 
 
 def same_both_ways(build):
@@ -297,9 +296,26 @@ def combinations(draw):
     return mus, coeffs
 
 
+@st.composite
+def named_combinations(draw):
+    """A unit c, rational or not, and one coefficient for each of E1(c), E1(c) o (-1),
+    M(c) and delta_0, some sharing primes with the tables' denominators, some zero."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    c = draw(st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6)).filter(
+        lambda c: c.numerator % p and c.denominator % p))
+    shared = [0, Fraction(1, 2), Fraction(1, p), Fraction(p, 2)]
+    coeff = st.one_of(st.sampled_from(shared), st.builds(Fraction, st.integers(-9, 9),
+                                                         st.integers(1, 12)))
+    return p, c, draw(st.integers(1, 3)), draw(st.lists(coeff, min_size=4, max_size=4))
+
+
 @settings(max_examples=40, deadline=None)
-@given(combinations())
-def test_linear_combine_matches_the_fraction_reference(case):
+@given(combinations(), named_combinations())
+@example(case=([DiracCombo.make(1, [((2,), 1)])], [Fraction(3)]),
+         named=(3, Fraction(7), 2, [Fraction(1, 3), 0, Fraction(3, 2), Fraction(1, 2)]))
+@example(case=([DiracCombo.make(1, [((2,), 1)])], [Fraction(3)]),
+         named=(5, Fraction(-1, 2), 2, [Fraction(5, 2), Fraction(1, 5), 0, 0]))
+def test_linear_combine_matches_the_fraction_reference(case, named):
     combos, coeffs = case
 
     def build(coeffs, combos):
@@ -310,6 +326,26 @@ def test_linear_combine_matches_the_fraction_reference(case):
     assert is_zero(zero) and zero.denom_bound == 0
     halves = same_both_ways(lambda: build([Fraction(1, 2)] * 2 * len(combos), combos + combos))
     assert all(type(v) is int for t in halves.tables for v in t.values())
+
+    p, c, n_max, named_coeffs = named
+    ctx = PrimeContext(p, n_max)
+
+    def parts():
+        E = make_E1(c, ctx)
+        return [E, pushforward(E, units=[-1]), make_M(c, ctx), make_dirac([0], ctx)]
+
+    same_both_ways(lambda: linear_combine(named_coeffs, parts()))
+
+    def translation_plus_delta_1():
+        E, _, M, d0 = parts()
+        return linear_combine([1, -1, -1, c - 1, 1],
+                              [pushforward(E, shift=[c]), E, M, d0, make_dirac([1], ctx)])
+
+    # T_c(E) - E - M(c) - (1-c) delta_0 vanishes exactly, so adding delta_1 leaves
+    # delta_1's integer tables, whatever the denominators of E and M
+    one = same_both_ways(translation_plus_delta_1)
+    assert one.tables == make_dirac([1], ctx).tables and one.denom_bound == 0
+    assert all(type(v) is int for t in one.tables for v in t.values())
 
 
 @settings(max_examples=30, deadline=None)

@@ -617,9 +617,11 @@ def test_all_points_display_matches_the_point_formula(p, n):
 # symbols and t^2 per monomial.  Both sets keep their memo across examples,
 # so later examples also read images memoized by earlier ones.
 REDUCE_SET = standard_relation_set(3, 2, 2, product(3, 2, 2))
-SHUFFLED_SET = RelationSet(REDUCE_SET.relations, {**REDUCE_SET.substitution, **{
-    sym: REDUCE_SET.reduce(val) for sym, val in shuffle_substitution(9).items()}},
-                           REDUCE_SET.rank)
+# SHUFFLED_SET: REDUCE_SET's relations, with the shuffle images joining its substitution
+SHUFFLED_SET = RelationSet()
+SHUFFLED_SET.relations, SHUFFLED_SET.rank = REDUCE_SET.relations, REDUCE_SET.rank
+SHUFFLED_SET.substitution = {**REDUCE_SET.substitution, **{
+    sym: REDUCE_SET.reduce(val) for sym, val in shuffle_substitution(9).items()}}
 SET_SYMBOLS = sorted({sym for rel in REDUCE_SET.relations for sym in rel.symbols()}
                      | set(shuffle_substitution(9)) | {("g", 4), ("b", 2, 7)})
 set_keys = st.tuples(

@@ -2,16 +2,17 @@ import itertools
 import math
 from fractions import Fraction
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from zpmeasures.classical import make_M, make_dirac, make_E1
+from zpmeasures.classical import make_M, make_N2, make_dirac, make_E1
 from zpmeasures.measures import (DiracCombo, box_integral, iwasawa_P,
                                  iwasawa_flip, iwasawa_swap, iwasawa_tensor,
                                  linear_combine, pushforward, transform_F,
                                  transform_F_via_P)
 from zpmeasures.padic import PrimeContext, bernoulli, binom, vp
 
+from levelref import fraction_tables, normal_form
 from polyref import MPoly
 
 CTX = PrimeContext(3, 4)
@@ -150,18 +151,24 @@ def power_factor(dim, k, j):
     return MPoly.var(dim, k) ** j * Fraction(1, math.factorial(j))
 
 
+FRACTION_WEIGHTS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
 @st.composite
-def dirac_measures(draw):
+def dirac_combos(draw, weights=FRACTION_WEIGHTS):
+    """(combination, context, evaluation level) of up to four weighted Dirac masses."""
     dim = draw(st.integers(1, 3))
     p = draw(st.sampled_from([2, 3, 5]))
     level = draw(st.integers(0, 2))
     # the reference below walks every point of the table, so keep it small
     assume(p ** (level * dim) <= 729)
     points = st.tuples(*[st.integers(-20, 20)] * dim)
-    weights = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
     atoms = draw(st.lists(st.tuples(points, weights), min_size=1, max_size=4))
-    mu = DiracCombo.make(dim, atoms).to_level_family(PrimeContext(p, max(level, 1)))
-    return mu, level
+    return DiracCombo.make(dim, atoms), PrimeContext(p, max(level, 1)), level
+
+
+def dirac_measures():
+    return dirac_combos().map(lambda case: (case[0].to_level_family(case[1]), case[2]))
 
 
 @given(case=dirac_measures(), terms=st.integers(0, 4))
@@ -181,3 +188,51 @@ def test_axis_contraction_matches_box_integral(case, terms):
             assert value == want
             assert pt.guarantees[j] == level - mu.denom_bound - sum(
                 vp(math.factorial(jk), p) for jk in j)
+
+
+def transforms_both_ways(build, terms, level):
+    """P, F and the two substitutions on build() with the library's tables and
+    with `Fraction` tables: the same coefficients and guarantees, in normal form."""
+    mu = build()
+    with fraction_tables():
+        ref = build()
+    assert all(type(v) is Fraction for t in ref.tables for v in t.values())
+    p = mu.ctx.p
+    for transform in (iwasawa_P, transform_F):
+        got, want = transform(mu, terms, level), transform(ref, terms, level)
+        assert got.coeffs == want.coeffs and got.guarantees == want.guarantees
+        assert all(map(normal_form, got.coeffs.values()))
+        assert all(map(normal_form, want.coeffs.values()))
+    for substitute in (lambda P: transform_F_via_P(P, p),
+                       lambda P: iwasawa_flip(P, range(mu.dim), p)):
+        got, want = (substitute(iwasawa_P(m, terms, level)) for m in (mu, ref))
+        assert got.coeffs == want.coeffs and got.guarantees == want.guarantees
+        assert all(map(normal_form, got.coeffs.values()))
+
+
+@given(case=st.one_of(dirac_combos(st.integers(-9, 9)), dirac_combos()), terms=st.integers(0, 5))
+@settings(max_examples=60, deadline=None)
+@example(case=(DiracCombo.make(2, [((1, 4), 3), ((-2, 0), -1)]), PrimeContext(3, 2), 2), terms=4)
+@example(case=(DiracCombo.make(1, [((3,), Fraction(1, 2)), ((7,), Fraction(5, 6))]),
+               PrimeContext(2, 2), 2), terms=5)
+def test_transforms_of_dirac_masses_match_fraction_tables(case, terms):
+    # the first example is integral (one denominator, 1); the second has
+    # denominators 2 and 6, which share primes with j!
+    combo, ctx, level = case
+    transforms_both_ways(lambda: combo.to_level_family(ctx), terms, level)
+
+
+@given(pc=st.tuples(st.sampled_from([2, 3, 5]), st.integers(-30, 30), st.integers(1, 6)),
+       n_max=st.integers(1, 2), terms=st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+@example(pc=(3, 7, 1), n_max=2, terms=5)
+@example(pc=(5, -1, 2), n_max=2, terms=5)
+def test_transforms_of_named_measures_match_fraction_tables(pc, n_max, terms):
+    p, num, den = pc
+    c = Fraction(num, den)
+    assume(c.denominator % p)
+    ctx = PrimeContext(p, n_max)
+    transforms_both_ways(lambda: make_M(c, ctx), terms, n_max)
+    if c.numerator % p:  # a unit
+        transforms_both_ways(lambda: make_E1(c, ctx), terms, n_max)
+        transforms_both_ways(lambda: make_N2(c, ctx), terms, n_max)
