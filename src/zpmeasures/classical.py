@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .measures import DiracCombo, LevelFamily, linear_combine, measures_equal, pushforward
+from .measures import (DiracCombo, LevelFamily, linear_combine, measures_equal, pinpoint,
+                       pushforward)
 from .padic import INF, PrimeContext, exact, repr_mod_pos, vp
 
 
@@ -167,6 +168,6 @@ def e1_relation_suite(c, ctx: PrimeContext, up_to_level: int, mod_exp: int):
     )
     checks = []
     for name, rel, exp, claim in relations:
-        res = measures_equal(rel, zero, level, exp)
-        checks.append((name, None if res else f"{claim}; {res.pinpoint(ctx.p)}"))
+        miss = measures_equal(rel, zero, level, exp)
+        checks.append((name, miss and f"{claim}; {pinpoint(miss, ctx.p)}"))
     return checks

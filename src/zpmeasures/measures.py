@@ -75,21 +75,10 @@ class LevelFamily(Frozen):
                 yield ",".join([str(n)] + [str(x) for x in a] + [format_rat(table[a])])
 
 
-class DistributionReport(Record):
-    """A table check, truthy iff passed; a failure names its first miss."""
-
-    __slots__ = _fields = ("passed", "level", "point", "defect")
-
-    def __init__(self, passed: bool, level: int | None = None, point: tuple | None = None,
-                 defect: Rat | None = None):
-        self.passed, self.level, self.point, self.defect = passed, level, point, defect
-
-    def __bool__(self):
-        return self.passed
-
-    def pinpoint(self, p: int) -> str:
-        """The miss of a failed comparison, with the defect's p-adic valuation."""
-        return f"level={self.level} point={self.point} valuation={vp(self.defect, p)}"
+def pinpoint(miss: tuple, p: int) -> str:
+    """A table check's miss (level, point, defect), with the defect's p-adic valuation."""
+    level, point, defect = miss
+    return f"level={level} point={point} valuation={vp(defect, p)}"
 
 
 @lru_cache(maxsize=None)
@@ -103,16 +92,17 @@ def lifts(point, p: int, n: int, dim: int) -> list:
     return [tuple(map(add, point, off)) for off in _lift_offsets(p, n, dim)]
 
 
-def validate_distribution(mu: LevelFamily) -> DistributionReport:
-    """Check the distribution relation exactly at every stored level pair."""
+def validate_distribution(mu: LevelFamily) -> tuple | None:
+    """Check the distribution relation exactly at every stored level pair:
+    None if it holds, else the first miss (level, point, defect)."""
     p = mu.ctx.p
     for n in range(mu.n_max):
         here, up = mu.tables[n], mu.tables[n + 1]
         for a in residues(p, n, mu.dim):
             defect = here[a] - sum(map(up.__getitem__, lifts(a, p, n, mu.dim)))
             if defect:
-                return DistributionReport(False, n, a, defect)
-    return DistributionReport(True)
+                return n, a, defect
+    return None
 
 
 def _numerators(table: dict) -> tuple:
@@ -251,11 +241,13 @@ def box_integral(mu: LevelFamily, base, level: int, integrand, eval_level: int):
     (eval_level - level) - denom_bound - integrand.denominator_valuation(p).
     """
     p = mu.ctx.p
-    base = tuple(int(x) % p ** level for x in base) if level else (0,) * mu.dim
     if eval_level > mu.n_max or eval_level < level:
         raise ValueError("evaluation level out of stored range")
     if integrand.nvars != mu.dim:
         raise ValueError("integrand variable count mismatch")
+    if len(base) != mu.dim:
+        raise ValueError("box base dimension mismatch")
+    base = tuple(int(x) % p ** level for x in base)
     m = eval_level - level
     pl, q = p ** level, p ** m
     total = 0
@@ -411,11 +403,11 @@ def iwasawa_tensor(a: IwasawaPoly, b: IwasawaPoly) -> IwasawaPoly:
 
 
 def measures_equal(mu: LevelFamily, nu: LevelFamily, up_to_level: int,
-                   mod_exp) -> DistributionReport:
-    """Passes iff vp(mu - nu) >= mod_exp at every point of every level <= up_to_level.
+                   mod_exp) -> tuple | None:
+    """None iff vp(mu - nu) >= mod_exp at every point of every level <= up_to_level.
 
-    Pass mod_exp = INF for exact equality.  A miss names the first level and
-    point where it fails, with the difference mu - nu there as the defect.
+    Pass mod_exp = INF for exact equality.  Otherwise the first miss
+    (level, point, defect), the defect being the difference mu - nu there.
     """
     if mu.ctx != nu.ctx or mu.dim != nu.dim:
         raise ValueError("context/dimension mismatch")
@@ -424,8 +416,8 @@ def measures_equal(mu: LevelFamily, nu: LevelFamily, up_to_level: int,
         for a, v in mu.tables[n].items():
             diff = v - nu.tables[n][a]
             if vp(diff, p) < mod_exp:
-                return DistributionReport(False, n, a, diff)
-    return DistributionReport(True)
+                return n, a, diff
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +479,8 @@ class DiracCombo(Frozen):
     def box_integral_exact(self, base, level: int, integrand, p: int) -> Rat:
         """Exact integral of a `corrections.LinearFormIntegrand` over base + p^level
         (Z_p)^dim: its unscaled products summed over the atoms, times its factor once."""
+        if len(base) != self.dim:
+            raise ValueError("box base dimension mismatch")
         atoms = self.boxes(p, level).get(tuple(int(b) % p ** level for b in base), ())
         total = sum(w * integrand.forms(pt) for pt, w in atoms)
         return integrand.factor * total if total else 0

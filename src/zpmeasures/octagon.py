@@ -429,11 +429,11 @@ class RelationSet(Record):
     """Relations plus the triangular substitution solving them; `resolve`
     takes more relations into a built set."""
 
-    _fields = ("relations", "substitution", "rank")
+    _fields = ("relations", "substitution")
     __slots__ = _fields + ("prefer", "_images")
 
     def __init__(self, prefer=()):
-        self.relations, self.substitution, self.rank = [], {}, 0
+        self.relations, self.substitution = [], {}
         self.prefer = [tuple(s) for s in prefer]
         # monomial key -> image of the monomial under the (fixed) substitution
         self._images = {}
@@ -469,7 +469,6 @@ class RelationSet(Record):
             for k in list(subst):
                 subst[k] = subst[k].substitute({pick: solved})
             subst[pick] = solved
-            self.rank += 1
         self._images = {}  # the substitution may have grown
         for rel in self.relations:
             if self.reduce(rel):
@@ -607,7 +606,7 @@ def degree2_symmetry_check(p: int, n: int, s: int, prod: NcSeries) -> tuple:
     residuals = {k: rs.reduce(res) for k, res in degree2_displays(p, n, s, prod).items()}
     nonzero = [k for k, r in residuals.items() if r]
     miss = f"nonzero at {nonzero[:3]}" if nonzero else None
-    report.update(deg1_rank=rs.rank, residuals=_rows(residuals),
+    report.update(deg1_rank=len(rs.substitution), residuals=_rows(residuals),
                   passed=x_coeff_zero and miss is None)
     if s == 1:
         report["chi1_residuals"] = _rows({k: r.subs_t(0) for k, r in residuals.items()})

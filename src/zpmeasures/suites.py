@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import classical, corrections, magnus, octagon
 from .measures import (DiracCombo, LevelFamily, exterior_power, iwasawa_P,
                        iwasawa_flip, iwasawa_swap, iwasawa_tensor,
-                       linear_combine, measures_equal, pushforward,
+                       linear_combine, measures_equal, pinpoint, pushforward,
                        signed_group, star_convolution,
                        transform_F, transform_F_via_P, validate_distribution)
 from .padic import PrimeContext, bernoulli, binom, format_rat, vp
@@ -173,9 +173,9 @@ def measures_suite(cfg: RunConfig) -> SuiteReport:
         named[f"M({units[0]})+tamper"] = LevelFamily(ctx, 1, tuple(tables), bad.denom_bound)
 
     for name, mu in named.items():
-        res = validate_distribution(mu)
-        rep.add(f"distribution:{name}", None if res else
-                f"level={res.level} point={res.point} defect={format_rat(res.defect)}")
+        miss = validate_distribution(mu)
+        rep.add(f"distribution:{name}", miss and
+                f"level={miss[0]} point={miss[1]} defect={format_rat(miss[2])}")
 
     for c in units:
         for nm, miss in classical.e1_relation_suite(c, ctx, cfg.n_max, cfg.mod_exp):
@@ -189,9 +189,9 @@ def measures_suite(cfg: RunConfig) -> SuiteReport:
         lhs = linear_combine([eps[0] * eps[1] for _, eps in group],
                              [pushforward(beta2, perm, eps) for perm, eps in group])
         rhs = exterior_power(rho, 2)
-        res = measures_equal(lhs, rhs, sym_level, cfg.mod_exp)
+        miss = measures_equal(lhs, rhs, sym_level, cfg.mod_exp)
         claim = f"group sum vs square, level {sym_level} mod p^{cfg.mod_exp}"
-        rep.add(f"signed-symmetrization:c={c}", None if res else f"{claim}; {res.pinpoint(cfg.p)}",
+        rep.add(f"signed-symmetrization:c={c}", miss and f"{claim}; {pinpoint(miss, cfg.p)}",
                 claim)
     return rep
 
@@ -294,8 +294,8 @@ def magnus_suite(cfg: RunConfig) -> SuiteReport:
 
         betas.append(magnus.graded_beta(g, ctx, 2, towers[w_i]))
         for r in (1, 2):
-            res = validate_distribution(betas[w_i][r])
-            rep.add(f"beta-distribution:word{w_i}:r={r}", None if res else res.pinpoint(cfg.p))
+            miss = validate_distribution(betas[w_i][r])
+            rep.add(f"beta-distribution:word{w_i}:r={r}", miss and pinpoint(miss, cfg.p))
 
     # negative control: a perturbed series must fail the shuffle relations
     bad = towers[0][level].truncated(D)

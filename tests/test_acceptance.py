@@ -100,15 +100,15 @@ def test_03_e1_moments_match_bernoulli():
 
 def test_04_constructors_satisfy_distribution_relation():
     ctx = PrimeContext(3, 3)
-    ok = validate_distribution(make_dirac([2], ctx)).passed
+    ok = validate_distribution(make_dirac([2], ctx)) is None
     for c in (7, -2, Fraction(1, 2)):
-        ok = ok and validate_distribution(make_M(c, ctx)).passed
-        ok = ok and validate_distribution(make_E1(c, ctx)).passed
-        ok = ok and validate_distribution(make_N2(c, ctx)).passed
+        ok = ok and validate_distribution(make_M(c, ctx)) is None
+        ok = ok and validate_distribution(make_E1(c, ctx)) is None
+        ok = ok and validate_distribution(make_N2(c, ctx)) is None
     d2ctx = PrimeContext(3, 2)
     word = commutator(FreeWord(d2ctx, 2, ((X, 1),)), FreeWord(d2ctx, 2, ((0, 1),)))
     alphas, gammas = coefficient_tables(word)
-    ok = ok and validate_distribution(make_D2(alphas, gammas, d2ctx)).passed
+    ok = ok and validate_distribution(make_D2(alphas, gammas, d2ctx)) is None
     report(ok, "distribution relation exact for dirac, M, E1, N2 (n_max=3) and D2 (n_max=2)")
 
 
@@ -171,7 +171,7 @@ def test_07_magnus_suite_seeded_words():
             ok = ok and all(shuffle_check(s, u, v) for u, v in pairs)
             ok = ok and log_lie_check(s)
             for r in (1, 2, 3):
-                ok = ok and validate_distribution(beta_measures(g, r, ctx, tower)).passed
+                ok = ok and validate_distribution(beta_measures(g, r, ctx, tower)) is None
         g, h = words[0], words[1]
         S = star_convolution(graded_beta(g, ctx, 2, towers[0]),
                              graded_beta(h, ctx, 2, towers[1]))
@@ -207,7 +207,7 @@ def test_08_signed_symmetrization_and_transform():
     lhs = linear_combine([eps[0] * eps[1] for _, eps in group],
                          [pushforward(beta2, perm, eps) for perm, eps in group])
     rhs = exterior_power(rho, 2)
-    ok = measures_equal(lhs, rhs, 2, 3)
+    ok = measures_equal(lhs, rhs, 2, 3) is None
 
     K = 3
     P2 = iwasawa_P(beta2, K, 2)

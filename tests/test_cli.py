@@ -74,9 +74,9 @@ def test_failed_signed_symmetrization_names_its_miss(monkeypatch):
     monkeypatch.setattr(suites, "_rho_and_beta2", perturbed)
     report = run_suite(RunConfig(p=5, n_max=2, suite="measures"))[0]
     failure = first_failure(report)
-    assert failure.name.startswith("signed-symmetrization:")
-    assert failure.detail.startswith("group sum vs square, level 2 mod p^3; level=1 point=")
-    assert failure.detail.endswith(" valuation=1")
+    assert failure.name == "signed-symmetrization:c=51"
+    assert failure.detail == \
+        "group sum vs square, level 2 mod p^3; level=1 point=(1, 2) valuation=1"
 
 
 def test_failed_transforms_checks_name_their_miss(monkeypatch):

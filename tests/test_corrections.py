@@ -142,6 +142,26 @@ def test_box_integral_guarantee_with_denominators_below_the_stored_depth(depth):
     assert vp(exact - value, 2) >= guarantee
 
 
+@pytest.mark.parametrize("base", [(1, 2), (1, 2, 0), ()])
+def test_box_integral_rejects_a_base_of_the_wrong_length(base):
+    # zip would drop the extra coordinates, or find no box at all
+    fam = DiracCombo.make(1, [((1,), 1), ((4,), Fraction(1, 2))]).to_level_family(
+        PrimeContext(3, 3))
+    integrand = standard_integrand((1, 0), (1,), 3)
+    assert box_integral(fam, (1,), 1, integrand, 3) == (Fraction(-1, 2), 1)
+    with pytest.raises(ValueError, match="box base dimension mismatch"):
+        box_integral(fam, base, 1, integrand, 3)
+
+
+@pytest.mark.parametrize("base", [(1, 2), (1, 2, 0), ()])
+def test_box_integral_exact_rejects_a_base_of_the_wrong_length(base):
+    combo = DiracCombo.make(1, [((1,), 1), ((4,), Fraction(1, 2))])
+    integrand = standard_integrand((1, 0), (1,), 3)
+    assert combo.box_integral_exact((1,), 1, integrand, 3) == Fraction(-1, 2)
+    with pytest.raises(ValueError, match="box base dimension mismatch"):
+        combo.box_integral_exact(base, 1, integrand, 3)
+
+
 def scan_box(atoms, base, level, p):
     """Reference box membership: reduce every coordinate of every atom."""
     pl = p ** level

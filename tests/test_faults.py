@@ -115,12 +115,15 @@ def test_fault_fails_its_own_check_line(line, monkeypatch):
 
 def test_failed_lines_name_their_first_miss(monkeypatch):
     details = {}
-    for line in ("lie:word0", "star-identity", "permutation-sum", "x-coefficient:s=1",
-                 "degree2-residuals:s=1", "degree2-residuals:s=2"):
+    for line in ("e1-relations:reflection:c=", "lie:word0", "star-identity", "permutation-sum",
+                 "x-coefficient:s=1", "degree2-residuals:s=1", "degree2-residuals:s=2"):
         fault, cfg = FAULTS[line]
         with monkeypatch.context() as m:
             fault(m)
-            details[line] = next(c.detail for c in run_suite(cfg)[0].checks if c.name == line)
+            check = next(c for c in run_suite(cfg)[0].checks if c.name.startswith(line))
+            details[check.name] = check.detail
+    assert details["e1-relations:reflection:c=55"] == \
+        "E + E o(-1) - (c-1) delta_0 == 0 exactly; level=1 point=(1,) valuation=0"
     assert details["lie:word0"] == "log fails Dynkin-Specht-Wever: not a Lie series"
     assert details["star-identity"] == "graded product vs word product: degree 1 differs"
     assert details["permutation-sum"] == \

@@ -11,8 +11,8 @@ from zpmeasures.corrections import standard_integrand
 from zpmeasures.magnus import coefficient_tables, parse_word
 from zpmeasures.measures import (DiracCombo, GradedSequence, LevelFamily,
                                  box_integral, exterior_product, lifts,
-                                 linear_combine, measures_equal, pushforward,
-                                 signed_group, star_convolution,
+                                 linear_combine, measures_equal, pinpoint,
+                                 pushforward, signed_group, star_convolution,
                                  validate_distribution)
 from zpmeasures.padic import INF, PIntegralityError, PrimeContext, vp
 
@@ -34,10 +34,7 @@ def test_validate_distribution_negative_control():
     t2[(4,)] += 1
     tables[2] = t2
     bad = LevelFamily(CTX, 1, tuple(tables), mu.denom_bound)
-    report = validate_distribution(bad)
-    assert not report.passed
-    assert report.level == 1 and report.point == (1,)
-    assert report.defect == -1
+    assert validate_distribution(bad) == (1, (1,), -1)
 
 
 def test_linear_combine_identities():
@@ -193,16 +190,16 @@ def test_box_integral_basics():
 
 def test_measures_equal_modes():
     a, b = dirac_pair()
-    assert measures_equal(a, a, 2, INF)
-    assert not measures_equal(make_dirac([0], CTX5), make_dirac([1], CTX5), 1, 1)
+    assert measures_equal(a, a, 2, INF) is None
+    assert measures_equal(make_dirac([0], CTX5), make_dirac([1], CTX5), 1, 1) == (1, (0,), 1)
     close = linear_combine([1], [a])
     tables = list(close.tables)
     t = dict(tables[2])
     t[(3,)] += 25
     tables[2] = t
     shifted = LevelFamily(CTX5, 1, tuple(tables), close.denom_bound)
-    assert measures_equal(a, shifted, 2, 2)
-    assert not measures_equal(a, shifted, 2, 3)
+    assert measures_equal(a, shifted, 2, 2) is None
+    assert measures_equal(a, shifted, 2, 3) == (2, (3,), -25)
 
 
 def test_measures_equal_names_its_miss():
@@ -212,13 +209,11 @@ def test_measures_equal_names_its_miss():
     t[(3,)] += 25
     tables[2] = t
     shifted = LevelFamily(CTX5, 1, tuple(tables), a.denom_bound)
-    res = measures_equal(a, shifted, 2, 3)
-    assert not res
-    assert (res.passed, res.level, res.point, res.defect) == (False, 2, (3,), -25)
-    assert res.pinpoint(5) == "level=2 point=(3,) valuation=2"
+    miss = measures_equal(a, shifted, 2, 3)
+    assert miss == (2, (3,), -25)
+    assert pinpoint(miss, 5) == "level=2 point=(3,) valuation=2"
     # a miss below the compared levels is not seen; a pass names nothing
-    ok = measures_equal(a, shifted, 1, INF)
-    assert ok and (ok.level, ok.point, ok.defect) == (None, None, None)
+    assert measures_equal(a, shifted, 1, INF) is None
 
 
 def test_dirac_combo_matches_level_tables():
@@ -226,7 +221,7 @@ def test_dirac_combo_matches_level_tables():
     atoms = [((rng.randrange(-9, 9),), Fraction(rng.randrange(-3, 4))) for _ in range(4)]
     combo = DiracCombo.make(1, atoms)
     fam = combo.to_level_family(CTX)
-    assert validate_distribution(fam).passed
+    assert validate_distribution(fam) is None
     # box integral against the level family agrees mod p^m with the exact one
     poly = standard_integrand((0, 2), (0,), 1)  # x^2
     exact = combo.box_integral_exact((1,), 1, poly, 3)

@@ -131,10 +131,10 @@ def test_deg1_elimination_telescopes():
     rels = [r.subs_t(0) for r in deg1_relations(product(3, 1, 1))]
     rs = build_relation_set(rels)
     assert not rs.reduce(a_sym(2, 3) - a_sym(1, 3))
-    assert rs.rank == 1
+    assert len(rs.substitution) == 1
     rels2 = [r.subs_t(0) for r in deg1_relations(product(2, 1, 1))]
     rs2 = build_relation_set(rels2)
-    assert rs2.rank <= 1
+    assert len(rs2.substitution) <= 1
 
 
 def test_relations_reduce_idempotent_and_vanish():
@@ -619,7 +619,7 @@ def test_all_points_display_matches_the_point_formula(p, n):
 REDUCE_SET = standard_relation_set(3, 2, 2, product(3, 2, 2))
 # SHUFFLED_SET: REDUCE_SET's relations, with the shuffle images joining its substitution
 SHUFFLED_SET = RelationSet()
-SHUFFLED_SET.relations, SHUFFLED_SET.rank = REDUCE_SET.relations, REDUCE_SET.rank
+SHUFFLED_SET.relations = REDUCE_SET.relations
 SHUFFLED_SET.substitution = {**REDUCE_SET.substitution, **{
     sym: REDUCE_SET.reduce(val) for sym, val in shuffle_substitution(9).items()}}
 SET_SYMBOLS = sorted({sym for rel in REDUCE_SET.relations for sym in rel.symbols()}
