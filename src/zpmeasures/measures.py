@@ -241,8 +241,9 @@ def box_integral(mu: LevelFamily, base, level: int, integrand, eval_level: int):
     (eval_level - level) - denom_bound - integrand.denominator_valuation(p).
     """
     p = mu.ctx.p
-    if eval_level > mu.n_max or eval_level < level:
-        raise ValueError("evaluation level out of stored range")
+    if not 0 <= level <= eval_level <= mu.n_max:
+        raise ValueError(f"box level {level} and evaluation level {eval_level} "
+                         f"not in order within the stored range 0..{mu.n_max}")
     if integrand.nvars != mu.dim:
         raise ValueError("integrand variable count mismatch")
     if len(base) != mu.dim:
@@ -289,7 +290,7 @@ def _axis_transform(mu: LevelFamily, terms: int, eval_level: int, weight, scale)
     j!, hence the guarantee eval_level - denom_bound - sum vp(j_k!).
     """
     if not 0 <= eval_level <= mu.n_max:
-        raise ValueError("evaluation level out of stored range")
+        raise ValueError(f"evaluation level {eval_level} out of stored range 0..{mu.n_max}")
     p = mu.ctx.p
     rows = [[weight(x, j) for x in range(p ** eval_level)] for j in range(terms + 1)]
     nums, den = _numerators(mu.tables[eval_level])
@@ -411,6 +412,9 @@ def measures_equal(mu: LevelFamily, nu: LevelFamily, up_to_level: int,
     """
     if mu.ctx != nu.ctx or mu.dim != nu.dim:
         raise ValueError("context/dimension mismatch")
+    top = min(mu.n_max, nu.n_max)
+    if not 0 <= up_to_level <= top:
+        raise ValueError(f"level {up_to_level} out of stored range 0..{top}")
     p = mu.ctx.p
     for n in range(up_to_level + 1):
         for a, v in mu.tables[n].items():

@@ -9,12 +9,15 @@ which turns every coefficient into an exact polynomial in t.  The named
 measures M, E_{1,chi}, N2 and D2 are the point formulas of `classical`,
 evaluated with this symbolic t.
 
-The nine factors of the octagonal product are defined explicitly below; the
-product is truncated past degree 2, its degree-1 coefficients give one
-relation per Y_i, and the degree-2 coefficients are matched against the
-named-measure form of the symmetry of the two-variable cocycle measure,
-modulo the relation ideal generated by the degree-1 relations and the
-external reflection relation.  Three of the factors are additionally
+The nine factors of the octagonal product are defined explicitly below, and
+the product is truncated past degree 2.  The external reflection relation
+a_x - a_{-x} = E_{1,chi}(x) (+ (1 - chi)/2 at x = 0) is solved in closed
+form, a_{-x} -> a_x - E_{1,chi}(x) for x in a half-system
+(`reflection_map`); no image holds a mapped symbol, so one substitution is
+a normal form modulo the reflection ideal.  Under it each degree-1
+coefficient of the product (one relation per Y_i) must reduce to 0, and the
+degree-2 coefficients must reduce to the named-measure form of the symmetry
+of the two-variable cocycle measure.  Three of the factors are additionally
 re-derived as substitution images of factor A, an independent cross-check.
 """
 
@@ -26,8 +29,7 @@ from math import gcd, lcm
 
 from .classical import d2_value, e1_value, m_value, mpos, n2_value
 from .magnus import FreeWord, NcSeries, X, accumulate, word_log2
-from .padic import PrimeContext, Rat, format_rat, is_prime
-from .record import Record
+from .padic import PrimeContext, format_rat, is_prime
 
 # Symbols are tuples: ('a', i), ('b', i, j), ('g', i).  t is tracked as a
 # separate exponent in each monomial key (t_exp, symbol_tuple).
@@ -110,14 +112,6 @@ class SymPoly:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def symbols(self):
-        return {sym for (_, syms) in self.terms for sym in syms}
-
-    def symbol_coefficient(self, sym) -> Rat:
-        """Rational coefficient of the bare symbol (t-free, linear); 0 if the
-        symbol only occurs with t or in products."""
-        return Fraction(self.terms.get((0, (tuple(sym),)), 0), self.den)
 
     def subs_t(self, value) -> "SymPoly":
         """t = a/b: scale t^te by a^te b^(top - te), over b^top for top the highest te kept."""
@@ -418,68 +412,7 @@ def octagon_product(p: int, n: int, s: int, factors: dict) -> NcSeries:
 
 
 # ---------------------------------------------------------------------------
-# Relation sets and reduction
-
-
-class InconsistentRelations(ValueError):
-    pass
-
-
-class RelationSet(Record):
-    """Relations plus the triangular substitution solving them; `resolve`
-    takes more relations into a built set."""
-
-    _fields = ("relations", "substitution")
-    __slots__ = _fields + ("prefer", "_images")
-
-    def __init__(self, prefer=()):
-        self.relations, self.substitution = [], {}
-        self.prefer = [tuple(s) for s in prefer]
-        # monomial key -> image of the monomial under the (fixed) substitution
-        self._images = {}
-
-    def reduce(self, poly: SymPoly) -> SymPoly:
-        out, den, images = {}, 1, self._images
-        for key, c in poly.terms.items():
-            if key not in images:
-                images[key] = SymPoly._norm({key: 1}).substitute(self.substitution)
-            den = _merge(out, den, images[key].terms, images[key].den, c)
-        return SymPoly._norm(out, den * poly.den)
-
-    def resolve(self, relations) -> "RelationSet":
-        """Gauss-style elimination of `relations` into the set, then a check
-        that every relation of the set reduces to zero; returns the set.
-
-        A pivot must carry a rational coefficient: the first `prefer` symbol
-        that does, else the last such symbol.  A relation left with no pivot,
-        a surviving nonzero constant say, means the set is inconsistent.
-        """
-        subst = self.substitution
-        for rel in relations:
-            self.relations.append(rel)
-            rel = rel.substitute(subst)
-            if not rel:
-                continue
-            candidates = [sym for sym in sorted(rel.symbols()) if rel.symbol_coefficient(sym)]
-            if not candidates:
-                raise InconsistentRelations(f"unresolvable relation: {rel}")
-            pick = next((want for want in self.prefer if want in candidates), candidates[-1])
-            solved = SymPoly.symbol(pick) - rel * (1 / rel.symbol_coefficient(pick))
-            # back-substitute into existing solutions to keep the map triangular
-            for k in list(subst):
-                subst[k] = subst[k].substitute({pick: solved})
-            subst[pick] = solved
-        self._images = {}  # the substitution may have grown
-        for rel in self.relations:
-            if self.reduce(rel):
-                raise InconsistentRelations(f"reduction is not idempotent on input: {rel}")
-        return self
-
-
-def build_relation_set(relations, prefer=()) -> RelationSet:
-    """The set solving `relations`, eliminating `prefer` symbols first (the
-    reflection relations eliminate a_{-x} for x in a half-system)."""
-    return RelationSet(prefer=prefer).resolve(relations)
+# The reflection ideal
 
 
 def deg1_relations(prod: NcSeries):
@@ -507,9 +440,24 @@ def reflection_relations(p: int, n: int, s: int):
     return rels
 
 
-def reflection_half_system(width: int):
-    """Symbols a_{-x} for x in a fixed half-system (the elimination targets)."""
-    return [("a", width - x) for x in range(1, width) if width - x > x]
+def reflection_map(p: int, n: int, s: int) -> dict:
+    """The reflection relations solved for a_{-x}, x in the half-system
+    0 < x < p^n - x: a_{-x} -> a_x - E_{1,chi}(x).  No image holds a mapped
+    symbol, so one substitution is a normal form modulo the ideal."""
+    width = check_config(p, n, s)
+    return {("a", width - x): a_sym(x, width) - e1_sympoly(x, p, n, s)
+            for x in range(1, width) if width - x > x}
+
+
+def reduce(poly: SymPoly, mapping: dict, images: dict) -> SymPoly:
+    """`poly.substitute(mapping)`, reading each monomial's image from the
+    memo `images`, which the caller keeps for this one mapping."""
+    out, den = {}, 1
+    for key, c in poly.terms.items():
+        if key not in images:
+            images[key] = SymPoly._norm({key: 1}).substitute(mapping)
+        den = _merge(out, den, images[key].terms, images[key].den, c)
+    return SymPoly._norm(out, den * poly.den)
 
 
 # ---------------------------------------------------------------------------
@@ -568,46 +516,44 @@ def _rows(residuals: dict) -> list:
 
 def degree2_symmetry_check(p: int, n: int, s: int, prod: NcSeries) -> tuple:
     """Match the named-measure display against the product's Y_a Y_b
-    coefficients modulo the degree-1 + reflection ideal.
+    coefficients modulo the reflection ideal.
 
     `prod` is the octagon product at (p, n, s), as built by the caller with
-    `octagon_product` (a negative control passes a tampered one): its Y_a Y_b
-    coefficients are matched, its degree-1 coefficients join the ideal.  One
-    relation set serves both degrees: the reflection relations are solved
-    first, the degree-1 relations reduced through them and then resolved
-    into it.
+    `octagon_product` (a negative control passes a tampered one).  Both of
+    its degrees are reduced by the one `reflection_map` and one image memo:
+    each degree-1 coefficient must reduce to 0, and each Y_a Y_b
+    coefficient must reduce to its display.  The degree-1 relations join
+    nothing, so a degree-1 fault leaves the degree-2 residuals as they were.
 
     Returns (deg1_miss, miss, report).  `deg1_miss` names the first Y indices
-    whose degree-1 relation the reflection relations do not imply, or is None.
-    `miss` is the first of: the degree-1 relation that contradicts the
-    reflection relations (`standard: ...`) and the points whose residual
-    survives the one reduction (`nonzero at [(a, b), ...]`); None when
-    nothing misses.  `report` is the JSON artifact: residuals in full (all
-    zero on success), the rank of the degree-1 relations, an always empty
-    `extra_relations_used`, and for s = 1 the chi = 1 rows, the t = 0 image
-    of the residuals: at c = 1 every E_{1,c}, M and N2 term of the display
-    and 1 - chi vanish, and t = 0 commutes with the elimination, whose
-    pivots are t-free, so these rows vanish whenever the residuals do.  Its
-    `passed` also needs the product's X coefficient to be 0.
+    whose degree-1 relation does not reduce to 0, or is None.  `miss` is the
+    first of: the points x whose reflection relation does not reduce to 0,
+    its constant E_{1,chi}(x) + E_{1,chi}(-x) or E_{1,chi}(0) + (1 - chi)/2
+    being nonzero (`reflection: nonzero at [x, ...]`), and the points whose
+    residual survives (`nonzero at [(a, b), ...]`); None when nothing
+    misses.  `report` is the JSON artifact: residuals in full (all zero on
+    success), the size of the map, an always empty `extra_relations_used`,
+    and for s = 1 the chi = 1 rows, the t = 0 image of the residuals: at
+    c = 1 every E_{1,c}, M and N2 term of the display and 1 - chi vanish, and
+    t = 0 commutes with the substitution, which never maps t, so these rows
+    vanish whenever the residuals do.  Its `passed` also needs the product's
+    X coefficient to be 0 and `deg1_miss` to be None.
     """
-    width = check_config(p, n, s)
+    mapping, images = reflection_map(p, n, s), {}
+    left = [i for i, rel in enumerate(deg1_relations(prod)) if reduce(rel, mapping, images)]
+    deg1_miss = f"nonzero at {left[:3]}" if left else None
+    wrong = [x for x, rel in enumerate(reflection_relations(p, n, s))
+             if reduce(rel, mapping, images)]
+    residuals = {k: reduce(res, mapping, images)
+                 for k, res in degree2_displays(p, n, s, prod).items()}
+    nonzero = [k for k, r in residuals.items() if r]
+    miss = (f"reflection: nonzero at {wrong[:3]}" if wrong
+            else f"nonzero at {nonzero[:3]}" if nonzero else None)
     x_coeff_zero = not prod.coeff((X,))
     report = {"config": {"p": p, "n": n, "s": s}, "x_coeff_zero": x_coeff_zero,
-              "deg1_rank": 0, "residuals": [], "extra_relations_used": [], "passed": False}
-    deg1 = deg1_relations(prod)
-    rs = build_relation_set(reflection_relations(p, n, s), prefer=reflection_half_system(width))
-    left = [i for i, rel in enumerate(deg1) if rs.reduce(rel)]
-    deg1_miss = f"nonzero at {left[:3]}" if left else None
-    try:
-        rs.resolve(deg1)
-    except InconsistentRelations as err:
-        report["inconsistent_relations"] = miss = f"standard: {err}"
-        return deg1_miss, miss, report
-    residuals = {k: rs.reduce(res) for k, res in degree2_displays(p, n, s, prod).items()}
-    nonzero = [k for k, r in residuals.items() if r]
-    miss = f"nonzero at {nonzero[:3]}" if nonzero else None
-    report.update(deg1_rank=len(rs.substitution), residuals=_rows(residuals),
-                  passed=x_coeff_zero and miss is None)
+              "deg1_rank": len(mapping), "residuals": _rows(residuals),
+              "extra_relations_used": [],
+              "passed": x_coeff_zero and deg1_miss is None and miss is None}
     if s == 1:
         report["chi1_residuals"] = _rows({k: r.subs_t(0) for k, r in residuals.items()})
     return deg1_miss, miss, report

@@ -7,18 +7,22 @@ what the points have in common; the tests compare the two.
 
 `chi1_residuals_reference` is the chi = 1 comparison written on its own: the
 chi = 1 display (`degree2_display_chi1`) against the product's t = 0
-coefficients, reduced by a relation set eliminated from the t = 0 relations.
-The library reads the same comparison off the s = 1 residuals at t = 0.
+coefficients, reduced by the substitution eliminated from the t = 0
+reflection relations.  The library reads the same comparison off the s = 1
+residuals at t = 0.
 
-`standard_relation_set` solves the reflection and degree-1 relations in one
-elimination from scratch.  The library solves the reflection relations
-first and resolves the degree-1 relations into that set
-(`octagon.degree2_symmetry_check`), which makes the same set.
+`eliminate` is a general Gauss-style elimination: it solves any relations
+linear in some symbol, picking pivots in a preferred order, and back-
+substitutes to keep the substitution triangular.  `standard_substitution`
+eliminates the reflection and degree-1 relations together from scratch.  The
+library solves the reflection relations in closed form
+(`octagon.reflection_map`), with the degree-1 relations joining nothing;
+the tests check that both give the same substitution.
 
 `shuffle_substitution` rewrites each b_{x,y} with x >= y by the shuffle
 relations, which a group-like series satisfies.  The library's degree-2
-check reduces modulo the reflection and degree-1 relations only; the tests
-extend a relation set with this rewrite to exercise `RelationSet.reduce`.
+check reduces modulo the reflection relations only; the tests extend the
+reflection map with this rewrite to exercise `octagon.reduce`.
 
 `generic_series_by_subst` writes out the generic cocycle series under the
 C, E or G generator substitution term by term.  The library substitutes the
@@ -32,9 +36,8 @@ from fractions import Fraction
 
 from zpmeasures.classical import d2_value, m_value, n2_value
 from zpmeasures.magnus import NcSeries, X, word_log2
-from zpmeasures.octagon import (ONE, ZERO, SymPoly, a_sym, b_sym, build_relation_set,
-                                chi_sympoly, deg1_relations, e1_sympoly, g_sym,
-                                reflection_half_system, reflection_relations,
+from zpmeasures.octagon import (ONE, ZERO, SymPoly, a_sym, b_sym, chi_sympoly,
+                                deg1_relations, e1_sympoly, g_sym, reflection_relations,
                                 substitution_images, unit_series)
 
 from seriesref import accumulate, homogeneous
@@ -91,19 +94,64 @@ def degree2_display_chi1(a: int, b: int, width: int) -> SymPoly:
 
 
 def chi1_residuals_reference(p: int, n: int, prod) -> dict:
-    """The chi = 1 residual at every point (a, b), from the t = 0 relations."""
+    """The chi = 1 residual at every point (a, b), from the t = 0 reflection relations."""
     width = p ** n
-    rels0 = [r.subs_t(0) for r in reflection_relations(p, n, 1) + deg1_relations(prod)]
-    rs0 = build_relation_set(rels0, prefer=reflection_half_system(width))
-    return {(a, b): rs0.reduce(degree2_display_chi1(a, b, width)
-                               - prod.coeffs.get((a, b), ZERO).subs_t(0))
+    subst = eliminate([r.subs_t(0) for r in reflection_relations(p, n, 1)],
+                      prefer=half_system(width))
+    return {(a, b): (degree2_display_chi1(a, b, width)
+                     - prod.coeffs.get((a, b), ZERO).subs_t(0)).substitute(subst)
             for a, b in itertools.product(range(width), repeat=2)}
 
 
-def standard_relation_set(p: int, n: int, s: int, prod):
-    """The reflection and degree-1 relations of `prod`, solved together."""
+def symbols(poly: SymPoly) -> set:
+    """Every symbol that occurs in `poly`."""
+    return {sym for (_, syms) in poly.terms for sym in syms}
+
+
+def symbol_coefficient(poly: SymPoly, sym) -> Fraction:
+    """The rational coefficient of the bare symbol (t-free, linear); 0 if the
+    symbol only occurs with t or in products."""
+    return Fraction(poly.terms.get((0, (tuple(sym),)), 0), poly.den)
+
+
+def half_system(width: int) -> list:
+    """The symbols a_{-x} for x in the half-system 0 < x < width - x."""
+    return [("a", width - x) for x in range(1, width) if width - x > x]
+
+
+def eliminate(relations, prefer=()) -> dict:
+    """The triangular substitution solving `relations`, one at a time.
+
+    Each relation is reduced by the substitution so far; if anything is left,
+    its pivot is the first `prefer` symbol with a rational coefficient, else
+    the last such symbol, and the solved pivot is back-substituted into the
+    earlier images.  Raises ValueError for a relation left with no pivot (a
+    nonzero constant, say) and for a relation the finished substitution does
+    not reduce to zero.
+    """
+    subst = {}
+    for rel in relations:
+        rel = rel.substitute(subst)
+        if not rel:
+            continue
+        candidates = [sym for sym in sorted(symbols(rel)) if symbol_coefficient(rel, sym)]
+        if not candidates:
+            raise ValueError(f"unresolvable relation: {rel}")
+        pick = next((want for want in prefer if want in candidates), candidates[-1])
+        solved = SymPoly.symbol(pick) - rel * (1 / symbol_coefficient(rel, pick))
+        for k in subst:
+            subst[k] = subst[k].substitute({pick: solved})
+        subst[pick] = solved
+    for rel in relations:
+        if rel.substitute(subst):
+            raise ValueError(f"reduction is not idempotent on input: {rel}")
+    return subst
+
+
+def standard_substitution(p: int, n: int, s: int, prod) -> dict:
+    """The reflection and degree-1 relations of `prod`, eliminated together."""
     rels = reflection_relations(p, n, s) + deg1_relations(prod)
-    return build_relation_set(rels, prefer=reflection_half_system(p ** n))
+    return eliminate(rels, prefer=half_system(p ** n))
 
 
 def shuffle_substitution(width: int) -> dict:

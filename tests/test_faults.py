@@ -73,6 +73,13 @@ shuffle_term_in_product = term_in_product(
     - octagon.a_sym(0, width) * octagon.a_sym(1, width))
 
 
+def wrong_e1(monkeypatch):
+    # E_{1,chi}(1) raised by 1: E(1) + E(-1) = 0 fails, so the reflection
+    # relation at x = -1 is left as a nonzero constant
+    real = octagon.e1_sympoly
+    monkeypatch.setattr(octagon, "e1_sympoly", lambda x, *args: real(x, *args) + (x == 1))
+
+
 def odd_measure(monkeypatch):
     # one extra atom whose negative is missing: beta is no longer even
     real = corrections.four_term_sum
@@ -100,6 +107,7 @@ FAULTS = {
                               RunConfig(p=3, n_max=1, suite="octagon", sigma_rep=1)),
     "degree2-residuals:s=2": (shuffle_term_in_product,
                               RunConfig(p=3, n_max=1, suite="octagon", sigma_rep=2)),
+    "degree2-residuals:s=4": (wrong_e1, RunConfig(p=5, n_max=1, suite="octagon", sigma_rep=4)),
     "four-term-sum:trial": (odd_measure, RunConfig(p=3, suite="corrections")),
 }
 
@@ -116,7 +124,8 @@ def test_fault_fails_its_own_check_line(line, monkeypatch):
 def test_failed_lines_name_their_first_miss(monkeypatch):
     details = {}
     for line in ("e1-relations:reflection:c=", "lie:word0", "star-identity", "permutation-sum",
-                 "x-coefficient:s=1", "degree2-residuals:s=1", "degree2-residuals:s=2"):
+                 "x-coefficient:s=1", "degree2-residuals:s=1", "degree2-residuals:s=2",
+                 "degree2-residuals:s=4"):
         fault, cfg = FAULTS[line]
         with monkeypatch.context() as m:
             fault(m)
@@ -131,6 +140,7 @@ def test_failed_lines_name_their_first_miss(monkeypatch):
     assert details["x-coefficient:s=1"] == "X coefficient 1*1"
     assert details["degree2-residuals:s=1"] == "nonzero at [(0, 0)]"
     assert details["degree2-residuals:s=2"] == "nonzero at [(0, 0)]"
+    assert details["degree2-residuals:s=4"] == "reflection: nonzero at [4]"
 
 
 def test_an_x_coefficient_fails_its_own_line_only(monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,10 +11,10 @@ from zpmeasures.classical import make_D2, make_dirac, make_E1, make_M, make_N2
 from zpmeasures.corrections import standard_integrand
 from zpmeasures.magnus import coefficient_tables, parse_word
 from zpmeasures.measures import (DiracCombo, GradedSequence, LevelFamily,
-                                 box_integral, exterior_product, lifts,
+                                 box_integral, exterior_product, iwasawa_P, lifts,
                                  linear_combine, measures_equal, pinpoint,
                                  pushforward, signed_group, star_convolution,
-                                 validate_distribution)
+                                 transform_F, validate_distribution)
 from zpmeasures.padic import INF, PIntegralityError, PrimeContext, vp
 
 from levelref import fraction_tables, is_zero, normal_form, total_mass, unit_sequence
@@ -214,6 +215,41 @@ def test_measures_equal_names_its_miss():
     assert pinpoint(miss, 5) == "level=2 point=(3,) valuation=2"
     # a miss below the compared levels is not seen; a pass names nothing
     assert measures_equal(a, shifted, 1, INF) is None
+
+
+M7 = make_M(7, CTX5)
+M7_TO_1 = LevelFamily(CTX5, 1, M7.tables[:2], M7.denom_bound)
+M7_AT_0 = LevelFamily(CTX5, 1, M7.tables[:1], 0)
+CONST1 = MPoly.const(1, 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: measures_equal(M7, M7, 3, INF), "level 3 out of stored range 0..2"),
+    (lambda: measures_equal(M7, M7_TO_1, 2, INF), "level 2 out of stored range 0..1"),
+    (lambda: measures_equal(M7, M7, -1, INF), "level -1 out of stored range 0..2"),
+    (lambda: box_integral(M7, (0,), 0, CONST1, 3),
+     "box level 0 and evaluation level 3 not in order within the stored range 0..2"),
+    (lambda: box_integral(M7, (0,), -1, CONST1, 0),
+     "box level -1 and evaluation level 0 not in order within the stored range 0..2"),
+    (lambda: iwasawa_P(M7, 2, 3), "evaluation level 3 out of stored range 0..2"),
+    (lambda: transform_F(M7, 2, -1), "evaluation level -1 out of stored range 0..2"),
+], ids=["measures_equal-past-n_max", "measures_equal-past-the-other-n_max",
+        "measures_equal-negative", "box_integral-past-n_max", "box_integral-negative",
+        "iwasawa_P", "transform_F"])
+def test_a_level_outside_the_tables_is_a_value_error_naming_it(call, message):
+    # not an IndexError, a KeyError, a vacuous pass or a read of tables[-1]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize("family", [M7, M7_TO_1, M7_AT_0], ids=["n_max=2", "n_max=1", "n_max=0"])
+def test_checks_with_no_level_argument_read_every_stored_level(family):
+    # validate_distribution and pushforward take their levels from the
+    # family: every stored level, the top one included, down to n_max = 0
+    assert validate_distribution(family) is None
+    flipped = pushforward(family, units=[-1])
+    assert flipped.n_max == family.n_max
+    assert pushforward(flipped, units=[-1]).tables == family.tables
 
 
 def test_dirac_combo_matches_level_tables():

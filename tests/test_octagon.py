@@ -9,19 +9,19 @@ from hypothesis import strategies as st
 from zpmeasures import octagon
 from zpmeasures.classical import e1_value, make_E1, make_M, make_N2, m_value, n2_value
 from zpmeasures.magnus import NcSeries, X, embed_E, word_log2
-from zpmeasures.octagon import (FACTOR_ORDER, ONE, ZERO, InconsistentRelations,
-                                RelationSet, SymPoly, a_sym, b_sym, build_factor,
-                                build_factors, build_relation_set, deg1_relations,
-                                degree2_displays, degree2_symmetry_check,
-                                derive_factor_by_subst, g_sym, octagon_product,
-                                reflection_half_system, reflection_relations,
-                                series_inverse, substitution_images, unit_series)
+from zpmeasures.octagon import (FACTOR_ORDER, ONE, ZERO, SymPoly, a_sym, b_sym, build_factor,
+                                build_factors, deg1_relations, degree2_displays,
+                                degree2_symmetry_check, derive_factor_by_subst, g_sym,
+                                octagon_product, reduce, reflection_map,
+                                reflection_relations, series_inverse, substitution_images,
+                                unit_series)
 from zpmeasures.padic import PrimeContext
 from zpmeasures.suites import RunConfig, octagon_suite
 
 from lieref import series_log
-from octagonref import (chi1_residuals_reference, degree2_display, generic_series_by_subst,
-                        shuffle_substitution, standard_relation_set)
+from octagonref import (chi1_residuals_reference, degree2_display, eliminate,
+                        generic_series_by_subst, half_system, shuffle_substitution,
+                        standard_substitution, symbols)
 from polyref import FracSymPoly
 from test_faults import shuffle_term_in_product
 
@@ -114,7 +114,7 @@ def test_product_constant_and_x_coefficient():
 
 def test_product_with_everything_zero_is_one():
     prod = product(3, 1, 1)
-    kill = {sym: SymPoly() for c in prod.coeffs.values() for sym in c.symbols()}
+    kill = {sym: SymPoly() for c in prod.coeffs.values() for sym in symbols(c)}
     vals = {m: c.substitute(kill).subs_t(0) for m, c in prod.coeffs.items()}
     assert {m: c for m, c in vals.items() if c} == {(): SymPoly.const(1)}
 
@@ -129,42 +129,43 @@ def test_chi1_degree1_coefficients():
 
 def test_deg1_elimination_telescopes():
     rels = [r.subs_t(0) for r in deg1_relations(product(3, 1, 1))]
-    rs = build_relation_set(rels)
-    assert not rs.reduce(a_sym(2, 3) - a_sym(1, 3))
-    assert len(rs.substitution) == 1
+    subst = eliminate(rels)
+    assert not (a_sym(2, 3) - a_sym(1, 3)).substitute(subst)
+    assert len(subst) == 1
     rels2 = [r.subs_t(0) for r in deg1_relations(product(2, 1, 1))]
-    rs2 = build_relation_set(rels2)
-    assert len(rs2.substitution) <= 1
+    assert len(eliminate(rels2)) <= 1
 
 
 def test_relations_reduce_idempotent_and_vanish():
     for p, n, s in [(3, 1, 2), (2, 2, 3)]:
-        rs = standard_relation_set(p, n, s, product(p, n, s))
-        for r in reflection_relations(p, n, s):
-            assert not rs.reduce(r)
+        mapping, images = reflection_map(p, n, s), {}
+        for r in reflection_relations(p, n, s) + deg1_relations(product(p, n, s)):
+            assert not reduce(r, mapping, images)
         q = a_sym(1, p ** n) * a_sym(2 % p ** n, p ** n) + SymPoly.t()
-        assert rs.reduce(rs.reduce(q)) == rs.reduce(q)
+        once = reduce(q, mapping, images)
+        assert reduce(once, mapping, images) == once
 
 
 def test_inconsistent_relations_detected():
-    with pytest.raises(InconsistentRelations):
-        build_relation_set([SymPoly.const(1)])
+    with pytest.raises(ValueError, match=r"unresolvable relation: 1\*1"):
+        eliminate([SymPoly.const(1)])
 
 
 @pytest.mark.parametrize("p, n, s, mono, extra, pinpoint", [
-    (3, 1, 1, (1,), SymPoly.const(1), "unresolvable relation: 1*1"),
-    (3, 1, 2, (1,), SymPoly.t(), "unresolvable relation: 1*t"),
-    (3, 1, 1, (0,), a_sym(0, 3) * (ONE + SymPoly.t()),
-     "reduction is not idempotent on input: -1/2*t + 1*a_0 + 1*a_0*t + 1*a_1 + -1*a_2")])
+    (3, 1, 1, (1,), SymPoly.const(1), "nonzero at [1]"),
+    (3, 1, 2, (1,), SymPoly.t(), "nonzero at [1]"),
+    (3, 1, 1, (0,), a_sym(0, 3) * (ONE + SymPoly.t()), "nonzero at [0]")])
 def test_inconsistent_degree1_relations_fail_the_check(p, n, s, mono, extra, pinpoint):
     # a degree-1 coefficient that contradicts the reflection relations is a
-    # failed identity, pinpointed by the relation left over, not bad input
+    # failed identity, pinpointed by its Y index, not bad input; it joins no
+    # relation, so the degree-2 residuals stay those of the clean product
     prod = product(p, n, s)
+    _, _, clean = degree2_symmetry_check(p, n, s, prod)
     prod.add_term(mono, extra)
-    _, miss, rep = degree2_symmetry_check(p, n, s, prod)
-    assert rep["passed"] is False
-    assert miss == rep["inconsistent_relations"] == f"standard: {pinpoint}"
-    assert "inconsistent_relations" not in degree2_symmetry_check(p, n, s, product(p, n, s))[2]
+    deg1_miss, miss, rep = degree2_symmetry_check(p, n, s, prod)
+    assert rep["passed"] is False and clean["passed"] is True
+    assert deg1_miss == pinpoint and miss is None
+    assert (rep["residuals"], rep["deg1_rank"]) == (clean["residuals"], clean["deg1_rank"])
 
 
 def test_level_constants_vanish_at_chi_1():
@@ -191,7 +192,7 @@ def test_chi1_residuals_are_the_reference_comparison():
     [((0, 0), SymPoly.const(1))],
     # a t-dependent term; only its constant survives at t = 0
     [((1, 2), SymPoly.t() * a_sym(1, 3) + SymPoly.const(Fraction(1, 2)))],
-    # a degree-1 term that raises the rank (g_0 becomes a pivot), read at (0, 0)
+    # a degree-1 term, which joins no relation, and a g_0 term read at (0, 0)
     [((1,), b_sym(1, 2, 3) + g_sym(0, 3)), ((0, 0), g_sym(0, 3))],
 ])
 def test_chi1_residuals_match_the_reference_on_perturbed_products(additions):
@@ -200,7 +201,6 @@ def test_chi1_residuals_match_the_reference_on_perturbed_products(additions):
         prod.add_term(mono, extra)
     _, miss, rep = degree2_symmetry_check(3, 1, 1, prod)
     reference = chi1_residuals_reference(3, 1, prod)
-    assert "inconsistent_relations" not in rep
     assert row_polys(rep["chi1_residuals"]) == strings(reference)
     assert any(reference.values()) and miss is not None and not rep["passed"]
 
@@ -248,8 +248,7 @@ def test_reflection_relations_structure():
     assert rels[1] == want
     # at s=1, t=0 the relations say a_x = a_{-x}
     rels1 = [r.subs_t(0) for r in reflection_relations(3, 1, 1)]
-    rs = build_relation_set(rels1, prefer=reflection_half_system(3))
-    assert not rs.reduce(a_sym(1, 3) - a_sym(2, 3))
+    assert not (a_sym(1, 3) - a_sym(2, 3)).substitute(eliminate(rels1, prefer=half_system(3)))
 
 
 def test_deg1_implied_by_reflection_grid():
@@ -440,7 +439,7 @@ def test_sympoly_terms_stay_nonzero_fractions(f, g, v):
     for r, c in scalars:
         assert r == f * SymPoly.const(c)
     assert f * 0 is not octagon.ZERO and not (f * 0)
-    identity = {sym: SymPoly.symbol(sym) for sym in (f * g).symbols()}
+    identity = {sym: SymPoly.symbol(sym) for sym in symbols(f * g)}
     assert subst == (f * g).substitute({**identity, **partial})
     assert not (f - f)
     assert (f * g).subs_t(v) == f.subs_t(v) * g.subs_t(v)
@@ -561,27 +560,33 @@ def test_checks_read_the_product_they_are_given():
     bad.add_term((1,), SymPoly.const(1))
     deg1_miss, miss, rep = degree2_symmetry_check(3, 1, 1, bad)
     assert deg1_miss == "nonzero at [1]"
-    assert miss == rep["inconsistent_relations"] == "standard: unresolvable relation: 1*1"
+    # the degree-1 fault joins no relation: the degree-2 verdict is unchanged
+    assert miss == "nonzero at [(0, 0)]" and not rep["passed"]
 
 
 def test_a_sweep_solves_one_relation_set_per_residue(monkeypatch):
-    # the degree-1 check reads its residuals off the set the degree-2 check extends
+    # the degree-1 and degree-2 checks reduce by the one reflection map of their residue
     calls = []
-    real = octagon.build_relation_set
-    monkeypatch.setattr(octagon, "build_relation_set",
-                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    real = octagon.reflection_map
+    monkeypatch.setattr(octagon, "reflection_map", lambda *args: calls.append(args) or real(*args))
     rep = octagon_suite(RunConfig(p=3, n_max=2, suite="octagon"))
     assert rep.passed
-    assert len(calls) == len(units(3, 2)) == 6
+    assert calls == [(3, 2, s) for s in units(3, 2)]
 
 
-def test_resolving_into_a_built_set_is_one_elimination():
-    for p, n, s in [(3, 1, 2), (2, 2, 3), (5, 1, 4)]:
-        prod = product(p, n, s)
-        rs = build_relation_set(reflection_relations(p, n, s),
-                                prefer=reflection_half_system(p ** n))
-        assert rs.resolve(deg1_relations(prod)) is rs
-        assert rs == standard_relation_set(p, n, s, prod)
+@pytest.mark.parametrize("p, n", [(p, n) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)
+                                  for n in range(1, 5) if p ** n <= 27] + [(7, 2)])
+def test_reflection_map_is_the_reference_elimination(p, n):
+    # the closed form is the substitution a general elimination of the
+    # reflection and degree-1 relations solves; past degree 1 the product
+    # needs only its factors' degree-1 parts (each factor starts with 1)
+    free = {name: build_factor(name, p, n, 1) for name in "ACD"}
+    for s in units(p, n)[:6 if p ** n > 27 else None]:
+        prod = unit_series(p, n).truncated(1)
+        for name in "JHGFEDCBA":
+            factor = free[name] if name in free else build_factor(name, p, n, s)
+            prod = prod * factor.truncated(1)
+        assert reflection_map(p, n, s) == standard_substitution(p, n, s, prod), (p, n, s)
 
 
 def test_shuffle_retry_reads_the_extended_substitution():
@@ -613,16 +618,17 @@ def test_all_points_display_matches_the_point_formula(p, n):
             assert display == degree2_display(a, b, p, n, s), (p, n, s, a, b)
 
 
-# Random SymPolys over the symbols of a real relation set, up to three
-# symbols and t^2 per monomial.  Both sets keep their memo across examples,
-# so later examples also read images memoized by earlier ones.
-REDUCE_SET = standard_relation_set(3, 2, 2, product(3, 2, 2))
-# SHUFFLED_SET: REDUCE_SET's relations, with the shuffle images joining its substitution
-SHUFFLED_SET = RelationSet()
-SHUFFLED_SET.relations = REDUCE_SET.relations
-SHUFFLED_SET.substitution = {**REDUCE_SET.substitution, **{
-    sym: REDUCE_SET.reduce(val) for sym, val in shuffle_substitution(9).items()}}
-SET_SYMBOLS = sorted({sym for rel in REDUCE_SET.relations for sym in rel.symbols()}
+# Random SymPolys over the symbols of the reflection and degree-1 relations
+# at (3, 2, 2), up to three symbols and t^2 per monomial.  Each map keeps its
+# image memo across examples, so later examples also read images memoized by
+# earlier ones.
+RELATIONS = reflection_relations(3, 2, 2) + deg1_relations(product(3, 2, 2))
+REDUCE_MAP = reflection_map(3, 2, 2)
+# SHUFFLED_MAP: the reflection map, with the reduced shuffle images joining it
+SHUFFLED_MAP = {**REDUCE_MAP, **{sym: reduce(val, REDUCE_MAP, {})
+                                 for sym, val in shuffle_substitution(9).items()}}
+MAPS = [(REDUCE_MAP, {}), (SHUFFLED_MAP, {})]
+SET_SYMBOLS = sorted({sym for rel in RELATIONS for sym in symbols(rel)}
                      | set(shuffle_substitution(9)) | {("g", 4), ("b", 2, 7)})
 set_keys = st.tuples(
     st.integers(0, 2),
@@ -634,21 +640,22 @@ set_polys = st.dictionaries(set_keys, st.fractions(-3, 3, max_denominator=4),
 @settings(max_examples=150, deadline=None)
 @given(set_polys)
 def test_memoized_reduce_is_the_substitution(poly):
-    for rs in (REDUCE_SET, SHUFFLED_SET):
-        assert rs.reduce(poly) == poly.substitute(rs.substitution)
-        assert in_lowest_terms(rs.reduce(poly))
+    for mapping, images in MAPS:
+        assert reduce(poly, mapping, images) == poly.substitute(mapping)
+        assert in_lowest_terms(reduce(poly, mapping, images))
 
 
 set_polys8 = st.dictionaries(set_keys, rat8, max_size=6).map(SymPoly)
-REF_SUBSTITUTIONS = [(rs, {sym: FracSymPoly.of(img) for sym, img in rs.substitution.items()})
-                     for rs in (REDUCE_SET, SHUFFLED_SET)]
+REF_SUBSTITUTIONS = [(mapping, images, {sym: FracSymPoly.of(img) for sym, img in mapping.items()})
+                     for mapping, images in MAPS]
 # a relation with a denominator: its multiples reduce to zero through the lcm
-FRACTIONAL_RELATION = next(rel for rel in REDUCE_SET.relations if rel.den > 1)
+FRACTIONAL_RELATION = next(rel for rel in RELATIONS if rel.den > 1)
 
 
 @settings(max_examples=100, deadline=None)
 @given(set_polys8)
 def test_reduce_matches_the_fraction_reference(poly):
-    for rs, ref_substitution in REF_SUBSTITUTIONS:
-        assert_agree(rs.reduce(poly), FracSymPoly.of(poly).substitute(ref_substitution))
-        assert_agree(rs.reduce(poly * FRACTIONAL_RELATION), FracSymPoly())
+    for mapping, images, ref_substitution in REF_SUBSTITUTIONS:
+        assert_agree(reduce(poly, mapping, images),
+                     FracSymPoly.of(poly).substitute(ref_substitution))
+        assert_agree(reduce(poly * FRACTIONAL_RELATION, mapping, images), FracSymPoly())
