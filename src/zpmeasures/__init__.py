@@ -5,7 +5,7 @@ from .padic import (INF, PIntegralityError, PrimeContext, Rat, bernoulli,
                     binom, exact, format_rat, parse_rat, repr_mod, repr_mod_pos,
                     vp)
 from .measures import (DiracCombo, GradedSequence, IwasawaPoly, LevelFamily,
-                       box_integral, exterior_power, exterior_product,
+                       box_integral, exterior_product,
                        iwasawa_P, linear_combine, measures_equal, pushforward,
                        signed_group, star_convolution,
                        transform_F, transform_F_via_P, validate_distribution)
@@ -16,6 +16,6 @@ from .magnus import (FreeWord, NcSeries, WordSyntaxError, beta_measures,
                      parse_word, shuffle_check, word_coefficient_congruence)
 from .octagon import (SymPoly, build_factor, deg1_relations,
                       degree2_symmetry_check, derive_factor_by_subst,
-                      octagon_product, reflection_relations, series_inverse)
+                      octagon_product, reflection_relations)
 
 __version__ = "0.1.0"

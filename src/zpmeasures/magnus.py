@@ -189,17 +189,18 @@ class NcSeries(Record):
     def add_term(self, mono, c):
         accumulate(self.coeffs, ((tuple(mono), c),))
 
-    def _same_shape(self, other):
-        return (self.ctx, self.level, self.degree) == (other.ctx, other.level, other.degree)
+    def _check_shape(self, other):
+        if (self.ctx, self.level, self.degree) != (other.ctx, other.level, other.degree):
+            raise ValueError("series differ in prime, level or degree")
 
     def __add__(self, other: "NcSeries") -> "NcSeries":
-        assert self._same_shape(other)
+        self._check_shape(other)
         out = dict(self.coeffs)
         accumulate(out, other.coeffs.items())
         return NcSeries(self.ctx, self.level, self.degree, out)
 
     def __sub__(self, other: "NcSeries") -> "NcSeries":
-        assert self._same_shape(other)
+        self._check_shape(other)
         out = dict(self.coeffs)
         accumulate(out, ((m, -c) for m, c in other.coeffs.items()))
         return NcSeries(self.ctx, self.level, self.degree, out)
@@ -213,7 +214,7 @@ class NcSeries(Record):
     def __mul__(self, other: "NcSeries") -> "NcSeries":
         """Graded product: a left monomial meets only the right monomials that
         fit in the degree, and a constant term 1 on either side multiplies nothing."""
-        assert self._same_shape(other)
+        self._check_shape(other)
         left_unit = self.coeffs.get(()) == 1
         right_unit = other.coeffs.get(()) == 1
         by_len = [[] for _ in range(self.degree + 1)]
@@ -391,10 +392,6 @@ def project_word(w: FreeWord, n: int) -> FreeWord:
 # Coefficient views and measures
 
 
-def embed_at_level(g: FreeWord, n: int, degree: int) -> NcSeries:
-    return embed_E(project_word(g, n), degree)
-
-
 def word_tower(g: FreeWord, degrees) -> tuple:
     """The level-n series of g for n = 0..g.level, level n at degrees[n].
 
@@ -403,13 +400,13 @@ def word_tower(g: FreeWord, degrees) -> tuple:
     """
     if len(degrees) != g.level + 1:
         raise ValueError("need one degree per level 0..g.level")
-    return tuple(embed_at_level(g, n, d) for n, d in enumerate(degrees))
+    return tuple(embed_E(project_word(g, n), d) for n, d in enumerate(degrees))
 
 
-def coefficient_tables(g: FreeWord, degree: int = 2):
+def coefficient_tables(g: FreeWord):
     """Per-level alpha and gamma tables of a kernel word (for the D2 measure)."""
     alphas, gammas = [], []
-    for n, s in enumerate(word_tower(g, [degree] * (g.level + 1))):
+    for n, s in enumerate(word_tower(g, [2] * (g.level + 1))):
         width = g.ctx.p ** n
         alphas.append([s.coeff((i,)) for i in range(width)])
         gammas.append([s.coeff((X, i)) for i in range(width)])
@@ -423,8 +420,6 @@ def beta_measures(g: FreeWord, r: int, ctx: PrimeContext, tower) -> LevelFamily:
     """
     if not kernel_check(g):
         raise ValueError("word is not in the kernel (nonzero x-exponent)")
-    if r == 0:
-        return LevelFamily.build(ctx, 0, lambda n, a: 1, g.level)
     if len(tower) != g.level + 1 or any(s.degree < r for s in tower):
         raise ValueError(f"need the word's series at levels 0..{g.level}, degree >= {r}")
     return LevelFamily.build(ctx, r, lambda n, a: tower[n].coeff(a), g.level)

@@ -64,8 +64,8 @@ class LevelFamily(Frozen):
         return cls(ctx, dim, tuple(tables), worst)
 
     @classmethod
-    def zero(cls, ctx: PrimeContext, dim: int, n_max=None) -> "LevelFamily":
-        return cls.build(ctx, dim, lambda n, a: 0, n_max)
+    def zero(cls, ctx: PrimeContext, dim: int) -> "LevelFamily":
+        return cls.build(ctx, dim, lambda n, a: 0)
 
     def csv_lines(self):
         """Rows "n,a_1,..,a_m,value" for every stored entry."""
@@ -119,6 +119,8 @@ def linear_combine(coeffs, mus: list[LevelFamily]) -> LevelFamily:
     division per entry."""
     if not mus:
         raise ValueError("nothing to combine")
+    if len(coeffs) != len(mus):
+        raise ValueError(f"{len(coeffs)} coefficients for {len(mus)} measures")
     ctx, dim = mus[0].ctx, mus[0].dim
     for m in mus:
         if m.ctx != ctx or m.dim != dim:
@@ -190,15 +192,6 @@ def exterior_product(alpha: LevelFamily, beta: LevelFamily) -> LevelFamily:
         return alpha.tables[n][ab[:i]] * beta.tables[n][ab[i:]]
 
     return LevelFamily.build(alpha.ctx, alpha.dim + beta.dim, fn, n_max)
-
-
-def exterior_power(alpha: LevelFamily, m: int) -> LevelFamily:
-    if m == 0:
-        return LevelFamily.build(alpha.ctx, 0, lambda n, a: 1, alpha.n_max)
-    out = alpha
-    for _ in range(m - 1):
-        out = exterior_product(out, alpha)
-    return out
 
 
 class GradedSequence(Frozen):
@@ -459,6 +452,8 @@ class DiracCombo(Frozen):
     def pushforward_affine(self, coords) -> "DiracCombo":
         """The image under x_k -> e_k * x_k + c_k, built once per map."""
         coords = tuple((int(e), exact(c)) for e, c in coords)
+        if len(coords) != self.dim:
+            raise ValueError("map dimension mismatch")
         if coords not in self._memo:
             self._memo[coords] = DiracCombo(self.dim, tuple(
                 (tuple(exact(e * x + c) for x, (e, c) in zip(pt, coords)), w)
@@ -489,8 +484,8 @@ class DiracCombo(Frozen):
         total = sum(w * integrand.forms(pt) for pt, w in atoms)
         return integrand.factor * total if total else 0
 
-    def to_level_family(self, ctx: PrimeContext, n_max=None) -> LevelFamily:
+    def to_level_family(self, ctx: PrimeContext) -> LevelFamily:
         def fn(n, a):
             return sum(w for _, w in self.boxes(ctx.p, n).get(a, ()))
 
-        return LevelFamily.build(ctx, self.dim, fn, n_max)
+        return LevelFamily.build(ctx, self.dim, fn)

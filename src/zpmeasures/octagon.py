@@ -49,8 +49,8 @@ class SymPoly:
 
     __slots__ = ("terms", "den")
 
-    def __init__(self, terms=None):
-        terms = {k: Fraction(c) for k, c in (terms or {}).items() if c}
+    def __init__(self, terms: dict):
+        terms = {k: Fraction(c) for k, c in terms.items() if c}
         self.den = lcm(*(c.denominator for c in terms.values()))
         self.terms = {k: c.numerator * (self.den // c.denominator) for k, c in terms.items()}
 
@@ -71,8 +71,8 @@ class SymPoly:
         return cls._norm({(0, ()): c.numerator} if c else {}, c.denominator)
 
     @classmethod
-    def t(cls, exp: int = 1) -> "SymPoly":
-        return cls._norm({(exp, ()): 1})
+    def t(cls) -> "SymPoly":
+        return cls._norm({(1, ()): 1})
 
     @classmethod
     def symbol(cls, sym) -> "SymPoly":
@@ -113,15 +113,9 @@ class SymPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def subs_t(self, value) -> "SymPoly":
-        """t = a/b: scale t^te by a^te b^(top - te), over b^top for top the highest te kept."""
-        value = Fraction(value)
-        a, b = value.numerator, value.denominator
-        kept = [(k, c) for k, c in self.terms.items() if a or not k[0]]
-        top = max((te for (te, _), _ in kept), default=0)
-        out = {}
-        accumulate(out, (((0, syms), c * a ** te * b ** (top - te)) for (te, syms), c in kept))
-        return SymPoly._norm(out, self.den * b ** top)
+    def at_t0(self) -> "SymPoly":
+        """The image under t = 0: the t-free terms."""
+        return SymPoly._norm({k: c for k, c in self.terms.items() if not k[0]}, self.den)
 
     def substitute(self, mapping) -> "SymPoly":
         """Replace mapped symbols by polynomials (exact, product-expanded)."""
@@ -173,7 +167,7 @@ def _coerce(x) -> SymPoly:
     return SymPoly.const(x)
 
 
-ZERO = SymPoly()
+ZERO = SymPoly({})
 ONE = SymPoly.const(1)
 
 
@@ -199,21 +193,6 @@ def chi_sympoly(p: int, n: int, s: int) -> SymPoly:
 def unit_series(p: int, n: int) -> NcSeries:
     """The series 1 at level n, truncated past degree 2."""
     return NcSeries(PrimeContext(p, max(n, 1)), n, 2, {(): ONE})
-
-
-def series_inverse(s: NcSeries) -> NcSeries:
-    """Inverse of 1 + u: the sum of (-u)^k for k <= degree, with the constant
-    1 taken from the input so that it stays in the input's ring."""
-    c0 = s.coeff(())
-    if c0 != 1:
-        raise ValueError("inverse needs constant term 1")
-    one = NcSeries(s.ctx, s.level, s.degree, {(): c0})
-    neg_u = one - s
-    out, power = one + neg_u, neg_u
-    for _ in range(s.degree - 1):
-        power = power * neg_u
-        out = out + power
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +374,8 @@ def residue_free_factors(p: int, n: int) -> dict:
     return factors
 
 
-def build_factors(p: int, n: int, s: int, shared: dict = None) -> dict:
+def build_factors(p: int, n: int, s: int, shared: dict) -> dict:
     """The nine factors at (p, n, s) and D·C; `shared`: `residue_free_factors(p, n)`."""
-    shared = shared or residue_free_factors(p, n)
     return {name: shared[name] if name in shared else build_factor(name, p, n, s)
             for name in FACTOR_ORDER}
 
@@ -555,7 +533,7 @@ def degree2_symmetry_check(p: int, n: int, s: int, prod: NcSeries) -> tuple:
               "extra_relations_used": [],
               "passed": x_coeff_zero and deg1_miss is None and miss is None}
     if s == 1:
-        report["chi1_residuals"] = _rows({k: r.subs_t(0) for k, r in residuals.items()})
+        report["chi1_residuals"] = _rows({k: r.at_t0() for k, r in residuals.items()})
     return deg1_miss, miss, report
 
 
@@ -622,10 +600,12 @@ def substitution_images(name: str, p: int, n: int, s: int) -> dict:
 def derive_factor_by_subst(name: str, p: int, n: int, s: int, A: NcSeries,
                            factor: NcSeries) -> dict:
     """Substitute the logs of the name's generator images into factor A's display
-    `A`, invert for C and G, and compare with the display `factor` term by term:
-    the coefficients of the result minus `factor`, empty when they agree."""
+    `A`, giving A∘φ, and compare with the display F = `factor` term by term:
+    E's display must equal A∘φ, and C's and G's must invert it, (A∘φ)·F = 1.
+    Returns the coefficients of A∘φ - F for E, of (A∘φ)·F - 1 for C and G;
+    empty when they agree."""
     images = substitution_images(name, p, n, s)
     result = A.substitute({gen: word_log2(word) for gen, word in images.items()})
     if name in ("C", "G"):
-        result = series_inverse(result)
+        result, factor = result * factor, unit_series(p, n)
     return {} if result.coeffs == factor.coeffs else (result - factor).coeffs

@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 
 from . import classical, corrections, magnus, octagon
-from .measures import (DiracCombo, LevelFamily, exterior_power, iwasawa_P,
+from .measures import (DiracCombo, LevelFamily, exterior_product, iwasawa_P,
                        iwasawa_flip, iwasawa_swap, iwasawa_tensor,
                        linear_combine, measures_equal, pinpoint, pushforward,
                        signed_group, star_convolution,
@@ -52,11 +52,8 @@ class Check(Record):
 class SuiteReport(Record):
     __slots__ = _fields = ("suite", "config", "checks", "artifacts")
 
-    def __init__(self, suite: str, config: dict, checks: list | None = None,
-                 artifacts: list | None = None):
-        self.suite, self.config = suite, config
-        self.checks = [] if checks is None else checks
-        self.artifacts = [] if artifacts is None else artifacts
+    def __init__(self, suite: str, config: dict):
+        self.suite, self.config, self.checks, self.artifacts = suite, config, [], []
 
     def add(self, name, miss, holds=""):
         """Record a check: it fails with detail `miss`, or passes with `holds` if `miss` is None."""
@@ -101,11 +98,10 @@ def _seeded_units(rng: random.Random, p: int, count: int):
     return units
 
 
-def _random_dirac_combo(rng: random.Random, ctx: PrimeContext, dim: int,
-                        atoms: int = 3) -> LevelFamily:
+def _random_dirac_combo(rng: random.Random, ctx: PrimeContext, dim: int) -> LevelFamily:
     span = ctx.p ** min(2, ctx.n_max)
     drawn = [([rng.randrange(0, span) for _ in range(dim)], rng.randrange(-3, 4))
-             for _ in range(atoms)]  # per atom: its point, then its coefficient
+             for _ in range(3)]  # per atom: its point, then its coefficient
     return DiracCombo.make(dim, drawn).to_level_family(ctx)
 
 
@@ -121,14 +117,13 @@ def _rho_and_beta2(rng: random.Random, cfg: RunConfig, c):
     rho = linear_combine([1, Fraction(1 - c, 2)],
                          [classical.make_E1(c, ctx), classical.make_dirac([0], ctx)])
     alpha = linear_combine([1, Fraction(1, 2)], [nu, rho])
-    return rho, linear_combine([Fraction(1, 2)], [exterior_power(alpha, 2)])
+    return rho, linear_combine([Fraction(1, 2)], [exterior_product(alpha, alpha)])
 
 
-def _random_kernel_word(rng: random.Random, ctx: PrimeContext, level: int,
-                        length: int = 6) -> magnus.FreeWord:
+def _random_kernel_word(rng: random.Random, ctx: PrimeContext, level: int) -> magnus.FreeWord:
     gens = [magnus.X] + list(range(ctx.p ** level))
     letters = []
-    for _ in range(length):
+    for _ in range(6):
         letters.append((rng.choice(gens), rng.choice((1, -1))))
     bal = sum(e for g, e in letters if g == magnus.X)
     letters.append((magnus.X, -bal))
@@ -188,7 +183,7 @@ def measures_suite(cfg: RunConfig) -> SuiteReport:
         group = list(signed_group(2))
         lhs = linear_combine([eps[0] * eps[1] for _, eps in group],
                              [pushforward(beta2, perm, eps) for perm, eps in group])
-        rhs = exterior_power(rho, 2)
+        rhs = exterior_product(rho, rho)
         miss = measures_equal(lhs, rhs, sym_level, cfg.mod_exp)
         claim = f"group sum vs square, level {sym_level} mod p^{cfg.mod_exp}"
         rep.add(f"signed-symmetrization:c={c}", miss and f"{claim}; {pinpoint(miss, cfg.p)}",
@@ -365,9 +360,9 @@ def corrections_suite(cfg: RunConfig) -> SuiteReport:
     p, n, r = cfg.p, 1, 2
     shapes = [s for s in itertools.product(range(3), repeat=3) if sum(s) <= 2]
 
-    def random_combo(dim, natoms=4):
+    def random_combo(dim):
         atoms = [(tuple(rng.randrange(-6, 7) for _ in range(dim)),
-                  Fraction(rng.randrange(-3, 4))) for _ in range(natoms)]
+                  Fraction(rng.randrange(-3, 4))) for _ in range(4)]
         return DiracCombo.make(dim, atoms)
 
     bases = list(itertools.product(range(p ** n), repeat=r))

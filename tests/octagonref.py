@@ -96,10 +96,10 @@ def degree2_display_chi1(a: int, b: int, width: int) -> SymPoly:
 def chi1_residuals_reference(p: int, n: int, prod) -> dict:
     """The chi = 1 residual at every point (a, b), from the t = 0 reflection relations."""
     width = p ** n
-    subst = eliminate([r.subs_t(0) for r in reflection_relations(p, n, 1)],
+    subst = eliminate([r.at_t0() for r in reflection_relations(p, n, 1)],
                       prefer=half_system(width))
     return {(a, b): (degree2_display_chi1(a, b, width)
-                     - prod.coeffs.get((a, b), ZERO).subs_t(0)).substitute(subst)
+                     - prod.coeffs.get((a, b), ZERO).at_t0()).substitute(subst)
             for a, b in itertools.product(range(width), repeat=2)}
 
 

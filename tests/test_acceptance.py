@@ -18,13 +18,14 @@ from zpmeasures.magnus import (FreeWord, X, beta_measures, coefficient_tables,
                                commutator, embed_E, graded_beta, log_lie_check,
                                shuffle_check, word_coefficient_congruence,
                                word_tower)
-from zpmeasures.measures import (DiracCombo, box_integral, exterior_power,
+from zpmeasures.measures import (DiracCombo, box_integral, exterior_product,
                                  iwasawa_P, iwasawa_flip, iwasawa_swap,
                                  iwasawa_tensor, linear_combine, measures_equal,
                                  pushforward, signed_group, star_convolution,
                                  validate_distribution)
 from zpmeasures.octagon import (build_factors, degree2_symmetry_check,
-                                derive_factor_by_subst, octagon_product)
+                                derive_factor_by_subst, octagon_product,
+                                residue_free_factors)
 from zpmeasures.padic import PrimeContext, bernoulli, binom, vp
 from zpmeasures.suites import SUITE_RUNNERS, RunConfig
 
@@ -116,11 +117,12 @@ def test_05_octagon_symbolic_suite():
     ok = True
     worst = 0.0
     for p, n in OCTAGON_GRID:
+        shared = residue_free_factors(p, n)
         for s in range(1, p ** n):
             if s % p == 0:
                 continue
             start = time.monotonic()
-            prod = octagon_product(p, n, s, build_factors(p, n, s))
+            prod = octagon_product(p, n, s, build_factors(p, n, s, shared))
             ok = ok and not prod.coeff((X,))
             deg1_miss, miss, rep = degree2_symmetry_check(p, n, s, prod)
             ok = ok and deg1_miss is None and miss is None
@@ -135,10 +137,11 @@ def test_05_octagon_symbolic_suite():
 def test_06_factor_rederivation_from_substitutions():
     ok = True
     for p, n in OCTAGON_GRID:
+        shared = residue_free_factors(p, n)
         for s in range(1, p ** n):
             if s % p == 0:
                 continue
-            factors = build_factors(p, n, s)
+            factors = build_factors(p, n, s, shared)
             for name in "CEG":
                 ok = ok and not derive_factor_by_subst(name, p, n, s, factors["A"],
                                                        factors[name])
@@ -202,11 +205,11 @@ def test_08_signed_symmetrization_and_transform():
     rho = linear_combine([1, Fraction(1 - c, 2)],
                          [make_E1(c, ctx), make_dirac([0], ctx)])
     alpha = linear_combine([1, Fraction(1, 2)], [nu, rho])
-    beta2 = linear_combine([Fraction(1, 2)], [exterior_power(alpha, 2)])
+    beta2 = linear_combine([Fraction(1, 2)], [exterior_product(alpha, alpha)])
     group = list(signed_group(2))
     lhs = linear_combine([eps[0] * eps[1] for _, eps in group],
                          [pushforward(beta2, perm, eps) for perm, eps in group])
-    rhs = exterior_power(rho, 2)
+    rhs = exterior_product(rho, rho)
     ok = measures_equal(lhs, rhs, 2, 3) is None
 
     K = 3

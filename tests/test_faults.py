@@ -73,6 +73,21 @@ shuffle_term_in_product = term_in_product(
     - octagon.a_sym(0, width) * octagon.a_sym(1, width))
 
 
+def term_in_display(name, mono):
+    """A fault that adds 1 at `mono` of the display of factor `name`."""
+    def patch(monkeypatch):
+        real = octagon.build_factor
+
+        def perturbed(factor, *args):
+            out = real(factor, *args)
+            if factor == name:
+                out.add_term(mono, octagon.SymPoly.const(1))
+            return out
+
+        monkeypatch.setattr(octagon, "build_factor", perturbed)
+    return patch
+
+
 def wrong_e1(monkeypatch):
     # E_{1,chi}(1) raised by 1: E(1) + E(-1) = 0 fails, so the reflection
     # relation at x = -1 is left as a nonzero constant
@@ -108,6 +123,10 @@ FAULTS = {
     "degree2-residuals:s=2": (shuffle_term_in_product,
                               RunConfig(p=3, n_max=1, suite="octagon", sigma_rep=2)),
     "degree2-residuals:s=4": (wrong_e1, RunConfig(p=5, n_max=1, suite="octagon", sigma_rep=4)),
+    "substitution-derivation:E:s=": (term_in_display("E", (1, 0)),
+                                     RunConfig(p=3, n_max=1, suite="octagon", sigma_rep=2)),
+    "substitution-derivation:G:s=": (term_in_display("G", (1, 0)),
+                                     RunConfig(p=3, n_max=1, suite="octagon", sigma_rep=2)),
     "four-term-sum:trial": (odd_measure, RunConfig(p=3, suite="corrections")),
 }
 
@@ -125,7 +144,8 @@ def test_failed_lines_name_their_first_miss(monkeypatch):
     details = {}
     for line in ("e1-relations:reflection:c=", "lie:word0", "star-identity", "permutation-sum",
                  "x-coefficient:s=1", "degree2-residuals:s=1", "degree2-residuals:s=2",
-                 "degree2-residuals:s=4"):
+                 "degree2-residuals:s=4", "substitution-derivation:E:s=",
+                 "substitution-derivation:G:s="):
         fault, cfg = FAULTS[line]
         with monkeypatch.context() as m:
             fault(m)
@@ -141,6 +161,10 @@ def test_failed_lines_name_their_first_miss(monkeypatch):
     assert details["degree2-residuals:s=1"] == "nonzero at [(0, 0)]"
     assert details["degree2-residuals:s=2"] == "nonzero at [(0, 0)]"
     assert details["degree2-residuals:s=4"] == "reflection: nonzero at [4]"
+    # E must equal its image, so the miss is image - display; C and G must
+    # invert theirs, so it is (A∘φ)·display - 1
+    assert details["substitution-derivation:E:s=2"] == "[((1, 0), '-1*1')]"
+    assert details["substitution-derivation:G:s=2"] == "[((1, 0), '1*1')]"
 
 
 def test_an_x_coefficient_fails_its_own_line_only(monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from zpmeasures.classical import make_dirac
 from zpmeasures import magnus
 from zpmeasures.magnus import (FreeWord, NcSeries, WordSyntaxError, X,
-                               beta_measures, commutator, embed_at_level,
+                               beta_measures, commutator,
                                embed_E, graded_beta, kernel_check,
                                log_lie_check, parse_word, project_word,
                                shuffle_check, shuffle_words,
@@ -151,7 +151,7 @@ def test_beta_measures_dirac_case():
     g = FreeWord(CTX2, 2, ((0, 1),))
     assert beta_measures(g, 1, CTX2, tower(g, 1)).tables == make_dirac([0], CTX2).tables
     b0 = beta_measures(g, 0, CTX2, tower(g, 1))
-    assert b0.dim == 0 and b0.tables[0][()] == 1
+    assert b0.dim == 0 and b0.tables == ({(): 1},) * 3 and b0.denom_bound == 0
     with pytest.raises(ValueError):
         beta_measures(FreeWord(CTX2, 2, ((X, 1),)), 1, CTX2, ())
     with pytest.raises(ValueError):  # a tower too shallow for r = 2
@@ -280,6 +280,17 @@ def test_series_json_shape():
     assert "1" in monos and "Y0.Y1" in monos
 
 
+@pytest.mark.parametrize("other", [NcSeries.one(CTX2, 2, 2), NcSeries.one(CTX2, 1, 3),
+                                   NcSeries.one(CTX3, 1, 2)], ids=["level", "degree", "prime"])
+def test_series_of_different_shapes_do_not_combine(other):
+    # a check that `python -O` keeps: with the shapes unchecked, the level-1
+    # and level-2 unit series add to a constant term of 2
+    one = NcSeries.one(CTX2, 1, 2)
+    for combine in (one.__add__, one.__sub__, one.__mul__):
+        with pytest.raises(ValueError, match="series differ in prime, level or degree"):
+            combine(other)
+
+
 # Level-1 series at p = 2 (generators X, Y0, Y1) truncated past degree 3.
 nc_series = st.dictionaries(st.lists(st.sampled_from([X, 0, 1]), max_size=3).map(tuple),
                             st.fractions(-3, 3, max_denominator=4), max_size=6).map(
@@ -313,8 +324,8 @@ def test_truncating_a_tower_level_equals_embedding_at_lower_degree(g, data):
     n = data.draw(st.integers(0, g.level))
     top = data.draw(st.integers(0, 3))
     d = data.draw(st.integers(0, top))
-    low = embed_at_level(g, n, top).truncated(d)
-    want = embed_at_level(g, n, d)
+    low = embed_E(project_word(g, n), top).truncated(d)
+    want = embed_E(project_word(g, n), d)
     assert (low.level, low.degree, low.coeffs) == (want.level, want.degree, want.coeffs)
 
 

@@ -44,6 +44,22 @@ def test_linear_combine_identities():
     assert is_zero(linear_combine([1, -1], [a, a]))
 
 
+@pytest.mark.parametrize("coeffs", [[1], [1, 1, 1]])
+def test_linear_combine_rejects_a_coefficient_count_mismatch(coeffs):
+    # zip would drop the measures, or the coefficients, past the shorter list
+    with pytest.raises(ValueError, match=f"{len(coeffs)} coefficients for 2 measures"):
+        linear_combine(coeffs, list(dirac_pair()))
+
+
+def test_pushforward_affine_rejects_a_map_of_the_wrong_dimension():
+    # zip would keep only the mapped coordinates: the point (-1,) in dimension 2
+    combo = DiracCombo.make(2, [((1, 2), 1)])
+    assert combo.pushforward_affine([(-1, 0), (1, 1)]).atoms == (((-1, 3), 1),)
+    for coords in ([(-1, 0)], [(-1, 0)] * 3):
+        with pytest.raises(ValueError, match="map dimension mismatch"):
+            combo.pushforward_affine(coords)
+
+
 def test_translate_and_errors():
     a = make_dirac([2], CTX)
     assert pushforward(a, shift=[3]).tables == make_dirac([5], CTX).tables
