@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--a", default="0")
     e.add_argument("--word", default=None)
     e.add_argument("--factor", default="A", choices=list("ABCDEFGHJ"))
-    e.add_argument("--format", choices=("text", "json", "csv"), default="json")
+    e.add_argument("--format", default="json", help="json, or csv for a measure")
     e.add_argument("--out", default=None)
     return ap
 
@@ -145,6 +145,8 @@ def cmd_verify(args) -> int:
 
 def cmd_emit(args) -> int:
     try:
+        if args.format != "json" and (args.format, args.object) != ("csv", "measure"):
+            raise ValueError(f"emit {args.object} has no --format {args.format}")
         depth = max(args.nmax, args.level or 0)
         ctx = PrimeContext(args.p, depth)
         if args.object == "measure":

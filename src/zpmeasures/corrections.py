@@ -6,12 +6,12 @@ The integrand over a box a + p^n (Z_p)^r is
                             * ((x_r - a_r)/p^n)^{n_r}
 
 a product of linear forms.  It is kept as that product, never expanded: each
-factor is evaluated at the point in integers, and an exact box integral sums
-the weighted products over the box's atoms before it divides by
-p^(n * sum(shape)), once per box.  Its worst coefficient valuation, as an
-expanded polynomial, is known without expanding it: every factor's
-coefficients have valuation >= -n, and the lex-leading monomial of the
-product has coefficient exactly +-1/p^(n * sum(shape)).
+factor is evaluated at the point in integers, and both box integrals sum the
+weighted products over a box before they divide by p^(n * sum(shape)), once
+per box.  Its worst coefficient valuation, as an expanded polynomial, is
+known without expanding it: every factor's coefficients have valuation >= -n,
+and the lex-leading monomial of the product has coefficient exactly
++-1/p^(n * sum(shape)).
 
 These identities relate its integral against sign/shift pushforwards of a
 measure to integrals over reflected/shifted boxes.  They are exact only when
@@ -45,7 +45,7 @@ class LinearFormIntegrand:
 
     @property
     def factor(self) -> Rat:
-        """scale / p^(n * sum(shape)), the one division of an evaluation."""
+        """scale / p^(n * sum(shape)), the one division of a box integral."""
         return Fraction(self.scale) / self.pn ** sum(self.shape)
 
     def forms(self, point):
@@ -55,9 +55,6 @@ class LinearFormIntegrand:
         for k in range(1, r):
             value *= (point[k - 1] - point[k] - a[k - 1] + a[k]) ** shape[k]
         return value * (point[r - 1] - a[r - 1] + pn * self.lift_last) ** shape[r]
-
-    def evaluate(self, point) -> Rat:
-        return self.factor * self.forms(point)
 
     def denominator_valuation(self, p: int) -> int:
         """Worst denominator valuation of the expanded polynomial's coefficients."""

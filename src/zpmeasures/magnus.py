@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 
 from .corrections import standard_integrand
-from .measures import GradedSequence, LevelFamily, box_integral
+from .measures import GradedSequence, LevelFamily, _numerators, box_integral
 from .padic import PrimeContext, Rat, format_rat, vp
 from .record import Frozen, Record
 
@@ -199,12 +199,6 @@ class NcSeries(Record):
         accumulate(out, other.coeffs.items())
         return NcSeries(self.ctx, self.level, self.degree, out)
 
-    def __sub__(self, other: "NcSeries") -> "NcSeries":
-        self._check_shape(other)
-        out = dict(self.coeffs)
-        accumulate(out, ((m, -c) for m, c in other.coeffs.items()))
-        return NcSeries(self.ctx, self.level, self.degree, out)
-
     def scaled(self, c) -> "NcSeries":
         if not c:
             return NcSeries(self.ctx, self.level, self.degree, {})
@@ -251,6 +245,8 @@ class NcSeries(Record):
         degree), so a monomial of length L reads image terms of degree <= degree - L + 1."""
         shape = next(iter(images.values()))
         ctx, level, degree = shape.ctx, shape.level, self.degree
+        if any((im.ctx, im.level, im.degree) != (ctx, level, degree) for im in images.values()):
+            raise ValueError("images differ in prime or level, or from the series' degree")
         cut = {(g, d): NcSeries(ctx, level, degree,
                                 {m: c for m, c in im.coeffs.items() if len(m) <= d})
                for g, im in images.items() for d in range(1, degree + 1)}
@@ -292,10 +288,9 @@ def _log_kernel(s: NcSeries):
     K L^D log s = sum_k (-1)^(k+1) (K/k) L^(D-k) U^k."""
     if s.coeff(()) != 1:
         raise ValueError("log needs constant term 1")
-    D, L = s.degree, math.lcm(*(c.denominator for c in s.coeffs.values()))
-    K = math.lcm(*range(1, D + 1))
-    u = NcSeries(s.ctx, s.level, D,
-                 {m: c.numerator * (L // c.denominator) for m, c in s.coeffs.items() if m})
+    D, K = s.degree, math.lcm(*range(1, s.degree + 1))
+    nums, L = _numerators({m: c for m, c in s.coeffs.items() if m})
+    u = NcSeries(s.ctx, s.level, D, nums)
     out, power = NcSeries(s.ctx, s.level, D, {}), NcSeries.one(s.ctx, s.level, D)
     for k in range(1, D + 1):
         power = power * u

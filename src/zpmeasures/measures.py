@@ -226,11 +226,12 @@ def star_convolution(a: GradedSequence, b: GradedSequence) -> GradedSequence:
 def box_integral(mu: LevelFamily, base, level: int, integrand, eval_level: int):
     """Riemann sum of integrand against mu over the box base + p^level * (Z_p)^dim.
 
-    The integrand is any polynomial with `nvars`, `evaluate(point)` and
-    `denominator_valuation(p)` (the worst denominator valuation of its
-    coefficients).  Returns (value, guarantee): the true integral is
-    congruent to the value mod p^guarantee.  The guarantee is computed
-    pessimistically as
+    The integrand is any polynomial with `nvars`, `denominator_valuation(p)`
+    (the worst denominator valuation of its coefficients) and its value at a
+    point written as `factor * forms(point)`: the weighted `forms` are summed
+    and multiplied by `factor` once.  Returns (value, guarantee): the true
+    integral is congruent to the value mod p^guarantee.  The guarantee is
+    computed pessimistically as
     (eval_level - level) - denom_bound - integrand.denominator_valuation(p).
     """
     p = mu.ctx.p
@@ -250,9 +251,9 @@ def box_integral(mu: LevelFamily, base, level: int, integrand, eval_level: int):
         a = tuple(b + k * pl for b, k in zip(base, ks))
         w = table[a]
         if w:
-            total += integrand.evaluate(a) * w
+            total += w * integrand.forms(a)
     guarantee = m - mu.denom_bound - integrand.denominator_valuation(p)
-    return total, guarantee
+    return integrand.factor * total, guarantee
 
 
 class IwasawaPoly(Record):

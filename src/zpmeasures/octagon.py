@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .classical import d2_value, e1_value, m_value, mpos, n2_value
 from .magnus import FreeWord, NcSeries, X, accumulate, word_log2
@@ -49,60 +49,49 @@ class SymPoly:
 
     __slots__ = ("terms", "den")
 
-    def __init__(self, terms: dict):
-        terms = {k: Fraction(c) for k, c in terms.items() if c}
-        self.den = lcm(*(c.denominator for c in terms.values()))
-        self.terms = {k: c.numerator * (self.den // c.denominator) for k, c in terms.items()}
-
-    @classmethod
-    def _norm(cls, terms: dict, den: int = 1) -> "SymPoly":
-        """Wrap nonzero integer numerators over den > 0, cancelling their gcd."""
+    def __init__(self, terms: dict, den: int = 1):
+        """Nonzero integer numerators over den > 0; their gcd with den is cancelled."""
         if den != 1:
             g = gcd(den, *terms.values())
             if g != 1:
                 terms, den = {k: c // g for k, c in terms.items()}, den // g
-        out = object.__new__(cls)
-        out.terms, out.den = terms, den
-        return out
+        self.terms, self.den = terms, den
 
     @classmethod
     def const(cls, c) -> "SymPoly":
         c = Fraction(c)
-        return cls._norm({(0, ()): c.numerator} if c else {}, c.denominator)
+        return cls({(0, ()): c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def t(cls) -> "SymPoly":
-        return cls._norm({(1, ()): 1})
+        return cls({(1, ()): 1})
 
     @classmethod
     def symbol(cls, sym) -> "SymPoly":
-        return cls._norm({(0, (tuple(sym),)): 1})
+        return cls({(0, (tuple(sym),)): 1})
 
     def __add__(self, other, sign: int = 1):
         other = _coerce(other)
         out = dict(self.terms)
-        return SymPoly._norm(out, _merge(out, self.den, other.terms, other.den, sign))
+        return SymPoly(out, _merge(out, self.den, other.terms, other.den, sign))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SymPoly._norm({k: -c for k, c in self.terms.items()}, self.den)
+        return SymPoly({k: -c for k, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         return self.__add__(other, -1)
 
-    def __rsub__(self, other):
-        return _coerce(other) - self
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):  # a scalar: no coercion, no key sort
             terms = {k: c * other.numerator for k, c in self.terms.items()} if other else {}
-            return SymPoly._norm(terms, self.den * other.denominator)
+            return SymPoly(terms, self.den * other.denominator)
         out = {}
         for (t1, s1), c1 in self.terms.items():
             accumulate(out, (((t1 + t2, tuple(sorted(s1 + s2))), c1 * c2)
                              for (t2, s2), c2 in other.terms.items()))
-        return SymPoly._norm(out, self.den * other.den)
+        return SymPoly(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -115,21 +104,7 @@ class SymPoly:
 
     def at_t0(self) -> "SymPoly":
         """The image under t = 0: the t-free terms."""
-        return SymPoly._norm({k: c for k, c in self.terms.items() if not k[0]}, self.den)
-
-    def substitute(self, mapping) -> "SymPoly":
-        """Replace mapped symbols by polynomials (exact, product-expanded)."""
-        if not mapping:
-            return self
-        out, den = {}, 1
-        for (te, syms), c in self.terms.items():
-            # unmapped symbols stay in the key
-            term = SymPoly._norm({(te, tuple(x for x in syms if x not in mapping)): c})
-            for sym in syms:
-                if sym in mapping:
-                    term = term * mapping[sym]
-            den = _merge(out, den, term.terms, term.den)
-        return SymPoly._norm(out, den * self.den)
+        return SymPoly({k: c for k, c in self.terms.items() if not k[0]}, self.den)
 
     def __str__(self):
         if not self.terms:
@@ -192,7 +167,7 @@ def chi_sympoly(p: int, n: int, s: int) -> SymPoly:
 
 def unit_series(p: int, n: int) -> NcSeries:
     """The series 1 at level n, truncated past degree 2."""
-    return NcSeries(PrimeContext(p, max(n, 1)), n, 2, {(): ONE})
+    return NcSeries(PrimeContext(p, n), n, 2, {(): ONE})
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +403,20 @@ def reflection_map(p: int, n: int, s: int) -> dict:
 
 
 def reduce(poly: SymPoly, mapping: dict, images: dict) -> SymPoly:
-    """`poly.substitute(mapping)`, reading each monomial's image from the
+    """`poly` with each mapped symbol replaced by its image.  A monomial's image,
+    its unmapped symbols times its mapped ones' images, is built once into the
     memo `images`, which the caller keeps for this one mapping."""
     out, den = {}, 1
     for key, c in poly.terms.items():
         if key not in images:
-            images[key] = SymPoly._norm({key: 1}).substitute(mapping)
+            te, syms = key
+            image = SymPoly({(te, tuple(x for x in syms if x not in mapping)): 1})
+            for sym in syms:
+                if sym in mapping:
+                    image = image * mapping[sym]
+            images[key] = image
         den = _merge(out, den, images[key].terms, images[key].den, c)
-    return SymPoly._norm(out, den * poly.den)
+    return SymPoly(out, den * poly.den)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +465,7 @@ def degree2_displays(p: int, n: int, s: int, prod: NcSeries) -> dict:
         terms, den = {}, 1
         for poly, num, div in parts:
             den = _merge(terms, den, poly.terms, poly.den * div, num)
-        out[a, b] = SymPoly._norm(terms, den)
+        out[a, b] = SymPoly(terms, den)
     return out
 
 
@@ -562,7 +543,7 @@ def substitution_images(name: str, p: int, n: int, s: int) -> dict:
     Keys are generator ids (X or a Y index); values are level-n words.
     """
     width = check_config(p, n, s)
-    ctx = PrimeContext(p, max(n, 1))
+    ctx = PrimeContext(p, n)
     z = _z_word(ctx, n, width)
     images = {}
     if name == "C":
@@ -608,4 +589,4 @@ def derive_factor_by_subst(name: str, p: int, n: int, s: int, A: NcSeries,
     result = A.substitute({gen: word_log2(word) for gen, word in images.items()})
     if name in ("C", "G"):
         result, factor = result * factor, unit_series(p, n)
-    return {} if result.coeffs == factor.coeffs else (result - factor).coeffs
+    return {} if result.coeffs == factor.coeffs else (result + factor.scaled(-1)).coeffs

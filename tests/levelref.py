@@ -44,7 +44,7 @@ def e1_value_reference(x: int, s: int, pn: int, t):
     """E_{1,c}(x) = x/p^n - c <c^{-1} x>/p^n + (c - 1)/2 with c = s + p^n t."""
     c = s + pn * t
     u = (pow(s, -1, pn) * x) % pn
-    return Fraction(x, pn) - c * Fraction(u, pn) + (c - 1) * Fraction(1, 2)
+    return c * Fraction(-u, pn) + Fraction(x, pn) + (c - 1) * Fraction(1, 2)
 
 
 @contextmanager

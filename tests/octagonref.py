@@ -37,8 +37,8 @@ from fractions import Fraction
 from zpmeasures.classical import d2_value, m_value, n2_value
 from zpmeasures.magnus import NcSeries, X, word_log2
 from zpmeasures.octagon import (ONE, ZERO, SymPoly, a_sym, b_sym, chi_sympoly,
-                                deg1_relations, e1_sympoly, g_sym, reflection_relations,
-                                substitution_images, unit_series)
+                                deg1_relations, e1_sympoly, g_sym, reduce,
+                                reflection_relations, substitution_images, unit_series)
 
 from seriesref import accumulate, homogeneous
 
@@ -63,7 +63,7 @@ def degree2_display(a: int, b: int, p: int, n: int, s: int) -> SymPoly:
     total = total + (al(a - s) - E(a)) * M(b)
     total = total + d2_value(a, b, width, al, g) \
         - d2_value((a - s) % width, (b - s) % width, width, al, g)
-    total = total + (n2_value(a, b, s, width, t) - M(a) * M(b)) * Fraction(1, 2)
+    total = total + (-(M(a) * M(b)) + n2_value(a, b, s, width, t)) * Fraction(1, 2)
     if a == 0:
         total = total + half * al(b) - one_m_chi * (E(b) + M(b))
         if b == 0:
@@ -98,8 +98,8 @@ def chi1_residuals_reference(p: int, n: int, prod) -> dict:
     width = p ** n
     subst = eliminate([r.at_t0() for r in reflection_relations(p, n, 1)],
                       prefer=half_system(width))
-    return {(a, b): (degree2_display_chi1(a, b, width)
-                     - prod.coeffs.get((a, b), ZERO).at_t0()).substitute(subst)
+    return {(a, b): reduce(degree2_display_chi1(a, b, width)
+                           - prod.coeffs.get((a, b), ZERO).at_t0(), subst, {})
             for a, b in itertools.product(range(width), repeat=2)}
 
 
@@ -131,7 +131,7 @@ def eliminate(relations, prefer=()) -> dict:
     """
     subst = {}
     for rel in relations:
-        rel = rel.substitute(subst)
+        rel = reduce(rel, subst, {})
         if not rel:
             continue
         candidates = [sym for sym in sorted(symbols(rel)) if symbol_coefficient(rel, sym)]
@@ -140,10 +140,10 @@ def eliminate(relations, prefer=()) -> dict:
         pick = next((want for want in prefer if want in candidates), candidates[-1])
         solved = SymPoly.symbol(pick) - rel * (1 / symbol_coefficient(rel, pick))
         for k in subst:
-            subst[k] = subst[k].substitute({pick: solved})
+            subst[k] = reduce(subst[k], {pick: solved}, {})
         subst[pick] = solved
     for rel in relations:
-        if rel.substitute(subst):
+        if reduce(rel, subst, {}):
             raise ValueError(f"reduction is not idempotent on input: {rel}")
     return subst
 
@@ -183,5 +183,5 @@ def generic_series_by_subst(name: str, p: int, n: int, s: int):
     for a, b in itertools.product(range(width), repeat=2):
         add(deg1[a] * deg1[b], b_sym(a, b, width))
     for i in range(width):
-        add(deg1[X] * deg1[i] - deg1[i] * deg1[X], g_sym(i, width))
+        add(deg1[X] * deg1[i] + (deg1[i] * deg1[X]).scaled(-1), g_sym(i, width))
     return result

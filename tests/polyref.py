@@ -7,14 +7,16 @@ standard integrand to compare the product-of-linear-forms form against.
 
 `FracSymPoly` is the octagon's polynomial in t and the indexed symbols with
 one `Fraction` per coefficient.  The library's `octagon.SymPoly` keeps
-integer numerators over one denominator; the tests check the two agree.
+integer numerators over one denominator; the tests check the two agree, and
+`sympoly` builds the library's form from rational coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from zpmeasures.octagon import sym_name
+from zpmeasures.octagon import SymPoly, sym_name
 from zpmeasures.padic import format_rat, vp
 
 from seriesref import accumulate
@@ -24,6 +26,7 @@ class MPoly:
     """Polynomial in x_0..x_{nvars-1}; coeffs maps exponent tuples to Fraction."""
 
     __slots__ = ("nvars", "coeffs")
+    factor = 1  # as a `measures.box_integral` integrand: its value is factor * forms(point)
 
     def __init__(self, nvars: int, coeffs=None):
         self.nvars = nvars
@@ -86,6 +89,8 @@ class MPoly:
             total += term
         return total
 
+    forms = evaluate
+
     def denominator_valuation(self, p: int) -> int:
         """max_k max(0, -vp(coeff_k)); 0 for the zero polynomial."""
         return max((max(0, -vp(c, p)) for c in self.coeffs.values()), default=0)
@@ -101,6 +106,14 @@ def expanded_standard_integrand(shape, base, pn, lift_first=0, lift_last=0, scal
         poly = poly * mid ** shape[k]
     last = (MPoly.var(r, r - 1) - base[r - 1]) * Fraction(1, pn) + lift_last
     return poly * last ** shape[r] * Fraction(scale)
+
+
+def sympoly(terms: dict) -> SymPoly:
+    """The `octagon.SymPoly` with these rational coefficients: their numerators
+    over the lcm of their denominators, which the constructor cancels."""
+    terms = {k: Fraction(c) for k, c in terms.items() if c}
+    den = lcm(*(c.denominator for c in terms.values()))
+    return SymPoly({k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den)
 
 
 class FracSymPoly:

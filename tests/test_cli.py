@@ -174,6 +174,18 @@ def test_emit_rejects_bad_rational(capsys):
                 "--p", "3", "--nmax", "2"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["emit", "iwasawa", "--measure", "M", "--c", "7", "--p", "3", "--nmax", "2", "--format", "csv"],
+    ["emit", "measure", "--measure", "M", "--c", "7", "--p", "3", "--nmax", "2",
+     "--format", "text"]], ids=["csv-for-a-transform", "text-for-a-measure"])
+def test_emit_refuses_a_format_it_would_ignore(argv, capsys):
+    # emit writes JSON, or CSV for a measure; any other --format is bad input
+    assert run(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"invalid input: emit {argv[1]} has no --format")
+
+
 def test_emit_d2_from_word(capsys):
     assert run(["emit", "measure", "--measure", "D2", "--word", "[x,y0]",
                 "--p", "3", "--nmax", "2", "--format", "csv"]) == EXIT_OK

@@ -1,7 +1,12 @@
-"""The package holds only code, and imports only names, that the package itself reads."""
+"""The package holds only code, and imports only names, that the package
+itself reads, and a user's CLI runs call every function it defines."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "zpmeasures"
 
@@ -98,3 +103,77 @@ def unset_defaults(src: pathlib.Path) -> list:
 
 def test_every_default_parameter_is_set_by_some_src_call():
     assert unset_defaults(SRC) == []
+
+
+# One run of each kind a user makes: passing and `--tamper` runs, the three
+# report formats, p = 5 (the p >= 5 checks), every `emit` object, and `--out`.
+REACH_MATRIX = (
+    "verify all --p 5 --nmax 1 --sigma-rep 1 --format json",
+    "verify all --p 3 --nmax 2 --sigma-rep 2 --tamper --format csv",
+    "verify octagon --p 3 --n 1 --degree 3 --out {out}",
+    "emit measure --measure M --c 7 --p 3 --nmax 2 --format csv",
+    "emit iwasawa --measure E1 --c 2 --p 3 --nmax 2 --terms 3",
+    "emit f-series --measure dirac --a 1/2 --p 3 --nmax 2 --terms 3",
+    "emit nc-series --word [x,y0]*y1^-2 --p 3 --n 1 --degree 3",
+    "emit octagon-factor --factor A --p 3 --n 1",
+)
+REACH_EXEMPT = {
+    "record.Record.__repr__": "for debugging",
+    "record.Frozen.__hash__": "value semantics, pinned by test_records.py",
+    "record.Frozen.__reduce__": "value semantics, pinned by test_records.py",
+    "record.Frozen.__setattr__": "refuses assignment",
+    "measures.pinpoint": "only a fault reaches it, in test_faults.py",
+}
+
+# Runs the matrix with the profiler on before `zpmeasures` is imported, so
+# class creation counts too; prints the exit codes and the (file, first line)
+# of every code object that was called.
+PROFILED_RUN = """
+import contextlib, io, json, sys
+called = set()
+def hook(frame, event, arg):
+    if event == "call":
+        called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+sys.setprofile(hook)
+from zpmeasures.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(main(argv))
+sys.setprofile(None)
+print(json.dumps([codes, sorted(called)]))
+"""
+
+
+def src_functions(src: pathlib.Path) -> dict:
+    """(file, first line) -> "module.Qual.name" for every function and method
+    under `src`, nested ones included; a decorated one starts at its first
+    decorator, as its code object does."""
+    found = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                line = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[str(path), line] = ".".join(prefix + [child.name])
+            scope = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, path, prefix + [child.name] if scope else prefix)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path, [path.stem])
+    return found
+
+
+def test_every_src_function_runs_in_the_cli_matrix(tmp_path):
+    out = str(tmp_path / "report.txt")
+    matrix = [[out if word == "{out}" else word for word in cmd.split()] for cmd in REACH_MATRIX]
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", PROFILED_RUN, json.dumps(matrix)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    codes, called = json.loads(proc.stdout)
+    assert codes == [1 if "--tamper" in argv else 0 for argv in matrix]
+    called = {(path, line) for path, line in called}
+    uncalled = sorted(name for key, name in src_functions(SRC).items() if key not in called)
+    assert [name for name in uncalled if name not in REACH_EXEMPT] == []
+    assert sorted(REACH_EXEMPT) == uncalled  # an exemption that runs is stale

@@ -286,9 +286,20 @@ def test_series_of_different_shapes_do_not_combine(other):
     # a check that `python -O` keeps: with the shapes unchecked, the level-1
     # and level-2 unit series add to a constant term of 2
     one = NcSeries.one(CTX2, 1, 2)
-    for combine in (one.__add__, one.__sub__, one.__mul__):
+    for combine in (one.__add__, one.__mul__):
         with pytest.raises(ValueError, match="series differ in prime, level or degree"):
             combine(other)
+
+
+@pytest.mark.parametrize("image", [
+    NcSeries(CTX2, 2, 2, {(3,): Fraction(1)}), NcSeries(CTX2, 1, 1, {(1,): Fraction(1)}),
+    NcSeries(CTX3, 1, 2, {(1,): Fraction(1)})], ids=["level", "degree", "prime"])
+def test_substitute_refuses_images_of_another_shape(image):
+    # the result takes its prime and level from the first image: a level-2
+    # image of Y1 would leave a Y3 term in a level-1 series
+    s = NcSeries(CTX2, 1, 2, {(1,): Fraction(1)})
+    with pytest.raises(ValueError, match="images differ"):
+        s.substitute({0: NcSeries(CTX2, 1, 2, {(0,): Fraction(1)}), 1: image})
 
 
 # Level-1 series at p = 2 (generators X, Y0, Y1) truncated past degree 3.
@@ -300,9 +311,10 @@ nc_series = st.dictionaries(st.lists(st.sampled_from([X, 0, 1]), max_size=3).map
 @settings(max_examples=150, deadline=None)
 @given(nc_series, nc_series, nc_series)
 def test_nc_series_terms_stay_nonzero_fractions(f, g, h):
-    for r in (f + g, f - g, f * g, f - f, (f - g) * (f + g)):
+    minus_f, minus_g = f.scaled(-1), g.scaled(-1)
+    for r in (f + g, f + minus_g, f * g, f + minus_f, (f + minus_g) * (f + g)):
         assert all(type(c) is Fraction and c != 0 for c in r.coeffs.values())
-    assert not (f - f).coeffs
+    assert not (f + minus_f).coeffs
     assert ((f + g) * h).coeffs == (f * h + g * h).coeffs
 
 

@@ -22,7 +22,7 @@ from lieref import series_log
 from octagonref import (chi1_residuals_reference, degree2_display, eliminate,
                         generic_series_by_subst, half_system, shuffle_substitution,
                         standard_substitution, symbols)
-from polyref import FracSymPoly
+from polyref import FracSymPoly, sympoly
 from test_faults import shuffle_term_in_product
 
 GRID = [(3, 1), (5, 1), (2, 2)]
@@ -70,7 +70,7 @@ def test_sympoly_arithmetic():
 def test_sympoly_substitute_quadratic():
     a0, a1 = SymPoly.symbol(("a", 0)), SymPoly.symbol(("a", 1))
     q = a0 * a0 + a0 * a1
-    out = q.substitute({("a", 0): a1 + SymPoly.const(1)})
+    out = reduce(q, {("a", 0): a1 + SymPoly.const(1)}, {})
     assert out == (a1 + 1) * (a1 + 1) + (a1 + 1) * a1
 
 
@@ -99,7 +99,7 @@ def test_product_constant_and_x_coefficient():
 def test_product_with_everything_zero_is_one():
     prod = product(3, 1, 1)
     kill = {sym: ZERO for c in prod.coeffs.values() for sym in symbols(c)}
-    vals = {m: c.substitute(kill).at_t0() for m, c in prod.coeffs.items()}
+    vals = {m: reduce(c, kill, {}).at_t0() for m, c in prod.coeffs.items()}
     assert {m: c for m, c in vals.items() if c} == {(): SymPoly.const(1)}
 
 
@@ -114,7 +114,7 @@ def test_chi1_degree1_coefficients():
 def test_deg1_elimination_telescopes():
     rels = [r.at_t0() for r in deg1_relations(product(3, 1, 1))]
     subst = eliminate(rels)
-    assert not (a_sym(2, 3) - a_sym(1, 3)).substitute(subst)
+    assert not reduce(a_sym(2, 3) - a_sym(1, 3), subst, {})
     assert len(subst) == 1
     rels2 = [r.at_t0() for r in deg1_relations(product(2, 1, 1))]
     assert len(eliminate(rels2)) <= 1
@@ -232,7 +232,7 @@ def test_reflection_relations_structure():
     assert rels[1] == want
     # at s=1, t=0 the relations say a_x = a_{-x}
     rels1 = [r.at_t0() for r in reflection_relations(3, 1, 1)]
-    assert not (a_sym(1, 3) - a_sym(2, 3)).substitute(eliminate(rels1, prefer=half_system(3)))
+    assert not reduce(a_sym(1, 3) - a_sym(2, 3), eliminate(rels1, prefer=half_system(3)), {})
 
 
 def test_deg1_implied_by_reflection_grid():
@@ -272,7 +272,7 @@ def test_symbolic_shuffle_symmetrization():
     width = 3
     sub = shuffle_substitution(width)
     for a, b in itertools.product(range(width), repeat=2):
-        q = (b_sym(a, b, width) + b_sym(b, a, width)).substitute(sub)
+        q = reduce(b_sym(a, b, width) + b_sym(b, a, width), sub, {})
         assert q == a_sym(a, width) * a_sym(b, width)
 
 
@@ -342,7 +342,8 @@ def test_symbolic_measures_are_the_tabulated_ones(p, n):
 # product drops them as the all-pairs product does.
 SYMBOLS = [(), (("a", 0),), (("a", 1),), (("a", 0), ("g", 1)), (("b", 0, 1),)]
 poly_keys = st.tuples(st.integers(0, 2), st.sampled_from(SYMBOLS))
-polys = st.dictionaries(poly_keys, st.fractions(-3, 3, max_denominator=4), max_size=4).map(SymPoly)
+polys = st.dictionaries(poly_keys, st.fractions(-3, 3, max_denominator=4),
+                        max_size=4).map(sympoly)
 CTX2 = PrimeContext(2, 1)
 
 
@@ -371,7 +372,7 @@ def test_graded_product_matches_all_pairs(sym_left, sym_right, rat_left, rat_rig
         unit = NcSeries(left.ctx, left.level, left.degree, {(): one})
         # in (1 + f)(1 - f) the cross terms f and -f cancel, which the
         # product must prune as the all-pairs product does
-        for a, b in ((left, right), (unit + left, unit - left)):
+        for a, b in ((left, right), (unit + left, unit + left.scaled(-1))):
             assert (a * b).coeffs == all_pairs_product(a, b)
 
 
@@ -416,7 +417,7 @@ def test_sympoly_terms_stay_nonzero_fractions(f, g):
     scalars = [(f * 0, 0), (0 * f, 0), (f * Fraction(-3, 2), Fraction(-3, 2)),
                (Fraction(1, 2) * f, Fraction(1, 2))]
     partial = {("a", 0): g, ("g", 1): ZERO}
-    subst = (f * g).substitute(partial)
+    subst = reduce(f * g, partial, {})
     results = [f + g, f - g, f * g, -f, f + 1, 3 * g, f - f, f.at_t0(), subst]
     for r in results + [r for r, _ in scalars]:
         assert in_lowest_terms(r)
@@ -424,7 +425,7 @@ def test_sympoly_terms_stay_nonzero_fractions(f, g):
         assert r == f * SymPoly.const(c)
     assert f * 0 is not octagon.ZERO and not (f * 0)
     identity = {sym: SymPoly.symbol(sym) for sym in symbols(f * g)}
-    assert subst == (f * g).substitute({**identity, **partial})
+    assert subst == reduce(f * g, {**identity, **partial}, {})
     assert not (f - f)
     assert (f * g).at_t0() == f.at_t0() * g.at_t0()
     assert (f + g).at_t0() == f.at_t0() + g.at_t0()
@@ -434,7 +435,7 @@ def test_sympoly_terms_stay_nonzero_fractions(f, g):
 # and on the reference with one Fraction per coefficient, over denominators
 # up to 8.
 rat8 = st.fractions(-3, 3, max_denominator=8)
-polys8 = st.dictionaries(poly_keys, rat8, max_size=4).map(SymPoly)
+polys8 = st.dictionaries(poly_keys, rat8, max_size=4).map(sympoly)
 
 
 def assert_agree(got, want):
@@ -459,12 +460,12 @@ def test_sympoly_matches_the_fraction_reference(f, g, c):
              (f * 0, rf * 0), (f - f, rf - rf), (f * g - g * f, rf - rf),
              (half_f + half_f, rf), (half_f - half_g + half_f + half_g, rf),
              (f.at_t0(), rf.subs_t(0)),
-             (f.substitute({("a", 0): g, ("g", 1): f * c}),
+             (reduce(f, {("a", 0): g, ("g", 1): f * c}, {}),
               rf.substitute({("a", 0): rg, ("g", 1): rf * c}))]
     for got, want in pairs:
         assert_agree(got, want)
     assert (f == g) == (rf == rg)
-    assert f == SymPoly(rf.terms) and in_lowest_terms(SymPoly(rf.terms))
+    assert f == sympoly(rf.terms) and in_lowest_terms(sympoly(rf.terms))
 
 
 def test_octagon_suite_builds_one_product_per_residue(monkeypatch):
@@ -611,27 +612,29 @@ REDUCE_MAP = reflection_map(3, 2, 2)
 # SHUFFLED_MAP: the reflection map, with the reduced shuffle images joining it
 SHUFFLED_MAP = {**REDUCE_MAP, **{sym: reduce(val, REDUCE_MAP, {})
                                  for sym, val in shuffle_substitution(9).items()}}
-MAPS = [(REDUCE_MAP, {}), (SHUFFLED_MAP, {})]
+# per map: the map, its image memo and its Fraction reference
+MAPS = [(mapping, {}, {sym: FracSymPoly.of(img) for sym, img in mapping.items()})
+        for mapping in (REDUCE_MAP, SHUFFLED_MAP)]
 SET_SYMBOLS = sorted({sym for rel in RELATIONS for sym in symbols(rel)}
                      | set(shuffle_substitution(9)) | {("g", 4), ("b", 2, 7)})
 set_keys = st.tuples(
     st.integers(0, 2),
     st.lists(st.sampled_from(SET_SYMBOLS), max_size=3).map(lambda s: tuple(sorted(s))))
 set_polys = st.dictionaries(set_keys, st.fractions(-3, 3, max_denominator=4),
-                            max_size=6).map(SymPoly)
+                            max_size=6).map(sympoly)
 
 
 @settings(max_examples=150, deadline=None)
 @given(set_polys)
 def test_memoized_reduce_is_the_substitution(poly):
-    for mapping, images in MAPS:
-        assert reduce(poly, mapping, images) == poly.substitute(mapping)
-        assert in_lowest_terms(reduce(poly, mapping, images))
+    for mapping, images, ref_substitution in MAPS:
+        got = reduce(poly, mapping, images)
+        assert got == reduce(poly, mapping, {})
+        assert FracSymPoly.of(got) == FracSymPoly.of(poly).substitute(ref_substitution)
+        assert in_lowest_terms(got)
 
 
-set_polys8 = st.dictionaries(set_keys, rat8, max_size=6).map(SymPoly)
-REF_SUBSTITUTIONS = [(mapping, images, {sym: FracSymPoly.of(img) for sym, img in mapping.items()})
-                     for mapping, images in MAPS]
+set_polys8 = st.dictionaries(set_keys, rat8, max_size=6).map(sympoly)
 # a relation with a denominator: its multiples reduce to zero through the lcm
 FRACTIONAL_RELATION = next(rel for rel in RELATIONS if rel.den > 1)
 
@@ -639,7 +642,7 @@ FRACTIONAL_RELATION = next(rel for rel in RELATIONS if rel.den > 1)
 @settings(max_examples=100, deadline=None)
 @given(set_polys8)
 def test_reduce_matches_the_fraction_reference(poly):
-    for mapping, images, ref_substitution in REF_SUBSTITUTIONS:
+    for mapping, images, ref_substitution in MAPS:
         assert_agree(reduce(poly, mapping, images),
                      FracSymPoly.of(poly).substitute(ref_substitution))
         assert_agree(reduce(poly * FRACTIONAL_RELATION, mapping, images), FracSymPoly())
