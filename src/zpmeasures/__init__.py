@@ -2,8 +2,7 @@
 symbolic octagonal-relation verifier."""
 
 from .padic import (INF, PIntegralityError, PrimeContext, Rat, bernoulli,
-                    binom, exact, format_rat, parse_rat, repr_mod, repr_mod_pos,
-                    vp)
+                    binom, exact, repr_mod, vp)
 from .measures import (DiracCombo, GradedSequence, IwasawaPoly, LevelFamily,
                        box_integral, exterior_product,
                        iwasawa_P, linear_combine, measures_equal, pushforward,

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .magnus import FreeWord, X, kernel_check, word_tower
 from .measures import (DiracCombo, LevelFamily, linear_combine, measures_equal, pinpoint,
                        pushforward)
-from .padic import INF, PrimeContext, exact, repr_mod_pos, vp
+from .padic import INF, PrimeContext, exact, repr_mod, vp
 
 
 def mpos(a: int, pn: int) -> int:
@@ -81,7 +82,8 @@ def _levels(c, ctx: PrimeContext, unit: bool) -> list:
         raise ValueError("c must be a unit" if unit else "c must be p-integral")
     out = []
     for n in range(ctx.n_max + 1):
-        s, pn = repr_mod_pos(c, ctx.p, n), ctx.p ** n
+        pn = ctx.p ** n
+        s = mpos(repr_mod(c, ctx.p, n), pn)
         out.append((s, pn, exact((c - s) / pn)))
     return out
 
@@ -108,23 +110,26 @@ def make_N2(c, ctx: PrimeContext) -> LevelFamily:
     return LevelFamily.build(ctx, 2, lambda n, ab: n2_value(ab[0], ab[1], *levels[n]))
 
 
-def make_D2(alpha, gamma, ctx: PrimeContext) -> LevelFamily:
-    """Two-variable measure assembled from degree-1 and dilogarithm tables.
+def make_D2(word: FreeWord) -> LevelFamily:
+    """Two-variable measure read off a kernel word's degree-2 tower.
 
-    alpha[n][i] and gamma[n][i] are level-indexed coefficient tables; alpha
-    must satisfy the distribution relation and gamma its twisted analogue
-    (gamma_i at level n = sum_k p gamma_{i+k p^n} - sum_k k alpha_{i+k p^n}
-    one level up), which hold automatically for tables extracted from a
-    kernel word.  Violations surface through validate_distribution.  The
-    depth is that of the shorter table list.
+    At level n, alpha(i) and gamma(i) are the coefficients of Y_i and X Y_i
+    in the word's level-n series.  These satisfy the distribution relation
+    and its twisted analogue (gamma_i at level n = sum_k p gamma_{i+k p^n}
+    - sum_k k alpha_{i+k p^n} one level up) because the word is in the kernel.
     """
-    levels = [(ctx.p ** n, al.__getitem__, ga.__getitem__) for n, (al, ga) in
-              enumerate(zip(alpha, gamma))]
+    if not kernel_check(word):
+        raise ValueError("D2 needs a kernel word")
+    levels = []
+    for n, s in enumerate(word_tower(word, [2] * (word.level + 1))):
+        width = word.ctx.p ** n
+        levels.append((width, [s.coeff((i,)) for i in range(width)].__getitem__,
+                       [s.coeff((X, i)) for i in range(width)].__getitem__))
 
     def fn(n, ab):
         return d2_value(ab[0], ab[1], *levels[n])
 
-    return LevelFamily.build(ctx, 2, fn, len(levels) - 1)
+    return LevelFamily.build(word.ctx, 2, fn, word.level)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import classical, magnus, octagon
 from .measures import iwasawa_P, transform_F
-from .padic import PrimeContext, parse_rat
+from .padic import PrimeContext
 from .suites import SUITES, RunConfig, run_suite
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
@@ -95,23 +96,18 @@ def _write(text: str, out):
 
 def _build_measure(args, ctx: PrimeContext):
     if args.measure == "dirac":
-        point = [parse_rat(x) for x in str(args.a).split(",")]
+        point = [Fraction(x) for x in args.a.split(",")]
         return classical.make_dirac(point, ctx)
     if args.measure == "M":
-        return classical.make_M(parse_rat(args.c), ctx)
+        return classical.make_M(Fraction(args.c), ctx)
     if args.measure == "E1":
-        return classical.make_E1(parse_rat(args.c), ctx)
+        return classical.make_E1(Fraction(args.c), ctx)
     if args.measure == "N2":
-        return classical.make_N2(parse_rat(args.c), ctx)
+        return classical.make_N2(Fraction(args.c), ctx)
     if args.measure == "D2":
-        word_text = args.word or "[x,y0]"
         level = min(ctx.n_max, 2)
-        wctx = PrimeContext(ctx.p, level)
-        word = magnus.parse_word(word_text, wctx, level)
-        if not magnus.kernel_check(word):
-            raise ValueError("D2 needs a kernel word")
-        alphas, gammas = magnus.coefficient_tables(word)
-        return classical.make_D2(alphas, gammas, wctx)
+        word = magnus.parse_word(args.word or "[x,y0]", PrimeContext(ctx.p, level), level)
+        return classical.make_D2(word)
     raise ValueError(f"unknown measure {args.measure}")
 
 

@@ -38,6 +38,8 @@ class LinearFormIntegrand:
     __slots__ = ("shape", "base", "pn", "lift_first", "lift_last", "scale", "nvars")
 
     def __init__(self, shape, base, pn: int, lift_first=0, lift_last=0, scale=1):
+        if len(shape) != len(base) + 1:
+            raise ValueError("need r+1 exponents for r variables")
         self.shape, self.base, self.pn = tuple(shape), tuple(base), pn
         self.lift_first, self.lift_last = lift_first, lift_last
         self.scale = scale
@@ -63,14 +65,6 @@ class LinearFormIntegrand:
         return max(0, -vp(self.scale, p) + vp(self.pn, p) * sum(self.shape))
 
 
-def standard_integrand(shape, base, pn: int, lift_first=0, lift_last=0,
-                       scale=1) -> LinearFormIntegrand:
-    """The box integrand for X-block sizes `shape` over the box at `base`."""
-    if len(shape) != len(base) + 1:
-        raise ValueError("need r+1 exponents for r variables")
-    return LinearFormIntegrand(shape, base, pn, lift_first, lift_last, scale)
-
-
 def _moved_box_integral(beta: DiracCombo, base, shape, p: int, n: int, e: int, c: int) -> Rat:
     """The integral of beta over the box that x -> e*x + c (e = +-1) sends onto
     the box at `base`; a reflection (e = -1) lifts the end factors by -1, +1."""
@@ -79,34 +73,19 @@ def _moved_box_integral(beta: DiracCombo, base, shape, p: int, n: int, e: int, c
         box, lifts = [pn + c - a for a in base], (-1, 1)
     else:
         box, lifts = [a - c for a in base], (0, 0)
-    return beta.box_integral_exact(box, n, standard_integrand(shape, box, pn, *lifts), p)
+    return beta.box_integral_exact(box, n, LinearFormIntegrand(shape, box, pn, *lifts), p)
 
 
-def _change_of_variables(lhs_beta, beta, base, shape, p: int, n: int, e: int, c: int):
-    """The integral over the base box against the pushforward of lhs_beta
-    under x -> e*x + c, and e^m times the integral of beta over the moved box."""
-    moved = lhs_beta.pushforward_affine([(e, c)] * lhs_beta.dim)
+def change_of_variables(lhs_beta: DiracCombo, beta: DiracCombo, base, shape,
+                        p: int, n: int, e: int, c: int):
+    """The change of variables x -> e*x + c (e = +-1), as its two sides: the
+    integral over the base box against the pushforward of lhs_beta, and
+    e^sum(shape) times the integral of beta over the box that the map sends
+    onto the base box.  They agree when lhs_beta is beta.  The suite runs
+    (e, c) = (-1, 0), x -> -x; (-1, 1), x -> 1 - x; and (1, 1), x -> x + 1."""
+    moved = lhs_beta.pushforward_affine(e, c)
     return (_moved_box_integral(moved, base, shape, p, n, 1, 0),
             e ** sum(shape) * _moved_box_integral(beta, base, shape, p, n, e, c))
-
-
-def sign_change_identity(lhs_beta: DiracCombo, beta: DiracCombo, base, shape,
-                         p: int, n: int):
-    """x -> -x: the integral over the base box against the sign pushforward of
-    lhs_beta equals (-1)^m times the integral of beta over the reflected box."""
-    return _change_of_variables(lhs_beta, beta, base, shape, p, n, -1, 0)
-
-
-def reflect_shift_identity(lhs_beta: DiracCombo, beta: DiracCombo, base, shape,
-                           p: int, n: int):
-    """x -> 1 - x: same pattern with the box reflected through 1."""
-    return _change_of_variables(lhs_beta, beta, base, shape, p, n, -1, 1)
-
-
-def shift_identity(lhs_beta: DiracCombo, beta: DiracCombo, base, shape,
-                   p: int, n: int):
-    """x -> x - 1: the box and the base both slide down by one."""
-    return _change_of_variables(lhs_beta, beta, base, shape, p, n, 1, 1)
 
 
 def four_term_sum(beta: DiracCombo, base, shape, p: int, n: int) -> Rat:

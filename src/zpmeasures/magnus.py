@@ -18,9 +18,9 @@ import math
 import re
 from fractions import Fraction
 
-from .corrections import standard_integrand
+from .corrections import LinearFormIntegrand
 from .measures import GradedSequence, LevelFamily, _numerators, box_integral
-from .padic import PrimeContext, Rat, format_rat, vp
+from .padic import PrimeContext, Rat, vp
 from .record import Frozen, Record
 
 X = -1
@@ -243,6 +243,11 @@ class NcSeries(Record):
     def substitute(self, images: dict) -> "NcSeries":
         """Replace each generator g by images[g] (constant-free, one shape, this
         degree), so a monomial of length L reads image terms of degree <= degree - L + 1."""
+        if not images:
+            raise ValueError("no images to substitute")
+        unmapped = {g for mono in self.coeffs for g in mono}.difference(images)
+        if unmapped:
+            raise ValueError(f"no image for generator {mono_name((min(unmapped),))}")
         shape = next(iter(images.values()))
         ctx, level, degree = shape.ctx, shape.level, self.degree
         if any((im.ctx, im.level, im.degree) != (ctx, level, degree) for im in images.values()):
@@ -262,7 +267,7 @@ class NcSeries(Record):
 
     def to_json_dict(self):
         return {"level": self.level, "degree": self.degree,
-                "terms": [{"mono": mono_name(m), "value": format_rat(self.coeffs[m])}
+                "terms": [{"mono": mono_name(m), "value": str(self.coeffs[m])}
                           for m in sorted(self.coeffs, key=lambda m: (len(m), m))]}
 
 
@@ -398,16 +403,6 @@ def word_tower(g: FreeWord, degrees) -> tuple:
     return tuple(embed_E(project_word(g, n), d) for n, d in enumerate(degrees))
 
 
-def coefficient_tables(g: FreeWord):
-    """Per-level alpha and gamma tables of a kernel word (for the D2 measure)."""
-    alphas, gammas = [], []
-    for n, s in enumerate(word_tower(g, [2] * (g.level + 1))):
-        width = g.ctx.p ** n
-        alphas.append([s.coeff((i,)) for i in range(width)])
-        gammas.append([s.coeff((X, i)) for i in range(width)])
-    return alphas, gammas
-
-
 def beta_measures(g: FreeWord, r: int, ctx: PrimeContext, tower) -> LevelFamily:
     """The dimension-r measure read off the X-free coefficients of the word.
 
@@ -446,7 +441,7 @@ def word_coefficient_congruence(g: FreeWord, ns, idx, n: int, m: int, series, be
         mono += (ik,) + (X,) * nk
     lam = series.coeff(mono)
 
-    integrand = standard_integrand(
+    integrand = LinearFormIntegrand(
         ns, idx, pn, scale=Fraction(1, math.prod(math.factorial(k) for k in ns)))
     value, guaranteed = box_integral(beta_r, idx, n, integrand, n + m)
     return vp(lam - value, p), guaranteed

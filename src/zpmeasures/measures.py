@@ -19,8 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from .padic import (PIntegralityError, PrimeContext, Rat, exact, format_rat,
-                    repr_mod, vp)
+from .padic import PIntegralityError, PrimeContext, Rat, exact, repr_mod, vp
 from .record import Frozen, Record
 
 
@@ -72,7 +71,7 @@ class LevelFamily(Frozen):
         yield ",".join(["n"] + [f"a_{k+1}" for k in range(self.dim)] + ["value"])
         for n, table in enumerate(self.tables):
             for a in sorted(table):
-                yield ",".join([str(n)] + [str(x) for x in a] + [format_rat(table[a])])
+                yield ",".join(map(str, (n, *a, table[a])))
 
 
 def pinpoint(miss: tuple, p: int) -> str:
@@ -268,7 +267,7 @@ class IwasawaPoly(Record):
     def to_json_dict(self):
         out = []
         for e in sorted(self.coeffs):
-            out.append({"exp": list(e), "value": format_rat(self.coeffs[e]),
+            out.append({"exp": list(e), "value": str(self.coeffs[e]),
                         "guarantee": self.guarantees[e]})
         return {"dim": self.dim, "terms": self.terms, "coeffs": out}
 
@@ -434,7 +433,8 @@ class DiracCombo(Frozen):
 
     def __init__(self, dim: int, atoms: tuple):
         # atoms: ((point tuple, coeff), ...), every scalar in normal form (padic.exact);
-        # _memo: (p, level) -> box index, map -> pushforward image; the atoms never change
+        # _memo: ("boxes", p, level) -> box index, ("affine", e, c) -> pushforward
+        # image; the atoms never change
         self._init(dim, atoms, {})
 
     @classmethod
@@ -450,31 +450,27 @@ class DiracCombo(Frozen):
             raise ValueError("dimension mismatch")
         return DiracCombo(self.dim, self.atoms + other.atoms)
 
-    def pushforward_affine(self, coords) -> "DiracCombo":
-        """The image under x_k -> e_k * x_k + c_k, built once per map."""
-        coords = tuple((int(e), exact(c)) for e, c in coords)
-        if len(coords) != self.dim:
-            raise ValueError("map dimension mismatch")
-        if coords not in self._memo:
-            self._memo[coords] = DiracCombo(self.dim, tuple(
-                (tuple(exact(e * x + c) for x, (e, c) in zip(pt, coords)), w)
-                for pt, w in self.atoms))
-        return self._memo[coords]
-
-    def negated_points(self) -> "DiracCombo":
-        return self.pushforward_affine([(-1, 0)] * self.dim)
+    def pushforward_affine(self, e: int, c) -> "DiracCombo":
+        """The image under x -> e * x + c in every coordinate, built once per map."""
+        e, c = int(e), exact(c)
+        key = ("affine", e, c)
+        if key not in self._memo:
+            self._memo[key] = DiracCombo(self.dim, tuple(
+                (tuple(exact(e * x + c) for x in pt), w) for pt, w in self.atoms))
+        return self._memo[key]
 
     def boxes(self, p: int, level: int) -> dict:
         """The atoms by box, residues mod p^level -> [(point, coeff)], built once
         per (p, level).  Every coordinate is reduced, so at level >= 1 a
         non-p-integral atom raises PIntegralityError for every box."""
-        if (p, level) not in self._memo:
+        key = ("boxes", p, level)
+        if key not in self._memo:
             index = {}
             for pt, w in self.atoms:
                 box = tuple(repr_mod(x, p, level) for x in pt)
                 index.setdefault(box, []).append((pt, w))
-            self._memo[p, level] = index
-        return self._memo[p, level]
+            self._memo[key] = index
+        return self._memo[key]
 
     def box_integral_exact(self, base, level: int, integrand, p: int) -> Rat:
         """Exact integral of a `corrections.LinearFormIntegrand` over base + p^level

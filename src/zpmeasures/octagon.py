@@ -29,7 +29,7 @@ from math import gcd
 
 from .classical import d2_value, e1_value, m_value, mpos, n2_value
 from .magnus import FreeWord, NcSeries, X, accumulate, word_log2
-from .padic import PrimeContext, format_rat, is_prime
+from .padic import PrimeContext, is_prime
 
 # Symbols are tuples: ('a', i), ('b', i, j), ('g', i).  t is tracked as a
 # separate exponent in each monomial key (t_exp, symbol_tuple).
@@ -116,7 +116,7 @@ class SymPoly:
                 factors.append("t")
             elif te > 1:
                 factors.append(f"t^{te}")
-            c = format_rat(Fraction(self.terms[(te, syms)], self.den))
+            c = str(Fraction(self.terms[(te, syms)], self.den))
             bits.append(f"{c}*{'*'.join(factors) or '1'}")
         return " + ".join(bits)
 

@@ -91,16 +91,6 @@ def repr_mod(c, p: int, n: int) -> int:
     return (c.numerator * inv) % m
 
 
-def repr_mod_pos(c, p: int, n: int) -> int:
-    """Representative of c in (0, p^n]: as repr_mod but 0 is read as p^n.
-
-    This is the indexing used by the level formulas that enumerate residues
-    as 1, ..., p^n.
-    """
-    r = repr_mod(c, p, n)
-    return p ** n if r == 0 else r
-
-
 def binom(c, k: int) -> Rat:
     """Generalized binomial coefficient c(c-1)...(c-k+1)/k!."""
     if k < 0:
@@ -126,13 +116,3 @@ def bernoulli(k: int) -> Rat:
     for j in range(k):
         acc += math.comb(k + 1, j) * bernoulli(j)
     return -acc / (k + 1)
-
-
-def format_rat(x) -> str:
-    """Serialize a rational as "num/den", denominator omitted when 1."""
-    return str(exact(x))
-
-
-def parse_rat(text: str) -> Rat:
-    """Parse a "num/den" (or plain integer) string."""
-    return Fraction(text.strip())

@@ -20,7 +20,7 @@ from .measures import (DiracCombo, LevelFamily, exterior_product, iwasawa_P,
                        linear_combine, measures_equal, pinpoint, pushforward,
                        signed_group, star_convolution,
                        transform_F, transform_F_via_P, validate_distribution)
-from .padic import PrimeContext, bernoulli, binom, format_rat, vp
+from .padic import PrimeContext, bernoulli, binom, vp
 from .record import Record
 
 SUITES = ("octagon", "measures", "magnus", "transforms", "corrections", "all")
@@ -155,8 +155,7 @@ def measures_suite(cfg: RunConfig) -> SuiteReport:
     d2ctx = PrimeContext(cfg.p, d2_level)
     word = magnus.commutator(magnus.FreeWord(d2ctx, d2_level, ((magnus.X, 1),)),
                              magnus.FreeWord(d2ctx, d2_level, ((0, 1),)))
-    alphas, gammas = magnus.coefficient_tables(word)
-    named["D2([x,y0])"] = classical.make_D2(alphas, gammas, d2ctx)
+    named["D2([x,y0])"] = classical.make_D2(word)
 
     if cfg.tamper:
         bad = classical.make_M(units[0], ctx)
@@ -170,7 +169,7 @@ def measures_suite(cfg: RunConfig) -> SuiteReport:
     for name, mu in named.items():
         miss = validate_distribution(mu)
         rep.add(f"distribution:{name}", miss and
-                f"level={miss[0]} point={miss[1]} defect={format_rat(miss[2])}")
+                f"level={miss[0]} point={miss[1]} defect={miss[2]}")
 
     for c in units:
         for nm, miss in classical.e1_relation_suite(c, ctx, cfg.n_max, cfg.mod_exp):
@@ -195,7 +194,7 @@ def _first_miss(p: int, label: str, rows):
     """The first (key, got, want, guarantee) row whose got - want has p-adic
     valuation below its guarantee: `label` formatted with its key, the row and
     the valuation reached.  None when every row holds."""
-    return next((f"{label.format(key)} off: got={format_rat(got)} want={format_rat(want)} "
+    return next((f"{label.format(key)} off: got={got} want={want} "
                  f"guarantee={guar} valuation={vp(got - want, p)}"
                  for key, got, want, guar in rows if vp(got - want, p) < guar), None)
 
@@ -214,7 +213,7 @@ def transforms_suite(cfg: RunConfig) -> SuiteReport:
         P = iwasawa_P(M, terms, cfg.n_max)
         if cfg.tamper and c == units[0]:
             P.coeffs[(2,)] += 1
-        rep.add(f"interpolation:M({format_rat(c)})", _first_miss(cfg.p, "coefficient k={}", (
+        rep.add(f"interpolation:M({c})", _first_miss(cfg.p, "coefficient k={}", (
             (k, P.coefficient((k,)), binom(c, k + 1) - (1 if k == 0 else 0), P.guarantees[(k,)])
             for k in range(terms + 1))))
 
@@ -366,29 +365,28 @@ def corrections_suite(cfg: RunConfig) -> SuiteReport:
         return DiracCombo.make(dim, atoms)
 
     bases = list(itertools.product(range(p ** n), repeat=r))
+    maps = (("sign", -1, 0), ("reflect", -1, 1), ("shift", 1, 1))  # (tag, e, c): x -> e*x + c
     for trial in range(10):
         beta = random_combo(r)
         lhs_beta = beta
         if cfg.tamper and trial == 0:
-            # perturb one atom on the left-hand side only
+            # perturb one atom on the left-hand side of the sign change only
             (pt0, c0), rest = beta.atoms[0], beta.atoms[1:]
             lhs_beta = DiracCombo(r, ((pt0, c0 + 1),) + rest)
-        identities = (("sign", corrections.sign_change_identity, lhs_beta),
-                      ("reflect", corrections.reflect_shift_identity, beta),
-                      ("shift", corrections.shift_identity, beta))
-        sides = ((f"{tag} shape={shape} base={base}", identity(lhs, beta, base, shape, p, n))
+        sides = ((f"{tag} shape={shape} base={base}", corrections.change_of_variables(
+                     lhs_beta if tag == "sign" else beta, beta, base, shape, p, n, e, c))
                  for shape, base in itertools.product(shapes, bases)
-                 for tag, identity, lhs in identities)
+                 for tag, e, c in maps)
         rep.add(f"change-of-variables:trial{trial}",
                 next((where for where, (l, rr) in sides if l != rr), None))
 
     for trial in range(5):
         g = random_combo(r)
-        beta = g + g.negated_points()
+        beta = g + g.pushforward_affine(-1, 0)
         sums = ((shape, base, corrections.four_term_sum(beta, base, shape, p, n))
                 for shape, base in itertools.product(shapes, [(0, 1), (1, 2), (2, 2)]))
         rep.add(f"four-term-sum:trial{trial}", next(
-            (f"shape={shape} base={base} sum={format_rat(s)}" for shape, base, s in sums if s),
+            (f"shape={shape} base={base} sum={s}" for shape, base, s in sums if s),
             None))
     return rep
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 
 from zpmeasures.octagon import SymPoly, sym_name
-from zpmeasures.padic import format_rat, vp
+from zpmeasures.padic import vp
 
 from seriesref import accumulate
 
@@ -190,5 +190,5 @@ class FracSymPoly:
                 factors.append("t")
             elif te > 1:
                 factors.append(f"t^{te}")
-            bits.append(f"{format_rat(self.terms[(te, syms)])}*{'*'.join(factors) or '1'}")
+            bits.append(f"{self.terms[(te, syms)]}*{'*'.join(factors) or '1'}")
         return " + ".join(bits)

@@ -6,7 +6,7 @@ import pytest
 from zpmeasures import classical
 from zpmeasures.classical import (e1_relation_suite, make_D2, make_E1, make_M,
                                   make_N2, make_dirac)
-from zpmeasures.magnus import FreeWord, X, coefficient_tables, commutator
+from zpmeasures.magnus import FreeWord, X, commutator, parse_word, word_tower
 from zpmeasures.measures import (LevelFamily, linear_combine, pushforward,
                                  validate_distribution)
 from zpmeasures.octagon import SymPoly
@@ -81,12 +81,20 @@ def test_two_variable_companion():
     assert is_zero(make_N2(1, CTX))
 
 
+def word_tables(word):
+    """Per-level alpha and gamma lists of a word: its Y_i and X Y_i coefficients."""
+    tower = word_tower(word, [2] * (word.level + 1))
+    return ([[s.coeff((i,)) for i in range(word.ctx.p ** n)] for n, s in enumerate(tower)],
+            [[s.coeff((X, i)) for i in range(word.ctx.p ** n)] for n, s in enumerate(tower)])
+
+
 def test_dilog_measure_from_word():
     ctx = PrimeContext(3, 2)
     word = commutator(FreeWord(ctx, 2, ((X, 1),)), FreeWord(ctx, 2, ((0, 1),)))
-    alphas, gammas = coefficient_tables(word)
-    D2 = make_D2(alphas, gammas, ctx)
+    D2 = make_D2(word)
+    assert D2.ctx == ctx and D2.n_max == 2
     assert validate_distribution(D2) is None
+    _, gammas = word_tables(word)
     for n in range(D2.n_max + 1):
         width = 3 ** n
         for (a, b), v in D2.tables[n].items():
@@ -100,10 +108,22 @@ def test_dilog_measure_rejects_bad_tables():
     # twisted compatibility breaks and the distribution check reports it
     ctx = PrimeContext(3, 2)
     word = commutator(FreeWord(ctx, 2, ((X, 1),)), FreeWord(ctx, 2, ((0, 1),)))
-    alphas, gammas = coefficient_tables(word)
+    alphas, gammas = word_tables(word)
+
+    def d2_from_tables():
+        return LevelFamily.build(ctx, 2, lambda n, ab: classical.d2_value(
+            ab[0], ab[1], 3 ** n, alphas[n].__getitem__, gammas[n].__getitem__))
+
+    assert d2_from_tables().tables == make_D2(word).tables
     gammas[2][4] += 1
-    D2 = make_D2(alphas, gammas, ctx)
-    assert validate_distribution(D2) == (1, (0, 2), -3)
+    assert validate_distribution(d2_from_tables()) == (1, (0, 2), -3)
+
+
+@pytest.mark.parametrize("text", ["x*y0", "x", "y0*x^2"])
+def test_d2_refuses_a_word_outside_the_kernel(text):
+    ctx = PrimeContext(3, 2)
+    with pytest.raises(ValueError, match="^D2 needs a kernel word$"):
+        make_D2(parse_word(text, ctx, 2))
 
 
 def test_e1_relation_suite_passes():

@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zpmeasures.corrections import (four_term_sum, reflect_shift_identity,
-                                    shift_identity, sign_change_identity,
-                                    standard_integrand)
+from zpmeasures.corrections import (LinearFormIntegrand, change_of_variables,
+                                    four_term_sum)
 from zpmeasures.measures import DiracCombo, box_integral, residues
 from zpmeasures.padic import PIntegralityError, PrimeContext, repr_mod, vp
 
 from polyref import expanded_standard_integrand
 
 SHAPES = [s for s in itertools.product(range(3), repeat=3) if sum(s) <= 2]
+# (e, c) of x -> e*x + c: the sign change, the reflection through 1, the shift
+MAPS = [(-1, 0), (-1, 1), (1, 1)]
 
 
 def random_combo(rng, dim, natoms=4):
@@ -31,10 +32,16 @@ def value(integrand, point):
 
 
 def test_integrand_shape():
-    poly = standard_integrand((1, 1, 0), (0, 1), 3)
+    poly = LinearFormIntegrand((1, 1, 0), (0, 1), 3)
     # ((0 - x1)/3)^1 * ((x1 - x2 - 0 + 1)/3)^1
     assert value(poly, (3, 4)) == Fraction(-3, 3) * Fraction(0, 3)
     assert value(poly, (0, 1)) == 0
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 1, 0, 0), ()])
+def test_integrand_needs_one_more_exponent_than_variables(shape):
+    with pytest.raises(ValueError, match="need r\\+1 exponents for r variables"):
+        LinearFormIntegrand(shape, (0, 1), 3)
 
 
 def test_change_of_variable_identities_exact():
@@ -43,19 +50,16 @@ def test_change_of_variable_identities_exact():
         beta = random_combo(rng, 2)
         for shape in SHAPES:
             for base in [(0, 1), (1, 2), (2, 0), (1, 1)]:
-                l, r = sign_change_identity(beta, beta, base, shape, 3, 1)
-                assert l == r
-                l, r = reflect_shift_identity(beta, beta, base, shape, 3, 1)
-                assert l == r
-                l, r = shift_identity(beta, beta, base, shape, 3, 1)
-                assert l == r
+                for e, c in MAPS:
+                    l, r = change_of_variables(beta, beta, base, shape, 3, 1, e, c)
+                    assert l == r
 
 
 def test_four_term_sum_even_measures():
     rng = random.Random(12)
     for _ in range(5):
         g = random_combo(rng, 2)
-        beta = g + g.negated_points()
+        beta = g + g.pushforward_affine(-1, 0)
         for shape in SHAPES:
             for base in [(0, 1), (1, 2), (2, 2)]:
                 assert four_term_sum(beta, base, shape, 3, 1) == 0
@@ -75,9 +79,9 @@ def test_identities_in_higher_rank():
     for _ in range(3):
         beta = random_combo(rng, 3)
         for shape in shapes:
-            l, r = sign_change_identity(beta, beta, (0, 1, 2), shape, 2, 1)
+            l, r = change_of_variables(beta, beta, (0, 1, 2), shape, 2, 1, -1, 0)
             assert l == r
-            l, r = shift_identity(beta, beta, (1, 1, 0), shape, 2, 1)
+            l, r = change_of_variables(beta, beta, (1, 1, 0), shape, 2, 1, 1, 1)
             assert l == r
 
 
@@ -101,7 +105,7 @@ def integrand_cases(draw, max_r=3, max_exp=3):
 def test_linear_form_integrand_matches_expanded_polynomial(case, points):
     # the integrand keeps its linear forms; the reference multiplies them out
     shape, base, p, n, lifts, scale = case
-    fast = standard_integrand(shape, base, p ** n, *lifts, scale=scale)
+    fast = LinearFormIntegrand(shape, base, p ** n, *lifts, scale=scale)
     ref = expanded_standard_integrand(shape, base, p ** n, *lifts, scale=scale)
     assert fast.nvars == ref.nvars == len(base)
     for pt in points:
@@ -128,7 +132,7 @@ def test_box_integral_meets_its_guarantee(case, data):
     eval_level = data.draw(st.integers(n, top))
     combo = DiracCombo.make(dim, atoms)
     fam = combo.to_level_family(PrimeContext(p, top))
-    integrand = standard_integrand(shape, base, p ** n, *lifts, scale=scale)
+    integrand = LinearFormIntegrand(shape, base, p ** n, *lifts, scale=scale)
     exact = combo.box_integral_exact(base, n, integrand, p)
     value, guarantee = box_integral(fam, base, n, integrand, eval_level)
     assert vp(exact - value, p) >= guarantee
@@ -140,7 +144,7 @@ def test_box_integral_meets_its_guarantee(case, data):
 def test_box_integral_guarantee_with_denominators_below_the_stored_depth(depth):
     # the atoms at 0 and 8 share every box down to level 3, where they sum to 1
     combo = DiracCombo.make(1, [((0,), Fraction(1, 2)), ((8,), Fraction(1, 2))])
-    integrand = standard_integrand((0, 1), (0,), 1)
+    integrand = LinearFormIntegrand((0, 1), (0,), 1)
     exact = combo.box_integral_exact((0,), 0, integrand, 2)
     value, guarantee = box_integral(combo.to_level_family(PrimeContext(2, depth)),
                                     (0,), 0, integrand, 3)
@@ -152,7 +156,7 @@ def test_box_integral_rejects_a_base_of_the_wrong_length(base):
     # zip would drop the extra coordinates, or find no box at all
     fam = DiracCombo.make(1, [((1,), 1), ((4,), Fraction(1, 2))]).to_level_family(
         PrimeContext(3, 3))
-    integrand = standard_integrand((1, 0), (1,), 3)
+    integrand = LinearFormIntegrand((1, 0), (1,), 3)
     assert box_integral(fam, (1,), 1, integrand, 3) == (Fraction(-1, 2), 1)
     with pytest.raises(ValueError, match="box base dimension mismatch"):
         box_integral(fam, base, 1, integrand, 3)
@@ -161,7 +165,7 @@ def test_box_integral_rejects_a_base_of_the_wrong_length(base):
 @pytest.mark.parametrize("base", [(1, 2), (1, 2, 0), ()])
 def test_box_integral_exact_rejects_a_base_of_the_wrong_length(base):
     combo = DiracCombo.make(1, [((1,), 1), ((4,), Fraction(1, 2))])
-    integrand = standard_integrand((1, 0), (1,), 3)
+    integrand = LinearFormIntegrand((1, 0), (1,), 3)
     assert combo.box_integral_exact((1,), 1, integrand, 3) == Fraction(-1, 2)
     with pytest.raises(ValueError, match="box base dimension mismatch"):
         combo.box_integral_exact(base, 1, integrand, 3)
@@ -197,13 +201,13 @@ def test_box_index_matches_scan(case, level, data):
     lift = data.draw(st.sampled_from([(0, 0), (-1, 1)]))  # plain and reflected boxes
     scale = data.draw(st.sampled_from([1, Fraction(1, 2), Fraction(-3, 4)]))
     e, c = data.draw(st.sampled_from([-1, 1])), data.draw(st.integers(-4, 4))
-    image = combo.pushforward_affine([(e, c)] * dim)
+    image = combo.pushforward_affine(e, c)
     assert image.atoms == tuple((tuple(e * x + c for x in pt), w) for pt, w in combo.atoms)
-    assert combo.pushforward_affine([(e, c)] * dim) is image
+    assert combo.pushforward_affine(e, c) is image
     ctx = PrimeContext(p, 2)
     for beta in (combo, image):
         for base in residues(p, level, dim):
-            integrand = standard_integrand(shape, base, pl, *lift, scale=scale)
+            integrand = LinearFormIntegrand(shape, base, pl, *lift, scale=scale)
             # the box is named by an unreduced base; the index must reduce it
             moved = tuple(b - pl for b in base)
             scanned = scan_box(beta.atoms, moved, level, p)
@@ -219,9 +223,22 @@ def test_box_index_matches_scan(case, level, data):
     assert fresh == combo and hash(fresh) == hash(combo)
 
 
+@pytest.mark.parametrize("boxes_first", [True, False])
+def test_box_index_and_pushforward_images_keep_apart_in_the_memo(boxes_first):
+    # boxes(p=2, level=1) and the image under x -> 2x + 1 are memoized side by side
+    combo = DiracCombo.make(1, [((1,), 1), ((4,), Fraction(1, 2))])
+    if boxes_first:
+        index, image = combo.boxes(2, 1), combo.pushforward_affine(2, 1)
+    else:
+        image, index = combo.pushforward_affine(2, 1), combo.boxes(2, 1)
+    assert index == {(1,): [((1,), 1)], (0,): [((4,), Fraction(1, 2))]}
+    assert type(image) is DiracCombo and image.atoms == (((3,), 1), ((9,), Fraction(1, 2)))
+    assert combo.boxes(2, 1) is index and combo.pushforward_affine(2, 1) is image
+
+
 def test_non_p_integral_atom_raises_for_every_box():
     combo = DiracCombo.make(2, [((1, Fraction(1, 2)), 3)])
-    assert combo.box_integral_exact((0, 0), 0, standard_integrand((0, 0, 0), (0, 0), 1), 2) == 3
+    assert combo.box_integral_exact((0, 0), 0, LinearFormIntegrand((0, 0, 0), (0, 0), 1), 2) == 3
     for base in itertools.product(range(2), repeat=2):
         with pytest.raises(PIntegralityError):
-            combo.box_integral_exact(base, 1, standard_integrand((0, 0, 0), base, 2), 2)
+            combo.box_integral_exact(base, 1, LinearFormIntegrand((0, 0, 0), base, 2), 2)

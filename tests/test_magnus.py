@@ -302,6 +302,22 @@ def test_substitute_refuses_images_of_another_shape(image):
         s.substitute({0: NcSeries(CTX2, 1, 2, {(0,): Fraction(1)}), 1: image})
 
 
+def test_substitute_refuses_no_images():
+    s = NcSeries(CTX2, 1, 2, {(0,): Fraction(1)})
+    with pytest.raises(ValueError, match="^no images to substitute$"):
+        s.substitute({})
+
+
+def test_substitute_names_a_generator_with_no_image():
+    # the series holds X, Y0 and Y1; with only Y1 mapped, X (the least) is named
+    s = NcSeries(CTX2, 1, 2, {(0, 1): Fraction(1), (X,): Fraction(2), (1,): Fraction(3)})
+    with pytest.raises(ValueError, match="^no image for generator X$"):
+        s.substitute({1: NcSeries(CTX2, 1, 2, {(1,): Fraction(1)})})
+    with pytest.raises(ValueError, match="^no image for generator Y0$"):
+        s.substitute({X: NcSeries(CTX2, 1, 2, {(1,): Fraction(1)}),
+                      1: NcSeries(CTX2, 1, 2, {(1,): Fraction(1)})})
+
+
 # Level-1 series at p = 2 (generators X, Y0, Y1) truncated past degree 3.
 nc_series = st.dictionaries(st.lists(st.sampled_from([X, 0, 1]), max_size=3).map(tuple),
                             st.fractions(-3, 3, max_denominator=4), max_size=6).map(

@@ -8,8 +8,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zpmeasures.classical import make_D2, make_dirac, make_E1, make_M, make_N2
-from zpmeasures.corrections import standard_integrand
-from zpmeasures.magnus import coefficient_tables, parse_word
+from zpmeasures.corrections import LinearFormIntegrand
+from zpmeasures.magnus import parse_word
 from zpmeasures.measures import (DiracCombo, GradedSequence, LevelFamily,
                                  box_integral, exterior_product, iwasawa_P, lifts,
                                  linear_combine, measures_equal, pinpoint,
@@ -51,13 +51,12 @@ def test_linear_combine_rejects_a_coefficient_count_mismatch(coeffs):
         linear_combine(coeffs, list(dirac_pair()))
 
 
-def test_pushforward_affine_rejects_a_map_of_the_wrong_dimension():
-    # zip would keep only the mapped coordinates: the point (-1,) in dimension 2
-    combo = DiracCombo.make(2, [((1, 2), 1)])
-    assert combo.pushforward_affine([(-1, 0), (1, 1)]).atoms == (((-1, 3), 1),)
-    for coords in ([(-1, 0)], [(-1, 0)] * 3):
-        with pytest.raises(ValueError, match="map dimension mismatch"):
-            combo.pushforward_affine(coords)
+def test_pushforward_affine_maps_every_coordinate():
+    half, w = Fraction(1, 2), Fraction(-1, 3)
+    combo = DiracCombo.make(2, [((1, 2), 1), ((0, half), w)])
+    assert combo.pushforward_affine(-1, 1).atoms == (((0, -1), 1), ((1, half), w))
+    assert combo.pushforward_affine(1, half).atoms == \
+        (((Fraction(3, 2), Fraction(5, 2)), 1), ((half, 1), w))
 
 
 def test_translate_and_errors():
@@ -144,10 +143,10 @@ def affine_maps(draw):
 def test_pushforward_matches_exact_dirac_image(case):
     combo, perm, eps, shift = case
     ctx = PrimeContext(3, 2)
-    moved = combo.pushforward_affine(zip(eps, shift))
     # coordinate j of the moved point lands in slot perm[j]
+    moved = [[e * x + c for x, e, c in zip(pt, eps, shift)] for pt, _ in combo.atoms]
     placed = DiracCombo.make(combo.dim, [([pt[perm.index(k)] for k in range(combo.dim)], w)
-                                         for pt, w in moved.atoms])
+                                         for pt, (_, w) in zip(moved, combo.atoms)])
     got = pushforward(combo.to_level_family(ctx), perm, eps, shift)
     assert got.tables == placed.to_level_family(ctx).tables
 
@@ -275,7 +274,7 @@ def test_dirac_combo_matches_level_tables():
     fam = combo.to_level_family(CTX)
     assert validate_distribution(fam) is None
     # box integral against the level family agrees mod p^m with the exact one
-    poly = standard_integrand((0, 2), (0,), 1)  # x^2
+    poly = LinearFormIntegrand((0, 2), (0,), 1)  # x^2
     exact = combo.box_integral_exact((1,), 1, poly, 3)
     riemann, e = box_integral(fam, (1,), 1, poly, 3)
     assert vp(exact - riemann, 3) >= e
@@ -328,9 +327,7 @@ def test_named_measures_match_the_fraction_reference(pc, n_max):
 @pytest.mark.parametrize("word, p, level", [("[x,y0]", 3, 2), ("[[x,y1],y2]", 2, 3),
                                              ("[x,y5]*y0", 3, 2), ("[x,y3]*[y1,y2]", 5, 1)])
 def test_d2_matches_the_fraction_reference(word, p, level):
-    ctx = PrimeContext(p, level)
-    alphas, gammas = coefficient_tables(parse_word(word, ctx, level))
-    same_both_ways(lambda: make_D2(alphas, gammas, ctx))
+    same_both_ways(lambda: make_D2(parse_word(word, PrimeContext(p, level), level)))
 
 
 @st.composite
@@ -425,7 +422,7 @@ def test_dirac_combinations_match_the_fraction_reference(p, k, others):
     # points at odd halves, moved by a half onto integers
     halves = DiracCombo.make(2, [((Fraction(2 * x + 1, 2), Fraction(-1, 2)), w) for x, w in others]
                              + [((Fraction(1, 2), Fraction(1, 2)), Fraction(3, 3))])
-    moved = halves.pushforward_affine([(1, Fraction(1, 2)), (-1, Fraction(1, 2))])
+    moved = halves.pushforward_affine(1, Fraction(1, 2))
     assert all(type(x) is int for pt, w in moved.atoms for x in pt)
     assert all(type(w) is int or w.denominator > 1 for pt, w in moved.atoms)
     same_both_ways(lambda: moved.to_level_family(PrimeContext(p, 2)))

@@ -1,12 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zpmeasures.classical import mpos
+from zpmeasures.cli import main
 from zpmeasures.padic import (INF, PIntegralityError, PrimeContext, bernoulli,
-                              binom, exact, format_rat, parse_rat, repr_mod,
-                              repr_mod_pos, vp)
+                              binom, exact, repr_mod, vp)
 
 rationals = st.builds(Fraction, st.integers(-400, 400), st.integers(1, 60))
 
@@ -55,10 +56,13 @@ def test_repr_mod_tower_compatible(x, n):
     assert vp(x - r, p) >= n
 
 
-def test_repr_mod_pos():
-    assert repr_mod_pos(3, 3, 1) == 3
-    assert repr_mod_pos(4, 3, 1) == 1
-    assert repr_mod_pos(7, 3, 0) == 1
+def test_mpos_of_repr_mod():
+    # the 1..p^n indexing of the level formulas: p^n stands for the residue 0
+    assert mpos(repr_mod(3, 3, 1), 3) == 3
+    assert mpos(repr_mod(4, 3, 1), 3) == 1
+    assert mpos(repr_mod(-1, 3, 2), 9) == 8
+    assert mpos(repr_mod(Fraction(9, 2), 3, 2), 9) == 9
+    assert mpos(repr_mod(7, 3, 0), 1) == 1  # level 0: the one residue is 1
 
 
 def test_binom_examples():
@@ -82,11 +86,27 @@ def test_bernoulli_values():
     assert [bernoulli(k) for k in range(9)] == known
 
 
-def test_rational_round_trip():
-    assert format_rat(Fraction(3, 1)) == "3"
-    assert format_rat(Fraction(-7, 2)) == "-7/2"
-    assert parse_rat("-7/2") == Fraction(-7, 2)
-    assert parse_rat("11") == 11
+@given(x=rationals)
+@example(x=Fraction(3, 1))
+@example(x=Fraction(-7, 2))
+@settings(max_examples=200)
+def test_rational_round_trip(x):
+    # reports print a rational with str and the CLI reads it back with Fraction
+    for value in (x, exact(x)):
+        text = str(value)
+        assert Fraction(text) == x and not text.endswith("/1")
+        assert text == (f"{x.numerator}/{x.denominator}" if x.denominator > 1
+                        else str(x.numerator))
+
+
+def test_cli_reads_rationals_with_surrounding_spaces(capsys):
+    def emit(measure, *words):
+        assert main(["emit", "measure", "--measure", measure, "--p", "3", "--nmax", "2",
+                     *words]) == 0
+        return capsys.readouterr().out
+
+    assert emit("dirac", "--a", " 1/2 , 3") == emit("dirac", "--a", "1/2,3")
+    assert emit("M", "--c", " 7 ") == emit("M", "--c", "7") != emit("M", "--c", "8")
 
 
 @given(num=st.integers(-10 ** 6, 10 ** 6), den=st.integers(1, 60),
@@ -96,7 +116,7 @@ def test_int_fast_paths_match_the_fraction_path(num, den, p):
     # an int and the equal Fraction read the same; zero and negatives included
     for n in (num, -num, 0):
         assert vp(n, p) == vp(Fraction(n), p)
-        assert format_rat(n) == format_rat(Fraction(n)) == str(n)
+        assert str(n) == str(Fraction(n)) == str(exact(Fraction(n)))
         assert type(exact(n)) is int and type(exact(Fraction(n))) is int
         assert exact(Fraction(n)) == n
     x = Fraction(num, den)
@@ -104,12 +124,12 @@ def test_int_fast_paths_match_the_fraction_path(num, den, p):
         assert vp(x, p) == vp(num, p) - vp(den, p)
     assert exact(x) == x
     assert type(exact(x)) is (int if x.denominator == 1 else Fraction)
-    assert format_rat(exact(x)) == format_rat(x)
+    assert str(exact(x)) == str(x)
 
 
 def test_exact_examples():
     assert exact(Fraction(6, 3)) == 2 and type(exact(Fraction(6, 3))) is int
     assert exact(Fraction(-3, 6)) == Fraction(-1, 2)
     assert exact("7/7") == 1 and type(exact("7/7")) is int
-    assert format_rat(exact(Fraction(-3, 6))) == "-1/2"
+    assert str(exact(Fraction(-3, 6))) == "-1/2"
     assert vp(-12, 2) == 2 and vp(Fraction(-1, 12), 2) == -2
