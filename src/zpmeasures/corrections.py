@@ -6,12 +6,13 @@ The integrand over a box a + p^n (Z_p)^r is
                             * ((x_r - a_r)/p^n)^{n_r}
 
 a product of linear forms.  It is kept as that product, never expanded: each
-factor is evaluated at the point in integers, and both box integrals sum the
-weighted products over a box before they divide by p^(n * sum(shape)), once
-per box.  Its worst coefficient valuation, as an expanded polynomial, is
-known without expanding it: every factor's coefficients have valuation >= -n,
-and the lex-leading monomial of the product has coefficient exactly
-+-1/p^(n * sum(shape)).
+factor is evaluated at the point in integers.  `box_integral` sums the
+weighted products over a box and divides by p^(n * sum(shape)) once per box;
+the identities here compare the sums themselves, over that shared factor, and
+divide at most once per identity.  The integrand's worst coefficient
+valuation, as an expanded polynomial, is known without expanding it: every
+factor's coefficients have valuation >= -n, and the lex-leading monomial of
+the product has coefficient exactly +-1/p^(n * sum(shape)).
 
 These identities relate its integral against sign/shift pushforwards of a
 measure to integrals over reflected/shifted boxes.  They are exact only when
@@ -65,33 +66,36 @@ class LinearFormIntegrand:
         return max(0, -vp(self.scale, p) + vp(self.pn, p) * sum(self.shape))
 
 
-def _moved_box_integral(beta: DiracCombo, base, shape, p: int, n: int, e: int, c: int) -> Rat:
+def _moved_box_sum(beta: DiracCombo, base, shape, p: int, n: int, e: int, c: int) -> Rat:
     """The integral of beta over the box that x -> e*x + c (e = +-1) sends onto
-    the box at `base`; a reflection (e = -1) lifts the end factors by -1, +1."""
+    the box at `base`, over its factor 1/p^(n * sum(shape)) (`DiracCombo.box_sum`);
+    a reflection (e = -1) lifts the end factors by -1, +1."""
     pn = p ** n
     if e < 0:
         box, lifts = [pn + c - a for a in base], (-1, 1)
     else:
         box, lifts = [a - c for a in base], (0, 0)
-    return beta.box_integral_exact(box, n, LinearFormIntegrand(shape, box, pn, *lifts), p)
+    return beta.box_sum(box, n, LinearFormIntegrand(shape, box, pn, *lifts), p)
 
 
 def change_of_variables(lhs_beta: DiracCombo, beta: DiracCombo, base, shape,
                         p: int, n: int, e: int, c: int):
-    """The change of variables x -> e*x + c (e = +-1), as its two sides: the
-    integral over the base box against the pushforward of lhs_beta, and
-    e^sum(shape) times the integral of beta over the box that the map sends
-    onto the base box.  They agree when lhs_beta is beta.  The suite runs
+    """The change of variables x -> e*x + c (e = +-1), as its two sides over
+    their shared factor 1/p^(n * sum(shape)): the integral over the base box
+    against the pushforward of lhs_beta, and e^sum(shape) times the integral
+    of beta over the box that the map sends onto the base box.  They are equal
+    exactly when the integrals are, as when lhs_beta is beta.  The suite runs
     (e, c) = (-1, 0), x -> -x; (-1, 1), x -> 1 - x; and (1, 1), x -> x + 1."""
     moved = lhs_beta.pushforward_affine(e, c)
-    return (_moved_box_integral(moved, base, shape, p, n, 1, 0),
-            e ** sum(shape) * _moved_box_integral(beta, base, shape, p, n, e, c))
+    return (_moved_box_sum(moved, base, shape, p, n, 1, 0),
+            e ** sum(shape) * _moved_box_sum(beta, base, shape, p, n, e, c))
 
 
 def four_term_sum(beta: DiracCombo, base, shape, p: int, n: int) -> Rat:
-    """The alternating four-box sum; identically zero for measures fixed by
-    the sign flip (beta even), the degenerate case of the symmetry defect."""
+    """The alternating four-box sum, scaled by its shared factor once; zero
+    for measures fixed by the sign flip (beta even), the degenerate case of
+    the symmetry defect."""
     sign = (-1) ** sum(shape)
-    t1, t2, t3, t4 = (_moved_box_integral(beta, base, shape, p, n, e, c)
+    t1, t2, t3, t4 = (_moved_box_sum(beta, base, shape, p, n, e, c)
                       for e, c in ((1, 0), (-1, 0), (-1, 1), (1, 1)))
-    return t1 - sign * t2 + sign * t3 - t4
+    return Fraction(t1 - sign * t2 + sign * t3 - t4, p ** (n * sum(shape)))

@@ -271,20 +271,24 @@ class NcSeries(Record):
                           for m in sorted(self.coeffs, key=lambda m: (len(m), m))]}
 
 
-def exp_gen(ctx, level, degree, gen: int, k: int) -> NcSeries:
-    """exp(k * generator), k an integer; k = 0 gives the unit series."""
-    return NcSeries(ctx, level, degree,
-                    {(gen,) * j: Fraction(k ** j, math.factorial(j))
-                     for j in range(degree + 1 if k else 1)})
-
-
 def embed_E(w: FreeWord, degree: int) -> NcSeries:
-    """Product over the letters (g, e) of exp(e * g), truncated: a run g^e
-    costs one product."""
-    out = NcSeries.one(w.ctx, w.level, degree)
+    """Product over the letters (g, e) of exp(e * g), truncated, in divided
+    powers: the integer N[m] = len(m)! * coeff(m) of a degree-d monomial m
+    sends e^j C(d+j, j) N[m] to m g^j, carried as c * e * (d + j) // j (an
+    exact division), and each term is divided by len(m)! once at the end."""
+    nums = {(): 1}
     for g, e in w.letters:
-        out = out * exp_gen(w.ctx, w.level, degree, g, e)
-    return out
+        out = {}
+        for m, c in nums.items():
+            d = len(m)
+            terms = [(m, c)]
+            for j in range(1, degree - d + 1):
+                c = c * e * (d + j) // j
+                terms.append((m + (g,) * j, c))
+            accumulate(out, terms)
+        nums = out
+    return NcSeries(w.ctx, w.level, degree,
+                    {m: Fraction(c, math.factorial(len(m))) for m, c in nums.items()})
 
 
 def _log_kernel(s: NcSeries):

@@ -452,7 +452,9 @@ class DiracCombo(Frozen):
 
     def pushforward_affine(self, e: int, c) -> "DiracCombo":
         """The image under x -> e * x + c in every coordinate, built once per map."""
-        e, c = int(e), exact(c)
+        if type(exact(e)) is not int:
+            raise ValueError(f"x -> e * x + c needs an integer e, got e = {e}")
+        e, c = exact(e), exact(c)
         key = ("affine", e, c)
         if key not in self._memo:
             self._memo[key] = DiracCombo(self.dim, tuple(
@@ -472,14 +474,14 @@ class DiracCombo(Frozen):
             self._memo[key] = index
         return self._memo[key]
 
-    def box_integral_exact(self, base, level: int, integrand, p: int) -> Rat:
-        """Exact integral of a `corrections.LinearFormIntegrand` over base + p^level
-        (Z_p)^dim: its unscaled products summed over the atoms, times its factor once."""
+    def box_sum(self, base, level: int, integrand, p: int) -> Rat:
+        """sum w * integrand.forms(v) over the atoms in base + p^level (Z_p)^dim:
+        the exact integral of a `corrections.LinearFormIntegrand` over that box
+        is integrand.factor times it, a division left to the caller."""
         if len(base) != self.dim:
             raise ValueError("box base dimension mismatch")
         atoms = self.boxes(p, level).get(tuple(int(b) % p ** level for b in base), ())
-        total = sum(w * integrand.forms(pt) for pt, w in atoms)
-        return integrand.factor * total if total else 0
+        return sum(w * integrand.forms(pt) for pt, w in atoms)
 
     def to_level_family(self, ctx: PrimeContext) -> LevelFamily:
         def fn(n, a):

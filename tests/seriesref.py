@@ -8,14 +8,19 @@ cannot pass both the engine and its references.
 library's series against facts no report reads: the covering projection of
 a whole series, and the exponential transform of a word's measure rebuilt
 from its level-0 coefficients.
+
+`exp_gen` and `reference_embedding` spell the embedding letter by letter, one
+`NcSeries` product of Fraction series per raw letter, against which the
+library's divided-power `embed_E` is checked.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
-from zpmeasures.magnus import NcSeries, X, beta_measures, exp_gen, word_tower
+from zpmeasures.magnus import NcSeries, X, beta_measures, word_tower
 from zpmeasures.measures import transform_F
 from zpmeasures.padic import vp
 
@@ -32,6 +37,21 @@ def accumulate(out: dict, pairs) -> None:
 
 def homogeneous(s: NcSeries, d: int) -> dict:
     return {m: c for m, c in s.coeffs.items() if len(m) == d}
+
+
+def exp_gen(ctx, level, degree, gen: int, k: int) -> NcSeries:
+    """exp(k * generator), k an integer; k = 0 gives the unit series."""
+    return NcSeries(ctx, level, degree,
+                    {(gen,) * j: Fraction(k ** j, math.factorial(j))
+                     for j in range(degree + 1 if k else 1)})
+
+
+def reference_embedding(ctx, level, letters, degree) -> NcSeries:
+    """embed_E spelled letter by letter: one exp_gen factor per raw letter."""
+    out = NcSeries.one(ctx, level, degree)
+    for g, e in letters:
+        out = out * exp_gen(ctx, level, degree, g, e)
+    return out
 
 
 def project_series(s: NcSeries, n: int) -> NcSeries:

@@ -11,6 +11,7 @@ from zpmeasures.corrections import (LinearFormIntegrand, change_of_variables,
                                     four_term_sum)
 from zpmeasures.measures import DiracCombo, box_integral, residues
 from zpmeasures.padic import PIntegralityError, PrimeContext, repr_mod, vp
+from zpmeasures.suites import RunConfig, run_suite
 
 from polyref import expanded_standard_integrand
 
@@ -133,7 +134,7 @@ def test_box_integral_meets_its_guarantee(case, data):
     combo = DiracCombo.make(dim, atoms)
     fam = combo.to_level_family(PrimeContext(p, top))
     integrand = LinearFormIntegrand(shape, base, p ** n, *lifts, scale=scale)
-    exact = combo.box_integral_exact(base, n, integrand, p)
+    exact = integrand.factor * combo.box_sum(base, n, integrand, p)
     value, guarantee = box_integral(fam, base, n, integrand, eval_level)
     assert vp(exact - value, p) >= guarantee
 
@@ -145,7 +146,7 @@ def test_box_integral_guarantee_with_denominators_below_the_stored_depth(depth):
     # the atoms at 0 and 8 share every box down to level 3, where they sum to 1
     combo = DiracCombo.make(1, [((0,), Fraction(1, 2)), ((8,), Fraction(1, 2))])
     integrand = LinearFormIntegrand((0, 1), (0,), 1)
-    exact = combo.box_integral_exact((0,), 0, integrand, 2)
+    exact = integrand.factor * combo.box_sum((0,), 0, integrand, 2)
     value, guarantee = box_integral(combo.to_level_family(PrimeContext(2, depth)),
                                     (0,), 0, integrand, 3)
     assert vp(exact - value, 2) >= guarantee
@@ -163,12 +164,14 @@ def test_box_integral_rejects_a_base_of_the_wrong_length(base):
 
 
 @pytest.mark.parametrize("base", [(1, 2), (1, 2, 0), ()])
-def test_box_integral_exact_rejects_a_base_of_the_wrong_length(base):
+def test_box_sum_rejects_a_base_of_the_wrong_length(base):
     combo = DiracCombo.make(1, [((1,), 1), ((4,), Fraction(1, 2))])
     integrand = LinearFormIntegrand((1, 0), (1,), 3)
-    assert combo.box_integral_exact((1,), 1, integrand, 3) == Fraction(-1, 2)
+    # the atom at 4 alone: 1/2 * (1 - 4), then the factor 1/3 once
+    assert combo.box_sum((1,), 1, integrand, 3) == Fraction(-3, 2)
+    assert integrand.factor * combo.box_sum((1,), 1, integrand, 3) == Fraction(-1, 2)
     with pytest.raises(ValueError, match="box base dimension mismatch"):
-        combo.box_integral_exact(base, 1, integrand, 3)
+        combo.box_sum(base, 1, integrand, 3)
 
 
 def scan_box(atoms, base, level, p):
@@ -211,8 +214,11 @@ def test_box_index_matches_scan(case, level, data):
             # the box is named by an unreduced base; the index must reduce it
             moved = tuple(b - pl for b in base)
             scanned = scan_box(beta.atoms, moved, level, p)
-            # one division per box equals a scaled evaluation per atom
-            assert beta.box_integral_exact(moved, level, integrand, p) == sum(
+            # the unscaled sum, times the factor once, equals a scaled
+            # evaluation per atom
+            total = beta.box_sum(moved, level, integrand, p)
+            assert total == sum(w * integrand.forms(pt) for pt, w in scanned)
+            assert integrand.factor * total == sum(
                 (w * value(integrand, pt) for pt, w in scanned), Fraction(0))
         fam = beta.to_level_family(ctx)
         for n in range(ctx.n_max + 1):
@@ -221,6 +227,61 @@ def test_box_index_matches_scan(case, level, data):
     # the memo takes no part in equality or hashing
     fresh = DiracCombo.make(dim, combo.atoms)
     assert fresh == combo and hash(fresh) == hash(combo)
+
+
+def moved_integral(beta, base, shape, p, n, e, c, scale=1):
+    """The integral of beta over the box that x -> e*x + c sends onto the box
+    at `base`, one scaled Fraction evaluation per atom; a reflection lifts the
+    end factors by -1, +1."""
+    pn = p ** n
+    if e < 0:
+        box, lifts = [pn + c - a for a in base], (-1, 1)
+    else:
+        box, lifts = [a - c for a in base], (0, 0)
+    integrand = LinearFormIntegrand(shape, box, pn, *lifts, scale=scale)
+    return sum((w * value(integrand, pt) for pt, w in scan_box(beta.atoms, box, n, p)),
+               Fraction(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=p_integral_combos(), n=st.integers(0, 2), data=st.data())
+def test_change_of_variables_sides_over_their_factor_are_the_integrals(case, n, data):
+    p, beta = case
+    dim, pn = beta.dim, p ** n
+    shape = tuple(data.draw(st.lists(st.integers(0, 2), min_size=dim + 1, max_size=dim + 1)))
+    base = data.draw(st.sampled_from(list(residues(p, n, dim))))
+    e, c = data.draw(st.sampled_from(MAPS))
+    scale = data.draw(st.sampled_from([1, Fraction(1, 2), Fraction(-3, 4)]))
+    # a left-hand measure apart from beta, so each side meets its own atoms
+    lhs_beta = beta + DiracCombo.make(dim, [(beta.atoms[0][0], Fraction(1, 3))])
+    integrand = LinearFormIntegrand(shape, base, pn, scale=scale)
+    left, right = change_of_variables(lhs_beta, beta, base, shape, p, n, e, c)
+    image = [(tuple(e * x + c for x in pt), w) for pt, w in lhs_beta.atoms]
+    assert integrand.factor * left == sum(
+        (w * value(integrand, pt) for pt, w in scan_box(image, base, n, p)), Fraction(0))
+    assert integrand.factor * right == \
+        e ** sum(shape) * moved_integral(beta, base, shape, p, n, e, c, scale)
+    left, right = change_of_variables(beta, beta, base, shape, p, n, e, c)
+    assert left == right
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=p_integral_combos(), n=st.integers(0, 2), data=st.data())
+def test_four_term_sum_equals_the_four_integral_formula(case, n, data):
+    p, beta = case
+    shape = tuple(data.draw(st.lists(st.integers(0, 2), min_size=beta.dim + 1,
+                                     max_size=beta.dim + 1)))
+    base = data.draw(st.sampled_from(list(residues(p, n, beta.dim))))
+    sign = (-1) ** sum(shape)
+    t1, t2, t3, t4 = (moved_integral(beta, base, shape, p, n, e, c)
+                      for e, c in ((1, 0), (-1, 0), (-1, 1), (1, 1)))
+    assert four_term_sum(beta, base, shape, p, n) == t1 - sign * t2 + sign * t3 - t4
+
+
+def test_tampered_sign_change_names_its_first_box():
+    report = run_suite(RunConfig(p=3, suite="corrections", tamper=True))[0]
+    assert [(c.name, c.detail) for c in report.checks if not c.passed] == \
+        [("change-of-variables:trial0", "sign shape=(0, 0, 0) base=(0, 0)")]
 
 
 @pytest.mark.parametrize("boxes_first", [True, False])
@@ -238,7 +299,7 @@ def test_box_index_and_pushforward_images_keep_apart_in_the_memo(boxes_first):
 
 def test_non_p_integral_atom_raises_for_every_box():
     combo = DiracCombo.make(2, [((1, Fraction(1, 2)), 3)])
-    assert combo.box_integral_exact((0, 0), 0, LinearFormIntegrand((0, 0, 0), (0, 0), 1), 2) == 3
+    assert combo.box_sum((0, 0), 0, LinearFormIntegrand((0, 0, 0), (0, 0), 1), 2) == 3
     for base in itertools.product(range(2), repeat=2):
         with pytest.raises(PIntegralityError):
-            combo.box_integral_exact(base, 1, LinearFormIntegrand((0, 0, 0), base, 2), 2)
+            combo.box_sum(base, 1, LinearFormIntegrand((0, 0, 0), base, 2), 2)

@@ -145,7 +145,7 @@ def test_failed_lines_name_their_first_miss(monkeypatch):
     for line in ("e1-relations:reflection:c=", "lie:word0", "star-identity", "permutation-sum",
                  "x-coefficient:s=1", "degree2-residuals:s=1", "degree2-residuals:s=2",
                  "degree2-residuals:s=4", "substitution-derivation:E:s=",
-                 "substitution-derivation:G:s="):
+                 "substitution-derivation:G:s=", "four-term-sum:trial"):
         fault, cfg = FAULTS[line]
         with monkeypatch.context() as m:
             fault(m)
@@ -165,6 +165,7 @@ def test_failed_lines_name_their_first_miss(monkeypatch):
     # invert theirs, so it is (A∘φ)·display - 1
     assert details["substitution-derivation:E:s=2"] == "[((1, 0), '-1*1')]"
     assert details["substitution-derivation:G:s=2"] == "[((1, 0), '1*1')]"
+    assert details["four-term-sum:trial0"] == "shape=(0, 0, 0) base=(1, 2) sum=1"
 
 
 def test_an_x_coefficient_fails_its_own_line_only(monkeypatch):

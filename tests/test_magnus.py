@@ -21,7 +21,8 @@ from zpmeasures.padic import PrimeContext, vp
 from zpmeasures.suites import RunConfig, magnus_suite
 
 import lieref
-from seriesref import exp_transform_roundtrip, project_series
+from seriesref import (exp_gen, exp_transform_roundtrip, project_series,
+                       reference_embedding)
 
 CTX2 = PrimeContext(2, 2)
 CTX3 = PrimeContext(3, 2)
@@ -391,37 +392,34 @@ def test_integer_log_kernel_matches_fraction_reference(s):
 
 @st.composite
 def raw_letters(draw, exponents=(1, -1)):
-    """(p, level, letters): letters in X and the Y's with repeated letters and
-    inverse pairs left in, each exponent drawn from `exponents`."""
+    """(p, level, letters): letters in X and the Y's with repeated letters,
+    inverse pairs and runs of three X letters left in, each exponent drawn
+    from `exponents`."""
     p = draw(st.sampled_from([2, 3]))
     level = draw(st.integers(1, 2))
     gens = st.sampled_from([X] + list(range(p ** level)))
     runs = st.tuples(gens, st.sampled_from(exponents),
-                     st.sampled_from(["once", "twice", "cancel"]))
+                     st.sampled_from(["once", "twice", "cancel", "x-run"]))
     letters = []
     for g, e, kind in draw(st.lists(runs, max_size=8)):
-        letters += {"once": [(g, e)], "twice": [(g, e)] * 2, "cancel": [(g, e), (g, -e)]}[kind]
+        letters += {"once": [(g, e)], "twice": [(g, e)] * 2, "cancel": [(g, e), (g, -e)],
+                    "x-run": [(X, e)] * 3}[kind]
     return p, level, letters
 
 
 def reference_normal_form(letters):
-    """Cancel adjacent inverse pairs of +-1 letters, then merge each run."""
+    """Spell each letter (g, e) as |e| letters of exponent +-1, cancel
+    adjacent inverse pairs, then merge each run."""
     out = []
     for g, e in letters:
-        if out and out[-1] == (g, -e):
-            out.pop()
-        else:
-            out.append((g, e))
+        for _ in range(abs(e)):
+            unit = (g, 1 if e > 0 else -1)
+            if out and out[-1] == (g, -unit[1]):
+                out.pop()
+            else:
+                out.append(unit)
     return tuple((g, sum(e for _, e in run))
                  for g, run in itertools.groupby(out, key=lambda letter: letter[0]))
-
-
-def reference_embedding(ctx, level, letters, degree):
-    """embed_E spelled letter by letter: one exp_gen factor per raw letter."""
-    out = NcSeries.one(ctx, level, degree)
-    for g, e in letters:
-        out = out * magnus.exp_gen(ctx, level, degree, g, e)
-    return out
 
 
 def reference_projection(p, letters, n, m):
@@ -438,23 +436,26 @@ def reference_projection(p, letters, n, m):
 
 
 @settings(max_examples=100, deadline=None)
-@given(raw_letters(), st.data())
-def test_normal_form_matches_letter_by_letter_reference(word, data):
+@given(raw_letters(exponents=(1, -1, 2, -2, 3, -3)), st.sampled_from(range(6)), st.data())
+def test_normal_form_matches_letter_by_letter_reference(word, degree, data):
     p, level, letters = word
     ctx = PrimeContext(p, level)
     w = FreeWord(ctx, level, tuple(letters))
     assert w.letters == reference_normal_form(letters)
-    assert embed_E(w, 3).coeffs == reference_embedding(ctx, level, letters, 3).coeffs
     n = data.draw(st.integers(0, level))
     unrolled = reference_projection(p, letters, n, level - n)
     projected = project_word(w, n)
     assert projected == FreeWord(ctx, n, tuple(unrolled))
-    assert embed_E(projected, 3).coeffs == reference_embedding(ctx, n, unrolled, 3).coeffs
+    for normal, raw in ((w, letters), (projected, unrolled)):
+        got = embed_E(normal, degree)
+        assert got.coeffs == reference_embedding(ctx, normal.level, raw, degree).coeffs
+        # `_numerators` branches on type: an int coefficient would change its route
+        assert all(type(c) is Fraction and c for c in got.coeffs.values())
 
 
 @pytest.mark.parametrize("k", [-2, 0, 3])
 def test_exp_gen_stores_no_zero(k):
-    s = magnus.exp_gen(CTX3, 1, 3, X, k)
+    s = exp_gen(CTX3, 1, 3, X, k)
     assert all(c for c in s.coeffs.values())
     assert len(s.coeffs) == (4 if k else 1)
     if k == 0:

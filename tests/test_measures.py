@@ -96,6 +96,15 @@ def test_scale_translate_composition():
     assert pushforward(mu, units=[2], shift=[6]).tables == lhs.tables
 
 
+@pytest.mark.parametrize("e", [Fraction(1, 2), 1.9, Fraction(-5, 3)])
+def test_pushforward_affine_refuses_a_non_integer_e(e):
+    # int(e) would move the atom at 3 to 0 (e = 1/2) or keep it (e = 1.9)
+    combo = DiracCombo.make(1, [((3,), 1)])
+    with pytest.raises(ValueError, match=f"integer e, got e = {e}"):
+        combo.pushforward_affine(e, 0)
+    assert combo.pushforward_affine(Fraction(2), 0).atoms == (((6,), 1),)
+
+
 def test_pushforward_affine():
     mu = linear_combine([1, 2], list(dirac_pair()))
     assert pushforward(make_dirac([0], CTX5), units=[-1], shift=[1]).tables == \
@@ -275,7 +284,7 @@ def test_dirac_combo_matches_level_tables():
     assert validate_distribution(fam) is None
     # box integral against the level family agrees mod p^m with the exact one
     poly = LinearFormIntegrand((0, 2), (0,), 1)  # x^2
-    exact = combo.box_integral_exact((1,), 1, poly, 3)
+    exact = poly.factor * combo.box_sum((1,), 1, poly, 3)
     riemann, e = box_integral(fam, (1,), 1, poly, 3)
     assert vp(exact - riemann, 3) >= e
 
