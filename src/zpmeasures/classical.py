@@ -76,7 +76,7 @@ def d2_value(a: int, b: int, pn: int, alpha, gamma):
 def _levels(c, ctx: PrimeContext, unit: bool) -> list:
     """(s, p^n, t) per level: c = s + p^n t, s in (0, p^n], t in normal form.
     c must be p-integral, and a unit when `unit` is set."""
-    c = Fraction(c)
+    c = exact(c)
     v = vp(c, ctx.p)
     if v < 0 or (unit and v != 0):
         raise ValueError("c must be a unit" if unit else "c must be p-integral")
@@ -84,7 +84,7 @@ def _levels(c, ctx: PrimeContext, unit: bool) -> list:
     for n in range(ctx.n_max + 1):
         pn = ctx.p ** n
         s = mpos(repr_mod(c, ctx.p, n), pn)
-        out.append((s, pn, exact((c - s) / pn)))
+        out.append((s, pn, exact(Fraction(c - s, pn))))
     return out
 
 
@@ -152,7 +152,7 @@ def e1_relation_suite(c, ctx: PrimeContext, up_to_level: int, mod_exp: int):
     holds, else its claim followed by the level, point and valuation of its
     first miss.
     """
-    c = Fraction(c)
+    c = exact(c)
     E = make_E1(c, ctx)
     M = make_M(c, ctx)
     d0 = make_dirac([0], ctx)

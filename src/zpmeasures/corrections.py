@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .measures import DiracCombo
-from .padic import Rat, vp
+from .padic import Rat, exact, vp
 
 
 class LinearFormIntegrand:
@@ -42,14 +42,14 @@ class LinearFormIntegrand:
         if len(shape) != len(base) + 1:
             raise ValueError("need r+1 exponents for r variables")
         self.shape, self.base, self.pn = tuple(shape), tuple(base), pn
-        self.lift_first, self.lift_last = lift_first, lift_last
-        self.scale = scale
+        self.lift_first, self.lift_last = exact(lift_first), exact(lift_last)
+        self.scale = exact(scale)
         self.nvars = len(self.base)
 
     @property
     def factor(self) -> Rat:
         """scale / p^(n * sum(shape)), the one division of a box integral."""
-        return Fraction(self.scale) / self.pn ** sum(self.shape)
+        return Fraction(self.scale, self.pn ** sum(self.shape))
 
     def forms(self, point):
         """The unscaled product of the linear forms: an integer at an integer point."""

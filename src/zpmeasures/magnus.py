@@ -441,7 +441,7 @@ def word_coefficient_congruence(g: FreeWord, ns, idx, n: int, m: int, series, be
         raise ValueError("series or measure does not match the monomial")
     p, pn = g.ctx.p, g.ctx.p ** n
     mono = (X,) * ns[0]
-    for ik, nk in zip(idx, ns[1:]):
+    for ik, nk in zip(idx, ns[1:], strict=True):
         mono += (ik,) + (X,) * nk
     lam = series.coeff(mono)
 

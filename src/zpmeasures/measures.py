@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from .padic import PIntegralityError, PrimeContext, Rat, exact, repr_mod, vp
+from .padic import PrimeContext, Rat, exact, repr_mod, vp
 from .record import Frozen, Record
 
 
@@ -125,7 +125,7 @@ def linear_combine(coeffs, mus: list[LevelFamily]) -> LevelFamily:
         if m.ctx != ctx or m.dim != dim:
             raise ValueError("context/dimension mismatch")
     n_max = min(m.n_max for m in mus)
-    pairs = [(c, m) for c, m in zip(map(Fraction, coeffs), mus) if c]
+    pairs = [(c, m) for c, m in zip(map(exact, coeffs), mus, strict=True) if c]
     levels = []  # per level: the common denominator q and [(int weight, numerators)]
     for n in range(n_max + 1):
         parts = [(c, *_numerators(m.tables[n])) for c, m in pairs]
@@ -145,25 +145,22 @@ def pushforward(mu: LevelFamily, perm=None, units=None, shift=None) -> LevelFami
     """Pushforward of mu under x -> y with y_{perm[j]} = units[j] * x_j + shift[j].
 
     perm defaults to the identity, units to all 1 and shift to all 0.  Each
-    unit must have valuation 0 and each shift must be p-integral.  The
-    translation T_c, the scaling m_d (also written mu o d^{-1}) and the
-    signed permutations are all special cases.
+    unit must have valuation 0 and each shift must be p-integral (`repr_mod`
+    refuses one that is not).  The translation T_c, the scaling m_d (also
+    written mu o d^{-1}) and the signed permutations are all special cases.
     """
     m, p = mu.dim, mu.ctx.p
     perm = tuple(range(m)) if perm is None else tuple(perm)
-    units = [Fraction(1)] * m if units is None else [Fraction(u) for u in units]
-    shift = [Fraction(0)] * m if shift is None else [Fraction(c) for c in shift]
-    if sorted(perm) != list(range(m)) or len(units) != m or len(shift) != m:
+    units = [1] * m if units is None else [exact(u) for u in units]
+    shift = [0] * m if shift is None else [exact(c) for c in shift]
+    if sorted(perm) != list(range(m)):
         raise ValueError("map dimension mismatch")
     for u in units:
         if vp(u, p) != 0:
             raise ValueError(f"{u} is not a unit at p = {p}")
-    for c in shift:
-        if vp(c, p) < 0:
-            raise PIntegralityError(f"shift {c} is not p-integral")
     # per level: p^n and, per source coordinate j, (perm[j], u_j^{-1}, c_j) mod p^n
-    levels = [(p ** n, [(k, repr_mod(1 / u, p, n), repr_mod(c, p, n))
-                        for k, u, c in zip(perm, units, shift)])
+    levels = [(p ** n, [(k, repr_mod(Fraction(1, u), p, n), repr_mod(c, p, n))
+                        for k, u, c in zip(perm, units, shift, strict=True)])
               for n in range(mu.n_max + 1)]
 
     def fn(n, a):
@@ -222,6 +219,13 @@ def star_convolution(a: GradedSequence, b: GradedSequence) -> GradedSequence:
     return GradedSequence(tuple(out))
 
 
+def box_of(point, dim: int, p: int, level: int) -> tuple:
+    """The box point + p^level * (Z_p)^dim, named by its residues (`repr_mod`)."""
+    if len(point) != dim:
+        raise ValueError("box base dimension mismatch")
+    return tuple(repr_mod(x, p, level) for x in point)
+
+
 def box_integral(mu: LevelFamily, base, level: int, integrand, eval_level: int):
     """Riemann sum of integrand against mu over the box base + p^level * (Z_p)^dim.
 
@@ -239,15 +243,13 @@ def box_integral(mu: LevelFamily, base, level: int, integrand, eval_level: int):
                          f"not in order within the stored range 0..{mu.n_max}")
     if integrand.nvars != mu.dim:
         raise ValueError("integrand variable count mismatch")
-    if len(base) != mu.dim:
-        raise ValueError("box base dimension mismatch")
-    base = tuple(int(x) % p ** level for x in base)
+    base = box_of(base, mu.dim, p, level)
     m = eval_level - level
     pl, q = p ** level, p ** m
     total = 0
     table = mu.tables[eval_level]
     for ks in itertools.product(range(q), repeat=mu.dim):
-        a = tuple(b + k * pl for b, k in zip(base, ks))
+        a = tuple(b + k * pl for b, k in zip(base, ks, strict=True))
         w = table[a]
         if w:
             total += w * integrand.forms(a)
@@ -337,7 +339,7 @@ def _substitute_T(pt: IwasawaPoly, col, p: int) -> IwasawaPoly:
         total = 0
         gs = []
         for j in itertools.product(*(range(ik + 1) for ik in i)):
-            factor = math.prod(col(k, ik, jk) for k, (ik, jk) in enumerate(zip(i, j)))
+            factor = math.prod(col(k, ik, jk) for k, (ik, jk) in enumerate(zip(i, j, strict=True)))
             if not factor:
                 continue
             total += pt.coefficient(j) * factor
@@ -452,7 +454,7 @@ class DiracCombo(Frozen):
 
     def pushforward_affine(self, e: int, c) -> "DiracCombo":
         """The image under x -> e * x + c in every coordinate, built once per map."""
-        if type(exact(e)) is not int:
+        if type(e) not in (int, Fraction) or e.denominator != 1:
             raise ValueError(f"x -> e * x + c needs an integer e, got e = {e}")
         e, c = exact(e), exact(c)
         key = ("affine", e, c)
@@ -469,8 +471,7 @@ class DiracCombo(Frozen):
         if key not in self._memo:
             index = {}
             for pt, w in self.atoms:
-                box = tuple(repr_mod(x, p, level) for x in pt)
-                index.setdefault(box, []).append((pt, w))
+                index.setdefault(box_of(pt, self.dim, p, level), []).append((pt, w))
             self._memo[key] = index
         return self._memo[key]
 
@@ -478,9 +479,7 @@ class DiracCombo(Frozen):
         """sum w * integrand.forms(v) over the atoms in base + p^level (Z_p)^dim:
         the exact integral of a `corrections.LinearFormIntegrand` over that box
         is integrand.factor times it, a division left to the caller."""
-        if len(base) != self.dim:
-            raise ValueError("box base dimension mismatch")
-        atoms = self.boxes(p, level).get(tuple(int(b) % p ** level for b in base), ())
+        atoms = self.boxes(p, level).get(box_of(base, self.dim, p, level), ())
         return sum(w * integrand.forms(pt) for pt, w in atoms)
 
     def to_level_family(self, ctx: PrimeContext) -> LevelFamily:

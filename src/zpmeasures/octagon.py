@@ -29,7 +29,7 @@ from math import gcd
 
 from .classical import d2_value, e1_value, m_value, mpos, n2_value
 from .magnus import FreeWord, NcSeries, X, accumulate, word_log2
-from .padic import PrimeContext, is_prime
+from .padic import PrimeContext, exact, is_prime
 
 # Symbols are tuples: ('a', i), ('b', i, j), ('g', i).  t is tracked as a
 # separate exponent in each monomial key (t_exp, symbol_tuple).
@@ -59,7 +59,7 @@ class SymPoly:
 
     @classmethod
     def const(cls, c) -> "SymPoly":
-        c = Fraction(c)
+        c = exact(c)
         return cls({(0, ()): c.numerator} if c else {}, c.denominator)
 
     @classmethod
@@ -132,7 +132,8 @@ def _merge(out: dict, den: int, terms: dict, tden: int, mult: int = 1) -> int:
             out[k] *= scale
         den *= scale
     f = mult * (den // tden)
-    accumulate(out, terms.items() if f == 1 else zip(terms, map(f.__mul__, terms.values())))
+    accumulate(out, terms.items() if f == 1 else
+               zip(terms, map(f.__mul__, terms.values()), strict=True))
     return den
 
 

@@ -1,9 +1,10 @@
 """Exact rational arithmetic with p-adic views.
 
-All scalars in this package are exact rationals, `int` or `fractions.Fraction`;
-measure tables keep them in normal form (`exact`).  A "p-adic number" is an
-exact rational inspected through its p-adic valuation and canonical residue
-representatives.  Nothing here is approximate.
+All scalars in this package are exact rationals, `int` or `fractions.Fraction`.
+`exact` is the one gate into that domain: it puts a number in normal form and
+refuses a float or a bool.  A "p-adic number" is an exact rational inspected
+through its p-adic valuation and its residues (`repr_mod`).  Nothing here is
+approximate.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class PrimeContext(Frozen):
 def vp(x, p: int):
     """p-adic valuation of a rational; INF for x = 0."""
     if type(x) not in (int, Fraction):
-        x = Fraction(x)
+        x = exact(x)
     num, den = x.as_integer_ratio()
     if num == 0:
         return INF
@@ -70,6 +71,8 @@ def exact(x):
     if type(x) is int:
         return x
     if type(x) is not Fraction:
+        if isinstance(x, (float, bool)):
+            raise ValueError(f"{x} is a {type(x).__name__}, not an exact rational")
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 
@@ -81,21 +84,22 @@ def repr_mod(c, p: int, n: int) -> int:
     inverted mod p^n, which matters because representatives of values such as
     chi(sigma)^{-1} * a are needed throughout.
     """
-    c = Fraction(c)
     m = p ** n
+    if type(c) is int:
+        return c % m
+    c = exact(c)
     if m == 1:
         return 0
     if c.denominator % p == 0:
         raise PIntegralityError(f"{c} is not p-integral at p = {p}")
-    inv = pow(c.denominator, -1, m)
-    return (c.numerator * inv) % m
+    return c.numerator * pow(c.denominator, -1, m) % m
 
 
 def binom(c, k: int) -> Rat:
     """Generalized binomial coefficient c(c-1)...(c-k+1)/k!."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    c = Fraction(c)
+    c = exact(c)
     out = Fraction(1)
     for j in range(k):
         out *= (c - j)

@@ -33,7 +33,7 @@ class Frozen(Record):
 
     def _init(self, *values):
         """Set the slots, in `__slots__` order; only `__init__` calls this."""
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
 
     def __hash__(self):

@@ -229,6 +229,52 @@ def test_box_index_matches_scan(case, level, data):
     assert fresh == combo and hash(fresh) == hash(combo)
 
 
+
+@settings(max_examples=80, deadline=None)
+@given(case=p_integral_combos(), level=st.integers(0, 2), data=st.data())
+def test_a_rational_base_names_the_box_of_its_residue(case, level, data):
+    # the base is any p-integral rational: an atom moved within its box by
+    # p^level * k/d, or a free int or Fraction
+    p, combo = case
+    dim, pl = combo.dim, p ** level
+    coprime = st.sampled_from([d for d in range(1, 10) if d % p])
+    near = st.builds(lambda pt, k, d: tuple(x + Fraction(pl * k, d) for x in pt),
+                     st.sampled_from([pt for pt, _ in combo.atoms]), st.integers(-5, 5), coprime)
+    coord = st.one_of(st.integers(-30, 30), st.builds(Fraction, st.integers(-30, 30), coprime))
+    base = data.draw(st.one_of(near, st.tuples(*[coord] * dim)))
+    inside = [(pt, w) for pt, w in combo.atoms
+              if all(vp(x - b, p) >= level for x, b in zip(pt, base))]
+    shape = tuple(data.draw(st.lists(st.integers(0, 2), min_size=dim + 1, max_size=dim + 1)))
+    integrand = LinearFormIntegrand(shape, tuple(range(dim)), pl)
+    assert combo.box_sum(base, level, integrand, p) == \
+        sum(w * integrand.forms(pt) for pt, w in inside)
+    # a constant integrand: the box integral of a level table is the box's mass
+    mass = LinearFormIntegrand((0,) * (dim + 1), (0,) * dim, pl)
+    fam = combo.to_level_family(PrimeContext(p, 2))
+    assert box_integral(fam, base, level, mass, 2)[0] == sum(w for _, w in inside)
+    for wrong in (base[:-1], base + (0,)):
+        with pytest.raises(ValueError, match="box base dimension mismatch"):
+            combo.box_sum(wrong, level, integrand, p)
+        with pytest.raises(ValueError, match="box base dimension mismatch"):
+            box_integral(fam, wrong, level, mass, 2)
+
+
+def test_the_base_one_half_at_3_is_the_box_of_2():
+    combo = DiracCombo.make(1, [((2,), 1), ((0,), 5)])
+    fam = combo.to_level_family(PrimeContext(3, 2))
+    mass = LinearFormIntegrand((0, 0), (0,), 3)
+    assert combo.box_sum((Fraction(1, 2),), 1, mass, 3) == 1
+    assert box_integral(fam, (Fraction(1, 2),), 1, mass, 2)[0] == 1
+    for base in [(1.9,), (True,)]:
+        with pytest.raises(ValueError, match=f"{base[0]} is a"):
+            combo.box_sum(base, 1, mass, 3)
+        with pytest.raises(ValueError, match=f"{base[0]} is a"):
+            box_integral(fam, base, 1, mass, 2)
+    with pytest.raises(PIntegralityError):
+        combo.box_sum((Fraction(1, 3),), 1, mass, 3)
+    with pytest.raises(PIntegralityError):
+        box_integral(fam, (Fraction(1, 3),), 1, mass, 2)
+
 def moved_integral(beta, base, shape, p, n, e, c, scale=1):
     """The integral of beta over the box that x -> e*x + c sends onto the box
     at `base`, one scaled Fraction evaluation per atom; a reflection lifts the

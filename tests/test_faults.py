@@ -92,7 +92,7 @@ def wrong_e1(monkeypatch):
     # E_{1,chi}(1) raised by 1: E(1) + E(-1) = 0 fails, so the reflection
     # relation at x = -1 is left as a nonzero constant
     real = octagon.e1_sympoly
-    monkeypatch.setattr(octagon, "e1_sympoly", lambda x, *args: real(x, *args) + (x == 1))
+    monkeypatch.setattr(octagon, "e1_sympoly", lambda x, *args: real(x, *args) + int(x == 1))
 
 
 def odd_measure(monkeypatch):

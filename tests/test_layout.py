@@ -177,3 +177,63 @@ def test_every_src_function_runs_in_the_cli_matrix(tmp_path):
     uncalled = sorted(name for key, name in src_functions(SRC).items() if key not in called)
     assert [name for name in uncalled if name not in REACH_EXEMPT] == []
     assert sorted(REACH_EXEMPT) == uncalled  # an exemption that runs is stale
+
+
+# `padic.exact` is the gate itself; `cli.at_least` is an argparse type, where
+# the CLI's text becomes a count.
+CONVERSION_EXEMPT = {"padic.exact: Fraction(x)", "cli.at_least.bounded: int(text)"}
+
+
+def unguarded_conversions(src: pathlib.Path) -> list:
+    """Every `zip(...)` under `src` without `strict=True`, every `int(...) % m`,
+    and every one-argument `int(` or `Fraction(` (also as `map(int|Fraction, ...)`)
+    applied directly to a parameter of the function it is in: a number from
+    outside becomes a scalar through `padic.exact` and a residue through
+    `padic.repr_mod`, which refuse what these would truncate or approximate."""
+    found = []
+
+    def bad(node, params):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+            left = node.left
+            return isinstance(left, ast.Call) and getattr(left.func, "id", None) == "int"
+        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Name):
+            return False
+        name, args = node.func.id, node.args
+        if name == "zip":
+            return not any(k.arg == "strict" and getattr(k.value, "value", None) is True
+                           for k in node.keywords)
+        if name in ("int", "Fraction") and len(args) == 1 and not node.keywords:
+            return isinstance(args[0], ast.Name) and args[0].id in params
+        return (name == "map" and len(args) == 2 and getattr(args[0], "id", None) in
+                ("int", "Fraction") and getattr(args[1], "id", None) in params)
+
+    def visit(node, where, params):
+        for child in ast.iter_child_nodes(node):
+            here, names = where, params
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                here, names = f"{where}.{child.name}", set()
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = child.args
+                names = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+            if bad(child, params):
+                found.append(f"{where}: {ast.unparse(child)}")
+            visit(child, here, names)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem, set())
+    return sorted(found)
+
+
+def test_the_conversion_guard_flags_each_spelling(tmp_path):
+    (tmp_path / "sample.py").write_text(
+        "def f(x, ys, p):\n"
+        "    a = [int(y) % p for y in ys] + [Fraction(x), Fraction(x, 2), int(p + 1)]\n"
+        "    b = list(map(Fraction, ys)) + list(zip(ys, ys)) + list(zip(ys, ys, strict=True))\n"
+        "    return lambda z: int(z)\n")
+    assert unguarded_conversions(tmp_path) == [
+        "sample.f: Fraction(x)", "sample.f: int(y) % p", "sample.f: int(z)",
+        "sample.f: map(Fraction, ys)", "sample.f: zip(ys, ys)"]
+
+
+def test_every_src_conversion_goes_through_padic():
+    assert unguarded_conversions(SRC) == sorted(CONVERSION_EXEMPT)

@@ -96,6 +96,36 @@ def test_scale_translate_composition():
     assert pushforward(mu, units=[2], shift=[6]).tables == lhs.tables
 
 
+# Each door into the exact domain, as a call with one scalar put in from outside.
+COMBO = DiracCombo.make(1, [((2,), 1), ((0,), 5)])
+FAM, ONE = COMBO.to_level_family(CTX), LinearFormIntegrand((0, 0), (0,), 3)
+DOORS = {
+    "box_sum base": lambda x: COMBO.box_sum((x,), 1, ONE, 3),
+    "box_integral base": lambda x: box_integral(FAM, (x,), 1, ONE, 2),
+    "linear_combine coefficient": lambda x: linear_combine([1, x], [FAM, FAM]),
+    "pushforward unit": lambda x: pushforward(FAM, units=[x]),
+    "pushforward shift": lambda x: pushforward(FAM, shift=[x]),
+    "DiracCombo point": lambda x: DiracCombo.make(1, [((x,), 1)]),
+    "DiracCombo coefficient": lambda x: DiracCombo.make(1, [((1,), x)]),
+    "make_M c": lambda x: make_M(x, CTX),
+    "make_E1 c": lambda x: make_E1(x, CTX),
+    "make_N2 c": lambda x: make_N2(x, CTX),
+    "integrand scale": lambda x: LinearFormIntegrand((0, 0), (0,), 3, scale=x),
+    "integrand lift": lambda x: LinearFormIntegrand((1, 0), (0,), 3, 0, x),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.one_of(st.floats(), st.booleans()), door=st.sampled_from(sorted(DOORS)))
+@example(x=2.0, door="make_M c")
+@example(x=True, door="linear_combine coefficient")
+def test_floats_and_bools_are_refused_at_every_door(x, door):
+    # Fraction(x) would take 1.9 as 4278419646001971/2251799813685248, and
+    # True as 1
+    with pytest.raises(ValueError, match=re.escape(f"{x} is a {type(x).__name__}, not an exact")):
+        DOORS[door](x)
+
+
 @pytest.mark.parametrize("e", [Fraction(1, 2), 1.9, Fraction(-5, 3)])
 def test_pushforward_affine_refuses_a_non_integer_e(e):
     # int(e) would move the atom at 3 to 0 (e = 1/2) or keep it (e = 1.9)
