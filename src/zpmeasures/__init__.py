@@ -3,11 +3,10 @@ symbolic octagonal-relation verifier."""
 
 from .padic import (INF, PIntegralityError, PrimeContext, Rat, bernoulli,
                     binom, exact, repr_mod, vp)
-from .measures import (DiracCombo, GradedSequence, IwasawaPoly, LevelFamily,
-                       box_integral, exterior_product,
-                       iwasawa_P, linear_combine, measures_equal, pushforward,
-                       signed_group, star_convolution,
-                       transform_F, transform_F_via_P, validate_distribution)
+from .measures import (DiracCombo, IwasawaPoly, LevelFamily, box_integral,
+                       exterior_product, iwasawa_P, linear_combine, measures_equal,
+                       pushforward, signed_group, star_convolution, transform_F,
+                       transform_F_via_P, validate_distribution)
 from .classical import (e1_relation_suite, make_D2, make_E1, make_M, make_N2,
                         make_dirac)
 from .magnus import (FreeWord, NcSeries, WordSyntaxError, beta_measures,

@@ -136,7 +136,7 @@ def make_D2(word: FreeWord) -> LevelFamily:
 # Relation suite for E_{1,c}
 
 
-def e1_relation_suite(c, ctx: PrimeContext, up_to_level: int, mod_exp: int):
+def e1_relation_suite(c, ctx: PrimeContext, mod_exp: int):
     """The three checkable relations tying E_{1,c} to M(c) and Dirac masses.
 
     i)  E + E o(-1) = (c-1) delta_0            (exact)
@@ -148,9 +148,9 @@ def e1_relation_suite(c, ctx: PrimeContext, up_to_level: int, mod_exp: int):
     analogue of i/ii with alpha(sigma) in place of E) is an external input;
     it is checked symbolically in the octagon module, not here.
 
-    Returns a list of (name, miss) pairs: miss is None when the relation
-    holds, else its claim followed by the level, point and valuation of its
-    first miss.
+    Each relation is checked at every level of ctx.  Returns a list of
+    (name, miss) pairs: miss is None when the relation holds, else its claim
+    followed by the level, point and valuation of its first miss.
     """
     c = exact(c)
     E = make_E1(c, ctx)
@@ -160,7 +160,7 @@ def e1_relation_suite(c, ctx: PrimeContext, up_to_level: int, mod_exp: int):
     Em = pushforward(E, units=[-1])
     TcE = pushforward(E, shift=[c])
     TcEm = pushforward(E, units=[-1], shift=[c])
-    zero, level = LevelFamily.zero(ctx, 1), min(up_to_level, E.n_max)
+    zero = LevelFamily.zero(ctx, 1)
     relations = (
         ("reflection", linear_combine([1, 1, -(c - 1)], [E, Em, d0]), INF,
          "E + E o(-1) - (c-1) delta_0 == 0 exactly"),
@@ -173,6 +173,6 @@ def e1_relation_suite(c, ctx: PrimeContext, up_to_level: int, mod_exp: int):
     )
     checks = []
     for name, rel, exp, claim in relations:
-        miss = measures_equal(rel, zero, level, exp)
+        miss = measures_equal(rel, zero, exp)
         checks.append((name, miss and f"{claim}; {pinpoint(miss, ctx.p)}"))
     return checks

@@ -21,6 +21,17 @@ from .suites import SUITES, RunConfig, run_suite
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 
+# verify option -> (what it sets, the suites that read it); any other use exits 2
+VERIFY_READERS = {
+    "--n": ("sets the octagon level", ("octagon",)),
+    "--sigma-rep": ("sets the octagon residue", ("octagon", "all")),
+    "--nmax": ("sets the deepest level", ("measures", "transforms", "magnus", "octagon", "all")),
+    "--degree": ("sets the series degree", ("magnus", "all")),
+    "--terms": ("sets the transform terms", ("transforms", "all")),
+    "--mod-exp": ("sets the congruence exponent", ("measures", "all")),
+    "--seed": ("seeds the random data", ("measures", "transforms", "magnus", "corrections", "all")),
+}
+
 
 def at_least(low: int):
     """argparse type for counts, levels and degrees: an int >= low."""
@@ -38,17 +49,19 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="exact p-adic measure and octagon checks")
     sub = ap.add_subparsers(dest="command")
 
-    v = sub.add_parser("verify", help="run a verification suite")
+    # an option the user leaves out is not set: RunConfig holds every default
+    v = sub.add_parser("verify", help="run a verification suite",
+                       argument_default=argparse.SUPPRESS)
     v.add_argument("suite", choices=SUITES)
-    v.add_argument("--p", type=int, default=3)
-    v.add_argument("--nmax", type=int, default=3)
-    v.add_argument("--n", type=int, default=None, help="octagon suite only: level (default --nmax)")
-    v.add_argument("--sigma-rep", type=int, default=None)
+    v.add_argument("--p", type=int)
+    v.add_argument("--nmax", type=int)
+    v.add_argument("--n", type=int, help="octagon suite only: level (default --nmax)")
+    v.add_argument("--sigma-rep", type=int)
     # the magnus suite multiplies pairs of letters, so degree 1 truncates them away
-    v.add_argument("--degree", type=at_least(2), default=3)
-    v.add_argument("--terms", type=at_least(0), default=6)
-    v.add_argument("--mod-exp", type=at_least(1), default=3)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--degree", type=at_least(2))
+    v.add_argument("--terms", type=at_least(0))
+    v.add_argument("--mod-exp", type=at_least(1))
+    v.add_argument("--seed", type=int)
     v.add_argument("--format", choices=("text", "json", "csv"), default="text")
     v.add_argument("--out", default=None)
     v.add_argument("--tamper", action="store_true", help="inject one fault (test hook)")
@@ -112,16 +125,18 @@ def _build_measure(args, ctx: PrimeContext):
 
 
 def cmd_verify(args) -> int:
-    n_max = args.nmax if args.n is None else args.n
+    given = vars(args)  # the options the user gave, and suite, format, out
     try:
-        if args.n is not None and args.suite != "octagon":
-            raise ValueError("--n sets the octagon level and applies to the octagon suite only")
-        if args.sigma_rep is not None and args.suite not in ("octagon", "all"):
-            raise ValueError("--sigma-rep sets the octagon residue and applies to "
-                             "the octagon suite and all only")
-        cfg = RunConfig(p=args.p, n_max=n_max, degree=args.degree,
-                        mod_exp=args.mod_exp, seed=args.seed, suite=args.suite,
-                        sigma_rep=args.sigma_rep, terms=args.terms, tamper=args.tamper)
+        for flag, (what, readers) in VERIFY_READERS.items():
+            if flag[2:].replace("-", "_") in given and args.suite not in readers:
+                *head, last = [s for s in readers if s != "all"]
+                listed = f"{', '.join(head)} and {last} suites" if head else f"{last} suite"
+                tail = " and all" if "all" in readers else ""
+                raise ValueError(f"{flag} {what} and applies to the {listed}{tail} only")
+        fields = {k: v for k, v in given.items() if k in RunConfig._fields}
+        if "n" in given or "nmax" in given:  # --n, when given, is the octagon's level
+            fields["n_max"] = given.get("n", given.get("nmax"))
+        cfg = RunConfig(**fields)
         cfg.ctx()  # validate p, bounds
         if cfg.sigma_rep is not None:
             octagon.check_config(cfg.p, cfg.n_max, cfg.sigma_rep)

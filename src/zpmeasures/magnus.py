@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 
 from .corrections import LinearFormIntegrand
-from .measures import GradedSequence, LevelFamily, _numerators, box_integral
+from .measures import LevelFamily, _numerators, box_integral
 from .padic import PrimeContext, Rat, vp
 from .record import Frozen, Record
 
@@ -407,7 +407,8 @@ def word_tower(g: FreeWord, degrees) -> tuple:
     return tuple(embed_E(project_word(g, n), d) for n, d in enumerate(degrees))
 
 
-def beta_measures(g: FreeWord, r: int, ctx: PrimeContext, tower) -> LevelFamily:
+# perfbench/tracer.py reads the positional args[0], args[1] as the word and the rank
+def beta_measures(g: FreeWord, r: int, tower) -> LevelFamily:
     """The dimension-r measure read off the X-free coefficients of the word.
 
     `tower` is the word's `word_tower`, of degree >= r at every level.
@@ -416,20 +417,16 @@ def beta_measures(g: FreeWord, r: int, ctx: PrimeContext, tower) -> LevelFamily:
         raise ValueError("word is not in the kernel (nonzero x-exponent)")
     if len(tower) != g.level + 1 or any(s.degree < r for s in tower):
         raise ValueError(f"need the word's series at levels 0..{g.level}, degree >= {r}")
-    return LevelFamily.build(ctx, r, lambda n, a: tower[n].coeff(a), g.level)
+    return LevelFamily.build(g.ctx, r, lambda n, a: tower[n].coeff(a), g.level)
 
 
-def graded_beta(g: FreeWord, ctx: PrimeContext, top: int, tower):
-    return GradedSequence(tuple(beta_measures(g, r, ctx, tower) for r in range(top + 1)))
-
-
-def word_coefficient_congruence(g: FreeWord, ns, idx, n: int, m: int, series, beta_r):
+def word_coefficient_congruence(ns, idx, m: int, series, beta_r):
     """Compare a series coefficient with its box-integral expression.
 
     ns = (n_0, ..., n_r) are the X-block sizes, idx = (i_1, ..., i_r) the
     Y indices of the monomial X^{n_0} Y_{i_1} X^{n_1} ... Y_{i_r} X^{n_r}
-    at level n.  `series` is the word's level-n series, of degree >= r +
-    sum(ns), and `beta_r` its dimension-r measure.  Returns (achieved,
+    at the level n of `series`, the word's level-n series, of degree >= r +
+    sum(ns); `beta_r` is its dimension-r measure.  Returns (achieved,
     guaranteed): the valuation of the coefficient minus its Riemann sum at
     level n + m, and the exponent the box integral guarantees; the
     congruence holds when achieved >= guaranteed.
@@ -437,15 +434,15 @@ def word_coefficient_congruence(g: FreeWord, ns, idx, n: int, m: int, series, be
     r = len(idx)
     if len(ns) != r + 1:
         raise ValueError("need r+1 X-block sizes for r Y-letters")
-    if series.level != n or series.degree < r + sum(ns) or beta_r.dim != r:
+    if series.degree < r + sum(ns) or beta_r.dim != r:
         raise ValueError("series or measure does not match the monomial")
-    p, pn = g.ctx.p, g.ctx.p ** n
+    p, n = series.ctx.p, series.level
     mono = (X,) * ns[0]
     for ik, nk in zip(idx, ns[1:], strict=True):
         mono += (ik,) + (X,) * nk
     lam = series.coeff(mono)
 
     integrand = LinearFormIntegrand(
-        ns, idx, pn, scale=Fraction(1, math.prod(math.factorial(k) for k in ns)))
+        ns, idx, p ** n, scale=Fraction(1, math.prod(math.factorial(k) for k in ns)))
     value, guaranteed = box_integral(beta_r, idx, n, integrand, n + m)
     return vp(lam - value, p), guaranteed

@@ -190,33 +190,12 @@ def exterior_product(alpha: LevelFamily, beta: LevelFamily) -> LevelFamily:
     return LevelFamily.build(alpha.ctx, alpha.dim + beta.dim, fn, n_max)
 
 
-class GradedSequence(Frozen):
-    """A finite list (mu_0, mu_1, ..., mu_M), mu_i of dimension i."""
-
-    __slots__ = _fields = ("entries",)
-
-    def __init__(self, entries: tuple):
-        for i, mu in enumerate(entries):
-            if mu.dim != i:
-                raise ValueError("entry dimensions must be 0, 1, 2, ...")
-        self._init(entries)
-
-    @property
-    def top(self) -> int:
-        return len(self.entries) - 1
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-
-def star_convolution(a: GradedSequence, b: GradedSequence) -> GradedSequence:
-    """Degreewise sum of exterior products: c_i = sum_{j+k=i} a_j . b_k."""
-    top = min(a.top, b.top)
-    out = []
-    for i in range(top + 1):
-        parts = [exterior_product(a[j], b[i - j]) for j in range(i + 1)]
-        out.append(linear_combine([1] * len(parts), parts))
-    return GradedSequence(tuple(out))
+def star_convolution(a: tuple, b: tuple) -> tuple:
+    """The star product of graded tuples (mu_0, mu_1, ...), entry i of
+    dimension i: c_i = sum_{j+k=i} a_j . b_k, as long as the shorter input."""
+    return tuple(linear_combine([1] * (i + 1), [exterior_product(a[j], b[i - j])
+                                                for j in range(i + 1)])
+                 for i in range(min(len(a), len(b))))
 
 
 def box_of(point, dim: int, p: int, level: int) -> tuple:
@@ -398,20 +377,17 @@ def iwasawa_tensor(a: IwasawaPoly, b: IwasawaPoly) -> IwasawaPoly:
     return IwasawaPoly(a.dim + b.dim, terms, coeffs, guars)
 
 
-def measures_equal(mu: LevelFamily, nu: LevelFamily, up_to_level: int,
-                   mod_exp) -> tuple | None:
-    """None iff vp(mu - nu) >= mod_exp at every point of every level <= up_to_level.
+def measures_equal(mu: LevelFamily, nu: LevelFamily, mod_exp) -> tuple | None:
+    """None iff vp(mu - nu) >= mod_exp at every point of every level that
+    both tables store, 0..min(mu.n_max, nu.n_max).
 
     Pass mod_exp = INF for exact equality.  Otherwise the first miss
     (level, point, defect), the defect being the difference mu - nu there.
     """
     if mu.ctx != nu.ctx or mu.dim != nu.dim:
         raise ValueError("context/dimension mismatch")
-    top = min(mu.n_max, nu.n_max)
-    if not 0 <= up_to_level <= top:
-        raise ValueError(f"level {up_to_level} out of stored range 0..{top}")
     p = mu.ctx.p
-    for n in range(up_to_level + 1):
+    for n in range(min(mu.n_max, nu.n_max) + 1):
         for a, v in mu.tables[n].items():
             diff = v - nu.tables[n][a]
             if vp(diff, p) < mod_exp:

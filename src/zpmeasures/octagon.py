@@ -350,14 +350,16 @@ def residue_free_factors(p: int, n: int) -> dict:
     return factors
 
 
-def build_factors(p: int, n: int, s: int, shared: dict) -> dict:
-    """The nine factors at (p, n, s) and D·C; `shared`: `residue_free_factors(p, n)`."""
-    return {name: shared[name] if name in shared else build_factor(name, p, n, s)
+def build_factors(s: int, shared: dict) -> dict:
+    """The nine factors at residue s and D·C; `shared`: `residue_free_factors(p, n)`."""
+    A = shared["A"]
+    return {name: shared[name] if name in shared else build_factor(name, A.ctx.p, A.level, s)
             for name in FACTOR_ORDER}
 
 
+# perfbench/tracer.py keys a residue by the positional args[:3], (p, n, s)
 def octagon_product(p: int, n: int, s: int, factors: dict) -> NcSeries:
-    """The product J·H·G·F·E·D·C·B·A of the `build_factors(p, n, s)`, past degree 2."""
+    """The product J·H·G·F·E·D·C·B·A of the `build_factors(s, shared)`, past degree 2."""
     check_config(p, n, s)
     out = unit_series(p, n)
     for name in PRODUCT_ORDER:
@@ -424,11 +426,12 @@ def reduce(poly: SymPoly, mapping: dict, images: dict) -> SymPoly:
 # The degree-2 identity between named measures
 
 
-def degree2_displays(p: int, n: int, s: int, prod: NcSeries) -> dict:
+def degree2_displays(s: int, prod: NcSeries) -> dict:
     """The named-measure display of the degree-2 symmetry minus the Y_a Y_b
-    coefficient of `prod`, at every point (a, b) of level n.  What depends on
-    the residue or on a alone is built once, and D2 is tabulated once, then
+    coefficient of `prod`, at every point (a, b) of its level n.  What depends
+    on the residue or on a alone is built once, and D2 is tabulated once, then
     read at (a, b) and at (a - s, b - s)."""
+    p, n = prod.ctx.p, prod.level
     width = p ** n
     one_m_chi = ONE - chi_sympoly(p, n, s)
     t = SymPoly.t()
@@ -474,49 +477,53 @@ def _rows(residuals: dict) -> list:
     return [{"a": a, "b": b, "poly": str(r)} for (a, b), r in sorted(residuals.items())]
 
 
-def degree2_symmetry_check(p: int, n: int, s: int, prod: NcSeries) -> tuple:
+def degree2_symmetry_check(s: int, prod: NcSeries) -> tuple:
     """Match the named-measure display against the product's Y_a Y_b
     coefficients modulo the reflection ideal.
 
-    `prod` is the octagon product at (p, n, s), as built by the caller with
-    `octagon_product` (a negative control passes a tampered one).  Both of
-    its degrees are reduced by the one `reflection_map` and one image memo:
-    each degree-1 coefficient must reduce to 0, and each Y_a Y_b
-    coefficient must reduce to its display.  The degree-1 relations join
-    nothing, so a degree-1 fault leaves the degree-2 residuals as they were.
+    `prod` is the octagon product at residue s, of prime p and level n, as
+    built by the caller with `octagon_product` (a negative control passes a
+    tampered one).  Both of its degrees are reduced by the one
+    `reflection_map` and one image memo: each degree-1 coefficient must
+    reduce to 0, and each Y_a Y_b coefficient must reduce to its display.
+    The degree-1 relations join nothing, so a degree-1 fault leaves the
+    degree-2 residuals as they were.
 
-    Returns (deg1_miss, miss, report).  `deg1_miss` names the first Y indices
-    whose degree-1 relation does not reduce to 0, or is None.  `miss` is the
-    first of: the points x whose reflection relation does not reduce to 0,
-    its constant E_{1,chi}(x) + E_{1,chi}(-x) or E_{1,chi}(0) + (1 - chi)/2
-    being nonzero (`reflection: nonzero at [x, ...]`), and the points whose
-    residual survives (`nonzero at [(a, b), ...]`); None when nothing
-    misses.  `report` is the JSON artifact: residuals in full (all zero on
+    Returns (x_miss, deg1_miss, miss, report), each miss None when its line
+    holds.  `x_miss` is `X coefficient c` for a nonzero X coefficient c;
+    `deg1_miss` names the first Y indices whose degree-1 relation does not
+    reduce to 0; `miss` is the first of: the points x whose reflection
+    relation does not reduce to 0, its constant E_{1,chi}(x) + E_{1,chi}(-x)
+    or E_{1,chi}(0) + (1 - chi)/2 being nonzero (`reflection: nonzero at
+    [x, ...]`), and the points whose residual survives (`nonzero at
+    [(a, b), ...]`).  `report` is the JSON artifact: `x_coeff_zero` and
+    `passed`, read from the three misses, residuals in full (all zero on
     success), the size of the map, an always empty `extra_relations_used`,
     and for s = 1 the chi = 1 rows, the t = 0 image of the residuals: at
     c = 1 every E_{1,c}, M and N2 term of the display and 1 - chi vanish, and
     t = 0 commutes with the substitution, which never maps t, so these rows
-    vanish whenever the residuals do.  Its `passed` also needs the product's
-    X coefficient to be 0 and `deg1_miss` to be None.
+    vanish whenever the residuals do.
     """
+    p, n = prod.ctx.p, prod.level
+    x_coeff = prod.coeff((X,))
+    x_miss = f"X coefficient {x_coeff}" if x_coeff else None
     mapping, images = reflection_map(p, n, s), {}
     left = [i for i, rel in enumerate(deg1_relations(prod)) if reduce(rel, mapping, images)]
     deg1_miss = f"nonzero at {left[:3]}" if left else None
     wrong = [x for x, rel in enumerate(reflection_relations(p, n, s))
              if reduce(rel, mapping, images)]
     residuals = {k: reduce(res, mapping, images)
-                 for k, res in degree2_displays(p, n, s, prod).items()}
+                 for k, res in degree2_displays(s, prod).items()}
     nonzero = [k for k, r in residuals.items() if r]
     miss = (f"reflection: nonzero at {wrong[:3]}" if wrong
             else f"nonzero at {nonzero[:3]}" if nonzero else None)
-    x_coeff_zero = not prod.coeff((X,))
-    report = {"config": {"p": p, "n": n, "s": s}, "x_coeff_zero": x_coeff_zero,
+    report = {"config": {"p": p, "n": n, "s": s}, "x_coeff_zero": x_miss is None,
               "deg1_rank": len(mapping), "residuals": _rows(residuals),
               "extra_relations_used": [],
-              "passed": x_coeff_zero and deg1_miss is None and miss is None}
+              "passed": x_miss is None and deg1_miss is None and miss is None}
     if s == 1:
         report["chi1_residuals"] = _rows({k: r.at_t0() for k, r in residuals.items()})
-    return deg1_miss, miss, report
+    return x_miss, deg1_miss, miss, report
 
 
 # ---------------------------------------------------------------------------
@@ -579,15 +586,14 @@ def substitution_images(name: str, p: int, n: int, s: int) -> dict:
     raise ValueError("only C, E and G are re-derived from substitutions")
 
 
-def derive_factor_by_subst(name: str, p: int, n: int, s: int, A: NcSeries,
-                           factor: NcSeries) -> dict:
-    """Substitute the logs of the name's generator images into factor A's display
-    `A`, giving A∘φ, and compare with the display F = `factor` term by term:
-    E's display must equal A∘φ, and C's and G's must invert it, (A∘φ)·F = 1.
-    Returns the coefficients of A∘φ - F for E, of (A∘φ)·F - 1 for C and G;
-    empty when they agree."""
-    images = substitution_images(name, p, n, s)
+def derive_factor_by_subst(name: str, s: int, A: NcSeries, factor: NcSeries) -> dict:
+    """Substitute the logs of the name's generator images at residue s (and
+    A's prime and level) into factor A's display `A`, giving A∘φ, and compare
+    with the display F = `factor` term by term: E's display must equal A∘φ,
+    and C's and G's must invert it, (A∘φ)·F = 1.  Returns the coefficients of
+    A∘φ - F for E, of (A∘φ)·F - 1 for C and G; empty when they agree."""
+    images = substitution_images(name, A.ctx.p, A.level, s)
     result = A.substitute({gen: word_log2(word) for gen, word in images.items()})
     if name in ("C", "G"):
-        result, factor = result * factor, unit_series(p, n)
+        result, factor = result * factor, unit_series(A.ctx.p, A.level)
     return {} if result.coeffs == factor.coeffs else (result + factor.scaled(-1)).coeffs

@@ -172,19 +172,18 @@ def measures_suite(cfg: RunConfig) -> SuiteReport:
                 f"level={miss[0]} point={miss[1]} defect={miss[2]}")
 
     for c in units:
-        for nm, miss in classical.e1_relation_suite(c, ctx, cfg.n_max, cfg.mod_exp):
+        for nm, miss in classical.e1_relation_suite(c, ctx, cfg.mod_exp):
             rep.add(f"e1-relations:{nm}:c={c}", miss)
 
     if cfg.p >= 5:
         c = units[0]
-        sym_level = min(cfg.n_max, 2)
         rho, beta2 = _rho_and_beta2(rng, cfg, c)
         group = list(signed_group(2))
         lhs = linear_combine([eps[0] * eps[1] for _, eps in group],
                              [pushforward(beta2, perm, eps) for perm, eps in group])
         rhs = exterior_product(rho, rho)
-        miss = measures_equal(lhs, rhs, sym_level, cfg.mod_exp)
-        claim = f"group sum vs square, level {sym_level} mod p^{cfg.mod_exp}"
+        miss = measures_equal(lhs, rhs, cfg.mod_exp)
+        claim = f"group sum vs square, level {lhs.n_max} mod p^{cfg.mod_exp}"
         rep.add(f"signed-symmetrization:c={c}", miss and f"{claim}; {pinpoint(miss, cfg.p)}",
                 claim)
     return rep
@@ -286,7 +285,7 @@ def magnus_suite(cfg: RunConfig) -> SuiteReport:
         rep.add(f"lie:word{w_i}", None if magnus.log_lie_check(s) else
                 "log fails Dynkin-Specht-Wever: not a Lie series")
 
-        betas.append(magnus.graded_beta(g, ctx, 2, towers[w_i]))
+        betas.append(tuple(magnus.beta_measures(g, r, towers[w_i]) for r in range(3)))
         for r in (1, 2):
             miss = validate_distribution(betas[w_i][r])
             rep.add(f"beta-distribution:word{w_i}:r={r}", miss and pinpoint(miss, cfg.p))
@@ -300,7 +299,8 @@ def magnus_suite(cfg: RunConfig) -> SuiteReport:
 
     g = words[0]
     gh = g * words[1]
-    C = magnus.graded_beta(gh, ctx, 2, magnus.word_tower(gh, [2] * (level + 1)))
+    gh_tower = magnus.word_tower(gh, [2] * (level + 1))
+    C = tuple(magnus.beta_measures(gh, r, gh_tower) for r in range(3))
     S = star_convolution(betas[0], betas[1])
     claim = "graded product vs word product"
     rep.add("star-identity", next((f"{claim}: degree {i} differs" for i in range(3)
@@ -314,7 +314,7 @@ def magnus_suite(cfg: RunConfig) -> SuiteReport:
                                      if t2[a] + t2[a[::-1]] != t1[a[:1]] * t1[a[1:]]), None),
             claim)
 
-    results = ((shape, i, *magnus.word_coefficient_congruence(g, shape, (i,), n_box, 1,
+    results = ((shape, i, *magnus.word_coefficient_congruence(shape, (i,), 1,
                                                               towers[0][n_box], b1))
                for shape in shapes for i in range(ctx.p ** n_box))
     rep.add("coefficient-congruence", next(
@@ -326,26 +326,22 @@ def magnus_suite(cfg: RunConfig) -> SuiteReport:
 def octagon_suite(cfg: RunConfig) -> SuiteReport:
     p, n = cfg.p, cfg.n_max
     rep = SuiteReport("octagon", {"p": p, "n": n, "sigma_rep": cfg.sigma_rep})
-    if cfg.sigma_rep is not None:
-        reps = [cfg.sigma_rep]
-    else:
-        reps = [s for s in range(1, p ** n) if s % p]
+    reps = [cfg.sigma_rep] if cfg.sigma_rep is not None else [s for s in range(1, p ** n) if s % p]
     shared = octagon.residue_free_factors(p, n)
     # C does not depend on s: its one re-derivation is reported at every residue
-    derived = {"C": octagon.derive_factor_by_subst("C", p, n, reps[0], shared["A"], shared["C"])}
+    derived = {"C": octagon.derive_factor_by_subst("C", reps[0], shared["A"], shared["C"])}
     for s in reps:
-        factors = octagon.build_factors(p, n, s, shared)
+        factors = octagon.build_factors(s, shared)
         prod = octagon.octagon_product(p, n, s, factors)
         if cfg.tamper:
             prod.add_term((0, 0), octagon.SymPoly.const(1))
-        deg1_miss, miss, report = octagon.degree2_symmetry_check(p, n, s, prod)
-        x_coeff = prod.coeff((magnus.X,))
-        rep.add(f"x-coefficient:s={s}", f"X coefficient {x_coeff}" if x_coeff else None)
+        x_miss, deg1_miss, miss, report = octagon.degree2_symmetry_check(s, prod)
+        rep.add(f"x-coefficient:s={s}", x_miss)
         rep.add(f"deg1-from-reflection:s={s}", deg1_miss)
         rep.add(f"degree2-residuals:s={s}", miss, "extra_relations=[]")
         rep.artifacts.append(report)
         for name in "EG":
-            derived[name] = octagon.derive_factor_by_subst(name, p, n, s, shared["A"], factors[name])
+            derived[name] = octagon.derive_factor_by_subst(name, s, shared["A"], factors[name])
         for name, diff in derived.items():
             rep.add(f"substitution-derivation:{name}:s={s}",
                     str(sorted((m, str(c)) for m, c in diff.items())[:2]) if diff else None)

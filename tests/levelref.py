@@ -19,7 +19,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from fractions import Fraction
 
-from zpmeasures.measures import GradedSequence, LevelFamily, residues
+from zpmeasures.measures import LevelFamily, residues
 from zpmeasures.padic import PrimeContext, vp
 
 
@@ -63,12 +63,12 @@ def normal_form(v) -> bool:
     return type(v) is int or (type(v) is Fraction and v.denominator > 1)
 
 
-def unit_sequence(ctx: PrimeContext, top: int) -> GradedSequence:
+def unit_sequence(ctx: PrimeContext, top: int) -> tuple:
     """(1, 0, 0, ...): the two-sided identity for the star product."""
     entries = [LevelFamily.build(ctx, 0, lambda n, a: 1)]
     for i in range(1, top + 1):
         entries.append(LevelFamily.zero(ctx, i))
-    return GradedSequence(tuple(entries))
+    return tuple(entries)
 
 
 def is_zero(mu: LevelFamily) -> bool:

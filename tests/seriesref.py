@@ -82,7 +82,7 @@ def exp_transform_roundtrip(g, r: int, terms: int):
     """
     ctx = g.ctx
     tower = word_tower(g, [r + terms] + [r] * g.level)
-    beta_r = beta_measures(g, r, ctx, tower)
+    beta_r = beta_measures(g, r, tower)
     route_a = transform_F(beta_r, terms, g.level)
 
     s0 = tower[0]

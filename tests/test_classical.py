@@ -137,12 +137,12 @@ def test_e1_relation_suite_passes():
                 cs.append(c)
         cs.append(-2)
         for c in cs:
-            checks = e1_relation_suite(c, ctx, 3, 3)
+            checks = e1_relation_suite(c, ctx, 3)
             assert [miss for _, miss in checks] == [None] * 3, (p, c, checks)
 
 
 def test_e1_relation_suite_degenerate():
-    checks = e1_relation_suite(1, CTX, 3, 3)
+    checks = e1_relation_suite(1, CTX, 3)
     assert [miss for _, miss in checks] == [None] * 3
 
 
@@ -157,7 +157,7 @@ def test_failed_e1_relation_names_level_point_valuation(monkeypatch):
         return LevelFamily(ctx, 1, tuple(tables), mu.denom_bound)
 
     monkeypatch.setattr(classical, "make_M", perturbed)
-    checks = dict(e1_relation_suite(7, CTX, 3, 3))
+    checks = dict(e1_relation_suite(7, CTX, 3))
     assert checks["reflection"] is None
     for name in ("translation", "translated-reflection"):
         assert checks[name].endswith(" == 0 mod p^3; level=2 point=(1,) valuation=1")

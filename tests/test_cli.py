@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import shlex
@@ -246,6 +247,66 @@ def test_octagon_level_rejected_outside_the_octagon_suite(suite, monkeypatch, ca
     out, err = capsys.readouterr()
     assert ran == [] and out == ""
     assert "--n sets the octagon level" in err
+
+
+# the suites that read each verify option; any other use exits 2
+READ_BY = {
+    "--p": set(suites.SUITES),
+    "--nmax": {"measures", "transforms", "magnus", "octagon", "all"},
+    "--n": {"octagon"},
+    "--sigma-rep": {"octagon", "all"},
+    "--degree": {"magnus", "all"},
+    "--terms": {"transforms", "all"},
+    "--mod-exp": {"measures", "all"},
+    "--seed": {"measures", "transforms", "magnus", "corrections", "all"},
+    "--tamper": set(suites.SUITES),
+}
+# option -> (the words after it, the RunConfig field it sets, the value it sets)
+GIVEN = {
+    "--p": (["5"], "p", 5),
+    "--nmax": (["2"], "n_max", 2),
+    "--n": (["2"], "n_max", 2),
+    "--sigma-rep": (["2"], "sigma_rep", 2),
+    "--degree": (["4"], "degree", 4),
+    "--terms": (["4"], "terms", 4),
+    "--mod-exp": (["4"], "mod_exp", 4),
+    "--seed": (["5"], "seed", 5),
+    "--tamper": ([], "tamper", True),
+}
+
+
+@pytest.mark.parametrize("suite, option", list(itertools.product(suites.SUITES, GIVEN)))
+def test_a_verify_option_reaches_the_config_or_is_refused(suite, option, monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: ran.append(cfg) or [])
+    words, field, value = GIVEN[option]
+    code = run(["verify", suite, option, *words])
+    out, err = capsys.readouterr()
+    if suite in READ_BY[option]:
+        assert code == EXIT_OK and err == ""
+        assert ran == [RunConfig(suite=suite, **{field: value})]
+    else:  # an option the suite never reads would be dropped in silence
+        assert code == EXIT_USAGE and ran == [] and out == ""
+        assert err.startswith(f"invalid input: {option} ") and err.endswith(" only\n")
+
+
+@pytest.mark.parametrize("suite", suites.SUITES)
+def test_verify_with_no_options_runs_the_config_defaults(suite, monkeypatch):
+    # the parser sets no RunConfig field the user left out: RunConfig holds every default
+    args = cli.build_parser().parse_args(["verify", suite])
+    assert set(vars(args)) & set(RunConfig._fields) == {"suite"}
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: ran.append(cfg) or [])
+    assert run(["verify", suite]) == EXIT_OK
+    assert ran == [RunConfig(suite=suite)]
+
+
+@pytest.mark.parametrize("argv", [["--n", "1", "--nmax", "2"], ["--nmax", "2", "--n", "1"]])
+def test_the_octagon_level_wins_over_nmax(argv, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: ran.append(cfg) or [])
+    assert run(["verify", "octagon", *argv]) == EXIT_OK
+    assert ran == [RunConfig(suite="octagon", n_max=1)]
 
 
 def test_degree_below_two_rejected_at_boundary(capsys):

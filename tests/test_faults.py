@@ -12,7 +12,7 @@ import itertools
 import pytest
 
 from zpmeasures import classical, corrections, magnus, octagon
-from zpmeasures.measures import DiracCombo, GradedSequence, LevelFamily
+from zpmeasures.measures import DiracCombo, LevelFamily
 from zpmeasures.suites import RunConfig, run_suite
 
 
@@ -29,20 +29,19 @@ def bump_e1(monkeypatch):
     monkeypatch.setattr(classical, "make_E1", lambda c, ctx: bumped(real(c, ctx), 1, (1,)))
 
 
-def bump_graded_beta(call: int, r: int, point: tuple):
-    """A fault in the degree-r measure of the `call`-th word the suite embeds."""
+def bump_beta(call: int, r: int, point: tuple):
+    """A fault in the degree-r measure of the `call`-th word the suite embeds:
+    the suite reads each word's measure of each degree once."""
     def patch(monkeypatch):
-        real, calls = magnus.graded_beta, itertools.count()
+        real, calls = magnus.beta_measures, itertools.count()
 
-        def perturbed(*args):
-            betas = real(*args)
-            if next(calls) != call:
-                return betas
-            entries = list(betas.entries)
-            entries[r] = bumped(entries[r], 1, point)
-            return GradedSequence(tuple(entries))
+        def perturbed(g, rank, tower):
+            beta = real(g, rank, tower)
+            if rank != r or next(calls) != call:
+                return beta
+            return bumped(beta, 1, point)
 
-        monkeypatch.setattr(magnus, "graded_beta", perturbed)
+        monkeypatch.setattr(magnus, "beta_measures", perturbed)
     return patch
 
 
@@ -113,8 +112,8 @@ FAULTS = {
     "lie:word0": (no_fault, RunConfig(p=2, n_max=2, suite="magnus", tamper=True)),
     "shuffle-negative-control": (shuffle_check_accepts_all,
                                  RunConfig(p=2, n_max=2, suite="magnus")),
-    "star-identity": (bump_graded_beta(1, 1, (1,)), RunConfig(p=3, n_max=2, suite="magnus")),
-    "permutation-sum": (bump_graded_beta(0, 2, (0, 1)),
+    "star-identity": (bump_beta(1, 1, (1,)), RunConfig(p=3, n_max=2, suite="magnus")),
+    "permutation-sum": (bump_beta(0, 2, (0, 1)),
                         RunConfig(p=3, n_max=2, suite="magnus")),
     "x-coefficient:s=1": (x_term_in_product,
                           RunConfig(p=3, n_max=1, suite="octagon", sigma_rep=1)),

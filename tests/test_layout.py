@@ -110,7 +110,7 @@ def test_every_default_parameter_is_set_by_some_src_call():
 REACH_MATRIX = (
     "verify all --p 5 --nmax 1 --sigma-rep 1 --format json",
     "verify all --p 3 --nmax 2 --sigma-rep 2 --tamper --format csv",
-    "verify octagon --p 3 --n 1 --degree 3 --out {out}",
+    "verify octagon --p 3 --n 1 --out {out}",
     "emit measure --measure M --c 7 --p 3 --nmax 2 --format csv",
     "emit iwasawa --measure E1 --c 2 --p 3 --nmax 2 --terms 3",
     "emit f-series --measure dirac --a 1/2 --p 3 --nmax 2 --terms 3",

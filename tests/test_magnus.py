@@ -11,7 +11,7 @@ from zpmeasures.classical import make_dirac
 from zpmeasures import magnus
 from zpmeasures.magnus import (FreeWord, NcSeries, WordSyntaxError, X,
                                beta_measures, commutator,
-                               embed_E, graded_beta, kernel_check,
+                               embed_E, kernel_check,
                                log_lie_check, parse_word, project_word,
                                shuffle_check, shuffle_words,
                                word_coefficient_congruence, word_log2,
@@ -150,13 +150,13 @@ def tower(g, degree):
 
 def test_beta_measures_dirac_case():
     g = FreeWord(CTX2, 2, ((0, 1),))
-    assert beta_measures(g, 1, CTX2, tower(g, 1)).tables == make_dirac([0], CTX2).tables
-    b0 = beta_measures(g, 0, CTX2, tower(g, 1))
+    assert beta_measures(g, 1, tower(g, 1)).tables == make_dirac([0], CTX2).tables
+    b0 = beta_measures(g, 0, tower(g, 1))
     assert b0.dim == 0 and b0.tables == ({(): 1},) * 3 and b0.denom_bound == 0
     with pytest.raises(ValueError):
-        beta_measures(FreeWord(CTX2, 2, ((X, 1),)), 1, CTX2, ())
+        beta_measures(FreeWord(CTX2, 2, ((X, 1),)), 1, ())
     with pytest.raises(ValueError):  # a tower too shallow for r = 2
-        beta_measures(g, 2, CTX2, tower(g, 1))
+        beta_measures(g, 2, tower(g, 1))
 
 
 def test_beta_measures_distribution_and_denominators():
@@ -164,19 +164,22 @@ def test_beta_measures_distribution_and_denominators():
     for _ in range(4):
         g = random_kernel_word(CTX2, 2, rng)
         for r in (1, 2, 3):
-            br = beta_measures(g, r, CTX2, tower(g, 3))
+            br = beta_measures(g, r, tower(g, 3))
             assert validate_distribution(br) is None
             assert br.denom_bound <= vp(math.factorial(r), 2)
 
 
 def test_graded_star_identity():
+    def graded(g):  # (beta_0, beta_1, beta_2) of the word
+        return tuple(beta_measures(g, r, tower(g, 2)) for r in range(3))
+
     rng = random.Random(31)
     for _ in range(3):
         g = random_kernel_word(CTX2, 2, rng)
         h = random_kernel_word(CTX2, 2, rng)
-        S = star_convolution(graded_beta(g, CTX2, 2, tower(g, 2)),
-                             graded_beta(h, CTX2, 2, tower(h, 2)))
-        C = graded_beta(g * h, CTX2, 2, tower(g * h, 2))
+        S = star_convolution(graded(g), graded(h))
+        C = graded(g * h)
+        assert len(S) == len(C) == 3
         for i in range(3):
             assert S[i].tables == C[i].tables
 
@@ -184,8 +187,8 @@ def test_graded_star_identity():
 def test_permutation_sum_gives_products():
     rng = random.Random(41)
     g = random_kernel_word(CTX2, 2, rng)
-    b1 = beta_measures(g, 1, CTX2, tower(g, 2))
-    b2 = beta_measures(g, 2, CTX2, tower(g, 2))
+    b1 = beta_measures(g, 1, tower(g, 2))
+    b2 = beta_measures(g, 2, tower(g, 2))
     for n in range(3):
         for a in itertools.product(range(2 ** n), repeat=2):
             lhs = b2.tables[n][a] + b2.tables[n][(a[1], a[0])]
@@ -196,30 +199,30 @@ def test_word_coefficient_congruence():
     ctx = PrimeContext(3, 3)
     g = commutator(FreeWord(ctx, 3, ((X, 1),)), FreeWord(ctx, 3, ((0, 1),)))
     t = tower(g, 2)
-    b1 = beta_measures(g, 1, ctx, t)
-    achieved, guaranteed = word_coefficient_congruence(g, (1, 0), (0,), 1, 2, t[1], b1)
+    b1 = beta_measures(g, 1, t)
+    achieved, guaranteed = word_coefficient_congruence((1, 0), (0,), 2, t[1], b1)
     assert achieved >= guaranteed
     # all-zero X-blocks: the identity is definitional
-    achieved0, guaranteed0 = word_coefficient_congruence(g, (0, 0), (1,), 1, 2, t[1], b1)
+    achieved0, guaranteed0 = word_coefficient_congruence((0, 0), (1,), 2, t[1], b1)
     assert achieved0 >= guaranteed0
     # larger m tightens the guaranteed congruence
-    _, g1 = word_coefficient_congruence(g, (1, 0), (0,), 1, 1, t[1], b1)
-    _, g2 = word_coefficient_congruence(g, (1, 0), (0,), 1, 2, t[1], b1)
+    _, g1 = word_coefficient_congruence((1, 0), (0,), 1, t[1], b1)
+    _, g2 = word_coefficient_congruence((1, 0), (0,), 2, t[1], b1)
     assert g2 > g1
     with pytest.raises(ValueError):  # degree 2 cannot hold X^2 Y_0
-        word_coefficient_congruence(g, (2, 0), (0,), 1, 2, t[1], b1)
+        word_coefficient_congruence((2, 0), (0,), 2, t[1], b1)
 
 
 def test_congruence_failure_carries_level_and_exponents():
     ctx = PrimeContext(3, 3)
     g = commutator(FreeWord(ctx, 3, ((X, 1),)), FreeWord(ctx, 3, ((0, 1),)))
     t = tower(g, 2)
-    b1 = beta_measures(g, 1, ctx, t)
+    b1 = beta_measures(g, 1, t)
     coefficient = t[1].coeff((X, 0))
     bad = t[1].truncated(2)
     bad.add_term((X, 0), Fraction(1, 3))
-    achieved, guaranteed = word_coefficient_congruence(g, (1, 0), (0,), 1, 2, bad, b1)
-    good = word_coefficient_congruence(g, (1, 0), (0,), 1, 2, t[1], b1)
+    achieved, guaranteed = word_coefficient_congruence((1, 0), (0,), 2, bad, b1)
+    good = word_coefficient_congruence((1, 0), (0,), 2, t[1], b1)
     assert good[0] >= good[1]
     # the 1/3 added to the coefficient is the miss: valuation -1
     assert achieved == -1 < guaranteed == good[1]
@@ -229,10 +232,10 @@ def test_congruence_failure_carries_level_and_exponents():
 def test_congruence_failure_detail_in_suite(monkeypatch):
     real = magnus.word_coefficient_congruence
 
-    def perturbed(g, ns, idx, n, m, series, beta_r):
+    def perturbed(ns, idx, m, series, beta_r):
         bad = series.truncated(series.degree)
         bad.add_term((X,) * ns[0] + (idx[0],) + (X,) * ns[1], Fraction(1, 3))
-        return real(g, ns, idx, n, m, bad, beta_r)
+        return real(ns, idx, m, bad, beta_r)
 
     monkeypatch.setattr(magnus, "word_coefficient_congruence", perturbed)
     rep = magnus_suite(RunConfig(p=3, n_max=2, seed=1))
@@ -245,8 +248,8 @@ def test_congruence_failure_detail_in_suite(monkeypatch):
 def test_beta_distribution_failure_names_level_point_valuation(monkeypatch):
     real, words = magnus.beta_measures, []
 
-    def perturbed(g, r, ctx, tower):  # word 0's beta_2 off by p^2 at one level-1 point
-        beta = real(g, r, ctx, tower)
+    def perturbed(g, r, tower):  # word 0's beta_2 off by p^2 at one level-1 point
+        beta = real(g, r, tower)
         words.append(g)
         if (g, r) != (words[0], 2):
             return beta

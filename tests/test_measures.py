@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from zpmeasures.classical import make_D2, make_dirac, make_E1, make_M, make_N2
 from zpmeasures.corrections import LinearFormIntegrand
 from zpmeasures.magnus import parse_word
-from zpmeasures.measures import (DiracCombo, GradedSequence, LevelFamily,
+from zpmeasures.measures import (DiracCombo, LevelFamily,
                                  box_integral, exterior_product, iwasawa_P, lifts,
                                  linear_combine, measures_equal, pinpoint,
                                  pushforward, signed_group, star_convolution,
@@ -211,16 +211,16 @@ def test_exterior_transform_factorizes():
 
 def test_star_convolution_unit_and_associativity():
     a, b = dirac_pair()
-    A = GradedSequence((unit_sequence(CTX5, 0)[0], a, exterior_product(a, a)))
-    B = GradedSequence((unit_sequence(CTX5, 0)[0], b, exterior_product(b, b)))
+    A = (unit_sequence(CTX5, 0)[0], a, exterior_product(a, a))
+    B = (unit_sequence(CTX5, 0)[0], b, exterior_product(b, b))
     unit = unit_sequence(CTX5, 2)
     for i in range(3):
         assert star_convolution(A, unit)[i].tables == A[i].tables
         assert star_convolution(unit, A)[i].tables == A[i].tables
     # degree-1 entry of A*B with unit degree-0 parts
     assert star_convolution(A, B)[1].tables == linear_combine([1, 1], [a, b]).tables
-    C = GradedSequence((unit_sequence(CTX5, 0)[0], make_dirac([3], CTX5),
-                        exterior_product(make_dirac([3], CTX5), make_dirac([3], CTX5))))
+    C = (unit_sequence(CTX5, 0)[0], make_dirac([3], CTX5),
+         exterior_product(make_dirac([3], CTX5), make_dirac([3], CTX5)))
     left = star_convolution(star_convolution(A, B), C)
     right = star_convolution(A, star_convolution(B, C))
     for i in range(3):
@@ -245,16 +245,16 @@ def test_box_integral_basics():
 
 def test_measures_equal_modes():
     a, b = dirac_pair()
-    assert measures_equal(a, a, 2, INF) is None
-    assert measures_equal(make_dirac([0], CTX5), make_dirac([1], CTX5), 1, 1) == (1, (0,), 1)
+    assert measures_equal(a, a, INF) is None
+    assert measures_equal(make_dirac([0], CTX5), make_dirac([1], CTX5), 1) == (1, (0,), 1)
     close = linear_combine([1], [a])
     tables = list(close.tables)
     t = dict(tables[2])
     t[(3,)] += 25
     tables[2] = t
     shifted = LevelFamily(CTX5, 1, tuple(tables), close.denom_bound)
-    assert measures_equal(a, shifted, 2, 2) is None
-    assert measures_equal(a, shifted, 2, 3) == (2, (3,), -25)
+    assert measures_equal(a, shifted, 2) is None
+    assert measures_equal(a, shifted, 3) == (2, (3,), -25)
 
 
 def test_measures_equal_names_its_miss():
@@ -264,11 +264,14 @@ def test_measures_equal_names_its_miss():
     t[(3,)] += 25
     tables[2] = t
     shifted = LevelFamily(CTX5, 1, tuple(tables), a.denom_bound)
-    miss = measures_equal(a, shifted, 2, 3)
+    miss = measures_equal(a, shifted, 3)
     assert miss == (2, (3,), -25)
     assert pinpoint(miss, 5) == "level=2 point=(3,) valuation=2"
-    # a miss below the compared levels is not seen; a pass names nothing
-    assert measures_equal(a, shifted, 1, INF) is None
+    # a miss at a level that one of the tables does not store is not seen;
+    # a pass names nothing
+    shallow = LevelFamily(CTX5, 1, shifted.tables[:2], a.denom_bound)
+    assert measures_equal(a, shallow, INF) is None
+    assert measures_equal(shallow, a, INF) is None
 
 
 M7 = make_M(7, CTX5)
@@ -278,17 +281,13 @@ CONST1 = MPoly.const(1, 1)
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: measures_equal(M7, M7, 3, INF), "level 3 out of stored range 0..2"),
-    (lambda: measures_equal(M7, M7_TO_1, 2, INF), "level 2 out of stored range 0..1"),
-    (lambda: measures_equal(M7, M7, -1, INF), "level -1 out of stored range 0..2"),
     (lambda: box_integral(M7, (0,), 0, CONST1, 3),
      "box level 0 and evaluation level 3 not in order within the stored range 0..2"),
     (lambda: box_integral(M7, (0,), -1, CONST1, 0),
      "box level -1 and evaluation level 0 not in order within the stored range 0..2"),
     (lambda: iwasawa_P(M7, 2, 3), "evaluation level 3 out of stored range 0..2"),
     (lambda: transform_F(M7, 2, -1), "evaluation level -1 out of stored range 0..2"),
-], ids=["measures_equal-past-n_max", "measures_equal-past-the-other-n_max",
-        "measures_equal-negative", "box_integral-past-n_max", "box_integral-negative",
+], ids=["box_integral-past-n_max", "box_integral-negative",
         "iwasawa_P", "transform_F"])
 def test_a_level_outside_the_tables_is_a_value_error_naming_it(call, message):
     # not an IndexError, a KeyError, a vacuous pass or a read of tables[-1]
@@ -298,12 +297,17 @@ def test_a_level_outside_the_tables_is_a_value_error_naming_it(call, message):
 
 @pytest.mark.parametrize("family", [M7, M7_TO_1, M7_AT_0], ids=["n_max=2", "n_max=1", "n_max=0"])
 def test_checks_with_no_level_argument_read_every_stored_level(family):
-    # validate_distribution and pushforward take their levels from the
-    # family: every stored level, the top one included, down to n_max = 0
+    # validate_distribution, pushforward and measures_equal take their levels
+    # from the family: every stored level, the top one included, down to n_max = 0
     assert validate_distribution(family) is None
     flipped = pushforward(family, units=[-1])
     assert flipped.n_max == family.n_max
     assert pushforward(flipped, units=[-1]).tables == family.tables
+    top = list(family.tables)
+    top[-1] = {**top[-1], (0,): top[-1][(0,)] + 1}
+    raised = LevelFamily(CTX5, 1, tuple(top), family.denom_bound)
+    assert measures_equal(family, family, INF) is None
+    assert measures_equal(family, raised, INF) == (family.n_max, (0,), -1)
 
 
 def test_dirac_combo_matches_level_tables():

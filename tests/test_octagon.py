@@ -33,7 +33,7 @@ def units(p, n):
 
 
 def factors_at(p, n, s):
-    return build_factors(p, n, s, residue_free_factors(p, n))
+    return build_factors(s, residue_free_factors(p, n))
 
 
 def product(p, n, s):
@@ -144,9 +144,9 @@ def test_inconsistent_degree1_relations_fail_the_check(p, n, s, mono, extra, pin
     # failed identity, pinpointed by its Y index, not bad input; it joins no
     # relation, so the degree-2 residuals stay those of the clean product
     prod = product(p, n, s)
-    _, _, clean = degree2_symmetry_check(p, n, s, prod)
+    _, _, _, clean = degree2_symmetry_check(s, prod)
     prod.add_term(mono, extra)
-    deg1_miss, miss, rep = degree2_symmetry_check(p, n, s, prod)
+    _, deg1_miss, miss, rep = degree2_symmetry_check(s, prod)
     assert rep["passed"] is False and clean["passed"] is True
     assert deg1_miss == pinpoint and miss is None
     assert (rep["residuals"], rep["deg1_rank"]) == (clean["residuals"], clean["deg1_rank"])
@@ -166,7 +166,7 @@ def test_level_constants_vanish_at_chi_1():
 def test_chi1_residuals_are_the_reference_comparison():
     for p, n in GRID:
         prod = product(p, n, 1)
-        _, _, rep = degree2_symmetry_check(p, n, 1, prod)
+        _, _, _, rep = degree2_symmetry_check(1, prod)
         reference = chi1_residuals_reference(p, n, prod)
         assert row_polys(rep["chi1_residuals"]) == strings(reference), (p, n)
 
@@ -183,7 +183,7 @@ def test_chi1_residuals_match_the_reference_on_perturbed_products(additions):
     prod = product(3, 1, 1)
     for mono, extra in additions:
         prod.add_term(mono, extra)
-    _, miss, rep = degree2_symmetry_check(3, 1, 1, prod)
+    _, _, miss, rep = degree2_symmetry_check(1, prod)
     reference = chi1_residuals_reference(3, 1, prod)
     assert row_polys(rep["chi1_residuals"]) == strings(reference)
     assert any(reference.values()) and miss is not None and not rep["passed"]
@@ -212,7 +212,7 @@ def test_chi1_residuals_precede_the_shuffle_retry():
     # first, and the chi = 1 rows are their t = 0 image, the reference
     prod = product(3, 1, 1)
     prod.add_term((0, 0), b_sym(1, 0, 3) + b_sym(0, 1, 3) - a_sym(0, 3) * a_sym(1, 3))
-    _, miss, rep = degree2_symmetry_check(3, 1, 1, prod)
+    _, _, miss, rep = degree2_symmetry_check(1, prod)
     reference = chi1_residuals_reference(3, 1, prod)
     assert rep["extra_relations_used"] == []
     assert [row["poly"] != "0" for row in rep["residuals"]].count(True) == 1
@@ -238,15 +238,15 @@ def test_reflection_relations_structure():
 def test_deg1_implied_by_reflection_grid():
     for p, n in GRID:
         for s in units(p, n):
-            deg1_miss, _, _ = degree2_symmetry_check(p, n, s, product(p, n, s))
+            _, deg1_miss, _, _ = degree2_symmetry_check(s, product(p, n, s))
             assert deg1_miss is None, (p, n, s)
 
 
 def test_degree2_symmetry_grid():
     for p, n in GRID:
         for s in units(p, n):
-            _, miss, rep = degree2_symmetry_check(p, n, s, product(p, n, s))
-            assert miss is None, (p, n, s)
+            x_miss, _, miss, rep = degree2_symmetry_check(s, product(p, n, s))
+            assert x_miss is None and miss is None, (p, n, s)
             assert rep["x_coeff_zero"]
             assert set(row_polys(rep["residuals"]).values()) == {"0"}
             assert len(rep["residuals"]) == p ** (2 * n)
@@ -259,7 +259,7 @@ def test_degree2_symmetry_grid():
 
 
 def test_report_serialization():
-    _, _, d = degree2_symmetry_check(3, 1, 1, product(3, 1, 1))
+    _, _, _, d = degree2_symmetry_check(1, product(3, 1, 1))
     assert list(d) == ["config", "x_coeff_zero", "deg1_rank", "residuals",
                        "extra_relations_used", "passed", "chi1_residuals"]
     assert d["config"] == {"p": 3, "n": 1, "s": 1}
@@ -281,11 +281,11 @@ def test_factor_derivation_grid():
         for s in units(p, n):
             factors = factors_at(p, n, s)
             for name in "CEG":
-                diff = derive_factor_by_subst(name, p, n, s, factors["A"], factors[name])
+                diff = derive_factor_by_subst(name, s, factors["A"], factors[name])
                 assert not diff, (p, n, s, name, diff)
     A = build_factor("A", 3, 1, 1)
     with pytest.raises(ValueError):
-        derive_factor_by_subst("A", 3, 1, 1, A, A)
+        derive_factor_by_subst("A", 1, A, A)
 
 
 @pytest.mark.parametrize("p, n, s", [(p, n, s) for p, n in GRID for s in units(p, n)]
@@ -300,14 +300,14 @@ def test_substituted_A_is_the_hand_expanded_series(p, n, s):
 def test_derivation_fails_on_a_perturbed_display():
     factors = factors_at(3, 1, 2)
     factors["C"].add_term((1, 0), SymPoly.const(1))
-    diff = derive_factor_by_subst("C", 3, 1, 2, factors["A"], factors["C"])
+    diff = derive_factor_by_subst("C", 2, factors["A"], factors["C"])
     assert strings(diff) == {(1, 0): "1*1"}
 
 
 def test_derivation_fails_on_a_perturbed_g_term_of_A():
     factors = factors_at(3, 1, 2)
     factors["A"].add_term((X, 1), SymPoly.const(1))  # g_1 + 1 at X Y_1
-    diffs = [derive_factor_by_subst(name, 3, 1, 2, factors["A"], factors[name]) for name in "CEG"]
+    diffs = [derive_factor_by_subst(name, 2, factors["A"], factors[name]) for name in "CEG"]
     assert any(diffs)
 
 
@@ -489,9 +489,9 @@ def test_octagon_suite_builds_residue_free_work_once_per_sweep(monkeypatch):
         built.append(name)
         return real_build(name, p, n, s)
 
-    def counting_derive(name, p, n, s, *series):
+    def counting_derive(name, s, *series):
         derived.append(name)
-        return real_derive(name, p, n, s, *series)
+        return real_derive(name, s, *series)
 
     monkeypatch.setattr(octagon, "build_factor", counting_build)
     monkeypatch.setattr(octagon, "derive_factor_by_subst", counting_derive)
@@ -533,20 +533,30 @@ def test_octagon_series_have_sympoly_coefficients():
 
 def test_checks_read_the_product_they_are_given():
     prod = product(3, 1, 1)
-    deg1_miss, miss, rep = degree2_symmetry_check(3, 1, 1, prod)
-    assert rep["passed"] and deg1_miss is None and miss is None
+    x_miss, deg1_miss, miss, rep = degree2_symmetry_check(1, prod)
+    assert rep["passed"] and x_miss is None and deg1_miss is None and miss is None
     bad = product(3, 1, 1)
     bad.add_term((0, 0), SymPoly.const(1))
-    deg1_miss, miss, rep = degree2_symmetry_check(3, 1, 1, bad)
+    _, deg1_miss, miss, rep = degree2_symmetry_check(1, bad)
     assert not rep["passed"]
     assert miss == "nonzero at [(0, 0)]"
     assert [k for k, r in row_polys(rep["residuals"]).items() if r != "0"] == [(0, 0)]
     assert deg1_miss is None
     bad.add_term((1,), SymPoly.const(1))
-    deg1_miss, miss, rep = degree2_symmetry_check(3, 1, 1, bad)
+    _, deg1_miss, miss, rep = degree2_symmetry_check(1, bad)
     assert deg1_miss == "nonzero at [1]"
     # the degree-1 fault joins no relation: the degree-2 verdict is unchanged
     assert miss == "nonzero at [(0, 0)]" and not rep["passed"]
+
+
+def test_the_x_coefficient_is_decided_once_by_the_check():
+    # the X coefficient fails its own miss, and the artifact reads that miss
+    bad = product(3, 1, 1)
+    bad.add_term((X,), SymPoly.t() + 2)
+    x_miss, deg1_miss, miss, rep = degree2_symmetry_check(1, bad)
+    assert x_miss == "X coefficient 2*1 + 1*t"
+    assert deg1_miss is None and miss is None
+    assert rep["x_coeff_zero"] is False and rep["passed"] is False
 
 
 def test_a_sweep_solves_one_relation_set_per_residue(monkeypatch):
@@ -579,7 +589,7 @@ def test_shuffle_retry_reads_the_extended_substitution():
     # reads the standard substitution alone, with no retry, and fails
     prod = product(3, 1, 2)
     prod.add_term((0, 0), b_sym(1, 0, 3) + b_sym(0, 1, 3) - a_sym(0, 3) * a_sym(1, 3))
-    _, miss, rep = degree2_symmetry_check(3, 1, 2, prod)
+    _, _, miss, rep = degree2_symmetry_check(2, prod)
     assert rep["extra_relations_used"] == []
     assert miss == "nonzero at [(0, 0)]" and not rep["passed"]
 
@@ -597,7 +607,7 @@ def test_octagon_tamper_fails_inside_the_real_check():
 def test_all_points_display_matches_the_point_formula(p, n):
     width = p ** n
     for s in units(p, n):
-        displays = degree2_displays(p, n, s, unit_series(p, n))
+        displays = degree2_displays(s, unit_series(p, n))
         assert list(displays) == list(itertools.product(range(width), repeat=2))
         for (a, b), display in displays.items():
             assert display == degree2_display(a, b, p, n, s), (p, n, s, a, b)

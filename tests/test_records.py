@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from zpmeasures.magnus import X, FreeWord, NcSeries
-from zpmeasures.measures import DiracCombo, GradedSequence, LevelFamily
+from zpmeasures.measures import DiracCombo, LevelFamily
 from zpmeasures.padic import PrimeContext
 from zpmeasures.suites import RunConfig
 
@@ -27,16 +27,13 @@ FROZEN = [
     (lambda: FreeWord(CTX, 1, ((0, 1), (X, 1), (X, 1))), "letters",
      lambda: FreeWord(CTX, 1, ((0, 1), (X, 3)))),
     (lambda: level_family(1, 1), "denom_bound", lambda: LevelFamily(CTX, 1, ((((0,), 1),),), 1)),
-    (lambda: GradedSequence((level_family(0, 1), level_family(1, 2))), "entries",
-     lambda: GradedSequence((level_family(0, 1), level_family(1, 3)))),
     (lambda: DiracCombo.make(1, [((2,), Fraction(1, 2))]), "atoms",
      lambda: DiracCombo.make(1, [((5,), Fraction(1, 2))])),
 ]
 
 
 @pytest.mark.parametrize("make, field, other", FROZEN,
-                         ids=["PrimeContext", "FreeWord", "LevelFamily", "GradedSequence",
-                              "DiracCombo"])
+                         ids=["PrimeContext", "FreeWord", "LevelFamily", "DiracCombo"])
 def test_frozen_value_semantics(make, field, other):
     a, b, c = make(), make(), other()
     assert a == b and hash(a) == hash(b)
