@@ -21,17 +21,6 @@ from .suites import SUITES, RunConfig, run_suite
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 
-# verify option -> (what it sets, the suites that read it); any other use exits 2
-VERIFY_READERS = {
-    "--n": ("sets the octagon level", ("octagon",)),
-    "--sigma-rep": ("sets the octagon residue", ("octagon", "all")),
-    "--nmax": ("sets the deepest level", ("measures", "transforms", "magnus", "octagon", "all")),
-    "--degree": ("sets the series degree", ("magnus", "all")),
-    "--terms": ("sets the transform terms", ("transforms", "all")),
-    "--mod-exp": ("sets the congruence exponent", ("measures", "all")),
-    "--seed": ("seeds the random data", ("measures", "transforms", "magnus", "corrections", "all")),
-}
-
 
 def at_least(low: int):
     """argparse type for counts, levels and degrees: an int >= low."""
@@ -40,51 +29,85 @@ def at_least(low: int):
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
-
     return bounded
+
+
+OBJECTS = ("measure", "iwasawa", "f-series", "nc-series", "octagon-factor")
+MEASURED = OBJECTS[:3]  # the objects built from a --measure
+
+# One table per command, option -> (argparse keywords, what it sets, the suites or
+# objects that read it), and command -> (help, positional, its choices, options).
+# Given to any other suite or object, the first such option in table order exits 2.
+# The parser sets no option left out: `check_options` sets each "default" here.
+VERIFY_OPTIONS = {
+    "--p": ({"type": int}, "sets the prime", SUITES),
+    "--n": ({"type": int}, "sets the octagon level", ("octagon",)),
+    "--sigma-rep": ({"type": int}, "sets the octagon residue", ("octagon", "all")),
+    "--nmax": ({"type": int}, "sets the deepest level",
+               ("measures", "transforms", "magnus", "octagon", "all")),
+    # the magnus suite multiplies pairs of letters, so degree 1 truncates them away
+    "--degree": ({"type": at_least(2)}, "sets the series degree", ("magnus", "all")),
+    "--terms": ({"type": at_least(0)}, "sets the transform terms", ("transforms", "all")),
+    "--mod-exp": ({"type": at_least(1)}, "sets the congruence exponent", ("measures", "all")),
+    "--seed": ({"type": int}, "seeds the random data",
+               ("measures", "transforms", "magnus", "corrections", "all")),
+    "--format": ({"choices": ("text", "json", "csv"), "default": "text"},
+                 "sets the report format", SUITES),
+    "--out": ({"default": None}, "sets the report file", SUITES),
+    "--tamper": ({"action": "store_true"}, "injects one fault (test hook)", SUITES),
+}
+EMIT_OPTIONS = {
+    "--p": ({"type": int, "default": 3}, "sets the prime", OBJECTS),
+    "--nmax": ({"type": int, "default": 3}, "sets the table depth", MEASURED),
+    "--n": ({"type": at_least(0), "default": 1}, "sets the level n",
+            ("nc-series", "octagon-factor")),
+    "--level": ({"type": at_least(0), "default": None}, "sets the transform level", MEASURED),
+    "--terms": ({"type": at_least(0), "default": 6}, "sets the transform terms",
+                ("iwasawa", "f-series")),
+    "--degree": ({"type": at_least(0), "default": 3}, "sets the series degree", ("nc-series",)),
+    "--sigma-rep": ({"type": int, "default": 1}, "sets the octagon residue", ("octagon-factor",)),
+    "--measure": ({"choices": ("dirac", "M", "E1", "N2", "D2"), "default": "dirac"},
+                  "picks the measure", MEASURED),
+    "--c": ({"default": "7"}, "sets the c of M, E1 and N2", MEASURED),
+    "--a": ({"default": "0"}, "sets the Dirac point", MEASURED),
+    "--word": ({"default": None}, "sets the word", MEASURED + ("nc-series",)),
+    "--factor": ({"choices": tuple("ABCDEFGHJ"), "default": "A"}, "picks the octagon factor",
+                 ("octagon-factor",)),
+    "--format": ({"default": "json"}, "sets the format: json, or csv for a measure", OBJECTS),
+    "--out": ({"default": None}, "sets the output file", OBJECTS),
+}
+COMMANDS = {"verify": ("run a verification suite", "suite", SUITES, VERIFY_OPTIONS),
+            "emit": ("serialize an object", "object", OBJECTS, EMIT_OPTIONS)}
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="zpmeasures",
                                  description="exact p-adic measure and octagon checks")
     sub = ap.add_subparsers(dest="command")
-
-    # an option the user leaves out is not set: RunConfig holds every default
-    v = sub.add_parser("verify", help="run a verification suite",
-                       argument_default=argparse.SUPPRESS)
-    v.add_argument("suite", choices=SUITES)
-    v.add_argument("--p", type=int)
-    v.add_argument("--nmax", type=int)
-    v.add_argument("--n", type=int, help="octagon suite only: level (default --nmax)")
-    v.add_argument("--sigma-rep", type=int)
-    # the magnus suite multiplies pairs of letters, so degree 1 truncates them away
-    v.add_argument("--degree", type=at_least(2))
-    v.add_argument("--terms", type=at_least(0))
-    v.add_argument("--mod-exp", type=at_least(1))
-    v.add_argument("--seed", type=int)
-    v.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    v.add_argument("--out", default=None)
-    v.add_argument("--tamper", action="store_true", help="inject one fault (test hook)")
-
-    e = sub.add_parser("emit", help="serialize an object")
-    e.add_argument("object", choices=("measure", "iwasawa", "f-series",
-                                      "nc-series", "octagon-factor"))
-    e.add_argument("--p", type=int, default=3)
-    e.add_argument("--nmax", type=int, default=3)
-    e.add_argument("--n", type=at_least(0), default=1)
-    e.add_argument("--level", type=at_least(0), default=None)
-    e.add_argument("--terms", type=at_least(0), default=6)
-    e.add_argument("--degree", type=at_least(0), default=3)
-    e.add_argument("--sigma-rep", type=int, default=1)
-    e.add_argument("--measure", default="dirac",
-                   choices=("dirac", "M", "E1", "N2", "D2"))
-    e.add_argument("--c", default="7")
-    e.add_argument("--a", default="0")
-    e.add_argument("--word", default=None)
-    e.add_argument("--factor", default="A", choices=list("ABCDEFGHJ"))
-    e.add_argument("--format", default="json", help="json, or csv for a measure")
-    e.add_argument("--out", default=None)
+    for command, (about, positional, choices, options) in COMMANDS.items():
+        cp = sub.add_parser(command, help=about, argument_default=argparse.SUPPRESS)
+        cp.add_argument(positional, choices=choices)
+        for flag, (kw, what, _) in options.items():
+            cp.add_argument(flag, help=what, **{k: v for k, v in kw.items() if k != "default"})
     return ap
+
+
+def check_options(args) -> None:
+    """Refuse an unwritable --out, then the first option given that the suite or
+    object never reads; then set each default the user left out."""
+    _, noun, _, options = COMMANDS[args.command]
+    given = set(vars(args))  # the options the user gave, and the command and its positional
+    if "out" in given and args.out and not _writable(args.out):  # before any work is done
+        raise ValueError(f"--out {args.out} cannot be opened for writing")
+    for flag, (kw, what, readers) in options.items():
+        name = flag[2:].replace("-", "_")
+        if name in given and getattr(args, noun) not in readers:
+            *head, last = [s for s in readers if s != "all"]
+            listed = f"{', '.join(head)} and {last} {noun}s" if head else f"{last} {noun}"
+            tail = " and all" if "all" in readers else ""
+            raise ValueError(f"{flag} {what} and applies to the {listed}{tail} only")
+        if name not in given and "default" in kw:
+            setattr(args, name, kw["default"])
 
 
 def _writable(path: str) -> bool:
@@ -109,32 +132,23 @@ def _write(text: str, out):
 
 def _build_measure(args, ctx: PrimeContext):
     if args.measure == "dirac":
-        point = [Fraction(x) for x in args.a.split(",")]
-        return classical.make_dirac(point, ctx)
-    if args.measure == "M":
-        return classical.make_M(Fraction(args.c), ctx)
-    if args.measure == "E1":
-        return classical.make_E1(Fraction(args.c), ctx)
-    if args.measure == "N2":
-        return classical.make_N2(Fraction(args.c), ctx)
-    if args.measure == "D2":
-        level = min(ctx.n_max, 2)
-        word = magnus.parse_word(args.word or "[x,y0]", PrimeContext(ctx.p, level), level)
-        return classical.make_D2(word)
-    raise ValueError(f"unknown measure {args.measure}")
+        return classical.make_dirac([Fraction(x) for x in args.a.split(",")], ctx)
+    make = {"M": classical.make_M, "E1": classical.make_E1, "N2": classical.make_N2}
+    if args.measure in make:
+        return make[args.measure](Fraction(args.c), ctx)
+    level = min(ctx.n_max, 2)  # D2
+    word = magnus.parse_word(args.word or "[x,y0]", PrimeContext(ctx.p, level), level)
+    return classical.make_D2(word)
 
 
 def cmd_verify(args) -> int:
-    given = vars(args)  # the options the user gave, and suite, format, out
     try:
-        for flag, (what, readers) in VERIFY_READERS.items():
-            if flag[2:].replace("-", "_") in given and args.suite not in readers:
-                *head, last = [s for s in readers if s != "all"]
-                listed = f"{', '.join(head)} and {last} suites" if head else f"{last} suite"
-                tail = " and all" if "all" in readers else ""
-                raise ValueError(f"{flag} {what} and applies to the {listed}{tail} only")
+        check_options(args)
+        given = vars(args)  # the options the user gave, and suite, format, out
+        if "n" in given and "nmax" in given:
+            raise ValueError("--n and --nmax both set the octagon level: give one")
         fields = {k: v for k, v in given.items() if k in RunConfig._fields}
-        if "n" in given or "nmax" in given:  # --n, when given, is the octagon's level
+        if "n" in given or "nmax" in given:
             fields["n_max"] = given.get("n", given.get("nmax"))
         cfg = RunConfig(**fields)
         cfg.ctx()  # validate p, bounds
@@ -146,50 +160,39 @@ def cmd_verify(args) -> int:
     reports = run_suite(cfg)  # a ValueError from here on is a fault of the program
     if args.format == "json":
         text = json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2)
-    elif args.format == "csv":
-        text = "\n".join(r.to_csv() for r in reports)
     else:
-        text = "\n".join(r.to_text() for r in reports)
+        text = "\n".join(r.to_csv() if args.format == "csv" else r.to_text() for r in reports)
     _write(text, args.out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 
 
 def cmd_emit(args) -> int:
     try:
+        check_options(args)
         if args.format != "json" and (args.format, args.object) != ("csv", "measure"):
             raise ValueError(f"emit {args.object} has no --format {args.format}")
-        depth = max(args.nmax, args.level or 0)
-        ctx = PrimeContext(args.p, depth)
+        if args.object in MEASURED:
+            mu = _build_measure(args, PrimeContext(args.p, max(args.nmax, args.level or 0)))
         if args.object == "measure":
-            mu = _build_measure(args, ctx)
-            if args.format == "csv":
-                text = "\n".join(mu.csv_lines())
-            else:
-                text = json.dumps({"dim": mu.dim, "denom_bound": mu.denom_bound,
-                                   "rows": list(mu.csv_lines())[1:]},
-                                  sort_keys=True, indent=2)
+            rows = list(mu.csv_lines())
+            payload = {"dim": mu.dim, "denom_bound": mu.denom_bound, "rows": rows[1:]}
         elif args.object in ("iwasawa", "f-series"):
-            mu = _build_measure(args, ctx)
             level = args.level if args.level is not None else mu.n_max
             fn = iwasawa_P if args.object == "iwasawa" else transform_F
-            pt = fn(mu, args.terms, level)
-            text = json.dumps(pt.to_json_dict(), sort_keys=True, indent=2)
+            payload = fn(mu, args.terms, level).to_json_dict()
         elif args.object == "nc-series":
             if not args.word:
                 raise ValueError("--word is required for nc-series")
-            wctx = PrimeContext(args.p, max(args.n, 1))
-            word = magnus.parse_word(args.word, wctx, args.n)
-            series = magnus.embed_E(word, args.degree)
-            text = json.dumps(series.to_json_dict(), sort_keys=True, indent=2)
-        elif args.object == "octagon-factor":
+            word = magnus.parse_word(args.word, PrimeContext(args.p, max(args.n, 1)), args.n)
+            payload = magnus.embed_E(word, args.degree).to_json_dict()
+        else:  # octagon-factor
             fac = octagon.build_factor(args.factor, args.p, args.n, args.sigma_rep)
             terms = [{"mono": magnus.mono_name(m), "poly": str(c)}
                      for m, c in sorted(fac.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))]
-            text = json.dumps({"factor": args.factor,
-                               "config": {"p": args.p, "n": args.n, "s": args.sigma_rep},
-                               "terms": terms}, sort_keys=True, indent=2)
-        else:
-            raise ValueError(f"unknown object {args.object}")
+            payload = {"factor": args.factor, "terms": terms,
+                       "config": {"p": args.p, "n": args.n, "s": args.sigma_rep}}
+        text = "\n".join(rows) if args.format == "csv" else \
+            json.dumps(payload, sort_keys=True, indent=2)
     except (ValueError, ZeroDivisionError) as err:
         print(f"invalid input: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -208,9 +211,6 @@ def main(argv=None) -> int:
     command = {"verify": cmd_verify, "emit": cmd_emit}.get(args.command)
     if command is None:
         ap.print_help()
-        return EXIT_USAGE
-    if args.out and not _writable(args.out):  # refused before any work is done
-        print(f"invalid input: --out {args.out} cannot be opened for writing", file=sys.stderr)
         return EXIT_USAGE
     try:
         return command(args)

@@ -153,7 +153,7 @@ def pushforward(mu: LevelFamily, perm=None, units=None, shift=None) -> LevelFami
     perm = tuple(range(m)) if perm is None else tuple(perm)
     units = [1] * m if units is None else [exact(u) for u in units]
     shift = [0] * m if shift is None else [exact(c) for c in shift]
-    if sorted(perm) != list(range(m)):
+    if sorted(perm) != list(range(m)) or len(units) != m or len(shift) != m:
         raise ValueError("map dimension mismatch")
     for u in units:
         if vp(u, p) != 0:

@@ -1,7 +1,9 @@
 import hashlib
+import importlib.util
 import itertools
 import json
 import os
+import pathlib
 import shlex
 import subprocess
 import sys
@@ -302,11 +304,108 @@ def test_verify_with_no_options_runs_the_config_defaults(suite, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [["--n", "1", "--nmax", "2"], ["--nmax", "2", "--n", "1"]])
-def test_the_octagon_level_wins_over_nmax(argv, monkeypatch):
+def test_the_octagon_level_and_nmax_together_are_refused(argv, monkeypatch, capsys):
+    # both set the octagon's level, so one of them would be dropped in silence
     ran = []
-    monkeypatch.setattr(cli, "run_suite", lambda cfg: ran.append(cfg) or [])
-    assert run(["verify", "octagon", *argv]) == EXIT_OK
-    assert ran == [RunConfig(suite="octagon", n_max=1)]
+    monkeypatch.setattr(cli, "run_suite", ran.append)
+    assert run(["verify", "octagon", *argv]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert ran == [] and out == ""
+    assert err == "invalid input: --n and --nmax both set the octagon level: give one\n"
+
+
+OBJECTS = ("measure", "iwasawa", "f-series", "nc-series", "octagon-factor")
+MEASURED = {"measure", "iwasawa", "f-series"}
+# the objects that read each emit option; any other use exits 2
+EMIT_READ_BY = {
+    "--p": set(OBJECTS),
+    "--nmax": MEASURED,
+    "--n": {"nc-series", "octagon-factor"},
+    "--level": MEASURED,
+    "--terms": {"iwasawa", "f-series"},
+    "--degree": {"nc-series"},
+    "--sigma-rep": {"octagon-factor"},
+    "--measure": MEASURED,
+    "--c": MEASURED,
+    "--a": MEASURED,
+    "--word": MEASURED | {"nc-series"},
+    "--factor": {"octagon-factor"},
+    "--format": set(OBJECTS),
+    "--out": set(OBJECTS),
+}
+# option -> a value unlike its default
+EMIT_GIVEN = {"--p": "5", "--nmax": "2", "--n": "2", "--level": "4", "--terms": "3",
+              "--degree": "2", "--sigma-rep": "2", "--measure": "M", "--c": "5", "--a": "1",
+              "--word": "[x,y1]", "--factor": "B", "--format": "json", "--out": None}
+# the read options that leave the output as it is: json is every object's
+# default format, and a word's series does not depend on p (p bounds its letters)
+UNSEEN = {(obj, "--format") for obj in OBJECTS} | {("nc-series", "--p")}
+
+
+@pytest.mark.parametrize("obj, option", list(itertools.product(OBJECTS, EMIT_GIVEN)))
+def test_an_emit_option_reaches_the_run_or_is_refused(obj, option, tmp_path, monkeypatch,
+                                                      capsys):
+    base = ["emit", obj]
+    if obj == "nc-series":
+        base += ["--word", "x"]
+    elif obj in MEASURED and option in ("--c", "--word"):  # the measures that read them
+        base += ["--measure", "M" if option == "--c" else "D2"]
+    target = tmp_path / "emitted.json"
+    argv = base + [option, EMIT_GIVEN[option] or str(target)]
+    if obj in EMIT_READ_BY[option]:
+        assert run(base) == EXIT_OK
+        default = capsys.readouterr().out
+        assert run(argv) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        if option == "--out":
+            assert out == "" and target.read_text() == default
+        elif (obj, option) not in UNSEEN:
+            assert out != default
+    else:  # an option the object never reads would be dropped in silence
+        def never(*args):
+            pytest.fail(f"emit {obj} built an object although {option} was refused")
+
+        for owner, name in ((cli, "_build_measure"), (cli.magnus, "parse_word"),
+                            (cli.octagon, "build_factor")):
+            monkeypatch.setattr(owner, name, never)
+        assert run(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and not target.exists()
+        assert err.startswith(f"invalid input: {option} ") and err.endswith(" only\n")
+
+
+def test_emit_refusal_names_the_objects_that_read_the_option(capsys):
+    argv = ["emit", "octagon-factor", "--factor", "B", "--terms", "9", "--c", "5"]
+    assert run(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == ("invalid input: --terms sets the transform terms "
+                                       "and applies to the iwasawa and f-series objects only\n")
+
+
+def test_emit_nc_series_without_a_word_exits_2(capsys):
+    assert run(["emit", "nc-series", "--p", "3", "--n", "1"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == "invalid input: --word is required for nc-series\n"
+
+
+def load_workloads():
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["octagon-sweep", "tables-transforms", "words-integrands"])
+def test_the_cli_accepts_every_benchmark_invocation(workload, monkeypatch, capsys):
+    # a CLI change must never make the benchmark refuse its own invocations
+    workloads = load_workloads()
+    assert workload in workloads.WORKLOADS
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: [])
+    argvs = {tuple(argv) for seed in range(10) for argv in workloads.generate(workload, seed)}
+    for argv in sorted(argvs):
+        assert run(list(argv)) == EXIT_OK, argv
+        assert capsys.readouterr().err == ""
 
 
 def test_degree_below_two_rejected_at_boundary(capsys):

@@ -71,6 +71,15 @@ def test_translate_and_errors():
         pushforward(make_dirac([0, 0], CTX5), perm=(0, 0))
 
 
+@pytest.mark.parametrize("keyword, values", [
+    ("perm", (0,)), ("perm", (0, 1, 2)), ("units", [1]), ("units", [1, 1, 1]),
+    ("shift", [0]), ("shift", [0, 0, 0])])
+def test_pushforward_refuses_a_map_of_another_dimension(keyword, values):
+    # a list shorter or longer than mu.dim names a map of another dimension
+    with pytest.raises(ValueError, match="^map dimension mismatch$"):
+        pushforward(make_dirac([0, 1], CTX5), **{keyword: values})
+
+
 def test_scale_action_unit_only():
     a, _ = dirac_pair()
     assert pushforward(a, units=[1]).tables == a.tables
