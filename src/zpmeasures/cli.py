@@ -34,11 +34,13 @@ def at_least(low: int):
 
 OBJECTS = ("measure", "iwasawa", "f-series", "nc-series", "octagon-factor")
 MEASURED = OBJECTS[:3]  # the objects built from a --measure
+MEASURES = ("dirac", "M", "E1", "N2", "D2")
 
-# One table per command, option -> (argparse keywords, what it sets, the suites or
-# objects that read it), and command -> (help, positional, its choices, options).
-# Given to any other suite or object, the first such option in table order exits 2.
-# The parser sets no option left out: `check_options` sets each "default" here.
+# One table per command, option -> (argparse keywords, what it sets, the suites,
+# objects or measures that read it), and command -> (help, positional, its choices,
+# options).  A measured object's --measure is a reader too.  Given to a run no reader
+# is part of, the first such option in table order exits 2.  The parser sets no
+# option left out: `check_options` sets each "default" here that the run reads.
 VERIFY_OPTIONS = {
     "--p": ({"type": int}, "sets the prime", SUITES),
     "--n": ({"type": int}, "sets the octagon level", ("octagon",)),
@@ -61,16 +63,15 @@ EMIT_OPTIONS = {
     "--nmax": ({"type": int, "default": 3}, "sets the table depth", MEASURED),
     "--n": ({"type": at_least(0), "default": 1}, "sets the level n",
             ("nc-series", "octagon-factor")),
-    "--level": ({"type": at_least(0), "default": None}, "sets the transform level", MEASURED),
+    "--level": ({"type": at_least(0)}, "sets the transform level", ("iwasawa", "f-series")),
     "--terms": ({"type": at_least(0), "default": 6}, "sets the transform terms",
                 ("iwasawa", "f-series")),
     "--degree": ({"type": at_least(0), "default": 3}, "sets the series degree", ("nc-series",)),
     "--sigma-rep": ({"type": int, "default": 1}, "sets the octagon residue", ("octagon-factor",)),
-    "--measure": ({"choices": ("dirac", "M", "E1", "N2", "D2"), "default": "dirac"},
-                  "picks the measure", MEASURED),
-    "--c": ({"default": "7"}, "sets the c of M, E1 and N2", MEASURED),
-    "--a": ({"default": "0"}, "sets the Dirac point", MEASURED),
-    "--word": ({"default": None}, "sets the word", MEASURED + ("nc-series",)),
+    "--measure": ({"choices": MEASURES, "default": "dirac"}, "picks the measure", MEASURED),
+    "--c": ({"default": "7"}, "sets the c of M, E1 and N2", ("M", "E1", "N2")),
+    "--a": ({"default": "0"}, "sets the Dirac point", ("dirac",)),
+    "--word": ({"default": None}, "sets the word", ("D2", "nc-series")),
     "--factor": ({"choices": tuple("ABCDEFGHJ"), "default": "A"}, "picks the octagon factor",
                  ("octagon-factor",)),
     "--format": ({"default": "json"}, "sets the format: json, or csv for a measure", OBJECTS),
@@ -93,21 +94,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def check_options(args) -> None:
-    """Refuse an unwritable --out, then the first option given that the suite or
-    object never reads; then set each default the user left out."""
+    """Refuse an unwritable --out, then the first option given that no reader in the
+    run reads; then set each default the run reads that the user left out."""
     _, noun, _, options = COMMANDS[args.command]
     given = set(vars(args))  # the options the user gave, and the command and its positional
     if "out" in given and args.out and not _writable(args.out):  # before any work is done
         raise ValueError(f"--out {args.out} cannot be opened for writing")
+    run = {getattr(args, noun)}  # the suite or object, and a measured object's measure
     for flag, (kw, what, readers) in options.items():
         name = flag[2:].replace("-", "_")
-        if name in given and getattr(args, noun) not in readers:
-            *head, last = [s for s in readers if s != "all"]
-            listed = f"{', '.join(head)} and {last} {noun}s" if head else f"{last} {noun}"
-            tail = " and all" if "all" in readers else ""
-            raise ValueError(f"{flag} {what} and applies to the {listed}{tail} only")
+        if run.isdisjoint(readers):
+            if name not in given:
+                continue
+            listed = []
+            for kind, names in ((noun, [r for r in readers if r not in MEASURES + ("all",)]),
+                                ("measure", [r for r in readers if r in MEASURES])):
+                if names:
+                    *head, last = names
+                    listed.append(f"{', '.join(head)} and {last} {kind}s" if head
+                                  else f"{last} {kind}")
+            listed += ["all"] * ("all" in readers)
+            raise ValueError(f"{flag} {what} and applies to the {' and '.join(listed)} only")
         if name not in given and "default" in kw:
             setattr(args, name, kw["default"])
+        if name == "measure":
+            run.add(args.measure)
 
 
 def _writable(path: str) -> bool:
@@ -166,30 +177,40 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 
 
+def _terms(series, key: str) -> list:
+    """A series' terms as {"mono", key} rows, shortest monomials first."""
+    return [{"mono": magnus.mono_name(m), key: str(c)}
+            for m, c in sorted(series.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))]
+
+
 def cmd_emit(args) -> int:
     try:
         check_options(args)
         if args.format != "json" and (args.format, args.object) != ("csv", "measure"):
             raise ValueError(f"emit {args.object} has no --format {args.format}")
         if args.object in MEASURED:
-            mu = _build_measure(args, PrimeContext(args.p, max(args.nmax, args.level or 0)))
+            mu = _build_measure(args, PrimeContext(args.p, args.nmax))
         if args.object == "measure":
-            rows = list(mu.csv_lines())
+            rows = [",".join(["n"] + [f"a_{k + 1}" for k in range(mu.dim)] + ["value"])]
+            rows += [",".join(map(str, (n, *a, table[a])))
+                     for n, table in enumerate(mu.tables) for a in sorted(table)]
             payload = {"dim": mu.dim, "denom_bound": mu.denom_bound, "rows": rows[1:]}
         elif args.object in ("iwasawa", "f-series"):
-            level = args.level if args.level is not None else mu.n_max
             fn = iwasawa_P if args.object == "iwasawa" else transform_F
-            payload = fn(mu, args.terms, level).to_json_dict()
+            P = fn(mu, args.terms, getattr(args, "level", mu.n_max))
+            payload = {"dim": P.dim, "terms": P.terms,
+                       "coeffs": [{"exp": list(e), "value": str(P.coeffs[e]),
+                                   "guarantee": P.guarantees[e]} for e in sorted(P.coeffs)]}
         elif args.object == "nc-series":
             if not args.word:
                 raise ValueError("--word is required for nc-series")
             word = magnus.parse_word(args.word, PrimeContext(args.p, max(args.n, 1)), args.n)
-            payload = magnus.embed_E(word, args.degree).to_json_dict()
+            series = magnus.embed_E(word, args.degree)
+            payload = {"level": series.level, "degree": series.degree,
+                       "terms": _terms(series, "value")}
         else:  # octagon-factor
             fac = octagon.build_factor(args.factor, args.p, args.n, args.sigma_rep)
-            terms = [{"mono": magnus.mono_name(m), "poly": str(c)}
-                     for m, c in sorted(fac.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))]
-            payload = {"factor": args.factor, "terms": terms,
+            payload = {"factor": args.factor, "terms": _terms(fac, "poly"),
                        "config": {"p": args.p, "n": args.n, "s": args.sigma_rep}}
         text = "\n".join(rows) if args.format == "csv" else \
             json.dumps(payload, sort_keys=True, indent=2)

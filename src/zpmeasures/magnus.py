@@ -265,11 +265,6 @@ class NcSeries(Record):
                 accumulate(out, term.coeffs.items())
         return NcSeries(ctx, level, degree, out)
 
-    def to_json_dict(self):
-        return {"level": self.level, "degree": self.degree,
-                "terms": [{"mono": mono_name(m), "value": str(self.coeffs[m])}
-                          for m in sorted(self.coeffs, key=lambda m: (len(m), m))]}
-
 
 def embed_E(w: FreeWord, degree: int) -> NcSeries:
     """Product over the letters (g, e) of exp(e * g), truncated, in divided

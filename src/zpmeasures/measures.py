@@ -66,13 +66,6 @@ class LevelFamily(Frozen):
     def zero(cls, ctx: PrimeContext, dim: int) -> "LevelFamily":
         return cls.build(ctx, dim, lambda n, a: 0)
 
-    def csv_lines(self):
-        """Rows "n,a_1,..,a_m,value" for every stored entry."""
-        yield ",".join(["n"] + [f"a_{k+1}" for k in range(self.dim)] + ["value"])
-        for n, table in enumerate(self.tables):
-            for a in sorted(table):
-                yield ",".join(map(str, (n, *a, table[a])))
-
 
 def pinpoint(miss: tuple, p: int) -> str:
     """A table check's miss (level, point, defect), with the defect's p-adic valuation."""
@@ -244,13 +237,6 @@ class IwasawaPoly(Record):
     def __init__(self, dim: int, terms: int, coeffs: dict, guarantees: dict):
         # coeffs: exponent tuple -> exact rational; guarantees: exponent tuple -> int
         self.dim, self.terms, self.coeffs, self.guarantees = dim, terms, coeffs, guarantees
-
-    def to_json_dict(self):
-        out = []
-        for e in sorted(self.coeffs):
-            out.append({"exp": list(e), "value": str(self.coeffs[e]),
-                        "guarantee": self.guarantees[e]})
-        return {"dim": self.dim, "terms": self.terms, "coeffs": out}
 
     def coefficient(self, exps) -> Rat:
         return self.coeffs.get(tuple(exps), 0)

@@ -184,6 +184,12 @@ def check_config(p: int, n: int, s: int):
     return width
 
 
+def bracket(series: NcSeries, g, h, c) -> None:
+    """Add c[g, h] = c (gh - hg) to the series."""
+    series.add_term((g, h), c)
+    series.add_term((h, g), -c)
+
+
 def build_factor(name: str, p: int, n: int, s: int) -> NcSeries:
     """One of the nine displayed factors, verbatim, with chi = s + p^n t.
 
@@ -200,8 +206,7 @@ def build_factor(name: str, p: int, n: int, s: int) -> NcSeries:
         for a, b in itertools.product(range(width), repeat=2):
             out.add_term((a, b), b_sym(a, b, width))
         for i in range(width):
-            out.add_term((X, i), g_sym(i, width))
-            out.add_term((i, X), -g_sym(i, width))
+            bracket(out, X, i, g_sym(i, width))
         return out
 
     if name == "B":
@@ -215,8 +220,7 @@ def build_factor(name: str, p: int, n: int, s: int) -> NcSeries:
         # the mixed terms start at i = 1: the y_0 image is y_0 itself, so the
         # substitution that produces this factor yields no X Y_0 bracket
         for i in range(1, width):
-            out.add_term((X, i), -a_sym(width - i, width))
-            out.add_term((i, X), a_sym(width - i, width))
+            bracket(out, X, i, -a_sym(width - i, width))
         for b in range(1, width):
             for a in range(b + 1, width + 1):
                 out.add_term((a % width, b), -a_sym(width - b, width))
@@ -241,11 +245,9 @@ def build_factor(name: str, p: int, n: int, s: int) -> NcSeries:
         out.add_term((X,), t)
         for i in range(width):
             out.add_term((i,), t)
-        out.add_term((0, X), t * Fraction(1, 2))
-        out.add_term((X, 0), -t * Fraction(1, 2))
+        bracket(out, 0, X, t * Fraction(1, 2))
         for i in range(width):
-            out.add_term((X, i), t * Fraction(1, 2))
-            out.add_term((i, X), -t * Fraction(1, 2))
+            bracket(out, X, i, t * Fraction(1, 2))
         for a, b in itertools.product(range(width), repeat=2):
             ma, mb = mpos(a, width), mpos(b, width)
             if mb < ma:
@@ -265,34 +267,28 @@ def build_factor(name: str, p: int, n: int, s: int) -> NcSeries:
             coef = a_sym(s - a, width)
             out.add_term((a,), coef)
             for j in range(1, a):
-                out.add_term((a, j), coef)
-                out.add_term((j, a), -coef)
+                bracket(out, a, j, coef)
         out.add_term((0,), a_sym(s, width))
         for a in range(s + 1, width):
             coef = a_sym(s - a, width)
             out.add_term((a,), coef)
-            out.add_term((a, X), -coef)
-            out.add_term((X, a), coef)
+            bracket(out, a, X, -coef)
             for j in range(a + 1, width + 1):
-                out.add_term((a, j % width), -coef)
-                out.add_term((j % width, a), coef)
+                bracket(out, a, j % width, -coef)
         for a, b in itertools.product(range(width), repeat=2):
             out.add_term((a, b), b_sym(s - a, s - b, width))
         for j in range(width):
             coef = g_sym(s - j, width)
-            out.add_term((X, j), -coef)
-            out.add_term((j, X), coef)
+            bracket(out, X, j, -coef)
             for k in range(width):
-                out.add_term((k, j), -coef)
-                out.add_term((j, k), coef)
+                bracket(out, k, j, -coef)
         return out
 
     if name == "F":
         out.add_term((s,), half)
         out.add_term((s, s), half * half * Fraction(1, 2))
         for i in range(1, s):
-            out.add_term((s, i), half)
-            out.add_term((i, s), -half)
+            bracket(out, s, i, half)
         return out
 
     if name == "G":
@@ -300,17 +296,14 @@ def build_factor(name: str, p: int, n: int, s: int) -> NcSeries:
             coef = a_sym(i - s, width)
             out.add_term((i,), -coef)
             for j in range(1, s):
-                out.add_term((i, j), -coef)
-                out.add_term((j, i), coef)
+                bracket(out, i, j, -coef)
         for i in range(s):
             coef = a_sym(i - s, width)
-            out.add_term((i, X), -coef)
-            out.add_term((X, i), coef)
+            bracket(out, i, X, -coef)
         for a, b in itertools.product(range(width), repeat=2):
             out.add_term((a, b), -b_sym(a - s, b - s, width))
         for i in range(width):
-            out.add_term((X, i), -g_sym(i - s, width))
-            out.add_term((i, X), g_sym(i - s, width))
+            bracket(out, X, i, -g_sym(i - s, width))
         for a, b in itertools.product(range(width), repeat=2):
             out.add_term((a, b), a_sym(a - s, width) * a_sym(b - s, width))
         return out
@@ -318,8 +311,7 @@ def build_factor(name: str, p: int, n: int, s: int) -> NcSeries:
     if name == "H":
         out.add_term((X,), -t)
         for i in range(1, s):
-            out.add_term((X, i), t)
-            out.add_term((i, X), -t)
+            bracket(out, X, i, t)
         out.add_term((X, X), t * t * Fraction(1, 2))
         return out
 
@@ -328,8 +320,7 @@ def build_factor(name: str, p: int, n: int, s: int) -> NcSeries:
             out.add_term((i,), ONE)
         for j in range(1, s):
             for i in range(j + 1, s):
-                out.add_term((i, j), SymPoly.const(Fraction(1, 2)))
-                out.add_term((j, i), SymPoly.const(Fraction(-1, 2)))
+                bracket(out, i, j, SymPoly.const(Fraction(1, 2)))
         for a, b in itertools.product(range(1, s), repeat=2):
             out.add_term((a, b), SymPoly.const(Fraction(1, 2)))
         return out

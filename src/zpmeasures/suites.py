@@ -260,7 +260,6 @@ def magnus_suite(cfg: RunConfig) -> SuiteReport:
                                  "degree": cfg.degree, "seed": cfg.seed})
     level = cfg.n_max
     D = cfg.degree
-    width0 = ctx.p  # level-1 alphabet size used for shuffle pairs
     words = [_random_kernel_word(rng, ctx, level) for _ in range(10)]
     n_box = max(0, level - 1)
     shapes = [(n0, n1) for n0 in range(3) for n1 in range(3) if n0 + n1 <= 2]
@@ -277,7 +276,7 @@ def magnus_suite(cfg: RunConfig) -> SuiteReport:
         s = towers[w_i][level].truncated(D)  # a copy: the fault stays out of the tower
         if cfg.tamper and w_i == 0:
             s.coeffs[(0, 0)] = s.coeff((0, 0)) + 1
-        ys = range(min(width0, ctx.p ** level))
+        ys = range(ctx.p)  # the level-1 alphabet: shuffle pairs of Y_0..Y_{p-1}
         pairs = [((a,), (b,)) for a in ys for b in ys]
         pairs += [((a,), (b, c)) for a in ys for b in ys for c in ys if D >= 3]
         rep.add(f"shuffle:word{w_i}", next((f"fails at {pair}" for pair in pairs

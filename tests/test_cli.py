@@ -316,25 +316,26 @@ def test_the_octagon_level_and_nmax_together_are_refused(argv, monkeypatch, caps
 
 OBJECTS = ("measure", "iwasawa", "f-series", "nc-series", "octagon-factor")
 MEASURED = {"measure", "iwasawa", "f-series"}
-# the objects that read each emit option; any other use exits 2
+MEASURES = ("dirac", "M", "E1", "N2", "D2")
+# the objects and measures that read each emit option; a run with none of them exits 2
 EMIT_READ_BY = {
     "--p": set(OBJECTS),
     "--nmax": MEASURED,
     "--n": {"nc-series", "octagon-factor"},
-    "--level": MEASURED,
+    "--level": {"iwasawa", "f-series"},
     "--terms": {"iwasawa", "f-series"},
     "--degree": {"nc-series"},
     "--sigma-rep": {"octagon-factor"},
     "--measure": MEASURED,
-    "--c": MEASURED,
-    "--a": MEASURED,
-    "--word": MEASURED | {"nc-series"},
+    "--c": {"M", "E1", "N2"},
+    "--a": {"dirac"},
+    "--word": {"D2", "nc-series"},
     "--factor": {"octagon-factor"},
     "--format": set(OBJECTS),
     "--out": set(OBJECTS),
 }
-# option -> a value unlike its default
-EMIT_GIVEN = {"--p": "5", "--nmax": "2", "--n": "2", "--level": "4", "--terms": "3",
+# option -> a value unlike its default; --level stays below the default --nmax of 3
+EMIT_GIVEN = {"--p": "5", "--nmax": "2", "--n": "2", "--level": "2", "--terms": "3",
               "--degree": "2", "--sigma-rep": "2", "--measure": "M", "--c": "5", "--a": "1",
               "--word": "[x,y1]", "--factor": "B", "--format": "json", "--out": None}
 # the read options that leave the output as it is: json is every object's
@@ -346,13 +347,17 @@ UNSEEN = {(obj, "--format") for obj in OBJECTS} | {("nc-series", "--p")}
 def test_an_emit_option_reaches_the_run_or_is_refused(obj, option, tmp_path, monkeypatch,
                                                       capsys):
     base = ["emit", obj]
+    run_by = {obj}  # the object, and a measured object's measure
     if obj == "nc-series":
         base += ["--word", "x"]
     elif obj in MEASURED and option in ("--c", "--word"):  # the measures that read them
         base += ["--measure", "M" if option == "--c" else "D2"]
+        run_by.add(base[-1])
+    elif obj in MEASURED:
+        run_by.add("dirac")
     target = tmp_path / "emitted.json"
     argv = base + [option, EMIT_GIVEN[option] or str(target)]
-    if obj in EMIT_READ_BY[option]:
+    if run_by & EMIT_READ_BY[option]:
         assert run(base) == EXIT_OK
         default = capsys.readouterr().out
         assert run(argv) == EXIT_OK
@@ -382,6 +387,41 @@ def test_emit_refusal_names_the_objects_that_read_the_option(capsys):
                                        "and applies to the iwasawa and f-series objects only\n")
 
 
+@pytest.mark.parametrize("measure, option", list(itertools.product(
+    MEASURES, ("--c", "--a", "--word"))))
+def test_an_emit_option_reaches_its_measure_or_is_refused(measure, option, monkeypatch,
+                                                          capsys):
+    argv = ["emit", "measure", "--measure", measure, "--p", "2", "--nmax", "2",
+            option, {"--c": "5", "--a": "1", "--word": "[x,y1]"}[option]]
+    if measure in EMIT_READ_BY[option]:
+        assert run(argv) == EXIT_OK
+        assert capsys.readouterr().err == ""
+    else:  # the measure never reads it, so it would be dropped in silence
+        monkeypatch.setattr(cli, "_build_measure", lambda *args: pytest.fail("built"))
+        assert run(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"invalid input: {option} ")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["emit", "iwasawa", "--measure", "dirac", "--c", "5"],
+     "--c sets the c of M, E1 and N2 and applies to the M, E1 and N2 measures only"),
+    (["emit", "nc-series", "--word", "x", "--a", "1"],
+     "--a sets the Dirac point and applies to the dirac measure only"),
+    (["emit", "octagon-factor", "--word", "x"],
+     "--word sets the word and applies to the nc-series object and D2 measure only"),
+    (["emit", "measure", "--level", "2"], "--level sets the transform level and "
+     "applies to the iwasawa and f-series objects only"),
+    # the tables reach --nmax and no further
+    (["emit", "iwasawa", "--nmax", "2", "--level", "4"],
+     "evaluation level 4 out of stored range 0..2"),
+], ids=["c-for-dirac", "a-for-a-series", "word-for-a-factor", "level-for-a-measure",
+        "level-past-nmax"])
+def test_emit_refuses_what_its_run_never_reads(argv, err, capsys):
+    assert run(argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"invalid input: {err}\n")
+
+
 def test_emit_nc_series_without_a_word_exits_2(capsys):
     assert run(["emit", "nc-series", "--p", "3", "--n", "1"]) == EXIT_USAGE
     out, err = capsys.readouterr()
@@ -396,13 +436,28 @@ def load_workloads():
     return module
 
 
-@pytest.mark.parametrize("workload", ["octagon-sweep", "tables-transforms", "words-integrands"])
-def test_the_cli_accepts_every_benchmark_invocation(workload, monkeypatch, capsys):
-    # a CLI change must never make the benchmark refuse its own invocations
-    workloads = load_workloads()
-    assert workload in workloads.WORKLOADS
+def readme_invocations() -> list:
+    """The argv of each `zpmeasures ...` line in the README's sh blocks, comments dropped."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line for block in text.split("```sh\n")[1:]
+             for line in block.partition("```")[0].splitlines()]
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.startswith("zpmeasures ")]
+
+
+@pytest.mark.parametrize("source", ["octagon-sweep", "tables-transforms", "words-integrands",
+                                    "README.md"])
+def test_the_cli_accepts_every_benchmark_invocation(source, monkeypatch, capsys):
+    # a CLI change must never make the benchmark refuse its own invocations, nor
+    # the README show one the CLI refuses
+    if source == "README.md":
+        argvs = {tuple(argv) for argv in readme_invocations()}
+        assert argvs
+    else:
+        workloads = load_workloads()
+        assert source in workloads.WORKLOADS
+        argvs = {tuple(argv) for seed in range(10) for argv in workloads.generate(source, seed)}
     monkeypatch.setattr(cli, "run_suite", lambda cfg: [])
-    argvs = {tuple(argv) for seed in range(10) for argv in workloads.generate(workload, seed)}
     for argv in sorted(argvs):
         assert run(list(argv)) == EXIT_OK, argv
         assert capsys.readouterr().err == ""

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zpmeasures.classical import make_dirac
-from zpmeasures import magnus
+from zpmeasures import cli, magnus
 from zpmeasures.magnus import (FreeWord, NcSeries, WordSyntaxError, X,
                                beta_measures, commutator,
                                embed_E, kernel_check,
@@ -277,9 +278,12 @@ def test_exp_transform_roundtrip():
     assert all(ok.values())
 
 
-def test_series_json_shape():
-    d = embed_E(parse_word("[y0,y1]", CTX3, 1), 2).to_json_dict()
+def test_series_json_shape(capsys):
+    assert cli.main(["emit", "nc-series", "--word", "[y0,y1]", "--p", "3",
+                     "--n", "1", "--degree", "2"]) == cli.EXIT_OK
+    d = json.loads(capsys.readouterr().out)
     assert set(d) == {"level", "degree", "terms"}
+    assert d["terms"][0] == {"mono": "1", "value": "1"}
     monos = {row["mono"] for row in d["terms"]}
     assert "1" in monos and "Y0.Y1" in monos
 

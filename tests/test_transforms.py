@@ -1,10 +1,12 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from zpmeasures import cli
 from zpmeasures.classical import make_M, make_N2, make_dirac, make_E1
 from zpmeasures.measures import (DiracCombo, box_integral, iwasawa_P,
                                  iwasawa_flip, iwasawa_swap, iwasawa_tensor,
@@ -132,9 +134,10 @@ def test_swap_and_tensor():
         assert S.coefficient(e) == T.coefficient((e[1], e[0]))
 
 
-def test_iwasawa_json_shape():
-    P = iwasawa_P(make_dirac([1], CTX), 2, 2)
-    d = P.to_json_dict()
+def test_iwasawa_json_shape(capsys):
+    assert cli.main(["emit", "iwasawa", "--measure", "dirac", "--a", "1", "--p", "3",
+                     "--nmax", "4", "--level", "2", "--terms", "2"]) == cli.EXIT_OK
+    d = json.loads(capsys.readouterr().out)
     assert set(d) == {"dim", "terms", "coeffs"}
     assert all(set(row) == {"exp", "value", "guarantee"} for row in d["coeffs"])
 
