@@ -94,20 +94,20 @@ def make_dirac(point, ctx: PrimeContext) -> LevelFamily:
 
 def make_M(c, ctx: PrimeContext) -> LevelFamily:
     """The measure with total mass c - 1 interpolating binomial coefficients."""
-    levels = _levels(c, ctx, unit=False)
-    return LevelFamily.build(ctx, 1, lambda n, a: m_value(a[0], levels[n][0], levels[n][2]))
+    levels = [(s, t) for s, _, t in _levels(c, ctx, unit=False)]
+    return LevelFamily.build(ctx.p, 1, lambda n, a: m_value(*a, *levels[n]), ctx.n_max)
 
 
 def make_E1(c, ctx: PrimeContext) -> LevelFamily:
     """The Mazur-Bernoulli measure: moments (B_k/k)(1 - c^k)."""
     levels = _levels(c, ctx, unit=True)
-    return LevelFamily.build(ctx, 1, lambda n, a: e1_value(a[0], *levels[n]))
+    return LevelFamily.build(ctx.p, 1, lambda n, a: e1_value(a[0], *levels[n]), ctx.n_max)
 
 
 def make_N2(c, ctx: PrimeContext) -> LevelFamily:
     """Antisymmetric two-variable companion of M(c); c must be a unit."""
     levels = _levels(c, ctx, unit=True)
-    return LevelFamily.build(ctx, 2, lambda n, ab: n2_value(ab[0], ab[1], *levels[n]))
+    return LevelFamily.build(ctx.p, 2, lambda n, ab: n2_value(*ab, *levels[n]), ctx.n_max)
 
 
 def make_D2(word: FreeWord) -> LevelFamily:
@@ -122,14 +122,14 @@ def make_D2(word: FreeWord) -> LevelFamily:
         raise ValueError("D2 needs a kernel word")
     levels = []
     for n, s in enumerate(word_tower(word, [2] * (word.level + 1))):
-        width = word.ctx.p ** n
+        width = word.p ** n
         levels.append((width, [s.coeff((i,)) for i in range(width)].__getitem__,
                        [s.coeff((X, i)) for i in range(width)].__getitem__))
 
     def fn(n, ab):
         return d2_value(ab[0], ab[1], *levels[n])
 
-    return LevelFamily.build(word.ctx, 2, fn, word.level)
+    return LevelFamily.build(word.p, 2, fn, word.level)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +160,7 @@ def e1_relation_suite(c, ctx: PrimeContext, mod_exp: int):
     Em = pushforward(E, units=[-1])
     TcE = pushforward(E, shift=[c])
     TcEm = pushforward(E, units=[-1], shift=[c])
-    zero = LevelFamily.zero(ctx, 1)
+    zero = LevelFamily.zero(ctx.p, 1, ctx.n_max)
     relations = (
         ("reflection", linear_combine([1, 1, -(c - 1)], [E, Em, d0]), INF,
          "E + E o(-1) - (c-1) delta_0 == 0 exactly"),

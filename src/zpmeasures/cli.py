@@ -147,9 +147,7 @@ def _build_measure(args, ctx: PrimeContext):
     make = {"M": classical.make_M, "E1": classical.make_E1, "N2": classical.make_N2}
     if args.measure in make:
         return make[args.measure](Fraction(args.c), ctx)
-    level = min(ctx.n_max, 2)  # D2
-    word = magnus.parse_word(args.word or "[x,y0]", PrimeContext(ctx.p, level), level)
-    return classical.make_D2(word)
+    return classical.make_D2(magnus.parse_word(args.word or "[x,y0]", ctx.p, ctx.n_max))
 
 
 def cmd_verify(args) -> int:
@@ -204,7 +202,7 @@ def cmd_emit(args) -> int:
         elif args.object == "nc-series":
             if not args.word:
                 raise ValueError("--word is required for nc-series")
-            word = magnus.parse_word(args.word, PrimeContext(args.p, max(args.n, 1)), args.n)
+            word = magnus.parse_word(args.word, args.p, args.n)
             series = magnus.embed_E(word, args.degree)
             payload = {"level": series.level, "degree": series.degree,
                        "terms": _terms(series, "value")}

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .corrections import LinearFormIntegrand
 from .measures import LevelFamily, _numerators, box_integral
-from .padic import PrimeContext, Rat, vp
+from .padic import Rat, require_prime, vp
 from .record import Frozen, Record
 
 X = -1
@@ -40,10 +40,10 @@ class FreeWord(Frozen):
     generator and drops a letter whose exponent reaches zero.
     """
 
-    __slots__ = _fields = ("ctx", "level", "letters")
+    __slots__ = _fields = ("p", "level", "letters")
 
-    def __init__(self, ctx: PrimeContext, level: int, letters: tuple):
-        width = ctx.p ** level
+    def __init__(self, p: int, level: int, letters: tuple):
+        width = p ** level
         out = []
         for g, e in letters:
             if not (g == X or 0 <= g < width):
@@ -54,15 +54,15 @@ class FreeWord(Frozen):
                 e += out.pop()[1]
             if e:
                 out.append((g, e))
-        self._init(ctx, level, tuple(out))
+        self._init(p, level, tuple(out))
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
-        if (self.ctx, self.level) != (other.ctx, other.level):
+        if (self.p, self.level) != (other.p, other.level):
             raise ValueError("level mismatch")
-        return FreeWord(self.ctx, self.level, self.letters + other.letters)
+        return FreeWord(self.p, self.level, self.letters + other.letters)
 
     def inverse(self) -> "FreeWord":
-        return FreeWord(self.ctx, self.level,
+        return FreeWord(self.p, self.level,
                         tuple((g, -e) for g, e in reversed(self.letters)))
 
 
@@ -78,10 +78,11 @@ def commutator(a: FreeWord, b: FreeWord) -> FreeWord:
 _TOKEN = re.compile(r"\s*(y\d+|x|\[|\]|,|\*|\^-?\d+)")
 
 
-def parse_word(text: str, ctx: PrimeContext, level: int) -> FreeWord:
+def parse_word(text: str, p: int, level: int) -> FreeWord:
     """Word grammar: generators x, y0..y{p^n-1}; ^-1 (or ^k) powers, x^0 the
     identity; [a,b] commutator sugar; concatenation by '*' or whitespace.
-    Text that names no generator is rejected as an empty word."""
+    A p that is not prime, and text that names no generator, are rejected."""
+    require_prime(p)
     tokens = []
     pos = 0
     while pos < len(text):
@@ -112,7 +113,7 @@ def parse_word(text: str, ctx: PrimeContext, level: int) -> FreeWord:
                 take()
                 continue
             letters += parse_item().letters
-        return FreeWord(ctx, level, tuple(letters))
+        return FreeWord(p, level, tuple(letters))
 
     def power() -> int:
         return int(take()[1:]) if peek() and peek().startswith("^") else 1
@@ -121,7 +122,7 @@ def parse_word(text: str, ctx: PrimeContext, level: int) -> FreeWord:
         tok = take()
         if tok == "x" or (tok and tok.startswith("y")):
             g = X if tok == "x" else int(tok[1:])
-            return FreeWord(ctx, level, ((g, power()),))
+            return FreeWord(p, level, ((g, power()),))
         if tok != "[":
             raise WordSyntaxError(f"unexpected token {tok!r}")
         a = parse_seq({","})
@@ -131,7 +132,7 @@ def parse_word(text: str, ctx: PrimeContext, level: int) -> FreeWord:
         if take() != "]":
             raise WordSyntaxError("expected ']'")
         item, k = commutator(a, b), power()
-        return FreeWord(ctx, level, (item if k > 0 else item.inverse()).letters * abs(k))
+        return FreeWord(p, level, (item if k > 0 else item.inverse()).letters * abs(k))
 
     word = parse_seq(set())
     if not any(tok and tok[0] in "xy" for tok in tokens):
@@ -173,15 +174,15 @@ class NcSeries(Record):
     "nonzero" (the octagon's series have SymPoly coefficients).
     """
 
-    __slots__ = _fields = ("ctx", "level", "degree", "coeffs")
+    __slots__ = _fields = ("p", "level", "degree", "coeffs")
 
-    def __init__(self, ctx: PrimeContext, level: int, degree: int, coeffs: dict):
+    def __init__(self, p: int, level: int, degree: int, coeffs: dict):
         # coeffs: monomial tuple -> coefficient
-        self.ctx, self.level, self.degree, self.coeffs = ctx, level, degree, coeffs
+        self.p, self.level, self.degree, self.coeffs = p, level, degree, coeffs
 
     @classmethod
-    def one(cls, ctx, level, degree) -> "NcSeries":
-        return cls(ctx, level, degree, {(): Fraction(1)})
+    def one(cls, p, level, degree) -> "NcSeries":
+        return cls(p, level, degree, {(): Fraction(1)})
 
     def coeff(self, mono: tuple) -> Rat:
         return self.coeffs.get(mono, 0)
@@ -190,19 +191,19 @@ class NcSeries(Record):
         accumulate(self.coeffs, ((tuple(mono), c),))
 
     def _check_shape(self, other):
-        if (self.ctx, self.level, self.degree) != (other.ctx, other.level, other.degree):
+        if (self.p, self.level, self.degree) != (other.p, other.level, other.degree):
             raise ValueError("series differ in prime, level or degree")
 
     def __add__(self, other: "NcSeries") -> "NcSeries":
         self._check_shape(other)
         out = dict(self.coeffs)
         accumulate(out, other.coeffs.items())
-        return NcSeries(self.ctx, self.level, self.degree, out)
+        return NcSeries(self.p, self.level, self.degree, out)
 
     def scaled(self, c) -> "NcSeries":
         if not c:
-            return NcSeries(self.ctx, self.level, self.degree, {})
-        return NcSeries(self.ctx, self.level, self.degree,
+            return NcSeries(self.p, self.level, self.degree, {})
+        return NcSeries(self.p, self.level, self.degree,
                         {m: c * v for m, v in self.coeffs.items()})
 
     def __mul__(self, other: "NcSeries") -> "NcSeries":
@@ -226,7 +227,7 @@ class NcSeries(Record):
                 accumulate(out, fits[room])
             else:
                 accumulate(out, ((m1 + m2, c1 * c2) for m2, c2 in fits[room]))
-        return NcSeries(self.ctx, self.level, self.degree, out)
+        return NcSeries(self.p, self.level, self.degree, out)
 
     def truncated(self, d: int) -> "NcSeries":
         """A fresh copy truncated past degree d <= self.degree.
@@ -237,7 +238,7 @@ class NcSeries(Record):
         """
         if d > self.degree:
             raise ValueError(f"cannot truncate a degree-{self.degree} series at {d}")
-        return NcSeries(self.ctx, self.level, d,
+        return NcSeries(self.p, self.level, d,
                         {m: c for m, c in self.coeffs.items() if len(m) <= d})
 
     def substitute(self, images: dict) -> "NcSeries":
@@ -249,10 +250,10 @@ class NcSeries(Record):
         if unmapped:
             raise ValueError(f"no image for generator {mono_name((min(unmapped),))}")
         shape = next(iter(images.values()))
-        ctx, level, degree = shape.ctx, shape.level, self.degree
-        if any((im.ctx, im.level, im.degree) != (ctx, level, degree) for im in images.values()):
+        p, level, degree = shape.p, shape.level, self.degree
+        if any((im.p, im.level, im.degree) != (p, level, degree) for im in images.values()):
             raise ValueError("images differ in prime or level, or from the series' degree")
-        cut = {(g, d): NcSeries(ctx, level, degree,
+        cut = {(g, d): NcSeries(p, level, degree,
                                 {m: c for m, c in im.coeffs.items() if len(m) <= d})
                for g, im in images.items() for d in range(1, degree + 1)}
         out = {m: c for m, c in self.coeffs.items() if not m}
@@ -263,7 +264,7 @@ class NcSeries(Record):
                 for g in mono[1:]:
                     term = term * cut[g, room]
                 accumulate(out, term.coeffs.items())
-        return NcSeries(ctx, level, degree, out)
+        return NcSeries(p, level, degree, out)
 
 
 def embed_E(w: FreeWord, degree: int) -> NcSeries:
@@ -282,7 +283,7 @@ def embed_E(w: FreeWord, degree: int) -> NcSeries:
                 terms.append((m + (g,) * j, c))
             accumulate(out, terms)
         nums = out
-    return NcSeries(w.ctx, w.level, degree,
+    return NcSeries(w.p, w.level, degree,
                     {m: Fraction(c, math.factorial(len(m))) for m, c in nums.items()})
 
 
@@ -294,8 +295,8 @@ def _log_kernel(s: NcSeries):
         raise ValueError("log needs constant term 1")
     D, K = s.degree, math.lcm(*range(1, s.degree + 1))
     nums, L = _numerators({m: c for m, c in s.coeffs.items() if m})
-    u = NcSeries(s.ctx, s.level, D, nums)
-    out, power = NcSeries(s.ctx, s.level, D, {}), NcSeries.one(s.ctx, s.level, D)
+    u = NcSeries(s.p, s.level, D, nums)
+    out, power = NcSeries(s.p, s.level, D, {}), NcSeries.one(s.p, s.level, D)
     for k in range(1, D + 1):
         power = power * u
         out = out + power.scaled((-1) ** (k + 1) * (K // k) * L ** (D - k))
@@ -316,7 +317,7 @@ def word_log2(w: FreeWord) -> NcSeries:
         c = k - pairs.get((g, h), 0)
         if c:
             coeffs[(h, g)], coeffs[(g, h)] = Fraction(c, 2), Fraction(-c, 2)
-    return NcSeries(w.ctx, w.level, 2, coeffs)
+    return NcSeries(w.p, w.level, 2, coeffs)
 
 
 def _left_bracketing(mono: tuple) -> dict:
@@ -375,8 +376,8 @@ def project_word(w: FreeWord, n: int) -> FreeWord:
     y_{i + k p^n}^e -> (X, -k) (i, e) (X, k), then normalize."""
     if n > w.level:
         raise ValueError("can only project downward")
-    pn = w.ctx.p ** n
-    pm = w.ctx.p ** (w.level - n)
+    pn = w.p ** n
+    pm = w.p ** (w.level - n)
     letters = []
     for g, e in w.letters:
         if g == X:
@@ -384,7 +385,7 @@ def project_word(w: FreeWord, n: int) -> FreeWord:
         else:
             i, k = g % pn, g // pn
             letters += [(X, -k), (i, e), (X, k)]
-    return FreeWord(w.ctx, n, tuple(letters))
+    return FreeWord(w.p, n, tuple(letters))
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +413,7 @@ def beta_measures(g: FreeWord, r: int, tower) -> LevelFamily:
         raise ValueError("word is not in the kernel (nonzero x-exponent)")
     if len(tower) != g.level + 1 or any(s.degree < r for s in tower):
         raise ValueError(f"need the word's series at levels 0..{g.level}, degree >= {r}")
-    return LevelFamily.build(g.ctx, r, lambda n, a: tower[n].coeff(a), g.level)
+    return LevelFamily.build(g.p, r, lambda n, a: tower[n].coeff(a), g.level)
 
 
 def word_coefficient_congruence(ns, idx, m: int, series, beta_r):
@@ -431,7 +432,7 @@ def word_coefficient_congruence(ns, idx, m: int, series, beta_r):
         raise ValueError("need r+1 X-block sizes for r Y-letters")
     if series.degree < r + sum(ns) or beta_r.dim != r:
         raise ValueError("series or measure does not match the monomial")
-    p, n = series.ctx.p, series.level
+    p, n = series.p, series.level
     mono = (X,) * ns[0]
     for ik, nk in zip(idx, ns[1:], strict=True):
         mono += (ik,) + (X,) * nk

@@ -29,25 +29,22 @@ def residues(p: int, n: int, dim: int):
 
 
 class LevelFamily(Frozen):
-    """A measure (or bounded-denominator distribution) up to level n_max."""
+    """A measure (or bounded-denominator distribution) at p, up to level n_max."""
 
-    __slots__ = _fields = ("ctx", "dim", "tables", "denom_bound")
+    __slots__ = _fields = ("p", "dim", "tables", "denom_bound")
 
-    def __init__(self, ctx: PrimeContext, dim: int, tables: tuple, denom_bound: int):
+    def __init__(self, p: int, dim: int, tables: tuple, denom_bound: int):
         # tables[n]: dict point-tuple -> value in normal form (padic.exact)
-        self._init(ctx, dim, tables, denom_bound)
+        self._init(p, dim, tables, denom_bound)
 
     @property
     def n_max(self) -> int:
         return len(self.tables) - 1
 
     @classmethod
-    def build(cls, ctx: PrimeContext, dim: int, fn, n_max=None) -> "LevelFamily":
-        """Tabulate fn(n, point) in normal form for all stored levels; only
+    def build(cls, p: int, dim: int, fn, n_max: int) -> "LevelFamily":
+        """Tabulate fn(n, point) in normal form for the levels 0..n_max; only
         non-integral values can raise denom_bound."""
-        if n_max is None:
-            n_max = ctx.n_max
-        p = ctx.p
         tables = []
         worst = 0
         for n in range(n_max + 1):
@@ -60,11 +57,11 @@ class LevelFamily(Frozen):
                         worst = max(worst, -vp(v, p))
                 table[a] = v
             tables.append(table)
-        return cls(ctx, dim, tuple(tables), worst)
+        return cls(p, dim, tuple(tables), worst)
 
     @classmethod
-    def zero(cls, ctx: PrimeContext, dim: int) -> "LevelFamily":
-        return cls.build(ctx, dim, lambda n, a: 0)
+    def zero(cls, p: int, dim: int, n_max: int) -> "LevelFamily":
+        return cls.build(p, dim, lambda n, a: 0, n_max)
 
 
 def pinpoint(miss: tuple, p: int) -> str:
@@ -87,7 +84,7 @@ def lifts(point, p: int, n: int, dim: int) -> list:
 def validate_distribution(mu: LevelFamily) -> tuple | None:
     """Check the distribution relation exactly at every stored level pair:
     None if it holds, else the first miss (level, point, defect)."""
-    p = mu.ctx.p
+    p = mu.p
     for n in range(mu.n_max):
         here, up = mu.tables[n], mu.tables[n + 1]
         for a in residues(p, n, mu.dim):
@@ -113,10 +110,10 @@ def linear_combine(coeffs, mus: list[LevelFamily]) -> LevelFamily:
         raise ValueError("nothing to combine")
     if len(coeffs) != len(mus):
         raise ValueError(f"{len(coeffs)} coefficients for {len(mus)} measures")
-    ctx, dim = mus[0].ctx, mus[0].dim
+    p, dim = mus[0].p, mus[0].dim
     for m in mus:
-        if m.ctx != ctx or m.dim != dim:
-            raise ValueError("context/dimension mismatch")
+        if m.p != p or m.dim != dim:
+            raise ValueError("prime/dimension mismatch")
     n_max = min(m.n_max for m in mus)
     pairs = [(c, m) for c, m in zip(map(exact, coeffs), mus, strict=True) if c]
     levels = []  # per level: the common denominator q and [(int weight, numerators)]
@@ -131,7 +128,7 @@ def linear_combine(coeffs, mus: list[LevelFamily]) -> LevelFamily:
         total = sum([w * nums[a] for w, nums in parts])
         return total // q if total % q == 0 else Fraction(total, q)
 
-    return LevelFamily.build(ctx, dim, fn, n_max)
+    return LevelFamily.build(p, dim, fn, n_max)
 
 
 def pushforward(mu: LevelFamily, perm=None, units=None, shift=None) -> LevelFamily:
@@ -142,7 +139,7 @@ def pushforward(mu: LevelFamily, perm=None, units=None, shift=None) -> LevelFami
     refuses one that is not).  The translation T_c, the scaling m_d (also
     written mu o d^{-1}) and the signed permutations are all special cases.
     """
-    m, p = mu.dim, mu.ctx.p
+    m, p = mu.dim, mu.p
     perm = tuple(range(m)) if perm is None else tuple(perm)
     units = [1] * m if units is None else [exact(u) for u in units]
     shift = [0] * m if shift is None else [exact(c) for c in shift]
@@ -160,7 +157,7 @@ def pushforward(mu: LevelFamily, perm=None, units=None, shift=None) -> LevelFami
         pn, coords = levels[n]
         return mu.tables[n][tuple((ui * (a[k] - ci)) % pn for k, ui, ci in coords)]
 
-    return LevelFamily.build(mu.ctx, mu.dim, fn, mu.n_max)
+    return LevelFamily.build(mu.p, mu.dim, fn, mu.n_max)
 
 
 def signed_group(m: int):
@@ -172,15 +169,15 @@ def signed_group(m: int):
 
 def exterior_product(alpha: LevelFamily, beta: LevelFamily) -> LevelFamily:
     """(alpha . beta)^{(n)}(a, b) = alpha^{(n)}(a) * beta^{(n)}(b)."""
-    if alpha.ctx != beta.ctx:
-        raise ValueError("context mismatch")
+    if alpha.p != beta.p:
+        raise ValueError("prime mismatch")
     i = alpha.dim
     n_max = min(alpha.n_max, beta.n_max)
 
     def fn(n, ab):
         return alpha.tables[n][ab[:i]] * beta.tables[n][ab[i:]]
 
-    return LevelFamily.build(alpha.ctx, alpha.dim + beta.dim, fn, n_max)
+    return LevelFamily.build(alpha.p, alpha.dim + beta.dim, fn, n_max)
 
 
 def star_convolution(a: tuple, b: tuple) -> tuple:
@@ -209,7 +206,7 @@ def box_integral(mu: LevelFamily, base, level: int, integrand, eval_level: int):
     computed pessimistically as
     (eval_level - level) - denom_bound - integrand.denominator_valuation(p).
     """
-    p = mu.ctx.p
+    p = mu.p
     if not 0 <= level <= eval_level <= mu.n_max:
         raise ValueError(f"box level {level} and evaluation level {eval_level} "
                          f"not in order within the stored range 0..{mu.n_max}")
@@ -251,7 +248,7 @@ def _axis_transform(mu: LevelFamily, terms: int, eval_level: int, weight, scale)
     """
     if not 0 <= eval_level <= mu.n_max:
         raise ValueError(f"evaluation level {eval_level} out of stored range 0..{mu.n_max}")
-    p = mu.ctx.p
+    p = mu.p
     rows = [[weight(x, j) for x in range(p ** eval_level)] for j in range(terms + 1)]
     nums, den = _numerators(mu.tables[eval_level])
     # keys are (j_1..j_k, x_{k+1}..x_dim) once k axes are contracted
@@ -370,9 +367,9 @@ def measures_equal(mu: LevelFamily, nu: LevelFamily, mod_exp) -> tuple | None:
     Pass mod_exp = INF for exact equality.  Otherwise the first miss
     (level, point, defect), the defect being the difference mu - nu there.
     """
-    if mu.ctx != nu.ctx or mu.dim != nu.dim:
-        raise ValueError("context/dimension mismatch")
-    p = mu.ctx.p
+    if mu.p != nu.p or mu.dim != nu.dim:
+        raise ValueError("prime/dimension mismatch")
+    p = mu.p
     for n in range(min(mu.n_max, nu.n_max) + 1):
         for a, v in mu.tables[n].items():
             diff = v - nu.tables[n][a]
@@ -448,4 +445,4 @@ class DiracCombo(Frozen):
         def fn(n, a):
             return sum(w for _, w in self.boxes(ctx.p, n).get(a, ()))
 
-        return LevelFamily.build(ctx, self.dim, fn)
+        return LevelFamily.build(ctx.p, self.dim, fn, ctx.n_max)

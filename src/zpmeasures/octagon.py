@@ -29,7 +29,7 @@ from math import gcd
 
 from .classical import d2_value, e1_value, m_value, mpos, n2_value
 from .magnus import FreeWord, NcSeries, X, accumulate, word_log2
-from .padic import PrimeContext, exact, is_prime
+from .padic import exact, is_prime
 
 # Symbols are tuples: ('a', i), ('b', i, j), ('g', i).  t is tracked as a
 # separate exponent in each monomial key (t_exp, symbol_tuple).
@@ -168,7 +168,7 @@ def chi_sympoly(p: int, n: int, s: int) -> SymPoly:
 
 def unit_series(p: int, n: int) -> NcSeries:
     """The series 1 at level n, truncated past degree 2."""
-    return NcSeries(PrimeContext(p, n), n, 2, {(): ONE})
+    return NcSeries(p, n, 2, {(): ONE})
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +344,7 @@ def residue_free_factors(p: int, n: int) -> dict:
 def build_factors(s: int, shared: dict) -> dict:
     """The nine factors at residue s and D·C; `shared`: `residue_free_factors(p, n)`."""
     A = shared["A"]
-    return {name: shared[name] if name in shared else build_factor(name, A.ctx.p, A.level, s)
+    return {name: shared[name] if name in shared else build_factor(name, A.p, A.level, s)
             for name in FACTOR_ORDER}
 
 
@@ -366,7 +366,7 @@ def deg1_relations(prod: NcSeries):
     """The degree-1 coefficients of the product, one SymPoly per Y_i."""
     if prod.coeff(()) != ONE:
         raise ValueError("product must have constant term 1")
-    return [prod.coeffs.get((i,), ZERO) for i in range(prod.ctx.p ** prod.level)]
+    return [prod.coeffs.get((i,), ZERO) for i in range(prod.p ** prod.level)]
 
 
 def e1_sympoly(x: int, p: int, n: int, s: int) -> SymPoly:
@@ -422,7 +422,7 @@ def degree2_displays(s: int, prod: NcSeries) -> dict:
     coefficient of `prod`, at every point (a, b) of its level n.  What depends
     on the residue or on a alone is built once, and D2 is tabulated once, then
     read at (a, b) and at (a - s, b - s)."""
-    p, n = prod.ctx.p, prod.level
+    p, n = prod.p, prod.level
     width = p ** n
     one_m_chi = ONE - chi_sympoly(p, n, s)
     t = SymPoly.t()
@@ -495,7 +495,7 @@ def degree2_symmetry_check(s: int, prod: NcSeries) -> tuple:
     t = 0 commutes with the substitution, which never maps t, so these rows
     vanish whenever the residuals do.
     """
-    p, n = prod.ctx.p, prod.level
+    p, n = prod.p, prod.level
     x_coeff = prod.coeff((X,))
     x_miss = f"X coefficient {x_coeff}" if x_coeff else None
     mapping, images = reflection_map(p, n, s), {}
@@ -521,19 +521,19 @@ def degree2_symmetry_check(s: int, prod: NcSeries) -> tuple:
 # Re-deriving the C, E, G factors from the generator substitutions
 
 
-def _word(ctx: PrimeContext, level: int, letters) -> FreeWord:
-    return FreeWord(ctx, level, tuple(letters))
+def _word(p: int, level: int, letters) -> FreeWord:
+    return FreeWord(p, level, tuple(letters))
 
 
-def _y_run(ctx, level, hi, lo):
+def _y_run(p, level, hi, lo):
     """y_hi y_{hi-1} ... y_lo as a word (empty when hi < lo)."""
-    return _word(ctx, level, [(i, 1) for i in range(hi, lo - 1, -1)])
+    return _word(p, level, [(i, 1) for i in range(hi, lo - 1, -1)])
 
 
-def _z_word(ctx, level, width) -> FreeWord:
+def _z_word(p, level, width) -> FreeWord:
     """z = (x y_{p^n-1} ... y_1)^{-1} y_0^{-1}."""
-    head = _word(ctx, level, [(X, 1)]) * _y_run(ctx, level, width - 1, 1)
-    return head.inverse() * _word(ctx, level, [(0, -1)])
+    head = _word(p, level, [(X, 1)]) * _y_run(p, level, width - 1, 1)
+    return head.inverse() * _word(p, level, [(0, -1)])
 
 
 def substitution_images(name: str, p: int, n: int, s: int) -> dict:
@@ -542,37 +542,36 @@ def substitution_images(name: str, p: int, n: int, s: int) -> dict:
     Keys are generator ids (X or a Y index); values are level-n words.
     """
     width = check_config(p, n, s)
-    ctx = PrimeContext(p, n)
-    z = _z_word(ctx, n, width)
+    z = _z_word(p, n, width)
     images = {}
     if name == "C":
         images[X] = z
-        images[0] = _word(ctx, n, [(0, 1)])
+        images[0] = _word(p, n, [(0, 1)])
         for k in range(1, width):
-            prefix = _word(ctx, n, [(0, 1), (X, 1)]) * _y_run(ctx, n, width - 1, width - k + 1)
-            images[k] = prefix * _word(ctx, n, [(width - k, 1)]) * prefix.inverse()
+            prefix = _word(p, n, [(0, 1), (X, 1)]) * _y_run(p, n, width - 1, width - k + 1)
+            images[k] = prefix * _word(p, n, [(width - k, 1)]) * prefix.inverse()
         return images
     if name == "E":
         images[X] = z
         for b in range(width):
             if b == s:
-                images[b] = _word(ctx, n, [(0, 1)])
+                images[b] = _word(p, n, [(0, 1)])
             elif b < s:
-                run = _y_run(ctx, n, s - b - 1, 1)
-                images[b] = run.inverse() * _word(ctx, n, [(s - b, 1)]) * run
+                run = _y_run(p, n, s - b - 1, 1)
+                images[b] = run.inverse() * _word(p, n, [(s - b, 1)]) * run
             else:
-                run = _y_run(ctx, n, width + s - b - 1, 1) * z
-                images[b] = run.inverse() * _word(ctx, n, [((s - b) % width, 1)]) * run
+                run = _y_run(p, n, width + s - b - 1, 1) * z
+                images[b] = run.inverse() * _word(p, n, [((s - b) % width, 1)]) * run
         return images
     if name == "G":
-        run = _y_run(ctx, n, s - 1, 1)
-        images[X] = run.inverse() * _word(ctx, n, [(X, 1)]) * run
+        run = _y_run(p, n, s - 1, 1)
+        images[X] = run.inverse() * _word(p, n, [(X, 1)]) * run
         for i in range(width):
             if i + s < width:
-                images[i] = run.inverse() * _word(ctx, n, [(i + s, 1)]) * run
+                images[i] = run.inverse() * _word(p, n, [(i + s, 1)]) * run
             else:
-                xrun = _word(ctx, n, [(X, 1)]) * run
-                images[i] = xrun.inverse() * _word(ctx, n, [((i + s) % width, 1)]) * xrun
+                xrun = _word(p, n, [(X, 1)]) * run
+                images[i] = xrun.inverse() * _word(p, n, [((i + s) % width, 1)]) * xrun
         return images
     raise ValueError("only C, E and G are re-derived from substitutions")
 
@@ -583,8 +582,8 @@ def derive_factor_by_subst(name: str, s: int, A: NcSeries, factor: NcSeries) -> 
     with the display F = `factor` term by term: E's display must equal A∘φ,
     and C's and G's must invert it, (A∘φ)·F = 1.  Returns the coefficients of
     A∘φ - F for E, of (A∘φ)·F - 1 for C and G; empty when they agree."""
-    images = substitution_images(name, A.ctx.p, A.level, s)
+    images = substitution_images(name, A.p, A.level, s)
     result = A.substitute({gen: word_log2(word) for gen, word in images.items()})
     if name in ("C", "G"):
-        result, factor = result * factor, unit_series(A.ctx.p, A.level)
+        result, factor = result * factor, unit_series(A.p, A.level)
     return {} if result.coeffs == factor.coeffs else (result + factor.scaled(-1)).coeffs

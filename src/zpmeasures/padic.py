@@ -36,14 +36,18 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+
+
 class PrimeContext(Frozen):
-    """The fixed prime and the deepest stored level."""
+    """A prime and the deepest level a table builder is asked to fill."""
 
     __slots__ = _fields = ("p", "n_max")
 
     def __init__(self, p: int, n_max: int):
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
+        require_prime(p)
         if n_max < 1:
             raise ValueError("n_max must be >= 1")
         self._init(p, n_max)

@@ -120,17 +120,17 @@ def _rho_and_beta2(rng: random.Random, cfg: RunConfig, c):
     return rho, linear_combine([Fraction(1, 2)], [exterior_product(alpha, alpha)])
 
 
-def _random_kernel_word(rng: random.Random, ctx: PrimeContext, level: int) -> magnus.FreeWord:
-    gens = [magnus.X] + list(range(ctx.p ** level))
+def _random_kernel_word(rng: random.Random, p: int, level: int) -> magnus.FreeWord:
+    gens = [magnus.X] + list(range(p ** level))
     letters = []
     for _ in range(6):
         letters.append((rng.choice(gens), rng.choice((1, -1))))
     bal = sum(e for g, e in letters if g == magnus.X)
     letters.append((magnus.X, -bal))
-    word = magnus.FreeWord(ctx, level, tuple(letters))
+    word = magnus.FreeWord(p, level, tuple(letters))
     if not word.letters:
-        return magnus.commutator(magnus.FreeWord(ctx, level, ((magnus.X, 1),)),
-                                 magnus.FreeWord(ctx, level, ((0, 1),)))
+        return magnus.commutator(magnus.FreeWord(p, level, ((magnus.X, 1),)),
+                                 magnus.FreeWord(p, level, ((0, 1),)))
     return word
 
 
@@ -152,9 +152,8 @@ def measures_suite(cfg: RunConfig) -> SuiteReport:
     named[f"M({cfg.p * units[0]})"] = classical.make_M(cfg.p * units[0], ctx)
 
     d2_level = min(cfg.n_max, 2)
-    d2ctx = PrimeContext(cfg.p, d2_level)
-    word = magnus.commutator(magnus.FreeWord(d2ctx, d2_level, ((magnus.X, 1),)),
-                             magnus.FreeWord(d2ctx, d2_level, ((0, 1),)))
+    word = magnus.commutator(magnus.FreeWord(cfg.p, d2_level, ((magnus.X, 1),)),
+                             magnus.FreeWord(cfg.p, d2_level, ((0, 1),)))
     named["D2([x,y0])"] = classical.make_D2(word)
 
     if cfg.tamper:
@@ -164,7 +163,7 @@ def measures_suite(cfg: RunConfig) -> SuiteReport:
         t = dict(tables[level])
         t[(1,) * 1] = t[(1,)] + 1
         tables[level] = t
-        named[f"M({units[0]})+tamper"] = LevelFamily(ctx, 1, tuple(tables), bad.denom_bound)
+        named[f"M({units[0]})+tamper"] = LevelFamily(cfg.p, 1, tuple(tables), bad.denom_bound)
 
     for name, mu in named.items():
         miss = validate_distribution(mu)
@@ -254,13 +253,12 @@ def transforms_suite(cfg: RunConfig) -> SuiteReport:
 
 
 def magnus_suite(cfg: RunConfig) -> SuiteReport:
-    ctx = cfg.ctx()
     rng = random.Random(cfg.seed)
     rep = SuiteReport("magnus", {"p": cfg.p, "n_max": cfg.n_max,
                                  "degree": cfg.degree, "seed": cfg.seed})
     level = cfg.n_max
     D = cfg.degree
-    words = [_random_kernel_word(rng, ctx, level) for _ in range(10)]
+    words = [_random_kernel_word(rng, cfg.p, level) for _ in range(10)]
     n_box = max(0, level - 1)
     shapes = [(n0, n1) for n0 in range(3) for n1 in range(3) if n0 + n1 <= 2]
 
@@ -276,7 +274,7 @@ def magnus_suite(cfg: RunConfig) -> SuiteReport:
         s = towers[w_i][level].truncated(D)  # a copy: the fault stays out of the tower
         if cfg.tamper and w_i == 0:
             s.coeffs[(0, 0)] = s.coeff((0, 0)) + 1
-        ys = range(ctx.p)  # the level-1 alphabet: shuffle pairs of Y_0..Y_{p-1}
+        ys = range(cfg.p)  # the level-1 alphabet: shuffle pairs of Y_0..Y_{p-1}
         pairs = [((a,), (b,)) for a in ys for b in ys]
         pairs += [((a,), (b, c)) for a in ys for b in ys for c in ys if D >= 3]
         rep.add(f"shuffle:word{w_i}", next((f"fails at {pair}" for pair in pairs
@@ -309,13 +307,13 @@ def magnus_suite(cfg: RunConfig) -> SuiteReport:
     t1, t2 = b1.tables[1], b2.tables[1]
     claim = "degree-2 symmetrization vs products"
     rep.add("permutation-sum", next((f"{claim}: level 1 point {a} differs"
-                                     for a in itertools.product(range(ctx.p), repeat=2)
+                                     for a in itertools.product(range(cfg.p), repeat=2)
                                      if t2[a] + t2[a[::-1]] != t1[a[:1]] * t1[a[1:]]), None),
             claim)
 
     results = ((shape, i, *magnus.word_coefficient_congruence(shape, (i,), 1,
                                                               towers[0][n_box], b1))
-               for shape in shapes for i in range(ctx.p ** n_box))
+               for shape in shapes for i in range(cfg.p ** n_box))
     rep.add("coefficient-congruence", next(
         (f"shape={shape} i={i} level={n_box + 1} guaranteed={guaranteed} achieved={achieved}"
          for shape, i, achieved, guaranteed in results if achieved < guaranteed), None))

@@ -23,21 +23,19 @@ from zpmeasures.measures import LevelFamily, residues
 from zpmeasures.padic import PrimeContext, vp
 
 
-def build_fraction(cls, ctx: PrimeContext, dim: int, fn, n_max=None) -> LevelFamily:
-    """Tabulate fn(n, point) for all stored levels, one Fraction per value."""
-    if n_max is None:
-        n_max = ctx.n_max
+def build_fraction(cls, p: int, dim: int, fn, n_max: int) -> LevelFamily:
+    """Tabulate fn(n, point) for the levels 0..n_max, one Fraction per value."""
     tables = []
     worst = 0
     for n in range(n_max + 1):
         table = {}
-        for a in residues(ctx.p, n, dim):
+        for a in residues(p, n, dim):
             v = Fraction(fn(n, a))
             table[a] = v
             if v:
-                worst = max(worst, -min(0, vp(v, ctx.p)))
+                worst = max(worst, -min(0, vp(v, p)))
         tables.append(table)
-    return cls(ctx, dim, tuple(tables), worst)
+    return cls(p, dim, tuple(tables), worst)
 
 
 def e1_value_reference(x: int, s: int, pn: int, t):
@@ -65,9 +63,9 @@ def normal_form(v) -> bool:
 
 def unit_sequence(ctx: PrimeContext, top: int) -> tuple:
     """(1, 0, 0, ...): the two-sided identity for the star product."""
-    entries = [LevelFamily.build(ctx, 0, lambda n, a: 1)]
+    entries = [LevelFamily.build(ctx.p, 0, lambda n, a: 1, ctx.n_max)]
     for i in range(1, top + 1):
-        entries.append(LevelFamily.zero(ctx, i))
+        entries.append(LevelFamily.zero(ctx.p, i, ctx.n_max))
     return tuple(entries)
 
 

@@ -20,9 +20,9 @@ def series_log(s: NcSeries) -> NcSeries:
     """log of a series with constant term 1, truncated at the series degree."""
     if s.coeff(()) != 1:
         raise ValueError("log needs constant term 1")
-    u = NcSeries(s.ctx, s.level, s.degree, {m: c for m, c in s.coeffs.items() if m})  # s - 1
-    out = NcSeries(s.ctx, s.level, s.degree, {})
-    power = NcSeries.one(s.ctx, s.level, s.degree)
+    u = NcSeries(s.p, s.level, s.degree, {m: c for m, c in s.coeffs.items() if m})  # s - 1
+    out = NcSeries(s.p, s.level, s.degree, {})
+    power = NcSeries.one(s.p, s.level, s.degree)
     for k in range(1, s.degree + 1):
         power = power * u
         out = out + power.scaled(Fraction((-1) ** (k + 1), k))

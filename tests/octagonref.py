@@ -171,7 +171,7 @@ def generic_series_by_subst(name: str, p: int, n: int, s: int):
     degree-1 part."""
     width = p ** n
     logs = {gen: word_log2(word) for gen, word in substitution_images(name, p, n, s).items()}
-    deg1 = {gen: NcSeries(log.ctx, log.level, log.degree, homogeneous(log, 1))
+    deg1 = {gen: NcSeries(log.p, log.level, log.degree, homogeneous(log, 1))
             for gen, log in logs.items()}
     result = unit_series(p, n)
 

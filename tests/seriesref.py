@@ -39,18 +39,18 @@ def homogeneous(s: NcSeries, d: int) -> dict:
     return {m: c for m, c in s.coeffs.items() if len(m) == d}
 
 
-def exp_gen(ctx, level, degree, gen: int, k: int) -> NcSeries:
+def exp_gen(p, level, degree, gen: int, k: int) -> NcSeries:
     """exp(k * generator), k an integer; k = 0 gives the unit series."""
-    return NcSeries(ctx, level, degree,
+    return NcSeries(p, level, degree,
                     {(gen,) * j: Fraction(k ** j, math.factorial(j))
                      for j in range(degree + 1 if k else 1)})
 
 
-def reference_embedding(ctx, level, letters, degree) -> NcSeries:
+def reference_embedding(p, level, letters, degree) -> NcSeries:
     """embed_E spelled letter by letter: one exp_gen factor per raw letter."""
-    out = NcSeries.one(ctx, level, degree)
+    out = NcSeries.one(p, level, degree)
     for g, e in letters:
-        out = out * exp_gen(ctx, level, degree, g, e)
+        out = out * exp_gen(p, level, degree, g, e)
     return out
 
 
@@ -58,15 +58,15 @@ def project_series(s: NcSeries, n: int) -> NcSeries:
     """`NcSeries.substitute` of X -> p^m X, Y_{i+k p^n} -> exp(-kX) Y_i exp(kX)."""
     if n > s.level:
         raise ValueError("can only project downward")
-    ctx = s.ctx
-    pn = ctx.p ** n
-    pm = ctx.p ** (s.level - n)
-    images = {X: NcSeries(ctx, n, s.degree, {(X,): Fraction(pm)})}
-    for g in range(ctx.p ** s.level):
+    p = s.p
+    pn = p ** n
+    pm = p ** (s.level - n)
+    images = {X: NcSeries(p, n, s.degree, {(X,): Fraction(pm)})}
+    for g in range(p ** s.level):
         i, k = g % pn, g // pn
-        images[g] = exp_gen(ctx, n, s.degree, X, -k) \
-            * NcSeries(ctx, n, s.degree, {(i,): Fraction(1)}) \
-            * exp_gen(ctx, n, s.degree, X, k)
+        images[g] = exp_gen(p, n, s.degree, X, -k) \
+            * NcSeries(p, n, s.degree, {(i,): Fraction(1)}) \
+            * exp_gen(p, n, s.degree, X, k)
     return s.substitute(images)
 
 
@@ -80,7 +80,6 @@ def exp_transform_roundtrip(g, r: int, terms: int):
     within route A's congruence guarantees; route B maps exponent tuples to
     coefficients.
     """
-    ctx = g.ctx
     tower = word_tower(g, [r + terms] + [r] * g.level)
     beta_r = beta_measures(g, r, tower)
     route_a = transform_F(beta_r, terms, g.level)
@@ -111,5 +110,5 @@ def exp_transform_roundtrip(g, r: int, terms: int):
         if sum(j) > terms:
             continue
         diff = route_a.coefficient(j) - total.get(j, Fraction(0))
-        ok[j] = vp(diff, ctx.p) >= route_a.guarantees[j]
+        ok[j] = vp(diff, g.p) >= route_a.guarantees[j]
     return route_a, total, ok

@@ -104,8 +104,7 @@ def test_04_constructors_satisfy_distribution_relation():
         ok = ok and validate_distribution(make_M(c, ctx)) is None
         ok = ok and validate_distribution(make_E1(c, ctx)) is None
         ok = ok and validate_distribution(make_N2(c, ctx)) is None
-    d2ctx = PrimeContext(3, 2)
-    word = commutator(FreeWord(d2ctx, 2, ((X, 1),)), FreeWord(d2ctx, 2, ((0, 1),)))
+    word = commutator(FreeWord(3, 2, ((X, 1),)), FreeWord(3, 2, ((0, 1),)))
     ok = ok and validate_distribution(make_D2(word)) is None
     report(ok, "distribution relation exact for dirac, M, E1, N2 (n_max=3) and D2 (n_max=2)")
 
@@ -144,21 +143,20 @@ def test_06_factor_rederivation_from_substitutions():
     report(ok, "factors C, E, G re-derived exactly from generator substitutions")
 
 
-def _random_kernel_word(rng, ctx, level, length=6):
-    gens = [X] + list(range(ctx.p ** level))
+def _random_kernel_word(rng, p, level, length=6):
+    gens = [X] + list(range(p ** level))
     letters = [(rng.choice(gens), rng.choice((1, -1))) for _ in range(length)]
     bal = sum(e for g, e in letters if g == X)
     letters += [(X, -1 if bal > 0 else 1)] * abs(bal)
-    w = FreeWord(ctx, level, tuple(letters))
-    return w if w.letters else FreeWord(ctx, level, ((0, 1), (1, 1)))
+    w = FreeWord(p, level, tuple(letters))
+    return w if w.letters else FreeWord(p, level, ((0, 1), (1, 1)))
 
 
 def test_07_magnus_suite_seeded_words():
     ok = True
     for p, n_max in ((2, 2), (3, 1)):
-        ctx = PrimeContext(p, n_max)
         rng = random.Random(100 + p)
-        words = [_random_kernel_word(rng, ctx, n_max) for _ in range(10)]
+        words = [_random_kernel_word(rng, p, n_max) for _ in range(10)]
         width = p ** n_max
         ys = range(width)
         pairs = [((a,), (b,)) for a in ys for b in ys]

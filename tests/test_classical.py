@@ -31,8 +31,8 @@ def test_dirac_tables_are_indicators():
 def test_dirac_matches_a_scan_of_every_entry(p, level, point):
     # reference: the indicator of the point's residues, tested entry by entry
     ctx = PrimeContext(p, level)
-    scan = LevelFamily.build(ctx, len(point), lambda n, b: int(all(
-        x == repr_mod(a, p, n) for x, a in zip(b, point))))
+    scan = LevelFamily.build(p, len(point), lambda n, b: int(all(
+        x == repr_mod(a, p, n) for x, a in zip(b, point))), level)
     d = make_dirac(point, ctx)
     assert d.tables == scan.tables and d.denom_bound == scan.denom_bound
     with pytest.raises(PIntegralityError):
@@ -84,15 +84,17 @@ def test_two_variable_companion():
 def word_tables(word):
     """Per-level alpha and gamma lists of a word: its Y_i and X Y_i coefficients."""
     tower = word_tower(word, [2] * (word.level + 1))
-    return ([[s.coeff((i,)) for i in range(word.ctx.p ** n)] for n, s in enumerate(tower)],
-            [[s.coeff((X, i)) for i in range(word.ctx.p ** n)] for n, s in enumerate(tower)])
+    return ([[s.coeff((i,)) for i in range(word.p ** n)] for n, s in enumerate(tower)],
+            [[s.coeff((X, i)) for i in range(word.p ** n)] for n, s in enumerate(tower)])
 
 
 def test_dilog_measure_from_word():
-    ctx = PrimeContext(3, 2)
-    word = commutator(FreeWord(ctx, 2, ((X, 1),)), FreeWord(ctx, 2, ((0, 1),)))
+    word = commutator(FreeWord(3, 2, ((X, 1),)), FreeWord(3, 2, ((0, 1),)))
     D2 = make_D2(word)
-    assert D2.ctx == ctx and D2.n_max == 2
+    assert D2.p == 3 and D2.n_max == 2
+    # a depth-2 D2 combines with a depth-3 N2 at the levels both store
+    assert linear_combine([1, 1], [D2, make_N2(7, CTX)]) == \
+        linear_combine([1, 1], [D2, make_N2(7, PrimeContext(3, 2))])
     assert validate_distribution(D2) is None
     _, gammas = word_tables(word)
     for n in range(D2.n_max + 1):
@@ -106,13 +108,12 @@ def test_dilog_measure_from_word():
 def test_dilog_measure_rejects_bad_tables():
     # corrupt one dilogarithm entry of otherwise-consistent tables: the
     # twisted compatibility breaks and the distribution check reports it
-    ctx = PrimeContext(3, 2)
-    word = commutator(FreeWord(ctx, 2, ((X, 1),)), FreeWord(ctx, 2, ((0, 1),)))
+    word = commutator(FreeWord(3, 2, ((X, 1),)), FreeWord(3, 2, ((0, 1),)))
     alphas, gammas = word_tables(word)
 
     def d2_from_tables():
-        return LevelFamily.build(ctx, 2, lambda n, ab: classical.d2_value(
-            ab[0], ab[1], 3 ** n, alphas[n].__getitem__, gammas[n].__getitem__))
+        return LevelFamily.build(3, 2, lambda n, ab: classical.d2_value(
+            ab[0], ab[1], 3 ** n, alphas[n].__getitem__, gammas[n].__getitem__), 2)
 
     assert d2_from_tables().tables == make_D2(word).tables
     gammas[2][4] += 1
@@ -121,9 +122,8 @@ def test_dilog_measure_rejects_bad_tables():
 
 @pytest.mark.parametrize("text", ["x*y0", "x", "y0*x^2"])
 def test_d2_refuses_a_word_outside_the_kernel(text):
-    ctx = PrimeContext(3, 2)
     with pytest.raises(ValueError, match="^D2 needs a kernel word$"):
-        make_D2(parse_word(text, ctx, 2))
+        make_D2(parse_word(text, 3, 2))
 
 
 def test_e1_relation_suite_passes():
@@ -154,7 +154,7 @@ def test_failed_e1_relation_names_level_point_valuation(monkeypatch):
         tables = list(mu.tables)
         tables[2] = dict(tables[2])
         tables[2][(1,)] += ctx.p
-        return LevelFamily(ctx, 1, tuple(tables), mu.denom_bound)
+        return LevelFamily(ctx.p, 1, tuple(tables), mu.denom_bound)
 
     monkeypatch.setattr(classical, "make_M", perturbed)
     checks = dict(e1_relation_suite(7, CTX, 3))

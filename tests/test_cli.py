@@ -73,7 +73,7 @@ def test_failed_signed_symmetrization_names_its_miss(monkeypatch):
         tables = list(beta2.tables)
         tables[1] = dict(tables[1])
         tables[1][(1, 2)] += cfg.p
-        return rho, LevelFamily(beta2.ctx, 2, tuple(tables), beta2.denom_bound)
+        return rho, LevelFamily(beta2.p, 2, tuple(tables), beta2.denom_bound)
 
     monkeypatch.setattr(suites, "_rho_and_beta2", perturbed)
     report = run_suite(RunConfig(p=5, n_max=2, suite="measures"))[0]
@@ -194,6 +194,8 @@ def test_emit_d2_from_word(capsys):
                 "--p", "3", "--nmax", "2", "--format", "csv"]) == EXIT_OK
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "n,a_1,a_2,value"
+    # D2's tables reach --nmax, so its transform is read at the top level
+    assert run(["emit", "iwasawa", "--measure", "D2", "--nmax", "3", "--level", "3"]) == EXIT_OK
 
 
 @pytest.mark.parametrize("argv", [
@@ -419,6 +421,14 @@ def test_an_emit_option_reaches_its_measure_or_is_refused(measure, option, monke
         "level-past-nmax"])
 def test_emit_refuses_what_its_run_never_reads(argv, err, capsys):
     assert run(argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"invalid input: {err}\n")
+
+
+@pytest.mark.parametrize("obj", cli.OBJECTS)
+def test_emit_refuses_a_p_that_is_not_prime(obj, capsys):
+    argv = ["emit", obj, "--p", "4"] + ["--word", "x"] * (obj == "nc-series")
+    assert run(argv) == EXIT_USAGE
+    err = "p must be prime" if obj == "octagon-factor" else "p = 4 is not prime"
     assert capsys.readouterr() == ("", f"invalid input: {err}\n")
 
 
@@ -686,7 +696,7 @@ REPORT_DIGESTS = {
     "emit measure --measure E1 --c 1/2 --p 3 --nmax 3 --format csv":
         "140bfeeb7eca78b80ea93a422941ca418701ced427c4b3891161410ccdc4fa76",
     'emit measure --measure D2 --word "[[x,y1],y2]" --p 2 --nmax 3 --format csv':
-        "2ff5cfdaeafc45d6e713dcf201e4655d4a194ef59b3385eccdc05c10bd7b32da",
+        "85c46d944d1bdcfc2bc334304d457e8af4e59462d22a5647f30600e424e646dd",
     "emit measure --measure dirac --a 1,2 --p 5 --nmax 2 --format csv":
         "0ac8af5b8fdc74f2627dcb4910e31e3a9345eef0110b6f1fdbbe2c2b58a5b955",
     "emit measure --measure dirac --a=-1/2 --p 3 --nmax 3 --format csv":

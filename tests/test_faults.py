@@ -21,7 +21,7 @@ def bumped(mu: LevelFamily, level: int, point: tuple) -> LevelFamily:
     tables = list(mu.tables)
     tables[level] = dict(tables[level])
     tables[level][point] += 1
-    return LevelFamily(mu.ctx, mu.dim, tuple(tables), mu.denom_bound)
+    return LevelFamily(mu.p, mu.dim, tuple(tables), mu.denom_bound)
 
 
 def bump_e1(monkeypatch):

@@ -26,60 +26,59 @@ from seriesref import (exp_gen, exp_transform_roundtrip, project_series,
                        reference_embedding)
 
 CTX2 = PrimeContext(2, 2)
-CTX3 = PrimeContext(3, 2)
 
 
-def random_kernel_word(ctx, level, rng, length=6):
-    gens = [X] + list(range(ctx.p ** level))
+def random_kernel_word(p, level, rng, length=6):
+    gens = [X] + list(range(p ** level))
     letters = [(rng.choice(gens), rng.choice((1, -1))) for _ in range(length)]
     bal = sum(e for g, e in letters if g == X)
     letters += [(X, -1 if bal > 0 else 1)] * abs(bal)
-    w = FreeWord(ctx, level, tuple(letters))
-    return w if w.letters else FreeWord(ctx, level, ((0, 1), (1, 1)))
+    w = FreeWord(p, level, tuple(letters))
+    return w if w.letters else FreeWord(p, level, ((0, 1), (1, 1)))
 
 
 def test_word_parsing():
-    w = parse_word("[y0,y1]", CTX3, 1)
+    w = parse_word("[y0,y1]", 3, 1)
     assert w.letters == ((0, 1), (1, 1), (0, -1), (1, -1))
-    w = parse_word("y0^3 x y1 x^-1", CTX3, 1)
+    w = parse_word("y0^3 x y1 x^-1", 3, 1)
     assert w.letters == ((0, 3), (X, 1), (1, 1), (X, -1))
-    assert parse_word("x^2 x^-5 [y0,y1]^-2", CTX3, 1).letters == \
+    assert parse_word("x^2 x^-5 [y0,y1]^-2", 3, 1).letters == \
         ((X, -3),) + ((1, 1), (0, 1), (1, -1), (0, -1)) * 2
-    assert parse_word("y0 * y1", CTX3, 1).letters == ((0, 1), (1, 1))
+    assert parse_word("y0 * y1", 3, 1).letters == ((0, 1), (1, 1))
     with pytest.raises(WordSyntaxError):
-        parse_word("w0", CTX3, 1)
+        parse_word("w0", 3, 1)
     with pytest.raises(ValueError):
-        parse_word("y7", CTX3, 1)
+        parse_word("y7", 3, 1)
 
 
 def test_free_reduction_and_kernel():
-    w = parse_word("x y0 y0^-1 x^-1 y1", CTX3, 1)
+    w = parse_word("x y0 y0^-1 x^-1 y1", 3, 1)
     assert w.letters == ((1, 1),)
-    assert w == parse_word("y1", CTX3, 1)
+    assert w == parse_word("y1", 3, 1)
     for identity in ("x^0", "x^-0", "y0 y0^-1", "[x,x]", "x^3 x^-3"):
-        assert parse_word(identity, CTX3, 1).letters == ()
+        assert parse_word(identity, 3, 1).letters == ()
     for empty in ("", "*", "[,]", "[*,]^2"):
         with pytest.raises(WordSyntaxError, match="empty word"):
-            parse_word(empty, CTX3, 1)
+            parse_word(empty, 3, 1)
     for bad in (Fraction(1), 1.0, "1"):
         with pytest.raises(ValueError, match="integers"):
-            FreeWord(CTX3, 1, ((0, bad),))
-    assert kernel_check(parse_word("[x,y0]", CTX3, 1))
-    assert not kernel_check(parse_word("x", CTX3, 1))
-    assert kernel_check(parse_word("y0^3 x y1 x^-1", CTX3, 1))
+            FreeWord(3, 1, ((0, bad),))
+    assert kernel_check(parse_word("[x,y0]", 3, 1))
+    assert not kernel_check(parse_word("x", 3, 1))
+    assert kernel_check(parse_word("y0^3 x y1 x^-1", 3, 1))
 
 
 def test_embedding_single_generator():
-    E = embed_E(parse_word("y0", CTX3, 1), 3)
+    E = embed_E(parse_word("y0", 3, 1), 3)
     assert E.coeff(()) == 1
     assert E.coeff((0,)) == 1
     assert E.coeff((0, 0)) == Fraction(1, 2)
     assert E.coeff((0, 0, 0)) == Fraction(1, 6)
-    assert embed_E(parse_word("y0 y0^-1", CTX3, 1), 3).coeffs == {(): Fraction(1)}
+    assert embed_E(parse_word("y0 y0^-1", 3, 1), 3).coeffs == {(): Fraction(1)}
 
 
 def test_embedding_commutator():
-    E = embed_E(parse_word("[y0,y1]", CTX3, 1), 3)
+    E = embed_E(parse_word("[y0,y1]", 3, 1), 3)
     assert E.coeff((0,)) == 0 and E.coeff((1,)) == 0
     assert E.coeff((0, 1)) == 1 and E.coeff((1, 0)) == -1
 
@@ -87,15 +86,15 @@ def test_embedding_commutator():
 def test_embedding_is_multiplicative():
     rng = random.Random(11)
     for _ in range(3):
-        a = random_kernel_word(CTX3, 1, rng)
-        b = random_kernel_word(CTX3, 1, rng)
+        a = random_kernel_word(3, 1, rng)
+        b = random_kernel_word(3, 1, rng)
         assert (embed_E(a, 3) * embed_E(b, 3)).coeffs == embed_E(a * b, 3).coeffs
 
 
 def test_kernel_word_x_coefficient_antisymmetry():
     rng = random.Random(4)
     for _ in range(4):
-        g = random_kernel_word(CTX3, 1, rng)
+        g = random_kernel_word(3, 1, rng)
         E = embed_E(g, 2)
         assert E.coeff((X,)) == 0
         for i in range(3):
@@ -103,42 +102,47 @@ def test_kernel_word_x_coefficient_antisymmetry():
 
 
 def test_log_and_lie_criterion():
-    assert lieref.series_log(embed_E(parse_word("y0", CTX3, 1), 3)).coeff((0,)) == 1
-    assert log_lie_check(embed_E(parse_word("y0", CTX3, 1), 3))
-    assert log_lie_check(embed_E(parse_word("[y0,y1]", CTX3, 1), 3))
-    bad = NcSeries(CTX3, 1, 3, {(): Fraction(1), (0, 1): Fraction(1)})
+    assert lieref.series_log(embed_E(parse_word("y0", 3, 1), 3)).coeff((0,)) == 1
+    assert log_lie_check(embed_E(parse_word("y0", 3, 1), 3))
+    assert log_lie_check(embed_E(parse_word("[y0,y1]", 3, 1), 3))
+    bad = NcSeries(3, 1, 3, {(): Fraction(1), (0, 1): Fraction(1)})
     assert not log_lie_check(bad)
 
 
 def test_shuffle_relations():
-    s = embed_E(parse_word("y0", CTX3, 1), 3)
+    s = embed_E(parse_word("y0", 3, 1), 3)
     assert shuffle_check(s, (0,), (0,))
-    s2 = embed_E(parse_word("[y0,y1] y0 y1", CTX3, 1), 3)
+    s2 = embed_E(parse_word("[y0,y1] y0 y1", 3, 1), 3)
     assert shuffle_check(s2, (0,), (1,))
-    bad = NcSeries(CTX3, 1, 3, {(): Fraction(1), (0, 1): Fraction(1)})
+    bad = NcSeries(3, 1, 3, {(): Fraction(1), (0, 1): Fraction(1)})
     assert not shuffle_check(bad, (0,), (1,))
     assert sum(shuffle_words((0,), (0, 1)).values()) == 3
 
 
 def test_gamma_of_x_y_commutator():
-    E = embed_E(parse_word("[x,y0]", CTX3, 1), 3)
+    E = embed_E(parse_word("[x,y0]", 3, 1), 3)
     assert E.coeff((X, 0)) == 1
     assert E.coeff((0, X)) == -1
 
 
 def test_projection_on_words():
-    assert project_word(FreeWord(CTX2, 2, ((0, 1),)), 1).letters == ((0, 1),)
-    x1 = FreeWord(CTX3, 1, ((X, 1),))
+    assert project_word(FreeWord(2, 2, ((0, 1),)), 1).letters == ((0, 1),)
+    x1 = FreeWord(3, 1, ((X, 1),))
     assert project_word(x1, 0).letters == ((X, 3),)
-    y3 = FreeWord(CTX2, 2, ((3, 1),))
+    y3 = FreeWord(2, 2, ((3, 1),))
     assert project_word(y3, 1).letters == ((X, -1), (1, 1), (X, 1))
+    # the projection is the word spelled at level 1: equal, and it multiplies and adds
+    down, spelled = project_word(y3, 1), FreeWord(2, 1, ((X, -1), (1, 1), (X, 1)))
+    assert down == spelled and hash(down) == hash(spelled)
+    assert down * spelled == FreeWord(2, 1, ((X, -1), (1, 2), (X, 1)))
+    assert (embed_E(down, 2) + embed_E(spelled, 2)).coeffs == embed_E(spelled, 2).scaled(2).coeffs
 
 
 def test_projection_commutes_with_embedding():
-    w = FreeWord(CTX2, 2, ((2, 1),)) * commutator(
-        FreeWord(CTX2, 2, ((X, 1),)), FreeWord(CTX2, 2, ((1, 1),)))
+    w = FreeWord(2, 2, ((2, 1),)) * commutator(
+        FreeWord(2, 2, ((X, 1),)), FreeWord(2, 2, ((1, 1),)))
     rng = random.Random(17)
-    words = [w] + [random_kernel_word(CTX2, 2, rng, length=4) for _ in range(2)]
+    words = [w] + [random_kernel_word(2, 2, rng, length=4) for _ in range(2)]
     for word in words:
         for n in (0, 1):
             assert project_series(embed_E(word, 3), n).coeffs == \
@@ -150,12 +154,12 @@ def tower(g, degree):
 
 
 def test_beta_measures_dirac_case():
-    g = FreeWord(CTX2, 2, ((0, 1),))
+    g = FreeWord(2, 2, ((0, 1),))
     assert beta_measures(g, 1, tower(g, 1)).tables == make_dirac([0], CTX2).tables
     b0 = beta_measures(g, 0, tower(g, 1))
     assert b0.dim == 0 and b0.tables == ({(): 1},) * 3 and b0.denom_bound == 0
     with pytest.raises(ValueError):
-        beta_measures(FreeWord(CTX2, 2, ((X, 1),)), 1, ())
+        beta_measures(FreeWord(2, 2, ((X, 1),)), 1, ())
     with pytest.raises(ValueError):  # a tower too shallow for r = 2
         beta_measures(g, 2, tower(g, 1))
 
@@ -163,7 +167,7 @@ def test_beta_measures_dirac_case():
 def test_beta_measures_distribution_and_denominators():
     rng = random.Random(21)
     for _ in range(4):
-        g = random_kernel_word(CTX2, 2, rng)
+        g = random_kernel_word(2, 2, rng)
         for r in (1, 2, 3):
             br = beta_measures(g, r, tower(g, 3))
             assert validate_distribution(br) is None
@@ -176,8 +180,8 @@ def test_graded_star_identity():
 
     rng = random.Random(31)
     for _ in range(3):
-        g = random_kernel_word(CTX2, 2, rng)
-        h = random_kernel_word(CTX2, 2, rng)
+        g = random_kernel_word(2, 2, rng)
+        h = random_kernel_word(2, 2, rng)
         S = star_convolution(graded(g), graded(h))
         C = graded(g * h)
         assert len(S) == len(C) == 3
@@ -187,7 +191,7 @@ def test_graded_star_identity():
 
 def test_permutation_sum_gives_products():
     rng = random.Random(41)
-    g = random_kernel_word(CTX2, 2, rng)
+    g = random_kernel_word(2, 2, rng)
     b1 = beta_measures(g, 1, tower(g, 2))
     b2 = beta_measures(g, 2, tower(g, 2))
     for n in range(3):
@@ -197,8 +201,7 @@ def test_permutation_sum_gives_products():
 
 
 def test_word_coefficient_congruence():
-    ctx = PrimeContext(3, 3)
-    g = commutator(FreeWord(ctx, 3, ((X, 1),)), FreeWord(ctx, 3, ((0, 1),)))
+    g = commutator(FreeWord(3, 3, ((X, 1),)), FreeWord(3, 3, ((0, 1),)))
     t = tower(g, 2)
     b1 = beta_measures(g, 1, t)
     achieved, guaranteed = word_coefficient_congruence((1, 0), (0,), 2, t[1], b1)
@@ -215,8 +218,7 @@ def test_word_coefficient_congruence():
 
 
 def test_congruence_failure_carries_level_and_exponents():
-    ctx = PrimeContext(3, 3)
-    g = commutator(FreeWord(ctx, 3, ((X, 1),)), FreeWord(ctx, 3, ((0, 1),)))
+    g = commutator(FreeWord(3, 3, ((X, 1),)), FreeWord(3, 3, ((0, 1),)))
     t = tower(g, 2)
     b1 = beta_measures(g, 1, t)
     coefficient = t[1].coeff((X, 0))
@@ -257,7 +259,7 @@ def test_beta_distribution_failure_names_level_point_valuation(monkeypatch):
         tables = list(beta.tables)
         tables[1] = dict(tables[1])
         tables[1][(1, 2)] += 9
-        return LevelFamily(beta.ctx, 2, tuple(tables), beta.denom_bound)
+        return LevelFamily(beta.p, 2, tuple(tables), beta.denom_bound)
 
     monkeypatch.setattr(magnus, "beta_measures", perturbed)
     rep = magnus_suite(RunConfig(p=3, n_max=2, seed=1))
@@ -268,13 +270,13 @@ def test_beta_distribution_failure_names_level_point_valuation(monkeypatch):
 
 
 def test_exp_transform_roundtrip():
-    g = commutator(FreeWord(CTX2, 2, ((0, 1),)), FreeWord(CTX2, 2, ((1, 1),)))
+    g = commutator(FreeWord(2, 2, ((0, 1),)), FreeWord(2, 2, ((1, 1),)))
     _, _, ok = exp_transform_roundtrip(g, 2, 3)
     assert all(ok.values())
-    g2 = FreeWord(CTX2, 2, ((0, 1), (1, 1)))
+    g2 = FreeWord(2, 2, ((0, 1), (1, 1)))
     _, _, ok = exp_transform_roundtrip(g2, 1, 4)
     assert all(ok.values())
-    _, _, ok = exp_transform_roundtrip(FreeWord(CTX2, 2, ((0, 1),)), 1, 3)
+    _, _, ok = exp_transform_roundtrip(FreeWord(2, 2, ((0, 1),)), 1, 3)
     assert all(ok.values())
 
 
@@ -288,48 +290,48 @@ def test_series_json_shape(capsys):
     assert "1" in monos and "Y0.Y1" in monos
 
 
-@pytest.mark.parametrize("other", [NcSeries.one(CTX2, 2, 2), NcSeries.one(CTX2, 1, 3),
-                                   NcSeries.one(CTX3, 1, 2)], ids=["level", "degree", "prime"])
+@pytest.mark.parametrize("other", [NcSeries.one(2, 2, 2), NcSeries.one(2, 1, 3),
+                                   NcSeries.one(3, 1, 2)], ids=["level", "degree", "prime"])
 def test_series_of_different_shapes_do_not_combine(other):
     # a check that `python -O` keeps: with the shapes unchecked, the level-1
     # and level-2 unit series add to a constant term of 2
-    one = NcSeries.one(CTX2, 1, 2)
+    one = NcSeries.one(2, 1, 2)
     for combine in (one.__add__, one.__mul__):
         with pytest.raises(ValueError, match="series differ in prime, level or degree"):
             combine(other)
 
 
 @pytest.mark.parametrize("image", [
-    NcSeries(CTX2, 2, 2, {(3,): Fraction(1)}), NcSeries(CTX2, 1, 1, {(1,): Fraction(1)}),
-    NcSeries(CTX3, 1, 2, {(1,): Fraction(1)})], ids=["level", "degree", "prime"])
+    NcSeries(2, 2, 2, {(3,): Fraction(1)}), NcSeries(2, 1, 1, {(1,): Fraction(1)}),
+    NcSeries(3, 1, 2, {(1,): Fraction(1)})], ids=["level", "degree", "prime"])
 def test_substitute_refuses_images_of_another_shape(image):
     # the result takes its prime and level from the first image: a level-2
     # image of Y1 would leave a Y3 term in a level-1 series
-    s = NcSeries(CTX2, 1, 2, {(1,): Fraction(1)})
+    s = NcSeries(2, 1, 2, {(1,): Fraction(1)})
     with pytest.raises(ValueError, match="images differ"):
-        s.substitute({0: NcSeries(CTX2, 1, 2, {(0,): Fraction(1)}), 1: image})
+        s.substitute({0: NcSeries(2, 1, 2, {(0,): Fraction(1)}), 1: image})
 
 
 def test_substitute_refuses_no_images():
-    s = NcSeries(CTX2, 1, 2, {(0,): Fraction(1)})
+    s = NcSeries(2, 1, 2, {(0,): Fraction(1)})
     with pytest.raises(ValueError, match="^no images to substitute$"):
         s.substitute({})
 
 
 def test_substitute_names_a_generator_with_no_image():
     # the series holds X, Y0 and Y1; with only Y1 mapped, X (the least) is named
-    s = NcSeries(CTX2, 1, 2, {(0, 1): Fraction(1), (X,): Fraction(2), (1,): Fraction(3)})
+    s = NcSeries(2, 1, 2, {(0, 1): Fraction(1), (X,): Fraction(2), (1,): Fraction(3)})
     with pytest.raises(ValueError, match="^no image for generator X$"):
-        s.substitute({1: NcSeries(CTX2, 1, 2, {(1,): Fraction(1)})})
+        s.substitute({1: NcSeries(2, 1, 2, {(1,): Fraction(1)})})
     with pytest.raises(ValueError, match="^no image for generator Y0$"):
-        s.substitute({X: NcSeries(CTX2, 1, 2, {(1,): Fraction(1)}),
-                      1: NcSeries(CTX2, 1, 2, {(1,): Fraction(1)})})
+        s.substitute({X: NcSeries(2, 1, 2, {(1,): Fraction(1)}),
+                      1: NcSeries(2, 1, 2, {(1,): Fraction(1)})})
 
 
 # Level-1 series at p = 2 (generators X, Y0, Y1) truncated past degree 3.
 nc_series = st.dictionaries(st.lists(st.sampled_from([X, 0, 1]), max_size=3).map(tuple),
                             st.fractions(-3, 3, max_denominator=4), max_size=6).map(
-    lambda c: NcSeries(CTX2, 1, 3, {m: v for m, v in c.items() if v}))
+    lambda c: NcSeries(2, 1, 3, {m: v for m, v in c.items() if v}))
 
 
 @settings(max_examples=150, deadline=None)
@@ -346,12 +348,11 @@ def test_nc_series_terms_stay_nonzero_fractions(f, g, h):
 def kernel_words(draw):
     p = draw(st.sampled_from([2, 3]))
     level = draw(st.integers(1, 2))
-    ctx = PrimeContext(p, level)
     gens = st.sampled_from([X] + list(range(p ** level)))
     letters = draw(st.lists(st.tuples(gens, st.sampled_from([1, -1])), max_size=6))
     bal = sum(e for g, e in letters if g == X)
     letters += [(X, -1 if bal > 0 else 1)] * abs(bal)
-    return FreeWord(ctx, level, tuple(letters))
+    return FreeWord(p, level, tuple(letters))
 
 
 @settings(max_examples=60, deadline=None)
@@ -371,15 +372,15 @@ def log_cases(draw):
     embedding, the same with one coefficient moved by a random Fraction, or
     random coefficients with denominators 2-12."""
     p, level = draw(st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2)]))
-    ctx, degree = PrimeContext(p, level), draw(st.integers(2, 4))
+    degree = draw(st.integers(2, 4))
     kind = draw(st.sampled_from(["word", "perturbed", "denominators"]))
     gens = [X] + list(range(p ** level))
     monos = st.lists(st.sampled_from(gens), min_size=1, max_size=degree).map(tuple)
     if kind == "denominators":
         coeffs = draw(st.dictionaries(monos, st.builds(
             Fraction, st.integers(-12, 12), st.integers(2, 12)), max_size=8))
-        return NcSeries(ctx, level, degree, {(): Fraction(1), **coeffs})
-    w = random_kernel_word(ctx, level, random.Random(draw(st.integers(0, 10 ** 6))))
+        return NcSeries(p, level, degree, {(): Fraction(1), **coeffs})
+    w = random_kernel_word(p, level, random.Random(draw(st.integers(0, 10 ** 6))))
     s = embed_E(w, degree)
     if kind == "perturbed":
         s.add_term(draw(st.sampled_from(sorted(s.coeffs, key=len)[1:]) | monos),
@@ -446,41 +447,40 @@ def reference_projection(p, letters, n, m):
 @given(raw_letters(exponents=(1, -1, 2, -2, 3, -3)), st.sampled_from(range(6)), st.data())
 def test_normal_form_matches_letter_by_letter_reference(word, degree, data):
     p, level, letters = word
-    ctx = PrimeContext(p, level)
-    w = FreeWord(ctx, level, tuple(letters))
+    w = FreeWord(p, level, tuple(letters))
     assert w.letters == reference_normal_form(letters)
     n = data.draw(st.integers(0, level))
     unrolled = reference_projection(p, letters, n, level - n)
     projected = project_word(w, n)
-    assert projected == FreeWord(ctx, n, tuple(unrolled))
+    assert projected == FreeWord(p, n, tuple(unrolled))
     for normal, raw in ((w, letters), (projected, unrolled)):
         got = embed_E(normal, degree)
-        assert got.coeffs == reference_embedding(ctx, normal.level, raw, degree).coeffs
+        assert got.coeffs == reference_embedding(p, normal.level, raw, degree).coeffs
         # `_numerators` branches on type: an int coefficient would change its route
         assert all(type(c) is Fraction and c for c in got.coeffs.values())
 
 
 @pytest.mark.parametrize("k", [-2, 0, 3])
 def test_exp_gen_stores_no_zero(k):
-    s = exp_gen(CTX3, 1, 3, X, k)
+    s = exp_gen(3, 1, 3, X, k)
     assert all(c for c in s.coeffs.values())
     assert len(s.coeffs) == (4 if k else 1)
     if k == 0:
-        assert s == NcSeries.one(CTX3, 1, 3)
+        assert s == NcSeries.one(3, 1, 3)
 
 
 @settings(max_examples=150, deadline=None)
 @given(raw_letters(exponents=(1, -1, 2, -2, 3, -3)))
 def test_closed_form_log2_matches_series_log(word):
     p, level, letters = word
-    w = FreeWord(PrimeContext(p, level), level, tuple(letters))
+    w = FreeWord(p, level, tuple(letters))
     got, want = word_log2(w), lieref.series_log(embed_E(w, 2))
     assert (got.level, got.degree, got.coeffs) == (want.level, want.degree, want.coeffs)
     assert all(type(c) is Fraction and c != 0 for c in got.coeffs.values())
 
 
 def test_truncated_is_a_fresh_copy():
-    s = embed_E(parse_word("[x,y0]", CTX3, 1), 2)
+    s = embed_E(parse_word("[x,y0]", 3, 1), 2)
     t = s.truncated(2)
     t.add_term((0, 0), Fraction(1))
     assert s.coeff((0, 0)) == 0

@@ -34,7 +34,7 @@ def test_validate_distribution_negative_control():
     t2 = dict(tables[2])
     t2[(4,)] += 1
     tables[2] = t2
-    bad = LevelFamily(CTX, 1, tuple(tables), mu.denom_bound)
+    bad = LevelFamily(3, 1, tuple(tables), mu.denom_bound)
     assert validate_distribution(bad) == (1, (1,), -1)
 
 
@@ -261,7 +261,7 @@ def test_measures_equal_modes():
     t = dict(tables[2])
     t[(3,)] += 25
     tables[2] = t
-    shifted = LevelFamily(CTX5, 1, tuple(tables), close.denom_bound)
+    shifted = LevelFamily(5, 1, tuple(tables), close.denom_bound)
     assert measures_equal(a, shifted, 2) is None
     assert measures_equal(a, shifted, 3) == (2, (3,), -25)
 
@@ -272,20 +272,25 @@ def test_measures_equal_names_its_miss():
     t = dict(tables[2])
     t[(3,)] += 25
     tables[2] = t
-    shifted = LevelFamily(CTX5, 1, tuple(tables), a.denom_bound)
+    shifted = LevelFamily(5, 1, tuple(tables), a.denom_bound)
     miss = measures_equal(a, shifted, 3)
     assert miss == (2, (3,), -25)
     assert pinpoint(miss, 5) == "level=2 point=(3,) valuation=2"
     # a miss at a level that one of the tables does not store is not seen;
     # a pass names nothing
-    shallow = LevelFamily(CTX5, 1, shifted.tables[:2], a.denom_bound)
+    shallow = LevelFamily(5, 1, shifted.tables[:2], a.denom_bound)
     assert measures_equal(a, shallow, INF) is None
     assert measures_equal(shallow, a, INF) is None
+    # tables built to depths 2 and 3 compare and combine at levels 0..2
+    m2, m3 = make_M(7, PrimeContext(3, 2)), make_M(7, CTX)
+    assert measures_equal(m2, m3, INF) is None and measures_equal(m3, m2, INF) is None
+    diff = linear_combine([1, -1], [m3, m2])
+    assert diff.n_max == 2 and is_zero(diff)
 
 
 M7 = make_M(7, CTX5)
-M7_TO_1 = LevelFamily(CTX5, 1, M7.tables[:2], M7.denom_bound)
-M7_AT_0 = LevelFamily(CTX5, 1, M7.tables[:1], 0)
+M7_TO_1 = LevelFamily(5, 1, M7.tables[:2], M7.denom_bound)
+M7_AT_0 = LevelFamily(5, 1, M7.tables[:1], 0)
 CONST1 = MPoly.const(1, 1)
 
 
@@ -314,7 +319,7 @@ def test_checks_with_no_level_argument_read_every_stored_level(family):
     assert pushforward(flipped, units=[-1]).tables == family.tables
     top = list(family.tables)
     top[-1] = {**top[-1], (0,): top[-1][(0,)] + 1}
-    raised = LevelFamily(CTX5, 1, tuple(top), family.denom_bound)
+    raised = LevelFamily(5, 1, tuple(top), family.denom_bound)
     assert measures_equal(family, family, INF) is None
     assert measures_equal(family, raised, INF) == (family.n_max, (0,), -1)
 
@@ -379,7 +384,7 @@ def test_named_measures_match_the_fraction_reference(pc, n_max):
 @pytest.mark.parametrize("word, p, level", [("[x,y0]", 3, 2), ("[[x,y1],y2]", 2, 3),
                                              ("[x,y5]*y0", 3, 2), ("[x,y3]*[y1,y2]", 5, 1)])
 def test_d2_matches_the_fraction_reference(word, p, level):
-    same_both_ways(lambda: make_D2(parse_word(word, PrimeContext(p, level), level)))
+    same_both_ways(lambda: make_D2(parse_word(word, p, level)))
 
 
 @st.composite

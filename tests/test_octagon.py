@@ -344,13 +344,12 @@ SYMBOLS = [(), (("a", 0),), (("a", 1),), (("a", 0), ("g", 1)), (("b", 0, 1),)]
 poly_keys = st.tuples(st.integers(0, 2), st.sampled_from(SYMBOLS))
 polys = st.dictionaries(poly_keys, st.fractions(-3, 3, max_denominator=4),
                         max_size=4).map(sympoly)
-CTX2 = PrimeContext(2, 1)
 
 
 def series(coeffs, degree):
     monos = st.lists(st.sampled_from([X, 0, 1]), max_size=degree + 1).map(tuple)
     return st.dictionaries(monos, coeffs, max_size=6).map(
-        lambda c: NcSeries(CTX2, 1, degree, {m: v for m, v in c.items() if v}))
+        lambda c: NcSeries(2, 1, degree, {m: v for m, v in c.items() if v}))
 
 
 sym_series = series(polys, 2)
@@ -369,7 +368,7 @@ def all_pairs_product(left, right):
 @given(sym_series, sym_series, rat_series, rat_series)
 def test_graded_product_matches_all_pairs(sym_left, sym_right, rat_left, rat_right):
     for left, right, one in ((sym_left, sym_right, ONE), (rat_left, rat_right, Fraction(1))):
-        unit = NcSeries(left.ctx, left.level, left.degree, {(): one})
+        unit = NcSeries(left.p, left.level, left.degree, {(): one})
         # in (1 + f)(1 - f) the cross terms f and -f cancel, which the
         # product must prune as the all-pairs product does
         for a, b in ((left, right), (unit + left, unit + left.scaled(-1))):
@@ -380,15 +379,15 @@ def image_maps(coeffs, degree):
     """A constant-free image of degree <= `degree` for each of X, Y0, Y1."""
     monos = st.lists(st.sampled_from([X, 0, 1]), min_size=1, max_size=degree).map(tuple)
     image = st.dictionaries(monos, coeffs, max_size=5).map(
-        lambda c: NcSeries(CTX2, 1, degree, {m: v for m, v in c.items() if v}))
+        lambda c: NcSeries(2, 1, degree, {m: v for m, v in c.items() if v}))
     return st.fixed_dictionaries({g: image for g in (X, 0, 1)})
 
 
 def substitute_reference(f, images):
     """Each monomial's letters replaced by their whole, uncut images."""
-    out = NcSeries(f.ctx, f.level, f.degree, {})
+    out = NcSeries(f.p, f.level, f.degree, {})
     for mono, c in f.coeffs.items():
-        term = NcSeries(f.ctx, f.level, f.degree, {(): c})
+        term = NcSeries(f.p, f.level, f.degree, {(): c})
         for g in mono:
             term = term * images[g]
         out = out + term

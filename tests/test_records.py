@@ -12,21 +12,19 @@ from zpmeasures.measures import DiracCombo, LevelFamily
 from zpmeasures.padic import PrimeContext
 from zpmeasures.suites import RunConfig
 
-CTX = PrimeContext(3, 2)
-
 
 def level_family(dim, value):
     # a tuple stands in for each level's dict, which is unhashable
-    return LevelFamily(CTX, dim, ((((0,) * dim, value),),), 0)
+    return LevelFamily(3, dim, ((((0,) * dim, value),),), 0)
 
 
 # (constructor, field, a construction equal to it but for that field)
 FROZEN = [
     (lambda: PrimeContext(3, 2), "n_max", lambda: PrimeContext(3, 3)),
     # equal words may be written with different letters; the normal form decides
-    (lambda: FreeWord(CTX, 1, ((0, 1), (X, 1), (X, 1))), "letters",
-     lambda: FreeWord(CTX, 1, ((0, 1), (X, 3)))),
-    (lambda: level_family(1, 1), "denom_bound", lambda: LevelFamily(CTX, 1, ((((0,), 1),),), 1)),
+    (lambda: FreeWord(3, 1, ((0, 1), (X, 1), (X, 1))), "letters",
+     lambda: FreeWord(3, 1, ((0, 1), (X, 3)))),
+    (lambda: level_family(1, 1), "denom_bound", lambda: LevelFamily(3, 1, ((((0,), 1),),), 1)),
     (lambda: DiracCombo.make(1, [((2,), Fraction(1, 2))]), "atoms",
      lambda: DiracCombo.make(1, [((5,), Fraction(1, 2))])),
 ]
@@ -45,9 +43,9 @@ def test_frozen_value_semantics(make, field, other):
 
 
 def test_mutable_value_semantics():
-    s = NcSeries(CTX, 1, 2, {(0,): Fraction(1), (X, 0): Fraction(-1, 2)})
-    assert s == NcSeries(CTX, 1, 2, {(0,): 1, (X, 0): Fraction(-1, 2)})
-    assert s != NcSeries(CTX, 1, 3, dict(s.coeffs))
+    s = NcSeries(3, 1, 2, {(0,): Fraction(1), (X, 0): Fraction(-1, 2)})
+    assert s == NcSeries(3, 1, 2, {(0,): 1, (X, 0): Fraction(-1, 2)})
+    assert s != NcSeries(3, 1, 3, dict(s.coeffs))
     with pytest.raises(TypeError):
         hash(s)
     assert copy.deepcopy(s) == s

@@ -179,7 +179,7 @@ def dirac_measures():
 def test_axis_contraction_matches_box_integral(case, terms):
     # reference: one box_integral of the expanded product integrand per coefficient
     mu, level = case
-    dim, p = mu.dim, mu.ctx.p
+    dim, p = mu.dim, mu.p
     for transform, factor in ((iwasawa_P, binom_factor), (transform_F, power_factor)):
         pt = transform(mu, terms, level)
         assert sorted(pt.coeffs) == sorted(itertools.product(range(terms + 1), repeat=dim))
@@ -200,7 +200,7 @@ def transforms_both_ways(build, terms, level):
     with fraction_tables():
         ref = build()
     assert all(type(v) is Fraction for t in ref.tables for v in t.values())
-    p = mu.ctx.p
+    p = mu.p
     for transform in (iwasawa_P, transform_F):
         got, want = transform(mu, terms, level), transform(ref, terms, level)
         assert got.coeffs == want.coeffs and got.guarantees == want.guarantees
