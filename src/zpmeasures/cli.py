@@ -3,7 +3,8 @@ measures, transforms, series and octagon factors.
 
 Exit codes: 0 all checks pass, 1 an identity failed, 2 invalid input (an
 unwritable `--out` too), 3 an internal error (any exception that escaped a
-command, MemoryError and a ValueError raised inside a suite included).
+command, MemoryError and a ValueError raised inside a suite or past `emit`'s
+input checks included).
 """
 
 from __future__ import annotations
@@ -188,34 +189,39 @@ def cmd_emit(args) -> int:
             raise ValueError(f"emit {args.object} has no --format {args.format}")
         if args.object in MEASURED:
             mu = _build_measure(args, PrimeContext(args.p, args.nmax))
-        if args.object == "measure":
-            rows = [",".join(["n"] + [f"a_{k + 1}" for k in range(mu.dim)] + ["value"])]
-            rows += [",".join(map(str, (n, *a, table[a])))
-                     for n, table in enumerate(mu.tables) for a in sorted(table)]
-            payload = {"dim": mu.dim, "denom_bound": mu.denom_bound, "rows": rows[1:]}
-        elif args.object in ("iwasawa", "f-series"):
-            fn = iwasawa_P if args.object == "iwasawa" else transform_F
-            P = fn(mu, args.terms, getattr(args, "level", mu.n_max))
-            payload = {"dim": P.dim, "terms": P.terms,
-                       "coeffs": [{"exp": list(e), "value": str(P.coeffs[e]),
-                                   "guarantee": P.guarantees[e]} for e in sorted(P.coeffs)]}
+            level = getattr(args, "level", mu.n_max)
+            if level > mu.n_max:
+                raise ValueError(f"evaluation level {level} out of stored range 0..{mu.n_max}")
         elif args.object == "nc-series":
             if not args.word:
                 raise ValueError("--word is required for nc-series")
             word = magnus.parse_word(args.word, args.p, args.n)
-            series = magnus.embed_E(word, args.degree)
-            payload = {"level": series.level, "degree": series.degree,
-                       "terms": _terms(series, "value")}
-        else:  # octagon-factor
-            fac = octagon.build_factor(args.factor, args.p, args.n, args.sigma_rep)
-            payload = {"factor": args.factor, "terms": _terms(fac, "poly"),
-                       "config": {"p": args.p, "n": args.n, "s": args.sigma_rep}}
-        text = "\n".join(rows) if args.format == "csv" else \
-            json.dumps(payload, sort_keys=True, indent=2)
+        else:
+            octagon.check_config(args.p, args.n, args.sigma_rep)
     except (ValueError, ZeroDivisionError) as err:
         print(f"invalid input: {err}", file=sys.stderr)
         return EXIT_USAGE
-    _write(text, args.out)
+    # any exception from here on is a fault of the program
+    if args.object == "measure":
+        rows = [",".join(["n"] + [f"a_{k + 1}" for k in range(mu.dim)] + ["value"])]
+        rows += [",".join(map(str, (n, *a, mu.value(n, a))))
+                 for n, table in enumerate(mu.tables) for a in table]
+        payload = {"dim": mu.dim, "denom_bound": mu.denom_bound, "rows": rows[1:]}
+    elif args.object in ("iwasawa", "f-series"):
+        P = (iwasawa_P if args.object == "iwasawa" else transform_F)(mu, args.terms, level)
+        payload = {"dim": P.dim, "terms": P.terms,
+                   "coeffs": [{"exp": list(e), "value": str(P.coeffs[e]),
+                               "guarantee": P.guarantees[e]} for e in sorted(P.coeffs)]}
+    elif args.object == "nc-series":
+        series = magnus.embed_E(word, args.degree)
+        payload = {"level": series.level, "degree": series.degree,
+                   "terms": _terms(series, "value")}
+    else:  # octagon-factor
+        fac = octagon.build_factor(args.factor, args.p, args.n, args.sigma_rep)
+        payload = {"factor": args.factor, "terms": _terms(fac, "poly"),
+                   "config": {"p": args.p, "n": args.n, "s": args.sigma_rep}}
+    _write("\n".join(rows) if args.format == "csv" else
+           json.dumps(payload, sort_keys=True, indent=2), args.out)
     return EXIT_OK
 
 
@@ -227,6 +233,8 @@ def main(argv=None) -> int:
         if words[i - 1] in ("--c", "--a") and words[i][:1] == "-" and words[i][1:2].isdigit():
             words[i - 1:i + 1] = [words[i - 1] + "=" + words[i]]
     args = ap.parse_args(words)
+    if hasattr(sys, "set_int_max_str_digits"):  # an exact verifier writes whole numbers
+        sys.set_int_max_str_digits(0)
     command = {"verify": cmd_verify, "emit": cmd_emit}.get(args.command)
     if command is None:
         ap.print_help()

@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 
 from .corrections import LinearFormIntegrand
-from .measures import LevelFamily, _numerators, box_integral
+from .measures import LevelFamily, box_integral
 from .padic import Rat, require_prime, vp
 from .record import Frozen, Record
 
@@ -285,6 +285,15 @@ def embed_E(w: FreeWord, degree: int) -> NcSeries:
         nums = out
     return NcSeries(w.p, w.level, degree,
                     {m: Fraction(c, math.factorial(len(m))) for m, c in nums.items()})
+
+
+def _numerators(coeffs: dict) -> tuple:
+    """(N, D): the coefficients as int numerators N[m] over the lcm D of their
+    denominators; all-int coefficients come back as they are, with D = 1."""
+    if all(type(v) is int for v in coeffs.values()):
+        return coeffs, 1
+    den = math.lcm(*[v.denominator for v in coeffs.values()])
+    return {m: v.numerator * (den // v.denominator) for m, v in coeffs.items()}, den
 
 
 def _log_kernel(s: NcSeries):

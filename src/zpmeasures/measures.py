@@ -17,9 +17,9 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from operator import add, itemgetter, mul
 
-from .padic import PrimeContext, Rat, exact, repr_mod, vp
+from .padic import INF, PrimeContext, Rat, exact, repr_mod, vp
 from .record import Frozen, Record
 
 
@@ -31,33 +31,45 @@ def residues(p: int, n: int, dim: int):
 class LevelFamily(Frozen):
     """A measure (or bounded-denominator distribution) at p, up to level n_max."""
 
-    __slots__ = _fields = ("p", "dim", "tables", "denom_bound")
+    __slots__ = _fields = ("p", "dim", "tables", "dens", "denom_bound")
 
-    def __init__(self, p: int, dim: int, tables: tuple, denom_bound: int):
-        # tables[n]: dict point-tuple -> value in normal form (padic.exact)
-        self._init(p, dim, tables, denom_bound)
+    def __init__(self, p: int, dim: int, tables: tuple, dens: tuple, denom_bound: int):
+        # level n is tables[n] / dens[n]: tables[n] maps each point, in residues()
+        # order, to an int numerator over dens[n] > 0, in lowest terms
+        self._init(p, dim, tables, dens, denom_bound)
 
     @property
     def n_max(self) -> int:
         return len(self.tables) - 1
 
+    def value(self, n: int, a) -> Rat:
+        """The value at the level-n point a, in normal form (padic.exact)."""
+        return exact(Fraction(self.tables[n][a], self.dens[n]))
+
     @classmethod
     def build(cls, p: int, dim: int, fn, n_max: int) -> "LevelFamily":
-        """Tabulate fn(n, point) in normal form for the levels 0..n_max; only
-        non-integral values can raise denom_bound."""
-        tables = []
-        worst = 0
+        """Tabulate fn(n, point) for the levels 0..n_max, each over the lcm of its denominators."""
+        levels = []
         for n in range(n_max + 1):
-            table = {}
-            for a in residues(p, n, dim):
-                v = fn(n, a)
-                if type(v) is not int:
-                    v = exact(v)
-                    if type(v) is not int:
-                        worst = max(worst, -vp(v, p))
-                table[a] = v
-            tables.append(table)
-        return cls(p, dim, tuple(tables), worst)
+            vals = [fn(n, a) for a in residues(p, n, dim)]
+            denoms = [v.denominator for v in vals if type(v) is not int]
+            den = math.lcm(*denoms)
+            if denoms:
+                vals = [v * den if type(v) is int else v.numerator * (den // v.denominator)
+                        for v in vals]
+            levels.append((vals, den))
+        return cls._reduced(p, dim, levels)
+
+    @classmethod
+    def _reduced(cls, p: int, dim: int, levels) -> "LevelFamily":
+        """The levels (numerators in residues() order, den > 0), each put in lowest terms."""
+        tables, dens = [], []
+        for n, (nums, den) in enumerate(levels):
+            if den > 1 and (g := math.gcd(den, *nums)) > 1:
+                nums, den = [v // g for v in nums], den // g
+            tables.append(dict(zip(residues(p, n, dim), nums, strict=True)))
+            dens.append(den)
+        return cls(p, dim, tuple(tables), tuple(dens), max(vp(d, p) for d in dens))
 
     @classmethod
     def zero(cls, p: int, dim: int, n_max: int) -> "LevelFamily":
@@ -87,25 +99,18 @@ def validate_distribution(mu: LevelFamily) -> tuple | None:
     p = mu.p
     for n in range(mu.n_max):
         here, up = mu.tables[n], mu.tables[n + 1]
-        for a in residues(p, n, mu.dim):
-            defect = here[a] - sum(map(up.__getitem__, lifts(a, p, n, mu.dim)))
+        den = math.lcm(mu.dens[n], mu.dens[n + 1])
+        sh, su = den // mu.dens[n], den // mu.dens[n + 1]
+        for a, v in here.items():
+            defect = v * sh - su * sum(map(up.__getitem__, lifts(a, p, n, mu.dim)))
             if defect:
-                return n, a, defect
+                return n, a, exact(Fraction(defect, den))
     return None
 
 
-def _numerators(table: dict) -> tuple:
-    """(N, D): the table as int numerators N[a] over the lcm D of its
-    denominators; an all-int table comes back as it is, with D = 1."""
-    if all(type(v) is int for v in table.values()):
-        return table, 1
-    den = math.lcm(*[v.denominator for v in table.values()])
-    return {a: v.numerator * (den // v.denominator) for a, v in table.items()}, den
-
-
 def linear_combine(coeffs, mus: list[LevelFamily]) -> LevelFamily:
-    """sum_i c_i mu_i, as int numerators over one denominator per level: one
-    division per entry."""
+    """sum_i c_i mu_i: per level, the numerator columns summed under int
+    weights over one common denominator."""
     if not mus:
         raise ValueError("nothing to combine")
     if len(coeffs) != len(mus):
@@ -116,19 +121,15 @@ def linear_combine(coeffs, mus: list[LevelFamily]) -> LevelFamily:
             raise ValueError("prime/dimension mismatch")
     n_max = min(m.n_max for m in mus)
     pairs = [(c, m) for c, m in zip(map(exact, coeffs), mus, strict=True) if c]
-    levels = []  # per level: the common denominator q and [(int weight, numerators)]
+    levels = []
     for n in range(n_max + 1):
-        parts = [(c, *_numerators(m.tables[n])) for c, m in pairs]
-        q = math.lcm(*[c.denominator * d for c, _, d in parts])
-        levels.append((q, [(c.numerator * (q // (c.denominator * d)), nums)
-                           for c, nums, d in parts]))
-
-    def fn(n, a):
-        q, parts = levels[n]
-        total = sum([w * nums[a] for w, nums in parts])
-        return total // q if total % q == 0 else Fraction(total, q)
-
-    return LevelFamily.build(p, dim, fn, n_max)
+        q = math.lcm(*[c.denominator * m.dens[n] for c, m in pairs])
+        total = [0] * p ** (n * dim)
+        for c, m in pairs:
+            w = c.numerator * (q // (c.denominator * m.dens[n]))
+            total = list(map(add, total, map(mul, itertools.repeat(w), m.tables[n].values())))
+        levels.append((total, q))
+    return LevelFamily._reduced(p, dim, levels)
 
 
 def pushforward(mu: LevelFamily, perm=None, units=None, shift=None) -> LevelFamily:
@@ -148,16 +149,20 @@ def pushforward(mu: LevelFamily, perm=None, units=None, shift=None) -> LevelFami
     for u in units:
         if vp(u, p) != 0:
             raise ValueError(f"{u} is not a unit at p = {p}")
-    # per level: p^n and, per source coordinate j, (perm[j], u_j^{-1}, c_j) mod p^n
-    levels = [(p ** n, [(k, repr_mod(Fraction(1, u), p, n), repr_mod(c, p, n))
-                        for k, u, c in zip(perm, units, shift, strict=True)])
-              for n in range(mu.n_max + 1)]
-
-    def fn(n, a):
-        pn, coords = levels[n]
-        return mu.tables[n][tuple((ui * (a[k] - ci)) % pn for k, ui, ci in coords)]
-
-    return LevelFamily.build(mu.p, mu.dim, fn, mu.n_max)
+    # at level n, cols[perm[j]][y] = u_j^{-1} (y - c_j) mod p^n is x_j for y_{perm[j]} = y;
+    # the source point of y is the columns' entries picked back into source order
+    pick = None if perm == tuple(range(m)) else itemgetter(*perm)
+    tables = []
+    for n, table in enumerate(mu.tables):
+        pn, cols = p ** n, [None] * m
+        for k, u, c in zip(perm, units, shift, strict=True):
+            ui, ci = repr_mod(Fraction(1, u), p, n), repr_mod(c, p, n)
+            cols[k] = [(ui * (y - ci)) % pn for y in range(pn)]
+        sources = itertools.product(*cols)
+        if pick is not None:
+            sources = map(pick, sources)
+        tables.append(dict(zip(residues(p, n, m), map(table.__getitem__, sources), strict=True)))
+    return LevelFamily(p, m, tuple(tables), mu.dens, mu.denom_bound)
 
 
 def signed_group(m: int):
@@ -171,13 +176,10 @@ def exterior_product(alpha: LevelFamily, beta: LevelFamily) -> LevelFamily:
     """(alpha . beta)^{(n)}(a, b) = alpha^{(n)}(a) * beta^{(n)}(b)."""
     if alpha.p != beta.p:
         raise ValueError("prime mismatch")
-    i = alpha.dim
     n_max = min(alpha.n_max, beta.n_max)
-
-    def fn(n, ab):
-        return alpha.tables[n][ab[:i]] * beta.tables[n][ab[i:]]
-
-    return LevelFamily.build(alpha.p, alpha.dim + beta.dim, fn, n_max)
+    return LevelFamily._reduced(alpha.p, alpha.dim + beta.dim, (
+        ([x * y for x in alpha.tables[n].values() for y in beta.tables[n].values()],
+         alpha.dens[n] * beta.dens[n]) for n in range(n_max + 1)))
 
 
 def star_convolution(a: tuple, b: tuple) -> tuple:
@@ -223,7 +225,7 @@ def box_integral(mu: LevelFamily, base, level: int, integrand, eval_level: int):
         if w:
             total += w * integrand.forms(a)
     guarantee = m - mu.denom_bound - integrand.denominator_valuation(p)
-    return integrand.factor * total, guarantee
+    return integrand.factor * Fraction(total, mu.dens[eval_level]), guarantee
 
 
 class IwasawaPoly(Record):
@@ -241,7 +243,7 @@ class IwasawaPoly(Record):
 
 def _axis_transform(mu: LevelFamily, terms: int, eval_level: int, weight, scale) -> IwasawaPoly:
     """Integrals of prod_k weight(x_k, j_k) / scale(j_k) against mu, j in
-    [0, terms]^dim, by contracting the level-eval_level table's int numerators
+    [0, terms]^dim, by contracting the level-eval_level table's numerators
     one axis at a time with the (terms+1) x p^eval_level int matrix weight(x, j),
     then dividing once per coefficient.  Both weights used here are integers over
     j!, hence the guarantee eval_level - denom_bound - sum vp(j_k!).
@@ -250,7 +252,7 @@ def _axis_transform(mu: LevelFamily, terms: int, eval_level: int, weight, scale)
         raise ValueError(f"evaluation level {eval_level} out of stored range 0..{mu.n_max}")
     p = mu.p
     rows = [[weight(x, j) for x in range(p ** eval_level)] for j in range(terms + 1)]
-    nums, den = _numerators(mu.tables[eval_level])
+    nums, den = mu.tables[eval_level], mu.dens[eval_level]
     # keys are (j_1..j_k, x_{k+1}..x_dim) once k axes are contracted
     partial = {a: v for a, v in nums.items() if v}
     for k in range(mu.dim):
@@ -371,10 +373,14 @@ def measures_equal(mu: LevelFamily, nu: LevelFamily, mod_exp) -> tuple | None:
         raise ValueError("prime/dimension mismatch")
     p = mu.p
     for n in range(min(mu.n_max, nu.n_max) + 1):
+        den = math.lcm(mu.dens[n], nu.dens[n])
+        sm, sn = den // mu.dens[n], den // nu.dens[n]
+        # vp(d / den) < mod_exp, for a numerator d != 0, iff d % modulus
+        modulus = None if mod_exp == INF else p ** max(0, mod_exp + vp(den, p))
         for a, v in mu.tables[n].items():
-            diff = v - nu.tables[n][a]
-            if vp(diff, p) < mod_exp:
-                return n, a, diff
+            d = v * sm - nu.tables[n][a] * sn
+            if d % modulus if modulus else d:
+                return n, a, exact(Fraction(d, den))
     return None
 
 

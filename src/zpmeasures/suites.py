@@ -159,11 +159,10 @@ def measures_suite(cfg: RunConfig) -> SuiteReport:
     if cfg.tamper:
         bad = classical.make_M(units[0], ctx)
         level = min(2, cfg.n_max)
-        tables = list(bad.tables)
-        t = dict(tables[level])
-        t[(1,) * 1] = t[(1,)] + 1
-        tables[level] = t
-        named[f"M({units[0]})+tamper"] = LevelFamily(cfg.p, 1, tuple(tables), bad.denom_bound)
+        tables = list(bad.tables)  # the value at 1 raised by 1
+        tables[level] = {**tables[level], (1,): tables[level][(1,)] + bad.dens[level]}
+        named[f"M({units[0]})+tamper"] = LevelFamily(cfg.p, 1, tuple(tables), bad.dens,
+                                                      bad.denom_bound)
 
     for name, mu in named.items():
         miss = validate_distribution(mu)
@@ -301,14 +300,15 @@ def magnus_suite(cfg: RunConfig) -> SuiteReport:
     S = star_convolution(betas[0], betas[1])
     claim = "graded product vs word product"
     rep.add("star-identity", next((f"{claim}: degree {i} differs" for i in range(3)
-                                   if S[i].tables != C[i].tables), None), claim)
+                                   if S[i] != C[i]), None), claim)
 
     b1, b2 = betas[0][1], betas[0][2]
-    t1, t2 = b1.tables[1], b2.tables[1]
+    (t1, t2), (d1, d2) = (b1.tables[1], b2.tables[1]), (b1.dens[1], b2.dens[1])
     claim = "degree-2 symmetrization vs products"
     rep.add("permutation-sum", next((f"{claim}: level 1 point {a} differs"
                                      for a in itertools.product(range(cfg.p), repeat=2)
-                                     if t2[a] + t2[a[::-1]] != t1[a[:1]] * t1[a[1:]]), None),
+                                     if (t2[a] + t2[a[::-1]]) * d1 * d1
+                                     != t1[a[:1]] * t1[a[1:]] * d2), None),
             claim)
 
     results = ((shape, i, *magnus.word_coefficient_congruence(shape, (i,), 1,

@@ -43,9 +43,18 @@ from zpmeasures.octagon import (ONE, ZERO, SymPoly, a_sym, b_sym, chi_sympoly,
 from seriesref import accumulate, homogeneous
 
 
-def degree2_display(a: int, b: int, p: int, n: int, s: int) -> SymPoly:
+def amended_part(a: int, b: int, p: int, n: int, s: int) -> SymPoly:
+    """(a_{a-s} - E_{1,chi}(a)) M(chi)(b): the translated-cocycle times
+    interpolation-measure product that the derivation's grouping step has and
+    the paper's displayed statement drops."""
+    width = p ** n
+    return (a_sym(a - s, width) - e1_sympoly(a, p, n, s)) * m_value(b, s, SymPoly.t())
+
+
+def degree2_display(a: int, b: int, p: int, n: int, s: int, amended: bool = True) -> SymPoly:
     """The sum of named-measure terms expressing the degree-2 symmetry,
-    evaluated at the point (a, b) of level n."""
+    evaluated at the point (a, b) of level n; without `amended_part` when
+    `amended` is false, as the paper displays it."""
     width = p ** n
     one_m_chi = ONE - chi_sympoly(p, n, s)
     half = one_m_chi * Fraction(1, 2)
@@ -60,7 +69,8 @@ def degree2_display(a: int, b: int, p: int, n: int, s: int) -> SymPoly:
     total = b_sym(a, b, width) - b_sym(-a, -b, width) \
         + b_sym(s - a, s - b, width) - b_sym(a - s, b - s, width)
     total = total + (al(a - s) - al(-a) - E(a)) * Eb
-    total = total + (al(a - s) - E(a)) * M(b)
+    if amended:
+        total = total + amended_part(a, b, p, n, s)
     total = total + d2_value(a, b, width, al, g) \
         - d2_value((a - s) % width, (b - s) % width, width, al, g)
     total = total + (-(M(a) * M(b)) + n2_value(a, b, s, width, t)) * Fraction(1, 2)

@@ -27,7 +27,7 @@ from zpmeasures.octagon import (build_factors, degree2_symmetry_check,
 from zpmeasures.padic import PrimeContext, bernoulli, binom, vp
 from zpmeasures.suites import SUITE_RUNNERS, RunConfig
 
-from levelref import is_zero
+from levelref import is_zero, value
 from polyref import MPoly
 from reportref import first_failure
 
@@ -174,12 +174,12 @@ def test_07_magnus_suite_seeded_words():
         S = star_convolution(tuple(beta_measures(g, r, towers[0]) for r in range(3)),
                              tuple(beta_measures(h, r, towers[1]) for r in range(3)))
         C = tuple(beta_measures(g * h, r, gh_tower) for r in range(3))
-        ok = ok and all(S[i].tables == C[i].tables for i in range(3))
+        ok = ok and all(S[i] == C[i] for i in range(3))
         b1 = beta_measures(g, 1, towers[0])
         b2 = beta_measures(g, 2, towers[0])
         for a in itertools.product(range(p), repeat=2):
-            lhs = b2.tables[1][a] + b2.tables[1][(a[1], a[0])]
-            ok = ok and lhs == b1.tables[1][(a[0],)] * b1.tables[1][(a[1],)]
+            lhs = value(b2, 1, a) + value(b2, 1, (a[1], a[0]))
+            ok = ok and lhs == value(b1, 1, (a[0],)) * value(b1, 1, (a[1],))
         n_box = n_max - 1
         for n0 in range(3):
             for n1 in range(3 - n0):

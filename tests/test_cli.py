@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import itertools
 import json
+import math
 import os
 import pathlib
 import shlex
@@ -13,11 +14,12 @@ from fractions import Fraction
 import pytest
 
 import zpmeasures
-from zpmeasures import cli, octagon, suites
+from zpmeasures import cli, magnus, octagon, suites
 from zpmeasures.measures import LevelFamily
 from zpmeasures.cli import EXIT_FAIL, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from zpmeasures.suites import RunConfig, run_suite
 
+from levelref import raised
 from reportref import first_failure
 from test_faults import wrong_e1
 
@@ -70,10 +72,7 @@ def test_failed_signed_symmetrization_names_its_miss(monkeypatch):
 
     def perturbed(rng, cfg, c):  # beta2 off by p at one level-1 point
         rho, beta2 = real(rng, cfg, c)
-        tables = list(beta2.tables)
-        tables[1] = dict(tables[1])
-        tables[1][(1, 2)] += cfg.p
-        return rho, LevelFamily(beta2.p, 2, tuple(tables), beta2.denom_bound)
+        return rho, raised(beta2, 1, (1, 2), cfg.p)
 
     monkeypatch.setattr(suites, "_rho_and_beta2", perturbed)
     report = run_suite(RunConfig(p=5, n_max=2, suite="measures"))[0]
@@ -578,6 +577,38 @@ def test_value_error_inside_a_suite_is_internal(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == ["internal error: ValueError: boom"]
+
+
+@pytest.mark.parametrize("module, builder, argv", [
+    (magnus, "embed_E", ["emit", "nc-series", "--word", "x", "--p", "2", "--n", "1"]),
+    (cli, "iwasawa_P", ["emit", "iwasawa", "--measure", "M", "--p", "3", "--nmax", "2"]),
+    (cli, "transform_F", ["emit", "f-series", "--measure", "E1", "--p", "3", "--nmax", "2"]),
+    (octagon, "build_factor", ["emit", "octagon-factor", "--p", "3", "--n", "1"]),
+    (LevelFamily, "value", ["emit", "measure", "--measure", "N2", "--format", "csv"])])
+def test_a_value_error_past_the_emit_input_checks_is_internal(module, builder, argv,
+                                                             monkeypatch, capsys):
+    # emit's inputs are checked before anything is built: a ValueError while
+    # building or writing is a fault of the program, not invalid input
+    def boom(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(module, builder, boom)
+    assert run(argv) == EXIT_INTERNAL
+    assert capsys.readouterr() == ("", "internal error: ValueError: boom\n")
+
+
+def test_emit_writes_numbers_past_the_interpreter_digit_cap(capsys):
+    # 1/1600! and a 4400-digit c have more than the 4300 digits Python 3.11
+    # converts by default; emit writes them whole
+    assert run(["emit", "nc-series", "--word", "x", "--p", "2", "--n", "1",
+                "--degree", "1600"]) == EXIT_OK
+    terms = json.loads(capsys.readouterr().out)["terms"]
+    assert terms[-1] == {"mono": ".".join(["X"] * 1600), "value": f"1/{math.factorial(1600)}"}
+    c = 10 ** 4399 + 1
+    assert run(["emit", "measure", "--measure", "M", "--c", str(c), "--p", "3", "--nmax", "1",
+                "--format", "csv"]) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1] == f"0,0,{c - 1}"
 
 
 @pytest.mark.parametrize("where", ["missing-folder", "folder"])

@@ -223,7 +223,7 @@ def test_box_index_matches_scan(case, level, data):
         fam = beta.to_level_family(ctx)
         for n in range(ctx.n_max + 1):
             for a in residues(p, n, dim):
-                assert fam.tables[n][a] == sum(w for _, w in scan_box(beta.atoms, a, n, p))
+                assert fam.value(n, a) == sum(w for _, w in scan_box(beta.atoms, a, n, p))
     # the memo takes no part in equality or hashing
     fresh = DiracCombo.make(dim, combo.atoms)
     assert fresh == combo and hash(fresh) == hash(combo)

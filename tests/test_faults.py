@@ -12,21 +12,15 @@ import itertools
 import pytest
 
 from zpmeasures import classical, corrections, magnus, octagon
-from zpmeasures.measures import DiracCombo, LevelFamily
+from zpmeasures.measures import DiracCombo
 from zpmeasures.suites import RunConfig, run_suite
 
-
-def bumped(mu: LevelFamily, level: int, point: tuple) -> LevelFamily:
-    """`mu` with one table entry raised by 1."""
-    tables = list(mu.tables)
-    tables[level] = dict(tables[level])
-    tables[level][point] += 1
-    return LevelFamily(mu.p, mu.dim, tuple(tables), mu.denom_bound)
+from levelref import raised
 
 
 def bump_e1(monkeypatch):
     real = classical.make_E1
-    monkeypatch.setattr(classical, "make_E1", lambda c, ctx: bumped(real(c, ctx), 1, (1,)))
+    monkeypatch.setattr(classical, "make_E1", lambda c, ctx: raised(real(c, ctx), 1, (1,)))
 
 
 def bump_beta(call: int, r: int, point: tuple):
@@ -39,7 +33,7 @@ def bump_beta(call: int, r: int, point: tuple):
             beta = real(g, rank, tower)
             if rank != r or next(calls) != call:
                 return beta
-            return bumped(beta, 1, point)
+            return raised(beta, 1, point)
 
         monkeypatch.setattr(magnus, "beta_measures", perturbed)
     return patch

@@ -118,7 +118,6 @@ REACH_MATRIX = (
     "emit octagon-factor --factor A --p 3 --n 1",
 )
 REACH_EXEMPT = {
-    "record.Record.__eq__": "value semantics, pinned by test_records.py",
     "record.Record.__repr__": "for debugging",
     "record.Frozen.__hash__": "value semantics, pinned by test_records.py",
     "record.Frozen.__reduce__": "value semantics, pinned by test_records.py",

@@ -17,11 +17,12 @@ from zpmeasures.magnus import (FreeWord, NcSeries, WordSyntaxError, X,
                                shuffle_check, shuffle_words,
                                word_coefficient_congruence, word_log2,
                                word_tower)
-from zpmeasures.measures import LevelFamily, star_convolution, validate_distribution
+from zpmeasures.measures import star_convolution, validate_distribution
 from zpmeasures.padic import PrimeContext, vp
 from zpmeasures.suites import RunConfig, magnus_suite
 
 import lieref
+from levelref import raised, value, values
 from seriesref import (exp_gen, exp_transform_roundtrip, project_series,
                        reference_embedding)
 
@@ -155,9 +156,9 @@ def tower(g, degree):
 
 def test_beta_measures_dirac_case():
     g = FreeWord(2, 2, ((0, 1),))
-    assert beta_measures(g, 1, tower(g, 1)).tables == make_dirac([0], CTX2).tables
+    assert beta_measures(g, 1, tower(g, 1)) == make_dirac([0], CTX2)
     b0 = beta_measures(g, 0, tower(g, 1))
-    assert b0.dim == 0 and b0.tables == ({(): 1},) * 3 and b0.denom_bound == 0
+    assert b0.dim == 0 and values(b0) == ({(): 1},) * 3 and b0.denom_bound == 0
     with pytest.raises(ValueError):
         beta_measures(FreeWord(2, 2, ((X, 1),)), 1, ())
     with pytest.raises(ValueError):  # a tower too shallow for r = 2
@@ -186,7 +187,7 @@ def test_graded_star_identity():
         C = graded(g * h)
         assert len(S) == len(C) == 3
         for i in range(3):
-            assert S[i].tables == C[i].tables
+            assert S[i] == C[i]
 
 
 def test_permutation_sum_gives_products():
@@ -196,8 +197,8 @@ def test_permutation_sum_gives_products():
     b2 = beta_measures(g, 2, tower(g, 2))
     for n in range(3):
         for a in itertools.product(range(2 ** n), repeat=2):
-            lhs = b2.tables[n][a] + b2.tables[n][(a[1], a[0])]
-            assert lhs == b1.tables[n][(a[0],)] * b1.tables[n][(a[1],)]
+            lhs = value(b2, n, a) + value(b2, n, (a[1], a[0]))
+            assert lhs == value(b1, n, (a[0],)) * value(b1, n, (a[1],))
 
 
 def test_word_coefficient_congruence():
@@ -256,10 +257,7 @@ def test_beta_distribution_failure_names_level_point_valuation(monkeypatch):
         words.append(g)
         if (g, r) != (words[0], 2):
             return beta
-        tables = list(beta.tables)
-        tables[1] = dict(tables[1])
-        tables[1][(1, 2)] += 9
-        return LevelFamily(beta.p, 2, tuple(tables), beta.denom_bound)
+        return raised(beta, 1, (1, 2), 9)
 
     monkeypatch.setattr(magnus, "beta_measures", perturbed)
     rep = magnus_suite(RunConfig(p=3, n_max=2, seed=1))

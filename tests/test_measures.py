@@ -17,7 +17,10 @@ from zpmeasures.measures import (DiracCombo, LevelFamily,
                                  transform_F, validate_distribution)
 from zpmeasures.padic import INF, PIntegralityError, PrimeContext, vp
 
-from levelref import fraction_tables, is_zero, normal_form, total_mass, unit_sequence
+from levelref import (assert_stored_form, exterior_reference, fraction_tables, is_zero,
+                      linear_combine_reference, measures_equal_reference, pushforward_reference,
+                      raised, star_reference, total_mass, unit_sequence,
+                      validate_distribution_reference, value)
 from polyref import MPoly
 
 CTX = PrimeContext(3, 3)
@@ -29,18 +32,13 @@ def dirac_pair():
 
 
 def test_validate_distribution_negative_control():
-    mu = make_M(-1, CTX)
-    tables = list(mu.tables)
-    t2 = dict(tables[2])
-    t2[(4,)] += 1
-    tables[2] = t2
-    bad = LevelFamily(3, 1, tuple(tables), mu.denom_bound)
+    bad = raised(make_M(-1, CTX), 2, (4,))
     assert validate_distribution(bad) == (1, (1,), -1)
 
 
 def test_linear_combine_identities():
     a, b = dirac_pair()
-    assert linear_combine([1, 0], [a, b]).tables == a.tables
+    assert linear_combine([1, 0], [a, b]) == a
     assert is_zero(linear_combine([1, -1], [a, a]))
 
 
@@ -61,8 +59,8 @@ def test_pushforward_affine_maps_every_coordinate():
 
 def test_translate_and_errors():
     a = make_dirac([2], CTX)
-    assert pushforward(a, shift=[3]).tables == make_dirac([5], CTX).tables
-    assert pushforward(a, shift=[0]).tables == a.tables
+    assert pushforward(a, shift=[3]) == make_dirac([5], CTX)
+    assert pushforward(a, shift=[0]) == a
     with pytest.raises(PIntegralityError):
         pushforward(a, shift=[Fraction(1, 3)])
     with pytest.raises(ValueError):
@@ -82,8 +80,8 @@ def test_pushforward_refuses_a_map_of_another_dimension(keyword, values):
 
 def test_scale_action_unit_only():
     a, _ = dirac_pair()
-    assert pushforward(a, units=[1]).tables == a.tables
-    assert pushforward(a, units=[-1]).tables == make_dirac([-1], CTX5).tables
+    assert pushforward(a, units=[1]) == a
+    assert pushforward(a, units=[-1]) == make_dirac([-1], CTX5)
     with pytest.raises(ValueError):
         pushforward(a, units=[5])
 
@@ -101,8 +99,8 @@ def test_scale_translate_composition():
     mu = linear_combine([1, 2], list(dirac_pair()))
     lhs = pushforward(pushforward(mu, shift=[3]), units=[2])
     rhs = pushforward(pushforward(mu, units=[2]), shift=[6])
-    assert lhs.tables == rhs.tables
-    assert pushforward(mu, units=[2], shift=[6]).tables == lhs.tables
+    assert lhs == rhs
+    assert pushforward(mu, units=[2], shift=[6]) == lhs
 
 
 # Each door into the exact domain, as a call with one scalar put in from outside.
@@ -146,20 +144,20 @@ def test_pushforward_affine_refuses_a_non_integer_e(e):
 
 def test_pushforward_affine():
     mu = linear_combine([1, 2], list(dirac_pair()))
-    assert pushforward(make_dirac([0], CTX5), units=[-1], shift=[1]).tables == \
-        make_dirac([1], CTX5).tables
+    assert pushforward(make_dirac([0], CTX5), units=[-1], shift=[1]) == \
+        make_dirac([1], CTX5)
     twice = pushforward(pushforward(mu, units=[-1], shift=[1]), units=[-1], shift=[1])
-    assert twice.tables == mu.tables
+    assert twice == mu
 
 
 def test_signed_perm_action():
     d00 = make_dirac([0, 0], CTX5)
-    assert pushforward(d00, (0, 1), (1, 1)).tables == d00.tables
+    assert pushforward(d00, (0, 1), (1, 1)) == d00
     # a one-coordinate flip carries the sign character -1
     mu = linear_combine([1, 2], list(dirac_pair()))
     one_flip = linear_combine([-1], [pushforward(mu, (0,), (-1,))])
-    assert one_flip.tables == linear_combine(
-        [-1, -2], [make_dirac([-1], CTX5), make_dirac([-2], CTX5)]).tables
+    assert one_flip == linear_combine(
+        [-1, -2], [make_dirac([-1], CTX5), make_dirac([-2], CTX5)])
     # the sign character sums to zero over the group
     group = list(signed_group(2))
     parts = [pushforward(d00, perm, eps) for perm, eps in group]
@@ -171,7 +169,7 @@ def test_signed_perm_semidirect_composition():
     perm, eps = (1, 0), (-1, 1)
     combined = pushforward(mu, perm, eps)
     staged = pushforward(pushforward(mu, (0, 1), eps), perm, (1, 1))
-    assert combined.tables == staged.tables
+    assert combined == staged
 
 
 @st.composite
@@ -196,16 +194,16 @@ def test_pushforward_matches_exact_dirac_image(case):
     placed = DiracCombo.make(combo.dim, [([pt[perm.index(k)] for k in range(combo.dim)], w)
                                          for pt, (_, w) in zip(moved, combo.atoms)])
     got = pushforward(combo.to_level_family(ctx), perm, eps, shift)
-    assert got.tables == placed.to_level_family(ctx).tables
+    assert got == placed.to_level_family(ctx)
 
 
 def test_exterior_product():
     a, b = dirac_pair()
     ab = exterior_product(a, b)
-    assert ab.tables == make_dirac([1, 2], CTX5).tables
+    assert ab == make_dirac([1, 2], CTX5)
     c = make_dirac([0], CTX5)
-    assert exterior_product(exterior_product(a, b), c).tables == \
-        exterior_product(a, exterior_product(b, c)).tables
+    assert exterior_product(exterior_product(a, b), c) == \
+        exterior_product(a, exterior_product(b, c))
 
 
 def test_exterior_transform_factorizes():
@@ -224,16 +222,16 @@ def test_star_convolution_unit_and_associativity():
     B = (unit_sequence(CTX5, 0)[0], b, exterior_product(b, b))
     unit = unit_sequence(CTX5, 2)
     for i in range(3):
-        assert star_convolution(A, unit)[i].tables == A[i].tables
-        assert star_convolution(unit, A)[i].tables == A[i].tables
+        assert star_convolution(A, unit)[i] == A[i]
+        assert star_convolution(unit, A)[i] == A[i]
     # degree-1 entry of A*B with unit degree-0 parts
-    assert star_convolution(A, B)[1].tables == linear_combine([1, 1], [a, b]).tables
+    assert star_convolution(A, B)[1] == linear_combine([1, 1], [a, b])
     C = (unit_sequence(CTX5, 0)[0], make_dirac([3], CTX5),
          exterior_product(make_dirac([3], CTX5), make_dirac([3], CTX5)))
     left = star_convolution(star_convolution(A, B), C)
     right = star_convolution(A, star_convolution(B, C))
     for i in range(3):
-        assert left[i].tables == right[i].tables
+        assert left[i] == right[i]
 
 
 def test_box_integral_basics():
@@ -256,29 +254,20 @@ def test_measures_equal_modes():
     a, b = dirac_pair()
     assert measures_equal(a, a, INF) is None
     assert measures_equal(make_dirac([0], CTX5), make_dirac([1], CTX5), 1) == (1, (0,), 1)
-    close = linear_combine([1], [a])
-    tables = list(close.tables)
-    t = dict(tables[2])
-    t[(3,)] += 25
-    tables[2] = t
-    shifted = LevelFamily(5, 1, tuple(tables), close.denom_bound)
+    shifted = raised(linear_combine([1], [a]), 2, (3,), 25)
     assert measures_equal(a, shifted, 2) is None
     assert measures_equal(a, shifted, 3) == (2, (3,), -25)
 
 
 def test_measures_equal_names_its_miss():
     a = make_M(7, CTX5)
-    tables = list(a.tables)
-    t = dict(tables[2])
-    t[(3,)] += 25
-    tables[2] = t
-    shifted = LevelFamily(5, 1, tuple(tables), a.denom_bound)
+    shifted = raised(a, 2, (3,), 25)
     miss = measures_equal(a, shifted, 3)
     assert miss == (2, (3,), -25)
     assert pinpoint(miss, 5) == "level=2 point=(3,) valuation=2"
     # a miss at a level that one of the tables does not store is not seen;
     # a pass names nothing
-    shallow = LevelFamily(5, 1, shifted.tables[:2], a.denom_bound)
+    shallow = LevelFamily(5, 1, shifted.tables[:2], shifted.dens[:2], a.denom_bound)
     assert measures_equal(a, shallow, INF) is None
     assert measures_equal(shallow, a, INF) is None
     # tables built to depths 2 and 3 compare and combine at levels 0..2
@@ -289,8 +278,8 @@ def test_measures_equal_names_its_miss():
 
 
 M7 = make_M(7, CTX5)
-M7_TO_1 = LevelFamily(5, 1, M7.tables[:2], M7.denom_bound)
-M7_AT_0 = LevelFamily(5, 1, M7.tables[:1], 0)
+M7_TO_1 = LevelFamily(5, 1, M7.tables[:2], M7.dens[:2], M7.denom_bound)
+M7_AT_0 = LevelFamily(5, 1, M7.tables[:1], M7.dens[:1], 0)
 CONST1 = MPoly.const(1, 1)
 
 
@@ -316,12 +305,10 @@ def test_checks_with_no_level_argument_read_every_stored_level(family):
     assert validate_distribution(family) is None
     flipped = pushforward(family, units=[-1])
     assert flipped.n_max == family.n_max
-    assert pushforward(flipped, units=[-1]).tables == family.tables
-    top = list(family.tables)
-    top[-1] = {**top[-1], (0,): top[-1][(0,)] + 1}
-    raised = LevelFamily(5, 1, tuple(top), family.denom_bound)
+    assert pushforward(flipped, units=[-1]) == family
+    top = raised(family, family.n_max, (0,))
     assert measures_equal(family, family, INF) is None
-    assert measures_equal(family, raised, INF) == (family.n_max, (0,), -1)
+    assert measures_equal(family, top, INF) == (family.n_max, (0,), -1)
 
 
 def test_dirac_combo_matches_level_tables():
@@ -342,23 +329,22 @@ def test_distribution_relation_lift_count():
 
 
 # ---------------------------------------------------------------------------
-# Normal form: every stored value is an int, or a Fraction with denominator
-# > 1, and the tables and denom_bound equal those of the all-Fraction build.
+# Stored form: every level is int numerators over one positive denominator, in
+# lowest terms and residues() order, and the family equals the all-Fraction
+# build's, denom_bound included.
 
 
-def in_normal_form(mu: LevelFamily) -> bool:
-    return all(normal_form(v) for t in mu.tables for v in t.values())
-
-
-def same_both_ways(build):
-    """build() with the library's LevelFamily.build and with the reference."""
+def same_both_ways(build, reference=None):
+    """build() with the library's builders and kernels, and again with every
+    table tabulated by `levelref.build_fraction`: `reference()`, when given,
+    is build() with each kernel replaced by its `levelref` reference.  build()
+    gives one family or a tuple of them."""
     got = build()
     with fraction_tables():
-        want = build()
-    assert all(type(v) is Fraction for t in want.tables for v in t.values())
-    assert got.tables == want.tables
-    assert got.denom_bound == want.denom_bound
-    assert in_normal_form(got)
+        want = (reference or build)()
+    assert got == want
+    for mu in got if type(got) is tuple else (got,):
+        assert_stored_form(mu)
     return got
 
 
@@ -419,34 +405,40 @@ def named_combinations(draw):
 def test_linear_combine_matches_the_fraction_reference(case, named):
     combos, coeffs = case
 
-    def build(coeffs, combos):
-        return linear_combine(coeffs, [mu.to_level_family(CTX) for mu in combos])
+    def both(coeffs, combos):
+        def build(combine):
+            return combine(coeffs, [mu.to_level_family(CTX) for mu in combos])
+        return same_both_ways(lambda: build(linear_combine),
+                              lambda: build(linear_combine_reference))
 
-    same_both_ways(lambda: build(coeffs, combos))
-    zero = same_both_ways(lambda: build(coeffs + [-c for c in coeffs], combos + combos))
+    both(coeffs, combos)
+    zero = both(coeffs + [-c for c in coeffs], combos + combos)
     assert is_zero(zero) and zero.denom_bound == 0
-    halves = same_both_ways(lambda: build([Fraction(1, 2)] * 2 * len(combos), combos + combos))
-    assert all(type(v) is int for t in halves.tables for v in t.values())
+    halves = both([Fraction(1, 2)] * 2 * len(combos), combos + combos)
+    assert set(halves.dens) == {1}
 
     p, c, n_max, named_coeffs = named
     ctx = PrimeContext(p, n_max)
 
-    def parts():
+    def parts(push):
         E = make_E1(c, ctx)
-        return [E, pushforward(E, units=[-1]), make_M(c, ctx), make_dirac([0], ctx)]
+        return [E, push(E, units=[-1]), make_M(c, ctx), make_dirac([0], ctx)]
 
-    same_both_ways(lambda: linear_combine(named_coeffs, parts()))
+    same_both_ways(lambda: linear_combine(named_coeffs, parts(pushforward)),
+                   lambda: linear_combine_reference(named_coeffs, parts(pushforward_reference)))
 
-    def translation_plus_delta_1():
-        E, _, M, d0 = parts()
-        return linear_combine([1, -1, -1, c - 1, 1],
-                              [pushforward(E, shift=[c]), E, M, d0, make_dirac([1], ctx)])
+    def translation_plus_delta_1(combine, push):
+        E, _, M, d0 = parts(push)
+        return combine([1, -1, -1, c - 1, 1],
+                       [push(E, shift=[c]), E, M, d0, make_dirac([1], ctx)])
 
     # T_c(E) - E - M(c) - (1-c) delta_0 vanishes exactly, so adding delta_1 leaves
     # delta_1's integer tables, whatever the denominators of E and M
-    one = same_both_ways(translation_plus_delta_1)
-    assert one.tables == make_dirac([1], ctx).tables and one.denom_bound == 0
-    assert all(type(v) is int for t in one.tables for v in t.values())
+    one = same_both_ways(lambda: translation_plus_delta_1(linear_combine, pushforward),
+                         lambda: translation_plus_delta_1(linear_combine_reference,
+                                                          pushforward_reference))
+    assert one == make_dirac([1], ctx) and one.denom_bound == 0
+    assert set(one.dens) == {1}
 
 
 @settings(max_examples=30, deadline=None)
@@ -456,12 +448,17 @@ def test_pushforward_and_products_match_the_fraction_reference(pc, unit, shift):
     p, c = pc
     assume(vp(unit, p) == 0 and vp(shift, p) >= 0)
     ctx = PrimeContext(p, 2)
-    same_both_ways(lambda: pushforward(make_M(c, ctx), units=[unit]))
-    same_both_ways(lambda: pushforward(make_M(c, ctx), shift=[shift]))
-    if c.numerator % p:
-        same_both_ways(lambda: pushforward(make_E1(c, ctx), units=[unit], shift=[shift]))
-        same_both_ways(lambda: exterior_product(make_E1(c, ctx), make_M(c, ctx)))
-    same_both_ways(lambda: exterior_product(make_M(c, ctx), make_dirac([shift], ctx)))
+
+    def images(push, product):
+        out = (push(make_M(c, ctx), units=[unit]), push(make_M(c, ctx), shift=[shift]),
+               product(make_M(c, ctx), make_dirac([shift], ctx)))
+        if c.numerator % p:
+            out += (push(make_E1(c, ctx), units=[unit], shift=[shift]),
+                    product(make_E1(c, ctx), make_M(c, ctx)))
+        return out
+
+    same_both_ways(lambda: images(pushforward, exterior_product),
+                   lambda: images(pushforward_reference, exterior_reference))
 
 
 @settings(max_examples=40, deadline=None)
@@ -473,7 +470,7 @@ def test_dirac_combinations_match_the_fraction_reference(p, k, others):
     # two halves share a box below level k and sum to 1 there
     pair = DiracCombo.make(1, [((0,), Fraction(1, 2)), ((p ** k,), Fraction(1, 2))])
     mu = same_both_ways(lambda: pair.to_level_family(ctx))
-    assert all(mu.tables[n][(0,)] == 1 and type(mu.tables[n][(0,)]) is int for n in range(k))
+    assert all(value(mu, n, (0,)) == 1 and type(value(mu, n, (0,))) is int for n in range(k))
     combo = pair + DiracCombo.make(1, [((x,), w) for x, w in others])
     same_both_ways(lambda: combo.to_level_family(ctx))
     # points at odd halves, moved by a half onto integers
@@ -483,3 +480,75 @@ def test_dirac_combinations_match_the_fraction_reference(p, k, others):
     assert all(type(x) is int for pt, w in moved.atoms for x in pt)
     assert all(type(w) is int or w.denominator > 1 for pt, w in moved.atoms)
     same_both_ways(lambda: moved.to_level_family(PrimeContext(p, 2)))
+
+
+# ---------------------------------------------------------------------------
+# The table kernels against their Fraction references, on Dirac combinations
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A prime; Dirac combinations a1, b1 on Z and a2, b2 on Z^2 with rational
+    weights, some atoms cancelling; two coefficients, cancelling or not; a unit
+    and a shift per coordinate."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    weight = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, p, p * p]))
+
+    def combo(dim):
+        atoms = draw(st.lists(st.tuples(st.tuples(*[st.integers(-9, 9)] * dim), weight),
+                              min_size=1, max_size=4))
+        if draw(st.booleans()):  # an atom that cancels the first
+            atoms.append((atoms[0][0], -atoms[0][1]))
+        return DiracCombo.make(dim, atoms)
+
+    c = draw(weight)
+    coeffs = draw(st.sampled_from([[c, -c], [c, draw(weight)], [0, c]]))
+    unit = st.sampled_from([u for u in (1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-3, 7))
+                            if vp(u, p) == 0])
+    units = draw(st.lists(unit, min_size=2, max_size=2))
+    shift = draw(st.lists(weight.filter(lambda w: w.denominator % p), min_size=2, max_size=2))
+    return p, [combo(1), combo(2), combo(1), combo(2)], coeffs, units, shift
+
+
+def same_as_reference(got, want):
+    assert got == want
+    assert_stored_form(got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_inputs())
+@example((3, [DiracCombo.make(1, [((1,), Fraction(1, 3)), ((1,), Fraction(-1, 3))]),
+              DiracCombo.make(2, [((0, 4), Fraction(1, 9))]),
+              DiracCombo.make(1, [((2,), Fraction(1, 2)), ((5,), Fraction(1, 2))]),
+              DiracCombo.make(2, [((1, 1), 3), ((4, 4), Fraction(-1, 3))])],
+          [Fraction(1, 2), Fraction(-1, 2)], [2, -1], [Fraction(1, 2), 0]))
+def test_table_kernels_match_the_fraction_reference(case):
+    # every value, every level's lowest terms and key order, and denom_bound
+    p, combos, coeffs, units, shift = case
+    ctx = PrimeContext(p, 2)
+    a1, a2, b1, b2 = (combo.to_level_family(ctx) for combo in combos)
+    with fraction_tables():
+        for mu, combo in zip((a1, a2, b1, b2), combos, strict=True):
+            same_as_reference(mu, combo.to_level_family(ctx))
+    for mu in (a1, a2):
+        for perm in itertools.permutations(range(mu.dim)):
+            same_as_reference(pushforward(mu, perm, units[:mu.dim], shift[:mu.dim]),
+                              pushforward_reference(mu, perm, units[:mu.dim], shift[:mu.dim]))
+    for pair in ([a1, b1], [a2, b2], [a2, a2]):
+        same_as_reference(linear_combine(coeffs, pair), linear_combine_reference(coeffs, pair))
+    for alpha, beta in ((a1, b1), (b2, a1)):
+        same_as_reference(exterior_product(alpha, beta), exterior_reference(alpha, beta))
+    one = unit_sequence(ctx, 0)
+    a, b = one + (a1, a2), one + (linear_combine(coeffs[1:], [b1]), b2)
+    for got, want in zip(star_convolution(a, b), star_reference(a, b), strict=True):
+        same_as_reference(got, want)
+    # the two checks read values, not numerators: the valuation of a difference
+    # and a defect counts the denominators
+    for mu, nu in ((a1, b1), (a2, b2), (a2, linear_combine([1, 1], [a2, b2]))):
+        for mod_exp in (INF, 0, 1, 2, 3):
+            assert measures_equal(mu, nu, mod_exp) == measures_equal_reference(mu, nu, mod_exp)
+    for mu in (a1, a2, b1, b2):
+        point = (1,) * mu.dim
+        for fault in (mu, raised(mu, 1, point, coeffs[1].numerator or 1),
+                      raised(mu, 2, point, -1)):
+            assert validate_distribution(fault) == validate_distribution_reference(fault)

@@ -18,8 +18,9 @@ from zpmeasures.octagon import (FACTOR_ORDER, ONE, ZERO, SymPoly, a_sym, b_sym, 
 from zpmeasures.padic import PrimeContext
 from zpmeasures.suites import RunConfig, octagon_suite
 
+from levelref import values
 from lieref import series_log
-from octagonref import (chi1_residuals_reference, degree2_display, eliminate,
+from octagonref import (amended_part, chi1_residuals_reference, degree2_display, eliminate,
                         generic_series_by_subst, half_system, shuffle_substitution,
                         standard_substitution, symbols)
 from polyref import FracSymPoly, sympoly
@@ -328,7 +329,7 @@ def test_symbolic_measures_are_the_tabulated_ones(p, n):
     for s in units(p, n):
         for tv in (-1, 0, 2):
             c = s + width * tv
-            E, M, N = (make(c, ctx).tables[n] for make in (make_E1, make_M, make_N2))
+            E, M, N = (values(make(c, ctx))[n] for make in (make_E1, make_M, make_N2))
             for x in range(width):
                 assert FracSymPoly.of(octagon.e1_sympoly(x, p, n, s)).subs_t(tv) == E[(x,)]
                 assert FracSymPoly.of(ZERO + m_value(x, s, t)).subs_t(tv) == M[(x,)]
@@ -610,6 +611,20 @@ def test_all_points_display_matches_the_point_formula(p, n):
         assert list(displays) == list(itertools.product(range(width), repeat=2))
         for (a, b), display in displays.items():
             assert display == degree2_display(a, b, p, n, s), (p, n, s, a, b)
+
+
+@pytest.mark.parametrize("p, n, s", [(3, 1, 2), (5, 1, 2), (2, 2, 3), (7, 1, 3)])
+def test_the_display_as_the_paper_prints_it_fails_at_every_point(p, n, s):
+    # README, "Where the checked identity departs from the paper": without
+    # the (a_{a-s} - E_{1,chi}(a)) M(chi)(b) part, the residual reduces to
+    # that part negated, and the part survives the reflection relations at
+    # every point
+    prod, mapping, images = product(p, n, s), reflection_map(p, n, s), {}
+    for a, b in itertools.product(range(p ** n), repeat=2):
+        printed = degree2_display(a, b, p, n, s, amended=False) - prod.coeff((a, b))
+        residual = reduce(printed, mapping, images)
+        assert residual == reduce(ZERO - amended_part(a, b, p, n, s), mapping, images)
+        assert residual, (a, b)
 
 
 # Random SymPolys over the symbols of the reflection and degree-1 relations

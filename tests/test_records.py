@@ -15,7 +15,7 @@ from zpmeasures.suites import RunConfig
 
 def level_family(dim, value):
     # a tuple stands in for each level's dict, which is unhashable
-    return LevelFamily(3, dim, ((((0,) * dim, value),),), 0)
+    return LevelFamily(3, dim, ((((0,) * dim, value),),), (1,), 0)
 
 
 # (constructor, field, a construction equal to it but for that field)
@@ -24,7 +24,8 @@ FROZEN = [
     # equal words may be written with different letters; the normal form decides
     (lambda: FreeWord(3, 1, ((0, 1), (X, 1), (X, 1))), "letters",
      lambda: FreeWord(3, 1, ((0, 1), (X, 3)))),
-    (lambda: level_family(1, 1), "denom_bound", lambda: LevelFamily(3, 1, ((((0,), 1),),), 1)),
+    (lambda: level_family(1, 1), "denom_bound",
+     lambda: LevelFamily(3, 1, ((((0,), 1),),), (1,), 1)),
     (lambda: DiracCombo.make(1, [((2,), Fraction(1, 2))]), "atoms",
      lambda: DiracCombo.make(1, [((5,), Fraction(1, 2))])),
 ]

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from zpmeasures import cli
 from zpmeasures.classical import make_M, make_N2, make_dirac, make_E1
-from zpmeasures.measures import (DiracCombo, box_integral, iwasawa_P,
+from zpmeasures.measures import (DiracCombo, IwasawaPoly, box_integral, iwasawa_P,
                                  iwasawa_flip, iwasawa_swap, iwasawa_tensor,
-                                 linear_combine, pushforward, transform_F,
+                                 linear_combine, pushforward, residues, transform_F,
                                  transform_F_via_P)
 from zpmeasures.padic import PrimeContext, bernoulli, binom, vp
 
-from levelref import fraction_tables, normal_form
+from levelref import fraction_tables, normal_form, value
 from polyref import MPoly
 
 CTX = PrimeContext(3, 4)
@@ -193,22 +193,39 @@ def test_axis_contraction_matches_box_integral(case, terms):
                 vp(math.factorial(jk), p) for jk in j)
 
 
+def transform_reference(mu, terms, level, weight, scale) -> IwasawaPoly:
+    """The coefficient at j in [0, terms]^dim is the sum over the level-`level`
+    points x of the stored value times prod_k weight(x_k, j_k) / scale(j_k),
+    one Fraction per point; the guarantee is level - denom_bound - sum vp(j_k!)."""
+    coeffs, guars = {}, {}
+    for j in itertools.product(range(terms + 1), repeat=mu.dim):
+        total = sum((Fraction(value(mu, level, x)) * math.prod(map(weight, x, j))
+                     for x in residues(mu.p, level, mu.dim)), Fraction(0))
+        coeffs[j] = total / math.prod(map(scale, j))
+        guars[j] = level - mu.denom_bound - sum(vp(math.factorial(jk), mu.p) for jk in j)
+    return IwasawaPoly(mu.dim, terms, coeffs, guars)
+
+
 def transforms_both_ways(build, terms, level):
-    """P, F and the two substitutions on build() with the library's tables and
-    with `Fraction` tables: the same coefficients and guarantees, in normal form."""
+    """P, F and the two substitutions on build(), whose family must equal the
+    one tabulated by `levelref.build_fraction`, against the same transforms
+    summed point by point over `Fraction` values: the same coefficients and
+    guarantees, in normal form."""
     mu = build()
     with fraction_tables():
-        ref = build()
-    assert all(type(v) is Fraction for t in ref.tables for v in t.values())
+        assert build() == mu
     p = mu.p
-    for transform in (iwasawa_P, transform_F):
-        got, want = transform(mu, terms, level), transform(ref, terms, level)
+    refs = {}
+    for transform, weight, scale in ((iwasawa_P, math.comb, lambda j: 1),
+                                     (transform_F, pow, math.factorial)):
+        got, want = transform(mu, terms, level), transform_reference(mu, terms, level, weight,
+                                                                     scale)
         assert got.coeffs == want.coeffs and got.guarantees == want.guarantees
         assert all(map(normal_form, got.coeffs.values()))
-        assert all(map(normal_form, want.coeffs.values()))
+        refs[transform] = want
     for substitute in (lambda P: transform_F_via_P(P, p),
                        lambda P: iwasawa_flip(P, range(mu.dim), p)):
-        got, want = (substitute(iwasawa_P(m, terms, level)) for m in (mu, ref))
+        got, want = substitute(iwasawa_P(mu, terms, level)), substitute(refs[iwasawa_P])
         assert got.coeffs == want.coeffs and got.guarantees == want.guarantees
         assert all(map(normal_form, got.coeffs.values()))
 
