@@ -5,10 +5,10 @@
 * mazur          E_{1,c}, the regularized Bernoulli measure
 * two-variable   N2(c) and the dilogarithm-coefficient measure D2
 
-Each named measure has one point formula (`m_value`, `e1_value`, `n2_value`,
-`d2_value`) in the level constants c = s + p^n t.  The `make_*` builders
-tabulate it with t rational (an int when c is); the octagon module
-evaluates the same formulas with t a symbol, at chi = s + p^n t.
+Each named measure has one formula in the level constants c = s + p^n t: a
+row (`m_row`, `e1_row`, `n2_row`) or, for D2, a point formula (`d2_value`).
+The `make_*` builders tabulate it a level at a time with t rational (an int
+when c is); the octagon module evaluates it with t a symbol, at chi = s + p^n t.
 
 Level formulas index residues as 1..p^n with p^n standing for the residue 0;
 `mpos` below realizes that ordering.  For M(c) the branch threshold is the
@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .magnus import FreeWord, X, kernel_check, word_tower
 from .measures import (DiracCombo, LevelFamily, linear_combine, measures_equal, pinpoint,
-                       pushforward)
+                       pushforward, residues)
 from .padic import INF, PrimeContext, exact, repr_mod, vp
 
 
@@ -31,32 +31,29 @@ def mpos(a: int, pn: int) -> int:
     return pn if a == 0 else a
 
 
-def m_value(x: int, s: int, t):
-    """M(c) at x: t plus the indicator of 1 <= x < s."""
-    return t + 1 if 1 <= x < s else t
+def m_row(s: int, pn: int, t) -> list:
+    """M(c) at x = 0..p^n - 1: t plus the indicator of 1 <= x < s."""
+    return [t] + [t + 1] * (s - 1) + [t] * (pn - s)
 
 
-def e1_value(x: int, s: int, pn: int, t):
-    """E_{1,c}(x) = x/p^n - c <c^{-1} x>/p^n + (c - 1)/2 with c = s + p^n t,
-    written over the one denominator 2p^n."""
-    c = s + pn * t
-    u = (pow(s, -1, pn) * x) % pn
-    return (pn * (c - 1) - 2 * u * c + 2 * x) * Fraction(1, 2 * pn)
+def e1_row(s: int, pn: int, t) -> list:
+    """E_{1,c}(x) = x/p^n - c <c^{-1} x>/p^n + (c - 1)/2 with c = s + p^n t at
+    x = 0..p^n - 1, written over the one denominator 2p^n."""
+    c, inv, half = s + pn * t, pow(s, -1, pn), Fraction(1, 2 * pn)
+    base = pn * (c - 1)
+    return [(base - 2 * (inv * x % pn) * c + 2 * x) * half for x in range(pn)]
 
 
-def n2_value(a: int, b: int, s: int, pn: int, t):
-    """N2(c) at (a, b): -t - 1 on 1 <= a < b < s, -t on s <= a < b <= p^n
-    (in the 1..p^n order), and antisymmetric."""
-    ma, mb = mpos(a, pn), mpos(b, pn)
-    if ma < mb:
-        if mb < s:
-            return -t - 1
-        return -t if s <= ma else 0
-    if mb < ma:
-        if ma < s:
-            return t + 1
-        return t if s <= mb else 0
-    return 0
+def n2_row(a: int, s: int, pn: int, t) -> list:
+    """N2(c) at (a, b) for b = 0..p^n - 1: -t - 1 on 1 <= a < b < s, -t on
+    s <= a < b <= p^n (in the 1..p^n order), and antisymmetric.  Over b in that
+    order the row is at most four constant runs, rotated so that b = 0 comes first."""
+    ma = mpos(a, pn)
+    if ma < s:
+        runs = [t + 1] * (ma - 1) + [0] + [-t - 1] * (s - 1 - ma) + [0] * (pn - s + 1)
+    else:
+        runs = [0] * (s - 1) + [t] * (ma - s) + [0] + [-t] * (pn - ma)
+    return runs[-1:] + runs[:-1]
 
 
 def d2_value(a: int, b: int, pn: int, alpha, gamma):
@@ -94,20 +91,21 @@ def make_dirac(point, ctx: PrimeContext) -> LevelFamily:
 
 def make_M(c, ctx: PrimeContext) -> LevelFamily:
     """The measure with total mass c - 1 interpolating binomial coefficients."""
-    levels = [(s, t) for s, _, t in _levels(c, ctx, unit=False)]
-    return LevelFamily.build(ctx.p, 1, lambda n, a: m_value(*a, *levels[n]), ctx.n_max)
+    levels = _levels(c, ctx, unit=False)
+    return LevelFamily.build(ctx.p, 1, lambda n: m_row(*levels[n]), ctx.n_max)
 
 
 def make_E1(c, ctx: PrimeContext) -> LevelFamily:
     """The Mazur-Bernoulli measure: moments (B_k/k)(1 - c^k)."""
     levels = _levels(c, ctx, unit=True)
-    return LevelFamily.build(ctx.p, 1, lambda n, a: e1_value(a[0], *levels[n]), ctx.n_max)
+    return LevelFamily.build(ctx.p, 1, lambda n: e1_row(*levels[n]), ctx.n_max)
 
 
 def make_N2(c, ctx: PrimeContext) -> LevelFamily:
     """Antisymmetric two-variable companion of M(c); c must be a unit."""
     levels = _levels(c, ctx, unit=True)
-    return LevelFamily.build(ctx.p, 2, lambda n, ab: n2_value(*ab, *levels[n]), ctx.n_max)
+    return LevelFamily.build(ctx.p, 2, lambda n: [v for a in range(levels[n][1])
+                                                  for v in n2_row(a, *levels[n])], ctx.n_max)
 
 
 def make_D2(word: FreeWord) -> LevelFamily:
@@ -125,11 +123,8 @@ def make_D2(word: FreeWord) -> LevelFamily:
         width = word.p ** n
         levels.append((width, [s.coeff((i,)) for i in range(width)].__getitem__,
                        [s.coeff((X, i)) for i in range(width)].__getitem__))
-
-    def fn(n, ab):
-        return d2_value(ab[0], ab[1], *levels[n])
-
-    return LevelFamily.build(word.p, 2, fn, word.level)
+    return LevelFamily.build(word.p, 2, lambda n: [d2_value(a, b, *levels[n])
+                                                   for a, b in residues(word.p, n, 2)], word.level)
 
 
 # ---------------------------------------------------------------------------

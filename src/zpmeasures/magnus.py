@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 
 from .corrections import LinearFormIntegrand
-from .measures import LevelFamily, box_integral
+from .measures import LevelFamily, box_integral, residues
 from .padic import Rat, require_prime, vp
 from .record import Frozen, Record
 
@@ -170,8 +170,8 @@ def mono_name(m) -> str:
 class NcSeries(Record):
     """Power series in X, Y_0..Y_{p^level - 1} truncated past `degree`.
 
-    Coefficients are Fractions, or any ring elements whose truth value says
-    "nonzero" (the octagon's series have SymPoly coefficients).
+    Coefficients are exact rationals, or any ring elements whose truth value
+    says "nonzero" (the octagon's series have SymPoly coefficients).
     """
 
     __slots__ = _fields = ("p", "level", "degree", "coeffs")
@@ -271,7 +271,7 @@ def embed_E(w: FreeWord, degree: int) -> NcSeries:
     """Product over the letters (g, e) of exp(e * g), truncated, in divided
     powers: the integer N[m] = len(m)! * coeff(m) of a degree-d monomial m
     sends e^j C(d+j, j) N[m] to m g^j, carried as c * e * (d + j) // j (an
-    exact division), and each term is divided by len(m)! once at the end."""
+    exact division); each N[m] / len(m)! is taken once, at the end, in normal form."""
     nums = {(): 1}
     for g, e in w.letters:
         out = {}
@@ -283,8 +283,10 @@ def embed_E(w: FreeWord, degree: int) -> NcSeries:
                 terms.append((m + (g,) * j, c))
             accumulate(out, terms)
         nums = out
+    fact = [math.factorial(d) for d in range(degree + 1)]
     return NcSeries(w.p, w.level, degree,
-                    {m: Fraction(c, math.factorial(len(m))) for m, c in nums.items()})
+                    {m: Fraction(c, fact[len(m)]) if c % fact[len(m)] else c // fact[len(m)]
+                     for m, c in nums.items()})
 
 
 def _numerators(coeffs: dict) -> tuple:
@@ -422,7 +424,8 @@ def beta_measures(g: FreeWord, r: int, tower) -> LevelFamily:
         raise ValueError("word is not in the kernel (nonzero x-exponent)")
     if len(tower) != g.level + 1 or any(s.degree < r for s in tower):
         raise ValueError(f"need the word's series at levels 0..{g.level}, degree >= {r}")
-    return LevelFamily.build(g.p, r, lambda n, a: tower[n].coeff(a), g.level)
+    return LevelFamily.build(g.p, r, lambda n: [tower[n].coeff(a) for a in residues(g.p, n, r)],
+                             g.level)
 
 
 def word_coefficient_congruence(ns, idx, m: int, series, beta_r):

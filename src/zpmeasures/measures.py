@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import add, itemgetter, mul
 
 from .padic import INF, PrimeContext, Rat, exact, repr_mod, vp
@@ -48,10 +48,11 @@ class LevelFamily(Frozen):
 
     @classmethod
     def build(cls, p: int, dim: int, fn, n_max: int) -> "LevelFamily":
-        """Tabulate fn(n, point) for the levels 0..n_max, each over the lcm of its denominators."""
+        """Tabulate the levels 0..n_max, fn(n) giving level n's values as one list in
+        residues() order, each level over the lcm of its denominators."""
         levels = []
         for n in range(n_max + 1):
-            vals = [fn(n, a) for a in residues(p, n, dim)]
+            vals = fn(n)
             denoms = [v.denominator for v in vals if type(v) is not int]
             den = math.lcm(*denoms)
             if denoms:
@@ -73,7 +74,7 @@ class LevelFamily(Frozen):
 
     @classmethod
     def zero(cls, p: int, dim: int, n_max: int) -> "LevelFamily":
-        return cls.build(p, dim, lambda n, a: 0, n_max)
+        return cls.build(p, dim, lambda n: [0] * p ** (n * dim), n_max)
 
 
 def pinpoint(miss: tuple, p: int) -> str:
@@ -448,7 +449,11 @@ class DiracCombo(Frozen):
         return sum(w * integrand.forms(pt) for pt, w in atoms)
 
     def to_level_family(self, ctx: PrimeContext) -> LevelFamily:
-        def fn(n, a):
-            return sum(w for _, w in self.boxes(ctx.p, n).get(a, ()))
+        """Each box's mass at its flat index in residues() order, 0 elsewhere."""
+        def level(n):
+            pn, vals = ctx.p ** n, [0] * ctx.p ** (n * self.dim)
+            for box, atoms in self.boxes(ctx.p, n).items():
+                vals[reduce(lambda i, x: i * pn + x, box, 0)] = sum(w for _, w in atoms)
+            return vals
 
-        return LevelFamily.build(ctx.p, self.dim, fn, ctx.n_max)
+        return LevelFamily.build(ctx.p, self.dim, level, ctx.n_max)

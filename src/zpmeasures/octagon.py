@@ -6,8 +6,8 @@ coefficients of the cocycle series), b_{a,b} (degree-2), g_i (the
 dilogarithm coefficients at X Y_i) and the deviation parameter t: the
 cyclotomic value is modeled as chi = s + p^n t with s a fixed unit residue,
 which turns every coefficient into an exact polynomial in t.  The named
-measures M, E_{1,chi}, N2 and D2 are the point formulas of `classical`,
-evaluated with this symbolic t.
+measures M, E_{1,chi}, N2 and D2 are the row and point formulas of
+`classical`, evaluated with this symbolic t.
 
 The nine factors of the octagonal product are defined explicitly below, and
 the product is truncated past degree 2.  The external reflection relation
@@ -27,7 +27,7 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from .classical import d2_value, e1_value, m_value, mpos, n2_value
+from .classical import d2_value, e1_row, m_row, mpos, n2_row
 from .magnus import FreeWord, NcSeries, X, accumulate, word_log2
 from .padic import exact, is_prime
 
@@ -369,21 +369,17 @@ def deg1_relations(prod: NcSeries):
     return [prod.coeffs.get((i,), ZERO) for i in range(prod.p ** prod.level)]
 
 
-def e1_sympoly(x: int, p: int, n: int, s: int) -> SymPoly:
-    """E_{1,chi}(x) as a polynomial in t."""
-    return e1_value(x, s, p ** n, SymPoly.t())
+def e1_sympoly(p: int, n: int, s: int) -> list:
+    """E_{1,chi}(x) at x = 0..p^n - 1, as polynomials in t."""
+    return e1_row(s, p ** n, SymPoly.t())
 
 
 def reflection_relations(p: int, n: int, s: int):
     """The external reflection axiom, one relation per point:
     a_x - a_{-x} - E_{1,chi}(x) - (1-chi)/2 [x = 0]."""
     width = check_config(p, n, s)
-    rels = []
-    for x in range(width):
-        rel = a_sym(x, width) - a_sym(-x, width) - e1_sympoly(x, p, n, s)
-        if x == 0:
-            rel = rel - (ONE - chi_sympoly(p, n, s)) * Fraction(1, 2)
-        rels.append(rel)
+    rels = [a_sym(x, width) - a_sym(-x, width) - e1 for x, e1 in enumerate(e1_sympoly(p, n, s))]
+    rels[0] = rels[0] - (ONE - chi_sympoly(p, n, s)) * Fraction(1, 2)
     return rels
 
 
@@ -392,8 +388,8 @@ def reflection_map(p: int, n: int, s: int) -> dict:
     0 < x < p^n - x: a_{-x} -> a_x - E_{1,chi}(x).  No image holds a mapped
     symbol, so one substitution is a normal form modulo the ideal."""
     width = check_config(p, n, s)
-    return {("a", width - x): a_sym(x, width) - e1_sympoly(x, p, n, s)
-            for x in range(1, width) if width - x > x}
+    e1 = e1_sympoly(p, n, s)
+    return {("a", width - x): a_sym(x, width) - e1[x] for x in range(1, width) if width - x > x}
 
 
 def reduce(poly: SymPoly, mapping: dict, images: dict) -> SymPoly:
@@ -429,8 +425,8 @@ def degree2_displays(s: int, prod: NcSeries) -> dict:
     al = lambda x: a_sym(x, width)
     g = lambda x: g_sym(x, width)
     d2 = {(a, b): d2_value(a, b, width, al, g) for a, b in itertools.product(range(width), repeat=2)}
-    e1 = [e1_sympoly(x, p, n, s) for x in range(width)]
-    M = [m_value(x, s, t) for x in range(width)]
+    e1, M = e1_sympoly(p, n, s), m_row(s, width, t)
+    N2 = [n2_row(a, s, width, t) for a in range(width)]
     # E(b) plus the (1 - chi) [b = 0] terms that share its cofactor
     Eb = [e1[0] + one_m_chi] + e1[1:]
     # The translated-cocycle x interpolation-measure product appears in the
@@ -445,7 +441,7 @@ def degree2_displays(s: int, prod: NcSeries) -> dict:
                  (b_sym(s - a, s - b, width), 1, 1), (b_sym(a - s, b - s, width), -1, 1),
                  (cofactors[a][0] * Eb[b], 1, 1), (cofactors[a][1] * M[b], 1, 1),
                  (d2[a, b], 1, 1), (d2[(a - s) % width, (b - s) % width], -1, 1),
-                 (_coerce(n2_value(a, b, s, width, t)), 1, 2), (M[a] * M[b], -1, 2),
+                 (_coerce(N2[a][b]), 1, 2), (M[a] * M[b], -1, 2),
                  (prod.coeffs.get((a, b), ZERO), -1, 1)]
         if a == 0:
             parts += [(one_m_chi * al(b), 1, 2), (one_m_chi * (e1[b] + M[b]), -1, 1)]

@@ -5,16 +5,21 @@ A `LevelFamily` stores level n as int numerators over one denominator
 `build_fraction` is `LevelFamily.build` through one `Fraction` per value:
 each level goes over the lcm of its values' denominators, and `denom_bound`
 is read off each nonzero value's valuation.  Within `fraction_tables()`
-every builder tabulates through it, so the tests can check that the two give
-the same family.  `pushforward_reference`, `linear_combine_reference`,
-`exterior_reference` and `star_reference` are the table kernels written
-point by point over `Fraction` values and tabulated by `build_fraction`;
+every builder tabulates through it, and the named measures M, E_{1,c} and
+N2 are tabulated from their point references, one call per point, so the
+tests can check that the two give the same family.  `pointwise` turns a
+point function into the per-level function `build` takes.
+`pushforward_reference`, `linear_combine_reference`, `exterior_reference`
+and `star_reference` are the table kernels written point by point over
+`Fraction` values and tabulated by `build_fraction`;
 `measures_equal_reference` and `validate_distribution_reference` are the
 two table checks, value by value.
 `assert_stored_form` checks the stored form itself.
 
-`e1_value_reference` is E_{1,c} by its three-term formula, one `Fraction`
-per term, against which `classical.e1_value` is checked.
+`m_value_reference`, `e1_value_reference` and `n2_value_reference` are the
+named measures point by point, E_{1,c} by its three-term formula with one
+`Fraction` per term; the rows `classical.m_row`, `e1_row` and `n2_row` are
+checked against them.
 
 `value` is the one way a test reads a stored value, `values` all of them and
 `raised` writes one fault.  `normal_form`, `unit_sequence`, `is_zero` and
@@ -25,19 +30,23 @@ from __future__ import annotations
 
 import itertools
 import math
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction
+from unittest import mock
 
+from zpmeasures import classical
+from zpmeasures.classical import mpos
 from zpmeasures.measures import LevelFamily, residues
 from zpmeasures.padic import PrimeContext, repr_mod, vp
 
 
 def build_fraction(cls, p: int, dim: int, fn, n_max: int) -> LevelFamily:
-    """Tabulate fn(n, point) for the levels 0..n_max, one Fraction per value."""
+    """Tabulate fn(n), level n's values in residues() order, for the levels
+    0..n_max, one Fraction per value."""
     tables, dens = [], []
     worst = 0
     for n in range(n_max + 1):
-        level = {a: Fraction(fn(n, a)) for a in residues(p, n, dim)}
+        level = {a: Fraction(v) for a, v in zip(residues(p, n, dim), fn(n), strict=True)}
         den = math.lcm(*[v.denominator for v in level.values()])
         tables.append({a: (v * den).numerator for a, v in level.items()})
         dens.append(den)
@@ -59,6 +68,17 @@ def assert_stored_form(mu: LevelFamily):
                                         for v in t.values() if v])
 
 
+def pointwise(p: int, dim: int, fn):
+    """The per-level function of `build` that calls fn(n, point) at every
+    level-n point, in residues() order."""
+    return lambda n: [fn(n, a) for a in residues(p, n, dim)]
+
+
+def m_value_reference(x: int, s: int, t):
+    """M(c) at x: t plus the indicator of 1 <= x < s."""
+    return t + 1 if 1 <= x < s else t
+
+
 def e1_value_reference(x: int, s: int, pn: int, t):
     """E_{1,c}(x) = x/p^n - c <c^{-1} x>/p^n + (c - 1)/2 with c = s + p^n t."""
     c = s + pn * t
@@ -66,15 +86,38 @@ def e1_value_reference(x: int, s: int, pn: int, t):
     return c * Fraction(-u, pn) + Fraction(x, pn) + (c - 1) * Fraction(1, 2)
 
 
+def n2_value_reference(a: int, b: int, s: int, pn: int, t):
+    """N2(c) at (a, b): -t - 1 on 1 <= a < b < s, -t on s <= a < b <= p^n
+    (in the 1..p^n order), and antisymmetric."""
+    ma, mb = mpos(a, pn), mpos(b, pn)
+    if ma < mb:
+        if mb < s:
+            return -t - 1
+        return -t if s <= ma else 0
+    if mb < ma:
+        if ma < s:
+            return t + 1
+        return t if s <= mb else 0
+    return 0
+
+
+# classical's rows, each written as its point reference called once per point
+POINT_ROWS = {
+    "m_row": lambda s, pn, t: [m_value_reference(x, s, t) for x in range(pn)],
+    "e1_row": lambda s, pn, t: [e1_value_reference(x, s, pn, t) for x in range(pn)],
+    "n2_row": lambda a, s, pn, t: [n2_value_reference(a, b, s, pn, t) for b in range(pn)],
+}
+
+
 @contextmanager
 def fraction_tables():
-    """Within the block, `LevelFamily.build` is `build_fraction`."""
-    real = LevelFamily.__dict__["build"]
-    LevelFamily.build = classmethod(build_fraction)
-    try:
+    """Within the block, `LevelFamily.build` is `build_fraction`, and the
+    named measures' builders read their point references, not the rows."""
+    with ExitStack() as stack:
+        stack.enter_context(mock.patch.object(LevelFamily, "build", classmethod(build_fraction)))
+        for name, row in POINT_ROWS.items():
+            stack.enter_context(mock.patch.object(classical, name, row))
         yield
-    finally:
-        LevelFamily.build = real
 
 
 def pushforward_reference(mu: LevelFamily, perm=None, units=None, shift=None) -> LevelFamily:
@@ -88,22 +131,23 @@ def pushforward_reference(mu: LevelFamily, perm=None, units=None, shift=None) ->
                   for k, u, c in zip(perm, units, shift, strict=True))
         return value(mu, n, x)
 
-    return build_fraction(LevelFamily, mu.p, mu.dim, fn, mu.n_max)
+    return build_fraction(LevelFamily, mu.p, mu.dim, pointwise(mu.p, mu.dim, fn), mu.n_max)
 
 
 def linear_combine_reference(coeffs, mus) -> LevelFamily:
     def fn(n, a):
         return sum(Fraction(c) * value(mu, n, a) for c, mu in zip(coeffs, mus, strict=True))
 
-    return build_fraction(LevelFamily, mus[0].p, mus[0].dim, fn, min(m.n_max for m in mus))
+    p, dim = mus[0].p, mus[0].dim
+    return build_fraction(LevelFamily, p, dim, pointwise(p, dim, fn), min(m.n_max for m in mus))
 
 
 def exterior_reference(alpha: LevelFamily, beta: LevelFamily) -> LevelFamily:
     def fn(n, ab):
         return value(alpha, n, ab[:alpha.dim]) * value(beta, n, ab[alpha.dim:])
 
-    return build_fraction(LevelFamily, alpha.p, alpha.dim + beta.dim, fn,
-                          min(alpha.n_max, beta.n_max))
+    p, dim = alpha.p, alpha.dim + beta.dim
+    return build_fraction(LevelFamily, p, dim, pointwise(p, dim, fn), min(alpha.n_max, beta.n_max))
 
 
 def star_reference(a: tuple, b: tuple) -> tuple:
@@ -112,7 +156,7 @@ def star_reference(a: tuple, b: tuple) -> tuple:
         def fn(n, pt):
             return sum(value(a[j], n, pt[:j]) * value(b[i - j], n, pt[j:]) for j in range(i + 1))
 
-        return build_fraction(LevelFamily, a[0].p, i, fn,
+        return build_fraction(LevelFamily, a[0].p, i, pointwise(a[0].p, i, fn),
                               min(m.n_max for m in a[:i + 1] + b[:i + 1]))
 
     return tuple(entry(i) for i in range(min(len(a), len(b))))
@@ -146,7 +190,7 @@ def normal_form(v) -> bool:
 
 def unit_sequence(ctx: PrimeContext, top: int) -> tuple:
     """(1, 0, 0, ...): the two-sided identity for the star product."""
-    entries = [LevelFamily.build(ctx.p, 0, lambda n, a: 1, ctx.n_max)]
+    entries = [LevelFamily.build(ctx.p, 0, lambda n: [1], ctx.n_max)]
     for i in range(1, top + 1):
         entries.append(LevelFamily.zero(ctx.p, i, ctx.n_max))
     return tuple(entries)

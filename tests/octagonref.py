@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from zpmeasures.classical import d2_value, m_value, n2_value
+from zpmeasures.classical import d2_value, m_row, n2_row
 from zpmeasures.magnus import NcSeries, X, word_log2
 from zpmeasures.octagon import (ONE, ZERO, SymPoly, a_sym, b_sym, chi_sympoly,
                                 deg1_relations, e1_sympoly, g_sym, reduce,
@@ -48,7 +48,7 @@ def amended_part(a: int, b: int, p: int, n: int, s: int) -> SymPoly:
     interpolation-measure product that the derivation's grouping step has and
     the paper's displayed statement drops."""
     width = p ** n
-    return (a_sym(a - s, width) - e1_sympoly(a, p, n, s)) * m_value(b, s, SymPoly.t())
+    return (a_sym(a - s, width) - e1_sympoly(p, n, s)[a]) * m_row(s, width, SymPoly.t())[b]
 
 
 def degree2_display(a: int, b: int, p: int, n: int, s: int, amended: bool = True) -> SymPoly:
@@ -61,8 +61,8 @@ def degree2_display(a: int, b: int, p: int, n: int, s: int, amended: bool = True
     t = SymPoly.t()
     al = lambda x: a_sym(x, width)
     g = lambda x: g_sym(x, width)
-    M = lambda x: m_value(x, s, t)
-    E = lambda x: e1_sympoly(x, p, n, s)
+    M = lambda x: m_row(s, width, t)[x]
+    E = lambda x: e1_sympoly(p, n, s)[x]
     # E(b) plus the (1 - chi) [b = 0] terms that share its cofactor
     Eb = E(b) + one_m_chi if b == 0 else E(b)
 
@@ -73,7 +73,7 @@ def degree2_display(a: int, b: int, p: int, n: int, s: int, amended: bool = True
         total = total + amended_part(a, b, p, n, s)
     total = total + d2_value(a, b, width, al, g) \
         - d2_value((a - s) % width, (b - s) % width, width, al, g)
-    total = total + (-(M(a) * M(b)) + n2_value(a, b, s, width, t)) * Fraction(1, 2)
+    total = total + (-(M(a) * M(b)) + n2_row(a, s, width, t)[b]) * Fraction(1, 2)
     if a == 0:
         total = total + half * al(b) - one_m_chi * (E(b) + M(b))
         if b == 0:

@@ -7,12 +7,13 @@ from zpmeasures import classical
 from zpmeasures.classical import (e1_relation_suite, make_D2, make_E1, make_M,
                                   make_N2, make_dirac)
 from zpmeasures.magnus import FreeWord, X, commutator, parse_word, word_tower
-from zpmeasures.measures import (LevelFamily, linear_combine, pushforward,
+from zpmeasures.measures import (LevelFamily, linear_combine, pushforward, residues,
                                  validate_distribution)
 from zpmeasures.octagon import SymPoly
 from zpmeasures.padic import PIntegralityError, PrimeContext, repr_mod
 
-from levelref import e1_value_reference, is_zero, raised, total_mass, value, values
+from levelref import (e1_value_reference, is_zero, m_value_reference, n2_value_reference,
+                      raised, total_mass, value, values)
 
 CTX = PrimeContext(3, 3)
 
@@ -31,8 +32,9 @@ def test_dirac_tables_are_indicators():
 def test_dirac_matches_a_scan_of_every_entry(p, level, point):
     # reference: the indicator of the point's residues, tested entry by entry
     ctx = PrimeContext(p, level)
-    scan = LevelFamily.build(p, len(point), lambda n, b: int(all(
-        x == repr_mod(a, p, n) for x, a in zip(b, point))), level)
+    scan = LevelFamily.build(p, len(point), lambda n: [int(all(
+        x == repr_mod(a, p, n) for x, a in zip(b, point))) for b in residues(p, n, len(point))],
+        level)
     d = make_dirac(point, ctx)
     assert d == scan
     with pytest.raises(PIntegralityError):
@@ -67,8 +69,25 @@ def test_mazur_measure_basics():
                                    (3, 8), (13, 25), (24, 25), (48, 49)])
 def test_e1_value_matches_the_three_term_formula(s, pn):
     for t in (0, 3, -2, Fraction(-1, 2), Fraction(5, 7), SymPoly.t()):
+        row = classical.e1_row(s, pn, t)
+        assert len(row) == pn
         for x in range(pn):
-            assert classical.e1_value(x, s, pn, t) == e1_value_reference(x, s, pn, t), (x, t)
+            assert row[x] == e1_value_reference(x, s, pn, t), (x, t)
+
+
+@pytest.mark.parametrize("p, pn", [(p, p ** n) for p in (2, 3, 5) for n in range(5)
+                                   if p ** n <= 27])
+def test_rows_are_their_point_references(p, pn):
+    # every threshold s in (0, p^n], E_{1,c} at the unit ones only
+    for s in range(1, pn + 1):
+        for t in (0, 1, -2, Fraction(3, 7), SymPoly.t()):
+            assert classical.m_row(s, pn, t) == [m_value_reference(x, s, t) for x in range(pn)]
+            for a in range(pn):
+                assert classical.n2_row(a, s, pn, t) == [n2_value_reference(a, b, s, pn, t)
+                                                         for b in range(pn)], (s, t, a)
+            if s % p or pn == 1:
+                assert classical.e1_row(s, pn, t) == [e1_value_reference(x, s, pn, t)
+                                                      for x in range(pn)], (s, t)
 
 
 def test_two_variable_companion():
@@ -112,8 +131,9 @@ def test_dilog_measure_rejects_bad_tables():
     alphas, gammas = word_tables(word)
 
     def d2_from_tables():
-        return LevelFamily.build(3, 2, lambda n, ab: classical.d2_value(
-            ab[0], ab[1], 3 ** n, alphas[n].__getitem__, gammas[n].__getitem__), 2)
+        return LevelFamily.build(3, 2, lambda n: [classical.d2_value(
+            a, b, 3 ** n, alphas[n].__getitem__, gammas[n].__getitem__)
+            for a, b in residues(3, n, 2)], 2)
 
     assert d2_from_tables() == make_D2(word)
     gammas[2][4] += 1

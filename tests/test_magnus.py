@@ -22,7 +22,7 @@ from zpmeasures.padic import PrimeContext, vp
 from zpmeasures.suites import RunConfig, magnus_suite
 
 import lieref
-from levelref import raised, value, values
+from levelref import normal_form, raised, value, values
 from seriesref import (exp_gen, exp_transform_roundtrip, project_series,
                        reference_embedding)
 
@@ -454,8 +454,8 @@ def test_normal_form_matches_letter_by_letter_reference(word, degree, data):
     for normal, raw in ((w, letters), (projected, unrolled)):
         got = embed_E(normal, degree)
         assert got.coeffs == reference_embedding(p, normal.level, raw, degree).coeffs
-        # `_numerators` branches on type: an int coefficient would change its route
-        assert all(type(c) is Fraction and c for c in got.coeffs.values())
+        # every stored coefficient is nonzero and in normal form: an int when integral
+        assert all(normal_form(c) and c for c in got.coeffs.values())
 
 
 @pytest.mark.parametrize("k", [-2, 0, 3])

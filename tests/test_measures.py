@@ -373,6 +373,19 @@ def test_d2_matches_the_fraction_reference(word, p, level):
     same_both_ways(lambda: make_D2(parse_word(word, p, level)))
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+@pytest.mark.parametrize("value", [1, Fraction(1, 3)])
+def test_build_refuses_a_level_of_the_wrong_size(extra, value):
+    # level 2 of a 2-dim table at p = 3 has 81 points; the level function is
+    # read as one list in residues() order, so 80 or 82 values are refused
+    def fn(n):
+        return [value] * (3 ** (2 * n) + (extra if n == 2 else 0))
+
+    assert LevelFamily.build(3, 2, fn, 1).n_max == 1
+    with pytest.raises(ValueError, match="zip"):
+        LevelFamily.build(3, 2, fn, 2)
+
+
 @st.composite
 def combinations(draw):
     """Integer-weighted Dirac masses and one rational coefficient for each."""

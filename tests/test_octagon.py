@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zpmeasures import octagon
-from zpmeasures.classical import e1_value, make_E1, make_M, make_N2, m_value, n2_value
+from zpmeasures.classical import e1_row, m_row, make_E1, make_M, make_N2, n2_row
 from zpmeasures.magnus import NcSeries, X, embed_E, word_log2
 from zpmeasures.octagon import (FACTOR_ORDER, ONE, ZERO, SymPoly, a_sym, b_sym, build_factor,
                                 build_factors, deg1_relations, degree2_displays,
@@ -158,10 +158,9 @@ def test_level_constants_vanish_at_chi_1():
     # display is zero, so the s = 1 display at t = 0 is the chi = 1 display
     for p, n in GRID:
         width = p ** n
-        for x in range(width):
-            assert e1_value(x, 1, width, 0) == 0 and m_value(x, 1, 0) == 0
-        for a, b in itertools.product(range(width), repeat=2):
-            assert n2_value(a, b, 1, width, 0) == 0
+        assert e1_row(1, width, 0) == [0] * width and m_row(1, width, 0) == [0] * width
+        for a in range(width):
+            assert n2_row(a, 1, width, 0) == [0] * width
 
 
 def test_chi1_residuals_are_the_reference_comparison():
@@ -330,11 +329,14 @@ def test_symbolic_measures_are_the_tabulated_ones(p, n):
         for tv in (-1, 0, 2):
             c = s + width * tv
             E, M, N = (values(make(c, ctx))[n] for make in (make_E1, make_M, make_N2))
+            e1, m = octagon.e1_sympoly(p, n, s), m_row(s, width, t)
             for x in range(width):
-                assert FracSymPoly.of(octagon.e1_sympoly(x, p, n, s)).subs_t(tv) == E[(x,)]
-                assert FracSymPoly.of(ZERO + m_value(x, s, t)).subs_t(tv) == M[(x,)]
-            for a, b in itertools.product(range(width), repeat=2):
-                assert FracSymPoly.of(ZERO + n2_value(a, b, s, width, t)).subs_t(tv) == N[(a, b)]
+                assert FracSymPoly.of(e1[x]).subs_t(tv) == E[(x,)]
+                assert FracSymPoly.of(ZERO + m[x]).subs_t(tv) == M[(x,)]
+            for a in range(width):
+                row = n2_row(a, s, width, t)
+                for b in range(width):
+                    assert FracSymPoly.of(ZERO + row[b]).subs_t(tv) == N[(a, b)]
 
 
 # Small random SymPolys, and width-2 series over both coefficient rings:

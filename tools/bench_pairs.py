@@ -10,8 +10,10 @@ odd, with seed seeds[i % len(seeds)] on both sides.  Each side runs
 `python3 perfbench/run.py --workload W --seed S --seconds T` from its own
 checkout, so each measures the sources it holds.  The section written into
 `--out` (other sections of an existing file are kept) has, per workload, the
-parent's and the change's median, the parent's quartiles and IQR, and in how
-many pairs the change was lower; and every run's numbers.
+parent's and the change's median, the parent's quartiles and IQR, in how
+many pairs the change was lower, and a reading of each metric against its
+bound in the change checkout's `BENCHMARK.json` (read, never written); and
+every run's numbers.
 """
 
 from __future__ import annotations
@@ -55,11 +57,35 @@ def run_side(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     return out
 
 
-def summarize(parent: list, change: list) -> dict:
+def load_bounds(path: str) -> dict:
+    """Metric name -> relative bound, from a `BENCHMARK.json`'s end-to-end metrics."""
+    with open(path) as fh:
+        return {m["name"]: m["bound"] for m in json.load(fh)["end_to_end"]}
+
+
+def reading(median: float, change_median: float, iqr: float, lower: int, pairs: int,
+            bound: float) -> str:
+    """One metric's reading: "gain" when the change is lower in at least 9/10
+    of the pairs and the medians differ by more than the parent's IQR; else
+    "worse" when the change's median exceeds the parent's by more than the
+    relative bound; else "unresolved" when the parent's IQR is wider than
+    the bound (relative to its median); else "unchanged"."""
+    if 10 * lower >= 9 * pairs and median - change_median > iqr:
+        return "gain"
+    if change_median > median * (1 + bound):
+        return "worse"
+    if iqr > median * bound:
+        return "unresolved"
+    return "unchanged"
+
+
+def summarize(parent: list, change: list, bounds: dict) -> dict:
     """Per workload and metric: the parent's and the change's median, their
-    ratio, the parent's inclusive quartiles and IQR, and "lower in k of n
-    pairs"; and the failures on each side.  `parent[i]` and `change[i]` are
-    pair i's {workload: {metric: value, "failed": count}}."""
+    ratio, the parent's inclusive quartiles and IQR, "lower in k of n pairs"
+    and the metric's `reading` against its bound in `bounds` (the unscaled
+    verdict reads against verdict_s's); and the failures on each side.
+    `parent[i]` and `change[i]` are pair i's {workload: {metric: value,
+    "failed": count}}."""
     out = {}
     for name in parent[0]:
         summary = {}
@@ -76,7 +102,9 @@ def summarize(parent: list, change: list) -> dict:
                 "change_over_parent": round(cm / pm, 4),
                 "parent_q1": round(q1, 6), "parent_q3": round(q3, 6),
                 "parent_iqr": round(q3 - q1, 6),
-                "change_lower_in_pairs": f"{lower} of {len(ps)}"}
+                "change_lower_in_pairs": f"{lower} of {len(ps)}",
+                "reading": reading(pm, cm, q3 - q1, lower, len(ps),
+                                   bounds[metric.removeprefix("unscaled_")])}
         summary["failed"] = {"parent": sum(run[name]["failed"] for run in parent),
                              "change": sum(run[name]["failed"] for run in change)}
         out[name] = summary
@@ -98,6 +126,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    bounds = load_bounds(os.path.join(sides["change"], "BENCHMARK.json"))
     runs, envs, exits = {"parent": [], "change": []}, [], []
     for i in range(args.pairs):
         seed = seeds[i % len(seeds)]
@@ -115,7 +144,7 @@ def main(argv=None) -> int:
                    f"--seconds {args.seconds:g}",
         "seeds": [seeds[i % len(seeds)] for i in range(args.pairs)],
         "pairs": args.pairs, "order": ORDER, "exit_codes_all_zero": not any(exits),
-        "env": envs, "summary": summarize(runs["parent"], runs["change"]), "runs": runs}
+        "env": envs, "summary": summarize(runs["parent"], runs["change"], bounds), "runs": runs}
     doc = {}
     if os.path.exists(args.out):
         with open(args.out) as fh:
